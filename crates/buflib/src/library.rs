@@ -293,6 +293,14 @@ impl BufferLibrary {
     /// Serializes the library to the plain-text exchange format: one
     /// `name r_ohms c_ff k_ps cost [max_load_ff] [slew=ps] [inv]` line per
     /// buffer.
+    ///
+    /// The text reads back bit for bit. Each capacitance and time field is
+    /// the shortest decimal in its display unit that
+    /// [`Farads::from_femto`] / [`Seconds::from_pico`] map back to the
+    /// stored value. The unit scale is not a power of two, so about one
+    /// value in ten has no such decimal; that field is written as the
+    /// exact SI value with a unit suffix instead (`2.3456e-14F`,
+    /// `3.1e-11s`), which [`BufferLibrary::from_text`] also reads.
     pub fn to_text(&self) -> String {
         let mut out = String::from(
             "# fastbuf buffer library: name r_ohms c_ff k_ps cost [max_load_ff] [slew=ps] [inv]\n",
@@ -302,15 +310,15 @@ impl BufferLibrary {
                 "{} {} {} {} {}",
                 b.name(),
                 b.driving_resistance().value(),
-                b.input_capacitance().femtos(),
-                b.intrinsic_delay().picos(),
+                femto_field(b.input_capacitance()),
+                pico_field(b.intrinsic_delay()),
                 b.cost(),
             ));
             if let Some(ml) = b.max_load() {
-                out.push_str(&format!(" {}", ml.femtos()));
+                out.push_str(&format!(" {}", femto_field(ml)));
             }
             if b.output_slew() > Seconds::ZERO {
-                out.push_str(&format!(" slew={}", b.output_slew().picos()));
+                out.push_str(&format!(" slew={}", pico_field(b.output_slew())));
             }
             if b.is_inverting() {
                 out.push_str(" inv");
@@ -322,7 +330,8 @@ impl BufferLibrary {
 
     /// Parses the plain-text exchange format produced by
     /// [`BufferLibrary::to_text`]. Lines starting with `#` and blank lines
-    /// are ignored.
+    /// are ignored. A capacitance or time field ending in `F` or `s` is an
+    /// exact SI value; otherwise it is in femtofarads or picoseconds.
     ///
     /// # Errors
     ///
@@ -343,53 +352,85 @@ impl BufferLibrary {
             // a NaN parameter would defeat every downstream ordering and the
             // unit newtypes debug-assert against it — a degenerate entry
             // must be a load error, never a later panic.
-            let mut field = |what: &str| -> Result<f64, String> {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("line {}: missing {what}", lineno + 1))?
+            let number = |what: &str, text: &str, unit: Option<Unit>| {
+                let si = unit.and_then(|(suffix, _)| text.strip_suffix(suffix));
+                let v = si
+                    .unwrap_or(text)
                     .parse::<f64>()
                     .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))?;
                 if v.is_nan() {
                     return Err(format!("line {}: {what} is NaN", lineno + 1));
                 }
-                Ok(v)
+                Ok(match (si, unit) {
+                    (None, Some((_, from_unit))) => from_unit(v),
+                    _ => v,
+                })
             };
-            let r = field("resistance")?;
-            let c = field("capacitance")?;
-            let k = field("intrinsic delay")?;
-            let cost = field("cost")?;
-            let mut buf = BufferType::new(
-                name,
-                Ohms::new(r),
-                Farads::from_femto(c),
-                Seconds::from_pico(k),
-            )
-            .with_cost(cost);
+            let mut field = |what: &str, unit| {
+                let text = it
+                    .next()
+                    .ok_or_else(|| format!("line {}: missing {what}", lineno + 1))?;
+                number(what, text, unit)
+            };
+            let r = field("resistance", None)?;
+            let c = field("capacitance", Some(FEMTO))?;
+            let k = field("intrinsic delay", Some(PICO))?;
+            let cost = field("cost", None)?;
+            let mut buf = BufferType::new(name, Ohms::new(r), Farads::new(c), Seconds::new(k))
+                .with_cost(cost);
             for extra in it {
                 if extra == "inv" {
                     buf = buf.with_inverting(true);
-                } else if let Some(ps) = extra.strip_prefix("slew=") {
-                    let ps: f64 = ps
-                        .parse()
-                        .map_err(|e| format!("line {}: bad output slew: {e}", lineno + 1))?;
-                    if ps.is_nan() {
-                        return Err(format!("line {}: output slew is NaN", lineno + 1));
-                    }
-                    buf = buf.with_output_slew(Seconds::from_pico(ps));
+                } else if let Some(slew) = extra.strip_prefix("slew=") {
+                    let slew = number("output slew", slew, Some(PICO))?;
+                    buf = buf.with_output_slew(Seconds::new(slew));
                 } else {
-                    let ml: f64 = extra
-                        .parse()
-                        .map_err(|e| format!("line {}: bad max load: {e}", lineno + 1))?;
-                    if ml.is_nan() {
-                        return Err(format!("line {}: max load is NaN", lineno + 1));
-                    }
-                    buf = buf.with_max_load(Farads::from_femto(ml));
+                    let ml = number("max load", extra, Some(FEMTO))?;
+                    buf = buf.with_max_load(Farads::new(ml));
                 }
             }
             buffers.push(buf);
         }
         BufferLibrary::new(buffers).map_err(|e| e.to_string())
     }
+}
+
+/// A unit field's SI suffix and its unit constructor (display unit → SI).
+type Unit = (char, fn(f64) -> f64);
+
+/// Femtofarad fields.
+const FEMTO: Unit = ('F', |ff| Farads::from_femto(ff).value());
+/// Picosecond fields.
+const PICO: Unit = ('s', |ps| Seconds::from_pico(ps).value());
+
+fn femto_field(c: Farads) -> String {
+    unit_field(c.value(), c.femtos(), FEMTO)
+}
+
+fn pico_field(t: Seconds) -> String {
+    unit_field(t.value(), t.picos(), PICO)
+}
+
+/// The text of one unit field: the shortest decimal `d` with
+/// `from_unit(d)` bit-equal to `si`, else `si` itself with the SI suffix.
+/// `from_unit` is monotone, so every such `d` lies within a few ulps of
+/// the converted value `unit`.
+fn unit_field(si: f64, unit: f64, (suffix, from_unit): Unit) -> String {
+    let mut d = unit;
+    for _ in 0..8 {
+        d = d.next_down();
+    }
+    let mut best: Option<String> = None;
+    for _ in 0..17 {
+        if from_unit(d).to_bits() == si.to_bits() {
+            let text = d.to_string();
+            if best.as_ref().is_none_or(|b| text.len() < b.len()) {
+                best = Some(text);
+            }
+        }
+        d = d.next_up();
+    }
+    best.unwrap_or_else(|| format!("{si:e}{suffix}"))
 }
 
 impl fmt::Display for BufferLibrary {
@@ -676,6 +717,92 @@ mod tests {
                     < 1e-9 * a.1.driving_resistance().value().abs()
             );
         }
+    }
+
+    /// Every field of every type, as bits.
+    fn library_bits(lib: &BufferLibrary) -> Vec<(String, [u64; 6], bool)> {
+        lib.iter()
+            .map(|(_, b)| {
+                (
+                    b.name().to_owned(),
+                    [
+                        b.driving_resistance().value().to_bits(),
+                        b.input_capacitance().value().to_bits(),
+                        b.intrinsic_delay().value().to_bits(),
+                        b.cost().to_bits(),
+                        b.max_load().map_or(0, |m| m.value().to_bits()),
+                        b.output_slew().value().to_bits(),
+                    ],
+                    b.is_inverting(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn text_roundtrip_is_bit_exact_for_synthetic_libraries() {
+        for lib in [
+            BufferLibrary::paper_synthetic(64).unwrap(),
+            BufferLibrary::paper_synthetic_mixed(8).unwrap(),
+            BufferLibrary::paper_synthetic_jittered(16, 3).unwrap(),
+        ] {
+            let text = lib.to_text();
+            let back = BufferLibrary::from_text(&text).unwrap();
+            assert_eq!(library_bits(&back), library_bits(&lib), "{text}");
+        }
+    }
+
+    #[test]
+    fn text_roundtrip_is_bit_exact_for_random_libraries() {
+        let mut rng = SplitMix64::new(0x7e57);
+        let (mut fields, mut si_fields) = (0usize, 0usize);
+        for round in 0..200 {
+            let types = 1 + (rng.next_u64() % 8) as usize;
+            let buffers = (0..types)
+                .map(|i| {
+                    // Raw SI values (not built from a decimal), spanning
+                    // several decades, so unit decimals that do not exist
+                    // show up too.
+                    let mut b = BufferType::new(
+                        format!("b{round}_{i}"),
+                        Ohms::new(10.0 + 1e4 * rng.next_f64()),
+                        Farads::new(1e-16 * (1.0 + 500.0 * rng.next_f64())),
+                        Seconds::new(1e-12 * (1.0 + 100.0 * rng.next_f64())),
+                    )
+                    .with_cost(if rng.next_u64().is_multiple_of(2) {
+                        (rng.next_u64() % 20) as f64
+                    } else {
+                        10.0 * rng.next_f64()
+                    });
+                    if rng.next_u64().is_multiple_of(2) {
+                        b = b.with_max_load(Farads::new(1e-14 * (1.0 + 100.0 * rng.next_f64())));
+                    }
+                    if rng.next_u64().is_multiple_of(2) {
+                        b = b.with_output_slew(Seconds::new(1e-11 * rng.next_f64()));
+                    }
+                    b.with_inverting(rng.next_u64().is_multiple_of(3))
+                })
+                .collect();
+            let lib = BufferLibrary::new(buffers).unwrap();
+            let text = lib.to_text();
+            let back = BufferLibrary::from_text(&text).unwrap();
+            assert_eq!(library_bits(&back), library_bits(&lib), "{text}");
+            for line in text.lines().skip(1) {
+                for tok in line.split_whitespace().skip(2) {
+                    if tok == "inv" {
+                        continue;
+                    }
+                    fields += 1;
+                    si_fields += usize::from(tok.ends_with('F') || tok.ends_with('s'));
+                }
+            }
+        }
+        // Most fields stay plain unit decimals; only the unreachable few
+        // fall back to SI.
+        assert!(
+            si_fields > 0 && si_fields * 5 < fields,
+            "{si_fields} of {fields}"
+        );
     }
 
     #[test]

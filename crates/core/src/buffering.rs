@@ -27,7 +27,7 @@ use crate::arena::{PredArena, PredEntry, PredRef};
 use crate::candidate::{push_pruned_c_order, Candidate, CandidateList};
 use crate::hull::{convex_prune_in_place, upper_hull_cols, upper_hull_into};
 use crate::pool::CandidatePool;
-use crate::slab::{CandidateSlab, SlabList, SlabView};
+use crate::slab::{BetaStage, CandidateSlab, SlabList, SlabView};
 use crate::slew::SlewPolicy;
 use crate::stats::SolveStats;
 
@@ -110,6 +110,8 @@ pub(crate) struct Scratch {
     /// Best buffered candidate per library type index, or `None`.
     pub(crate) beta_slots: Vec<Option<Candidate>>,
     betas: Vec<Candidate>,
+    /// Column staging for the betas of the slab-kernel callers.
+    pub(crate) stage: BetaStage,
     /// Freelist of candidate vectors shared by every list-producing DP
     /// operation of the owning solve (and, through
     /// [`SolveWorkspace`](crate::SolveWorkspace), across solves).
@@ -373,8 +375,9 @@ fn find_alphas_walk(
 /// [`add_buffers`] over the struct-of-arrays kernel: identical algorithm on
 /// a [`SlabList`]. The β generation (library order, per-type best
 /// candidate, dominance pruning among betas, counters) replicates the
-/// reference expression by expression; only the final insertion uses
-/// [`CandidateSlab::merge_insert`] instead of the pooled AoS merge.
+/// reference expression by expression; the betas are staged straight into
+/// columns and inserted with [`CandidateSlab::merge_insert`] instead of the
+/// pooled AoS merge.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn add_buffers_slab(
     algo: Algorithm,
@@ -397,14 +400,15 @@ pub(crate) fn add_buffers_slab(
     ) {
         return;
     }
-    scratch.betas.clear();
+    let betas = &mut scratch.stage.group;
+    betas.clear();
     for &id in lib.by_input_cap_asc() {
         if let Some(beta) = scratch.beta_slots[id.index()].take() {
-            push_pruned_c_order(&mut scratch.betas, beta);
+            betas.push_pruned(beta);
         }
     }
-    stats.betas_generated += scratch.betas.len() as u64;
-    slab.merge_insert(list, &scratch.betas);
+    stats.betas_generated += betas.len() as u64;
+    slab.merge_insert(list, betas);
 }
 
 /// [`find_betas`] over the slab: fills `scratch.beta_slots` from the

@@ -50,14 +50,13 @@ use std::fmt;
 use std::time::Instant;
 
 use fastbuf_buflib::units::Seconds;
-use fastbuf_buflib::BufferLibrary;
+use fastbuf_buflib::{BufferLibrary, BufferTypeId};
 use fastbuf_rctree::{NodeKind, RoutingTree};
 
 use fastbuf_rctree::delay::ElmoreModel;
 
 use crate::arena::PredArena;
 use crate::buffering::{find_betas_slab, Algorithm, Scratch};
-use crate::candidate::{Candidate, CandidateList};
 use crate::slab::{CandidateSlab, SlabList};
 use crate::slew::SlewPolicy;
 use crate::solution::Placement;
@@ -191,6 +190,17 @@ impl<'a> CostSolver<'a> {
             costs.push(rounded as usize);
         }
 
+        // Buffer types grouped by cost, each group in input-capacitance
+        // order: one group's betas from one level share a target level.
+        let mut cost_groups: Vec<(usize, Vec<BufferTypeId>)> = Vec::new();
+        for &id in lib.by_input_cap_asc() {
+            let cost = costs[id.index()];
+            match cost_groups.iter_mut().find(|(c, _)| *c == cost) {
+                Some((_, ids)) => ids.push(id),
+                None => cost_groups.push((cost, vec![id])),
+            }
+        }
+
         let prices = self.site_prices.as_deref();
         let mut stats = SolveStats::default();
         let mut arena = PredArena::new();
@@ -233,8 +243,11 @@ impl<'a> CostSolver<'a> {
                     let mut lv = acc.expect("internal nodes have children");
                     if tree.is_buffer_site(node) && !lib.is_empty() {
                         // Snapshot betas from every level first, then insert,
-                        // so a single node never hosts two buffers.
-                        let mut pending: Vec<Vec<Candidate>> = vec![Vec::new(); w_max + 1];
+                        // so a single node never hosts two buffers. Level `w`'s
+                        // betas of one cost form a c-sorted group bound for
+                        // level `w + cost`; each target unions its groups in
+                        // source-level order.
+                        scratch.stage.reset_targets(w_max + 1);
                         for (w, level) in lv.iter().enumerate() {
                             let Some(level) = *level else { continue };
                             // The cost DP stays slew-unconstrained; pair it
@@ -257,24 +270,29 @@ impl<'a> CostSolver<'a> {
                             ) {
                                 continue;
                             }
-                            for (id, _) in lib.iter() {
-                                if let Some(beta) = scratch.beta_slots[id.index()].take() {
-                                    let target = w + costs[id.index()];
+                            for (cost, ids) in &cost_groups {
+                                let target = w + cost;
+                                for &id in ids {
+                                    let Some(beta) = scratch.beta_slots[id.index()].take() else {
+                                        continue;
+                                    };
                                     if target <= w_max {
-                                        pending[target].push(beta);
+                                        scratch.stage.group.push_pruned(beta);
+                                        stats.betas_generated += 1;
                                     }
+                                }
+                                if target <= w_max {
+                                    scratch.stage.flush_group(target);
                                 }
                             }
                         }
-                        for (w, group) in pending.into_iter().enumerate() {
-                            if group.is_empty() {
+                        for (w, betas) in scratch.stage.targets.iter().enumerate() {
+                            if betas.is_empty() {
                                 continue;
                             }
-                            stats.betas_generated += group.len() as u64;
-                            let sorted = CandidateList::from_candidates(group);
                             match lv[w] {
-                                Some(list) => slab.merge_insert(list, sorted.as_slice()),
-                                None => lv[w] = Some(slab.load_list(&sorted)),
+                                Some(list) => slab.merge_insert(list, betas),
+                                None => lv[w] = Some(slab.load_betas(betas)),
                             }
                         }
                         prune_levels(&mut slab, &mut lv, &mut stats);
@@ -397,6 +415,7 @@ fn prune_levels(slab: &mut CandidateSlab, levels: &mut [Option<SlabList>], stats
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate::{Candidate, CandidateList};
     use crate::engine::Solver;
     use fastbuf_buflib::units::{Farads, Microns, Ohms};
     use fastbuf_buflib::{BufferType, Driver, Technology};

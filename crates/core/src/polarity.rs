@@ -57,7 +57,6 @@ use fastbuf_rctree::delay::ElmoreModel;
 
 use crate::arena::PredArena;
 use crate::buffering::{find_betas_slab, Algorithm, Scratch};
-use crate::candidate::{push_pruned_c_order, Candidate};
 use crate::slab::{CandidateSlab, SlabList};
 use crate::slew::SlewPolicy;
 use crate::solution::Placement;
@@ -264,34 +263,6 @@ fn merge_polarized(
         return slab.alloc();
     }
     slab.merge(left, right, arena, true, f64::INFINITY, stats)
-}
-
-/// Merges two c-sorted beta groups into one nonredundant c-sorted vector.
-fn merge_sorted_betas(a: Vec<Candidate>, b: Vec<Candidate>) -> Vec<Candidate> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) => x.c < y.c || (x.c == y.c && x.q >= y.q),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let cand = if take_a {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
-        };
-        push_pruned_c_order(&mut out, cand);
-    }
-    out
 }
 
 /// Per-node DP state: one nonredundant slab list per required arriving
@@ -517,11 +488,12 @@ impl<'a> PolaritySolver<'a> {
     ) {
         let lib = self.library;
         let constraint = self.tree.site_constraint(node);
-        // Betas destined for each target list, one c-sorted group per
-        // (source list, target list) combination.
-        let mut groups: [[Vec<Candidate>; 2]; 2] = Default::default();
+        // Betas destined for each target list (0: positive, 1: negative),
+        // staged as one c-sorted group per (source list, target list)
+        // combination and unioned per target, source `pos` first.
+        scratch.stage.reset_targets(2);
 
-        for (si, source_positive) in [true, false].into_iter().enumerate() {
+        for source_positive in [true, false] {
             let source = if source_positive {
                 state.pos
             } else {
@@ -544,22 +516,26 @@ impl<'a> PolaritySolver<'a> {
             ) {
                 continue;
             }
-            for &id in lib.by_input_cap_asc() {
-                if let Some(beta) = scratch.beta_slots[id.index()].take() {
+            for (target, target_positive) in [true, false].into_iter().enumerate() {
+                for &id in lib.by_input_cap_asc() {
                     // An inverter feeding a positive-requiring subtree needs
                     // a negative arriving signal, and vice versa.
-                    let target_positive = source_positive ^ lib.get(id).is_inverting();
-                    let out = &mut groups[si][if target_positive { 0 } else { 1 }];
-                    push_pruned_c_order(out, beta);
+                    if source_positive ^ lib.get(id).is_inverting() != target_positive {
+                        continue;
+                    }
+                    if let Some(beta) = scratch.beta_slots[id.index()].take() {
+                        scratch.stage.group.push_pruned(beta);
+                    }
                 }
+                scratch.stage.flush_group(target);
             }
         }
-        let [[pos_a, neg_a], [pos_b, neg_b]] = groups;
-        let to_pos = merge_sorted_betas(pos_a, pos_b);
-        let to_neg = merge_sorted_betas(neg_a, neg_b);
+        let [to_pos, to_neg] = &scratch.stage.targets[..] else {
+            unreachable!("two polarity targets");
+        };
         stats.betas_generated += (to_pos.len() + to_neg.len()) as u64;
-        slab.merge_insert(state.pos, &to_pos);
-        slab.merge_insert(state.neg, &to_neg);
+        slab.merge_insert(state.pos, to_pos);
+        slab.merge_insert(state.neg, to_neg);
     }
 }
 

@@ -13,7 +13,11 @@
 //! * **dominance pruning** (the merge's monotone stack and the wire
 //!   re-prune) compares plain `f64` lanes instead of struct fields;
 //! * **`AddBuffer`** scans and hull walks run over the `q`/`c` columns
-//!   directly (see [`crate::buffering`]'s slab variants).
+//!   directly (see [`crate::buffering`]'s slab variants), and its betas
+//!   are staged in columns ([`BetaList`]) and merged list to list;
+//! * **merge and merge-insert** are each one walk that writes by index
+//!   into columns sized once up front — fast on the short lists of clock
+//!   trees and small nets as well as on long ones.
 //!
 //! Lists are identified by [`SlabList`] handles (u32 indices into a pool of
 //! column slots with a freelist); [`SlabView`] borrows the columns of one
@@ -89,23 +93,10 @@ struct Columns {
     pred: Vec<PredRef>,
 }
 
-/// First index in `from..to` where `pred(xs[i])` stops holding, assuming
-/// `pred` is monotone (true-prefix) over the ascending lane `xs` —
-/// equivalent to `from + xs[from..to].partition_point(|&x| pred(x))`. Runs
-/// in the merge/merge-insert walks are usually a handful of elements, so a
-/// short linear probe beats a binary search; long tails fall back to it.
-#[inline]
-fn run_split(xs: &[f64], from: usize, to: usize, pred: impl Fn(f64) -> bool) -> usize {
-    let stop = (from + 8).min(to);
-    let mut i = from;
-    while i < stop && pred(xs[i]) {
-        i += 1;
-    }
-    if i == stop && stop < to {
-        i = stop + xs[stop..to].partition_point(|&x| pred(x));
-    }
-    i
-}
+/// Lists up to this length are rebuilt whole by a merge-insert and swapped
+/// in; longer ones stage only the head up to the last insertion and splice
+/// it over the shared tail (see `op_microbench` for the crossover).
+const SHORT_LIST: usize = 48;
 
 impl Columns {
     #[inline]
@@ -130,19 +121,33 @@ impl Columns {
     }
 
     #[inline]
-    fn reserve(&mut self, n: usize) {
-        self.q.reserve(n);
-        self.c.reserve(n);
-        self.s.reserve(n);
-        self.pred.reserve(n);
-    }
-
-    #[inline]
     fn truncate(&mut self, n: usize) {
         self.q.truncate(n);
         self.c.truncate(n);
         self.s.truncate(n);
         self.pred.truncate(n);
+    }
+
+    /// Grows every lane to at least `n` elements (never shrinks), so a
+    /// rebuild can write by index behind its own cursor and truncate once
+    /// at the end instead of pushing element by element.
+    #[inline]
+    fn ensure_len(&mut self, n: usize) {
+        if self.q.len() < n {
+            self.q.resize(n, 0.0);
+            self.c.resize(n, 0.0);
+            self.s.resize(n, 0.0);
+            self.pred.resize(n, PredRef::NONE);
+        }
+    }
+
+    /// Overwrites lane `i`, which must be below the length.
+    #[inline]
+    fn put(&mut self, i: usize, q: f64, c: f64, s: f64, pred: PredRef) {
+        self.q[i] = q;
+        self.c[i] = c;
+        self.s[i] = s;
+        self.pred[i] = pred;
     }
 
     /// Copies lane `from` over lane `to` (compaction step).
@@ -154,74 +159,32 @@ impl Columns {
         self.pred[to] = self.pred[from];
     }
 
-    /// Writes lane `i`, which must be at most the current length: an
-    /// in-place overwrite below it, a plain push exactly at it. The
-    /// top-pointer loops below use this so a logical "pop" is just a
-    /// cursor decrement — the lanes keep their stale tail until the final
-    /// [`Columns::truncate`].
+    /// Copies `src[from..to]` over lanes `at..` (which must exist) and
+    /// returns the index past the copy.
     #[inline]
-    fn set(&mut self, i: usize, q: f64, c: f64, s: f64, pred: PredRef) {
-        if i == self.q.len() {
-            self.push(q, c, s, pred);
-        } else {
-            self.q[i] = q;
-            self.c[i] = c;
-            self.s[i] = s;
-            self.pred[i] = pred;
-        }
-    }
-
-    /// Bulk-copies `src[from..to]` onto the stack at height `top` and
-    /// returns the new height: lane-wise `memcpy` over the region below the
-    /// current length, lane-wise extend past it.
-    #[inline]
-    fn write_run(&mut self, top: usize, src: &Columns, from: usize, to: usize) -> usize {
-        let n = to - from;
-        if n <= 4 {
-            // Tiny run: the eight slice ops below cost more than they
-            // save; copy element-wise instead.
+    fn copy_run(&mut self, at: usize, src: &Columns, from: usize, to: usize) -> usize {
+        let end = at + (to - from);
+        if to - from <= 4 {
+            // Tiny run: four slice copies cost more than they save.
             for (k, i) in (from..to).enumerate() {
-                self.set(top + k, src.q[i], src.c[i], src.s[i], src.pred[i]);
+                self.put(at + k, src.q[i], src.c[i], src.s[i], src.pred[i]);
             }
-            return top + n;
+            return end;
         }
-        let overlap = n.min(self.q.len() - top);
-        let split = from + overlap;
-        self.q[top..top + overlap].copy_from_slice(&src.q[from..split]);
-        self.c[top..top + overlap].copy_from_slice(&src.c[from..split]);
-        self.s[top..top + overlap].copy_from_slice(&src.s[from..split]);
-        self.pred[top..top + overlap].copy_from_slice(&src.pred[from..split]);
-        self.q.extend_from_slice(&src.q[split..to]);
-        self.c.extend_from_slice(&src.c[split..to]);
-        self.s.extend_from_slice(&src.s[split..to]);
-        self.pred.extend_from_slice(&src.pred[split..to]);
-        top + n
+        self.q[at..end].copy_from_slice(&src.q[from..to]);
+        self.c[at..end].copy_from_slice(&src.c[from..to]);
+        self.s[at..end].copy_from_slice(&src.s[from..to]);
+        self.pred[at..end].copy_from_slice(&src.pred[from..to]);
+        end
     }
 
-    /// Column replica of `candidate::push_pruned_c_order` against a
-    /// top-pointer stack of height `top` (lanes above `top` are stale):
-    /// same dominance checks against the current top, same equal-`c`
-    /// replacement. Returns the new stack height.
+    /// Appends `src[..n]` (one `memcpy` per lane).
     #[inline]
-    fn push_pruned_c_order(&mut self, top: usize, q: f64, c: f64, s: f64, pred: PredRef) -> usize {
-        if let Some(last) = top.checked_sub(1) {
-            debug_assert!(
-                c >= self.c[last],
-                "push_pruned_c_order requires c-sorted input"
-            );
-            if q <= self.q[last] {
-                return top; // dominated: no better slack at no smaller load
-            }
-            if c == self.c[last] {
-                self.q[last] = q;
-                self.c[last] = c;
-                self.s[last] = s;
-                self.pred[last] = pred;
-                return top;
-            }
-        }
-        self.set(top, q, c, s, pred);
-        top + 1
+    fn extend_from(&mut self, src: &Columns, n: usize) {
+        self.q.extend_from_slice(&src.q[..n]);
+        self.c.extend_from_slice(&src.c[..n]);
+        self.s.extend_from_slice(&src.s[..n]);
+        self.pred.extend_from_slice(&src.pred[..n]);
     }
 
     /// Replaces the first `tail_start` elements with `head[..top]` while
@@ -233,10 +196,7 @@ impl Columns {
         let old_len = self.len();
         let new_len = top + (old_len - tail_start);
         if top > tail_start {
-            self.q.resize(new_len, 0.0);
-            self.c.resize(new_len, 0.0);
-            self.s.resize(new_len, 0.0);
-            self.pred.resize(new_len, PredRef::NONE);
+            self.ensure_len(new_len);
         }
         if top != tail_start {
             self.q.copy_within(tail_start..old_len, top);
@@ -245,10 +205,180 @@ impl Columns {
             self.pred.copy_within(tail_start..old_len, top);
             self.truncate(new_len);
         }
-        self.q[..top].copy_from_slice(&head.q[..top]);
-        self.c[..top].copy_from_slice(&head.c[..top]);
-        self.s[..top].copy_from_slice(&head.s[..top]);
-        self.pred[..top].copy_from_slice(&head.pred[..top]);
+        self.copy_run(0, head, 0, top);
+    }
+}
+
+/// The merge-insert walk — the column replica of
+/// `CandidateList::merge_insert`: the union of the staircases `old` and
+/// `inc` in `c` order (on equal `c` the better `q` first, `old` first on a
+/// full tie), every element through `push_pruned_c_order`, with the stack
+/// top's `(q, c)` carried in registers. Writes by index into `out`, grown
+/// to `old.len() + inc.len()`.
+///
+/// Stops once `inc` is exhausted, after skipping the prefix of `old` the
+/// stack top dominates. Everything from there on would be pushed
+/// verbatim: nothing left in `old` can tie the top's `c` with a better `q`
+/// (it would have been taken before the top), and `old` is a strict
+/// staircase. Returns the staged head length and the index where that
+/// shared tail of `old` starts.
+fn merge_insert_walk(out: &mut Columns, old: &Columns, inc: &Columns) -> (usize, usize) {
+    let (on, ni) = (old.len(), inc.len());
+    let n = on + ni;
+    out.ensure_len(n);
+    let (oq, oc, os, op) = (&old.q[..on], &old.c[..on], &old.s[..on], &old.pred[..on]);
+    let (iq, ic, is, ip) = (&inc.q[..ni], &inc.c[..ni], &inc.s[..ni], &inc.pred[..ni]);
+    let (wq, wc, ws, wp) = (
+        &mut out.q[..n],
+        &mut out.c[..n],
+        &mut out.s[..n],
+        &mut out.pred[..n],
+    );
+    let (mut i, mut j, mut top) = (0usize, 0usize, 0usize);
+    let (mut tq, mut tc) = (0.0f64, 0.0f64);
+    while j < ni {
+        let take_old = i < on && {
+            let (ac, bc) = (oc[i], ic[j]);
+            if ac < bc {
+                true
+            } else if ac > bc {
+                false
+            } else {
+                oq[i] >= iq[j]
+            }
+        };
+        let (q, c, s, pred) = if take_old {
+            i += 1;
+            (oq[i - 1], oc[i - 1], os[i - 1], op[i - 1])
+        } else {
+            j += 1;
+            (iq[j - 1], ic[j - 1], is[j - 1], ip[j - 1])
+        };
+        if top > 0 {
+            debug_assert!(c >= tc, "push_pruned_c_order requires c-sorted input");
+            if q <= tq {
+                continue; // dominated: no better slack at no smaller load
+            }
+            if c == tc {
+                top -= 1; // same load, better slack: replace the top
+            }
+        }
+        wq[top] = q;
+        wc[top] = c;
+        ws[top] = s;
+        wp[top] = pred;
+        top += 1;
+        (tq, tc) = (q, c);
+    }
+    if top > 0 {
+        while i < on && oq[i] <= tq {
+            i += 1;
+        }
+    }
+    (top, i)
+}
+
+/// Staging columns for list rebuilds. `raw` is written by index and only
+/// ever grows (never truncated), so steady state pays no fill; `rebuilt`
+/// is swapped with the short list it rebuilds.
+#[derive(Debug, Default)]
+struct Staging {
+    raw: Columns,
+    rebuilt: Columns,
+}
+
+impl Staging {
+    /// Merge-inserts `inc` into `old` in place. A short list is rebuilt
+    /// whole and the buffers swap; a long one stages only its head and
+    /// splices it over the shared tail.
+    fn merge_insert(&mut self, old: &mut Columns, inc: &Columns) {
+        if inc.len() == 0 {
+            return;
+        }
+        if old.len() <= SHORT_LIST {
+            let rebuilt = &mut self.rebuilt;
+            let (top, tail_start) = merge_insert_walk(rebuilt, old, inc);
+            let top = rebuilt.copy_run(top, old, tail_start, old.len());
+            rebuilt.truncate(top);
+            std::mem::swap(old, rebuilt);
+        } else {
+            let (top, tail_start) = merge_insert_walk(&mut self.raw, old, inc);
+            old.splice_head(&self.raw, top, tail_start);
+        }
+    }
+}
+
+/// A staircase of buffered candidates (`β`) staged in columns outside the
+/// slab: the `AddBuffer` callers write betas here and merge the staged
+/// list into a slab list in one walk. Staged lists do not count toward the
+/// slab's live/peak accounting until merged or loaded.
+#[derive(Debug, Default)]
+pub(crate) struct BetaList(Columns);
+
+impl BetaList {
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.len() == 0
+    }
+
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Appends `beta` under `push_pruned_c_order`'s rule; betas must
+    /// arrive in non-decreasing `c`.
+    #[inline]
+    pub(crate) fn push_pruned(&mut self, beta: Candidate) {
+        let cols = &mut self.0;
+        if let Some(last) = cols.len().checked_sub(1) {
+            debug_assert!(
+                beta.c >= cols.c[last],
+                "push_pruned_c_order requires c-sorted input"
+            );
+            if beta.q <= cols.q[last] {
+                return;
+            }
+            if beta.c == cols.c[last] {
+                cols.put(last, beta.q, beta.c, beta.s, beta.pred);
+                return;
+            }
+        }
+        cols.push(beta.q, beta.c, beta.s, beta.pred);
+    }
+}
+
+/// Reusable `β` staging for the slab `AddBuffer` callers: `group` collects
+/// one node's betas for one target list as they are generated, and
+/// `targets` accumulates groups per target list (cost levels, polarity
+/// lists) with merge-insert's union rule.
+#[derive(Debug, Default)]
+pub(crate) struct BetaStage {
+    pub(crate) group: BetaList,
+    pub(crate) targets: Vec<BetaList>,
+    staging: Staging,
+}
+
+impl BetaStage {
+    /// Resets `targets` to `n` empty lists, keeping their storage.
+    pub(crate) fn reset_targets(&mut self, n: usize) {
+        self.targets.resize_with(n, BetaList::default);
+        for target in &mut self.targets {
+            target.clear();
+        }
+    }
+
+    /// Unions `group` into `targets[t]` (the target wins full ties, as the
+    /// older side of a merge-insert) and empties `group`.
+    pub(crate) fn flush_group(&mut self, t: usize) {
+        self.staging
+            .merge_insert(&mut self.targets[t].0, &self.group.0);
+        self.group.clear();
     }
 }
 
@@ -263,8 +393,8 @@ impl Columns {
 pub(crate) struct CandidateSlab {
     slots: Vec<Columns>,
     free: Vec<u32>,
-    /// Staging columns for merge/merge-insert rebuilds.
-    raw: Columns,
+    /// Staging columns for merge and merge-insert rebuilds.
+    staging: Staging,
     /// Candidates currently live across all allocated lists.
     live: usize,
     /// High-water mark of `live` since the last [`CandidateSlab::reset`].
@@ -354,6 +484,15 @@ impl CandidateSlab {
         list
     }
 
+    /// Allocates a fresh list holding a copy of the staged `betas`.
+    pub(crate) fn load_betas(&mut self, betas: &BetaList) -> SlabList {
+        let list = self.alloc();
+        let n = betas.len();
+        self.slots[list.index()].extend_from(&betas.0, n);
+        self.note(0, n);
+        list
+    }
+
     /// Copies `list` out to a boundary [`CandidateList`] (the columns stay
     /// allocated; free the handle separately).
     pub(crate) fn to_candidate_list(&self, list: SlabList) -> CandidateList {
@@ -364,7 +503,6 @@ impl CandidateSlab {
         }
         CandidateList::from_sorted(out)
     }
-
     /// Wire propagation — the column replica of
     /// [`CandidateList::add_wire_model`]. The whole shear runs through one
     /// batched [`DelayModel::wire_shear`] call (delay from the *pre-shear*
@@ -472,10 +610,10 @@ impl CandidateSlab {
     }
 
     /// [`CandidateSlab::merge`] that leaves both inputs allocated and
-    /// untouched. Because the staging pass reads the inputs through views
-    /// (no drain), keeping them costs nothing — this is what lets the cost
-    /// solver's level convolution reuse one list across many merges where
-    /// the reference had to `clone()` per pair.
+    /// untouched. Because the walk reads the inputs in place (no drain),
+    /// keeping them costs nothing — this is what lets the cost solver's
+    /// level convolution reuse one list across many merges where the
+    /// reference had to `clone()` per pair.
     pub(crate) fn merge_keep(
         &mut self,
         left: SlabList,
@@ -513,139 +651,56 @@ impl CandidateSlab {
             return self.copy_list(left);
         }
         let out = self.alloc();
-        let mut emitted = 0usize;
-        let mut top = 0usize;
-        {
-            // Disjoint field borrows: the staging columns are written while
-            // the two input slots are read.
-            let raw = &mut self.raw;
-            raw.clear();
-            let l = &self.slots[left.index()];
-            let r = &self.slots[right.index()];
-            let (ln, rn) = (l.len(), r.len());
-            raw.reserve(ln + rn);
-            let (lq, lc, ls, lp) = (&l.q[..ln], &l.c[..ln], &l.s[..ln], &l.pred[..ln]);
-            let (rq, rc, rs, rp) = (&r.q[..rn], &r.c[..rn], &r.s[..rn], &r.pred[..rn]);
-            let (mut i, mut j) = (0usize, 0usize);
-            // Invariant as in the reference: the partner on the other side
-            // is the cheapest candidate not capping the emitted one. Each
-            // step advances at least one pointer and both inputs are strict
-            // (Q, C) staircases, so the emitted `c = l.c[i] + r.c[j]` is
-            // *strictly increasing* across the walk — the reference's
-            // monotone-stack prune (applied with the same checks in the
-            // same emission order at every run boundary below) can only
-            // fire on a boundary element. The tail of a run — one side
-            // advancing against a fixed partner — is emitted verbatim as
-            // three lane sweeps: a `q` memcpy, a `c` shift by the partner's
-            // load, an `s` max against the partner's stage delay (operand
-            // order preserved, so every value is bit-identical).
-            while i < ln && j < rn {
-                let (aq, bq) = (lq[i], rq[j]);
-                let q = aq.min(bq);
-                let c = lc[i] + rc[j];
-                let s = ls[i].max(rs[j]);
-                let pred = if track {
-                    arena.push(PredEntry::Merge {
-                        left: lp[i],
-                        right: rp[j],
-                    })
-                } else {
-                    PredRef::NONE
-                };
-                emitted += 1;
-                let dominated = top > 0 && q == raw.q[top - 1] && c >= raw.c[top - 1];
-                if !dominated {
-                    while top > 0 && raw.c[top - 1] >= c {
-                        top -= 1; // new candidate dominates the stack top
-                    }
-                    raw.set(top, q, c, s, pred);
-                    top += 1;
+        // The walk writes by index into the staging columns, which only
+        // ever grow, then the survivors are copied out in one `memcpy` per
+        // lane (sizing the fresh list first would cost a fill instead).
+        let cols = &mut self.staging.raw;
+        let l = &self.slots[left.index()];
+        let r = &self.slots[right.index()];
+        let (ln, rn) = (l.len(), r.len());
+        let (lq, lc, ls, lp) = (&l.q[..ln], &l.c[..ln], &l.s[..ln], &l.pred[..ln]);
+        let (rq, rc, rs, rp) = (&r.q[..rn], &r.c[..rn], &r.s[..rn], &r.pred[..rn]);
+        cols.ensure_len(ln + rn);
+        let (mut i, mut j) = (0usize, 0usize);
+        let (mut top, mut emitted) = (0usize, 0usize);
+        // The reference's two passes fused into one: the two-pointer walk
+        // emits the same pairs in the same order (the partner on the
+        // other side is the cheapest candidate not capping the emitted
+        // one; on a `q` tie both sides advance), and each emitted pair
+        // meets the monotone-stack prune at once instead of being staged
+        // first. Once one side is exhausted, every remaining pair is
+        // dominated.
+        while i < ln && j < rn {
+            let (aq, bq) = (lq[i], rq[j]);
+            let q = aq.min(bq);
+            let c = lc[i] + rc[j];
+            let s = ls[i].max(rs[j]);
+            let pred = if track {
+                arena.push(PredEntry::Merge {
+                    left: lp[i],
+                    right: rp[j],
+                })
+            } else {
+                PredRef::NONE
+            };
+            emitted += 1;
+            let dominated = top > 0 && q == cols.q[top - 1] && c >= cols.c[top - 1];
+            if !dominated {
+                while top > 0 && cols.c[top - 1] >= c {
+                    top -= 1; // new candidate dominates the stack top
                 }
-                if aq < bq {
-                    i += 1;
-                    let end = run_split(lq, i, ln, |x| x < bq);
-                    if i < end {
-                        let (cj, sj, pj) = (rc[j], rs[j], rp[j]);
-                        if end - i <= 8 {
-                            // Sibling lists of similar size interleave in
-                            // runs of one or two; the lane sweeps below
-                            // cost more than they save there.
-                            for x in i..end {
-                                let pred = if track {
-                                    arena.push(PredEntry::Merge {
-                                        left: lp[x],
-                                        right: pj,
-                                    })
-                                } else {
-                                    PredRef::NONE
-                                };
-                                raw.set(top, lq[x], lc[x] + cj, ls[x].max(sj), pred);
-                                top += 1;
-                            }
-                        } else {
-                            raw.truncate(top);
-                            raw.q.extend_from_slice(&lq[i..end]);
-                            raw.c.extend(lc[i..end].iter().map(|&x| x + cj));
-                            raw.s.extend(ls[i..end].iter().map(|&x| x.max(sj)));
-                            if track {
-                                for &p in &lp[i..end] {
-                                    raw.pred
-                                        .push(arena.push(PredEntry::Merge { left: p, right: pj }));
-                                }
-                            } else {
-                                raw.pred.resize(raw.pred.len() + (end - i), PredRef::NONE);
-                            }
-                            top += end - i;
-                        }
-                        emitted += end - i;
-                        i = end;
-                    }
-                } else if bq < aq {
-                    j += 1;
-                    let end = run_split(rq, j, rn, |x| x < aq);
-                    if j < end {
-                        let (ci, si, pi) = (lc[i], ls[i], lp[i]);
-                        if end - j <= 8 {
-                            for x in j..end {
-                                let pred = if track {
-                                    arena.push(PredEntry::Merge {
-                                        left: pi,
-                                        right: rp[x],
-                                    })
-                                } else {
-                                    PredRef::NONE
-                                };
-                                raw.set(top, rq[x], ci + rc[x], ls[i].max(rs[x]), pred);
-                                top += 1;
-                            }
-                        } else {
-                            raw.truncate(top);
-                            raw.q.extend_from_slice(&rq[j..end]);
-                            raw.c.extend(rc[j..end].iter().map(|&x| ci + x));
-                            raw.s.extend(rs[j..end].iter().map(|&x| si.max(x)));
-                            if track {
-                                for &p in &rp[j..end] {
-                                    raw.pred
-                                        .push(arena.push(PredEntry::Merge { left: pi, right: p }));
-                                }
-                            } else {
-                                raw.pred.resize(raw.pred.len() + (end - j), PredRef::NONE);
-                            }
-                            top += end - j;
-                        }
-                        emitted += end - j;
-                        j = end;
-                    }
-                } else {
-                    i += 1;
-                    j += 1;
-                }
+                cols.put(top, q, c, s, pred);
+                top += 1;
+            }
+            if aq <= bq {
+                i += 1;
+            }
+            if bq <= aq {
+                j += 1;
             }
         }
-        // Once one side is exhausted, every remaining pair is dominated.
-        self.raw.truncate(top);
-        let spent = std::mem::replace(&mut self.slots[out.index()], std::mem::take(&mut self.raw));
-        self.raw = spent;
+        let Self { slots, staging, .. } = self;
+        slots[out.index()].extend_from(&staging.raw, top);
         stats.slab_candidates_pruned += (emitted - top) as u64;
         if consume {
             self.free(left);
@@ -675,94 +730,37 @@ impl CandidateSlab {
         let dst = self.alloc();
         debug_assert_ne!(dst, src);
         let (s, d) = self.slot_pair(src, dst);
-        d.q.extend_from_slice(&s.q);
-        d.c.extend_from_slice(&s.c);
-        d.s.extend_from_slice(&s.s);
-        d.pred.extend_from_slice(&s.pred);
-        let n = self.slots[dst.index()].len();
+        d.extend_from(s, s.len());
+        let n = d.len();
         self.note(0, n);
         dst
     }
 
+    /// Merges the staged `betas` (sorted by strictly increasing `C` — the
+    /// `β_i` of `AddBuffer`) into `list` — the column replica of
+    /// `CandidateList::merge_insert`, including the equal-`c`
+    /// better-`q`-first tie rule.
+    pub(crate) fn merge_insert(&mut self, list: SlabList, betas: &BetaList) {
+        debug_assert!(betas.0.c.windows(2).all(|w| w[0] < w[1]));
+        self.merge_insert_cols(list, &betas.0);
+    }
+
     /// [`CandidateSlab::merge_insert`] where the incoming candidates are
     /// another slab list: merges `src` into `dst` (in place), leaving `src`
-    /// untouched. Same two-pointer union, same equal-`c` tie rule.
+    /// untouched. Same walk, same equal-`c` tie rule.
     pub(crate) fn merge_insert_list(&mut self, dst: SlabList, src: SlabList) {
         debug_assert_ne!(dst, src);
-        if self.len(src) == 0 {
-            return;
-        }
-        let mut top = 0usize;
-        {
-            let out = &mut self.raw;
-            let old = &self.slots[dst.index()];
-            let inc = &self.slots[src.index()];
-            let (mut i, mut j) = (0usize, 0usize);
-            // Both sides are strict (Q, C)-staircases, so the element-wise
-            // union-with-pruning decomposes into alternating runs: within a
-            // run no element dominates another, domination by the stack top
-            // cuts a prefix (binary-searchable on the ascending q lane),
-            // and the equal-c tie always feeds the better-q element first
-            // so the survivor is a clean append. Each run is then one
-            // bulk lane copy — same output as the scalar walk.
-            while i < old.len() || j < inc.len() {
-                let take_old = if i < old.len() && j < inc.len() {
-                    let (ac, bc) = (old.c[i], inc.c[j]);
-                    if ac < bc {
-                        true
-                    } else if ac > bc {
-                        false
-                    } else {
-                        old.q[i] >= inc.q[j]
-                    }
-                } else {
-                    i < old.len()
-                };
-                let (side, pos, other_head) = if take_old {
-                    (old, &mut i, (j < inc.len()).then(|| (inc.c[j], inc.q[j])))
-                } else {
-                    (inc, &mut j, (i < old.len()).then(|| (old.c[i], old.q[i])))
-                };
-                // End of this side's run: its elements with c below the
-                // other side's head, plus an equal-c boundary element when
-                // it wins the tie (the old side wins on q >= , mirroring
-                // the element-wise rule above).
-                let end = match other_head {
-                    Some((bc, bq)) => {
-                        let n = run_split(&side.c, *pos + 1, side.len(), |x| x < bc);
-                        let tie_wins = n < side.len()
-                            && side.c[n] == bc
-                            && if take_old {
-                                side.q[n] >= bq
-                            } else {
-                                side.q[n] > bq
-                            };
-                        if tie_wins {
-                            n + 1
-                        } else {
-                            n
-                        }
-                    }
-                    None => side.len(),
-                };
-                debug_assert!(end > *pos);
-                let start = if top > 0 {
-                    let tq = out.q[top - 1];
-                    run_split(&side.q, *pos, end, |x| x <= tq)
-                } else {
-                    *pos
-                };
-                top = out.write_run(top, side, start, end);
-                *pos = end;
-            }
-        }
-        self.raw.truncate(top);
-        let old_len = self.slots[dst.index()].len();
-        let mut spent =
-            std::mem::replace(&mut self.slots[dst.index()], std::mem::take(&mut self.raw));
-        spent.clear();
-        self.raw = spent;
-        self.note(old_len, top);
+        let inc = std::mem::take(&mut self.slots[src.index()]);
+        self.merge_insert_cols(dst, &inc);
+        self.slots[src.index()] = inc;
+    }
+
+    fn merge_insert_cols(&mut self, list: SlabList, inc: &Columns) {
+        let old_len = self.len(list);
+        self.staging
+            .merge_insert(&mut self.slots[list.index()], inc);
+        let new_len = self.len(list);
+        self.note(old_len, new_len);
     }
 
     /// Removes from `level` every candidate dominated by some `frontier`
@@ -801,140 +799,6 @@ impl CandidateSlab {
         self.note(n, write);
         n - write
     }
-
-    /// Merges `incoming` (sorted by strictly increasing `C` — the `β_i` of
-    /// `AddBuffer`) into `list` — the column replica of
-    /// `CandidateList::merge_insert`, including the equal-`c`
-    /// better-`q`-first tie rule.
-    pub(crate) fn merge_insert(&mut self, list: SlabList, incoming: &[Candidate]) {
-        if incoming.is_empty() {
-            return;
-        }
-        debug_assert!(incoming.windows(2).all(|w| w[0].c < w[1].c));
-        let mut top = 0usize;
-        let tail_start;
-        {
-            let out = &mut self.raw;
-            out.clear();
-            let old = &self.slots[list.index()];
-            let (mut i, mut j) = (0usize, 0usize);
-            // Runs of the old staircase between consecutive betas are
-            // bulk-copied (see `merge_insert_list` for why the element-wise
-            // pruning walk degenerates to prefix-skip + append within a
-            // run); the handful of betas go through the scalar push. Only
-            // the head — up to the last beta's landing point plus the
-            // dominated prefix behind it — is staged in `raw`: β
-            // capacitances are buffer input caps, which sit near the front
-            // of the staircase, so the (usually much longer) tail past the
-            // last insertion is left in place and spliced below.
-            if old.len() <= 48 {
-                // Short list: the run machinery below costs more than it
-                // saves; replicate the reference's element-wise walk (every
-                // element through `push_pruned_c_order`, old side first on
-                // equal c) and splice the whole rebuilt list back.
-                while i < old.len() || j < incoming.len() {
-                    let take_old = match incoming.get(j) {
-                        Some(b) if i < old.len() => {
-                            let (ac, bc) = (old.c[i], b.c);
-                            if ac < bc {
-                                true
-                            } else if ac > bc {
-                                false
-                            } else {
-                                old.q[i] >= b.q
-                            }
-                        }
-                        _ => i < old.len(),
-                    };
-                    if take_old {
-                        top =
-                            out.push_pruned_c_order(top, old.q[i], old.c[i], old.s[i], old.pred[i]);
-                        i += 1;
-                    } else {
-                        let b = &incoming[j];
-                        top = out.push_pruned_c_order(top, b.q, b.c, b.s, b.pred);
-                        j += 1;
-                    }
-                }
-                tail_start = i;
-            } else {
-                tail_start = Self::merge_insert_runs(out, old, incoming, &mut top);
-            }
-        }
-        self.raw.truncate(top);
-        let old_len = self.slots[list.index()].len();
-        if tail_start >= old_len {
-            // No shared tail — the whole list was rebuilt in `raw`
-            // (always the case on the short-list path), so swap the
-            // buffers instead of copying four lanes back.
-            std::mem::swap(&mut self.slots[list.index()], &mut self.raw);
-        } else {
-            let raw = std::mem::take(&mut self.raw);
-            self.slots[list.index()].splice_head(&raw, top, tail_start);
-            self.raw = raw;
-        }
-        self.note(old_len, top + (old_len - tail_start));
-    }
-
-    /// The run-based walk of [`CandidateSlab::merge_insert`] for long
-    /// lists: returns the index where the shared old tail starts, having
-    /// staged the rebuilt head in `out[..top]`.
-    fn merge_insert_runs(
-        out: &mut Columns,
-        old: &Columns,
-        incoming: &[Candidate],
-        top: &mut usize,
-    ) -> usize {
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut t = *top;
-        loop {
-            let Some(b) = incoming.get(j) else {
-                // All betas placed: skip old elements dominated by the
-                // new top; the remaining tail is shared verbatim.
-                if t > 0 {
-                    let tq = out.q[t - 1];
-                    i = run_split(&old.q, i, old.len(), |x| x <= tq);
-                }
-                break;
-            };
-            let take_old = if i < old.len() {
-                // On equal c, feed the better-q one first; the other is
-                // then dropped by push_pruned_c_order.
-                let (ac, bc) = (old.c[i], b.c);
-                if ac < bc {
-                    true
-                } else if ac > bc {
-                    false
-                } else {
-                    old.q[i] >= b.q
-                }
-            } else {
-                false
-            };
-            if take_old {
-                let n = run_split(&old.c, i + 1, old.len(), |x| x < b.c);
-                let end = if n < old.len() && old.c[n] == b.c && old.q[n] >= b.q {
-                    n + 1 // equal c, better q: still old's turn
-                } else {
-                    n
-                };
-                let start = if t > 0 {
-                    let tq = out.q[t - 1];
-                    run_split(&old.q, i, end, |x| x <= tq)
-                } else {
-                    i
-                };
-                t = out.write_run(t, old, start, end);
-                i = end;
-            } else {
-                t = out.push_pruned_c_order(t, b.q, b.c, b.s, b.pred);
-                j += 1;
-            }
-        }
-        *top = t;
-        i
-    }
-
     /// The candidate index maximizing `Q − (k + r·C)` (ties to minimum
     /// `C`), or `None` on an empty list — the column replica of
     /// [`CandidateList::best_driven`].
@@ -1060,45 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_reference_bits() {
-        for seed in 1u64..20 {
-            let l = staircase(seed, 1 + (seed % 9) as usize);
-            let r = staircase(seed.wrapping_mul(31), 1 + (seed % 7) as usize);
-            let mut arena = PredArena::new();
-            let reference = merge_branches(l.clone(), r.clone(), &mut arena, false);
-
-            let mut slab = CandidateSlab::default();
-            let mut stats = SolveStats::default();
-            let mut arena2 = PredArena::new();
-            let hl = slab.load_list(&l);
-            let hr = slab.load_list(&r);
-            let hm = slab.merge(hl, hr, &mut arena2, false, f64::INFINITY, &mut stats);
-            assert_eq!(
-                bits(&slab.to_candidate_list(hm)),
-                bits(&reference),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_insert_matches_reference_bits() {
-        for seed in 1u64..20 {
-            let mut reference = staircase(seed, 10);
-            let betas: Vec<Candidate> = staircase(seed ^ 0xABCD, 5).iter().copied().collect();
-            let mut slab = CandidateSlab::default();
-            let h = slab.load_list(&reference);
-            reference.merge_insert(&betas);
-            slab.merge_insert(h, &betas);
-            assert_eq!(
-                bits(&slab.to_candidate_list(h)),
-                bits(&reference),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn prune_slew_matches_reference() {
         let mk = || {
             CandidateList::from_sorted(vec![
@@ -1170,107 +995,223 @@ mod tests {
         assert_eq!(slab.peak_bytes(), 0);
     }
 
-    #[test]
-    fn merge_keep_matches_merge_and_preserves_inputs() {
-        for seed in 1u64..12 {
-            let l = staircase(seed, 1 + (seed % 8) as usize);
-            let r = staircase(seed.wrapping_mul(17), 1 + (seed % 5) as usize);
-            let mut arena = PredArena::new();
-            let reference = merge_branches(l.clone(), r.clone(), &mut arena, false);
+    /// Staircases with forced cross-list ties: `q` and `c` are drawn as
+    /// sorted distinct values from a small integer grid (half again the
+    /// list length, at least 12), so two lists generated side by side
+    /// share `q` values, `c` values and whole `(q, c)` points often. Stage
+    /// delays come from a smaller grid, and every candidate gets its own
+    /// arena entry, so a tie that keeps the wrong side shows up as a
+    /// different `pred`.
+    fn tied_staircase(state: &mut u64, n: usize, arena: &mut PredArena) -> CandidateList {
+        let mut next = |bound: u64| {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*state >> 33) % bound
+        };
+        let size = (3 * n / 2).max(12);
+        let pick = |next: &mut dyn FnMut(u64) -> u64| {
+            let mut grid: Vec<u64> = (0..size as u64).collect();
+            for i in 0..n {
+                let j = i + next((size - i) as u64) as usize;
+                grid.swap(i, j);
+            }
+            let mut vals = grid[..n].to_vec();
+            vals.sort_unstable();
+            vals
+        };
+        let qs = pick(&mut next);
+        let cs = pick(&mut next);
+        let cands = qs
+            .iter()
+            .zip(&cs)
+            .map(|(&q, &c)| {
+                let pred = arena.push(PredEntry::Merge {
+                    left: PredRef::NONE,
+                    right: PredRef::NONE,
+                });
+                Candidate::new(q as f64, 0.5 + c as f64, pred).with_stage_delay(next(4) as f64)
+            })
+            .collect();
+        CandidateList::from_sorted(cands)
+    }
 
+    fn full_bits(l: &CandidateList) -> Vec<(u64, u64, u64, PredRef)> {
+        l.iter()
+            .map(|c| (c.q.to_bits(), c.c.to_bits(), c.s.to_bits(), c.pred))
+            .collect()
+    }
+
+    /// Every pair of short list lengths (`0..=8`) plus long ones around
+    /// the merge-insert splice threshold, several seeds each.
+    fn tied_cases(mut check: impl FnMut(&mut u64, usize, usize)) {
+        let lengths = (0..=8).chain([SHORT_LIST - 1, SHORT_LIST, SHORT_LIST + 1, 100]);
+        for ln in lengths.clone() {
+            for rn in lengths.clone() {
+                for seed in 0..6u64 {
+                    let mut state = seed * 1_000 + (ln * 101 + rn) as u64;
+                    check(&mut state, ln, rn);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merges_match_reference_with_ties() {
+        use crate::merge::merge_branches_pooled;
+        use crate::pool::CandidatePool;
+        tied_cases(|state, ln, rn| {
+            let mut arena = PredArena::new();
+            let l = tied_staircase(state, ln, &mut arena);
+            let r = tied_staircase(state, rn, &mut arena);
+            let ctx = format!("ln {ln} rn {rn} l {l:?} r {r:?}");
+            for slew_cap in [f64::INFINITY, 2.0] {
+                // merge (consuming) and merge_keep, tracked.
+                let mut ref_arena = arena.clone();
+                let mut pool = CandidatePool::default();
+                let reference = merge_branches_pooled(
+                    l.clone(),
+                    r.clone(),
+                    &mut ref_arena,
+                    true,
+                    &mut pool,
+                    slew_cap,
+                );
+                let mut slab = CandidateSlab::default();
+                let mut stats = SolveStats::default();
+                let mut slab_arena = arena.clone();
+                let (hl, hr) = (slab.load_list(&l), slab.load_list(&r));
+                let hm = slab.merge(hl, hr, &mut slab_arena, true, slew_cap, &mut stats);
+                // An empty side hands the other list through as is.
+                if ln == 0 {
+                    assert_eq!(hm, hr);
+                } else if rn == 0 {
+                    assert_eq!(hm, hl);
+                }
+                assert_eq!(
+                    full_bits(&slab.to_candidate_list(hm)),
+                    full_bits(&reference),
+                    "merge cap {slew_cap} {ctx}"
+                );
+                assert_eq!(
+                    format!("{slab_arena:?}"),
+                    format!("{ref_arena:?}"),
+                    "merge arena {ctx}"
+                );
+            }
+            let mut ref_arena = arena.clone();
+            let reference = merge_branches(l.clone(), r.clone(), &mut ref_arena, true);
             let mut slab = CandidateSlab::default();
             let mut stats = SolveStats::default();
-            let mut arena2 = PredArena::new();
-            let hl = slab.load_list(&l);
-            let hr = slab.load_list(&r);
-            let hm = slab.merge_keep(hl, hr, &mut arena2, false, &mut stats);
+            let mut slab_arena = arena.clone();
+            let (hl, hr) = (slab.load_list(&l), slab.load_list(&r));
+            let hm = slab.merge_keep(hl, hr, &mut slab_arena, true, &mut stats);
             assert_eq!(
-                bits(&slab.to_candidate_list(hm)),
-                bits(&reference),
-                "seed {seed}"
+                full_bits(&slab.to_candidate_list(hm)),
+                full_bits(&reference),
+                "merge_keep {ctx}"
             );
-            // Inputs survive with their contents intact.
-            assert_eq!(bits(&slab.to_candidate_list(hl)), bits(&l), "seed {seed}");
-            assert_eq!(bits(&slab.to_candidate_list(hr)), bits(&r), "seed {seed}");
-        }
+            assert_eq!(
+                format!("{slab_arena:?}"),
+                format!("{ref_arena:?}"),
+                "merge_keep arena {ctx}"
+            );
+            assert_eq!(full_bits(&slab.to_candidate_list(hl)), full_bits(&l));
+            assert_eq!(full_bits(&slab.to_candidate_list(hr)), full_bits(&r));
+        });
     }
 
     #[test]
-    fn merge_insert_list_matches_merge_insert() {
-        for seed in 1u64..12 {
-            let mut reference = staircase(seed, 9);
-            let incoming = staircase(seed ^ 0x5117, 6);
+    fn merge_inserts_match_reference_with_ties() {
+        tied_cases(|state, ln, rn| {
+            let mut arena = PredArena::new();
+            let old = tied_staircase(state, ln, &mut arena);
+            let inc = tied_staircase(state, rn, &mut arena);
+            let ctx = format!("old {old:?} inc {inc:?}");
+            let mut reference = old.clone();
+            reference.merge_insert(inc.as_slice());
+
+            // Staged betas.
             let mut slab = CandidateSlab::default();
-            let dst = slab.load_list(&reference);
-            let src = slab.load_list(&incoming);
-            let inc: Vec<Candidate> = incoming.iter().copied().collect();
-            reference.merge_insert(&inc);
+            let h = slab.load_list(&old);
+            slab.merge_insert(h, &beta_buf(inc.as_slice()));
+            assert_eq!(
+                full_bits(&slab.to_candidate_list(h)),
+                full_bits(&reference),
+                "merge_insert {ctx}"
+            );
+            assert_eq!(
+                slab.peak_bytes(),
+                ln.max(reference.len()) * BYTES_PER_CANDIDATE
+            );
+
+            // List to list; the source stays untouched.
+            let mut slab = CandidateSlab::default();
+            let (dst, src) = (slab.load_list(&old), slab.load_list(&inc));
             slab.merge_insert_list(dst, src);
             assert_eq!(
-                bits(&slab.to_candidate_list(dst)),
-                bits(&reference),
-                "seed {seed}"
+                full_bits(&slab.to_candidate_list(dst)),
+                full_bits(&reference),
+                "merge_insert_list {ctx}"
             );
-            // Source untouched.
+            assert_eq!(full_bits(&slab.to_candidate_list(src)), full_bits(&inc));
+
+            // Staged union: the older target wins full ties, as merge-insert.
+            let mut stage = BetaStage::default();
+            stage.reset_targets(1);
+            for &cand in old.iter() {
+                stage.group.push_pruned(cand);
+            }
+            stage.flush_group(0);
+            for &cand in inc.iter() {
+                stage.group.push_pruned(cand);
+            }
+            stage.flush_group(0);
+            let mut slab = CandidateSlab::default();
+            let h = slab.load_betas(&stage.targets[0]);
             assert_eq!(
-                bits(&slab.to_candidate_list(src)),
-                bits(&incoming),
-                "seed {seed}"
+                full_bits(&slab.to_candidate_list(h)),
+                full_bits(&reference),
+                "flush_group {ctx}"
             );
-        }
+        });
     }
 
     #[test]
-    fn copy_list_preserves_bits_and_counts_live() {
-        let src_list = staircase(9, 11);
-        let mut slab = CandidateSlab::default();
-        let a = slab.load_list(&src_list);
-        let b = slab.copy_list(a);
-        assert_ne!(a, b);
-        assert_eq!(bits(&slab.to_candidate_list(b)), bits(&src_list));
-        assert_eq!(slab.peak_bytes(), 22 * BYTES_PER_CANDIDATE);
-    }
+    fn copy_and_retain_match_reference_with_ties() {
+        tied_cases(|state, ln, rn| {
+            let mut arena = PredArena::new();
+            let level = tied_staircase(state, ln, &mut arena);
+            let frontier = tied_staircase(state, rn, &mut arena);
+            let ctx = format!("level {level:?} frontier {frontier:?}");
 
-    #[test]
-    fn retain_undominated_matches_partition_point_filter() {
-        for seed in 1u64..15 {
-            let frontier = staircase(seed, 8);
-            let level = staircase(seed.wrapping_mul(101), 10);
-            // Reference semantics: binary search for the best frontier
-            // candidate at c <= cand.c (as in the AoS `prune_levels`).
+            let mut slab = CandidateSlab::default();
+            let h = slab.load_list(&level);
+            let copy = slab.copy_list(h);
+            assert_eq!(full_bits(&slab.to_candidate_list(copy)), full_bits(&level));
+            assert_eq!(slab.peak_bytes(), 2 * ln * BYTES_PER_CANDIDATE);
+
+            // The AoS filter the cost DP ran before the slab: one binary
+            // search per candidate.
+            let f = frontier.as_slice();
             let expect: Vec<Candidate> = level
                 .iter()
                 .filter(|cand| {
-                    let below = frontier.as_slice().partition_point(|f| f.c <= cand.c);
-                    !(below > 0 && frontier.as_slice()[below - 1].q >= cand.q)
+                    let below = f.partition_point(|x| x.c <= cand.c);
+                    !(below > 0 && f[below - 1].q >= cand.q)
                 })
                 .copied()
                 .collect();
-
-            let mut slab = CandidateSlab::default();
-            let mut stats = SolveStats::default();
             let hf = slab.load_list(&frontier);
-            let hl = slab.load_list(&level);
-            let removed = slab.retain_undominated(hl, hf, &mut stats);
-            assert_eq!(removed, level.len() - expect.len(), "seed {seed}");
+            let mut stats = SolveStats::default();
+            let removed = slab.retain_undominated(copy, hf, &mut stats);
+            assert_eq!(removed, ln - expect.len(), "{ctx}");
             assert_eq!(
-                bits(&slab.to_candidate_list(hl)),
-                bits(&CandidateList::from_sorted(expect)),
-                "seed {seed}"
+                full_bits(&slab.to_candidate_list(copy)),
+                full_bits(&CandidateList::from_sorted(expect)),
+                "retain_undominated {ctx}"
             );
-        }
-    }
-
-    #[test]
-    fn empty_side_merge_passthrough() {
-        let mut slab = CandidateSlab::default();
-        let mut arena = PredArena::new();
-        let mut stats = SolveStats::default();
-        let l = slab.load_list(&staircase(5, 4));
-        let e = slab.alloc();
-        let out = slab.merge(l, e, &mut arena, false, f64::INFINITY, &mut stats);
-        assert_eq!(out, l);
-        assert_eq!(slab.len(out), 4);
+        });
     }
 
     /// Times `a` and `b` interleaved in blocks (A/B/A/B…), reporting each
@@ -1279,8 +1220,8 @@ mod tests {
     /// instead of flattering whichever side runs later.
     fn ab_time(
         iters: u32,
-        mut a: impl FnMut(u32),
-        mut b: impl FnMut(u32),
+        mut a: impl FnMut(),
+        mut b: impl FnMut(),
     ) -> (std::time::Duration, std::time::Duration) {
         use std::time::Instant;
         const BLOCKS: u32 = 8;
@@ -1288,10 +1229,10 @@ mod tests {
         let (mut best_a, mut best_b) = (std::time::Duration::MAX, std::time::Duration::MAX);
         for _ in 0..BLOCKS {
             let t0 = Instant::now();
-            a(per);
+            (0..per).for_each(|_| a());
             best_a = best_a.min(t0.elapsed());
             let t0 = Instant::now();
-            b(per);
+            (0..per).for_each(|_| b());
             best_b = best_b.min(t0.elapsed());
         }
         (best_a * BLOCKS, best_b * BLOCKS)
@@ -1303,7 +1244,8 @@ mod tests {
         use crate::merge::merge_branches_pooled;
         use crate::pool::CandidatePool;
         let iters = 20_000u32;
-        for k in [16usize, 64, 256, 1024] {
+        let mut rows: Vec<(usize, &str, std::time::Duration, std::time::Duration)> = Vec::new();
+        for k in [4usize, 8, 16, 32, 64, 256, 1024] {
             let src = staircase(42, k);
             let betas: Vec<Candidate> = staircase(9, 12).iter().copied().collect();
             let right = staircase(77, k);
@@ -1312,130 +1254,172 @@ mod tests {
             let mut stats = SolveStats::default();
             let mut arena = PredArena::new();
             let mut arena2 = PredArena::new();
+            // Slab inputs are copied from resident lists per iteration —
+            // the slab's analogue of the reference's pooled clone.
+            let src_h = slab.load_list(&src);
+            let right_h = slab.load_list(&right);
 
             // --- add_wire ---
             // Small shear, like a single routing segment: compaction after
             // a wire is rare in real solves (~0.2% of scanned candidates),
             // so the wire timing must not be dominated by it.
             let (wr, wc) = (1e-3, 1e-4);
-            let (ref_wire, slab_wire) = ab_time(
+            let (r, s) = ab_time(
                 iters,
-                |n| {
-                    for _ in 0..n {
-                        let mut l = clone_pooled(&src, &mut pool);
-                        l.add_wire_model(&ElmoreModel, wr, wc);
-                        pool.recycle(l);
-                    }
+                || {
+                    let mut l = clone_pooled(&src, &mut pool);
+                    l.add_wire_model(&ElmoreModel, wr, wc);
+                    pool.recycle(l);
                 },
-                |n| {
-                    for _ in 0..n {
-                        let h = slab.load_list(&src);
-                        slab.add_wire(h, &ElmoreModel, wr, wc, &mut stats);
-                        slab.free(h);
-                    }
+                || {
+                    let h = slab.copy_list(src_h);
+                    slab.add_wire(h, &ElmoreModel, wr, wc, &mut stats);
+                    slab.free(h);
                 },
             );
+            rows.push((k, "wire", r, s));
 
             // --- merge ---
-            let (ref_merge, slab_merge) = ab_time(
+            let (r, s) = ab_time(
                 iters,
-                |n| {
-                    for _ in 0..n {
-                        let l = clone_pooled(&src, &mut pool);
-                        let r = clone_pooled(&right, &mut pool);
-                        let m = merge_branches_pooled(
-                            l,
-                            r,
-                            &mut arena,
-                            false,
-                            &mut pool,
-                            f64::INFINITY,
-                        );
-                        pool.recycle(m);
-                    }
+                || {
+                    let l = clone_pooled(&src, &mut pool);
+                    let r = clone_pooled(&right, &mut pool);
+                    let m =
+                        merge_branches_pooled(l, r, &mut arena, false, &mut pool, f64::INFINITY);
+                    pool.recycle(m);
                 },
-                |n| {
-                    for _ in 0..n {
-                        let l = slab.load_list(&src);
-                        let r = slab.load_list(&right);
-                        let m = slab.merge(l, r, &mut arena2, false, f64::INFINITY, &mut stats);
-                        slab.free(m);
-                    }
+                || {
+                    let l = slab.copy_list(src_h);
+                    let r = slab.copy_list(right_h);
+                    let m = slab.merge(l, r, &mut arena2, false, f64::INFINITY, &mut stats);
+                    slab.free(m);
                 },
             );
+            rows.push((k, "merge", r, s));
 
-            // --- merge_insert ---
-            let (ref_mi, slab_mi) = ab_time(
+            // --- merge_insert: 12 betas into a k-list ---
+            let staged = beta_buf(&betas);
+            let (r, s) = ab_time(
                 iters,
-                |n| {
-                    for _ in 0..n {
-                        let mut l = clone_pooled(&src, &mut pool);
-                        l.merge_insert_pooled(&betas, &mut pool);
-                        pool.recycle(l);
-                    }
+                || {
+                    let mut l = clone_pooled(&src, &mut pool);
+                    l.merge_insert_pooled(&betas, &mut pool);
+                    pool.recycle(l);
                 },
-                |n| {
-                    for _ in 0..n {
-                        let h = slab.load_list(&src);
-                        slab.merge_insert(h, &betas);
-                        slab.free(h);
-                    }
+                || {
+                    let h = slab.copy_list(src_h);
+                    slab.merge_insert(h, &staged);
+                    slab.free(h);
                 },
             );
+            rows.push((k, "merge_insert", r, s));
+
+            // --- merge_insert_list: union of two k-lists ---
+            let (r, s) = ab_time(
+                iters,
+                || {
+                    let mut l = clone_pooled(&src, &mut pool);
+                    l.merge_insert_pooled(right.as_slice(), &mut pool);
+                    pool.recycle(l);
+                },
+                || {
+                    let h = slab.copy_list(src_h);
+                    slab.merge_insert_list(h, right_h);
+                    slab.free(h);
+                },
+            );
+            rows.push((k, "merge_insert_list", r, s));
+
+            // --- copy_list ---
+            let (r, s) = ab_time(
+                iters,
+                || {
+                    let l = clone_pooled(&src, &mut pool);
+                    pool.recycle(l);
+                },
+                || {
+                    let h = slab.copy_list(src_h);
+                    slab.free(h);
+                },
+            );
+            rows.push((k, "copy_list", r, s));
+
+            // --- retain_undominated: a k-level against a k-frontier ---
+            // The reference is the AoS filter the cost DP used before the
+            // slab: one binary search per candidate.
+            let (r, s) = ab_time(
+                iters,
+                || {
+                    let mut l = clone_pooled(&src, &mut pool);
+                    let f = right.as_slice();
+                    l.as_mut_vec().retain(|cand| {
+                        let below = f.partition_point(|x| x.c <= cand.c);
+                        !(below > 0 && f[below - 1].q >= cand.q)
+                    });
+                    pool.recycle(l);
+                },
+                || {
+                    let h = slab.copy_list(src_h);
+                    slab.retain_undominated(h, right_h, &mut stats);
+                    slab.free(h);
+                },
+            );
+            rows.push((k, "retain_undominated", r, s));
 
             // --- hull build ---
             let mut hull = Vec::new();
             let mut hull2 = Vec::new();
-            let loaded = slab.load_list(&src);
-            let (ref_hull, slab_hull) = ab_time(
+            let (r, s) = ab_time(
                 iters,
-                |n| {
-                    for _ in 0..n {
-                        crate::hull::upper_hull_into(src.as_slice(), &mut hull);
-                        std::hint::black_box(hull.len());
-                    }
+                || {
+                    crate::hull::upper_hull_into(src.as_slice(), &mut hull);
+                    std::hint::black_box(hull.len());
                 },
-                |n| {
-                    for _ in 0..n {
-                        let v = slab.view(loaded);
-                        crate::hull::upper_hull_cols(v.q, v.c, &mut hull2);
-                        std::hint::black_box(hull2.len());
-                    }
+                || {
+                    let v = slab.view(src_h);
+                    crate::hull::upper_hull_cols(v.q, v.c, &mut hull2);
+                    std::hint::black_box(hull2.len());
                 },
             );
-            slab.free(loaded);
+            rows.push((k, "hull", r, s));
 
             // --- load/clone overhead baseline ---
-            let (ref_clone, slab_clone) = ab_time(
+            let (r, s) = ab_time(
                 iters,
-                |n| {
-                    for _ in 0..n {
-                        let l = clone_pooled(&src, &mut pool);
-                        pool.recycle(l);
-                    }
+                || {
+                    let l = clone_pooled(&src, &mut pool);
+                    pool.recycle(l);
                 },
-                |n| {
-                    for _ in 0..n {
-                        let h = slab.load_list(&src);
-                        slab.free(h);
-                    }
+                || {
+                    let h = slab.load_list(&src);
+                    slab.free(h);
                 },
             );
-
+            rows.push((k, "clone/load", r, s));
+        }
+        eprintln!(
+            "{:>5}  {:<18} {:>10} {:>10} {:>9}",
+            "k", "op", "ref", "slab", "slab/ref"
+        );
+        for (k, op, r, s) in rows {
             eprintln!(
-                "k={k:5}  wire {:>8.1?}/{:>8.1?}  merge {:>8.1?}/{:>8.1?}  mi {:>8.1?}/{:>8.1?}  hull {:>8.1?}/{:>8.1?}  clone {:>8.1?}/{:>8.1?}  (ref/slab)",
-                ref_wire,
-                slab_wire,
-                ref_merge,
-                slab_merge,
-                ref_mi,
-                slab_mi,
-                ref_hull,
-                slab_hull,
-                ref_clone,
-                slab_clone
+                "{k:>5}  {op:<18} {:>10.2?} {:>10.2?} {:>9.2}",
+                r,
+                s,
+                s.as_secs_f64() / r.as_secs_f64()
             );
         }
+    }
+
+    /// Stages `betas` (strictly increasing `c`) as a [`BetaList`].
+    fn beta_buf(betas: &[Candidate]) -> BetaList {
+        let mut staged = BetaList::default();
+        for &beta in betas {
+            staged.push_pruned(beta);
+        }
+        assert_eq!(staged.len(), betas.len(), "betas must be a staircase");
+        staged
     }
 
     fn clone_pooled(src: &CandidateList, pool: &mut crate::pool::CandidatePool) -> CandidateList {
