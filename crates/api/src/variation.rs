@@ -10,6 +10,9 @@
 //! bit-identical scratch solve of the same tree) then makes every sampled
 //! result independent of which worker solved it and in what order — which
 //! is what lets the sample fan-out scale without losing reproducibility.
+//! Because every sample dirties the same root paths, each worker declares
+//! them as its cache's footprint before the first solve, and the cache
+//! stores only the lists the next sample reads back.
 //!
 //! The distribution summary is folded in **sample-index order** regardless
 //! of completion order ([`summarize_samples`] sorts first): float addition
@@ -220,9 +223,13 @@ pub(crate) fn solve_variation(
                 nodes_reused: solution.stats.nodes_reused,
             })
         };
+    // Every script dirties the same root paths, so each worker's cache
+    // keeps only the lists of that footprint's frontier.
     let new_solver = || {
-        IncrementalSolver::new(tree.clone(), session.library().clone())
-            .with_options(options.clone())
+        let mut solver = IncrementalSolver::new(tree.clone(), session.library().clone())
+            .with_options(options.clone());
+        solver.set_footprint(scripts.iter().flatten());
+        solver
     };
 
     let results: Vec<SampleResult> = if workers == 1 {

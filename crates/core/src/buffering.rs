@@ -395,8 +395,20 @@ pub(crate) fn add_buffers_slab(
     stats: &mut SolveStats,
 ) {
     if !find_betas_slab(
-        algo, slab, list, lib, constraint, node, variation, price, arena, track, scratch, slew,
+        algo,
+        slab,
+        list,
+        lib,
+        constraint,
+        node,
+        variation,
+        price,
+        arena,
+        track,
+        scratch,
+        slew,
         stats,
+        |_| true,
     ) {
         return;
     }
@@ -414,6 +426,12 @@ pub(crate) fn add_buffers_slab(
 /// [`find_betas`] over the slab: fills `scratch.beta_slots` from the
 /// columns of `list`. [`Algorithm::LiShiPermanent`] convex-prunes the slab
 /// list in place via [`CandidateSlab::convex_prune`].
+///
+/// Only types for which `fits` holds get a β (and, when tracking, an arena
+/// entry); the hull walk still steps through every allowed type in Lemma 1
+/// order, so the β of a fitting type is the same bits either way. The cost
+/// DP passes its remaining budget here; every other caller passes
+/// `|_| true`, which monomorphizes the check away.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn find_betas_slab(
     algo: Algorithm,
@@ -429,6 +447,7 @@ pub(crate) fn find_betas_slab(
     scratch: &mut Scratch,
     slew: &SlewPolicy,
     stats: &mut SolveStats,
+    fits: impl Fn(BufferTypeId) -> bool + Copy,
 ) -> bool {
     if slab.len(list) == 0 || lib.is_empty() || !constraint.is_site() {
         return false;
@@ -451,6 +470,7 @@ pub(crate) fn find_betas_slab(
                 scratch,
                 slew,
                 stats,
+                fits,
             );
         }
         Algorithm::LiShi => {
@@ -467,6 +487,7 @@ pub(crate) fn find_betas_slab(
                     scratch,
                     slew,
                     stats,
+                    fits,
                 );
             } else {
                 let view = slab.view(list);
@@ -475,6 +496,7 @@ pub(crate) fn find_betas_slab(
                 stats.hull_input_candidates += view.len() as u64;
                 find_alphas_walk_slab(
                     view, lib, constraint, node, variation, price, arena, track, scratch, stats,
+                    fits,
                 );
             }
         }
@@ -493,6 +515,7 @@ pub(crate) fn find_betas_slab(
                     scratch,
                     slew,
                     stats,
+                    fits,
                 );
             } else {
                 let view = slab.view(list);
@@ -502,6 +525,7 @@ pub(crate) fn find_betas_slab(
                 scratch.hull.extend(0..view.len() as u32);
                 find_alphas_walk_slab(
                     view, lib, constraint, node, variation, price, arena, track, scratch, stats,
+                    fits,
                 );
             }
         }
@@ -510,7 +534,8 @@ pub(crate) fn find_betas_slab(
 }
 
 /// [`find_alphas_scan`] over slab columns — same per-type scans, same
-/// early-exit and feasibility checks, same counters.
+/// early-exit and feasibility checks, same counters. The scans are
+/// independent, so a type that does not `fit` is not scanned at all.
 #[allow(clippy::too_many_arguments)]
 fn find_alphas_scan_slab(
     view: SlabView<'_>,
@@ -524,11 +549,12 @@ fn find_alphas_scan_slab(
     scratch: &mut Scratch,
     slew: &SlewPolicy,
     stats: &mut SolveStats,
+    fits: impl Fn(BufferTypeId) -> bool,
 ) {
     let n = view.len();
     let (qs, cs, ss) = (&view.q[..n], &view.c[..n], &view.s[..n]);
     for (id, _) in lib.iter() {
-        if !constraint.allows(id) {
+        if !constraint.allows(id) || !fits(id) {
             continue;
         }
         let (r, k, c_in, max_load) = params(lib, id, variation);
@@ -562,7 +588,10 @@ fn find_alphas_scan_slab(
 }
 
 /// [`find_alphas_walk`] over slab columns: the same monotone hull walk with
-/// the same load-limited exact-scan fallback.
+/// the same load-limited exact-scan fallback. A type that does not `fit`
+/// still advances the walk pointer (the walk's stopping point can depend on
+/// where it starts), but gets no β; its load-limited scan, which leaves the
+/// pointer alone, is skipped.
 #[allow(clippy::too_many_arguments)]
 fn find_alphas_walk_slab(
     view: SlabView<'_>,
@@ -575,6 +604,7 @@ fn find_alphas_walk_slab(
     track: bool,
     scratch: &mut Scratch,
     stats: &mut SolveStats,
+    fits: impl Fn(BufferTypeId) -> bool,
 ) {
     let Scratch {
         hull, beta_slots, ..
@@ -590,6 +620,9 @@ fn find_alphas_walk_slab(
         }
         let (r, k, c_in, max_load) = params(lib, id, variation);
         let alpha = if max_load.is_finite() {
+            if !fits(id) {
+                continue;
+            }
             // Exact constrained scan (rare path).
             let mut best: Option<usize> = None;
             for i in 0..n {
@@ -622,6 +655,9 @@ fn find_alphas_walk_slab(
                 } else {
                     break;
                 }
+            }
+            if !fits(id) {
+                continue;
             }
             view.get(hull[ptr] as usize)
         };

@@ -43,6 +43,20 @@
 //!   cache across structurally different trees of equal size is undefined
 //!   *results* (never unsafety) — again, `IncrementalSolver` makes this
 //!   impossible by construction.
+//!
+//! # Footprints: storing only what is read back
+//!
+//! A family of solves that always dirties the same root paths (the
+//! samples of one Monte-Carlo variation family) reads back only the lists
+//! of the *frontier*: the nodes outside that footprint whose parent is
+//! inside it. [`SubtreeCache::set_footprint`] declares the footprint; from
+//! then on a cached solve stores only frontier lists, keeps footprint
+//! nodes dirty (they are recomputed by every solve anyway), and keeps no
+//! list for the interior of clean subtrees (its parent is clean, so no
+//! merge ever asks for it). A dirtying that starts outside the footprint
+//! drops it and flushes, which restores "every clean node whose parent is
+//! recomputed has a cached list" before the next solve; a dirtying inside
+//! it only marks nodes that are already dirty. Results are unchanged.
 
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_rctree::{NodeId, RoutingTree};
@@ -108,6 +122,62 @@ impl CacheFingerprint {
     }
 }
 
+/// What a cached solve does with the list of a node it recomputed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Snapshot {
+    /// Store it and mark the node clean (every node when no footprint is
+    /// set; the frontier nodes under one).
+    Store,
+    /// Mark the node clean without storing: under a footprint, its parent
+    /// is outside the footprint too, so no merge reads this list.
+    Skip,
+    /// Store nothing and leave the node dirty: it is on the footprint, so
+    /// the next solve recomputes it anyway.
+    Recompute,
+}
+
+/// The cache state one cached solve borrows: the per-node lists and dirty
+/// bits, plus the footprint roles, decided once per solve.
+pub(crate) struct CacheView<'a> {
+    lists: &'a mut [Option<CandidateList>],
+    dirty: &'a mut [bool],
+    roles: Option<&'a [Snapshot]>,
+}
+
+impl CacheView<'_> {
+    /// `true` when `node`'s subtree is reused rather than recomputed.
+    #[inline]
+    pub(crate) fn is_clean(&self, node: NodeId) -> bool {
+        !self.dirty[node.index()]
+    }
+
+    /// The cached list of a clean node that a recomputed parent merges.
+    #[inline]
+    pub(crate) fn cached(&self, node: NodeId) -> &CandidateList {
+        self.lists[node.index()]
+            .as_ref()
+            .expect("clean children are always cached")
+    }
+
+    /// Records that `node` was recomputed. Returns the slot its list must
+    /// be stored into, or `None` when its role says not to store it.
+    #[inline]
+    pub(crate) fn finish(&mut self, node: NodeId) -> Option<&mut Option<CandidateList>> {
+        let i = node.index();
+        match self.roles.map_or(Snapshot::Store, |roles| roles[i]) {
+            Snapshot::Store => {
+                self.dirty[i] = false;
+                Some(&mut self.lists[i])
+            }
+            Snapshot::Skip => {
+                self.dirty[i] = false;
+                None
+            }
+            Snapshot::Recompute => None,
+        }
+    }
+}
+
 /// Checkpointed per-node candidate lists of one `(tree, config)` pair, plus
 /// the predecessor arena those lists reference. See the module docs for the
 /// ownership and invalidation invariants.
@@ -123,6 +193,9 @@ pub struct SubtreeCache {
     arena: PredArena,
     fingerprint: Option<CacheFingerprint>,
     flushes: u64,
+    /// Per-node snapshot roles of the footprint set by
+    /// [`SubtreeCache::set_footprint`]; `None` stores every recomputed list.
+    footprint: Option<Vec<Snapshot>>,
 }
 
 impl SubtreeCache {
@@ -131,9 +204,11 @@ impl SubtreeCache {
         SubtreeCache::default()
     }
 
-    /// Drops every cached list, clears the predecessor arena, and forgets
-    /// the fingerprint: the next cached solve recomputes everything.
-    /// Allocations are retained for reuse.
+    /// Drops (frees) every cached list, clears the predecessor arena, and
+    /// forgets the fingerprint: the next cached solve recomputes everything.
+    /// Only the per-node slot and dirty-bit vectors and the arena's
+    /// capacity are kept. A footprint stays set: a flushed cache satisfies
+    /// its invariant.
     pub fn flush(&mut self) {
         for slot in &mut self.lists {
             *slot = None;
@@ -162,12 +237,68 @@ impl SubtreeCache {
     /// invalidation footprint of an edit inside `node` (for an edit to the
     /// wire *above* `node`, start from the parent instead: the node's own
     /// subtree list is unaffected).
+    ///
+    /// A path that starts outside the [footprint](SubtreeCache::set_footprint)
+    /// drops the footprint and flushes the cache: the lists the new path
+    /// needs were never stored.
     pub fn mark_path_dirty(&mut self, tree: &RoutingTree, node: NodeId) {
+        if let Some(roles) = &self.footprint {
+            if roles.get(node.index()) != Some(&Snapshot::Recompute) {
+                self.footprint = None;
+                self.flush();
+                return;
+            }
+        }
         let mut cur = Some(node);
         while let Some(n) = cur {
             self.mark_dirty(n);
             cur = tree.parent(n);
         }
+    }
+
+    /// Declares the footprint of a family of solves: the union of the root
+    /// paths of `origins` (each the node an edit dirties from, as passed to
+    /// [`SubtreeCache::mark_path_dirty`]). Later cached solves store only
+    /// the frontier lists (see the module docs); `origins` naming no node
+    /// of `tree` clear the footprint. A warm cache is flushed first, because the lists the
+    /// new frontier needs may not be stored.
+    ///
+    /// The footprint only changes which lists are kept, never a result. It
+    /// pays off when every later edit lands inside it; the first one that
+    /// does not drops it again, at the cost of one cold solve.
+    pub fn set_footprint(&mut self, tree: &RoutingTree, origins: &[NodeId]) {
+        if self.is_warm() {
+            self.flush();
+        }
+        let n = tree.node_count();
+        let mut inside = vec![false; n];
+        for &origin in origins.iter().filter(|o| o.index() < n) {
+            let mut cur = Some(origin);
+            while let Some(v) = cur.filter(|v| !inside[v.index()]) {
+                inside[v.index()] = true;
+                cur = tree.parent(v);
+            }
+        }
+        // The root is inside exactly when some origin names a node.
+        self.footprint = inside[tree.root().index()].then(|| {
+            tree.node_ids()
+                .map(|v| {
+                    if inside[v.index()] {
+                        Snapshot::Recompute
+                    } else if tree.parent(v).is_some_and(|p| inside[p.index()]) {
+                        Snapshot::Store
+                    } else {
+                        Snapshot::Skip
+                    }
+                })
+                .collect()
+        });
+    }
+
+    /// `true` while a footprint set by [`SubtreeCache::set_footprint`] is in
+    /// force (it is dropped by a dirtying outside it).
+    pub fn has_footprint(&self) -> bool {
+        self.footprint.is_some()
     }
 
     /// `true` once a cached solve has populated the cache (and no flush or
@@ -201,6 +332,13 @@ impl SubtreeCache {
     /// or a cold cache) everything is flushed and marked dirty.
     pub(crate) fn prepare(&mut self, fingerprint: CacheFingerprint) {
         let n = fingerprint.nodes;
+        if self
+            .footprint
+            .as_ref()
+            .is_some_and(|roles| roles.len() != n)
+        {
+            self.footprint = None; // set for a different tree
+        }
         let matches = self
             .fingerprint
             .as_ref()
@@ -216,15 +354,14 @@ impl SubtreeCache {
     }
 
     /// Splits the cache into the parts the engine loop needs with disjoint
-    /// borrows: cached lists, dirty bits, and the arena.
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (
-        &mut Vec<Option<CandidateList>>,
-        &mut Vec<bool>,
-        &mut PredArena,
-    ) {
-        (&mut self.lists, &mut self.dirty, &mut self.arena)
+    /// borrows: the per-node view and the arena.
+    pub(crate) fn parts_mut(&mut self) -> (CacheView<'_>, &mut PredArena) {
+        let view = CacheView {
+            lists: &mut self.lists,
+            dirty: &mut self.dirty,
+            roles: self.footprint.as_deref(),
+        };
+        (view, &mut self.arena)
     }
 }
 
@@ -363,6 +500,56 @@ mod tests {
         cache.prepare(CacheFingerprint::of(&other, &lib, 3));
         assert_eq!(cache.dirty, vec![true; 3]);
         assert_eq!(cache.flush_count(), flushes + 1);
+    }
+
+    /// Footprint roles: the footprint is recomputed, its frontier stored,
+    /// everything below the frontier skipped; origins naming no node of the
+    /// tree set no footprint.
+    #[test]
+    fn footprint_roles_follow_the_root_paths() {
+        use fastbuf_buflib::Driver;
+        use fastbuf_rctree::{TreeBuilder, Wire};
+        let wire = || Wire::new(Ohms::new(10.0), Farads::from_femto(1.0));
+        let sink = |b: &mut TreeBuilder| b.sink(Farads::from_femto(5.0), Seconds::from_pico(100.0));
+        let mut b = TreeBuilder::new();
+        let src = b.source(Driver::new(Ohms::new(100.0)));
+        let top = b.buffer_site();
+        let left = b.buffer_site();
+        let right = b.buffer_site();
+        let (s1, s2, s3) = (sink(&mut b), sink(&mut b), sink(&mut b));
+        for (parent, child) in [
+            (src, top),
+            (top, left),
+            (top, right),
+            (left, s1),
+            (right, s2),
+            (right, s3),
+        ] {
+            b.connect(parent, child, wire()).unwrap();
+        }
+        let tree = b.build().unwrap();
+
+        let mut cache = SubtreeCache::new();
+        cache.set_footprint(&tree, &[s2]);
+        let role = |cache: &SubtreeCache, v: NodeId| cache.footprint.as_ref().unwrap()[v.index()];
+        for v in [src, top, right, s2] {
+            assert_eq!(role(&cache, v), Snapshot::Recompute);
+        }
+        for v in [left, s3] {
+            assert_eq!(role(&cache, v), Snapshot::Store);
+        }
+        assert_eq!(role(&cache, s1), Snapshot::Skip);
+
+        // A path inside keeps it; one starting outside drops it.
+        cache.mark_path_dirty(&tree, right);
+        assert!(cache.has_footprint());
+        cache.mark_path_dirty(&tree, s1);
+        assert!(!cache.has_footprint());
+
+        cache.set_footprint(&tree, &[NodeId::new(99)]);
+        assert!(!cache.has_footprint());
+        cache.set_footprint(&tree, &[]);
+        assert!(!cache.has_footprint());
     }
 
     #[test]

@@ -176,7 +176,6 @@ impl<'a> CostSolver<'a> {
         let start = Instant::now();
         let tree = self.tree;
         let lib = self.library;
-        let w_max = self.max_cost as usize;
 
         // Integer costs per type, validated.
         let mut costs = Vec::with_capacity(lib.len());
@@ -189,6 +188,16 @@ impl<'a> CostSolver<'a> {
             }
             costs.push(rounded as usize);
         }
+        // Every node sizes a table of `w_max + 1` levels, so the cap is
+        // clamped to the most any solution can spend (each site hosting
+        // the dearest type): the levels above it stay empty at every node,
+        // and the frontier is the same.
+        let reachable = tree
+            .buffer_sites()
+            .count()
+            .saturating_mul(costs.iter().copied().max().unwrap_or(0));
+        let w_max = (self.max_cost as usize).min(reachable);
+        let cheapest = costs.iter().copied().min().unwrap_or(0);
 
         // Buffer types grouped by cost, each group in input-capacitance
         // order: one group's betas from one level share a target level.
@@ -250,6 +259,16 @@ impl<'a> CostSolver<'a> {
                         scratch.stage.reset_targets(w_max + 1);
                         for (w, level) in lv.iter().enumerate() {
                             let Some(level) = *level else { continue };
+                            if w + cheapest > w_max {
+                                // No type fits the budget from here up:
+                                // skip the hull and the walk. LiShiPermanent's
+                                // AddBuffer still replaces the list by its
+                                // convex hull, betas or not.
+                                if self.algorithm == Algorithm::LiShiPermanent {
+                                    stats.convex_pruned += slab.convex_prune(level) as u64;
+                                }
+                                continue;
+                            }
                             // The cost DP stays slew-unconstrained; pair it
                             // with `Solver::slew_limit` if both axes are
                             // needed (see docs/ALGORITHM.md).
@@ -267,23 +286,22 @@ impl<'a> CostSolver<'a> {
                                 &mut scratch,
                                 &SlewPolicy::unlimited(),
                                 &mut stats,
+                                |id| w + costs[id.index()] <= w_max,
                             ) {
                                 continue;
                             }
                             for (cost, ids) in &cost_groups {
                                 let target = w + cost;
+                                if target > w_max {
+                                    continue; // these types got no beta
+                                }
                                 for &id in ids {
-                                    let Some(beta) = scratch.beta_slots[id.index()].take() else {
-                                        continue;
-                                    };
-                                    if target <= w_max {
+                                    if let Some(beta) = scratch.beta_slots[id.index()].take() {
                                         scratch.stage.group.push_pruned(beta);
                                         stats.betas_generated += 1;
                                     }
                                 }
-                                if target <= w_max {
-                                    scratch.stage.flush_group(target);
-                                }
+                                scratch.stage.flush_group(target);
                             }
                         }
                         for (w, betas) in scratch.stage.targets.iter().enumerate() {
@@ -384,10 +402,12 @@ fn merge_levels(
 /// candidate at an equal-or-cheaper level. The running cheaper-or-equal
 /// frontier is itself a slab list; each level is filtered against it by one
 /// linear sweep ([`CandidateSlab::retain_undominated`]) and then unioned
-/// into it in place.
+/// into it in place — except the last level, which nothing is filtered
+/// against afterwards.
 fn prune_levels(slab: &mut CandidateSlab, levels: &mut [Option<SlabList>], stats: &mut SolveStats) {
+    let last = levels.iter().rposition(Option::is_some);
     let mut frontier: Option<SlabList> = None;
-    for slot in levels.iter_mut() {
+    for (w, slot) in levels.iter_mut().enumerate() {
         let Some(level) = *slot else { continue };
         if slab.len(level) == 0 {
             slab.free(level);
@@ -401,6 +421,9 @@ fn prune_levels(slab: &mut CandidateSlab, levels: &mut [Option<SlabList>], stats
                 *slot = None;
                 continue;
             }
+        }
+        if Some(w) == last {
+            break;
         }
         match frontier {
             None => frontier = Some(slab.copy_list(level)),
@@ -503,6 +526,33 @@ mod tests {
             frontier.points.last().unwrap().slack.picos()
                 <= loose.points.last().unwrap().slack.picos() + 1e-9
         );
+    }
+
+    /// The level table is clamped to the most any solution can spend
+    /// (sites × dearest type), so an oversized cap neither allocates per
+    /// cost unit nor changes a bit of the frontier.
+    #[test]
+    fn oversized_budget_matches_the_reachable_clamp() {
+        let tree = line_net(6, 1500.0, 2500.0);
+        let lib = BufferLibrary::paper_synthetic(4).unwrap();
+        let dearest = lib.iter().map(|(_, b)| b.cost() as u32).max().unwrap();
+        let clamp = CostSolver::new(&tree, &lib)
+            .max_cost(6 * dearest)
+            .solve()
+            .unwrap();
+        let start = Instant::now();
+        let huge = CostSolver::new(&tree, &lib)
+            .max_cost(u32::MAX)
+            .solve()
+            .unwrap();
+        assert!(start.elapsed().as_secs() < 10, "{:?}", start.elapsed());
+        assert_eq!(huge.points.len(), clamp.points.len());
+        for (a, b) in huge.points.iter().zip(&clamp.points) {
+            assert_eq!(a.cost, b.cost);
+            assert_eq!(a.slack.value().to_bits(), b.slack.value().to_bits());
+            assert_eq!(a.placements, b.placements);
+        }
+        assert_eq!(huge.stats.addbuffer_work(), clamp.stats.addbuffer_work());
     }
 
     #[test]

@@ -19,7 +19,8 @@ use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
 use crate::arena::{PredArena, PredRef};
 use crate::buffering::{add_buffers, add_buffers_slab, Algorithm, Scratch};
 use crate::cache::{
-    clone_list_pooled, store_snapshot, store_snapshot_view, CacheFingerprint, SubtreeCache,
+    clone_list_pooled, store_snapshot, store_snapshot_view, CacheFingerprint, CacheView,
+    SubtreeCache,
 };
 use crate::candidate::{Candidate, CandidateList};
 use crate::merge::merge_branches_pooled;
@@ -426,8 +427,8 @@ impl<'a> Solver<'a> {
         // (append-only); scratch mode clears and reuses the workspace arena.
         let (mut cache_state, arena) = match cache {
             Some(c) => {
-                let (cached_lists, dirty, cache_arena) = c.parts_mut();
-                (Some((cached_lists, dirty)), cache_arena)
+                let (view, cache_arena) = c.parts_mut();
+                (Some(view), cache_arena)
             }
             None => {
                 ws_arena.clear();
@@ -439,10 +440,8 @@ impl<'a> Solver<'a> {
         let mut recomputed = 0u64;
 
         for &node in tree.postorder() {
-            if let Some((_, dirty)) = &cache_state {
-                if !dirty[node.index()] {
-                    continue; // clean subtree: its cached list is reused
-                }
+            if cache_state.as_ref().is_some_and(|c| c.is_clean(node)) {
+                continue; // clean subtree: its cached list is reused
             }
             let list = match tree.kind(node) {
                 NodeKind::Sink {
@@ -462,17 +461,13 @@ impl<'a> Solver<'a> {
                     for &child in tree.children(node) {
                         let mut cl = match lists[child.index()].take() {
                             Some(cl) => cl,
-                            None => {
-                                let (cached_lists, _) = cache_state
+                            None => clone_list_pooled(
+                                cache_state
                                     .as_ref()
-                                    .expect("only clean cached children are skipped");
-                                clone_list_pooled(
-                                    cached_lists[child.index()]
-                                        .as_ref()
-                                        .expect("clean children are always cached"),
-                                    &mut scratch.pool,
-                                )
-                            }
+                                    .expect("only clean cached children are skipped")
+                                    .cached(child),
+                                &mut scratch.pool,
+                            ),
                         };
                         let wire = tree
                             .wire_to_parent(child)
@@ -522,9 +517,10 @@ impl<'a> Solver<'a> {
                 }
             };
             stats.max_list_len = stats.max_list_len.max(list.len());
-            if let Some((cached_lists, dirty)) = &mut cache_state {
-                store_snapshot(&mut cached_lists[node.index()], &list);
-                dirty[node.index()] = false;
+            if let Some(c) = &mut cache_state {
+                if let Some(slot) = c.finish(node) {
+                    store_snapshot(slot, &list);
+                }
                 recomputed += 1;
             }
             lists[node.index()] = Some(list);
@@ -535,13 +531,11 @@ impl<'a> Solver<'a> {
             None => {
                 // Every node was clean (a re-solve with no edits): the root
                 // list comes straight from the cache.
-                let (cached_lists, _) = cache_state
-                    .as_ref()
-                    .expect("the root is only skipped in cached mode");
                 clone_list_pooled(
-                    cached_lists[tree.root().index()]
+                    cache_state
                         .as_ref()
-                        .expect("clean root is cached"),
+                        .expect("the root is only skipped in cached mode")
+                        .cached(tree.root()),
                     &mut scratch.pool,
                 )
             }
@@ -641,8 +635,8 @@ impl<'a> Solver<'a> {
         } = workspace;
         let (mut cache_state, arena) = match cache {
             Some(c) => {
-                let (cached_lists, dirty, cache_arena) = c.parts_mut();
-                (Some((cached_lists, dirty)), cache_arena)
+                let (view, cache_arena) = c.parts_mut();
+                (Some(view), cache_arena)
             }
             None => {
                 ws_arena.clear();
@@ -679,7 +673,7 @@ impl<'a> Solver<'a> {
             &ctx,
             tree.postorder(),
             covered.as_deref(),
-            cache_state.as_mut().map(|(l, d)| (&mut **l, &mut **d)),
+            cache_state.as_mut(),
             &mut recomputed,
             slab,
             slab_lists,
@@ -693,13 +687,11 @@ impl<'a> Solver<'a> {
             None => {
                 // Every node was clean (a re-solve with no edits): the root
                 // list comes straight from the cache.
-                let (cached_lists, _) = cache_state
-                    .as_ref()
-                    .expect("the root is only skipped in cached mode");
                 slab.load_list(
-                    cached_lists[tree.root().index()]
+                    cache_state
                         .as_ref()
-                        .expect("clean root is cached"),
+                        .expect("the root is only skipped in cached mode")
+                        .cached(tree.root()),
                 )
             }
         };
@@ -809,7 +801,8 @@ fn node_price(prices: Option<&[f64]>, node: NodeId) -> f64 {
 /// Runs the bottom-up DP body over `nodes` (a postorder sequence) on the
 /// slab kernel. `covered` nodes are skipped (they were solved by a parallel
 /// task whose root list is already in `slab_lists`); in cached mode, clean
-/// nodes are skipped and recomputed lists are snapshotted back.
+/// nodes are skipped and recomputed lists are snapshotted back as the
+/// cache's footprint roles say.
 ///
 /// This is the single implementation the sequential pass, the cached pass,
 /// and every parallel subtree task execute — which is what makes the
@@ -820,7 +813,7 @@ fn slab_process_nodes(
     ctx: &SlabCtx<'_>,
     nodes: &[NodeId],
     covered: Option<&[bool]>,
-    mut cache_state: Option<(&mut Vec<Option<CandidateList>>, &mut Vec<bool>)>,
+    mut cache_state: Option<&mut CacheView<'_>>,
     recomputed: &mut u64,
     slab: &mut CandidateSlab,
     slab_lists: &mut [Option<SlabList>],
@@ -832,10 +825,8 @@ fn slab_process_nodes(
         if covered.is_some_and(|cov| cov[node.index()]) {
             continue; // solved by a parallel subtree task
         }
-        if let Some((_, dirty)) = cache_state.as_ref() {
-            if !dirty[node.index()] {
-                continue; // clean subtree: its cached list is reused
-            }
+        if cache_state.as_ref().is_some_and(|c| c.is_clean(node)) {
+            continue; // clean subtree: its cached list is reused
         }
         let list = match ctx.tree.kind(node) {
             NodeKind::Sink {
@@ -847,16 +838,12 @@ fn slab_process_nodes(
                 for &child in ctx.tree.children(node) {
                     let cl = match slab_lists[child.index()].take() {
                         Some(cl) => cl,
-                        None => {
-                            let (cached_lists, _) = cache_state
+                        None => slab.load_list(
+                            cache_state
                                 .as_ref()
-                                .expect("only clean cached children are skipped");
-                            slab.load_list(
-                                cached_lists[child.index()]
-                                    .as_ref()
-                                    .expect("clean children are always cached"),
-                            )
-                        }
+                                .expect("only clean cached children are skipped")
+                                .cached(child),
+                        ),
                     };
                     let wire = ctx
                         .tree
@@ -903,9 +890,10 @@ fn slab_process_nodes(
             }
         };
         stats.max_list_len = stats.max_list_len.max(slab.len(list));
-        if let Some((cached_lists, dirty)) = cache_state.as_mut() {
-            store_snapshot_view(&mut cached_lists[node.index()], slab.view(list));
-            dirty[node.index()] = false;
+        if let Some(c) = cache_state.as_mut() {
+            if let Some(slot) = c.finish(node) {
+                store_snapshot_view(slot, slab.view(list));
+            }
             *recomputed += 1;
         }
         slab_lists[node.index()] = Some(list);

@@ -513,6 +513,7 @@ impl<'a> PolaritySolver<'a> {
                 scratch,
                 &SlewPolicy::unlimited(),
                 stats,
+                |_| true,
             ) {
                 continue;
             }

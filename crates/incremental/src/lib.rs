@@ -134,6 +134,23 @@ fn same_price_bits(a: &[f64], b: &[f64]) -> bool {
     })
 }
 
+/// The node whose root path `edit` invalidates, or `None` when it
+/// invalidates every cached list (a library swap). Wire edits start at the
+/// parent of the wire's child endpoint, since the child's own subtree lies
+/// below the wire; every other edit starts at the edited node. (A wire edit
+/// on the root, which has no parent, is rejected by the tree mutation.)
+fn dirty_origin(tree: &RoutingTree, edit: &Edit) -> Option<NodeId> {
+    match edit {
+        Edit::SetWireLength { node, .. } | Edit::SetWireRC { node, .. } => tree.parent(*node),
+        Edit::DerateSite { node, .. }
+        | Edit::SetSinkRat { node, .. }
+        | Edit::SetSinkCap { node, .. }
+        | Edit::BlockSite { node }
+        | Edit::UnblockSite { node } => Some(*node),
+        Edit::SwapLibrary { .. } => None,
+    }
+}
+
 /// Bound on the cache-owned predecessor arena before the solver flushes
 /// and rebases it. The arena is append-only while any cached list
 /// references it, so long edit sequences grow it; a flush trades one full
@@ -346,11 +363,6 @@ impl IncrementalSolver {
             Edit::SetWireLength { node, length } => {
                 let wire = Wire::from_length(&self.technology, *length);
                 self.tree.set_wire_to_parent(*node, wire)?;
-                let parent = self
-                    .tree
-                    .parent(*node)
-                    .expect("set_wire_to_parent verified a parent exists");
-                self.cache.mark_path_dirty(&self.tree, parent);
             }
             Edit::SetWireRC {
                 node,
@@ -359,11 +371,6 @@ impl IncrementalSolver {
             } => {
                 self.tree
                     .set_wire_to_parent(*node, Wire::new(*resistance, *capacitance))?;
-                let parent = self
-                    .tree
-                    .parent(*node)
-                    .expect("set_wire_to_parent verified a parent exists");
-                self.cache.mark_path_dirty(&self.tree, parent);
             }
             Edit::DerateSite {
                 node,
@@ -374,37 +381,46 @@ impl IncrementalSolver {
                     *node,
                     fastbuf_rctree::SiteVariation::new(*delay_scale, *drive_scale),
                 )?;
-                self.cache.mark_path_dirty(&self.tree, *node);
             }
-            Edit::SetSinkRat { node, rat } => {
-                self.tree.set_sink_rat(*node, *rat)?;
-                self.cache.mark_path_dirty(&self.tree, *node);
-            }
-            Edit::SetSinkCap { node, cap } => {
-                self.tree.set_sink_cap(*node, *cap)?;
-                self.cache.mark_path_dirty(&self.tree, *node);
-            }
-            Edit::BlockSite { node } => {
-                self.tree
-                    .set_site_constraint(*node, SiteConstraint::NotASite)?;
-                self.cache.mark_path_dirty(&self.tree, *node);
-            }
-            Edit::UnblockSite { node } => {
-                self.tree
-                    .set_site_constraint(*node, SiteConstraint::AnyBuffer)?;
-                self.cache.mark_path_dirty(&self.tree, *node);
-            }
+            Edit::SetSinkRat { node, rat } => self.tree.set_sink_rat(*node, *rat)?,
+            Edit::SetSinkCap { node, cap } => self.tree.set_sink_cap(*node, *cap)?,
+            Edit::BlockSite { node } => self
+                .tree
+                .set_site_constraint(*node, SiteConstraint::NotASite)?,
+            Edit::UnblockSite { node } => self
+                .tree
+                .set_site_constraint(*node, SiteConstraint::AnyBuffer)?,
             Edit::SwapLibrary { size, jitter } => {
-                let library = if *jitter == 0 {
+                self.library = if *jitter == 0 {
                     BufferLibrary::paper_synthetic(*size)?
                 } else {
                     BufferLibrary::paper_synthetic_jittered(*size, *jitter)?
                 };
-                self.swap_library(library);
             }
+        }
+        match dirty_origin(&self.tree, edit) {
+            Some(node) => self.cache.mark_path_dirty(&self.tree, node),
+            None => self.cache.flush(),
         }
         self.edits_applied += 1;
         Ok(())
+    }
+
+    /// Declares that the edits to come only ever dirty the root paths that
+    /// `edits` dirty — the samples of one variation family, which perturb
+    /// the same node pool with absolute values. The cache then keeps only
+    /// the lists a re-solve reads back (the footprint's frontier; see
+    /// [`SubtreeCache::set_footprint`]), which saves storing every recomputed
+    /// list. Results are unchanged; an edit outside the footprint drops it
+    /// (one cold solve), and `edits` containing a library swap declare no
+    /// footprint.
+    pub fn set_footprint<'a>(&mut self, edits: impl IntoIterator<Item = &'a Edit>) {
+        let origins: Option<Vec<NodeId>> = edits
+            .into_iter()
+            .map(|edit| dirty_origin(&self.tree, edit))
+            .collect();
+        self.cache
+            .set_footprint(&self.tree, origins.as_deref().unwrap_or(&[]));
     }
 
     /// Applies a whole script in order, stopping at the first rejected

@@ -12,8 +12,10 @@
 
 use proptest::prelude::*;
 
+use fastbuf::api::VariationSpec;
 use fastbuf::incremental::{Edit, EditScriptSpec, IncrementalSolver};
 use fastbuf::prelude::*;
+use fastbuf::rctree::RoutingTree;
 
 fn net(sinks: usize, seed: u64, pitch: f64) -> fastbuf::rctree::RoutingTree {
     fastbuf::netgen::RandomNetSpec {
@@ -195,4 +197,230 @@ fn suite_scripts_stay_bit_identical_across_algorithms_and_slew() {
         "expected >= 1000 differential comparisons, ran {comparisons}"
     );
     println!("ran {comparisons} incremental-vs-scratch comparisons");
+}
+
+/// The root paths a variation family's scripts dirty, and the frontier
+/// below them, derived independently of the cache: wire edits start at the
+/// wire's parent, every other edit at the edited node.
+fn footprint_and_frontier(tree: &RoutingTree, scripts: &[Vec<Edit>]) -> (Vec<bool>, Vec<NodeId>) {
+    let mut inside = vec![false; tree.node_count()];
+    for edit in scripts.iter().flatten() {
+        let origin = match *edit {
+            Edit::SetWireRC { node, .. } | Edit::SetWireLength { node, .. } => tree.parent(node),
+            Edit::DerateSite { node, .. }
+            | Edit::SetSinkRat { node, .. }
+            | Edit::SetSinkCap { node, .. }
+            | Edit::BlockSite { node }
+            | Edit::UnblockSite { node } => Some(node),
+            Edit::SwapLibrary { .. } => unreachable!("variation scripts never swap libraries"),
+        };
+        let mut cur = origin;
+        while let Some(v) = cur {
+            inside[v.index()] = true;
+            cur = tree.parent(v);
+        }
+    }
+    let frontier = tree
+        .node_ids()
+        .filter(|&v| !inside[v.index()] && tree.parent(v).is_some_and(|p| inside[p.index()]))
+        .collect();
+    (inside, frontier)
+}
+
+/// A solver over a 40-sink net with a footprint declared for an 8-sample
+/// gaussian family, after `warm` samples have been solved on `kernel`.
+fn footprint_solver(warm: usize, kernel: Kernel) -> (IncrementalSolver, Vec<Vec<Edit>>) {
+    let tree = net(40, 7, 200.0);
+    let scripts = VariationSpec::gaussian(0.05, 0.1, 3).expand(&tree, 8);
+    let lib = BufferLibrary::paper_synthetic(8).unwrap();
+    let mut options = SolverOptions::default();
+    options.kernel = kernel;
+    let mut solver = IncrementalSolver::new(tree, lib).with_options(options);
+    solver.set_footprint(scripts.iter().flatten());
+    assert!(solver.cache().has_footprint());
+    for (k, script) in scripts.iter().take(warm).enumerate() {
+        solver.apply_all(script).unwrap();
+        assert_identical(
+            &solver.solve(),
+            &solver.solve_scratch(),
+            &format!("sample {k}"),
+        );
+    }
+    (solver, scripts)
+}
+
+/// Footprint safety: with a footprint set, sample scripts stay
+/// bit-identical to scratch while the cache keeps only frontier lists; and
+/// every way of dirtying the cache either keeps the footprint (when the
+/// dirtied paths stay inside it, or everything is flushed anyway) or drops
+/// it, without ever reading a list that was not stored.
+#[test]
+fn footprint_snapshots_stay_bit_identical_and_drop_on_outside_dirtying() {
+    let (mut solver, scripts) = footprint_solver(8, Kernel::Slab);
+    let tree = solver.tree().clone();
+    let n = tree.node_count() as u64;
+    let (inside, frontier) = footprint_and_frontier(&tree, &scripts);
+    let footprint = inside.iter().filter(|&&b| b).count() as u64;
+    assert!(footprint < n && !frontier.is_empty());
+    assert_eq!(solver.cache().cached_nodes(), frontier.len());
+    // Every warm sample recomputes exactly the footprint.
+    solver.apply_all(&scripts[0]).unwrap();
+    let warm = solver.solve();
+    assert_eq!(warm.stats.nodes_recomputed, footprint);
+    assert_eq!(warm.stats.nodes_reused, n - footprint);
+    assert_identical(&warm, &solver.solve_scratch(), &"warm sample");
+
+    // Nodes the dirtyings below target, chosen so each dirtying changes
+    // the result (asserted per case): a reused stale list would show.
+    let buffered: Vec<NodeId> = warm.placements.iter().map(|p| p.node).collect();
+    let is_sink = |v: NodeId| matches!(tree.kind(v), NodeKind::Sink { .. });
+    let frontier_set: Vec<bool> = {
+        let mut f = vec![false; tree.node_count()];
+        frontier.iter().for_each(|v| f[v.index()] = true);
+        f
+    };
+    let outside_sink = tree
+        .sinks()
+        .find(|s| !inside[s.index()] && !frontier_set[s.index()])
+        .expect("a sink below the frontier");
+    let frontier_sink = *frontier.iter().find(|&&v| is_sink(v)).unwrap();
+    let frontier_buffer = *frontier.iter().find(|v| buffered.contains(v)).unwrap();
+    let inside_buffer = *buffered.iter().find(|v| inside[v.index()]).unwrap();
+    let tight_rat = |sink: NodeId| match *tree.kind(sink) {
+        NodeKind::Sink {
+            required_arrival, ..
+        } => Seconds::new(required_arrival.value() * 0.2),
+        _ => unreachable!("a sink"),
+    };
+    let (outside_rat, frontier_rat) = (tight_rat(outside_sink), tight_rat(frontier_sink));
+    let wire = *tree.wire_to_parent(frontier_buffer).unwrap();
+    let price = Seconds::from_pico(400.0);
+
+    type Dirtying = Box<dyn Fn(&mut IncrementalSolver)>;
+    let cases: Vec<(&str, Dirtying, bool)> = vec![
+        (
+            "sink edit below the frontier",
+            Box::new(move |s| {
+                s.apply(&Edit::SetSinkRat {
+                    node: outside_sink,
+                    rat: outside_rat,
+                })
+                .unwrap()
+            }),
+            false,
+        ),
+        (
+            "sink edit on a frontier node",
+            Box::new(move |s| {
+                s.apply(&Edit::SetSinkRat {
+                    node: frontier_sink,
+                    rat: frontier_rat,
+                })
+                .unwrap()
+            }),
+            false,
+        ),
+        (
+            "site derate on a frontier node",
+            Box::new(move |s| {
+                s.apply(&Edit::DerateSite {
+                    node: frontier_buffer,
+                    delay_scale: 3.0,
+                    drive_scale: 3.0,
+                })
+                .unwrap()
+            }),
+            false,
+        ),
+        (
+            "wire edit above a frontier node (dirties from its parent, inside)",
+            Box::new(move |s| {
+                s.apply(&Edit::SetWireRC {
+                    node: frontier_buffer,
+                    resistance: Ohms::new(wire.resistance().value() * 5.0),
+                    capacitance: Farads::new(wire.capacitance().value() * 5.0),
+                })
+                .unwrap()
+            }),
+            true,
+        ),
+        (
+            "library swap",
+            Box::new(|s| s.apply(&Edit::SwapLibrary { size: 6, jitter: 0 }).unwrap()),
+            true,
+        ),
+        (
+            "site price inside the footprint",
+            Box::new(move |s| assert!(s.set_site_price(inside_buffer, price).unwrap())),
+            true,
+        ),
+        (
+            "site price on a frontier node",
+            Box::new(move |s| assert!(s.set_site_price(frontier_buffer, price).unwrap())),
+            false,
+        ),
+    ];
+    for ((name, dirty, keeps), kernel) in cases
+        .iter()
+        .flat_map(|case| [(case, Kernel::Slab), (case, Kernel::Reference)])
+    {
+        let (name, keeps) = (format!("{name} ({kernel:?} kernel)"), *keeps);
+        let (mut solver, scripts) = footprint_solver(2, kernel);
+        // Re-apply sample 0 (the state the nodes were chosen in).
+        solver.apply_all(&scripts[0]).unwrap();
+        let before = solver.solve();
+        dirty(&mut solver);
+        assert_eq!(solver.cache().has_footprint(), keeps, "{name}");
+        let after = solver.solve();
+        assert_identical(&after, &solver.solve_scratch(), &name);
+        assert!(
+            after.slack.value().to_bits() != before.slack.value().to_bits()
+                || after.placements != before.placements,
+            "{name}: the dirtying must change the result"
+        );
+        for (k, script) in scripts.iter().enumerate().skip(2) {
+            solver.apply_all(script).unwrap();
+            let inc = solver.solve();
+            assert_identical(
+                &inc,
+                &solver.solve_scratch(),
+                &format!("{name}, sample {k}"),
+            );
+            assert_eq!(inc.stats.nodes_recomputed + inc.stats.nodes_reused, n);
+        }
+        assert_eq!(solver.cache().has_footprint(), keeps, "{name}");
+    }
+}
+
+/// The incremental solver's arena-size flush keeps the footprint (a
+/// flushed cache satisfies it) and the results stay bit-identical across
+/// it. A whole-tree family on a site-dense net with 64 buffer types makes
+/// every tracked solve append enough predecessor entries to reach the
+/// limit within a few dozen samples.
+#[test]
+fn footprint_survives_the_arena_limit_flush() {
+    let tree = net(60, 11, 60.0);
+    let scripts = VariationSpec::gaussian(0.05, 1.0, 5).expand(&tree, 400);
+    let lib = BufferLibrary::paper_synthetic(64).unwrap();
+    let mut solver = IncrementalSolver::new(tree, lib);
+    solver.set_footprint(scripts.iter().flatten());
+    let mut flushed_at = None;
+    for (k, script) in scripts.iter().enumerate() {
+        let flushes = solver.cache().flush_count();
+        let arena_before = solver.cache().arena_entries();
+        solver.apply_all(script).unwrap();
+        let inc = solver.solve();
+        // (The first solve flushes too: it finds the cache cold.)
+        if k > 0 && solver.cache().flush_count() > flushes {
+            assert!(arena_before > 1 << 20, "only the arena limit flushes here");
+            assert!(solver.cache().has_footprint());
+            assert_identical(&inc, &solver.solve_scratch(), &format!("sample {k}"));
+            flushed_at = Some(k);
+        } else if flushed_at.is_some_and(|f| k == f + 1) {
+            assert_identical(&inc, &solver.solve_scratch(), &format!("sample {k}"));
+            break;
+        }
+    }
+    println!("arena limit flushed after sample {flushed_at:?}");
+    assert!(flushed_at.is_some(), "the arena limit was never reached");
 }
