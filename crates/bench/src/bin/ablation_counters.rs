@@ -11,7 +11,7 @@
 
 use fastbuf_bench::{paper_net, print_table, HarnessOptions, PAPER_LIB_SIZES};
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_core::{Algorithm, Kernel, Solver};
+use fastbuf_core::{Algorithm, Solver};
 use fastbuf_global::{GlobalNet, GlobalSolver, SiteCapacityMap};
 use fastbuf_netgen::SharedSuiteSpec;
 
@@ -83,7 +83,6 @@ fn main() {
         let stats = Solver::new(&tree, &lib)
             .algorithm(Algorithm::LiShi)
             .track_predecessors(false)
-            .kernel(Kernel::Slab)
             .intra_net_workers(2)
             .solve()
             .stats;

@@ -1,16 +1,14 @@
-//! Kernel throughput: the struct-of-arrays candidate slab vs the
-//! reference `Vec<Candidate>` kernel, plus intra-net subtree scaling.
+//! Kernel throughput: the DP kernel (the struct-of-arrays candidate slab)
+//! single-threaded, plus intra-net subtree scaling.
 //!
 //! Solves the largest nets of one reproducible `netgen::SuiteSpec` suite
 //! single-net at a time and reports solves/sec for:
 //!
-//! * `reference@1` — the pre-refactor AoS kernel, single-threaded;
-//! * `slab@1` — the SoA slab kernel, single-threaded (the headline
-//!   kernel speedup is `slab@1` vs `reference@1`);
-//! * `slab@2`, `slab@4` — the slab kernel with 2 and 4 intra-net
-//!   workers solving sibling subtrees concurrently (bit-identical
-//!   results at every count; on a 1-thread machine these rows record
-//!   the scheduling overhead honestly).
+//! * `slab@1` — single-threaded, the baseline of the other rows;
+//! * `slab@2`, `slab@4` — 2 and 4 intra-net workers solving sibling
+//!   subtrees concurrently (bit-identical results at every count; on a
+//!   machine with fewer hardware threads these rows record the
+//!   scheduling overhead honestly).
 //!
 //! Results go to `BENCH_kernel.json` (current directory) together with
 //! `hw_threads` so the scaling rows are self-describing.
@@ -23,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use fastbuf_bench::{fmt_duration, print_table};
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_core::{Algorithm, Kernel, Solver};
+use fastbuf_core::{Algorithm, Solver};
 use fastbuf_netgen::SuiteSpec;
 use fastbuf_rctree::RoutingTree;
 
@@ -52,9 +50,8 @@ fn usage(msg: &str) -> ! {
 fn parse_args() -> Options {
     // Defaults reproduce the committed `BENCH_kernel.json`: the two
     // largest nets of a 48-net suite (candidate lists long enough for
-    // lane-wise kernels to matter) against the paper's largest Table 1
-    // library, b = 64 — the struct-of-arrays payoff grows with `b`
-    // because every buffer type rescans the same staircase.
+    // lane-wise sweeps to matter) against the paper's largest Table 1
+    // library, b = 64.
     let mut opts = Options {
         nets: 48,
         max_sinks: 2048,
@@ -129,10 +126,9 @@ fn parse_args() -> Options {
     opts
 }
 
-/// One timed configuration: which kernel and how many intra-net workers.
+/// One timed configuration: how many intra-net workers.
 struct Config {
     name: &'static str,
-    kernel: Kernel,
     workers: usize,
 }
 
@@ -168,7 +164,6 @@ fn time_configs(
                 let sol = Solver::new(tree, lib)
                     .algorithm(algo)
                     .track_predecessors(false)
-                    .kernel(cfg.kernel)
                     .intra_net_workers(cfg.workers)
                     .solve();
                 std::hint::black_box(sol.slack);
@@ -211,51 +206,22 @@ fn main() {
         fastbuf_bench::hw_threads(),
     );
 
-    let configs = [
-        Config {
-            name: "reference@1",
-            kernel: Kernel::Reference,
-            workers: 1,
-        },
-        Config {
-            name: "slab@1",
-            kernel: Kernel::Slab,
-            workers: 1,
-        },
-        Config {
-            name: "slab@2",
-            kernel: Kernel::Slab,
-            workers: 2,
-        },
-        Config {
-            name: "slab@4",
-            kernel: Kernel::Slab,
-            workers: 4,
-        },
-    ];
+    let configs = [("slab@1", 1), ("slab@2", 2), ("slab@4", 4)]
+        .map(|(name, workers)| Config { name, workers });
     let mut rows = Vec::new();
     let mut measured: Vec<(&'static str, usize, f64, f64, Option<f64>)> = Vec::new();
-    let mut reference_secs = None;
-    let mut reference_cpu = None;
     let timed = time_configs(&nets, &lib, &configs, opts.algo, opts.repeats);
+    let base = timed[0].0.as_secs_f64();
     for (cfg, (best, best_cpu)) in configs.iter().zip(timed) {
         let secs = best.as_secs_f64();
         let cpu_secs = best_cpu.map(|ns| ns as f64 / 1e9);
         let solves_per_sec = nets.len() as f64 / secs;
-        let base = *reference_secs.get_or_insert(secs);
-        if reference_cpu.is_none() {
-            reference_cpu = cpu_secs;
-        }
-        let cpu_ratio = match (reference_cpu, cpu_secs) {
-            (Some(r), Some(c)) => format!("{:.2}x", r / c),
-            _ => "-".to_owned(),
-        };
         rows.push(vec![
             cfg.name.to_owned(),
             fmt_duration(best),
             format!("{solves_per_sec:.1}"),
             format!("{:.2}x", base / secs),
-            cpu_ratio,
+            cpu_secs.map_or("-".to_owned(), |c| format!("{:.3} ms", c * 1e3)),
         ]);
         measured.push((cfg.name, cfg.workers, secs, solves_per_sec, cpu_secs));
     }
@@ -264,8 +230,8 @@ fn main() {
             "config",
             "wall time",
             "solves/sec",
-            "speedup vs reference@1",
-            "on-cpu speedup",
+            "speedup vs slab@1",
+            "on-cpu time",
         ],
         &rows,
     );
@@ -284,17 +250,10 @@ fn main() {
     json.push_str(&format!("  \"repeats\": {},\n", opts.repeats));
     json.push_str("  \"runs\": [\n");
     for (k, (name, workers, secs, sps, cpu)) in measured.iter().enumerate() {
-        let cpu_fields = match (measured[0].4, cpu) {
-            (Some(ref_cpu), Some(cpu)) => format!(
-                ", \"cpu_secs\": {:.6}, \"cpu_speedup_vs_reference\": {:.3}",
-                cpu,
-                ref_cpu / cpu
-            ),
-            _ => String::new(),
-        };
+        let cpu_fields = cpu.map_or(String::new(), |cpu| format!(", \"cpu_secs\": {cpu:.6}"));
         json.push_str(&format!(
             "    {{\"config\": \"{}\", \"intra_net_workers\": {}, \"secs\": {:.6}, \
-             \"solves_per_sec\": {:.2}, \"speedup_vs_reference\": {:.3}{}}}{}\n",
+             \"solves_per_sec\": {:.2}, \"speedup_vs_1_worker\": {:.3}{}}}{}\n",
             name,
             workers,
             secs,

@@ -6,7 +6,8 @@
 //! parameters *inside* `T_v` and (b) the solve configuration (algorithm,
 //! delay model, slew limit, library, predecessor tracking) — never on
 //! anything upstream of `v`. A [`SubtreeCache`] exploits this: it
-//! checkpoints every node's finished list during a solve, and a later
+//! checkpoints every node's finished list during a solve, as owned
+//! columns copied out of the solve's slab, and a later
 //! solve of the *same tree with localized edits* recomputes only the nodes
 //! marked dirty (the edited nodes' root paths), splicing cached sibling
 //! lists into merges unchanged. Results are bit-identical to a from-scratch
@@ -62,9 +63,8 @@ use fastbuf_buflib::BufferLibrary;
 use fastbuf_rctree::{NodeId, RoutingTree};
 
 use crate::arena::PredArena;
-use crate::candidate::CandidateList;
 use crate::engine::SolverOptions;
-use crate::pool::CandidatePool;
+use crate::slab::Columns;
 
 /// The solve configuration a cache's contents were computed under.
 ///
@@ -139,7 +139,7 @@ pub(crate) enum Snapshot {
 /// The cache state one cached solve borrows: the per-node lists and dirty
 /// bits, plus the footprint roles, decided once per solve.
 pub(crate) struct CacheView<'a> {
-    lists: &'a mut [Option<CandidateList>],
+    lists: &'a mut [Option<Columns>],
     dirty: &'a mut [bool],
     roles: Option<&'a [Snapshot]>,
 }
@@ -153,21 +153,22 @@ impl CacheView<'_> {
 
     /// The cached list of a clean node that a recomputed parent merges.
     #[inline]
-    pub(crate) fn cached(&self, node: NodeId) -> &CandidateList {
+    pub(crate) fn cached(&self, node: NodeId) -> &Columns {
         self.lists[node.index()]
             .as_ref()
             .expect("clean children are always cached")
     }
 
-    /// Records that `node` was recomputed. Returns the slot its list must
-    /// be stored into, or `None` when its role says not to store it.
+    /// Records that `node` was recomputed. Returns the columns its list
+    /// must be stored into (the node's previous snapshot, whose
+    /// allocation is reused), or `None` when its role says not to store it.
     #[inline]
-    pub(crate) fn finish(&mut self, node: NodeId) -> Option<&mut Option<CandidateList>> {
+    pub(crate) fn finish(&mut self, node: NodeId) -> Option<&mut Columns> {
         let i = node.index();
         match self.roles.map_or(Snapshot::Store, |roles| roles[i]) {
             Snapshot::Store => {
                 self.dirty[i] = false;
-                Some(&mut self.lists[i])
+                Some(self.lists[i].get_or_insert_with(Columns::default))
             }
             Snapshot::Skip => {
                 self.dirty[i] = false;
@@ -188,7 +189,7 @@ impl CacheView<'_> {
 /// the tree and keeps dirtiness in sync with edits automatically.
 #[derive(Debug, Default)]
 pub struct SubtreeCache {
-    lists: Vec<Option<CandidateList>>,
+    lists: Vec<Option<Columns>>,
     dirty: Vec<bool>,
     arena: PredArena,
     fingerprint: Option<CacheFingerprint>,
@@ -365,51 +366,6 @@ impl SubtreeCache {
     }
 }
 
-/// Clones a cached list into pool-backed storage (the engine mutates its
-/// working copy through wire propagation; the cache keeps the original).
-pub(crate) fn clone_list_pooled(list: &CandidateList, pool: &mut CandidatePool) -> CandidateList {
-    let mut v = pool.take();
-    v.extend_from_slice(list.as_slice());
-    CandidateList::from_sorted(v)
-}
-
-/// [`store_snapshot`] from slab columns: materializes the candidates of a
-/// [`SlabView`](crate::slab::SlabView) into the boundary `CandidateList`
-/// snapshot, reusing the previous snapshot's allocation when present.
-/// Snapshots are kernel-agnostic — either kernel can read either's.
-pub(crate) fn store_snapshot_view(
-    slot: &mut Option<CandidateList>,
-    view: crate::slab::SlabView<'_>,
-) {
-    let mut v = match slot.take() {
-        Some(old) => {
-            let mut v = old.into_vec();
-            v.clear();
-            v
-        }
-        None => Vec::with_capacity(view.len()),
-    };
-    for i in 0..view.len() {
-        v.push(view.get(i));
-    }
-    *slot = Some(CandidateList::from_sorted(v));
-}
-
-/// Stores a snapshot of `list` into `slot`, reusing the previous
-/// snapshot's allocation when present.
-pub(crate) fn store_snapshot(slot: &mut Option<CandidateList>, list: &CandidateList) {
-    let mut v = match slot.take() {
-        Some(old) => {
-            let mut v = old.into_vec();
-            v.clear();
-            v
-        }
-        None => Vec::with_capacity(list.len()),
-    };
-    v.extend_from_slice(list.as_slice());
-    *slot = Some(CandidateList::from_sorted(v));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,6 +506,45 @@ mod tests {
         assert!(!cache.has_footprint());
         cache.set_footprint(&tree, &[]);
         assert!(!cache.has_footprint());
+    }
+
+    /// A slot stored again with a shorter and then a longer list reuses
+    /// its allocation yet holds exactly the last list: no stale tail of an
+    /// earlier snapshot leaks into what a later solve loads.
+    #[test]
+    fn reused_snapshot_slots_never_leak_a_stale_tail() {
+        use crate::arena::{PredEntry, PredRef};
+        use crate::slab::CandidateSlab;
+        let lib = BufferLibrary::paper_synthetic(2).unwrap();
+        let mut cache = SubtreeCache::new();
+        cache.prepare(CacheFingerprint::of(&SolverOptions::default(), &lib, 1));
+        let node = NodeId::new(0);
+        let mut arena = PredArena::new();
+        let mut slab = CandidateSlab::default();
+        for (round, n) in [9usize, 3, 14].into_iter().enumerate() {
+            let mut src = Columns::default();
+            for i in 0..n {
+                let x = (100 * round + i) as f64;
+                let pred = arena.push(PredEntry::Merge {
+                    left: PredRef::NONE,
+                    right: PredRef::NONE,
+                });
+                src.push(x, x + 0.5, x * 0.25, pred);
+            }
+            let list = slab.load(&src);
+            let (mut view, _) = cache.parts_mut();
+            slab.store(list, view.finish(node).expect("no footprint: stored"));
+            let (view, _) = cache.parts_mut();
+            let mut fresh = CandidateSlab::default();
+            let loaded = fresh.load(view.cached(node));
+            let got = fresh.view(loaded);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.q), bits(&src.q), "round {round}");
+            assert_eq!(bits(got.c), bits(&src.c), "round {round}");
+            assert_eq!(bits(got.s), bits(&src.s), "round {round}");
+            assert_eq!(got.pred, &src.pred[..], "round {round}");
+        }
+        assert_eq!(cache.cached_nodes(), 1);
     }
 
     #[test]

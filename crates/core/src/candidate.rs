@@ -1,4 +1,4 @@
-//! Candidates and nonredundant candidate lists — the paper's `N(T_v)`.
+//! Candidates — the points of the paper's nonredundant sets `N(T_v)`.
 //!
 //! A *candidate* summarizes one way of buffering the subtree below a node by
 //! the only two quantities visible upstream: the slack `Q` and the
@@ -6,17 +6,16 @@
 //! `a'` when `Q(a) ≥ Q(a')` and `C(a) ≤ C(a')`; dominated candidates can
 //! never be part of an optimal solution and are pruned eagerly. The
 //! surviving *nonredundant* set, sorted by strictly increasing `Q` and `C`,
-//! is what every DP operation manipulates.
+//! is what every DP operation manipulates; the solver holds those sets as
+//! columns (`crate::slab`), so a `Candidate` is the value one column row
+//! reads back as.
 //!
 //! Internally `q`/`c` are raw `f64` in seconds/farads: these fields are read
 //! and written in the innermost loops of every solver, where the unit
 //! newtypes of `fastbuf-buflib` would only obscure the arithmetic. The
 //! public solver APIs convert at the boundary.
 
-use fastbuf_rctree::delay::{DelayModel, ElmoreModel};
-
 use crate::arena::PredRef;
-use crate::pool::CandidatePool;
 
 /// One `(Q, C)` candidate of the dynamic program.
 ///
@@ -66,492 +65,14 @@ impl Candidate {
     }
 }
 
-/// Appends `cand` to `out`, maintaining the nonredundant invariant, under
-/// the precondition that `out` is nonredundant and `cand.c >= out.last().c`.
-///
-/// This is the O(1) amortized primitive behind every capacitance-ordered
-/// merge in the solvers.
-#[inline]
-pub(crate) fn push_pruned_c_order(out: &mut Vec<Candidate>, cand: Candidate) {
-    if let Some(top) = out.last_mut() {
-        debug_assert!(
-            cand.c >= top.c,
-            "push_pruned_c_order requires c-sorted input"
-        );
-        if cand.q <= top.q {
-            return; // dominated: no better slack at no smaller load
-        }
-        if cand.c == top.c {
-            *top = cand; // same load, better slack
-            return;
-        }
-    }
-    out.push(cand);
-}
-
-/// A nonredundant candidate list sorted by strictly increasing `Q` *and*
-/// strictly increasing `C` (the two orders coincide for nonredundant sets).
-///
-/// All mutating operations preserve the invariant; `debug_assert`s verify it
-/// in debug builds.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CandidateList {
-    cands: Vec<Candidate>,
-}
-
-impl CandidateList {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        CandidateList::default()
-    }
-
-    /// Creates the singleton list of a sink: `Q = RAT`, `C = c_sink`.
-    pub fn sink(q: f64, c: f64, pred: PredRef) -> Self {
-        CandidateList {
-            cands: vec![Candidate::new(q, c, pred)],
-        }
-    }
-
-    /// Builds a list from arbitrary candidates: sorts and prunes dominated
-    /// entries.
-    pub fn from_candidates(mut cands: Vec<Candidate>) -> Self {
-        cands.sort_by(|a, b| a.c.total_cmp(&b.c).then(b.q.total_cmp(&a.q)));
-        let mut out = Vec::with_capacity(cands.len());
-        let mut best_q = f64::NEG_INFINITY;
-        for cand in cands {
-            // c ascending; within equal c the best q comes first.
-            if cand.q > best_q {
-                best_q = cand.q;
-                push_pruned_c_order(&mut out, cand);
-            }
-        }
-        let list = CandidateList { cands: out };
-        list.debug_validate();
-        list
-    }
-
-    /// Wraps a vector that is already nonredundant and sorted.
-    ///
-    /// Only `debug_assert`s check the precondition; use
-    /// [`CandidateList::from_candidates`] for untrusted input.
-    pub fn from_sorted(cands: Vec<Candidate>) -> Self {
-        let list = CandidateList { cands };
-        list.debug_validate();
-        list
-    }
-
-    /// The candidates, sorted by increasing `Q` and `C`.
-    #[inline]
-    pub fn as_slice(&self) -> &[Candidate] {
-        &self.cands
-    }
-
-    /// Number of candidates (the paper's `k`).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cands.len()
-    }
-
-    /// `true` if the list holds no candidates.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cands.is_empty()
-    }
-
-    /// Iterates over the candidates in `(Q, C)` order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Candidate> {
-        self.cands.iter()
-    }
-
-    pub(crate) fn as_mut_vec(&mut self) -> &mut Vec<Candidate> {
-        &mut self.cands
-    }
-
-    /// Consumes the list, releasing its backing vector (for recycling
-    /// through a [`CandidatePool`]).
-    pub(crate) fn into_vec(self) -> Vec<Candidate> {
-        self.cands
-    }
-
-    /// Propagates the list through a wire of resistance `r` (Ω) and
-    /// capacitance `cw` (F) — the paper's "add a wire" operation under the
-    /// Elmore model:
-    ///
-    /// ```text
-    /// Q ← Q − r·(cw/2 + C)        C ← C + cw        s ← s + r·(cw/2 + C)
-    /// ```
-    ///
-    /// The shear can make a high-`C` candidate's `Q` fall below a lower-`C`
-    /// candidate's (the wire penalizes big loads more), so dominated
-    /// candidates are re-pruned in the same O(k) pass.
-    pub fn add_wire(&mut self, r: f64, cw: f64) {
-        self.add_wire_model(&ElmoreModel, r, cw);
-    }
-
-    /// [`CandidateList::add_wire`] under an arbitrary [`DelayModel`]: the
-    /// wire delay charged against `Q` (and accumulated into `s`) is
-    /// `model.wire_delay(r, cw, C)`. With [`ElmoreModel`] this is
-    /// bit-identical to the historical hard-coded arithmetic.
-    pub fn add_wire_model(&mut self, model: &dyn DelayModel, r: f64, cw: f64) {
-        if r == 0.0 && cw == 0.0 {
-            return;
-        }
-        let mut write = 0usize;
-        for read in 0..self.cands.len() {
-            let mut cand = self.cands[read];
-            let d = model.wire_delay(r, cw, cand.c);
-            cand.q -= d;
-            cand.s += d;
-            cand.c += cw;
-            // c order is preserved, so one monotone pass restores the
-            // nonredundant invariant.
-            if write > 0 {
-                let top = self.cands[write - 1];
-                if cand.q <= top.q {
-                    continue;
-                }
-                if cand.c == top.c {
-                    self.cands[write - 1] = cand;
-                    continue;
-                }
-            }
-            self.cands[write] = cand;
-            write += 1;
-        }
-        self.cands.truncate(write);
-        self.debug_validate();
-    }
-
-    /// Removes every candidate whose stage wire delay `s` already exceeds
-    /// `cap` — such a candidate violates the slew limit in *every*
-    /// completion, because closing its stage with any driver only adds the
-    /// non-negative `R·C` term and upstream wires only grow `s`.
-    ///
-    /// To keep the DP total (degenerate nets must solve, never panic), the
-    /// single least-bad candidate is retained when all of them violate;
-    /// the violation then surfaces at the root as `slew_ok = false`.
-    /// Returns the number of candidates removed.
-    pub(crate) fn prune_slew(&mut self, cap: f64) -> usize {
-        if !cap.is_finite() || self.cands.is_empty() {
-            return 0;
-        }
-        let before = self.cands.len();
-        if self.cands.iter().all(|c| c.s > cap) {
-            let least_bad = self
-                .cands
-                .iter()
-                .copied()
-                .min_by(|a, b| a.s.total_cmp(&b.s))
-                .expect("list is non-empty");
-            self.cands.clear();
-            self.cands.push(least_bad);
-            return before - 1;
-        }
-        self.cands.retain(|c| c.s <= cap);
-        self.debug_validate();
-        before - self.cands.len()
-    }
-
-    /// Merges `incoming` (sorted by strictly increasing `C`, e.g. the `β_i`
-    /// buffered candidates of Theorem 2) into this list in
-    /// O(len + incoming.len).
-    pub fn merge_insert(&mut self, incoming: &[Candidate]) {
-        let spent = self.merge_insert_into(incoming, Vec::new());
-        drop(spent);
-    }
-
-    /// [`CandidateList::merge_insert`] with recycled storage: the output is
-    /// built in a vector drawn from `pool` and the spent input vector is
-    /// returned to it, so steady-state insertion performs no allocation.
-    pub(crate) fn merge_insert_pooled(&mut self, incoming: &[Candidate], pool: &mut CandidatePool) {
-        if incoming.is_empty() {
-            return;
-        }
-        let out = pool.take();
-        let spent = self.merge_insert_into(incoming, out);
-        pool.put(spent);
-    }
-
-    /// Shared implementation: merges `incoming` into the list using `out`
-    /// as the output storage and returns the replaced (spent) vector.
-    fn merge_insert_into(
-        &mut self,
-        incoming: &[Candidate],
-        mut out: Vec<Candidate>,
-    ) -> Vec<Candidate> {
-        if incoming.is_empty() {
-            return out;
-        }
-        debug_assert!(incoming.windows(2).all(|w| w[0].c < w[1].c));
-        let old = std::mem::take(&mut self.cands);
-        out.clear();
-        out.reserve(old.len() + incoming.len());
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < incoming.len() {
-            let take_old = match (old.get(i), incoming.get(j)) {
-                (Some(a), Some(b)) => {
-                    // On equal c, feed the better-q one first; the other is
-                    // then dropped by push_pruned_c_order.
-                    if a.c < b.c {
-                        true
-                    } else if a.c > b.c {
-                        false
-                    } else {
-                        a.q >= b.q
-                    }
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => unreachable!(),
-            };
-            let cand = if take_old {
-                let c = old[i];
-                i += 1;
-                c
-            } else {
-                let c = incoming[j];
-                j += 1;
-                c
-            };
-            push_pruned_c_order(&mut out, cand);
-        }
-        self.cands = out;
-        self.debug_validate();
-        old
-    }
-
-    /// The candidate maximizing `Q − (k + r·C)` (slack seen by an upstream
-    /// driver with resistance `r` and intrinsic delay `k`), breaking ties
-    /// toward minimum `C`. `None` on an empty list.
-    pub fn best_driven(&self, r: f64, k: f64) -> Option<&Candidate> {
-        let mut best: Option<&Candidate> = None;
-        for cand in &self.cands {
-            match best {
-                None => best = Some(cand),
-                Some(b) => {
-                    if cand.driven_q(r, k) > b.driven_q(r, k) {
-                        best = Some(cand);
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Validates the invariant in debug builds (strictly increasing `Q` and
-    /// `C`, all finite `C`, no NaN `Q`).
-    #[inline]
-    pub fn debug_validate(&self) {
-        #[cfg(debug_assertions)]
-        {
-            for w in self.cands.windows(2) {
-                debug_assert!(
-                    w[0].q < w[1].q && w[0].c < w[1].c,
-                    "nonredundant invariant violated: {:?} then {:?}",
-                    w[0],
-                    w[1]
-                );
-            }
-            for c in &self.cands {
-                debug_assert!(
-                    !c.q.is_nan() && c.c.is_finite() && !c.s.is_nan(),
-                    "bad candidate {c:?}"
-                );
-            }
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a CandidateList {
-    type Item = &'a Candidate;
-    type IntoIter = std::slice::Iter<'a, Candidate>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.cands.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cand(q: f64, c: f64) -> Candidate {
-        Candidate::new(q, c, PredRef::NONE)
-    }
-
-    #[test]
-    fn from_candidates_prunes_dominated() {
-        let list = CandidateList::from_candidates(vec![
-            cand(5.0, 3.0),
-            cand(1.0, 1.0),
-            cand(0.5, 2.0), // dominated by (1,1)? q=0.5<1, c=2>1 -> dominated
-            cand(6.0, 3.0), // dominates (5,3)
-            cand(2.0, 2.0),
-        ]);
-        let qs: Vec<f64> = list.iter().map(|c| c.q).collect();
-        let cs: Vec<f64> = list.iter().map(|c| c.c).collect();
-        assert_eq!(qs, vec![1.0, 2.0, 6.0]);
-        assert_eq!(cs, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn from_candidates_handles_duplicates() {
-        let list = CandidateList::from_candidates(vec![cand(1.0, 1.0), cand(1.0, 1.0)]);
-        assert_eq!(list.len(), 1);
-    }
-
-    #[test]
-    fn sink_singleton() {
-        let l = CandidateList::sink(1e-10, 5e-15, PredRef::NONE);
-        assert_eq!(l.len(), 1);
-        assert_eq!(l.as_slice()[0].q, 1e-10);
-    }
-
-    #[test]
-    fn add_wire_shears_and_shifts() {
-        let mut l = CandidateList::from_candidates(vec![cand(10.0, 1.0), cand(20.0, 2.0)]);
-        // r=1, cw=4: q -= 1*(2 + c); c += 4; s += the same wire delay.
-        l.add_wire(1.0, 4.0);
-        let got: Vec<(f64, f64)> = l.iter().map(|c| (c.q, c.c)).collect();
-        assert_eq!(got, vec![(7.0, 5.0), (16.0, 6.0)]);
-        let slews: Vec<f64> = l.iter().map(|c| c.s).collect();
-        assert_eq!(slews, vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn add_wire_accumulates_stage_delay() {
-        let mut l = CandidateList::from_candidates(vec![cand(10.0, 1.0)]);
-        l.add_wire(1.0, 2.0); // d = 1*(1 + 1) = 2
-        l.add_wire(2.0, 0.0); // d = 2*(0 + 3) = 6
-        assert_eq!(l.as_slice()[0].s, 8.0);
-        assert_eq!(l.as_slice()[0].q, 10.0 - 8.0);
-    }
-
-    #[test]
-    fn prune_slew_drops_violators_and_keeps_least_bad() {
-        let mk = || {
-            CandidateList::from_sorted(vec![
-                cand(1.0, 1.0).with_stage_delay(5.0),
-                cand(2.0, 2.0).with_stage_delay(1.0),
-                cand(3.0, 3.0).with_stage_delay(9.0),
-            ])
-        };
-        // cap = 2: only the middle candidate survives.
-        let mut l = mk();
-        assert_eq!(l.prune_slew(2.0), 2);
-        assert_eq!(l.len(), 1);
-        assert_eq!(l.as_slice()[0].q, 2.0);
-        // cap = 0.5: all violate -> keep the minimum-s candidate.
-        let mut l = mk();
-        assert_eq!(l.prune_slew(0.5), 2);
-        assert_eq!(l.len(), 1);
-        assert_eq!(l.as_slice()[0].s, 1.0);
-        // infinite cap: no-op.
-        let mut l = mk();
-        assert_eq!(l.prune_slew(f64::INFINITY), 0);
-        assert_eq!(l.len(), 3);
-    }
-
-    #[test]
-    fn add_wire_reprunes_reordered_candidates() {
-        // High resistance punishes the big-C candidate below the small one.
-        let mut l = CandidateList::from_candidates(vec![cand(10.0, 1.0), cand(11.0, 10.0)]);
-        l.add_wire(1.0, 0.0); // q1 = 10-1 = 9; q2 = 11-10 = 1 -> dominated
-        assert_eq!(l.len(), 1);
-        assert_eq!(l.as_slice()[0].q, 9.0);
-        l.debug_validate();
-    }
-
-    #[test]
-    fn add_wire_zero_is_noop() {
-        let mut l = CandidateList::from_candidates(vec![cand(1.0, 1.0)]);
-        let before = l.clone();
-        l.add_wire(0.0, 0.0);
-        assert_eq!(l, before);
-    }
-
-    #[test]
-    fn merge_insert_interleaves_and_prunes() {
-        let mut l = CandidateList::from_candidates(vec![cand(1.0, 1.0), cand(5.0, 5.0)]);
-        l.merge_insert(&[cand(3.0, 2.0), cand(4.0, 6.0)]); // second is dominated by (5,5)
-        let got: Vec<(f64, f64)> = l.iter().map(|c| (c.q, c.c)).collect();
-        assert_eq!(got, vec![(1.0, 1.0), (3.0, 2.0), (5.0, 5.0)]);
-    }
-
-    #[test]
-    fn merge_insert_equal_c_keeps_better_q() {
-        let mut l = CandidateList::from_candidates(vec![cand(2.0, 2.0)]);
-        l.merge_insert(&[cand(3.0, 2.0)]);
-        assert_eq!(l.as_slice(), &[cand(3.0, 2.0)]);
-
-        let mut l = CandidateList::from_candidates(vec![cand(3.0, 2.0)]);
-        l.merge_insert(&[cand(2.0, 2.0)]);
-        assert_eq!(l.as_slice(), &[cand(3.0, 2.0)]);
-    }
-
-    #[test]
-    fn merge_insert_dominating_beta_sweeps_list() {
-        let mut l =
-            CandidateList::from_candidates(vec![cand(1.0, 2.0), cand(2.0, 3.0), cand(3.0, 4.0)]);
-        l.merge_insert(&[cand(10.0, 1.0)]); // dominates everything
-        assert_eq!(l.as_slice(), &[cand(10.0, 1.0)]);
-    }
-
-    #[test]
-    fn merge_insert_empty_incoming() {
-        let mut l = CandidateList::from_candidates(vec![cand(1.0, 1.0)]);
-        let before = l.clone();
-        l.merge_insert(&[]);
-        assert_eq!(l, before);
-    }
-
-    #[test]
-    fn best_driven_maximizes_q_minus_rc() {
-        let l =
-            CandidateList::from_candidates(vec![cand(1.0, 1.0), cand(4.0, 2.0), cand(6.0, 5.0)]);
-        // r = 1: values 0, 2, 1 -> (4,2).
-        let b = l.best_driven(1.0, 0.0).unwrap();
-        assert_eq!((b.q, b.c), (4.0, 2.0));
-        // r = 0: values 1, 4, 6 -> (6,5).
-        let b = l.best_driven(0.0, 0.0).unwrap();
-        assert_eq!((b.q, b.c), (6.0, 5.0));
-        // Intrinsic delay shifts all values equally: same argmax.
-        let b = l.best_driven(1.0, 100.0).unwrap();
-        assert_eq!((b.q, b.c), (4.0, 2.0));
-    }
-
-    #[test]
-    fn best_driven_tie_breaks_to_min_c() {
-        // Slope exactly 1 between the two: equal value under r = 1.
-        let l = CandidateList::from_candidates(vec![cand(1.0, 1.0), cand(2.0, 2.0)]);
-        let b = l.best_driven(1.0, 0.0).unwrap();
-        assert_eq!((b.q, b.c), (1.0, 1.0));
-    }
-
-    #[test]
-    fn best_driven_empty_is_none() {
-        assert!(CandidateList::new().best_driven(1.0, 0.0).is_none());
-    }
-
     #[test]
     fn driven_q_formula() {
-        let c = cand(10.0, 3.0);
+        let c = Candidate::new(10.0, 3.0, PredRef::NONE);
         assert_eq!(c.driven_q(2.0, 1.0), 10.0 - 1.0 - 6.0);
-    }
-
-    #[test]
-    fn push_pruned_c_order_cases() {
-        let mut v = vec![cand(1.0, 1.0)];
-        // dominated: same c, worse q
-        push_pruned_c_order(&mut v, cand(0.5, 1.0));
-        assert_eq!(v.len(), 1);
-        // replacement: same c, better q
-        push_pruned_c_order(&mut v, cand(2.0, 1.0));
-        assert_eq!(v, vec![cand(2.0, 1.0)]);
-        // dominated: larger c, worse-or-equal q
-        push_pruned_c_order(&mut v, cand(2.0, 3.0));
-        assert_eq!(v.len(), 1);
-        // extends
-        push_pruned_c_order(&mut v, cand(3.0, 3.0));
-        assert_eq!(v.len(), 2);
+        assert_eq!(c.with_stage_delay(4.0).s, 4.0);
     }
 }

@@ -56,7 +56,7 @@ use fastbuf_rctree::{NodeKind, RoutingTree};
 use fastbuf_rctree::delay::ElmoreModel;
 
 use crate::arena::PredArena;
-use crate::buffering::{find_betas_slab, Algorithm, Scratch};
+use crate::buffering::{find_betas, Algorithm, Scratch};
 use crate::slab::{CandidateSlab, SlabList};
 use crate::slew::SlewPolicy;
 use crate::solution::Placement;
@@ -272,7 +272,7 @@ impl<'a> CostSolver<'a> {
                             // The cost DP stays slew-unconstrained; pair it
                             // with `Solver::slew_limit` if both axes are
                             // needed (see docs/ALGORITHM.md).
-                            if !find_betas_slab(
+                            if !find_betas(
                                 self.algorithm,
                                 &mut slab,
                                 level,
@@ -363,8 +363,8 @@ impl<'a> CostSolver<'a> {
 /// w₁+w₂=w of merge(left[w₁], right[w₂])`.
 ///
 /// Each input level takes part in up to `w_max + 1` merges; the slab's
-/// non-consuming [`CandidateSlab::merge_keep`] reads it in place each time,
-/// where the reference convolution cloned both sides per pair.
+/// non-consuming [`CandidateSlab::merge_keep`] reads it in place each time
+/// instead of cloning both sides per pair.
 fn merge_levels(
     slab: &mut CandidateSlab,
     left: Vec<Option<SlabList>>,
@@ -438,7 +438,6 @@ fn prune_levels(slab: &mut CandidateSlab, levels: &mut [Option<SlabList>], stats
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::{Candidate, CandidateList};
     use crate::engine::Solver;
     use fastbuf_buflib::units::{Farads, Microns, Ohms};
     use fastbuf_buflib::{BufferType, Driver, Technology};
@@ -629,16 +628,15 @@ mod tests {
     #[test]
     fn prune_levels_removes_expensive_dominated() {
         use crate::arena::PredRef;
+        use crate::slab::Columns;
         let mut slab = CandidateSlab::default();
         let mut stats = SolveStats::default();
         let mut mk = |pts: &[(f64, f64)]| {
-            Some(
-                slab.load_list(&CandidateList::from_candidates(
-                    pts.iter()
-                        .map(|&(q, c)| Candidate::new(q, c, PredRef::NONE))
-                        .collect(),
-                )),
-            )
+            let mut cols = Columns::default();
+            for &(q, c) in pts {
+                cols.push(q, c, 0.0, PredRef::NONE);
+            }
+            Some(slab.load(&cols))
         };
         let mut levels = vec![
             mk(&[(5.0, 2.0)]),

@@ -22,34 +22,27 @@
 //! sorted list — Lemma 2) plus one O(k + b) monotone walk, instead of the
 //! O(k·b) full scans of Lillis, Cheng & Lin.
 
-use crate::candidate::{Candidate, CandidateList};
-
-/// The paper's Eq. (2) predicate: `true` when `a2` must be pruned, i.e.
-/// when `slope(a1→a2) ≤ slope(a2→a3)` and `a2` therefore lies on or below
-/// the chord `a1→a3`.
+/// The paper's Eq. (2) predicate on raw coordinates: `true` when the
+/// middle point `(q2, c2)` must be pruned, i.e. when
+/// `slope(1→2) ≤ slope(2→3)` and the point therefore lies on or below the
+/// chord from `(q1, c1)` to `(q3, c3)`.
 ///
 /// Written with cross-multiplication so no division is involved; the inputs
 /// must satisfy `c1 < c2 < c3` (or at least be non-decreasing in `c`).
-#[inline]
-pub fn prunes_middle(a1: &Candidate, a2: &Candidate, a3: &Candidate) -> bool {
-    // (q2-q1)·(c3-c2) ≤ (q3-q2)·(c2-c1)
-    (a2.q - a1.q) * (a3.c - a2.c) <= (a3.q - a2.q) * (a2.c - a1.c)
-}
-
-/// [`prunes_middle`] on raw coordinates — the same cross-multiplied
-/// predicate, for callers that hold candidates as separate `q`/`c` columns
-/// (the struct-of-arrays kernel). Bit-identical by construction: it is the
-/// identical expression on the identical values.
 #[inline]
 pub(crate) fn prunes_middle_vals(q1: f64, c1: f64, q2: f64, c2: f64, q3: f64, c3: f64) -> bool {
     (q2 - q1) * (c3 - c2) <= (q3 - q2) * (c2 - c1)
 }
 
-/// [`upper_hull_into`] over separate `q`/`c` columns: appends the indices
-/// of the upper-hull vertices to `hull` (cleared first). Same Graham scan
-/// with the same comparisons in the same order, but the top two hull
-/// vertices are carried in registers so the common no-pop iteration does
-/// no indirect `hull[...]` loads.
+/// Appends the indices of the upper-hull vertices of the candidates held
+/// as `q`/`c` columns to `hull` (cleared first). Graham's scan on the
+/// pre-sorted list, O(k), with the top two hull vertices carried in
+/// registers so the common no-pop iteration does no indirect `hull[...]`
+/// loads.
+///
+/// The first candidate (minimum `C`) and the last (maximum `Q`) are always
+/// kept, matching the paper's `N'(T)` which anchors the hull at the
+/// minimum-capacitance candidate.
 pub(crate) fn upper_hull_cols(qs: &[f64], cs: &[f64], hull: &mut Vec<u32>) {
     debug_assert_eq!(qs.len(), cs.len());
     hull.clear();
@@ -79,195 +72,39 @@ pub(crate) fn upper_hull_cols(qs: &[f64], cs: &[f64], hull: &mut Vec<u32>) {
     }
 }
 
-/// Appends the indices of the upper-hull vertices of `list` to `hull`
-/// (cleared first). Graham's scan on the pre-sorted list: O(k).
-///
-/// The first candidate (minimum `C`) and the last (maximum `Q`) are always
-/// kept, matching the paper's `N'(T)` which anchors the hull at the
-/// minimum-capacitance candidate.
-pub fn upper_hull_into(list: &[Candidate], hull: &mut Vec<u32>) {
-    hull.clear();
-    for (i, cand) in list.iter().enumerate() {
-        while hull.len() >= 2 {
-            let a1 = &list[hull[hull.len() - 2] as usize];
-            let a2 = &list[hull[hull.len() - 1] as usize];
-            if prunes_middle(a1, a2, cand) {
-                hull.pop();
-            } else {
-                break;
-            }
-        }
-        hull.push(i as u32);
-    }
-}
-
-/// Convex-prunes `list` **in place**, keeping only hull candidates.
-///
-/// This reproduces the paper's `Convexpruning` exactly as published (the C
-/// code frees pruned candidates from the propagated list). See
-/// `DESIGN.md` §2.1: on multi-pin nets this is a lossy transformation —
-/// a pruned interior candidate can become optimal after a branch merge — so
-/// the default solver only prunes a scratch copy. The permanent variant is
-/// kept for fidelity and for the ablation experiments.
-///
-/// Returns the number of candidates removed.
-pub fn convex_prune_in_place(list: &mut CandidateList) -> usize {
-    let v = list.as_mut_vec();
-    let before = v.len();
-    let mut top = 0usize; // hull size; v[..top] is the hull so far
-    for i in 0..v.len() {
-        let cand = v[i];
-        while top >= 2 && prunes_middle(&v[top - 2], &v[top - 1], &cand) {
-            top -= 1;
-        }
-        v[top] = cand;
-        top += 1;
-    }
-    v.truncate(top);
-    list.debug_validate();
-    before - top
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arena::PredRef;
+    use crate::oracle::{upper_hull_into, CandidateList};
+    use crate::Candidate;
 
-    fn cand(q: f64, c: f64) -> Candidate {
-        Candidate::new(q, c, PredRef::NONE)
-    }
-
-    fn list(points: &[(f64, f64)]) -> CandidateList {
-        CandidateList::from_candidates(points.iter().map(|&(q, c)| cand(q, c)).collect())
-    }
-
+    /// The column scan picks exactly the oracle's hull, on staircases with
+    /// interior, collinear and hull points alike.
     #[test]
-    fn interior_point_is_pruned() {
-        // (4.9, 1) lies below the chord (0,0)-(10,2).
-        let mut l = list(&[(0.0, 0.0), (4.9, 1.0), (10.0, 2.0)]);
-        assert_eq!(l.len(), 3);
-        let removed = convex_prune_in_place(&mut l);
-        assert_eq!(removed, 1);
-        let cs: Vec<f64> = l.iter().map(|c| c.c).collect();
-        assert_eq!(cs, vec![0.0, 2.0]);
-    }
-
-    #[test]
-    fn hull_point_above_chord_is_kept() {
-        let mut l = list(&[(0.0, 0.0), (5.1, 1.0), (10.0, 2.0)]);
-        assert_eq!(convex_prune_in_place(&mut l), 0);
-        assert_eq!(l.len(), 3);
-    }
-
-    #[test]
-    fn collinear_points_are_pruned() {
-        let mut l = list(&[(0.0, 0.0), (5.0, 1.0), (10.0, 2.0)]);
-        assert_eq!(convex_prune_in_place(&mut l), 1);
-        assert_eq!(l.len(), 2);
-    }
-
-    #[test]
-    fn slopes_strictly_decrease_after_pruning() {
-        let mut l = list(&[
-            (0.0, 0.0),
-            (3.0, 1.0),
-            (5.0, 2.0),
-            (9.0, 3.0), // slope up again -> (5,2) and maybe (3,1) pruned
-            (10.0, 5.0),
-        ]);
-        convex_prune_in_place(&mut l);
-        let pts: Vec<(f64, f64)> = l.iter().map(|c| (c.q, c.c)).collect();
-        for w in pts.windows(3) {
-            let s1 = (w[1].0 - w[0].0) / (w[1].1 - w[0].1);
-            let s2 = (w[2].0 - w[1].0) / (w[2].1 - w[1].1);
-            assert!(s1 > s2, "slopes must strictly decrease: {pts:?}");
-        }
-        // Extremes always survive.
-        assert_eq!(pts.first().unwrap().1, 0.0);
-        assert_eq!(pts.last().unwrap().0, 10.0);
-    }
-
-    #[test]
-    fn small_lists_untouched() {
-        let mut l = list(&[(1.0, 1.0)]);
-        assert_eq!(convex_prune_in_place(&mut l), 0);
-        assert_eq!(l.len(), 1);
-        let mut l = list(&[(1.0, 1.0), (2.0, 2.0)]);
-        assert_eq!(convex_prune_in_place(&mut l), 0);
-        assert_eq!(l.len(), 2);
-        let mut l = CandidateList::new();
-        assert_eq!(convex_prune_in_place(&mut l), 0);
-    }
-
-    #[test]
-    fn upper_hull_into_matches_in_place() {
-        let points = [
-            (0.0, 0.0),
-            (1.0, 0.5),
-            (4.0, 1.0),
-            (4.5, 2.0),
-            (6.0, 3.0),
-            (6.2, 4.0),
-            (7.0, 6.0),
-        ];
-        let l = list(&points);
-        let mut hull = vec![99u32]; // stale content must be cleared
-        upper_hull_into(l.as_slice(), &mut hull);
-        let mut l2 = l.clone();
-        convex_prune_in_place(&mut l2);
-        let via_indices: Vec<(f64, f64)> = hull
-            .iter()
-            .map(|&i| {
-                let c = l.as_slice()[i as usize];
-                (c.q, c.c)
-            })
-            .collect();
-        let via_inplace: Vec<(f64, f64)> = l2.iter().map(|c| (c.q, c.c)).collect();
-        assert_eq!(via_indices, via_inplace);
-    }
-
-    /// Brute-force cross-check on a pseudo-random staircase: every pruned
-    /// point lies on/below a chord of kept points, every kept point above
-    /// all chords of its neighbours.
-    #[test]
-    fn hull_is_exactly_the_non_dominated_by_chords_set() {
-        // Deterministic pseudo-random staircase.
-        let mut q = 0.0f64;
-        let mut c = 0.0f64;
-        let mut pts = Vec::new();
+    fn upper_hull_cols_matches_the_oracle() {
         let mut state = 0x12345678u64;
         let mut rnd = || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
+            (state >> 60) as f64
         };
-        for _ in 0..60 {
-            q += rnd() + 0.01;
-            c += rnd() + 0.01;
-            pts.push((q, c));
-        }
-        let l = list(&pts);
-        let mut hull = Vec::new();
-        upper_hull_into(l.as_slice(), &mut hull);
-        let hull_pts: Vec<Candidate> = hull.iter().map(|&i| l.as_slice()[i as usize]).collect();
-
-        // For every linear objective r >= 0, the hull must contain the
-        // argmax of q - r*c over the full list.
-        for r_mil in 0..50 {
-            let r = r_mil as f64 * 0.1;
-            let full_best = l
-                .iter()
-                .map(|cd| cd.q - r * cd.c)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let hull_best = hull_pts
-                .iter()
-                .map(|cd| cd.q - r * cd.c)
-                .fold(f64::NEG_INFINITY, f64::max);
-            assert!(
-                (full_best - hull_best).abs() <= 1e-12 * full_best.abs().max(1.0),
-                "hull missed optimum for r={r}: {full_best} vs {hull_best}"
-            );
+        for n in 0..40 {
+            let (mut q, mut c) = (0.0, 0.0);
+            let cands: Vec<Candidate> = (0..n)
+                .map(|_| {
+                    q += 1.0 + rnd();
+                    c += 1.0 + rnd();
+                    Candidate::new(q, c, PredRef::NONE)
+                })
+                .collect();
+            let list = CandidateList::from_sorted(cands);
+            let (qs, cs): (Vec<f64>, Vec<f64>) = list.iter().map(|x| (x.q, x.c)).unzip();
+            let (mut want, mut got) = (Vec::new(), vec![7u32]);
+            upper_hull_into(list.as_slice(), &mut want);
+            upper_hull_cols(&qs, &cs, &mut got);
+            assert_eq!(got, want, "n {n}");
         }
     }
 }

@@ -56,9 +56,9 @@ mod candidate;
 pub mod cost;
 mod engine;
 mod hull;
-mod merge;
+#[doc(hidden)]
+pub mod oracle;
 pub mod polarity;
-mod pool;
 pub mod skew;
 mod slab;
 mod slew;
@@ -68,13 +68,11 @@ mod stats;
 pub use arena::{PredArena, PredEntry, PredRef};
 pub use buffering::Algorithm;
 pub use cache::SubtreeCache;
-pub use candidate::{Candidate, CandidateList};
-pub use engine::{Kernel, SolveWorkspace, Solver, SolverOptions};
+pub use candidate::Candidate;
+pub use engine::{SolveWorkspace, Solver, SolverOptions};
 // Re-exported so solver users can configure `SolverOptions::delay_model`
 // without importing `fastbuf-rctree` directly.
 pub use fastbuf_rctree::delay::{DelayModel, ElmoreModel, ScaledElmoreModel};
-pub use hull::{convex_prune_in_place, prunes_middle, upper_hull_into};
-pub use merge::merge_branches;
 pub use skew::{SkewSolution, SkewSolver, WindowCandidate};
 pub use solution::{Placement, Solution, VerifyError};
 pub use stats::SolveStats;

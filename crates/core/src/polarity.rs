@@ -56,7 +56,7 @@ use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
 use fastbuf_rctree::delay::ElmoreModel;
 
 use crate::arena::PredArena;
-use crate::buffering::{find_betas_slab, Algorithm, Scratch};
+use crate::buffering::{find_betas, Algorithm, Scratch};
 use crate::slab::{CandidateSlab, SlabList};
 use crate::slew::SlewPolicy;
 use crate::solution::Placement;
@@ -499,7 +499,7 @@ impl<'a> PolaritySolver<'a> {
             } else {
                 state.neg
             };
-            if !find_betas_slab(
+            if !find_betas(
                 self.algorithm,
                 slab,
                 source,

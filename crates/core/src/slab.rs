@@ -1,15 +1,14 @@
-//! Struct-of-arrays candidate storage — the slab kernel.
+//! Struct-of-arrays candidate storage — the DP kernel.
 //!
-//! The reference DP chases `Vec<Candidate>` structs with `q`/`c`/`s`/`pred`
-//! interleaved (32 bytes per candidate) through its innermost loops. The
-//! [`CandidateSlab`] stores the same data as four parallel columns, so the
-//! hot operations become linear column sweeps:
+//! The [`CandidateSlab`] stores every candidate list of a solve as four
+//! parallel columns (`q`, `c`, `s`, `pred`; 28 bytes per candidate), so
+//! the hot operations are linear column sweeps:
 //!
 //! * **wire propagation** shears all three lanes in one memory pass
 //!   through the delay model's batched
 //!   [`wire_shear`](DelayModel::wire_shear) hook (one virtual dispatch per
-//!   wire instead of one per candidate), then re-prunes with the same
-//!   monotone in-place pass as the reference;
+//!   wire instead of one per candidate), then re-prunes with one monotone
+//!   in-place pass;
 //! * **dominance pruning** (the merge's monotone stack and the wire
 //!   re-prune) compares plain `f64` lanes instead of struct fields;
 //! * **`AddBuffer`** scans and hull walks run over the `q`/`c` columns
@@ -21,20 +20,23 @@
 //!
 //! Lists are identified by [`SlabList`] handles (u32 indices into a pool of
 //! column slots with a freelist); [`SlabView`] borrows the columns of one
-//! list. `Candidate`/`CandidateList` remain the boundary types: the cache
-//! seam, `PredArena` reconstruction, and all public APIs keep their shapes,
-//! converting at the edges via [`CandidateSlab::load_list`] /
-//! [`CandidateSlab::to_candidate_list`].
+//! list. A list that outlives its slab — a [`SubtreeCache`] snapshot or
+//! the root list of an intra-net parallel task — leaves as owned
+//! [`Columns`] through [`CandidateSlab::store`] and comes back through
+//! [`CandidateSlab::load`]: one copy per lane each way, no conversion.
 //!
-//! **Every operation replicates the reference arithmetic expression by
-//! expression, in the same order**, so results are bit-identical to the
-//! `CandidateList` path — asserted by the golden-bit anchors, the
-//! exhaustive oracles, and `tests/kernel_equivalence.rs`.
+//! The array-of-structs oracle (`crate::oracle`) runs the same arithmetic
+//! expression by expression, in the same order, over `Vec<Candidate>`;
+//! the unit tests here compare every operation with its oracle
+//! counterpart bit for bit, and `tests/oracle_equivalence.rs` whole
+//! solves.
+//!
+//! [`SubtreeCache`]: crate::SubtreeCache
 
 use fastbuf_rctree::delay::DelayModel;
 
 use crate::arena::{PredArena, PredEntry, PredRef};
-use crate::candidate::{Candidate, CandidateList};
+use crate::candidate::Candidate;
 use crate::hull::prunes_middle_vals;
 use crate::stats::SolveStats;
 
@@ -84,13 +86,14 @@ impl SlabView<'_> {
     }
 }
 
-/// One slot of parallel candidate columns.
+/// One candidate list as parallel columns: a slab slot, or a list held
+/// outside any slab (a cache snapshot, a parallel task's result).
 #[derive(Debug, Default)]
-struct Columns {
-    q: Vec<f64>,
-    c: Vec<f64>,
-    s: Vec<f64>,
-    pred: Vec<PredRef>,
+pub(crate) struct Columns {
+    pub(crate) q: Vec<f64>,
+    pub(crate) c: Vec<f64>,
+    pub(crate) s: Vec<f64>,
+    pub(crate) pred: Vec<PredRef>,
 }
 
 /// Lists up to this length are rebuilt whole by a merge-insert and swapped
@@ -100,7 +103,7 @@ const SHORT_LIST: usize = 48;
 
 impl Columns {
     #[inline]
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.q.len()
     }
 
@@ -113,7 +116,7 @@ impl Columns {
     }
 
     #[inline]
-    fn push(&mut self, q: f64, c: f64, s: f64, pred: PredRef) {
+    pub(crate) fn push(&mut self, q: f64, c: f64, s: f64, pred: PredRef) {
         self.q.push(q);
         self.c.push(c);
         self.s.push(s);
@@ -209,10 +212,10 @@ impl Columns {
     }
 }
 
-/// The merge-insert walk — the column replica of
-/// `CandidateList::merge_insert`: the union of the staircases `old` and
+/// The merge-insert walk: the union of the staircases `old` and
 /// `inc` in `c` order (on equal `c` the better `q` first, `old` first on a
-/// full tie), every element through `push_pruned_c_order`, with the stack
+/// full tie), every element through the dominance push of
+/// [`BetaList::push_pruned`], with the stack
 /// top's `(q, c)` carried in registers. Writes by index into `out`, grown
 /// to `old.len() + inc.len()`.
 ///
@@ -255,7 +258,7 @@ fn merge_insert_walk(out: &mut Columns, old: &Columns, inc: &Columns) -> (usize,
             (iq[j - 1], ic[j - 1], is[j - 1], ip[j - 1])
         };
         if top > 0 {
-            debug_assert!(c >= tc, "push_pruned_c_order requires c-sorted input");
+            debug_assert!(c >= tc, "merge-insert requires c-sorted input");
             if q <= tq {
                 continue; // dominated: no better slack at no smaller load
             }
@@ -331,15 +334,16 @@ impl BetaList {
         self.0.clear();
     }
 
-    /// Appends `beta` under `push_pruned_c_order`'s rule; betas must
-    /// arrive in non-decreasing `c`.
+    /// Appends `beta` unless the last staged beta dominates it (no smaller
+    /// `c`, no worse `q`); on equal `c` with a better `q` it replaces the
+    /// last one. Betas must arrive in non-decreasing `c`.
     #[inline]
     pub(crate) fn push_pruned(&mut self, beta: Candidate) {
         let cols = &mut self.0;
         if let Some(last) = cols.len().checked_sub(1) {
             debug_assert!(
                 beta.c >= cols.c[last],
-                "push_pruned_c_order requires c-sorted input"
+                "push_pruned requires c-sorted input"
             );
             if beta.q <= cols.q[last] {
                 return;
@@ -387,8 +391,7 @@ impl BetaStage {
 /// One slab lives per solve context (inside
 /// [`SolveWorkspace`](crate::SolveWorkspace), or per subtree task in
 /// intra-net parallel mode). Handles freed back to the slab keep their
-/// column capacity, so a warm slab performs no steady-state allocation —
-/// the struct-of-arrays analogue of [`crate::pool::CandidatePool`].
+/// column capacity, so a warm slab performs no steady-state allocation.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateSlab {
     slots: Vec<Columns>,
@@ -471,17 +474,23 @@ impl CandidateSlab {
         list
     }
 
-    /// Loads a boundary [`CandidateList`] (cache snapshot, parallel-task
-    /// result) into slab columns.
-    pub(crate) fn load_list(&mut self, src: &CandidateList) -> SlabList {
+    /// Allocates a fresh list holding a copy of `src` (a cache snapshot or
+    /// a parallel task's result): one `memcpy` per lane.
+    pub(crate) fn load(&mut self, src: &Columns) -> SlabList {
         let list = self.alloc();
-        let cols = &mut self.slots[list.index()];
-        cols.q.extend(src.iter().map(|cand| cand.q));
-        cols.c.extend(src.iter().map(|cand| cand.c));
-        cols.s.extend(src.iter().map(|cand| cand.s));
-        cols.pred.extend(src.iter().map(|cand| cand.pred));
-        self.note(0, src.len());
+        let n = src.len();
+        self.slots[list.index()].extend_from(src, n);
+        self.note(0, n);
         list
+    }
+
+    /// Copies `list` out into `out`, replacing what `out` held but keeping
+    /// its allocation (the list stays allocated; free the handle
+    /// separately).
+    pub(crate) fn store(&self, list: SlabList, out: &mut Columns) {
+        let src = &self.slots[list.index()];
+        out.clear();
+        out.extend_from(src, src.len());
     }
 
     /// Allocates a fresh list holding a copy of the staged `betas`.
@@ -493,23 +502,18 @@ impl CandidateSlab {
         list
     }
 
-    /// Copies `list` out to a boundary [`CandidateList`] (the columns stay
-    /// allocated; free the handle separately).
-    pub(crate) fn to_candidate_list(&self, list: SlabList) -> CandidateList {
-        let view = self.view(list);
-        let mut out = Vec::with_capacity(view.len());
-        for i in 0..view.len() {
-            out.push(view.get(i));
-        }
-        CandidateList::from_sorted(out)
-    }
-    /// Wire propagation — the column replica of
-    /// [`CandidateList::add_wire_model`]. The whole shear runs through one
-    /// batched [`DelayModel::wire_shear`] call (delay from the *pre-shear*
-    /// capacitance, exactly what the scalar loop feeds `wire_delay`
-    /// candidate by candidate — one virtual dispatch per wire, one memory
-    /// pass over the three lanes), then the same in-place monotone pass
-    /// restores the nonredundant invariant.
+    /// Wire propagation — the paper's "add a wire" operation:
+    ///
+    /// ```text
+    /// Q ← Q − d(C)        C ← C + cw        s ← s + d(C)
+    /// ```
+    ///
+    /// with `d` the model's wire delay from the *pre-shear* capacitance.
+    /// The whole shear runs through one batched [`DelayModel::wire_shear`]
+    /// call (one virtual dispatch per wire, one memory pass over the three
+    /// lanes), then one in-place monotone pass restores the nonredundant
+    /// invariant: the shear can push a high-`C` candidate's `Q` below a
+    /// lower-`C` one's.
     pub(crate) fn add_wire(
         &mut self,
         list: SlabList,
@@ -527,9 +531,9 @@ impl CandidateSlab {
         // The shear preserves c order (strictly increasing stays strictly
         // increasing under `+ cw`), so only the q invariant can break. In
         // the common case q stays strictly increasing and the list is
-        // untouched; otherwise compact from the first violation with the
-        // same checks as the reference (the kept prefix is exactly what
-        // the reference's single pass would have written there).
+        // untouched; otherwise compact from the first violation (the kept
+        // prefix is exactly what a single pass from the start would have
+        // written there).
         let write = match cols.q.windows(2).position(|w| w[1] <= w[0]) {
             None => n,
             Some(v) => {
@@ -555,9 +559,10 @@ impl CandidateSlab {
         self.note(n, write);
     }
 
-    /// Column replica of `CandidateList::prune_slew`: drops candidates
-    /// whose stage delay exceeds `cap`, keeping the single least-bad one
-    /// when all violate. Returns the number removed.
+    /// Drops candidates whose stage wire delay `s` already exceeds `cap`
+    /// (no driver can close their stage legally, and upstream wires only
+    /// grow `s`), keeping the single least-bad one when all violate so the
+    /// DP stays total. Returns the number removed.
     pub(crate) fn prune_slew(&mut self, list: SlabList, cap: f64) -> usize {
         let cols = &mut self.slots[list.index()];
         if !cap.is_finite() || cols.len() == 0 {
@@ -565,8 +570,8 @@ impl CandidateSlab {
         }
         let before = cols.len();
         if cols.s.iter().all(|&s| s > cap) {
-            // First-minimum by total order, matching the reference's
-            // `min_by(total_cmp)` (which keeps the earliest minimum).
+            // First minimum by total order (the oracle's
+            // `min_by(total_cmp)` keeps the earliest minimum too).
             let mut best = 0usize;
             for i in 1..before {
                 if cols.s[i].total_cmp(&cols.s[best]) == std::cmp::Ordering::Less {
@@ -592,11 +597,19 @@ impl CandidateSlab {
         before - write
     }
 
-    /// Branch merge — the column replica of `merge_branches_pooled`.
-    /// Consumes `left` and `right` (their handles are freed) and returns
-    /// the merged list: the same two-pointer walk, the same monotone-stack
-    /// prune, the same final slew prune, pushing the same
-    /// [`PredEntry::Merge`] records in the same order.
+    /// Branch merge — the paper's third operation. Consumes `left` and
+    /// `right` (their handles are freed) and returns the merged list:
+    ///
+    /// ```text
+    /// Q = min(Q_l, Q_r)        C = C_l + C_r        s = max(s_l, s_r)
+    /// ```
+    ///
+    /// Only `k₁ + k₂ − 1` of the `k₁·k₂` pairs can be nonredundant: each
+    /// candidate is only worth pairing with the cheapest candidate of the
+    /// other list whose `Q` does not cap it, which a two-pointer walk emits
+    /// (Lillis et al. 1996), one [`PredEntry::Merge`] record each when
+    /// tracking. A monotone stack prunes the emitted pairs, and candidates
+    /// whose merged `s` exceeds `slew_cap` are pruned last.
     pub(crate) fn merge(
         &mut self,
         left: SlabList,
@@ -612,8 +625,7 @@ impl CandidateSlab {
     /// [`CandidateSlab::merge`] that leaves both inputs allocated and
     /// untouched. Because the walk reads the inputs in place (no drain),
     /// keeping them costs nothing — this is what lets the cost solver's
-    /// level convolution reuse one list across many merges where the
-    /// reference had to `clone()` per pair.
+    /// level convolution reuse one list across many merges.
     pub(crate) fn merge_keep(
         &mut self,
         left: SlabList,
@@ -663,13 +675,12 @@ impl CandidateSlab {
         cols.ensure_len(ln + rn);
         let (mut i, mut j) = (0usize, 0usize);
         let (mut top, mut emitted) = (0usize, 0usize);
-        // The reference's two passes fused into one: the two-pointer walk
-        // emits the same pairs in the same order (the partner on the
-        // other side is the cheapest candidate not capping the emitted
-        // one; on a `q` tie both sides advance), and each emitted pair
-        // meets the monotone-stack prune at once instead of being staged
-        // first. Once one side is exhausted, every remaining pair is
-        // dominated.
+        // The walk and the prune fused into one pass: the two-pointer walk
+        // emits the pairs in order (the partner on the other side is the
+        // cheapest candidate not capping the emitted one; on a `q` tie
+        // both sides advance), and each emitted pair meets the
+        // monotone-stack prune at once instead of being staged first.
+        // Once one side is exhausted, every remaining pair is dominated.
         while i < ln && j < rn {
             let (aq, bq) = (lq[i], rq[j]);
             let q = aq.min(bq);
@@ -737,9 +748,8 @@ impl CandidateSlab {
     }
 
     /// Merges the staged `betas` (sorted by strictly increasing `C` — the
-    /// `β_i` of `AddBuffer`) into `list` — the column replica of
-    /// `CandidateList::merge_insert`, including the equal-`c`
-    /// better-`q`-first tie rule.
+    /// `β_i` of `AddBuffer`) into `list` in O(len + betas), with the
+    /// equal-`c` better-`q`-first tie rule (Theorem 2 of the paper).
     pub(crate) fn merge_insert(&mut self, list: SlabList, betas: &BetaList) {
         debug_assert!(betas.0.c.windows(2).all(|w| w[0] < w[1]));
         self.merge_insert_cols(list, &betas.0);
@@ -767,7 +777,7 @@ impl CandidateSlab {
     /// candidate at equal-or-smaller load (`f.c <= cand.c && f.q >= cand.q`)
     /// — the cost solver's three-dimensional dominance check. Both lists
     /// are `c`-ascending, so one linear sweep with a shared frontier cursor
-    /// replaces the reference's per-candidate binary search: the cursor
+    /// replaces a per-candidate binary search: the cursor
     /// only ever advances, and `frontier.q` ascends with `frontier.c`, so
     /// the entry just below the cursor is the best potential dominator.
     /// Returns the number removed.
@@ -800,8 +810,7 @@ impl CandidateSlab {
         n - write
     }
     /// The candidate index maximizing `Q − (k + r·C)` (ties to minimum
-    /// `C`), or `None` on an empty list — the column replica of
-    /// [`CandidateList::best_driven`].
+    /// `C`), or `None` on an empty list.
     pub(crate) fn best_driven(&self, list: SlabList, r: f64, k: f64) -> Option<usize> {
         let cols = &self.slots[list.index()];
         let mut best: Option<usize> = None;
@@ -819,8 +828,9 @@ impl CandidateSlab {
     }
 
     /// Convex-prunes `list` in place, keeping only upper-hull candidates —
-    /// the column replica of [`crate::hull::convex_prune_in_place`].
-    /// Returns the number removed.
+    /// the paper's `Convexpruning` as published, which
+    /// [`Algorithm::LiShiPermanent`](crate::Algorithm::LiShiPermanent)
+    /// applies to the propagated list. Returns the number removed.
     pub(crate) fn convex_prune(&mut self, list: SlabList) -> usize {
         let cols = &mut self.slots[list.index()];
         let before = cols.len();
@@ -854,9 +864,7 @@ impl CandidateSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::CandidateList;
-    use crate::hull::convex_prune_in_place;
-    use crate::merge::merge_branches;
+    use crate::oracle::{self, convex_prune_in_place, CandidateList};
     use fastbuf_rctree::delay::ElmoreModel;
 
     fn cand(q: f64, c: f64) -> Candidate {
@@ -865,6 +873,25 @@ mod tests {
 
     fn list(points: &[(f64, f64)]) -> CandidateList {
         CandidateList::from_candidates(points.iter().map(|&(q, c)| cand(q, c)).collect())
+    }
+
+    /// The columns of an oracle list.
+    fn columns(l: &CandidateList) -> Columns {
+        let mut cols = Columns::default();
+        for x in l {
+            cols.push(x.q, x.c, x.s, x.pred);
+        }
+        cols
+    }
+
+    fn load(slab: &mut CandidateSlab, l: &CandidateList) -> SlabList {
+        slab.load(&columns(l))
+    }
+
+    /// The oracle list a slab list holds.
+    fn to_list(slab: &CandidateSlab, h: SlabList) -> CandidateList {
+        let view = slab.view(h);
+        CandidateList::from_sorted((0..view.len()).map(|i| view.get(i)).collect())
     }
 
     /// Deterministic pseudo-random staircase generator shared by the
@@ -894,37 +921,39 @@ mod tests {
             .collect()
     }
 
+    /// `store` replaces what its target held (a longer list leaves no
+    /// tail behind), and `load` brings the same bits back.
     #[test]
-    fn roundtrip_preserves_bits() {
-        let src = staircase(7, 17);
+    fn store_and_load_round_trip_every_lane() {
         let mut slab = CandidateSlab::default();
-        let h = slab.load_list(&src);
-        assert_eq!(slab.len(h), src.len());
-        let back = slab.to_candidate_list(h);
-        assert_eq!(bits(&back), bits(&src));
+        let mut out = columns(&staircase(3, 25));
+        for n in [17usize, 4, 30] {
+            let src = staircase(7 + n as u64, n);
+            let h = load(&mut slab, &src);
+            slab.store(h, &mut out);
+            assert_eq!(out.len(), n);
+            let back = slab.load(&out);
+            assert_eq!(full_bits(&to_list(&slab, back)), full_bits(&src));
+        }
     }
 
     #[test]
-    fn add_wire_matches_reference_bits() {
+    fn add_wire_matches_oracle_bits() {
         let mut stats = SolveStats::default();
         for seed in 1u64..20 {
-            let mut reference = staircase(seed, 12);
+            let mut expect = staircase(seed, 12);
             let mut slab = CandidateSlab::default();
-            let h = slab.load_list(&reference);
+            let h = load(&mut slab, &expect);
             let (r, cw) = (0.5 + seed as f64, 0.25 * seed as f64);
-            reference.add_wire_model(&ElmoreModel, r, cw);
+            expect.add_wire_model(&ElmoreModel, r, cw);
             slab.add_wire(h, &ElmoreModel, r, cw, &mut stats);
-            assert_eq!(
-                bits(&slab.to_candidate_list(h)),
-                bits(&reference),
-                "seed {seed}"
-            );
+            assert_eq!(bits(&to_list(&slab, h)), bits(&expect), "seed {seed}");
         }
         assert!(stats.slab_candidates_scanned > 0);
     }
 
     #[test]
-    fn prune_slew_matches_reference() {
+    fn prune_slew_matches_oracle() {
         let mk = || {
             CandidateList::from_sorted(vec![
                 cand(1.0, 1.0).with_stage_delay(5.0),
@@ -933,57 +962,47 @@ mod tests {
             ])
         };
         for cap in [2.0, 0.5, f64::INFINITY] {
-            let mut reference = mk();
-            let removed_ref = reference.prune_slew(cap);
+            let mut expect = mk();
+            let removed_expect = expect.prune_slew(cap);
             let mut slab = CandidateSlab::default();
-            let h = slab.load_list(&mk());
+            let h = load(&mut slab, &mk());
             let removed = slab.prune_slew(h, cap);
-            assert_eq!(removed, removed_ref, "cap {cap}");
-            assert_eq!(
-                bits(&slab.to_candidate_list(h)),
-                bits(&reference),
-                "cap {cap}"
-            );
+            assert_eq!(removed, removed_expect, "cap {cap}");
+            assert_eq!(bits(&to_list(&slab, h)), bits(&expect), "cap {cap}");
         }
     }
 
     #[test]
-    fn convex_prune_matches_reference() {
+    fn convex_prune_matches_oracle() {
         for seed in 1u64..15 {
-            let mut reference = staircase(seed, 20);
+            let mut expect = staircase(seed, 20);
             let mut slab = CandidateSlab::default();
-            let h = slab.load_list(&reference);
-            let removed_ref = convex_prune_in_place(&mut reference);
+            let h = load(&mut slab, &expect);
+            let removed_expect = convex_prune_in_place(&mut expect);
             let removed = slab.convex_prune(h);
-            assert_eq!(removed, removed_ref, "seed {seed}");
-            assert_eq!(
-                bits(&slab.to_candidate_list(h)),
-                bits(&reference),
-                "seed {seed}"
-            );
+            assert_eq!(removed, removed_expect, "seed {seed}");
+            assert_eq!(bits(&to_list(&slab, h)), bits(&expect), "seed {seed}");
         }
     }
 
     #[test]
-    fn best_driven_matches_reference() {
+    fn best_driven_matches_oracle() {
         let l = staircase(3, 15);
         let mut slab = CandidateSlab::default();
-        let h = slab.load_list(&l);
+        let h = load(&mut slab, &l);
         for r_tenth in 0..40 {
             let r = r_tenth as f64 * 0.1;
-            let reference = l.best_driven(r, 0.3).unwrap();
+            let expect = l.best_driven(r, 0.3).unwrap();
             let idx = slab.best_driven(h, r, 0.3).unwrap();
-            let got = slab.view(h).get(idx);
-            assert_eq!(got.q.to_bits(), reference.q.to_bits());
-            assert_eq!(got.c.to_bits(), reference.c.to_bits());
+            assert_eq!(slab.view(h).get(idx), *expect);
         }
     }
 
     #[test]
     fn free_and_reset_recycle_storage_and_track_peak() {
         let mut slab = CandidateSlab::default();
-        let a = slab.load_list(&staircase(1, 10));
-        let b = slab.load_list(&staircase(2, 6));
+        let a = load(&mut slab, &staircase(1, 10));
+        let b = load(&mut slab, &staircase(2, 6));
         assert_eq!(slab.peak_bytes(), 16 * BYTES_PER_CANDIDATE);
         slab.free(a);
         slab.free(b);
@@ -1057,30 +1076,21 @@ mod tests {
     }
 
     #[test]
-    fn merges_match_reference_with_ties() {
-        use crate::merge::merge_branches_pooled;
-        use crate::pool::CandidatePool;
+    fn merges_match_oracle_with_ties() {
         tied_cases(|state, ln, rn| {
             let mut arena = PredArena::new();
             let l = tied_staircase(state, ln, &mut arena);
             let r = tied_staircase(state, rn, &mut arena);
             let ctx = format!("ln {ln} rn {rn} l {l:?} r {r:?}");
             for slew_cap in [f64::INFINITY, 2.0] {
-                // merge (consuming) and merge_keep, tracked.
-                let mut ref_arena = arena.clone();
-                let mut pool = CandidatePool::default();
-                let reference = merge_branches_pooled(
-                    l.clone(),
-                    r.clone(),
-                    &mut ref_arena,
-                    true,
-                    &mut pool,
-                    slew_cap,
-                );
+                // merge (consuming), tracked.
+                let mut oracle_arena = arena.clone();
+                let expect =
+                    oracle::merge_branches(l.clone(), r.clone(), &mut oracle_arena, true, slew_cap);
                 let mut slab = CandidateSlab::default();
                 let mut stats = SolveStats::default();
                 let mut slab_arena = arena.clone();
-                let (hl, hr) = (slab.load_list(&l), slab.load_list(&r));
+                let (hl, hr) = (load(&mut slab, &l), load(&mut slab, &r));
                 let hm = slab.merge(hl, hr, &mut slab_arena, true, slew_cap, &mut stats);
                 // An empty side hands the other list through as is.
                 if ln == 0 {
@@ -1089,72 +1099,78 @@ mod tests {
                     assert_eq!(hm, hl);
                 }
                 assert_eq!(
-                    full_bits(&slab.to_candidate_list(hm)),
-                    full_bits(&reference),
+                    full_bits(&to_list(&slab, hm)),
+                    full_bits(&expect),
                     "merge cap {slew_cap} {ctx}"
                 );
                 assert_eq!(
                     format!("{slab_arena:?}"),
-                    format!("{ref_arena:?}"),
+                    format!("{oracle_arena:?}"),
                     "merge arena {ctx}"
                 );
             }
-            let mut ref_arena = arena.clone();
-            let reference = merge_branches(l.clone(), r.clone(), &mut ref_arena, true);
+            let mut oracle_arena = arena.clone();
+            let expect = oracle::merge_branches(
+                l.clone(),
+                r.clone(),
+                &mut oracle_arena,
+                true,
+                f64::INFINITY,
+            );
             let mut slab = CandidateSlab::default();
             let mut stats = SolveStats::default();
             let mut slab_arena = arena.clone();
-            let (hl, hr) = (slab.load_list(&l), slab.load_list(&r));
+            let (hl, hr) = (load(&mut slab, &l), load(&mut slab, &r));
             let hm = slab.merge_keep(hl, hr, &mut slab_arena, true, &mut stats);
             assert_eq!(
-                full_bits(&slab.to_candidate_list(hm)),
-                full_bits(&reference),
+                full_bits(&to_list(&slab, hm)),
+                full_bits(&expect),
                 "merge_keep {ctx}"
             );
             assert_eq!(
                 format!("{slab_arena:?}"),
-                format!("{ref_arena:?}"),
+                format!("{oracle_arena:?}"),
                 "merge_keep arena {ctx}"
             );
-            assert_eq!(full_bits(&slab.to_candidate_list(hl)), full_bits(&l));
-            assert_eq!(full_bits(&slab.to_candidate_list(hr)), full_bits(&r));
+            assert_eq!(full_bits(&to_list(&slab, hl)), full_bits(&l));
+            assert_eq!(full_bits(&to_list(&slab, hr)), full_bits(&r));
         });
     }
 
     #[test]
-    fn merge_inserts_match_reference_with_ties() {
+    fn merge_inserts_match_oracle_with_ties() {
         tied_cases(|state, ln, rn| {
             let mut arena = PredArena::new();
             let old = tied_staircase(state, ln, &mut arena);
             let inc = tied_staircase(state, rn, &mut arena);
             let ctx = format!("old {old:?} inc {inc:?}");
-            let mut reference = old.clone();
-            reference.merge_insert(inc.as_slice());
+            let mut expect = old.clone();
+            expect.merge_insert(inc.as_slice());
 
             // Staged betas.
             let mut slab = CandidateSlab::default();
-            let h = slab.load_list(&old);
+            let h = load(&mut slab, &old);
             slab.merge_insert(h, &beta_buf(inc.as_slice()));
             assert_eq!(
-                full_bits(&slab.to_candidate_list(h)),
-                full_bits(&reference),
+                full_bits(&to_list(&slab, h)),
+                full_bits(&expect),
                 "merge_insert {ctx}"
             );
             assert_eq!(
                 slab.peak_bytes(),
-                ln.max(reference.len()) * BYTES_PER_CANDIDATE
+                ln.max(expect.len()) * BYTES_PER_CANDIDATE
             );
 
             // List to list; the source stays untouched.
             let mut slab = CandidateSlab::default();
-            let (dst, src) = (slab.load_list(&old), slab.load_list(&inc));
+            let (dst, src) = (load(&mut slab, &old), load(&mut slab, &inc));
             slab.merge_insert_list(dst, src);
             assert_eq!(
-                full_bits(&slab.to_candidate_list(dst)),
-                full_bits(&reference),
+                full_bits(&to_list(&slab, dst)),
+                full_bits(&expect),
                 "merge_insert_list {ctx}"
             );
-            assert_eq!(full_bits(&slab.to_candidate_list(src)), full_bits(&inc));
+            assert_eq!(full_bits(&to_list(&slab, src)), full_bits(&inc));
 
             // Staged union: the older target wins full ties, as merge-insert.
             let mut stage = BetaStage::default();
@@ -1170,15 +1186,15 @@ mod tests {
             let mut slab = CandidateSlab::default();
             let h = slab.load_betas(&stage.targets[0]);
             assert_eq!(
-                full_bits(&slab.to_candidate_list(h)),
-                full_bits(&reference),
+                full_bits(&to_list(&slab, h)),
+                full_bits(&expect),
                 "flush_group {ctx}"
             );
         });
     }
 
     #[test]
-    fn copy_and_retain_match_reference_with_ties() {
+    fn copy_and_retain_match_oracle_with_ties() {
         tied_cases(|state, ln, rn| {
             let mut arena = PredArena::new();
             let level = tied_staircase(state, ln, &mut arena);
@@ -1186,13 +1202,12 @@ mod tests {
             let ctx = format!("level {level:?} frontier {frontier:?}");
 
             let mut slab = CandidateSlab::default();
-            let h = slab.load_list(&level);
+            let h = load(&mut slab, &level);
             let copy = slab.copy_list(h);
-            assert_eq!(full_bits(&slab.to_candidate_list(copy)), full_bits(&level));
+            assert_eq!(full_bits(&to_list(&slab, copy)), full_bits(&level));
             assert_eq!(slab.peak_bytes(), 2 * ln * BYTES_PER_CANDIDATE);
 
-            // The AoS filter the cost DP ran before the slab: one binary
-            // search per candidate.
+            // The plain filter: one binary search per candidate.
             let f = frontier.as_slice();
             let expect: Vec<Candidate> = level
                 .iter()
@@ -1202,12 +1217,12 @@ mod tests {
                 })
                 .copied()
                 .collect();
-            let hf = slab.load_list(&frontier);
+            let hf = load(&mut slab, &frontier);
             let mut stats = SolveStats::default();
             let removed = slab.retain_undominated(copy, hf, &mut stats);
             assert_eq!(removed, ln - expect.len(), "{ctx}");
             assert_eq!(
-                full_bits(&slab.to_candidate_list(copy)),
+                full_bits(&to_list(&slab, copy)),
                 full_bits(&CandidateList::from_sorted(expect)),
                 "retain_undominated {ctx}"
             );
@@ -1238,26 +1253,24 @@ mod tests {
         (best_a * BLOCKS, best_b * BLOCKS)
     }
 
+    /// Each slab operation against its oracle counterpart. The oracle
+    /// side allocates its lists fresh (it has no pool), the slab side
+    /// copies from resident lists into recycled slots.
     #[test]
     #[ignore = "microbenchmark; run with --release --ignored"]
     fn op_microbench() {
-        use crate::merge::merge_branches_pooled;
-        use crate::pool::CandidatePool;
         let iters = 20_000u32;
         let mut rows: Vec<(usize, &str, std::time::Duration, std::time::Duration)> = Vec::new();
         for k in [4usize, 8, 16, 32, 64, 256, 1024] {
             let src = staircase(42, k);
             let betas: Vec<Candidate> = staircase(9, 12).iter().copied().collect();
             let right = staircase(77, k);
-            let mut pool = CandidatePool::default();
             let mut slab = CandidateSlab::default();
             let mut stats = SolveStats::default();
             let mut arena = PredArena::new();
             let mut arena2 = PredArena::new();
-            // Slab inputs are copied from resident lists per iteration —
-            // the slab's analogue of the reference's pooled clone.
-            let src_h = slab.load_list(&src);
-            let right_h = slab.load_list(&right);
+            let src_h = load(&mut slab, &src);
+            let right_h = load(&mut slab, &right);
 
             // --- add_wire ---
             // Small shear, like a single routing segment: compaction after
@@ -1267,9 +1280,9 @@ mod tests {
             let (r, s) = ab_time(
                 iters,
                 || {
-                    let mut l = clone_pooled(&src, &mut pool);
+                    let mut l = src.clone();
                     l.add_wire_model(&ElmoreModel, wr, wc);
-                    pool.recycle(l);
+                    std::hint::black_box(l);
                 },
                 || {
                     let h = slab.copy_list(src_h);
@@ -1283,11 +1296,14 @@ mod tests {
             let (r, s) = ab_time(
                 iters,
                 || {
-                    let l = clone_pooled(&src, &mut pool);
-                    let r = clone_pooled(&right, &mut pool);
-                    let m =
-                        merge_branches_pooled(l, r, &mut arena, false, &mut pool, f64::INFINITY);
-                    pool.recycle(m);
+                    let m = oracle::merge_branches(
+                        src.clone(),
+                        right.clone(),
+                        &mut arena,
+                        false,
+                        f64::INFINITY,
+                    );
+                    std::hint::black_box(m);
                 },
                 || {
                     let l = slab.copy_list(src_h);
@@ -1303,9 +1319,9 @@ mod tests {
             let (r, s) = ab_time(
                 iters,
                 || {
-                    let mut l = clone_pooled(&src, &mut pool);
-                    l.merge_insert_pooled(&betas, &mut pool);
-                    pool.recycle(l);
+                    let mut l = src.clone();
+                    l.merge_insert(&betas);
+                    std::hint::black_box(l);
                 },
                 || {
                     let h = slab.copy_list(src_h);
@@ -1319,9 +1335,9 @@ mod tests {
             let (r, s) = ab_time(
                 iters,
                 || {
-                    let mut l = clone_pooled(&src, &mut pool);
-                    l.merge_insert_pooled(right.as_slice(), &mut pool);
-                    pool.recycle(l);
+                    let mut l = src.clone();
+                    l.merge_insert(right.as_slice());
+                    std::hint::black_box(l);
                 },
                 || {
                     let h = slab.copy_list(src_h);
@@ -1331,33 +1347,22 @@ mod tests {
             );
             rows.push((k, "merge_insert_list", r, s));
 
-            // --- copy_list ---
-            let (r, s) = ab_time(
-                iters,
-                || {
-                    let l = clone_pooled(&src, &mut pool);
-                    pool.recycle(l);
-                },
-                || {
-                    let h = slab.copy_list(src_h);
-                    slab.free(h);
-                },
-            );
-            rows.push((k, "copy_list", r, s));
-
             // --- retain_undominated: a k-level against a k-frontier ---
-            // The reference is the AoS filter the cost DP used before the
-            // slab: one binary search per candidate.
+            // The oracle side is the plain filter: one binary search per
+            // candidate.
             let (r, s) = ab_time(
                 iters,
                 || {
-                    let mut l = clone_pooled(&src, &mut pool);
                     let f = right.as_slice();
-                    l.as_mut_vec().retain(|cand| {
-                        let below = f.partition_point(|x| x.c <= cand.c);
-                        !(below > 0 && f[below - 1].q >= cand.q)
-                    });
-                    pool.recycle(l);
+                    let kept: Vec<Candidate> = src
+                        .iter()
+                        .filter(|cand| {
+                            let below = f.partition_point(|x| x.c <= cand.c);
+                            !(below > 0 && f[below - 1].q >= cand.q)
+                        })
+                        .copied()
+                        .collect();
+                    std::hint::black_box(kept);
                 },
                 || {
                     let h = slab.copy_list(src_h);
@@ -1373,7 +1378,7 @@ mod tests {
             let (r, s) = ab_time(
                 iters,
                 || {
-                    crate::hull::upper_hull_into(src.as_slice(), &mut hull);
+                    oracle::upper_hull_into(src.as_slice(), &mut hull);
                     std::hint::black_box(hull.len());
                 },
                 || {
@@ -1384,27 +1389,27 @@ mod tests {
             );
             rows.push((k, "hull", r, s));
 
-            // --- load/clone overhead baseline ---
+            // --- copy: a fresh oracle list vs a recycled slab slot ---
+            let cols = columns(&src);
             let (r, s) = ab_time(
                 iters,
                 || {
-                    let l = clone_pooled(&src, &mut pool);
-                    pool.recycle(l);
+                    std::hint::black_box(src.clone());
                 },
                 || {
-                    let h = slab.load_list(&src);
+                    let h = slab.load(&cols);
                     slab.free(h);
                 },
             );
             rows.push((k, "clone/load", r, s));
         }
         eprintln!(
-            "{:>5}  {:<18} {:>10} {:>10} {:>9}",
-            "k", "op", "ref", "slab", "slab/ref"
+            "{:>5}  {:<18} {:>10} {:>10} {:>11}",
+            "k", "op", "oracle", "slab", "slab/oracle"
         );
         for (k, op, r, s) in rows {
             eprintln!(
-                "{k:>5}  {op:<18} {:>10.2?} {:>10.2?} {:>9.2}",
+                "{k:>5}  {op:<18} {:>10.2?} {:>10.2?} {:>11.2}",
                 r,
                 s,
                 s.as_secs_f64() / r.as_secs_f64()
@@ -1420,11 +1425,5 @@ mod tests {
         }
         assert_eq!(staged.len(), betas.len(), "betas must be a staircase");
         staged
-    }
-
-    fn clone_pooled(src: &CandidateList, pool: &mut crate::pool::CandidatePool) -> CandidateList {
-        let mut v = pool.take();
-        v.extend_from_slice(src.as_slice());
-        CandidateList::from_sorted(v)
     }
 }

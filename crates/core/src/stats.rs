@@ -47,17 +47,22 @@ pub struct SolveStats {
     /// `0` for ordinary solves.
     pub nodes_reused: u64,
     /// Candidates swept by the struct-of-arrays kernel's wire-propagation
-    /// columns (`0` under [`Kernel::Reference`](crate::Kernel)).
+    /// columns and the cost solver's level-dominance sweeps.
     pub slab_candidates_scanned: u64,
     /// Candidates removed by dominance pruning inside the slab kernel's
     /// linear column sweeps (wire re-prune and branch-merge monotone stack).
     pub slab_candidates_pruned: u64,
     /// Peak bytes of live candidate columns held by the slab during the
-    /// solve. Under intra-net parallelism this is the largest peak of any
-    /// participating slab (main or task), not their sum.
+    /// solve (lists held outside it, such as cache snapshots, are not
+    /// counted). Under intra-net parallelism this is the largest peak of
+    /// any participating slab (main or task), not their sum.
     pub slab_bytes_peak: usize,
     /// Independent sibling subtrees solved on worker threads by intra-net
-    /// parallel mode (`0` for sequential solves).
+    /// parallelism ([`SolverOptions::intra_net_workers`]). Only
+    /// from-scratch solves fork, so this is `0` for sequential and cached
+    /// solves.
+    ///
+    /// [`SolverOptions::intra_net_workers`]: crate::SolverOptions::intra_net_workers
     pub parallel_subtrees: u64,
     /// Largest candidate list seen at any node.
     pub max_list_len: usize,

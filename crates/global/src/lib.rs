@@ -86,8 +86,8 @@ impl SiteCapacityMap {
     }
 
     /// A pool of `sites` sites with `default` capacity, overridden by
-    /// `(site, capacity)` pairs — the shape
-    /// [`parse_capacity`](fastbuf_netgen::parse_capacity) returns.
+    /// `(site, capacity)` pairs — the shape `fastbuf_netgen::parse_capacity`
+    /// returns (netgen is not a dependency of this crate, so no link).
     ///
     /// # Errors
     ///

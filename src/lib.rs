@@ -81,8 +81,7 @@ pub use fastbuf_core::cost;
 pub use fastbuf_core::polarity;
 pub use fastbuf_core::skew;
 pub use fastbuf_core::{
-    convex_prune_in_place, merge_branches, prunes_middle, upper_hull_into, Algorithm, Candidate,
-    CandidateList, DelayModel, ElmoreModel, Kernel, Placement, PredArena, PredEntry, PredRef,
+    Algorithm, Candidate, DelayModel, ElmoreModel, Placement, PredArena, PredEntry, PredRef,
     ScaledElmoreModel, Solution, SolveStats, SolveWorkspace, Solver, SolverOptions, SubtreeCache,
     VerifyError,
 };
@@ -103,8 +102,8 @@ pub mod prelude {
     pub use fastbuf_core::polarity::{Polarity, PolaritySolver};
     pub use fastbuf_core::skew::{SkewSolution, SkewSolver};
     pub use fastbuf_core::{
-        Algorithm, DelayModel, ElmoreModel, Kernel, ScaledElmoreModel, Solution, SolveWorkspace,
-        Solver, SolverOptions, SubtreeCache,
+        Algorithm, DelayModel, ElmoreModel, ScaledElmoreModel, Solution, SolveWorkspace, Solver,
+        SolverOptions, SubtreeCache,
     };
     pub use fastbuf_global::{
         GlobalNet, GlobalOptions, GlobalReport, GlobalSolver, SiteCapacityMap,

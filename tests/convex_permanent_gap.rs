@@ -12,9 +12,8 @@
 
 use fastbuf::netgen::RandomNetSpec;
 use fastbuf::prelude::*;
-use fastbuf::{
-    convex_prune_in_place, merge_branches, Candidate, CandidateList, PredArena, PredRef,
-};
+use fastbuf::{Candidate, PredArena, PredRef};
+use fastbuf_core::oracle::{convex_prune_in_place, merge_branches, CandidateList};
 
 fn list(points: &[(f64, f64)]) -> CandidateList {
     CandidateList::from_candidates(
@@ -41,8 +40,8 @@ fn interior_candidate_becomes_optimal_after_merge() {
     let right = list(&[(5.0, 0.0)]);
 
     let mut arena = PredArena::new();
-    let merged_full = merge_branches(left, right.clone(), &mut arena, false);
-    let merged_pruned = merge_branches(left_pruned, right, &mut arena, false);
+    let merged_full = merge_branches(left, right.clone(), &mut arena, false, f64::INFINITY);
+    let merged_pruned = merge_branches(left_pruned, right, &mut arena, false, f64::INFINITY);
 
     // Upstream buffer with R = 2 (and K = 0): maximize Q - 2C.
     let best_full = merged_full.best_driven(2.0, 0.0).unwrap();

@@ -48,7 +48,7 @@ fn measured_skew(tree: &RoutingTree, lib: &BufferLibrary, pairs: &[(NodeId, Buff
 }
 
 #[test]
-fn unbounded_recursion_is_bit_identical_across_kernels_and_workers() {
+fn unbounded_recursion_is_bit_identical_across_workers() {
     let lib = BufferLibrary::paper_synthetic(8).unwrap();
     let nets = [
         ("cts/64", cts_tree(64, 1, Some(400.0))),
@@ -63,28 +63,25 @@ fn unbounded_recursion_is_bit_identical_across_kernels_and_workers() {
         for algo in Algorithm::ALL {
             let skewed = SkewSolver::new(tree, &lib).algorithm(algo).solve();
             assert!(skewed.skew_ok, "{name}/{algo}: no bound, always ok");
-            for kernel in [Kernel::Reference, Kernel::Slab] {
-                for workers in [1usize, 2, 4] {
-                    let plain = Solver::new(tree, &lib)
-                        .algorithm(algo)
-                        .kernel(kernel)
-                        .intra_net_workers(workers)
-                        .solve();
-                    assert_eq!(
-                        skewed.slack.value().to_bits(),
-                        plain.slack.value().to_bits(),
-                        "{name}/{algo}/{kernel:?}@{workers}: slack bits diverged"
-                    );
-                    assert_eq!(
-                        skewed.root_load.value().to_bits(),
-                        plain.root_load.value().to_bits(),
-                        "{name}/{algo}/{kernel:?}@{workers}: load bits diverged"
-                    );
-                    assert_eq!(
-                        skewed.placements, plain.placements,
-                        "{name}/{algo}/{kernel:?}@{workers}: placements diverged"
-                    );
-                }
+            for workers in [1usize, 2, 4] {
+                let plain = Solver::new(tree, &lib)
+                    .algorithm(algo)
+                    .intra_net_workers(workers)
+                    .solve();
+                assert_eq!(
+                    skewed.slack.value().to_bits(),
+                    plain.slack.value().to_bits(),
+                    "{name}/{algo}@{workers}: slack bits diverged"
+                );
+                assert_eq!(
+                    skewed.root_load.value().to_bits(),
+                    plain.root_load.value().to_bits(),
+                    "{name}/{algo}@{workers}: load bits diverged"
+                );
+                assert_eq!(
+                    skewed.placements, plain.placements,
+                    "{name}/{algo}@{workers}: placements diverged"
+                );
             }
         }
     }

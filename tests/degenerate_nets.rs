@@ -465,7 +465,7 @@ fn malformed_variation_specs_are_rejected_with_line_numbers() {
 
 /// Satellite: degenerate clock-generator parameters either fail typed (see
 /// the netgen unit tests) or normalize into shapes that must then survive
-/// *every* algorithm under *both* candidate kernels — a single-sink
+/// *every* algorithm, bit-identical to the oracle — a single-sink
 /// caterpillar, a caterpillar whose trunk and stubs are all zero-length,
 /// and a minimal one-level H-tree.
 #[test]
@@ -495,27 +495,31 @@ fn normalized_degenerate_clock_shapes_solve_everywhere() {
     ];
     for (name, tree) in &shapes {
         for algo in Algorithm::ALL {
-            for kernel in [Kernel::Reference, Kernel::Slab] {
-                let sol = Solver::new(tree, &lib)
-                    .algorithm(algo)
-                    .kernel(kernel)
-                    .solve();
-                assert!(!sol.slack.value().is_nan(), "{name}/{algo}/{kernel:?}");
-                sol.verify(tree, &lib)
-                    .unwrap_or_else(|e| panic!("{name}/{algo}/{kernel:?}: {e}"));
-                // The skew recursion rides the same shapes without a bound
-                // (bit-identity to the plain solve is pinned crate-wide in
-                // tests/cts_equivalence.rs; here we pin panic-freedom).
-                let skew = fastbuf::skew::SkewSolver::new(tree, &lib)
-                    .algorithm(algo)
-                    .solve();
-                assert_eq!(
-                    skew.slack.value().to_bits(),
-                    sol.slack.value().to_bits(),
-                    "{name}/{algo}/{kernel:?}"
-                );
-                assert!(skew.skew.value() >= 0.0, "{name}/{algo}: negative skew");
-            }
+            let sol = Solver::new(tree, &lib).algorithm(algo).solve();
+            assert!(!sol.slack.value().is_nan(), "{name}/{algo}");
+            sol.verify(tree, &lib)
+                .unwrap_or_else(|e| panic!("{name}/{algo}: {e}"));
+            let mut options = SolverOptions::default();
+            options.algorithm = algo;
+            let oracle = fastbuf_core::oracle::solve(tree, &lib, &options);
+            assert_eq!(
+                oracle.slack.value().to_bits(),
+                sol.slack.value().to_bits(),
+                "{name}/{algo}: the oracle disagrees"
+            );
+            assert_eq!(oracle.placements, sol.placements, "{name}/{algo}");
+            // The skew recursion rides the same shapes without a bound
+            // (bit-identity to the plain solve is pinned crate-wide in
+            // tests/cts_equivalence.rs; here we pin panic-freedom).
+            let skew = fastbuf::skew::SkewSolver::new(tree, &lib)
+                .algorithm(algo)
+                .solve();
+            assert_eq!(
+                skew.slack.value().to_bits(),
+                sol.slack.value().to_bits(),
+                "{name}/{algo}"
+            );
+            assert!(skew.skew.value() >= 0.0, "{name}/{algo}: negative skew");
         }
     }
 }

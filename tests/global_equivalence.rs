@@ -130,32 +130,32 @@ proptest! {
         let best = priced_brute_force(&tree, &lib, &prices);
         let shared: Arc<[f64]> = Arc::from(prices.as_slice());
         for algo in [Algorithm::Lillis, Algorithm::LiShi] {
-            for kernel in [Kernel::Reference, Kernel::Slab] {
-                let sol = Solver::new(&tree, &lib)
-                    .algorithm(algo)
-                    .kernel(kernel)
-                    .site_prices(Some(Arc::clone(&shared)))
-                    .solve();
-                let tol = 1e-9 * best.abs().max(1e-12);
-                prop_assert!(
-                    (sol.slack.value() - best).abs() <= tol,
-                    "{algo} {kernel:?}: priced DP {} vs enumeration {}",
-                    sol.slack.value(), best
-                );
-                // The reported placements really are charged what the DP
-                // says: forward-evaluate and re-subtract the prices.
-                let measured = elmore::evaluate(
-                    &tree, &lib,
-                    &sol.placements.iter().map(|p| (p.node, p.buffer)).collect::<Vec<_>>(),
-                ).expect("reconstruction is legal");
-                let charged: f64 = sol.placements.iter()
-                    .map(|p| prices[p.node.index()])
-                    .sum();
-                prop_assert!(
-                    (measured.slack.value() - charged - sol.slack.value()).abs() <= tol,
-                    "reconstruction does not achieve the priced slack"
-                );
-            }
+            let mut options = SolverOptions::default();
+            options.algorithm = algo;
+            options.site_prices = Some(Arc::clone(&shared));
+            let sol = Solver::new(&tree, &lib).with_options(options.clone()).solve();
+            let oracle = fastbuf_core::oracle::solve(&tree, &lib, &options);
+            prop_assert_eq!(sol.slack.value().to_bits(), oracle.slack.value().to_bits());
+            prop_assert_eq!(&sol.placements, &oracle.placements);
+            let tol = 1e-9 * best.abs().max(1e-12);
+            prop_assert!(
+                (sol.slack.value() - best).abs() <= tol,
+                "{algo}: priced DP {} vs enumeration {}",
+                sol.slack.value(), best
+            );
+            // The reported placements really are charged what the DP
+            // says: forward-evaluate and re-subtract the prices.
+            let measured = elmore::evaluate(
+                &tree, &lib,
+                &sol.placements.iter().map(|p| (p.node, p.buffer)).collect::<Vec<_>>(),
+            ).expect("reconstruction is legal");
+            let charged: f64 = sol.placements.iter()
+                .map(|p| prices[p.node.index()])
+                .sum();
+            prop_assert!(
+                (measured.slack.value() - charged - sol.slack.value()).abs() <= tol,
+                "reconstruction does not achieve the priced slack"
+            );
         }
     }
 

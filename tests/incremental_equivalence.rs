@@ -228,14 +228,12 @@ fn footprint_and_frontier(tree: &RoutingTree, scripts: &[Vec<Edit>]) -> (Vec<boo
 }
 
 /// A solver over a 40-sink net with a footprint declared for an 8-sample
-/// gaussian family, after `warm` samples have been solved on `kernel`.
-fn footprint_solver(warm: usize, kernel: Kernel) -> (IncrementalSolver, Vec<Vec<Edit>>) {
+/// gaussian family, after `warm` samples have been solved.
+fn footprint_solver(warm: usize) -> (IncrementalSolver, Vec<Vec<Edit>>) {
     let tree = net(40, 7, 200.0);
     let scripts = VariationSpec::gaussian(0.05, 0.1, 3).expand(&tree, 8);
     let lib = BufferLibrary::paper_synthetic(8).unwrap();
-    let mut options = SolverOptions::default();
-    options.kernel = kernel;
-    let mut solver = IncrementalSolver::new(tree, lib).with_options(options);
+    let mut solver = IncrementalSolver::new(tree, lib);
     solver.set_footprint(scripts.iter().flatten());
     assert!(solver.cache().has_footprint());
     for (k, script) in scripts.iter().take(warm).enumerate() {
@@ -256,7 +254,7 @@ fn footprint_solver(warm: usize, kernel: Kernel) -> (IncrementalSolver, Vec<Vec<
 /// it, without ever reading a list that was not stored.
 #[test]
 fn footprint_snapshots_stay_bit_identical_and_drop_on_outside_dirtying() {
-    let (mut solver, scripts) = footprint_solver(8, Kernel::Slab);
+    let (mut solver, scripts) = footprint_solver(8);
     let tree = solver.tree().clone();
     let n = tree.node_count() as u64;
     let (inside, frontier) = footprint_and_frontier(&tree, &scripts);
@@ -360,12 +358,9 @@ fn footprint_snapshots_stay_bit_identical_and_drop_on_outside_dirtying() {
             false,
         ),
     ];
-    for ((name, dirty, keeps), kernel) in cases
-        .iter()
-        .flat_map(|case| [(case, Kernel::Slab), (case, Kernel::Reference)])
-    {
-        let (name, keeps) = (format!("{name} ({kernel:?} kernel)"), *keeps);
-        let (mut solver, scripts) = footprint_solver(2, kernel);
+    for (name, dirty, keeps) in &cases {
+        let keeps = *keeps;
+        let (mut solver, scripts) = footprint_solver(2);
         // Re-apply sample 0 (the state the nodes were chosen in).
         solver.apply_all(&scripts[0]).unwrap();
         let before = solver.solve();
