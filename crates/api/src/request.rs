@@ -1,16 +1,14 @@
 //! Building and solving requests.
 
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-
-use crossbeam::channel;
 
 use fastbuf_buflib::units::Seconds;
 use fastbuf_core::cost::CostSolver;
 use fastbuf_core::polarity::PolaritySolver;
 use fastbuf_core::skew::SkewSolver;
-use fastbuf_core::{SolveWorkspace, Solver};
+use fastbuf_core::{par, SolveWorkspace, Solver};
 use fastbuf_netgen::VariationSpec;
 use fastbuf_rctree::{NodeId, RoutingTree};
 
@@ -236,19 +234,19 @@ impl<'a> SolveRequest<'a> {
             });
         }
 
+        // Multi-scenario requests fan out over workspaces checked out of
+        // the session pool; one worker solves inline.
         let workers = requested_workers.clamp(1, scenarios.len());
-
-        let outcomes = if workers == 1 {
-            let mut workspace = self.session.take_workspace();
-            let result: Result<Vec<_>, _> = scenarios
-                .iter()
-                .map(|s| self.solve_scenario(s, &mut workspace))
-                .collect();
+        let mut workspaces: Vec<SolveWorkspace> = (0..workers)
+            .map(|_| self.session.take_workspace())
+            .collect();
+        let outcomes = par::map(scenarios.len(), &mut workspaces, |workspace, i| {
+            self.solve_scenario(&scenarios[i], workspace)
+        });
+        for workspace in workspaces {
             self.session.return_workspace(workspace);
-            result?
-        } else {
-            self.solve_parallel(&scenarios, workers)?
-        };
+        }
+        let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         Ok(Outcome {
             objective: self.objective.clone(),
@@ -278,46 +276,6 @@ impl<'a> SolveRequest<'a> {
             scenarios: outcomes?,
             elapsed: start.elapsed(),
         })
-    }
-
-    /// Fans the scenarios of one request out over `workers` threads, each
-    /// with a workspace checked out of the session pool.
-    fn solve_parallel(
-        &self,
-        scenarios: &[Scenario],
-        workers: usize,
-    ) -> Result<Vec<ScenarioOutcome>, SolveError> {
-        let (tx, rx) = channel::unbounded::<usize>();
-        for i in 0..scenarios.len() {
-            tx.send(i).expect("receiver is alive");
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<Result<ScenarioOutcome, SolveError>>> = Vec::new();
-        slots.resize_with(scenarios.len(), || None);
-        let slots = Mutex::new(&mut slots);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let rx = rx.clone();
-                let slots = &slots;
-                scope.spawn(move || {
-                    let mut workspace = self.session.take_workspace();
-                    while let Ok(i) = rx.recv() {
-                        let outcome = self.solve_scenario(&scenarios[i], &mut workspace);
-                        slots.lock().expect("no panics hold the lock")[i] = Some(outcome);
-                    }
-                    self.session.return_workspace(workspace);
-                });
-            }
-        });
-
-        slots
-            .into_inner()
-            .expect("workers are joined")
-            .drain(..)
-            .map(|slot| slot.expect("every queued scenario was solved"))
-            .collect()
     }
 
     /// Solves one scenario's Monte-Carlo sweep, fanning sample indices

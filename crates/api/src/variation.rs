@@ -22,7 +22,7 @@
 use std::time::{Duration, Instant};
 
 use fastbuf_buflib::units::Seconds;
-use fastbuf_core::SolverOptions;
+use fastbuf_core::{par, SolverOptions};
 use fastbuf_incremental::IncrementalSolver;
 use fastbuf_netgen::VariationSpec;
 use fastbuf_rctree::RoutingTree;
@@ -181,9 +181,9 @@ pub(crate) fn validate_yield(
 
 /// Solves `samples` sampled scenarios of `spec` over `tree` (already
 /// derated for `scenario`), fanning sample indices across `workers`
-/// threads. Each worker owns one [`IncrementalSolver`] — one warm
-/// `SubtreeCache` per sample family — and results land in index-addressed
-/// slots, so the outcome is identical for every worker count.
+/// threads with [`par::map`]. Each worker owns one [`IncrementalSolver`] —
+/// one warm `SubtreeCache` per sample family — and results come back in
+/// sample order, so the outcome is identical for every worker count.
 pub(crate) fn solve_variation(
     session: &Session,
     tree: &RoutingTree,
@@ -211,62 +211,31 @@ pub(crate) fn solve_variation(
     let scripts = spec.expand(tree, samples);
     let workers = workers.clamp(1, samples);
 
-    let run_sample =
-        |solver: &mut IncrementalSolver, k: usize| -> Result<SampleResult, SolveError> {
-            solver.apply_all(&scripts[k]).map_err(SolveError::Edit)?;
-            let solution = solver.solve();
-            Ok(SampleResult {
-                index: k,
-                slack: solution.slack,
-                slew_ok: solution.slew_ok,
-                nodes_recomputed: solution.stats.nodes_recomputed,
-                nodes_reused: solution.stats.nodes_reused,
-            })
-        };
     // Every script dirties the same root paths, so each worker's cache
-    // keeps only the lists of that footprint's frontier.
+    // keeps only the lists of that footprint's frontier. A worker builds
+    // its solver on its first sample.
     let new_solver = || {
         let mut solver = IncrementalSolver::new(tree.clone(), session.library().clone())
             .with_options(options.clone());
         solver.set_footprint(scripts.iter().flatten());
         solver
     };
-
-    let results: Vec<SampleResult> = if workers == 1 {
-        let mut solver = new_solver();
-        (0..samples)
-            .map(|k| run_sample(&mut solver, k))
-            .collect::<Result<_, _>>()?
-    } else {
-        let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-        for k in 0..samples {
-            tx.send(k).expect("receiver is alive");
-        }
-        drop(tx);
-        let mut slots: Vec<Option<Result<SampleResult, SolveError>>> = Vec::new();
-        slots.resize_with(samples, || None);
-        let slots = std::sync::Mutex::new(&mut slots);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let rx = rx.clone();
-                let slots = &slots;
-                let run_sample = &run_sample;
-                scope.spawn(move || {
-                    let mut solver = new_solver();
-                    while let Ok(k) = rx.recv() {
-                        let result = run_sample(&mut solver, k);
-                        slots.lock().expect("no panics hold the lock")[k] = Some(result);
-                    }
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers are joined")
-            .drain(..)
-            .map(|slot| slot.expect("every queued sample was solved"))
-            .collect::<Result<_, _>>()?
-    };
+    let mut solvers: Vec<Option<IncrementalSolver>> =
+        std::iter::repeat_with(|| None).take(workers).collect();
+    let results = par::map(samples, &mut solvers, |solver, k| {
+        let solver = solver.get_or_insert_with(new_solver);
+        solver.apply_all(&scripts[k]).map_err(SolveError::Edit)?;
+        let solution = solver.solve();
+        Ok(SampleResult {
+            index: k,
+            slack: solution.slack,
+            slew_ok: solution.slew_ok,
+            nodes_recomputed: solution.stats.nodes_recomputed,
+            nodes_reused: solution.stats.nodes_reused,
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, SolveError>>()?;
 
     let summary = summarize_samples(&results, quantile);
     Ok(VariationOutcome {

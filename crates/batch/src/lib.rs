@@ -7,7 +7,7 @@
 //! * [`BatchSolver`] — takes many [`RoutingTree`](fastbuf_rctree::RoutingTree)s
 //!   plus one shared [`BufferLibrary`](fastbuf_buflib::BufferLibrary) and
 //!   fans them out across a worker pool. Work is dispatched **largest net
-//!   first** through a multi-consumer channel, so big nets cannot straggle
+//!   first** through `fastbuf_core::par`, so big nets cannot straggle
 //!   at the tail of the batch;
 //! * per-worker reusable [`SolveWorkspace`](fastbuf_core::SolveWorkspace)s
 //!   eliminate per-net allocation churn in the hot loop — after warm-up a

@@ -4,12 +4,10 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel;
-
 use fastbuf_api::{Scenario, ScenarioResult, Session};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_core::{Algorithm, DelayModel, ElmoreModel, SolveWorkspace};
+use fastbuf_core::{par, Algorithm, DelayModel, ElmoreModel, SolveWorkspace};
 use fastbuf_rctree::{elmore, RoutingTree};
 
 use crate::report::{BatchReport, NetOutcome};
@@ -47,8 +45,8 @@ impl Default for BatchOptions {
 /// Solves a fleet of independent nets against one shared buffer library,
 /// fanned out over a pool of worker threads.
 ///
-/// Scheduling: net indices are queued **largest net first** (by node
-/// count) into a shared multi-consumer channel, and idle workers steal the
+/// Scheduling: nets go through [`fastbuf_core::par::map_ordered`]
+/// **largest net first** (by node count), and an idle worker claims the
 /// next-largest remaining net. Large nets therefore start earliest and
 /// cannot straggle at the end of the batch, which is what limits speedup
 /// under naive round-robin partitioning when net sizes are heavy-tailed.
@@ -167,101 +165,58 @@ impl<'a> BatchSolver<'a> {
             })
             .clamp(1, nets.len().max(1));
 
-        // Largest-first dispatch order (ties broken by index, so the
-        // schedule itself is deterministic even though completion order is
-        // not).
-        let mut order: Vec<usize> = (0..nets.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(nets[i].node_count()), i));
-
-        let (tx, rx) = channel::unbounded::<usize>();
-        for i in order {
-            tx.send(i).expect("receiver is alive");
-        }
-        drop(tx);
-
-        let mut outcomes: Vec<Option<NetOutcome>> = Vec::with_capacity(nets.len());
-        outcomes.resize_with(nets.len(), || None);
-
+        // Largest-first dispatch (ties broken by index, so the schedule
+        // itself is deterministic even though completion order is not).
+        let order = par::largest_first(nets.len(), |i| nets[i].node_count());
+        let mut workspaces: Vec<SolveWorkspace> =
+            (0..workers).map(|_| SolveWorkspace::new()).collect();
+        let model: &dyn DelayModel = &**session.delay_model();
         let track = self.options.track_predecessors;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let rx = rx.clone();
-                    let session = session.clone();
-                    let scenario = scenario.clone();
-                    scope.spawn(move || {
-                        let model: &dyn DelayModel = &**session.delay_model();
-                        let mut workspace = SolveWorkspace::new();
-                        let mut local: Vec<(usize, NetOutcome)> = Vec::new();
-                        while let Ok(i) = rx.recv() {
-                            let tree = &nets[i];
-                            let t0 = Instant::now();
-                            let before = elmore::evaluate_with(tree, library, &[], model)
-                                .expect("the empty placement is always legal");
-                            let outcome = session
-                                .request(tree)
-                                .track_predecessors(track)
-                                .scenario(scenario.clone())
-                                .solve_in(&mut workspace)
-                                .expect("a validated max-slack scenario cannot fail");
-                            let solution = outcome
-                                .scenarios
-                                .into_iter()
-                                .next()
-                                .and_then(|so| match so.result {
-                                    ScenarioResult::Solution(s) => Some(s),
-                                    _ => None,
-                                })
-                                .expect("max-slack outcomes carry one solution");
-                            // Ground-truth worst slew of the solved net: a
-                            // forward evaluation of the reconstructed
-                            // placements (falls back to the DP's root-stage
-                            // slew when tracking is off).
-                            let max_slew = if solution.tracked {
-                                elmore::evaluate_with(
-                                    tree,
-                                    library,
-                                    &solution.placement_pairs(),
-                                    model,
-                                )
-                                .expect("reconstructed placements are legal")
-                                .max_slew
-                            } else {
-                                solution.root_slew
-                            };
-                            local.push((
-                                i,
-                                NetOutcome {
-                                    index: i,
-                                    sinks: tree.sink_count(),
-                                    sites: tree.buffer_site_count(),
-                                    slack_before: before.slack,
-                                    slack: solution.slack,
-                                    cost: solution.total_cost(library),
-                                    slew_before: before.max_slew,
-                                    max_slew,
-                                    slew_ok: solution.slew_ok,
-                                    placements: solution.placements,
-                                    stats: solution.stats,
-                                    elapsed: t0.elapsed(),
-                                },
-                            ));
-                        }
-                        local
-                    })
+        let outcomes = par::map_ordered(&order, &mut workspaces, |workspace, i| {
+            let tree = &nets[i];
+            let t0 = Instant::now();
+            let before = elmore::evaluate_with(tree, library, &[], model)
+                .expect("the empty placement is always legal");
+            let outcome = session
+                .request(tree)
+                .track_predecessors(track)
+                .scenario(scenario.clone())
+                .solve_in(workspace)
+                .expect("a validated max-slack scenario cannot fail");
+            let solution = outcome
+                .scenarios
+                .into_iter()
+                .next()
+                .and_then(|so| match so.result {
+                    ScenarioResult::Solution(s) => Some(s),
+                    _ => None,
                 })
-                .collect();
-            for handle in handles {
-                for (i, outcome) in handle.join().expect("worker panicked") {
-                    outcomes[i] = Some(outcome);
-                }
+                .expect("max-slack outcomes carry one solution");
+            // Ground-truth worst slew of the solved net: a forward
+            // evaluation of the reconstructed placements (falls back to the
+            // DP's root-stage slew when tracking is off).
+            let max_slew = if solution.tracked {
+                elmore::evaluate_with(tree, library, &solution.placement_pairs(), model)
+                    .expect("reconstructed placements are legal")
+                    .max_slew
+            } else {
+                solution.root_slew
+            };
+            NetOutcome {
+                index: i,
+                sinks: tree.sink_count(),
+                sites: tree.buffer_site_count(),
+                slack_before: before.slack,
+                slack: solution.slack,
+                cost: solution.total_cost(library),
+                slew_before: before.max_slew,
+                max_slew,
+                slew_ok: solution.slew_ok,
+                placements: solution.placements,
+                stats: solution.stats,
+                elapsed: t0.elapsed(),
             }
         });
-
-        let outcomes: Vec<NetOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every queued net was solved"))
-            .collect();
         BatchReport::from_outcomes(
             outcomes,
             self.options.algorithm,

@@ -70,6 +70,40 @@ fn worker_count_does_not_change_results() {
 }
 
 #[test]
+fn report_aggregates_consistently() {
+    let nets = suite(10, 42);
+    let lib = BufferLibrary::paper_synthetic(4).unwrap();
+    let report = BatchSolver::new(&nets, &lib).solve();
+    assert_eq!(report.outcomes.len(), nets.len());
+    assert!(report.wns_after >= report.wns_before);
+    assert!(report.tns_after >= report.tns_before);
+    let placed: usize = report.outcomes.iter().map(|o| o.placements.len()).sum();
+    assert_eq!(placed, report.total_buffers);
+    for o in &report.outcomes {
+        assert!(o.slack >= o.slack_before, "net {}", o.index);
+    }
+}
+
+#[test]
+fn slew_limit_counts_violations_and_only_costs_slack() {
+    use fastbuf_buflib::units::Seconds;
+    let nets = suite(10, 42);
+    let lib = BufferLibrary::paper_synthetic(8).unwrap();
+    let unconstrained = BatchSolver::new(&nets, &lib).solve();
+    assert_eq!(unconstrained.slew_violations, 0);
+    let constrained = BatchSolver::new(&nets, &lib)
+        .slew_limit(Seconds::from_pico(150.0))
+        .solve();
+    assert_eq!(constrained.outcomes.len(), nets.len());
+    assert_eq!(
+        constrained.slew_violations,
+        constrained.outcomes.iter().filter(|o| !o.slew_ok).count()
+    );
+    // Tightening a constraint can only cost slack.
+    assert!(constrained.wns_after.value() <= unconstrained.wns_after.value() + 1e-15);
+}
+
+#[test]
 fn all_algorithms_run_through_the_batch_path() {
     let nets = suite(10, 3);
     let lib = BufferLibrary::paper_synthetic(8).unwrap();

@@ -4,7 +4,7 @@
 //! The published pseudo-code frees convex-pruned candidates from the
 //! propagated list. That is loss-free on 2-pin nets but can discard a
 //! candidate that a later *branch merge* would have made optimal
-//! (DESIGN.md §2.1). This harness quantifies both sides of the trade on
+//! (`docs/ALGORITHM.md` §5). This harness quantifies both sides of the trade on
 //! random multi-pin nets: how much faster permanent pruning is, and how
 //! often / how much slack it gives up.
 //!

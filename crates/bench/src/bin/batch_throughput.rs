@@ -102,14 +102,11 @@ fn main() {
     let nets = suite.build();
     let lib = BufferLibrary::paper_synthetic(16).expect("nonzero library");
     let total_sites: usize = nets.iter().map(|t| t.buffer_site_count()).sum();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     println!(
         "# batch throughput: {} nets, {} total buffer positions, {} hardware threads\n",
         nets.len(),
         total_sites,
-        cores
+        fastbuf_bench::hw_threads()
     );
 
     let worker_counts = [1usize, 2, 4, 8];
@@ -151,7 +148,6 @@ fn main() {
     json.push_str(&format!("  \"total_sites\": {total_sites},\n"));
     json.push_str(&format!("  \"seed\": {},\n", opts.seed));
     json.push_str(&format!("  \"repeats\": {},\n", opts.repeats));
-    json.push_str(&format!("  \"hardware_threads\": {cores},\n"));
     json.push_str("  \"runs\": [\n");
     for (k, (workers, secs, nps)) in measured.iter().enumerate() {
         json.push_str(&format!(

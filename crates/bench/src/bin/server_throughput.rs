@@ -285,9 +285,6 @@ fn main() {
     server_thread.join().expect("server thread");
     std::fs::remove_dir_all(&dir).ok();
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"hw_threads\": {},\n",
@@ -297,7 +294,6 @@ fn main() {
     json.push_str(&format!("  \"sites\": {},\n", tree.buffer_site_count()));
     json.push_str(&format!("  \"seed\": {},\n", opts.seed));
     json.push_str(&format!("  \"requests_per_client\": {},\n", opts.requests));
-    json.push_str(&format!("  \"hardware_threads\": {cores},\n"));
     json.push_str(&format!(
         "  \"cold_mode\": \"{}\",\n",
         match cold_mode {

@@ -6,8 +6,7 @@
 //! ICCD 2000, reference \[3\] of the paper) — degrades solution quality.
 //! This module implements that remedy so the trade-off can be reproduced:
 //! cluster a `b = 64` library down to `k = 8` and compare the achieved slack
-//! against solving with the full library using the fast algorithm
-//! (experiment X3 in `DESIGN.md`).
+//! against solving with the full library using the fast algorithm.
 //!
 //! The algorithm is deterministic k-medoids: features are
 //! `(ln R, ln C, K)` standardized to zero mean / unit variance; seeding is

@@ -35,7 +35,8 @@ use crate::stats::SolveStats;
 /// All three produce the same optimal slack except
 /// [`Algorithm::LiShiPermanent`], which reproduces the paper's published
 /// pseudo-code verbatim and can be (slightly) sub-optimal on multi-pin nets
-/// — see `DESIGN.md` §2.1 and the `convex_permanent_gap` integration test.
+/// — see `docs/ALGORITHM.md` §5 and the `convex_permanent_gap` integration
+/// test.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Lillis, Cheng & Lin (TCAS 1996): scan every candidate for every
@@ -369,7 +370,7 @@ fn find_alphas_scan(
 /// Li & Shi: one monotone walk along the hull finds every unconstrained
 /// `α_i`; types with a load limit fall back to an exact scan (the limit can
 /// make an interior, off-hull candidate optimal, so the hull alone is
-/// insufficient for them — see `DESIGN.md`). A type that does not `fit`
+/// insufficient for them — see `docs/ALGORITHM.md` §3). A type that does not `fit`
 /// still advances the walk pointer (the walk's stopping point can depend on
 /// where it starts), but gets no β; its load-limited scan, which leaves the
 /// pointer alone, is skipped.

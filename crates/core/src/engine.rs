@@ -8,7 +8,7 @@
 //! "three major operations" and guarantees that runtime differences between
 //! [`Algorithm`]s measure exactly the operation the paper improves.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use fastbuf_buflib::units::{Farads, Seconds};
@@ -252,8 +252,8 @@ impl<'a> Solver<'a> {
     ///
     /// For [`Algorithm::Lillis`] and [`Algorithm::LiShi`] the result is the
     /// provably optimal slack; for [`Algorithm::LiShiPermanent`] it may be
-    /// slightly below optimal on multi-pin nets (see `DESIGN.md` §2.1 and
-    /// `docs/ALGORITHM.md`).
+    /// slightly below optimal on multi-pin nets (see `docs/ALGORITHM.md`
+    /// §5).
     pub fn solve(&self) -> Solution {
         self.solve_with(&mut SolveWorkspace::new())
     }
@@ -681,61 +681,45 @@ fn solve_subtrees_parallel(
     }
     task_roots.sort_by_key(|t| pos[t.index()]);
 
-    let results: Vec<Mutex<Option<TaskResult>>> =
-        (0..task_roots.len()).map(|_| Mutex::new(None)).collect();
-    let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-    for i in 0..task_roots.len() {
-        tx.send(i).expect("receiver is alive");
-    }
-    drop(tx);
-    let threads = workers.min(task_roots.len());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let rx = rx.clone();
-            let results = &results;
-            let task_roots = &task_roots;
-            let pos = &pos;
-            let size = &size;
-            scope.spawn(move || {
-                // Per-worker state, reused across this worker's tasks. The
-                // lists vector returns to all-`None` after each task: every
-                // interior list is consumed by its parent and the task
-                // root's is taken below.
-                let mut slab = CandidateSlab::default();
-                let mut scratch = Scratch::default();
-                let mut task_lists: Vec<Option<SlabList>> = vec![None; ctx.tree.node_count()];
-                while let Ok(ti) = rx.recv() {
-                    let troot = task_roots[ti];
-                    let (p, sz) = (pos[troot.index()], size[troot.index()]);
-                    let range = &post[p + 1 - sz..=p];
-                    let mut task_arena = PredArena::new();
-                    let mut task_stats = SolveStats::default();
-                    slab.reset();
-                    process_nodes(
-                        ctx,
-                        range,
-                        None,
-                        None,
-                        &mut 0,
-                        &mut slab,
-                        &mut task_lists,
-                        &mut task_arena,
-                        &mut scratch,
-                        &mut task_stats,
-                    );
-                    let handle = task_lists[troot.index()]
-                        .take()
-                        .expect("task root was computed");
-                    task_stats.slab_bytes_peak = slab.peak_bytes();
-                    let mut list = Columns::default();
-                    slab.store(handle, &mut list);
-                    *results[ti].lock().expect("task slot lock") = Some(TaskResult {
-                        list,
-                        arena: task_arena,
-                        stats: task_stats,
-                    });
-                }
-            });
+    // Per-worker state, reused across that worker's tasks. The lists
+    // vector returns to all-`None` after each task: every interior list is
+    // consumed by its parent and the task root's is taken below.
+    let mut states: Vec<(CandidateSlab, Scratch, Vec<Option<SlabList>>)> = (0..workers
+        .min(task_roots.len()))
+        .map(|_| {
+            let lists = vec![None; tree.node_count()];
+            (CandidateSlab::default(), Scratch::default(), lists)
+        })
+        .collect();
+    let results = crate::par::map(task_roots.len(), &mut states, |state, ti| {
+        let (slab, scratch, task_lists) = state;
+        let troot = task_roots[ti];
+        let (p, sz) = (pos[troot.index()], size[troot.index()]);
+        let mut task_arena = PredArena::new();
+        let mut task_stats = SolveStats::default();
+        slab.reset();
+        process_nodes(
+            ctx,
+            &post[p + 1 - sz..=p],
+            None,
+            None,
+            &mut 0,
+            slab,
+            task_lists,
+            &mut task_arena,
+            scratch,
+            &mut task_stats,
+        );
+        let handle = task_lists[troot.index()]
+            .take()
+            .expect("task root was computed");
+        task_stats.slab_bytes_peak = slab.peak_bytes();
+        let mut list = Columns::default();
+        slab.store(handle, &mut list);
+        TaskResult {
+            list,
+            arena: task_arena,
+            stats: task_stats,
         }
     });
 
@@ -743,12 +727,7 @@ fn solve_subtrees_parallel(
     // shared one (uniform backward-reference shift — see
     // `PredArena::append_remapped`), shift the root list's `pred` lane by
     // the same offset, and load it into the slab for the main pass.
-    for (ti, &troot) in task_roots.iter().enumerate() {
-        let result = results[ti]
-            .lock()
-            .expect("task slot lock")
-            .take()
-            .expect("every task completed");
+    for (result, &troot) in results.into_iter().zip(&task_roots) {
         let offset = arena.append_remapped(&result.arena);
         let mut list = result.list;
         if ctx.track {

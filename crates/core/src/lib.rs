@@ -58,6 +58,7 @@ mod engine;
 mod hull;
 #[doc(hidden)]
 pub mod oracle;
+pub mod par;
 pub mod polarity;
 pub mod skew;
 mod slab;

@@ -392,7 +392,7 @@ pub fn upper_hull_into(list: &[Candidate], hull: &mut Vec<u32>) {
 /// paper's `Convexpruning` exactly as published (the C code frees pruned
 /// candidates from the propagated list). On multi-pin nets this is lossy:
 /// a pruned interior candidate can become optimal after a branch merge
-/// (`DESIGN.md` §2.1).
+/// (`docs/ALGORITHM.md` §5).
 ///
 /// Returns the number of candidates removed.
 pub fn convex_prune_in_place(list: &mut CandidateList) -> usize {

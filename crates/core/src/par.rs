@@ -1,0 +1,213 @@
+//! The workspace's one parallel map: every fan-out (intra-net subtrees,
+//! batch nets, request scenarios, Monte-Carlo samples, priced nets of the
+//! global loop) runs through [`map_ordered`].
+//!
+//! The contract is what makes every fan-out deterministic:
+//!
+//! * **Dispatch order** is the caller's: workers claim items in `order`
+//!   (batch and global pass [`largest_first`], so big items cannot
+//!   straggle at the end).
+//! * **Result order** is item-index order, never completion order.
+//! * **Per-worker state**: each worker is lent one element of `states` (a
+//!   workspace, a slab, an incremental solver, or `()`) for all the items
+//!   it claims, and works on it from its own stack (see [`map_ordered`]).
+//! * **One worker runs inline** on the caller's thread, so a sequential
+//!   run spawns nothing.
+//! * **No per-item cost** beyond one atomic increment: a worker appends
+//!   `(index, result)` to its own vector and the caller scatters the
+//!   vectors once all workers are joined.
+//! * **Panics** in a worker are re-raised on the caller with their
+//!   original payload.
+
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Computes `f(state, i)` for every item `i` in `0..order.len()`, claiming
+/// items in `order` over one worker per element of `states`, and returns
+/// the results in item-index order: `out[i] = f(_, i)`.
+///
+/// At most `min(states.len(), order.len())` workers run; with one worker
+/// the map runs inline on the caller's thread. Which state an item sees
+/// depends on scheduling, so `f` must give the same result for every
+/// state (workspaces and caches must be result-neutral).
+///
+/// A worker moves its state onto its own stack (leaving `S::default()` in
+/// the slot) and moves it back when it runs out of items. States sit side
+/// by side in `states`, and two workers writing neighbouring states would
+/// share cache lines: in a 2-worker `BatchSolver` run on a 2-vCPU host that
+/// false sharing cost about 8% more CPU per batch.
+///
+/// # Panics
+///
+/// Panics if `order` is not a permutation of `0..order.len()`, if `states`
+/// is empty while `order` is not, or if any call of `f` panics (the first
+/// joined worker's payload is re-raised after every worker has stopped).
+pub fn map_ordered<S, R, F>(order: &[usize], states: &mut [S], f: F) -> Vec<R>
+where
+    S: Default + Send,
+    R: Send,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
+    let n = order.len();
+    let workers = states.len().min(n);
+    assert!(
+        workers > 0 || n == 0,
+        "a non-empty map needs a worker state"
+    );
+    // The cursor publishes no data (`Relaxed` suffices): results reach the
+    // caller through the joins.
+    let next = AtomicUsize::new(0);
+    let run = |slot: &mut S| {
+        let mut state = std::mem::take(slot);
+        let mut done = Vec::with_capacity(n / workers + 1);
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((i, f(&mut state, i)));
+        }
+        *slot = state;
+        done
+    };
+
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    let mut scatter = |done: Vec<(usize, R)>| {
+        for (i, result) in done {
+            assert!(slots[i].is_none(), "item {i} appears twice in the order");
+            slots[i] = Some(result);
+        }
+    };
+    if workers == 1 {
+        scatter(run(&mut states[0]));
+    } else if workers > 1 {
+        let run = &run;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = states[..workers]
+                .iter_mut()
+                .map(|state| scope.spawn(move || run(state)))
+                .collect();
+            let mut panic = None;
+            for handle in handles {
+                match handle.join() {
+                    Ok(done) => scatter(done),
+                    Err(payload) => {
+                        panic.get_or_insert(payload);
+                    }
+                }
+            }
+            if let Some(payload) = panic {
+                std::panic::resume_unwind(payload);
+            }
+        });
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("the order covers every item index"))
+        .collect()
+}
+
+/// [`map_ordered`] with items claimed in index order.
+pub fn map<S, R, F>(n: usize, states: &mut [S], f: F) -> Vec<R>
+where
+    S: Default + Send,
+    R: Send,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
+    map_ordered(&(0..n).collect::<Vec<_>>(), states, f)
+}
+
+/// The dispatch order that claims the largest of `n` items first, ties in
+/// index order.
+pub fn largest_first(n: usize, size: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    // Stable: equal sizes keep ascending index order.
+    order.sort_by_key(|&i| Reverse(size(i)));
+    order
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU32;
+    use std::thread::{self, ThreadId};
+
+    #[test]
+    fn results_come_back_in_index_order_under_a_permuted_dispatch() {
+        let sizes: Vec<usize> = (0..97).map(|i| (i * 37) % 23).collect();
+        let order = largest_first(sizes.len(), |i| sizes[i]);
+        assert_ne!(order, (0..sizes.len()).collect::<Vec<_>>());
+        for workers in [1, 2, 4, 8] {
+            let mut states = vec![(); workers];
+            let out = map_ordered(&order, &mut states, |_, i| (i, sizes[i] * 3));
+            let want: Vec<_> = (0..sizes.len()).map(|i| (i, sizes[i] * 3)).collect();
+            assert_eq!(out, want, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn largest_first_breaks_ties_by_index() {
+        assert_eq!(
+            largest_first(6, |i| [3, 9, 3, 1, 9, 3][i]),
+            [1, 4, 0, 2, 5, 3]
+        );
+    }
+
+    #[test]
+    fn every_item_runs_exactly_once_and_states_are_per_worker() {
+        let n = 500;
+        for workers in [1, 2, 4, 8] {
+            let calls: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+            // Each state counts the items its worker ran: a state is never
+            // shared, so the counts add up to exactly `n`.
+            let mut states = vec![0usize; workers];
+            map(n, &mut states, |ran, i| {
+                *ran += 1;
+                calls[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+            assert_eq!(states.iter().sum::<usize>(), n, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_callers_thread() {
+        let caller = thread::current().id();
+        let order = largest_first(10, |i| i);
+        let threads: Vec<ThreadId> = map_ordered(&order, &mut [()], |_, _| thread::current().id());
+        assert!(threads.iter().all(|&t| t == caller));
+        // More states than items: the surplus states stay idle.
+        let threads = map(1, &mut [(), (), ()], |_, _| thread::current().id());
+        assert_eq!(threads, [caller]);
+    }
+
+    #[test]
+    fn an_empty_order_returns_empty() {
+        let out: Vec<u8> = map_ordered(&[], &mut [(); 4], |_, _| unreachable!());
+        assert!(out.is_empty());
+        let out: Vec<u8> = map(0, &mut [] as &mut [()], |_, _| unreachable!());
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 13 exploded")]
+    fn a_panicking_item_panics_the_caller() {
+        map(64, &mut [(); 4], |_, i| {
+            if i == 13 {
+                panic!("item {i} exploded");
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 exploded")]
+    fn a_panicking_item_panics_the_caller_inline() {
+        map(8, &mut [()], |_, i| {
+            if i == 3 {
+                panic!("item {i} exploded");
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "appears twice")]
+    fn a_repeated_index_is_rejected() {
+        map_ordered(&[0, 0], &mut [()], |_, i| i);
+    }
+}

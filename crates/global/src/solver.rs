@@ -1,13 +1,11 @@
 //! The Lagrangian outer loop.
 
-use std::cmp::Reverse;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crossbeam::channel;
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_core::{Solution, SolverOptions};
+use fastbuf_core::{par, Solution, SolverOptions};
 use fastbuf_incremental::IncrementalSolver;
 use fastbuf_rctree::NodeId;
 
@@ -305,48 +303,21 @@ impl GlobalSolver {
     /// worker count cannot affect any result bit.
     fn solve_dirty(&self, states: &[Mutex<NetState>]) -> usize {
         let warm = self.options.warm;
-        let mut order: Vec<usize> = (0..states.len())
+        let dirty: Vec<usize> = (0..states.len())
             .filter(|&i| states[i].lock().expect("net state lock").dirty)
             .collect();
-        order.sort_by_key(|&i| (Reverse(self.nets[i].tree.node_count()), i));
-        if order.is_empty() {
-            return 0;
-        }
-        let resolved = order.len();
-        let workers = self.options.workers.clamp(1, resolved);
-
-        let solve_one = |state: &Mutex<NetState>| {
-            let mut state = state.lock().expect("net state lock");
+        let order = par::largest_first(dirty.len(), |k| self.nets[dirty[k]].tree.node_count());
+        let mut workers = vec![(); self.options.workers.max(1)];
+        par::map_ordered(&order, &mut workers, |(), k| {
+            let mut state = states[dirty[k]].lock().expect("net state lock");
             if !warm {
                 state.solver.flush();
             }
             let solution = state.solver.solve();
             state.solution = Some(solution);
             state.dirty = false;
-        };
-
-        if workers <= 1 {
-            for &i in &order {
-                solve_one(&states[i]);
-            }
-            return resolved;
-        }
-        let (tx, rx) = channel::unbounded::<usize>();
-        for &i in &order {
-            tx.send(i).expect("receiver is alive");
-        }
-        drop(tx);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let rx = rx.clone();
-                scope.spawn(move || {
-                    while let Ok(i) = rx.recv() {
-                        solve_one(&states[i]);
-                    }
-                });
-            }
         });
-        resolved
+        dirty.len()
     }
 
     fn validate(&self) -> Result<(), GlobalError> {

@@ -9,39 +9,30 @@
 //!
 //! Run: `cargo run --release --example chip_repeaters`
 
-use std::num::NonZeroUsize;
-
-use fastbuf::design::{solve_design, DesignSolveOptions, DesignSpec};
+use fastbuf::netgen::SuiteSpec;
 use fastbuf::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let design = DesignSpec {
+    let nets = SuiteSpec {
         nets: 400,
         max_sinks: 300,
         seed: 2005,
-        ..DesignSpec::default()
+        ..SuiteSpec::default()
     }
     .build();
     let lib = BufferLibrary::paper_synthetic(32)?;
+    let sinks: usize = nets.iter().map(RoutingTree::sink_count).sum();
+    let sites: usize = nets.iter().map(RoutingTree::buffer_site_count).sum();
     println!(
-        "design: {} nets, {} sinks, {} candidate buffer positions",
-        design.nets.len(),
-        design.total_sinks(),
-        design.total_sites()
+        "design: {} nets, {sinks} sinks, {sites} candidate buffer positions",
+        nets.len()
     );
 
     for algorithm in [Algorithm::Lillis, Algorithm::LiShi] {
-        let report = solve_design(
-            &design,
-            &lib,
-            &DesignSolveOptions {
-                algorithm,
-                ..DesignSolveOptions::default()
-            },
-        );
+        let report = BatchSolver::new(&nets, &lib).algorithm(algorithm).solve();
         println!(
             "\n[{algorithm}] {} threads, wall time {:?}",
-            report.threads, report.elapsed
+            report.workers, report.elapsed
         );
         println!(
             "  WNS {} -> {}   TNS {} -> {}",
@@ -50,39 +41,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {} repeaters inserted ({:.1}% of a {}-cell design if sinks were cells), total cost {:.0}",
             report.total_buffers,
-            100.0 * report.total_buffers as f64
-                / (design.total_sinks() + report.total_buffers) as f64,
-            design.total_sinks() + report.total_buffers,
+            100.0 * report.total_buffers as f64 / (sinks + report.total_buffers) as f64,
+            sinks + report.total_buffers,
             report.total_cost
         );
         // The five slowest nets dominate the runtime — the heavy tail.
-        let mut by_time: Vec<_> = report.nets.iter().collect();
-        by_time.sort_by_key(|n| std::cmp::Reverse(n.elapsed));
+        let mut by_time: Vec<_> = report.outcomes.iter().collect();
+        by_time.sort_by_key(|o| std::cmp::Reverse(o.elapsed));
         println!("  slowest nets:");
-        for n in by_time.iter().take(5) {
+        for o in by_time.iter().take(5) {
             println!(
-                "    {}  {:>9?}  slack {} -> {}  ({} buffers)",
-                n.name, n.elapsed, n.slack_before, n.slack_after, n.buffers
+                "    net{:05}  {:>9?}  slack {} -> {}  ({} buffers)",
+                o.index,
+                o.elapsed,
+                o.slack_before,
+                o.slack,
+                o.placements.len()
             );
         }
     }
 
     // Single-thread vs parallel: identical results, different wall time.
-    let serial = solve_design(
-        &design,
-        &lib,
-        &DesignSolveOptions {
-            algorithm: Algorithm::LiShi,
-            threads: NonZeroUsize::new(1),
-            ..DesignSolveOptions::default()
-        },
-    );
-    let parallel = solve_design(&design, &lib, &DesignSolveOptions::default());
+    let serial = BatchSolver::new(&nets, &lib).workers(1).solve();
+    let parallel = BatchSolver::new(&nets, &lib).solve();
     assert_eq!(serial.wns_after, parallel.wns_after);
     assert_eq!(serial.total_buffers, parallel.total_buffers);
     println!(
         "\nserial {:?} vs parallel {:?} ({} threads) — identical results",
-        serial.elapsed, parallel.elapsed, parallel.threads
+        serial.elapsed, parallel.elapsed, parallel.workers
     );
     Ok(())
 }

@@ -11,8 +11,8 @@
 //!   convex hull of the `(Q, C)` set, so one Graham scan plus one monotone
 //!   walk replaces `b` full scans;
 //! * [`Algorithm::LiShiPermanent`] — the paper's published pruning
-//!   verbatim (see `DESIGN.md` §2.1 for why the default keeps the full
-//!   list);
+//!   verbatim (see `docs/ALGORITHM.md` §5 for why the default keeps the
+//!   full list);
 //! * [`cost::CostSolver`] — the slack-vs-cost Pareto frontier (the cost
 //!   extension the paper's conclusion sketches).
 //!
@@ -70,7 +70,6 @@
 pub use fastbuf_api as api;
 pub use fastbuf_batch as batch;
 pub use fastbuf_buflib as buflib;
-pub use fastbuf_design as design;
 pub use fastbuf_global as global;
 pub use fastbuf_incremental as incremental;
 pub use fastbuf_netgen as netgen;

@@ -1,5 +1,5 @@
 //! The correctness subtlety of the paper's published pruning
-//! (DESIGN.md §2.1), demonstrated both at the data-structure level and on a
+//! (`docs/ALGORITHM.md` §5), demonstrated both at the data-structure level and on a
 //! concrete net.
 //!
 //! Convex pruning keeps only the upper hull of the `(C, Q)` candidate set.

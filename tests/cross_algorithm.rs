@@ -37,6 +37,27 @@ fn families() -> Vec<(String, RoutingTree)> {
     nets
 }
 
+/// Theorem 1 in bits: Li–Shi selects the same root candidate as Lillis —
+/// slack, `root_q` and root load equal bit for bit — and the same
+/// placements.
+fn assert_same_bits(what: &str, lillis: &Solution, lishi: &Solution) {
+    let bits = |s: &Solution| {
+        [
+            s.slack.value().to_bits(),
+            s.root_q.value().to_bits(),
+            s.root_load.value().to_bits(),
+        ]
+    };
+    assert_eq!(
+        bits(lillis),
+        bits(lishi),
+        "{what}: lillis slack {} vs lishi {}",
+        lillis.slack,
+        lishi.slack
+    );
+    assert_eq!(lillis.placements, lishi.placements, "{what}: placements");
+}
+
 #[test]
 fn lillis_and_lishi_agree_everywhere_and_verify() {
     for b in [1usize, 2, 8, 17] {
@@ -46,13 +67,7 @@ fn lillis_and_lishi_agree_everywhere_and_verify() {
                 .algorithm(Algorithm::Lillis)
                 .solve();
             let lishi = Solver::new(&tree, &lib).algorithm(Algorithm::LiShi).solve();
-            let tol = 1e-9 * lillis.slack.picos().abs().max(1.0);
-            assert!(
-                (lillis.slack.picos() - lishi.slack.picos()).abs() <= tol,
-                "{name} b={b}: lillis {} vs lishi {}",
-                lillis.slack,
-                lishi.slack
-            );
+            assert_same_bits(&format!("{name} b={b}"), &lillis, &lishi);
             lillis
                 .verify(&tree, &lib)
                 .unwrap_or_else(|e| panic!("{name} b={b}: lillis verification failed: {e}"));
@@ -201,7 +216,7 @@ fn algorithms_agree_under_subset_site_constraints() {
         .algorithm(Algorithm::Lillis)
         .solve();
     let lishi = Solver::new(&tree, &lib).algorithm(Algorithm::LiShi).solve();
-    assert!((lillis.slack.picos() - lishi.slack.picos()).abs() < 1e-6);
+    assert_same_bits("constrained", &lillis, &lishi);
     lishi.verify(&tree, &lib).unwrap();
     // No placement may violate its site constraint (verify checks this too,
     // but assert explicitly for clarity).

@@ -33,14 +33,19 @@ fn arb_net() -> impl Strategy<Value = RoutingTree> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Theorem 1: the O(bn²) algorithm loses nothing vs the O(b²n²) scan.
+    /// Theorem 1: the O(bn²) algorithm loses nothing vs the O(b²n²) scan —
+    /// the same root candidate in every bit, and the same placements.
     #[test]
     fn lishi_equals_lillis(tree in arb_net(), lib in arb_library()) {
         let a = Solver::new(&tree, &lib).algorithm(Algorithm::Lillis).solve();
         let b = Solver::new(&tree, &lib).algorithm(Algorithm::LiShi).solve();
-        let tol = 1e-9 * a.slack.picos().abs().max(1.0);
-        prop_assert!((a.slack.picos() - b.slack.picos()).abs() <= tol,
-            "lillis {} vs lishi {}", a.slack, b.slack);
+        prop_assert_eq!(a.slack.value().to_bits(), b.slack.value().to_bits(),
+            "slack: lillis {} vs lishi {}", a.slack, b.slack);
+        prop_assert_eq!(a.root_q.value().to_bits(), b.root_q.value().to_bits(),
+            "root_q: lillis {} vs lishi {}", a.root_q, b.root_q);
+        prop_assert_eq!(a.root_load.value().to_bits(), b.root_load.value().to_bits(),
+            "root load: lillis {} vs lishi {}", a.root_load, b.root_load);
+        prop_assert_eq!(a.placements, b.placements);
     }
 
     /// Predicted slack is always achievable: forward Elmore re-evaluation
