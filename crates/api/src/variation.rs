@@ -88,23 +88,17 @@ pub struct VariationOutcome {
 }
 
 /// Parses a variation file through [`fastbuf_netgen::parse_variation`],
-/// lifting the line-numbered message into the typed
-/// [`SolveError::VariationParse`].
+/// lifting its [`VariationParseError`](fastbuf_netgen::VariationParseError)
+/// into the typed [`SolveError::VariationParse`].
 ///
 /// # Errors
 ///
 /// [`SolveError::VariationParse`] with the 1-based line of the first
 /// problem.
 pub fn parse_variation_spec(text: &str) -> Result<VariationSpec, SolveError> {
-    fastbuf_netgen::parse_variation(text).map_err(|msg| {
-        // netgen formats every error as `line N: <detail>`; recover the
-        // structured pair for the typed surface.
-        let (line, message) = msg
-            .strip_prefix("line ")
-            .and_then(|rest| rest.split_once(": "))
-            .and_then(|(n, detail)| Some((n.parse().ok()?, detail.to_owned())))
-            .unwrap_or((0, msg.clone()));
-        SolveError::VariationParse { line, message }
+    fastbuf_netgen::parse_variation(text).map_err(|e| SolveError::VariationParse {
+        line: e.line,
+        message: e.message,
     })
 }
 
@@ -367,6 +361,11 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        let err = parse_variation_spec("# header\nseed 7\nwire-c uniform 2 1\n").unwrap_err();
+        assert!(
+            matches!(&err, SolveError::VariationParse { line: 3, message } if message == "empty range: 2 > 1"),
+            "{err:?}"
+        );
         assert!(parse_variation_spec("wire-r normal 1 0.1\n").is_ok());
     }
 

@@ -7,13 +7,26 @@
 //! should appear here. Absolute times are not comparable (the paper used a
 //! 400 MHz SPARC; the nets here are synthetic stand-ins).
 //!
+//! The "same slack" column is Theorem 1 in bits: Lillis and Li–Shi agree
+//! on every bit of the slack, root `Q` and root load, and on the
+//! placements.
+//!
 //! Run: `cargo run --release -p fastbuf-bench --bin table1 [--full]`
 
 use fastbuf_bench::{
     fmt_duration, paper_net, print_table, time_solve, HarnessOptions, PAPER_LIB_SIZES, PAPER_SINKS,
 };
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_core::Algorithm;
+use fastbuf_core::{Algorithm, Solution, Solver};
+
+/// The bits of a solution's slack, root `Q` and root load.
+fn root_bits(s: &Solution) -> [u64; 3] {
+    [
+        s.slack.value().to_bits(),
+        s.root_q.value().to_bits(),
+        s.root_load.value().to_bits(),
+    ]
+}
 
 fn main() {
     let opts = HarnessOptions::from_args();
@@ -32,7 +45,13 @@ fn main() {
             let (t_lillis, s_lillis) = time_solve(&tree, &lib, Algorithm::Lillis, opts.repeats);
             let (t_lishi, s_lishi) = time_solve(&tree, &lib, Algorithm::LiShi, opts.repeats);
             let speedup = t_lillis.as_secs_f64() / t_lishi.as_secs_f64();
-            let slack_match = (s_lillis.slack.picos() - s_lishi.slack.picos()).abs() < 1e-6;
+            // Theorem 1 in bits: both timed (untracked) solves pick the
+            // same root candidate, and tracked solves the same placements.
+            let tracked = |algo| Solver::new(&tree, &lib).algorithm(algo).solve();
+            let (p_lillis, p_lishi) = (tracked(Algorithm::Lillis), tracked(Algorithm::LiShi));
+            let slack_match = root_bits(&s_lillis) == root_bits(&s_lishi)
+                && root_bits(&p_lillis) == root_bits(&p_lishi)
+                && p_lillis.placements == p_lishi.placements;
             rows.push(vec![
                 m.to_string(),
                 n.to_string(),

@@ -195,6 +195,18 @@ fn yield_solve_end_to_end() {
     .map(|s| s.to_string())
     .collect();
     assert!(run(&argv).unwrap_err().contains("line 1"));
+    // An error on line 3 keeps its line through the typed parse error, and
+    // the message text is the parser's, word for word.
+    fs::write(&var, "# header\nseed 7\nwire-c normal 1.0 -0.5\n").unwrap();
+    let err = run(&argv).unwrap_err();
+    assert_eq!(
+        err.message,
+        format!(
+            "{}: variation file line 3: sigma must be non-negative, got -0.5",
+            var.display()
+        )
+    );
+    assert_eq!(err.code, 23, "the variation-parse exit code");
 
     fs::remove_dir_all(&dir).ok();
 }

@@ -15,6 +15,8 @@
 use fastbuf_buflib::BufferTypeId;
 use fastbuf_rctree::NodeId;
 
+use crate::solution::Placement;
+
 /// Reference to a [`PredEntry`] in a [`PredArena`] (or
 /// [`PredRef::NONE`] for sink candidates / untracked runs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -164,6 +166,15 @@ impl PredArena {
         }
         out.sort_by_key(|&(n, b)| (n, b));
         out
+    }
+
+    /// [`PredArena::collect_placements`] as [`Placement`]s (none for an
+    /// untracked solve, whose references are all [`PredRef::NONE`]).
+    pub(crate) fn placements(&self, root: PredRef) -> Vec<Placement> {
+        self.collect_placements(root)
+            .into_iter()
+            .map(Placement::from)
+            .collect()
     }
 }
 

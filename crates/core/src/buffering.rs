@@ -25,8 +25,9 @@ use fastbuf_rctree::{NodeId, SiteConstraint, SiteVariation};
 
 use crate::arena::{PredArena, PredEntry, PredRef};
 use crate::candidate::Candidate;
+use crate::engine::Dp;
 use crate::hull::upper_hull_cols;
-use crate::slab::{BetaStage, CandidateSlab, SlabList, SlabView};
+use crate::slab::{BetaStage, Passenger, SlabList, SlabView};
 use crate::slew::SlewPolicy;
 use crate::stats::SolveStats;
 
@@ -105,12 +106,50 @@ impl std::fmt::Display for Algorithm {
 /// Reusable scratch buffers so `AddBuffer` performs no per-node allocation
 /// after warm-up.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch {
+pub(crate) struct Scratch<P: Passenger = ()> {
     hull: Vec<u32>,
-    /// Best buffered candidate per library type index, or `None`.
-    pub(crate) beta_slots: Vec<Option<Candidate>>,
+    /// Best buffered candidate (and its passenger row) per library type
+    /// index, or `None`.
+    pub(crate) beta_slots: Vec<Option<(Candidate, P::Row)>>,
     /// Column staging for the betas before they are merged into a list.
-    pub(crate) stage: BetaStage,
+    pub(crate) stage: BetaStage<P>,
+}
+
+impl<P: Passenger> Scratch<P> {
+    /// Stages the betas [`find_betas`] left for the types `ids`, in that
+    /// order, as one group, unions the group into target list `t` and
+    /// returns how many betas the group took.
+    pub(crate) fn route(&mut self, ids: &[BufferTypeId], t: usize) -> u64 {
+        let mut taken = 0;
+        for &id in ids {
+            if let Some((beta, x)) = self.beta_slots[id.index()].take() {
+                self.stage.group.push_pruned(beta, x);
+                taken += 1;
+            }
+        }
+        self.stage.flush_group(t);
+        taken
+    }
+}
+
+/// One buffer site as `AddBuffer` sees it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Site<'a> {
+    pub(crate) algo: Algorithm,
+    pub(crate) lib: &'a BufferLibrary,
+    pub(crate) constraint: &'a SiteConstraint,
+    pub(crate) node: NodeId,
+    pub(crate) variation: SiteVariation,
+    /// The node's usage price in seconds (zero when unpriced): every
+    /// buffered candidate `β_i` pays it as extra intrinsic delay, which
+    /// keeps the priced subproblem exact — the α selection maximizes
+    /// `Q − R·C` and a constant subtraction from every `β_i` at one node
+    /// changes neither the argmax nor the hull-walk order (Lemmas 1/4).
+    /// Subtracting `0.0` is bit-exact, so unpriced solves reproduce the
+    /// historical values.
+    pub(crate) price: f64,
+    pub(crate) track: bool,
+    pub(crate) slew: &'a SlewPolicy,
 }
 
 /// Per-buffer-type parameters hoisted out of the walk loops, with the
@@ -137,61 +176,24 @@ pub(crate) fn params(
     )
 }
 
-/// Runs the `AddBuffer` operation for `algo` on `list` at `node`: finds
-/// every `β_i` (see [`find_betas`]), stages them in non-decreasing
-/// input-capacitance order (precomputed on the library — Theorem 2),
-/// pruning betas dominated among themselves, and merges them into the list
-/// with [`CandidateSlab::merge_insert`].
-///
-/// `price` is the node's usage price in seconds (zero when unpriced): every
-/// buffered candidate `β_i` pays it as extra intrinsic delay, which keeps
-/// the priced subproblem exact — the α selection maximizes `Q − R·C` and a
-/// constant subtraction from every `β_i` at one node changes neither the
-/// argmax nor the hull-walk order (Lemmas 1/4). Subtracting `0.0` is
-/// bit-exact, so unpriced solves reproduce the historical values.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn add_buffers(
-    algo: Algorithm,
-    slab: &mut CandidateSlab,
-    list: SlabList,
-    lib: &BufferLibrary,
-    constraint: &SiteConstraint,
-    node: NodeId,
-    variation: SiteVariation,
-    price: f64,
-    arena: &mut PredArena,
-    track: bool,
-    scratch: &mut Scratch,
-    slew: &SlewPolicy,
-    stats: &mut SolveStats,
-) {
-    if !find_betas(
-        algo,
-        slab,
-        list,
-        lib,
-        constraint,
-        node,
-        variation,
-        price,
-        arena,
-        track,
-        scratch,
-        slew,
-        stats,
-        |_| true,
-    ) {
+/// Runs the `AddBuffer` operation on `list` at `site`: finds every `β_i`
+/// (see [`find_betas`]), stages them in non-decreasing input-capacitance
+/// order (precomputed on the library — Theorem 2), pruning betas
+/// dominated among themselves, and merges them into the list with
+/// [`CandidateSlab::merge_insert`].
+pub(crate) fn add_buffers<P: Passenger>(site: &Site<'_>, dp: &mut Dp<'_, P>, list: SlabList) {
+    if !find_betas(site, dp, list, |_| true) {
         return;
     }
-    let betas = &mut scratch.stage.group;
+    let betas = &mut dp.scratch.stage.group;
     betas.clear();
-    for &id in lib.by_input_cap_asc() {
-        if let Some(beta) = scratch.beta_slots[id.index()].take() {
-            betas.push_pruned(beta);
+    for &id in site.lib.by_input_cap_asc() {
+        if let Some((beta, x)) = dp.scratch.beta_slots[id.index()].take() {
+            betas.push_pruned(beta, x);
         }
     }
-    stats.betas_generated += betas.len() as u64;
-    slab.merge_insert(list, betas);
+    dp.stats.betas_generated += betas.len() as u64;
+    dp.slab.merge_insert(list, betas);
 }
 
 /// Computes the best buffered candidate `β_i` for every allowed type into
@@ -208,106 +210,45 @@ pub(crate) fn add_buffers(
 /// Only types for which `fits` holds get a β (and, when tracking, an arena
 /// entry); the hull walk still steps through every allowed type in Lemma 1
 /// order, so the β of a fitting type is the same bits either way. The cost
-/// DP passes its remaining budget here; every other caller passes
+/// lane passes its remaining budget here; every other caller passes
 /// `|_| true`, which monomorphizes the check away.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn find_betas(
-    algo: Algorithm,
-    slab: &mut CandidateSlab,
+pub(crate) fn find_betas<P: Passenger>(
+    site: &Site<'_>,
+    dp: &mut Dp<'_, P>,
     list: SlabList,
-    lib: &BufferLibrary,
-    constraint: &SiteConstraint,
-    node: NodeId,
-    variation: SiteVariation,
-    price: f64,
-    arena: &mut PredArena,
-    track: bool,
-    scratch: &mut Scratch,
-    slew: &SlewPolicy,
-    stats: &mut SolveStats,
     fits: impl Fn(BufferTypeId) -> bool + Copy,
 ) -> bool {
-    if slab.len(list) == 0 || lib.is_empty() || !constraint.is_site() {
+    let Dp {
+        slab,
+        arena,
+        scratch,
+        stats,
+    } = dp;
+    if slab.len(list) == 0 || site.lib.is_empty() || !site.constraint.is_site() {
         return false;
     }
     stats.addbuffer_ops += 1;
+    stats.addbuffer_candidates += slab.len(list) as u64;
     scratch.beta_slots.clear();
-    scratch.beta_slots.resize(lib.len(), None);
+    scratch.beta_slots.resize(site.lib.len(), None);
 
-    match algo {
-        Algorithm::Lillis => {
-            find_alphas_scan(
-                slab.view(list),
-                lib,
-                constraint,
-                node,
-                variation,
-                price,
-                arena,
-                track,
-                scratch,
-                slew,
-                stats,
-                fits,
-            );
-        }
-        Algorithm::LiShi => {
-            if slew.active() {
-                find_alphas_scan(
-                    slab.view(list),
-                    lib,
-                    constraint,
-                    node,
-                    variation,
-                    price,
-                    arena,
-                    track,
-                    scratch,
-                    slew,
-                    stats,
-                    fits,
-                );
-            } else {
-                let view = slab.view(list);
-                upper_hull_cols(view.q, view.c, &mut scratch.hull);
-                stats.hull_builds += 1;
-                stats.hull_input_candidates += view.len() as u64;
-                find_alphas_walk(
-                    view, lib, constraint, node, variation, price, arena, track, scratch, stats,
-                    fits,
-                );
-            }
-        }
-        Algorithm::LiShiPermanent => {
-            stats.convex_pruned += slab.convex_prune(list) as u64;
-            if slew.active() {
-                find_alphas_scan(
-                    slab.view(list),
-                    lib,
-                    constraint,
-                    node,
-                    variation,
-                    price,
-                    arena,
-                    track,
-                    scratch,
-                    slew,
-                    stats,
-                    fits,
-                );
-            } else {
-                let view = slab.view(list);
-                stats.hull_builds += 1;
-                stats.hull_input_candidates += view.len() as u64;
-                scratch.hull.clear();
-                scratch.hull.extend(0..view.len() as u32);
-                find_alphas_walk(
-                    view, lib, constraint, node, variation, price, arena, track, scratch, stats,
-                    fits,
-                );
-            }
-        }
+    if site.algo == Algorithm::LiShiPermanent {
+        stats.convex_pruned += slab.convex_prune(list) as u64;
     }
+    let view = slab.view(list);
+    if site.algo == Algorithm::Lillis || site.slew.active() {
+        find_alphas_scan(site, view, arena, scratch, stats, fits);
+        return true;
+    }
+    if site.algo == Algorithm::LiShi {
+        upper_hull_cols(view.q, view.c, &mut scratch.hull);
+    } else {
+        scratch.hull.clear();
+        scratch.hull.extend(0..view.len() as u32);
+    }
+    stats.hull_builds += 1;
+    stats.hull_input_candidates += view.len() as u64;
+    find_alphas_walk(site, view, arena, scratch, stats, fits);
     true
 }
 
@@ -316,55 +257,53 @@ pub(crate) fn find_betas(
 /// the per-type feasibility filter `R·C + s ≤ budget` rules out the hull
 /// walk. The scans are independent, so a type that does not `fit` is not
 /// scanned at all.
-#[allow(clippy::too_many_arguments)]
-fn find_alphas_scan(
-    view: SlabView<'_>,
-    lib: &BufferLibrary,
-    constraint: &SiteConstraint,
-    node: NodeId,
-    variation: SiteVariation,
-    price: f64,
+fn find_alphas_scan<P: Passenger>(
+    site: &Site<'_>,
+    view: SlabView<'_, P>,
     arena: &mut PredArena,
-    track: bool,
-    scratch: &mut Scratch,
-    slew: &SlewPolicy,
+    scratch: &mut Scratch<P>,
     stats: &mut SolveStats,
     fits: impl Fn(BufferTypeId) -> bool,
 ) {
-    let n = view.len();
-    let (qs, cs, ss) = (&view.q[..n], &view.c[..n], &view.s[..n]);
-    for (id, _) in lib.iter() {
-        if !constraint.allows(id) || !fits(id) {
+    for (id, _) in site.lib.iter() {
+        if !site.constraint.allows(id) || !fits(id) {
             continue;
         }
-        let (r, k, c_in, max_load) = params(lib, id, variation);
-        let slew_cap = slew.type_cap(id);
-        let mut best: Option<usize> = None;
-        let mut visits = 0u64;
-        for i in 0..n {
-            visits += 1;
-            if cs[i] > max_load {
-                break; // c is sorted ascending; nothing further fits
-            }
-            if r * cs[i] + ss[i] > slew_cap {
-                continue; // closing this stage with B_i would violate slew
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    if qs[i] - r * cs[i] > qs[b] - r * cs[b] {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        stats.scan_candidate_visits += visits;
-        if let Some(i) = best {
-            let alpha = view.get(i);
-            scratch.beta_slots[id.index()] =
-                Some(make_beta(&alpha, id, r, k, c_in, price, node, arena, track));
+        let (r, k, c_in, max_load) = params(site.lib, id, site.variation);
+        if let Some(i) = scan_type(&view, r, max_load, site.slew.type_cap(id), stats) {
+            scratch.beta_slots[id.index()] = Some(make_beta(site, &view, i, id, r, k, c_in, arena));
         }
     }
+}
+
+/// One type's exact scan: the candidate maximizing `Q − r·C` (ties to
+/// minimum `C`) among those within `max_load` whose stage `r·C + s` meets
+/// `slew_cap`, or `None`. Every visited candidate counts as a scan visit.
+fn scan_type<P: Passenger>(
+    view: &SlabView<'_, P>,
+    r: f64,
+    max_load: f64,
+    slew_cap: f64,
+    stats: &mut SolveStats,
+) -> Option<usize> {
+    let n = view.len();
+    let (qs, cs, ss) = (&view.q[..n], &view.c[..n], &view.s[..n]);
+    let mut best: Option<usize> = None;
+    let mut visits = 0u64;
+    for i in 0..n {
+        visits += 1;
+        if cs[i] > max_load {
+            break; // c is sorted ascending; nothing further fits
+        }
+        if r * cs[i] + ss[i] > slew_cap {
+            continue; // closing this stage with B_i would violate slew
+        }
+        if best.is_none_or(|b| qs[i] - r * cs[i] > qs[b] - r * cs[b]) {
+            best = Some(i);
+        }
+    }
+    stats.scan_candidate_visits += visits;
+    best
 }
 
 /// Li & Shi: one monotone walk along the hull finds every unconstrained
@@ -374,17 +313,11 @@ fn find_alphas_scan(
 /// still advances the walk pointer (the walk's stopping point can depend on
 /// where it starts), but gets no β; its load-limited scan, which leaves the
 /// pointer alone, is skipped.
-#[allow(clippy::too_many_arguments)]
-fn find_alphas_walk(
-    view: SlabView<'_>,
-    lib: &BufferLibrary,
-    constraint: &SiteConstraint,
-    node: NodeId,
-    variation: SiteVariation,
-    price: f64,
+fn find_alphas_walk<P: Passenger>(
+    site: &Site<'_>,
+    view: SlabView<'_, P>,
     arena: &mut PredArena,
-    track: bool,
-    scratch: &mut Scratch,
+    scratch: &mut Scratch<P>,
     stats: &mut SolveStats,
     fits: impl Fn(BufferTypeId) -> bool,
 ) {
@@ -396,28 +329,19 @@ fn find_alphas_walk(
     let (qs, cs) = (&view.q[..n], &view.c[..n]);
     let mut ptr = 0usize;
     let mut walk_steps = 0u64;
-    for &id in lib.by_resistance_desc() {
-        if !constraint.allows(id) {
+    for &id in site.lib.by_resistance_desc() {
+        if !site.constraint.allows(id) {
             continue;
         }
-        let (r, k, c_in, max_load) = params(lib, id, variation);
+        let (r, k, c_in, max_load) = params(site.lib, id, site.variation);
         let alpha = if max_load.is_finite() {
             if !fits(id) {
                 continue;
             }
-            // Exact constrained scan (rare path).
-            let mut best: Option<usize> = None;
-            for i in 0..n {
-                stats.scan_candidate_visits += 1;
-                if cs[i] > max_load {
-                    break;
-                }
-                if best.is_none_or(|b| qs[i] - r * cs[i] > qs[b] - r * cs[b]) {
-                    best = Some(i);
-                }
-            }
-            match best {
-                Some(i) => view.get(i),
+            // Exact constrained scan (rare path; the walk runs only
+            // without a slew limit).
+            match scan_type(&view, r, max_load, f64::INFINITY, stats) {
+                Some(i) => i,
                 None => continue, // no candidate satisfies the load limit
             }
         } else {
@@ -444,46 +368,50 @@ fn find_alphas_walk(
             if !fits(id) {
                 continue;
             }
-            view.get(hull[ptr] as usize)
+            hull[ptr] as usize
         };
-        beta_slots[id.index()] = Some(make_beta(&alpha, id, r, k, c_in, price, node, arena, track));
+        beta_slots[id.index()] = Some(make_beta(site, &view, alpha, id, r, k, c_in, arena));
     }
     stats.hull_walk_steps += walk_steps;
 }
 
-/// Builds `β_i` from its best candidate `α_i`. The node's usage `price`
-/// is charged like extra intrinsic delay; `x − 0.0` is bit-exact for every
-/// finite `x`, so unpriced solves are unchanged.
+/// Builds `β_i` (and its passenger row) from its best candidate `α_i`,
+/// row `i` of `view`. The site's usage price is charged like extra
+/// intrinsic delay; `x − 0.0` is bit-exact for every finite `x`, so
+/// unpriced solves are unchanged.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn make_beta(
-    alpha: &Candidate,
+fn make_beta<P: Passenger>(
+    site: &Site<'_>,
+    view: &SlabView<'_, P>,
+    i: usize,
     id: BufferTypeId,
     r: f64,
     k: f64,
     c_in: f64,
-    price: f64,
-    node: NodeId,
     arena: &mut PredArena,
-    track: bool,
-) -> Candidate {
-    let pred = if track {
+) -> (Candidate, P::Row) {
+    let alpha = view.get(i);
+    let pred = if site.track {
         arena.push(PredEntry::Buffer {
-            node,
+            node: site.node,
             buffer: id,
             prev: alpha.pred,
         })
     } else {
         PredRef::NONE
     };
-    Candidate::new(alpha.driven_q(r, k) - price, c_in, pred)
+    (
+        Candidate::new(alpha.driven_q(r, k) - site.price, c_in, pred),
+        P::buffer(view.row(i), k + r * alpha.c),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::{self, CandidateList};
-    use crate::slab::Columns;
+    use crate::slab::{CandidateSlab, Columns};
     use fastbuf_buflib::units::{Farads, Ohms, Seconds};
     use fastbuf_buflib::{BufferSet, BufferType};
     use fastbuf_rctree::delay::ElmoreModel;
@@ -567,7 +495,7 @@ mod tests {
                     &mut oracle_stats,
                 );
 
-                let mut slab = CandidateSlab::default();
+                let mut slab: CandidateSlab = CandidateSlab::default();
                 let mut cols = Columns::default();
                 for x in &list {
                     cols.push(x.q, x.c, x.s, x.pred);
@@ -575,21 +503,23 @@ mod tests {
                 let h = slab.load(&cols);
                 let mut arena = PredArena::new();
                 let mut stats = SolveStats::default();
-                add_buffers(
+                let site = Site {
                     algo,
-                    &mut slab,
-                    h,
-                    &lib,
-                    &constraint,
+                    lib: &lib,
+                    constraint: &constraint,
                     node,
                     variation,
                     price,
-                    &mut arena,
-                    true,
-                    &mut Scratch::default(),
-                    &slew,
-                    &mut stats,
-                );
+                    track: true,
+                    slew: &slew,
+                };
+                let dp = &mut Dp {
+                    slab: &mut slab,
+                    arena: &mut arena,
+                    scratch: &mut Scratch::default(),
+                    stats: &mut stats,
+                };
+                add_buffers(&site, dp, h);
                 let view = slab.view(h);
                 let got: Vec<Candidate> = (0..view.len()).map(|i| view.get(i)).collect();
                 let lanes = |v: &[Candidate]| -> Vec<(u64, u64, u64, PredRef)> {
@@ -602,6 +532,7 @@ mod tests {
                 let counters = |s: &SolveStats| {
                     [
                         s.addbuffer_ops,
+                        s.addbuffer_candidates,
                         s.scan_candidate_visits,
                         s.hull_builds,
                         s.hull_input_candidates,

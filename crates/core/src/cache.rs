@@ -64,7 +64,7 @@ use fastbuf_rctree::{NodeId, RoutingTree};
 
 use crate::arena::PredArena;
 use crate::engine::SolverOptions;
-use crate::slab::Columns;
+use crate::slab::{Columns, Passenger};
 
 /// The solve configuration a cache's contents were computed under.
 ///
@@ -138,13 +138,13 @@ pub(crate) enum Snapshot {
 
 /// The cache state one cached solve borrows: the per-node lists and dirty
 /// bits, plus the footprint roles, decided once per solve.
-pub(crate) struct CacheView<'a> {
-    lists: &'a mut [Option<Columns>],
+pub(crate) struct CacheView<'a, P: Passenger = ()> {
+    lists: &'a mut [Option<Columns<P>>],
     dirty: &'a mut [bool],
     roles: Option<&'a [Snapshot]>,
 }
 
-impl CacheView<'_> {
+impl<P: Passenger> CacheView<'_, P> {
     /// `true` when `node`'s subtree is reused rather than recomputed.
     #[inline]
     pub(crate) fn is_clean(&self, node: NodeId) -> bool {
@@ -153,7 +153,7 @@ impl CacheView<'_> {
 
     /// The cached list of a clean node that a recomputed parent merges.
     #[inline]
-    pub(crate) fn cached(&self, node: NodeId) -> &Columns {
+    pub(crate) fn cached(&self, node: NodeId) -> &Columns<P> {
         self.lists[node.index()]
             .as_ref()
             .expect("clean children are always cached")
@@ -163,7 +163,7 @@ impl CacheView<'_> {
     /// must be stored into (the node's previous snapshot, whose
     /// allocation is reused), or `None` when its role says not to store it.
     #[inline]
-    pub(crate) fn finish(&mut self, node: NodeId) -> Option<&mut Columns> {
+    pub(crate) fn finish(&mut self, node: NodeId) -> Option<&mut Columns<P>> {
         let i = node.index();
         match self.roles.map_or(Snapshot::Store, |roles| roles[i]) {
             Snapshot::Store => {

@@ -51,14 +51,12 @@ use std::time::Instant;
 
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::{BufferLibrary, BufferTypeId};
-use fastbuf_rctree::{NodeKind, RoutingTree};
-
-use fastbuf_rctree::delay::ElmoreModel;
+use fastbuf_rctree::{NodeId, RoutingTree};
 
 use crate::arena::PredArena;
-use crate::buffering::{find_betas, Algorithm, Scratch};
+use crate::buffering::{find_betas, Algorithm};
+use crate::engine::{run_lane, Dp, Lane, LaneRun, SlabCtx};
 use crate::slab::{CandidateSlab, SlabList};
-use crate::slew::SlewPolicy;
 use crate::solution::Placement;
 use crate::stats::SolveStats;
 
@@ -197,142 +195,33 @@ impl<'a> CostSolver<'a> {
             .count()
             .saturating_mul(costs.iter().copied().max().unwrap_or(0));
         let w_max = (self.max_cost as usize).min(reachable);
-        let cheapest = costs.iter().copied().min().unwrap_or(0);
 
-        // Buffer types grouped by cost, each group in input-capacitance
-        // order: one group's betas from one level share a target level.
-        let mut cost_groups: Vec<(usize, Vec<BufferTypeId>)> = Vec::new();
+        let mut groups: Vec<(usize, Vec<BufferTypeId>)> = Vec::new();
         for &id in lib.by_input_cap_asc() {
             let cost = costs[id.index()];
-            match cost_groups.iter_mut().find(|(c, _)| *c == cost) {
+            match groups.iter_mut().find(|(c, _)| *c == cost) {
                 Some((_, ids)) => ids.push(id),
-                None => cost_groups.push((cost, vec![id])),
+                None => groups.push((cost, vec![id])),
             }
         }
 
-        let prices = self.site_prices.as_deref();
-        let mut stats = SolveStats::default();
-        let mut arena = PredArena::new();
-        let mut scratch = Scratch::default();
-        let mut slab = CandidateSlab::default();
-        // Per node, one slab handle per cost level; `None` is an empty
-        // level (most levels are), so no columns are allocated for them.
-        let mut levels: Vec<Option<Vec<Option<SlabList>>>> = vec![None; tree.node_count()];
-
-        for &node in tree.postorder() {
-            let node_levels = match tree.kind(node) {
-                NodeKind::Sink {
-                    capacitance,
-                    required_arrival,
-                } => {
-                    let mut lv: Vec<Option<SlabList>> = vec![None; w_max + 1];
-                    lv[0] = Some(slab.sink(required_arrival.value(), capacitance.value()));
-                    lv
-                }
-                NodeKind::Internal | NodeKind::Source { .. } => {
-                    let mut acc: Option<Vec<Option<SlabList>>> = None;
-                    for &child in tree.children(node) {
-                        let cl = levels[child.index()]
-                            .take()
-                            .expect("post-order guarantees children are done");
-                        let wire = tree.wire_to_parent(child).expect("child wire");
-                        let (r, cw) = (wire.resistance().value(), wire.capacitance().value());
-                        for level in cl.iter().copied().flatten() {
-                            slab.add_wire(level, &ElmoreModel, r, cw, &mut stats);
-                            stats.wire_ops += 1;
-                        }
-                        acc = Some(match acc {
-                            None => cl,
-                            Some(prev) => {
-                                stats.merge_ops += 1;
-                                merge_levels(&mut slab, prev, cl, &mut arena, &mut stats)
-                            }
-                        });
-                    }
-                    let mut lv = acc.expect("internal nodes have children");
-                    if tree.is_buffer_site(node) && !lib.is_empty() {
-                        // Snapshot betas from every level first, then insert,
-                        // so a single node never hosts two buffers. Level `w`'s
-                        // betas of one cost form a c-sorted group bound for
-                        // level `w + cost`; each target unions its groups in
-                        // source-level order.
-                        scratch.stage.reset_targets(w_max + 1);
-                        for (w, level) in lv.iter().enumerate() {
-                            let Some(level) = *level else { continue };
-                            if w + cheapest > w_max {
-                                // No type fits the budget from here up:
-                                // skip the hull and the walk. LiShiPermanent's
-                                // AddBuffer still replaces the list by its
-                                // convex hull, betas or not.
-                                if self.algorithm == Algorithm::LiShiPermanent {
-                                    stats.convex_pruned += slab.convex_prune(level) as u64;
-                                }
-                                continue;
-                            }
-                            // The cost DP stays slew-unconstrained; pair it
-                            // with `Solver::slew_limit` if both axes are
-                            // needed (see docs/ALGORITHM.md).
-                            if !find_betas(
-                                self.algorithm,
-                                &mut slab,
-                                level,
-                                lib,
-                                tree.site_constraint(node),
-                                node,
-                                tree.site_variation(node),
-                                prices.map_or(0.0, |p| p.get(node.index()).copied().unwrap_or(0.0)),
-                                &mut arena,
-                                true,
-                                &mut scratch,
-                                &SlewPolicy::unlimited(),
-                                &mut stats,
-                                |id| w + costs[id.index()] <= w_max,
-                            ) {
-                                continue;
-                            }
-                            for (cost, ids) in &cost_groups {
-                                let target = w + cost;
-                                if target > w_max {
-                                    continue; // these types got no beta
-                                }
-                                for &id in ids {
-                                    if let Some(beta) = scratch.beta_slots[id.index()].take() {
-                                        scratch.stage.group.push_pruned(beta);
-                                        stats.betas_generated += 1;
-                                    }
-                                }
-                                scratch.stage.flush_group(target);
-                            }
-                        }
-                        for (w, betas) in scratch.stage.targets.iter().enumerate() {
-                            if betas.is_empty() {
-                                continue;
-                            }
-                            match lv[w] {
-                                Some(list) => slab.merge_insert(list, betas),
-                                None => lv[w] = Some(slab.load_betas(betas)),
-                            }
-                        }
-                        prune_levels(&mut slab, &mut lv, &mut stats);
-                    }
-                    lv
-                }
-            };
-            for level in node_levels.iter().copied().flatten() {
-                stats.max_list_len = stats.max_list_len.max(slab.len(level));
-            }
-            levels[node.index()] = Some(node_levels);
-        }
-
-        let root_levels = levels[tree.root().index()].take().expect("root processed");
-        let driver = tree.driver();
-        let (dr, dk) = (
-            driver.resistance().value(),
-            driver.intrinsic_delay().value(),
-        );
+        let lane = &mut CostLane {
+            w_max,
+            cheapest: costs.iter().copied().min().unwrap_or(0),
+            costs,
+            groups,
+        };
+        let ctx = SlabCtx::elmore(tree, lib, self.algorithm, true, self.site_prices.as_deref());
+        let LaneRun {
+            slab,
+            arena,
+            mut stats,
+            root,
+        } = run_lane(&ctx, lane);
+        let (dr, dk) = ctx.driver();
         let mut points = Vec::new();
         let mut best = f64::NEG_INFINITY;
-        for (w, level) in root_levels.iter().enumerate() {
+        for (w, level) in root.iter().enumerate() {
             let Some(level) = *level else { continue };
             stats.root_list_len = stats.root_list_len.max(slab.len(level));
             if let Some(i) = slab.best_driven(level, dr, dk) {
@@ -343,19 +232,89 @@ impl<'a> CostSolver<'a> {
                     points.push(FrontierPoint {
                         cost: w as u32,
                         slack: Seconds::new(slack),
-                        placements: arena
-                            .collect_placements(cand.pred)
-                            .into_iter()
-                            .map(Into::into)
-                            .collect(),
+                        placements: arena.placements(cand.pred),
                     });
                 }
             }
         }
-        stats.arena_entries = arena.len();
-        stats.slab_bytes_peak = slab.peak_bytes();
         stats.elapsed = start.elapsed();
         Ok(CostFrontier { points, stats })
+    }
+}
+
+/// The cost lane: one list per cost level `0..=w_max` at every node
+/// (`None` for an empty level, which most are).
+struct CostLane {
+    w_max: usize,
+    /// Integer cost per library type.
+    costs: Vec<usize>,
+    cheapest: usize,
+    /// Types grouped by cost, groups in order of first appearance in
+    /// input-capacitance order and each group in that order: one group's
+    /// betas from one level share a target level.
+    groups: Vec<(usize, Vec<BufferTypeId>)>,
+}
+
+impl Lane for CostLane {
+    type P = ();
+    type Set = Vec<Option<SlabList>>;
+
+    fn sink(&self, slab: &mut CandidateSlab, _: NodeId, q: f64, c: f64) -> Self::Set {
+        let mut levels = vec![None; self.w_max + 1];
+        levels[0] = Some(slab.sink(q, c));
+        levels
+    }
+
+    fn each_list(set: &Self::Set, f: impl FnMut(SlabList)) {
+        set.iter().flatten().copied().for_each(f);
+    }
+
+    fn merge(
+        &self,
+        ctx: &SlabCtx<'_>,
+        dp: &mut Dp<'_, ()>,
+        a: Self::Set,
+        b: Self::Set,
+    ) -> Self::Set {
+        merge_levels(dp.slab, a, b, dp.arena, ctx.track, dp.stats)
+    }
+
+    /// Betas from every level first, then inserted, so a single node never
+    /// hosts two buffers. Level `w`'s betas of one cost form a c-sorted
+    /// group bound for level `w + cost`; each target unions its groups in
+    /// source-level order.
+    fn add_buffers(
+        &self,
+        ctx: &SlabCtx<'_>,
+        dp: &mut Dp<'_, ()>,
+        set: &mut Self::Set,
+        node: NodeId,
+    ) {
+        let (site, w_max) = (ctx.site(node), self.w_max);
+        dp.scratch.stage.reset_targets(w_max + 1);
+        for (w, level) in set.iter().enumerate() {
+            let Some(level) = *level else { continue };
+            if w + self.cheapest > w_max {
+                // No type fits the budget from here up: skip the hull and
+                // the walk. LiShiPermanent's AddBuffer still replaces the
+                // list by its convex hull, betas or not.
+                if site.algo == Algorithm::LiShiPermanent {
+                    dp.stats.convex_pruned += dp.slab.convex_prune(level) as u64;
+                }
+                continue;
+            }
+            let fits = |id: BufferTypeId| w + self.costs[id.index()] <= w_max;
+            if !find_betas(&site, dp, level, fits) {
+                continue;
+            }
+            for (cost, ids) in &self.groups {
+                if w + cost <= w_max {
+                    dp.stats.betas_generated += dp.scratch.route(ids, w + cost);
+                }
+            }
+        }
+        dp.slab.insert_targets(set, &dp.scratch.stage.targets);
+        prune_levels(dp.slab, set, dp.stats);
     }
 }
 
@@ -370,6 +329,7 @@ fn merge_levels(
     left: Vec<Option<SlabList>>,
     right: Vec<Option<SlabList>>,
     arena: &mut PredArena,
+    track: bool,
     stats: &mut SolveStats,
 ) -> Vec<Option<SlabList>> {
     let w_max = left.len() - 1;
@@ -381,7 +341,7 @@ fn merge_levels(
                 continue;
             }
             let Some(r) = *r else { continue };
-            let merged = slab.merge_keep(l, r, arena, true, stats);
+            let merged = slab.merge_keep(l, r, arena, track, stats);
             match out[w1 + w2] {
                 None => out[w1 + w2] = Some(merged),
                 Some(dst) => {

@@ -7,6 +7,11 @@
 //! [`crate::buffering`]). This mirrors the paper's decomposition into
 //! "three major operations" and guarantees that runtime differences between
 //! [`Algorithm`]s measure exactly the operation the paper improves.
+//!
+//! Every objective runs that one pass, [`process_nodes`], as a [`Lane`]:
+//! max-slack ([`Solver`]), skew, polarity and cost differ only in how
+//! many lists a node keeps, how siblings merge, where each β goes, and
+//! which passenger columns ride the slab.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,9 +22,9 @@ use fastbuf_rctree::delay::{DelayModel, ElmoreModel};
 use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
 
 use crate::arena::PredArena;
-use crate::buffering::{add_buffers, Algorithm, Scratch};
+use crate::buffering::{add_buffers, Algorithm, Scratch, Site};
 use crate::cache::{CacheFingerprint, CacheView, SubtreeCache};
-use crate::slab::{CandidateSlab, Columns, SlabList};
+use crate::slab::{CandidateSlab, Columns, Passenger, SlabList};
 use crate::slew::SlewPolicy;
 use crate::solution::Solution;
 use crate::stats::SolveStats;
@@ -304,14 +309,14 @@ impl<'a> Solver<'a> {
         self.solve_impl(workspace, Some(cache))
     }
 
-    /// The DP loop: a bottom-up pass over the tree on the
-    /// struct-of-arrays [`CandidateSlab`], after the optional intra-net
-    /// parallel phase. With `cache = None` the workspace arena is cleared
-    /// and every node is solved; with a cache, clean nodes are skipped,
-    /// their lists loaded from the cache at the parent's merge, recomputed
-    /// lists stored back as the footprint roles say, and the *cache's*
-    /// arena used append-only so cached `PredRef`s stay valid across
-    /// solves.
+    /// The max-slack solve: a bottom-up pass of the one-list lane
+    /// ([`OneList`]) over the struct-of-arrays [`CandidateSlab`], after the
+    /// optional intra-net parallel phase. With `cache = None` the
+    /// workspace arena is cleared and every node is solved; with a cache,
+    /// clean nodes are skipped, their lists loaded from the cache at the
+    /// parent's merge, recomputed lists stored back as the footprint roles
+    /// say, and the *cache's* arena used append-only so cached `PredRef`s
+    /// stay valid across solves.
     fn solve_impl(
         &self,
         workspace: &mut SolveWorkspace,
@@ -319,12 +324,10 @@ impl<'a> Solver<'a> {
     ) -> Solution {
         let start = Instant::now();
         let tree = self.tree;
-        let lib = self.library;
         let track = self.options.track_predecessors;
-        let algo = self.options.algorithm;
         let model: &dyn DelayModel = &*self.options.delay_model;
         let limit = self.options.slew_limit.map_or(f64::INFINITY, |s| s.value());
-        let slew = SlewPolicy::new(model, lib, limit);
+        let slew = SlewPolicy::new(model, self.library, limit);
 
         let mut stats = SolveStats::default();
         let SolveWorkspace {
@@ -333,7 +336,7 @@ impl<'a> Solver<'a> {
             slab,
             lists,
         } = workspace;
-        let (mut cache_state, arena) = match cache {
+        let (cache, arena) = match cache {
             Some(c) => {
                 let (view, cache_arena) = c.parts_mut();
                 (Some(view), cache_arena)
@@ -346,12 +349,11 @@ impl<'a> Solver<'a> {
         slab.reset();
         lists.clear();
         lists.resize(tree.node_count(), None);
-        let mut recomputed = 0u64;
 
         let ctx = SlabCtx {
             tree,
-            lib,
-            algo,
+            lib: self.library,
+            algo: self.options.algorithm,
             track,
             model,
             slew: &slew,
@@ -363,102 +365,49 @@ impl<'a> Solver<'a> {
         // solves recompute sparse root paths with no subtree fan-out worth
         // forking for.
         let workers = self.options.intra_net_workers;
-        let covered: Option<Vec<bool>> = if workers > 1 && cache_state.is_none() {
+        let covered: Option<Vec<bool>> = if workers > 1 && cache.is_none() {
             solve_subtrees_parallel(&ctx, workers, slab, lists, arena, &mut stats)
         } else {
             None
         };
 
-        process_nodes(
-            &ctx,
-            tree.postorder(),
-            covered.as_deref(),
-            cache_state.as_mut(),
-            &mut recomputed,
+        let mut lane = OneList {
+            covered: covered.as_deref(),
+            cache,
+            ..OneList::new(f64::INFINITY)
+        };
+        let dp = &mut Dp {
             slab,
-            lists,
             arena,
             scratch,
-            &mut stats,
-        );
+            stats: &mut stats,
+        };
+        process_nodes(&ctx, &mut lane, tree.postorder(), lists, dp);
 
         let root_handle = match lists[tree.root().index()].take() {
             Some(handle) => handle,
-            None => {
-                // Every node was clean (a re-solve with no edits): the root
-                // list comes straight from the cache.
-                slab.load(
-                    cache_state
-                        .as_ref()
-                        .expect("the root is only skipped in cached mode")
-                        .cached(tree.root()),
-                )
-            }
+            // Every node was clean (a re-solve with no edits): the root
+            // list comes straight from the cache.
+            None => lane.reload(slab, tree.root()),
         };
-        if cache_state.is_some() {
-            stats.nodes_recomputed = recomputed;
-            stats.nodes_reused = tree.node_count() as u64 - recomputed;
+        if lane.cache.is_some() {
+            stats.nodes_recomputed = lane.recomputed;
+            stats.nodes_reused = tree.node_count() as u64 - lane.recomputed;
         }
         stats.root_list_len = slab.len(root_handle);
-        let driver = tree.driver();
-        let (dr, dk) = (
-            driver.resistance().value(),
-            driver.intrinsic_delay().value(),
-        );
-        let view = slab.view(root_handle);
+        let (dr, dk) = ctx.driver();
         // Root selection: the unconstrained argmax; with an active slew
         // limit the driver closes the final stage, so only candidates it
         // can drive legally are eligible, and if none is (the net is
         // infeasible under the limit) the least-bad candidate is taken and
         // `slew_ok = false` reported.
-        let (best, slew_ok) = if !slew.active() {
-            let i = slab
-                .best_driven(root_handle, dr, dk)
-                .expect("candidate lists are never empty");
-            (view.get(i), true)
-        } else {
-            let mut choice: Option<usize> = None;
-            for i in 0..view.len() {
-                // `<=` then negate: a NaN stage is infeasible.
-                let feasible = dr * view.c[i] + view.s[i] <= slew.cap;
-                if !feasible {
-                    continue;
-                }
-                let better = match choice {
-                    None => true,
-                    Some(b) => view.get(i).driven_q(dr, dk) > view.get(b).driven_q(dr, dk),
-                };
-                if better {
-                    choice = Some(i);
-                }
-            }
-            match choice {
-                Some(i) => (view.get(i), true),
-                None => {
-                    // First minimum by total order.
-                    let mut least = 0usize;
-                    for i in 1..view.len() {
-                        let vi = dr * view.c[i] + view.s[i];
-                        let vl = dr * view.c[least] + view.s[least];
-                        if vi.total_cmp(&vl) == std::cmp::Ordering::Less {
-                            least = i;
-                        }
-                    }
-                    (view.get(least), false)
-                }
-            }
-        };
+        let (i, slew_ok) = slab.select_root(root_handle, dr, dk, slew.cap, |cols, i| {
+            dr * cols.c[i] + cols.s[i]
+        });
+        let best = slab.view(root_handle).get(i);
         let root_slew = Seconds::new(model.slew(0.0, dr, best.c, best.s));
 
-        let placements = if track {
-            arena
-                .collect_placements(best.pred)
-                .into_iter()
-                .map(Into::into)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let placements = arena.placements(best.pred);
         stats.arena_entries = arena.len();
         stats.slab_bytes_peak = stats.slab_bytes_peak.max(slab.peak_bytes());
         stats.elapsed = start.elapsed();
@@ -468,7 +417,7 @@ impl<'a> Solver<'a> {
             root_q: Seconds::new(best.q),
             root_load: Farads::new(best.c),
             placements,
-            algorithm: algo,
+            algorithm: self.options.algorithm,
             tracked: track,
             root_slew,
             slew_ok,
@@ -478,126 +427,305 @@ impl<'a> Solver<'a> {
 }
 
 /// Shared read-only context of one solve, threaded through the
-/// node-processing loop and the parallel subtree tasks.
+/// node-processing loop, the lanes and the parallel subtree tasks.
 #[derive(Clone, Copy)]
-struct SlabCtx<'a> {
-    tree: &'a RoutingTree,
-    lib: &'a BufferLibrary,
-    algo: Algorithm,
-    track: bool,
-    model: &'a dyn DelayModel,
-    slew: &'a SlewPolicy,
+pub(crate) struct SlabCtx<'a> {
+    pub(crate) tree: &'a RoutingTree,
+    pub(crate) lib: &'a BufferLibrary,
+    pub(crate) algo: Algorithm,
+    pub(crate) track: bool,
+    pub(crate) model: &'a dyn DelayModel,
+    pub(crate) slew: &'a SlewPolicy,
     /// Per-node usage prices ([`SolverOptions::site_prices`]); `Copy`
     /// through the ctx so parallel subtree tasks price identically.
-    prices: Option<&'a [f64]>,
+    pub(crate) prices: Option<&'a [f64]>,
 }
 
-/// The usage price charged at `node`: entries past the end of the slice
-/// (and a `None` slice) are unpriced.
-#[inline]
-fn node_price(prices: Option<&[f64]>, node: NodeId) -> f64 {
-    prices.map_or(0.0, |p| p.get(node.index()).copied().unwrap_or(0.0))
+/// The slew policy of every solve without a limit.
+static UNLIMITED: SlewPolicy = SlewPolicy::unlimited();
+
+impl<'a> SlabCtx<'a> {
+    /// The context of an Elmore, slew-unconstrained solve: what the skew,
+    /// polarity and cost front ends run under.
+    pub(crate) fn elmore(
+        tree: &'a RoutingTree,
+        lib: &'a BufferLibrary,
+        algo: Algorithm,
+        track: bool,
+        prices: Option<&'a [f64]>,
+    ) -> Self {
+        SlabCtx {
+            tree,
+            lib,
+            algo,
+            track,
+            model: &ElmoreModel,
+            slew: &UNLIMITED,
+            prices,
+        }
+    }
+
+    /// The source driver's resistance and intrinsic delay `(r, k)`.
+    pub(crate) fn driver(&self) -> (f64, f64) {
+        let driver = self.tree.driver();
+        (
+            driver.resistance().value(),
+            driver.intrinsic_delay().value(),
+        )
+    }
+
+    /// Buffer site `node` as `AddBuffer` sees it. Prices past the end of
+    /// the slice (and a `None` slice) are zero.
+    pub(crate) fn site(&self, node: NodeId) -> Site<'a> {
+        Site {
+            algo: self.algo,
+            lib: self.lib,
+            constraint: self.tree.site_constraint(node),
+            node,
+            variation: self.tree.site_variation(node),
+            price: self
+                .prices
+                .map_or(0.0, |p| p.get(node.index()).copied().unwrap_or(0.0)),
+            track: self.track,
+            slew: self.slew,
+        }
+    }
 }
 
-/// Runs the bottom-up DP body over `nodes` (a postorder sequence).
-/// `covered` nodes are skipped (they were solved by a parallel task whose
-/// root list is already in `lists`); in cached mode, clean nodes are
-/// skipped and recomputed lists are stored back as the cache's footprint
-/// roles say.
+/// One objective of the DP: what the loop ([`process_nodes`]) keeps per
+/// node and how it merges and buffers it. Lanes are monomorphized into the
+/// loop, so a lane pays only for what it adds:
 ///
-/// This is the single implementation the sequential pass, the cached pass,
-/// and every parallel subtree task execute — which is what makes the
-/// parallel mode trivially bit-identical: the same code runs the same
-/// per-node arithmetic regardless of which thread hosts it.
-#[allow(clippy::too_many_arguments)]
-fn process_nodes(
+/// | lane | lists per node | merge rule | β routing | passengers |
+/// |---|---|---|---|---|
+/// | max-slack ([`OneList`]) | 1 | plain merge | same list | none |
+/// | skew ([`OneList`]) | 1 | plain merge, then width prune | same list | `(lo, hi)` window |
+/// | polarity | 2 | per polarity; an empty side is infeasible | list picked by the type's inverting flag | none |
+/// | cost | `w_max + 1` | level convolution, then level dominance | level `w + cost`, if it fits | none |
+pub(crate) trait Lane {
+    /// Passenger columns riding the slab (`()` for none).
+    type P: Passenger;
+    /// One node's lists.
+    type Set;
+    /// A sink's set: which list the singleton `(q, c)` seeds.
+    fn sink(&self, slab: &mut CandidateSlab<Self::P>, node: NodeId, q: f64, c: f64) -> Self::Set;
+    /// Calls `f` on every list of `set` (wire propagation, statistics).
+    fn each_list(set: &Self::Set, f: impl FnMut(SlabList));
+    /// The merge rule: combines two children's sets (after their wires).
+    fn merge(
+        &self,
+        ctx: &SlabCtx<'_>,
+        dp: &mut Dp<'_, Self::P>,
+        a: Self::Set,
+        b: Self::Set,
+    ) -> Self::Set;
+    /// `AddBuffer` at buffer site `node`: where each type's β goes, and
+    /// any extra prune.
+    fn add_buffers(
+        &self,
+        ctx: &SlabCtx<'_>,
+        dp: &mut Dp<'_, Self::P>,
+        set: &mut Self::Set,
+        node: NodeId,
+    );
+    /// `true` for a node whose set is already known, so the loop skips it.
+    fn skip(&self, _node: NodeId) -> bool {
+        false
+    }
+    /// The set of a skipped child that is not in the loop's `sets`.
+    fn reload(&self, _slab: &mut CandidateSlab<Self::P>, _child: NodeId) -> Self::Set {
+        unreachable!("this lane skips no node")
+    }
+    /// Called with every node's set once the loop has computed it.
+    fn finish(&mut self, _slab: &mut CandidateSlab<Self::P>, _node: NodeId, _set: &Self::Set) {}
+}
+
+/// The one-list lane: max-slack ([`Solver`], no passengers) and skew (the
+/// `Window` passenger, and the width prune after each merge under
+/// `bound`). It alone skips nodes: ones a parallel subtree task solved
+/// (`covered`) and, under a [`SubtreeCache`], clean ones.
+pub(crate) struct OneList<'a, P: Passenger> {
+    /// The window-width bound of the skew lane (`∞`: none).
+    bound: f64,
+    covered: Option<&'a [bool]>,
+    cache: Option<CacheView<'a, P>>,
+    /// Nodes recomputed under the cache.
+    recomputed: u64,
+}
+
+impl<P: Passenger> OneList<'_, P> {
+    /// A lane that prunes windows wider than `bound` and skips no node.
+    pub(crate) fn new(bound: f64) -> Self {
+        OneList {
+            bound,
+            covered: None,
+            cache: None,
+            recomputed: 0,
+        }
+    }
+}
+
+impl<P: Passenger> Lane for OneList<'_, P> {
+    type P = P;
+    type Set = SlabList;
+
+    fn sink(&self, slab: &mut CandidateSlab<P>, _: NodeId, q: f64, c: f64) -> SlabList {
+        slab.sink(q, c)
+    }
+
+    fn each_list(set: &SlabList, mut f: impl FnMut(SlabList)) {
+        f(*set);
+    }
+
+    fn merge(&self, ctx: &SlabCtx<'_>, dp: &mut Dp<'_, P>, a: SlabList, b: SlabList) -> SlabList {
+        let merged = dp
+            .slab
+            .merge(a, b, dp.arena, ctx.track, ctx.slew.cap, dp.stats);
+        // Width only grows at merges, so this is the one place a skew
+        // bound prunes.
+        dp.slab.prune_width(merged, self.bound);
+        merged
+    }
+
+    fn add_buffers(&self, ctx: &SlabCtx<'_>, dp: &mut Dp<'_, P>, set: &mut SlabList, node: NodeId) {
+        add_buffers(&ctx.site(node), dp, *set);
+    }
+
+    fn skip(&self, node: NodeId) -> bool {
+        self.covered.is_some_and(|cov| cov[node.index()])
+            || self.cache.as_ref().is_some_and(|c| c.is_clean(node))
+    }
+
+    fn reload(&self, slab: &mut CandidateSlab<P>, child: NodeId) -> SlabList {
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("only clean cached nodes are skipped");
+        slab.load(cache.cached(child))
+    }
+
+    fn finish(&mut self, slab: &mut CandidateSlab<P>, node: NodeId, set: &SlabList) {
+        if let Some(c) = self.cache.as_mut() {
+            if let Some(snapshot) = c.finish(node) {
+                slab.store(*set, snapshot);
+            }
+            self.recomputed += 1;
+        }
+    }
+}
+
+/// The mutable state of one DP pass: the slab the lists live in, the
+/// predecessor arena, the `AddBuffer` scratch and the counters.
+pub(crate) struct Dp<'s, P: Passenger> {
+    pub(crate) slab: &'s mut CandidateSlab<P>,
+    pub(crate) arena: &'s mut PredArena,
+    pub(crate) scratch: &'s mut Scratch<P>,
+    pub(crate) stats: &'s mut SolveStats,
+}
+
+/// The bottom-up DP loop — every lane's only one. Runs `lane` over `nodes`
+/// (a postorder sequence): seeds sinks, propagates each child's lists
+/// through its wire, merges siblings by the lane's rule and runs the
+/// lane's `AddBuffer` at buffer sites, leaving each node's set in `sets`.
+///
+/// The sequential pass, the cached pass and every parallel subtree task
+/// run this same code, which is what makes the parallel mode trivially
+/// bit-identical: the same per-node arithmetic regardless of which thread
+/// hosts it.
+fn process_nodes<L: Lane>(
     ctx: &SlabCtx<'_>,
+    lane: &mut L,
     nodes: &[NodeId],
-    covered: Option<&[bool]>,
-    mut cache_state: Option<&mut CacheView<'_>>,
-    recomputed: &mut u64,
-    slab: &mut CandidateSlab,
-    lists: &mut [Option<SlabList>],
-    arena: &mut PredArena,
-    scratch: &mut Scratch,
-    stats: &mut SolveStats,
+    sets: &mut [Option<L::Set>],
+    dp: &mut Dp<'_, L::P>,
 ) {
     for &node in nodes {
-        if covered.is_some_and(|cov| cov[node.index()]) {
-            continue; // solved by a parallel subtree task
+        if lane.skip(node) {
+            continue;
         }
-        if cache_state.as_ref().is_some_and(|c| c.is_clean(node)) {
-            continue; // clean subtree: its cached list is reused
-        }
-        let list = match ctx.tree.kind(node) {
+        let set = match ctx.tree.kind(node) {
             NodeKind::Sink {
                 capacitance,
                 required_arrival,
-            } => slab.sink(required_arrival.value(), capacitance.value()),
+            } => lane.sink(dp.slab, node, required_arrival.value(), capacitance.value()),
             NodeKind::Internal | NodeKind::Source { .. } => {
-                let mut acc: Option<SlabList> = None;
+                let mut acc: Option<L::Set> = None;
                 for &child in ctx.tree.children(node) {
-                    let cl = match lists[child.index()].take() {
-                        Some(cl) => cl,
-                        None => slab.load(
-                            cache_state
-                                .as_ref()
-                                .expect("only clean cached children are skipped")
-                                .cached(child),
-                        ),
+                    let cs = match sets[child.index()].take() {
+                        Some(cs) => cs,
+                        None => lane.reload(dp.slab, child),
                     };
                     let wire = ctx
                         .tree
                         .wire_to_parent(child)
                         .expect("non-root child has a wire");
-                    slab.add_wire(
-                        cl,
-                        ctx.model,
-                        wire.resistance().value(),
-                        wire.capacitance().value(),
-                        stats,
-                    );
-                    if ctx.slew.active() {
-                        stats.slew_pruned += slab.prune_slew(cl, ctx.slew.cap) as u64;
-                    }
-                    stats.wire_ops += 1;
+                    let (r, cw) = (wire.resistance().value(), wire.capacitance().value());
+                    L::each_list(&cs, |list| {
+                        dp.slab.add_wire(list, ctx.model, r, cw, dp.stats);
+                        if ctx.slew.active() {
+                            dp.stats.slew_pruned += dp.slab.prune_slew(list, ctx.slew.cap) as u64;
+                        }
+                    });
+                    dp.stats.wire_ops += 1;
                     acc = Some(match acc {
-                        None => cl,
+                        None => cs,
                         Some(prev) => {
-                            stats.merge_ops += 1;
-                            slab.merge(prev, cl, arena, ctx.track, ctx.slew.cap, stats)
+                            dp.stats.merge_ops += 1;
+                            lane.merge(ctx, dp, prev, cs)
                         }
                     });
                 }
-                let list = acc.expect("internal nodes have children");
+                let mut set = acc.expect("internal nodes have children");
                 if ctx.tree.is_buffer_site(node) {
-                    add_buffers(
-                        ctx.algo,
-                        slab,
-                        list,
-                        ctx.lib,
-                        ctx.tree.site_constraint(node),
-                        node,
-                        ctx.tree.site_variation(node),
-                        node_price(ctx.prices, node),
-                        arena,
-                        ctx.track,
-                        scratch,
-                        ctx.slew,
-                        stats,
-                    );
+                    lane.add_buffers(ctx, dp, &mut set, node);
                 }
-                list
+                set
             }
         };
-        stats.max_list_len = stats.max_list_len.max(slab.len(list));
-        if let Some(c) = cache_state.as_mut() {
-            if let Some(snapshot) = c.finish(node) {
-                slab.store(list, snapshot);
-            }
-            *recomputed += 1;
-        }
-        lists[node.index()] = Some(list);
+        L::each_list(&set, |list| {
+            dp.stats.max_list_len = dp.stats.max_list_len.max(dp.slab.len(list));
+        });
+        lane.finish(dp.slab, node, &set);
+        sets[node.index()] = Some(set);
+    }
+}
+
+/// What a front end's lane run leaves behind: the slab and arena the root
+/// set lives in, the counters (arena size and slab peak already filled),
+/// and the root's set.
+pub(crate) struct LaneRun<L: Lane> {
+    pub(crate) slab: CandidateSlab<L::P>,
+    pub(crate) arena: PredArena,
+    pub(crate) stats: SolveStats,
+    pub(crate) root: L::Set,
+}
+
+/// Runs `lane` over the whole tree on fresh state — the skew, polarity
+/// and cost front ends' solve.
+pub(crate) fn run_lane<L: Lane>(ctx: &SlabCtx<'_>, lane: &mut L) -> LaneRun<L> {
+    let mut slab = CandidateSlab::default();
+    let mut arena = PredArena::new();
+    let mut stats = SolveStats::default();
+    let mut sets: Vec<Option<L::Set>> = std::iter::repeat_with(|| None)
+        .take(ctx.tree.node_count())
+        .collect();
+    let dp = &mut Dp {
+        slab: &mut slab,
+        arena: &mut arena,
+        scratch: &mut Scratch::default(),
+        stats: &mut stats,
+    };
+    process_nodes(ctx, lane, ctx.tree.postorder(), &mut sets, dp);
+    let root = sets[ctx.tree.root().index()]
+        .take()
+        .expect("the root is processed last");
+    stats.arena_entries = arena.len();
+    stats.slab_bytes_peak = slab.peak_bytes();
+    LaneRun {
+        slab,
+        arena,
+        stats,
+        root,
     }
 }
 
@@ -698,18 +826,14 @@ fn solve_subtrees_parallel(
         let mut task_arena = PredArena::new();
         let mut task_stats = SolveStats::default();
         slab.reset();
-        process_nodes(
-            ctx,
-            &post[p + 1 - sz..=p],
-            None,
-            None,
-            &mut 0,
+        let mut lane = OneList::new(f64::INFINITY);
+        let dp = &mut Dp {
             slab,
-            task_lists,
-            &mut task_arena,
+            arena: &mut task_arena,
             scratch,
-            &mut task_stats,
-        );
+            stats: &mut task_stats,
+        };
+        process_nodes(ctx, &mut lane, &post[p + 1 - sz..=p], task_lists, dp);
         let handle = task_lists[troot.index()]
             .take()
             .expect("task root was computed");

@@ -74,6 +74,6 @@ pub use engine::{SolveWorkspace, Solver, SolverOptions};
 // Re-exported so solver users can configure `SolverOptions::delay_model`
 // without importing `fastbuf-rctree` directly.
 pub use fastbuf_rctree::delay::{DelayModel, ElmoreModel, ScaledElmoreModel};
-pub use skew::{SkewSolution, SkewSolver, WindowCandidate};
+pub use skew::{SkewSolution, SkewSolver};
 pub use solution::{Placement, Solution, VerifyError};
 pub use stats::SolveStats;

@@ -443,6 +443,7 @@ pub(crate) fn add_buffers(
         return;
     }
     stats.addbuffer_ops += 1;
+    stats.addbuffer_candidates += list.len() as u64;
     let at = BetaSite {
         lib,
         constraint,

@@ -50,15 +50,12 @@ use std::fmt;
 use std::time::Instant;
 
 use fastbuf_buflib::units::Seconds;
-use fastbuf_buflib::BufferLibrary;
-use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
+use fastbuf_buflib::{BufferLibrary, BufferTypeId};
+use fastbuf_rctree::{NodeId, RoutingTree};
 
-use fastbuf_rctree::delay::ElmoreModel;
-
-use crate::arena::PredArena;
-use crate::buffering::{find_betas, Algorithm, Scratch};
+use crate::buffering::{find_betas, Algorithm};
+use crate::engine::{run_lane, Dp, Lane, LaneRun, SlabCtx};
 use crate::slab::{CandidateSlab, SlabList};
-use crate::slew::SlewPolicy;
 use crate::solution::Placement;
 use crate::stats::SolveStats;
 
@@ -245,32 +242,80 @@ pub fn check_polarity(
     Ok(())
 }
 
-/// Branch merge for polarity lists. Unlike the plain branch merge — which
-/// passes a non-empty side through when the other is empty, correct when
-/// lists are never empty — an empty side here means "this branch cannot be
-/// satisfied with this arriving polarity", so the merged list must be empty
-/// too: the same wire feeds both branches.
-fn merge_polarized(
-    slab: &mut CandidateSlab,
-    left: SlabList,
-    right: SlabList,
-    arena: &mut PredArena,
-    stats: &mut SolveStats,
-) -> SlabList {
-    if slab.len(left) == 0 || slab.len(right) == 0 {
-        slab.free(left);
-        slab.free(right);
-        return slab.alloc();
-    }
-    slab.merge(left, right, arena, true, f64::INFINITY, stats)
+/// The polarity lane: two lists per node, indexed by the polarity the
+/// signal must arrive with (`0` positive, `1` negative). `None` is an
+/// empty list: no buffering of the subtree meets its sinks from that
+/// polarity.
+struct PolarityLane<'a> {
+    /// Per node, `true` for a sink that requires negative polarity.
+    negated: &'a [bool],
+    /// The library's types by inverting flag (`[buffers, inverters]`),
+    /// each in input-capacitance order.
+    by_flag: [Vec<BufferTypeId>; 2],
 }
 
-/// Per-node DP state: one nonredundant slab list per required arriving
-/// polarity.
-#[derive(Clone, Copy, Debug)]
-struct PolarityLists {
-    pos: SlabList,
-    neg: SlabList,
+impl Lane for PolarityLane<'_> {
+    type P = ();
+    type Set = [Option<SlabList>; 2];
+
+    fn sink(&self, slab: &mut CandidateSlab, node: NodeId, q: f64, c: f64) -> Self::Set {
+        let mut set = [None, None];
+        set[usize::from(self.negated[node.index()])] = Some(slab.sink(q, c));
+        set
+    }
+
+    fn each_list(set: &Self::Set, f: impl FnMut(SlabList)) {
+        set.iter().flatten().copied().for_each(f);
+    }
+
+    /// Like-polarity lists merge. An empty side means that branch cannot
+    /// be satisfied from this polarity, and the same wire feeds both
+    /// branches, so the merged list is empty too.
+    fn merge(
+        &self,
+        ctx: &SlabCtx<'_>,
+        dp: &mut Dp<'_, ()>,
+        a: Self::Set,
+        b: Self::Set,
+    ) -> Self::Set {
+        std::array::from_fn(|p| match (a[p], b[p]) {
+            (Some(l), Some(r)) => {
+                Some(
+                    dp.slab
+                        .merge(l, r, dp.arena, ctx.track, ctx.slew.cap, dp.stats),
+                )
+            }
+            (l, r) => {
+                l.into_iter().chain(r).for_each(|spent| dp.slab.free(spent));
+                None
+            }
+        })
+    }
+
+    /// Betas are generated from each source list first (so one node never
+    /// hosts two repeaters); a type with inverting flag `f` fed from
+    /// polarity `p` needs polarity `p ^ f` arriving at the site.
+    fn add_buffers(
+        &self,
+        ctx: &SlabCtx<'_>,
+        dp: &mut Dp<'_, ()>,
+        set: &mut Self::Set,
+        node: NodeId,
+    ) {
+        let site = ctx.site(node);
+        dp.scratch.stage.reset_targets(2);
+        for (source, list) in set.iter().enumerate() {
+            let Some(list) = *list else { continue };
+            if find_betas(&site, dp, list, |_| true) {
+                for target in 0..2 {
+                    dp.scratch.route(&self.by_flag[source ^ target], target);
+                }
+            }
+        }
+        let targets = &dp.scratch.stage.targets;
+        dp.stats.betas_generated += targets.iter().map(|t| t.len() as u64).sum::<u64>();
+        dp.slab.insert_targets(set, targets);
+    }
 }
 
 /// Polarity-aware optimal buffer insertion; see the [module docs](self).
@@ -368,103 +413,35 @@ impl<'a> PolaritySolver<'a> {
             });
         }
         let start = Instant::now();
-        let tree = self.tree;
         let lib = self.library;
-        let mut stats = SolveStats::default();
-        let mut arena = PredArena::new();
-        let mut scratch = Scratch::default();
-        let mut slab = CandidateSlab::default();
-        let mut lists: Vec<Option<PolarityLists>> = vec![None; tree.node_count()];
-
-        for &node in tree.postorder() {
-            let state = match tree.kind(node) {
-                NodeKind::Sink {
-                    capacitance,
-                    required_arrival,
-                } => {
-                    let single = slab.sink(required_arrival.value(), capacitance.value());
-                    let empty = slab.alloc();
-                    if self.negated[node.index()] {
-                        PolarityLists {
-                            pos: empty,
-                            neg: single,
-                        }
-                    } else {
-                        PolarityLists {
-                            pos: single,
-                            neg: empty,
-                        }
-                    }
-                }
-                NodeKind::Internal | NodeKind::Source { .. } => {
-                    let mut acc: Option<PolarityLists> = None;
-                    for &child in tree.children(node) {
-                        let cl = lists[child.index()]
-                            .take()
-                            .expect("post-order guarantees children are done");
-                        let wire = tree.wire_to_parent(child).expect("child wire");
-                        let (r, cw) = (wire.resistance().value(), wire.capacitance().value());
-                        slab.add_wire(cl.pos, &ElmoreModel, r, cw, &mut stats);
-                        slab.add_wire(cl.neg, &ElmoreModel, r, cw, &mut stats);
-                        stats.wire_ops += 1;
-                        acc = Some(match acc {
-                            None => cl,
-                            Some(prev) => {
-                                stats.merge_ops += 1;
-                                PolarityLists {
-                                    pos: merge_polarized(
-                                        &mut slab, prev.pos, cl.pos, &mut arena, &mut stats,
-                                    ),
-                                    neg: merge_polarized(
-                                        &mut slab, prev.neg, cl.neg, &mut arena, &mut stats,
-                                    ),
-                                }
-                            }
-                        });
-                    }
-                    let state = acc.expect("internal nodes have children");
-                    if tree.is_buffer_site(node) && !lib.is_empty() {
-                        self.add_repeaters(
-                            state,
-                            node,
-                            &mut slab,
-                            &mut arena,
-                            &mut scratch,
-                            &mut stats,
-                        );
-                    }
-                    state
-                }
-            };
-            stats.max_list_len = stats
-                .max_list_len
-                .max(slab.len(state.pos).max(slab.len(state.neg)));
-            lists[node.index()] = Some(state);
+        let mut by_flag: [Vec<BufferTypeId>; 2] = Default::default();
+        for &id in lib.by_input_cap_asc() {
+            by_flag[usize::from(lib.get(id).is_inverting())].push(id);
         }
-
-        let root = lists[tree.root().index()].take().expect("root processed");
-        stats.root_list_len = slab.len(root.pos);
-        let driver = tree.driver();
-        let (dr, dk) = (
-            driver.resistance().value(),
-            driver.intrinsic_delay().value(),
+        let lane = &mut PolarityLane {
+            negated: &self.negated,
+            by_flag,
+        };
+        let ctx = SlabCtx::elmore(self.tree, lib, self.algorithm, true, None);
+        let LaneRun {
+            slab,
+            arena,
+            mut stats,
+            root,
+        } = run_lane(&ctx, lane);
+        // The source drives positive polarity.
+        let pos = root[0].ok_or(PolarityError::Infeasible)?;
+        stats.root_list_len = slab.len(pos);
+        let (dr, dk) = ctx.driver();
+        let best = slab.view(pos).get(
+            slab.best_driven(pos, dr, dk)
+                .expect("non-empty lists are never empty"),
         );
-        let best = slab
-            .best_driven(root.pos, dr, dk)
-            .map(|i| slab.view(root.pos).get(i))
-            .ok_or(PolarityError::Infeasible)?;
-
-        let placements: Vec<Placement> = arena
-            .collect_placements(best.pred)
-            .into_iter()
-            .map(Placement::from)
-            .collect();
+        let placements = arena.placements(best.pred);
         let inverter_count = placements
             .iter()
             .filter(|p| lib.get(p.buffer).is_inverting())
             .count();
-        stats.arena_entries = arena.len();
-        stats.slab_bytes_peak = slab.peak_bytes();
         stats.elapsed = start.elapsed();
         Ok(PolaritySolution {
             slack: Seconds::new(best.q - dk - dr * best.c),
@@ -472,71 +449,6 @@ impl<'a> PolaritySolver<'a> {
             inverter_count,
             stats,
         })
-    }
-
-    /// `AddBuffer` across both polarity lists: betas are generated from each
-    /// source list first (so one node never hosts two repeaters), then
-    /// routed to the target list its type's polarity dictates.
-    fn add_repeaters(
-        &self,
-        state: PolarityLists,
-        node: NodeId,
-        slab: &mut CandidateSlab,
-        arena: &mut PredArena,
-        scratch: &mut Scratch,
-        stats: &mut SolveStats,
-    ) {
-        let lib = self.library;
-        let constraint = self.tree.site_constraint(node);
-        // Betas destined for each target list (0: positive, 1: negative),
-        // staged as one c-sorted group per (source list, target list)
-        // combination and unioned per target, source `pos` first.
-        scratch.stage.reset_targets(2);
-
-        for source_positive in [true, false] {
-            let source = if source_positive {
-                state.pos
-            } else {
-                state.neg
-            };
-            if !find_betas(
-                self.algorithm,
-                slab,
-                source,
-                lib,
-                constraint,
-                node,
-                self.tree.site_variation(node),
-                0.0,
-                arena,
-                true,
-                scratch,
-                &SlewPolicy::unlimited(),
-                stats,
-                |_| true,
-            ) {
-                continue;
-            }
-            for (target, target_positive) in [true, false].into_iter().enumerate() {
-                for &id in lib.by_input_cap_asc() {
-                    // An inverter feeding a positive-requiring subtree needs
-                    // a negative arriving signal, and vice versa.
-                    if source_positive ^ lib.get(id).is_inverting() != target_positive {
-                        continue;
-                    }
-                    if let Some(beta) = scratch.beta_slots[id.index()].take() {
-                        scratch.stage.group.push_pruned(beta);
-                    }
-                }
-                scratch.stage.flush_group(target);
-            }
-        }
-        let [to_pos, to_neg] = &scratch.stage.targets[..] else {
-            unreachable!("two polarity targets");
-        };
-        stats.betas_generated += (to_pos.len() + to_neg.len()) as u64;
-        slab.merge_insert(state.pos, to_pos);
-        slab.merge_insert(state.neg, to_neg);
     }
 }
 
@@ -607,7 +519,7 @@ mod tests {
 
     #[test]
     fn non_elmore_model_is_rejected_typed() {
-        use fastbuf_rctree::{DelayModel, ScaledElmoreModel};
+        use fastbuf_rctree::{DelayModel, ElmoreModel, ScaledElmoreModel};
         let (tree, _) = line(5, 1000.0);
         let lib = BufferLibrary::paper_synthetic_mixed(4).unwrap();
         let scaled: std::sync::Arc<dyn DelayModel> =

@@ -18,6 +18,12 @@
 //!   into columns sized once up front — fast on the short lists of clock
 //!   trees and small nets as well as on long ones.
 //!
+//! A lane of the DP may add **passenger** columns ([`Passenger`]): values
+//! that move with every candidate and are transformed at wires, merges and
+//! buffers, but never steer a pruning or selection rule of the `(Q, C)`
+//! recursion. The skew lane's sink-delay [`Window`] is one; every other
+//! lane carries `()`, which compiles each passenger hook away.
+//!
 //! Lists are identified by [`SlabList`] handles (u32 indices into a pool of
 //! column slots with a freelist); [`SlabView`] borrows the columns of one
 //! list. A list that outlives its slab — a [`SubtreeCache`] snapshot or
@@ -44,6 +50,114 @@ use crate::stats::SolveStats;
 /// pred lane) — the unit of [`CandidateSlab::peak_bytes`].
 const BYTES_PER_CANDIDATE: usize = 8 * 3 + 4;
 
+/// Passenger columns: extra per-candidate values that ride the slab (see
+/// the module docs). Storage moves them with every candidate; `wire`,
+/// `merge` and `buffer` are the DP's three transforms. The provided
+/// methods are the empty passenger `()`: no columns, nothing to do.
+pub(crate) trait Passenger: Default + std::fmt::Debug {
+    /// One candidate's passenger values.
+    type Row: Copy + Default + std::fmt::Debug;
+    fn get(&self, _i: usize) -> Self::Row {
+        Self::Row::default()
+    }
+    fn put(&mut self, _i: usize, _row: Self::Row) {}
+    fn push(&mut self, _row: Self::Row) {}
+    fn truncate(&mut self, _n: usize) {}
+    /// Grows to at least `n` rows (never shrinks).
+    fn ensure_len(&mut self, _n: usize) {}
+    /// Moves rows `from..end` to start at row `to`.
+    fn copy_within(&mut self, _from: usize, _end: usize, _to: usize) {}
+    /// Copies `src[from..to]` over rows `at..`.
+    fn copy_run(&mut self, _at: usize, _src: &Self, _from: usize, _to: usize) {}
+    /// Appends `src[..n]`.
+    fn extend_from(&mut self, _src: &Self, _n: usize) {}
+    /// The wire step of resistance `r` and capacitance `cw`, given the
+    /// loads `c` before the wire.
+    fn wire(&mut self, _model: &dyn DelayModel, _r: f64, _cw: f64, _c: &[f64]) {}
+    /// The spread row `i` commits to (the skew lane's window width).
+    fn width(&self, _i: usize) -> f64 {
+        0.0
+    }
+    /// The row of a merged pair.
+    fn merge(a: Self::Row, _b: Self::Row) -> Self::Row {
+        a
+    }
+    /// The row of a buffered candidate: its `α`'s row behind a buffer
+    /// stage of delay `stage`.
+    fn buffer(alpha: Self::Row, _stage: f64) -> Self::Row {
+        alpha
+    }
+}
+
+impl Passenger for () {
+    type Row = ();
+}
+
+/// The skew lane's passengers: per candidate, the minimum and maximum
+/// delay `(lo, hi)` from its node to any sink of its subtree. A wire adds
+/// its delay `d` (the `d` the wire subtracts from `q`) to both ends, a
+/// buffer its stage delay `k + r·C(α)`, and a merge takes `min`/`max`, so
+/// the width `hi − lo` only ever grows, and only at merges.
+#[derive(Debug, Default)]
+pub(crate) struct Window(Vec<(f64, f64)>);
+
+impl Passenger for Window {
+    type Row = (f64, f64);
+    #[inline]
+    fn get(&self, i: usize) -> (f64, f64) {
+        self.0[i]
+    }
+    #[inline]
+    fn put(&mut self, i: usize, row: (f64, f64)) {
+        self.0[i] = row;
+    }
+    #[inline]
+    fn push(&mut self, row: (f64, f64)) {
+        self.0.push(row);
+    }
+    #[inline]
+    fn truncate(&mut self, n: usize) {
+        self.0.truncate(n);
+    }
+    #[inline]
+    fn ensure_len(&mut self, n: usize) {
+        if self.0.len() < n {
+            self.0.resize(n, (0.0, 0.0));
+        }
+    }
+    #[inline]
+    fn copy_within(&mut self, from: usize, end: usize, to: usize) {
+        self.0.copy_within(from..end, to);
+    }
+    #[inline]
+    fn copy_run(&mut self, at: usize, src: &Self, from: usize, to: usize) {
+        self.0[at..at + (to - from)].copy_from_slice(&src.0[from..to]);
+    }
+    #[inline]
+    fn extend_from(&mut self, src: &Self, n: usize) {
+        self.0.extend_from_slice(&src.0[..n]);
+    }
+    #[inline]
+    fn width(&self, i: usize) -> f64 {
+        self.0[i].1 - self.0[i].0
+    }
+    #[inline]
+    fn wire(&mut self, model: &dyn DelayModel, r: f64, cw: f64, c: &[f64]) {
+        for (w, &load) in self.0.iter_mut().zip(c) {
+            let d = model.wire_delay(r, cw, load);
+            *w = (w.0 + d, w.1 + d);
+        }
+    }
+    #[inline]
+    fn merge(a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
+        (a.0.min(b.0), a.1.max(b.1))
+    }
+    #[inline]
+    fn buffer(alpha: (f64, f64), stage: f64) -> (f64, f64) {
+        (alpha.0 + stage, alpha.1 + stage)
+    }
+}
+
 /// Handle to one candidate list inside a [`CandidateSlab`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct SlabList(u32);
@@ -56,8 +170,8 @@ impl SlabList {
 }
 
 /// Borrowed columns of one slab list, in nonredundant `(Q, C)` order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SlabView<'a> {
+#[derive(Debug)]
+pub(crate) struct SlabView<'a, P: Passenger = ()> {
     /// Slack column (seconds).
     pub q: &'a [f64],
     /// Downstream-capacitance column (farads).
@@ -66,9 +180,11 @@ pub(crate) struct SlabView<'a> {
     pub s: &'a [f64],
     /// Predecessor-reference column.
     pub pred: &'a [PredRef],
+    /// Passenger columns.
+    pub x: &'a P,
 }
 
-impl SlabView<'_> {
+impl<P: Passenger> SlabView<'_, P> {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.q.len()
@@ -84,16 +200,23 @@ impl SlabView<'_> {
             pred: self.pred[i],
         }
     }
+
+    /// Candidate `i`'s passenger row.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> P::Row {
+        self.x.get(i)
+    }
 }
 
 /// One candidate list as parallel columns: a slab slot, or a list held
 /// outside any slab (a cache snapshot, a parallel task's result).
 #[derive(Debug, Default)]
-pub(crate) struct Columns {
+pub(crate) struct Columns<P: Passenger = ()> {
     pub(crate) q: Vec<f64>,
     pub(crate) c: Vec<f64>,
     pub(crate) s: Vec<f64>,
     pub(crate) pred: Vec<PredRef>,
+    pub(crate) x: P,
 }
 
 /// Lists up to this length are rebuilt whole by a merge-insert and swapped
@@ -101,7 +224,7 @@ pub(crate) struct Columns {
 /// it over the shared tail (see `op_microbench` for the crossover).
 const SHORT_LIST: usize = 48;
 
-impl Columns {
+impl<P: Passenger> Columns<P> {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.q.len()
@@ -109,18 +232,22 @@ impl Columns {
 
     #[inline]
     fn clear(&mut self) {
-        self.q.clear();
-        self.c.clear();
-        self.s.clear();
-        self.pred.clear();
+        self.truncate(0);
+    }
+
+    /// Appends a candidate with the default passenger row.
+    #[inline]
+    pub(crate) fn push(&mut self, q: f64, c: f64, s: f64, pred: PredRef) {
+        self.push_row(q, c, s, pred, P::Row::default());
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, q: f64, c: f64, s: f64, pred: PredRef) {
+    fn push_row(&mut self, q: f64, c: f64, s: f64, pred: PredRef, x: P::Row) {
         self.q.push(q);
         self.c.push(c);
         self.s.push(s);
         self.pred.push(pred);
+        self.x.push(x);
     }
 
     #[inline]
@@ -129,6 +256,7 @@ impl Columns {
         self.c.truncate(n);
         self.s.truncate(n);
         self.pred.truncate(n);
+        self.x.truncate(n);
     }
 
     /// Grows every lane to at least `n` elements (never shrinks), so a
@@ -141,16 +269,18 @@ impl Columns {
             self.c.resize(n, 0.0);
             self.s.resize(n, 0.0);
             self.pred.resize(n, PredRef::NONE);
+            self.x.ensure_len(n);
         }
     }
 
     /// Overwrites lane `i`, which must be below the length.
     #[inline]
-    fn put(&mut self, i: usize, q: f64, c: f64, s: f64, pred: PredRef) {
+    fn put(&mut self, i: usize, q: f64, c: f64, s: f64, pred: PredRef, x: P::Row) {
         self.q[i] = q;
         self.c[i] = c;
         self.s[i] = s;
         self.pred[i] = pred;
+        self.x.put(i, x);
     }
 
     /// Copies lane `from` over lane `to` (compaction step).
@@ -160,17 +290,25 @@ impl Columns {
         self.c[to] = self.c[from];
         self.s[to] = self.s[from];
         self.pred[to] = self.pred[from];
+        self.x.put(to, self.x.get(from));
     }
 
     /// Copies `src[from..to]` over lanes `at..` (which must exist) and
     /// returns the index past the copy.
     #[inline]
-    fn copy_run(&mut self, at: usize, src: &Columns, from: usize, to: usize) -> usize {
+    fn copy_run(&mut self, at: usize, src: &Columns<P>, from: usize, to: usize) -> usize {
         let end = at + (to - from);
         if to - from <= 4 {
             // Tiny run: four slice copies cost more than they save.
             for (k, i) in (from..to).enumerate() {
-                self.put(at + k, src.q[i], src.c[i], src.s[i], src.pred[i]);
+                self.put(
+                    at + k,
+                    src.q[i],
+                    src.c[i],
+                    src.s[i],
+                    src.pred[i],
+                    src.x.get(i),
+                );
             }
             return end;
         }
@@ -178,23 +316,25 @@ impl Columns {
         self.c[at..end].copy_from_slice(&src.c[from..to]);
         self.s[at..end].copy_from_slice(&src.s[from..to]);
         self.pred[at..end].copy_from_slice(&src.pred[from..to]);
+        self.x.copy_run(at, &src.x, from, to);
         end
     }
 
     /// Appends `src[..n]` (one `memcpy` per lane).
     #[inline]
-    fn extend_from(&mut self, src: &Columns, n: usize) {
+    fn extend_from(&mut self, src: &Columns<P>, n: usize) {
         self.q.extend_from_slice(&src.q[..n]);
         self.c.extend_from_slice(&src.c[..n]);
         self.s.extend_from_slice(&src.s[..n]);
         self.pred.extend_from_slice(&src.pred[..n]);
+        self.x.extend_from(&src.x, n);
     }
 
     /// Replaces the first `tail_start` elements with `head[..top]` while
     /// keeping the tail `[tail_start..]`: the tail moves as one `memmove`
     /// per lane when the head differs in length from the span it replaces,
     /// and does not move at all when the lengths match.
-    fn splice_head(&mut self, head: &Columns, top: usize, tail_start: usize) {
+    fn splice_head(&mut self, head: &Columns<P>, top: usize, tail_start: usize) {
         debug_assert!(tail_start <= self.len() && top <= head.len());
         let old_len = self.len();
         let new_len = top + (old_len - tail_start);
@@ -206,9 +346,22 @@ impl Columns {
             self.c.copy_within(tail_start..old_len, top);
             self.s.copy_within(tail_start..old_len, top);
             self.pred.copy_within(tail_start..old_len, top);
+            self.x.copy_within(tail_start, old_len, top);
             self.truncate(new_len);
         }
         self.copy_run(0, head, 0, top);
+    }
+
+    /// The index of the first candidate with the least `key`, by total
+    /// order. The list must not be empty.
+    fn first_min(&self, key: impl Fn(&Self, usize) -> f64) -> usize {
+        let mut least = 0usize;
+        for i in 1..self.len() {
+            if key(self, i).total_cmp(&key(self, least)) == std::cmp::Ordering::Less {
+                least = i;
+            }
+        }
+        least
     }
 }
 
@@ -225,17 +378,22 @@ impl Columns {
 /// (it would have been taken before the top), and `old` is a strict
 /// staircase. Returns the staged head length and the index where that
 /// shared tail of `old` starts.
-fn merge_insert_walk(out: &mut Columns, old: &Columns, inc: &Columns) -> (usize, usize) {
+fn merge_insert_walk<P: Passenger>(
+    out: &mut Columns<P>,
+    old: &Columns<P>,
+    inc: &Columns<P>,
+) -> (usize, usize) {
     let (on, ni) = (old.len(), inc.len());
     let n = on + ni;
     out.ensure_len(n);
     let (oq, oc, os, op) = (&old.q[..on], &old.c[..on], &old.s[..on], &old.pred[..on]);
     let (iq, ic, is, ip) = (&inc.q[..ni], &inc.c[..ni], &inc.s[..ni], &inc.pred[..ni]);
-    let (wq, wc, ws, wp) = (
+    let (wq, wc, ws, wp, wx) = (
         &mut out.q[..n],
         &mut out.c[..n],
         &mut out.s[..n],
         &mut out.pred[..n],
+        &mut out.x,
     );
     let (mut i, mut j, mut top) = (0usize, 0usize, 0usize);
     let (mut tq, mut tc) = (0.0f64, 0.0f64);
@@ -250,12 +408,12 @@ fn merge_insert_walk(out: &mut Columns, old: &Columns, inc: &Columns) -> (usize,
                 oq[i] >= iq[j]
             }
         };
-        let (q, c, s, pred) = if take_old {
+        let (q, c, s, pred, x) = if take_old {
             i += 1;
-            (oq[i - 1], oc[i - 1], os[i - 1], op[i - 1])
+            (oq[i - 1], oc[i - 1], os[i - 1], op[i - 1], old.x.get(i - 1))
         } else {
             j += 1;
-            (iq[j - 1], ic[j - 1], is[j - 1], ip[j - 1])
+            (iq[j - 1], ic[j - 1], is[j - 1], ip[j - 1], inc.x.get(j - 1))
         };
         if top > 0 {
             debug_assert!(c >= tc, "merge-insert requires c-sorted input");
@@ -270,6 +428,7 @@ fn merge_insert_walk(out: &mut Columns, old: &Columns, inc: &Columns) -> (usize,
         wc[top] = c;
         ws[top] = s;
         wp[top] = pred;
+        wx.put(top, x);
         top += 1;
         (tq, tc) = (q, c);
     }
@@ -285,16 +444,16 @@ fn merge_insert_walk(out: &mut Columns, old: &Columns, inc: &Columns) -> (usize,
 /// ever grows (never truncated), so steady state pays no fill; `rebuilt`
 /// is swapped with the short list it rebuilds.
 #[derive(Debug, Default)]
-struct Staging {
-    raw: Columns,
-    rebuilt: Columns,
+struct Staging<P: Passenger> {
+    raw: Columns<P>,
+    rebuilt: Columns<P>,
 }
 
-impl Staging {
+impl<P: Passenger> Staging<P> {
     /// Merge-inserts `inc` into `old` in place. A short list is rebuilt
     /// whole and the buffers swap; a long one stages only its head and
     /// splices it over the shared tail.
-    fn merge_insert(&mut self, old: &mut Columns, inc: &Columns) {
+    fn merge_insert(&mut self, old: &mut Columns<P>, inc: &Columns<P>) {
         if inc.len() == 0 {
             return;
         }
@@ -316,9 +475,9 @@ impl Staging {
 /// list into a slab list in one walk. Staged lists do not count toward the
 /// slab's live/peak accounting until merged or loaded.
 #[derive(Debug, Default)]
-pub(crate) struct BetaList(Columns);
+pub(crate) struct BetaList<P: Passenger = ()>(Columns<P>);
 
-impl BetaList {
+impl<P: Passenger> BetaList<P> {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.0.len()
@@ -334,11 +493,12 @@ impl BetaList {
         self.0.clear();
     }
 
-    /// Appends `beta` unless the last staged beta dominates it (no smaller
-    /// `c`, no worse `q`); on equal `c` with a better `q` it replaces the
-    /// last one. Betas must arrive in non-decreasing `c`.
+    /// Appends `beta` (with passenger row `x`) unless the last staged beta
+    /// dominates it (no smaller `c`, no worse `q`); on equal `c` with a
+    /// better `q` it replaces the last one. Betas must arrive in
+    /// non-decreasing `c`.
     #[inline]
-    pub(crate) fn push_pruned(&mut self, beta: Candidate) {
+    pub(crate) fn push_pruned(&mut self, beta: Candidate, x: P::Row) {
         let cols = &mut self.0;
         if let Some(last) = cols.len().checked_sub(1) {
             debug_assert!(
@@ -349,11 +509,11 @@ impl BetaList {
                 return;
             }
             if beta.c == cols.c[last] {
-                cols.put(last, beta.q, beta.c, beta.s, beta.pred);
+                cols.put(last, beta.q, beta.c, beta.s, beta.pred, x);
                 return;
             }
         }
-        cols.push(beta.q, beta.c, beta.s, beta.pred);
+        cols.push_row(beta.q, beta.c, beta.s, beta.pred, x);
     }
 }
 
@@ -362,13 +522,13 @@ impl BetaList {
 /// `targets` accumulates groups per target list (cost levels, polarity
 /// lists) with merge-insert's union rule.
 #[derive(Debug, Default)]
-pub(crate) struct BetaStage {
-    pub(crate) group: BetaList,
-    pub(crate) targets: Vec<BetaList>,
-    staging: Staging,
+pub(crate) struct BetaStage<P: Passenger = ()> {
+    pub(crate) group: BetaList<P>,
+    pub(crate) targets: Vec<BetaList<P>>,
+    staging: Staging<P>,
 }
 
-impl BetaStage {
+impl<P: Passenger> BetaStage<P> {
     /// Resets `targets` to `n` empty lists, keeping their storage.
     pub(crate) fn reset_targets(&mut self, n: usize) {
         self.targets.resize_with(n, BetaList::default);
@@ -393,18 +553,18 @@ impl BetaStage {
 /// intra-net parallel mode). Handles freed back to the slab keep their
 /// column capacity, so a warm slab performs no steady-state allocation.
 #[derive(Debug, Default)]
-pub(crate) struct CandidateSlab {
-    slots: Vec<Columns>,
+pub(crate) struct CandidateSlab<P: Passenger = ()> {
+    slots: Vec<Columns<P>>,
     free: Vec<u32>,
     /// Staging columns for merge and merge-insert rebuilds.
-    staging: Staging,
+    staging: Staging<P>,
     /// Candidates currently live across all allocated lists.
     live: usize,
     /// High-water mark of `live` since the last [`CandidateSlab::reset`].
     peak: usize,
 }
 
-impl CandidateSlab {
+impl<P: Passenger> CandidateSlab<P> {
     /// Frees every list and zeroes the live/peak accounting (column and
     /// slot allocations are retained). Called at the start of each solve.
     pub(crate) fn reset(&mut self) {
@@ -456,17 +616,19 @@ impl CandidateSlab {
 
     /// Borrows the columns of `list`.
     #[inline]
-    pub(crate) fn view(&self, list: SlabList) -> SlabView<'_> {
+    pub(crate) fn view(&self, list: SlabList) -> SlabView<'_, P> {
         let cols = &self.slots[list.index()];
         SlabView {
             q: &cols.q,
             c: &cols.c,
             s: &cols.s,
             pred: &cols.pred,
+            x: &cols.x,
         }
     }
 
-    /// The singleton list of a sink: `Q = RAT`, `C = c_sink`, `s = 0`.
+    /// The singleton list of a sink: `Q = RAT`, `C = c_sink`, `s = 0`, and
+    /// the default passenger row.
     pub(crate) fn sink(&mut self, q: f64, c: f64) -> SlabList {
         let list = self.alloc();
         self.slots[list.index()].push(q, c, 0.0, PredRef::NONE);
@@ -476,7 +638,7 @@ impl CandidateSlab {
 
     /// Allocates a fresh list holding a copy of `src` (a cache snapshot or
     /// a parallel task's result): one `memcpy` per lane.
-    pub(crate) fn load(&mut self, src: &Columns) -> SlabList {
+    pub(crate) fn load(&mut self, src: &Columns<P>) -> SlabList {
         let list = self.alloc();
         let n = src.len();
         self.slots[list.index()].extend_from(src, n);
@@ -487,19 +649,15 @@ impl CandidateSlab {
     /// Copies `list` out into `out`, replacing what `out` held but keeping
     /// its allocation (the list stays allocated; free the handle
     /// separately).
-    pub(crate) fn store(&self, list: SlabList, out: &mut Columns) {
+    pub(crate) fn store(&self, list: SlabList, out: &mut Columns<P>) {
         let src = &self.slots[list.index()];
         out.clear();
         out.extend_from(src, src.len());
     }
 
     /// Allocates a fresh list holding a copy of the staged `betas`.
-    pub(crate) fn load_betas(&mut self, betas: &BetaList) -> SlabList {
-        let list = self.alloc();
-        let n = betas.len();
-        self.slots[list.index()].extend_from(&betas.0, n);
-        self.note(0, n);
-        list
+    pub(crate) fn load_betas(&mut self, betas: &BetaList<P>) -> SlabList {
+        self.load(&betas.0)
     }
 
     /// Wire propagation — the paper's "add a wire" operation:
@@ -508,10 +666,11 @@ impl CandidateSlab {
     /// Q ← Q − d(C)        C ← C + cw        s ← s + d(C)
     /// ```
     ///
-    /// with `d` the model's wire delay from the *pre-shear* capacitance.
-    /// The whole shear runs through one batched [`DelayModel::wire_shear`]
-    /// call (one virtual dispatch per wire, one memory pass over the three
-    /// lanes), then one in-place monotone pass restores the nonredundant
+    /// with `d` the model's wire delay from the *pre-shear* capacitance
+    /// (the passengers see the same pre-shear loads first). The whole
+    /// shear runs through one batched [`DelayModel::wire_shear`] call (one
+    /// virtual dispatch per wire, one memory pass over the three lanes),
+    /// then one in-place monotone pass restores the nonredundant
     /// invariant: the shear can push a high-`C` candidate's `Q` below a
     /// lower-`C` one's.
     pub(crate) fn add_wire(
@@ -527,6 +686,7 @@ impl CandidateSlab {
         }
         let cols = &mut self.slots[list.index()];
         let n = cols.len();
+        cols.x.wire(model, r, cw, &cols.c);
         model.wire_shear(r, cw, &mut cols.q, &mut cols.s, &mut cols.c);
         // The shear preserves c order (strictly increasing stays strictly
         // increasing under `+ cw`), so only the q invariant can break. In
@@ -559,25 +719,23 @@ impl CandidateSlab {
         self.note(n, write);
     }
 
-    /// Drops candidates whose stage wire delay `s` already exceeds `cap`
-    /// (no driver can close their stage legally, and upstream wires only
-    /// grow `s`), keeping the single least-bad one when all violate so the
-    /// DP stays total. Returns the number removed.
-    pub(crate) fn prune_slew(&mut self, list: SlabList, cap: f64) -> usize {
+    /// Drops every candidate of `list` whose `key` exceeds `cap`, keeping
+    /// the single least-bad one (the first minimum by total order) when
+    /// all do, so the DP stays total. A non-finite `cap` prunes nothing.
+    /// Returns the number removed.
+    fn retain_at_most(
+        &mut self,
+        list: SlabList,
+        cap: f64,
+        key: impl Fn(&Columns<P>, usize) -> f64,
+    ) -> usize {
         let cols = &mut self.slots[list.index()];
         if !cap.is_finite() || cols.len() == 0 {
             return 0;
         }
         let before = cols.len();
-        if cols.s.iter().all(|&s| s > cap) {
-            // First minimum by total order (the oracle's
-            // `min_by(total_cmp)` keeps the earliest minimum too).
-            let mut best = 0usize;
-            for i in 1..before {
-                if cols.s[i].total_cmp(&cols.s[best]) == std::cmp::Ordering::Less {
-                    best = i;
-                }
-            }
+        if (0..before).all(|i| key(cols, i) > cap) {
+            let best = cols.first_min(&key);
             cols.copy_lane(best, 0);
             cols.truncate(1);
             self.note(before, 1);
@@ -585,7 +743,7 @@ impl CandidateSlab {
         }
         let mut write = 0usize;
         for read in 0..before {
-            if cols.s[read] <= cap {
+            if key(cols, read) <= cap {
                 if write != read {
                     cols.copy_lane(read, write);
                 }
@@ -595,6 +753,20 @@ impl CandidateSlab {
         cols.truncate(write);
         self.note(before, write);
         before - write
+    }
+
+    /// Drops candidates whose stage wire delay `s` already exceeds `cap`
+    /// (no driver can close their stage legally, and upstream wires only
+    /// grow `s`); see `retain_at_most`. Returns the number removed.
+    pub(crate) fn prune_slew(&mut self, list: SlabList, cap: f64) -> usize {
+        self.retain_at_most(list, cap, |cols, i| cols.s[i])
+    }
+
+    /// The skew bound's prune: drops every candidate whose passenger
+    /// width exceeds `bound` (width never shrinks upstream); see
+    /// `retain_at_most`. Returns the number removed.
+    pub(crate) fn prune_width(&mut self, list: SlabList, bound: f64) -> usize {
+        self.retain_at_most(list, bound, |cols, i| cols.x.width(i))
     }
 
     /// Branch merge — the paper's third operation. Consumes `left` and
@@ -624,7 +796,7 @@ impl CandidateSlab {
 
     /// [`CandidateSlab::merge`] that leaves both inputs allocated and
     /// untouched. Because the walk reads the inputs in place (no drain),
-    /// keeping them costs nothing — this is what lets the cost solver's
+    /// keeping them costs nothing — this is what lets the cost lane's
     /// level convolution reuse one list across many merges.
     pub(crate) fn merge_keep(
         &mut self,
@@ -686,6 +858,7 @@ impl CandidateSlab {
             let q = aq.min(bq);
             let c = lc[i] + rc[j];
             let s = ls[i].max(rs[j]);
+            let x = P::merge(l.x.get(i), r.x.get(j));
             let pred = if track {
                 arena.push(PredEntry::Merge {
                     left: lp[i],
@@ -700,7 +873,7 @@ impl CandidateSlab {
                 while top > 0 && cols.c[top - 1] >= c {
                     top -= 1; // new candidate dominates the stack top
                 }
-                cols.put(top, q, c, s, pred);
+                cols.put(top, q, c, s, pred, x);
                 top += 1;
             }
             if aq <= bq {
@@ -724,7 +897,7 @@ impl CandidateSlab {
 
     /// Borrows two distinct slots, the first read-only and the second
     /// mutably.
-    fn slot_pair(&mut self, read: SlabList, write: SlabList) -> (&Columns, &mut Columns) {
+    fn slot_pair(&mut self, read: SlabList, write: SlabList) -> (&Columns<P>, &mut Columns<P>) {
         let (ri, wi) = (read.index(), write.index());
         assert_ne!(ri, wi, "slot_pair requires distinct lists");
         if ri < wi {
@@ -750,9 +923,27 @@ impl CandidateSlab {
     /// Merges the staged `betas` (sorted by strictly increasing `C` — the
     /// `β_i` of `AddBuffer`) into `list` in O(len + betas), with the
     /// equal-`c` better-`q`-first tie rule (Theorem 2 of the paper).
-    pub(crate) fn merge_insert(&mut self, list: SlabList, betas: &BetaList) {
+    pub(crate) fn merge_insert(&mut self, list: SlabList, betas: &BetaList<P>) {
         debug_assert!(betas.0.c.windows(2).all(|w| w[0] < w[1]));
         self.merge_insert_cols(list, &betas.0);
+    }
+
+    /// Merge-inserts each staged target list into the list of the same
+    /// index (`None` is an empty list, which the betas then start).
+    pub(crate) fn insert_targets(
+        &mut self,
+        lists: &mut [Option<SlabList>],
+        targets: &[BetaList<P>],
+    ) {
+        for (slot, betas) in lists.iter_mut().zip(targets) {
+            if betas.is_empty() {
+                continue;
+            }
+            match *slot {
+                Some(list) => self.merge_insert(list, betas),
+                None => *slot = Some(self.load_betas(betas)),
+            }
+        }
     }
 
     /// [`CandidateSlab::merge_insert`] where the incoming candidates are
@@ -765,7 +956,7 @@ impl CandidateSlab {
         self.slots[src.index()] = inc;
     }
 
-    fn merge_insert_cols(&mut self, list: SlabList, inc: &Columns) {
+    fn merge_insert_cols(&mut self, list: SlabList, inc: &Columns<P>) {
         let old_len = self.len(list);
         self.staging
             .merge_insert(&mut self.slots[list.index()], inc);
@@ -775,7 +966,7 @@ impl CandidateSlab {
 
     /// Removes from `level` every candidate dominated by some `frontier`
     /// candidate at equal-or-smaller load (`f.c <= cand.c && f.q >= cand.q`)
-    /// — the cost solver's three-dimensional dominance check. Both lists
+    /// — the cost lane's three-dimensional dominance check. Both lists
     /// are `c`-ascending, so one linear sweep with a shared frontier cursor
     /// replaces a per-candidate binary search: the cursor
     /// only ever advances, and `frontier.q` ascends with `frontier.c`, so
@@ -809,6 +1000,7 @@ impl CandidateSlab {
         self.note(n, write);
         n - write
     }
+
     /// The candidate index maximizing `Q − (k + r·C)` (ties to minimum
     /// `C`), or `None` on an empty list.
     pub(crate) fn best_driven(&self, list: SlabList, r: f64, k: f64) -> Option<usize> {
@@ -827,6 +1019,41 @@ impl CandidateSlab {
         best
     }
 
+    /// Root selection under a bound: the [`best_driven`] candidate among
+    /// those whose `key` is at most `cap`, with `true`; when none is, the
+    /// first candidate with the least `key` (by total order), with `false`.
+    /// A non-finite `cap` admits every candidate. `list` must not be empty.
+    ///
+    /// [`best_driven`]: CandidateSlab::best_driven
+    pub(crate) fn select_root(
+        &self,
+        list: SlabList,
+        r: f64,
+        k: f64,
+        cap: f64,
+        key: impl Fn(&Columns<P>, usize) -> f64,
+    ) -> (usize, bool) {
+        let found = if cap.is_finite() {
+            let cols = &self.slots[list.index()];
+            let driven = |i: usize| cols.q[i] - k - r * cols.c[i];
+            let mut choice: Option<usize> = None;
+            for i in 0..cols.len() {
+                // `<=` then negate: a NaN key is never within the cap.
+                let within = key(cols, i) <= cap;
+                if within && choice.is_none_or(|b| driven(i) > driven(b)) {
+                    choice = Some(i);
+                }
+            }
+            match choice {
+                Some(i) => Some(i),
+                None => return (cols.first_min(key), false),
+            }
+        } else {
+            self.best_driven(list, r, k)
+        };
+        (found.expect("candidate lists are never empty"), true)
+    }
+
     /// Convex-prunes `list` in place, keeping only upper-hull candidates —
     /// the paper's `Convexpruning` as published, which
     /// [`Algorithm::LiShiPermanent`](crate::Algorithm::LiShiPermanent)
@@ -836,7 +1063,7 @@ impl CandidateSlab {
         let before = cols.len();
         let mut top = 0usize; // hull size; lanes [..top] are the hull so far
         for i in 0..before {
-            let (q, c, s, pred) = (cols.q[i], cols.c[i], cols.s[i], cols.pred[i]);
+            let (q, c) = (cols.q[i], cols.c[i]);
             while top >= 2
                 && prunes_middle_vals(
                     cols.q[top - 2],
@@ -849,10 +1076,7 @@ impl CandidateSlab {
             {
                 top -= 1;
             }
-            cols.q[top] = q;
-            cols.c[top] = c;
-            cols.s[top] = s;
-            cols.pred[top] = pred;
+            cols.copy_lane(i, top);
             top += 1;
         }
         cols.truncate(top);
@@ -1176,11 +1400,11 @@ mod tests {
             let mut stage = BetaStage::default();
             stage.reset_targets(1);
             for &cand in old.iter() {
-                stage.group.push_pruned(cand);
+                stage.group.push_pruned(cand, ());
             }
             stage.flush_group(0);
             for &cand in inc.iter() {
-                stage.group.push_pruned(cand);
+                stage.group.push_pruned(cand, ());
             }
             stage.flush_group(0);
             let mut slab = CandidateSlab::default();
@@ -1227,6 +1451,72 @@ mod tests {
                 "retain_undominated {ctx}"
             );
         });
+    }
+
+    /// A [`Window`] passenger tagged `(q, −q)` rides every list operation
+    /// with its candidate: the tag is invariant under merge (`min`/`max`)
+    /// and moves with every copy, compaction and splice, and the `(q, c,
+    /// s, pred)` lanes match a passenger-free slab's bit for bit.
+    #[test]
+    fn window_passengers_move_with_their_candidates() {
+        let tagged = |l: &CandidateList| {
+            let mut cols = Columns::<Window>::default();
+            for x in l {
+                cols.push_row(x.q, x.c, x.s, x.pred, (x.q, -x.q));
+            }
+            cols
+        };
+        let check =
+            |slab: &CandidateSlab<Window>, h: SlabList, plain: &CandidateSlab, p: SlabList| {
+                let (v, w) = (slab.view(h), plain.view(p));
+                let lanes =
+                    |v: &SlabView<'_, Window>| (0..v.len()).map(|i| v.get(i)).collect::<Vec<_>>();
+                let plain_lanes = (0..w.len()).map(|i| w.get(i)).collect::<Vec<_>>();
+                assert_eq!(lanes(&v), plain_lanes);
+                for i in 0..v.len() {
+                    assert_eq!(v.row(i), (v.q[i], -v.q[i]));
+                }
+            };
+        tied_cases(|state, ln, rn| {
+            let mut arena = PredArena::new();
+            let l = tied_staircase(state, ln, &mut arena);
+            let r = tied_staircase(state, rn, &mut arena);
+            let (mut slab, mut plain) =
+                (CandidateSlab::<Window>::default(), CandidateSlab::default());
+            let mut stats = SolveStats::default();
+            let (wl, wr) = (slab.load(&tagged(&l)), slab.load(&tagged(&r)));
+            let (pl, pr) = (load(&mut plain, &l), load(&mut plain, &r));
+            let wm = slab.merge_keep(wl, wr, &mut arena.clone(), true, &mut stats);
+            let pm = plain.merge_keep(pl, pr, &mut arena.clone(), true, &mut stats);
+            check(&slab, wm, &plain, pm);
+            slab.merge_insert_list(wl, wr);
+            plain.merge_insert_list(pl, pr);
+            check(&slab, wl, &plain, pl);
+            slab.retain_undominated(wr, wm, &mut stats);
+            plain.retain_undominated(pr, pm, &mut stats);
+            check(&slab, wr, &plain, pr);
+            slab.convex_prune(wl);
+            plain.convex_prune(pl);
+            check(&slab, wl, &plain, pl);
+            let wm = slab.merge(wm, wl, &mut arena.clone(), true, 2.0, &mut stats);
+            let pm = plain.merge(pm, pl, &mut arena.clone(), true, 2.0, &mut stats);
+            check(&slab, wm, &plain, pm);
+        });
+    }
+
+    /// The skew lane's width prune keeps the narrowest window when every
+    /// window is too wide; an infinite bound prunes nothing.
+    #[test]
+    fn width_prune_keeps_narrowest_when_all_violate() {
+        let mut cols = Columns::<Window>::default();
+        cols.push_row(1.0, 1.0, 0.0, PredRef::NONE, (0.0, 5.0));
+        cols.push_row(2.0, 2.0, 0.0, PredRef::NONE, (1.0, 4.0));
+        let mut slab = CandidateSlab::default();
+        let h = slab.load(&cols);
+        assert_eq!(slab.prune_width(h, 1.0), 1);
+        assert_eq!(slab.view(h).row(0), (1.0, 4.0));
+        assert_eq!(slab.prune_width(h, f64::INFINITY), 0);
+        assert_eq!(slab.len(h), 1);
     }
 
     /// Times `a` and `b` interleaved in blocks (A/B/A/B…), reporting each
@@ -1421,7 +1711,7 @@ mod tests {
     fn beta_buf(betas: &[Candidate]) -> BetaList {
         let mut staged = BetaList::default();
         for &beta in betas {
-            staged.push_pruned(beta);
+            staged.push_pruned(beta, ());
         }
         assert_eq!(staged.len(), betas.len(), "betas must be a staircase");
         staged

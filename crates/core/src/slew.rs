@@ -29,7 +29,7 @@ pub(crate) struct SlewPolicy {
 
 impl SlewPolicy {
     /// The policy of an unconstrained solve.
-    pub fn unlimited() -> Self {
+    pub const fn unlimited() -> Self {
         SlewPolicy {
             cap: f64::INFINITY,
             type_caps: Vec::new(),

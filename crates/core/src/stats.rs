@@ -19,6 +19,10 @@ pub struct SolveStats {
     /// Number of `AddBuffer` invocations (buffer positions reached with a
     /// non-empty library).
     pub addbuffer_ops: u64,
+    /// Candidates in the lists `AddBuffer` ran on, summed over its calls
+    /// (Σ k; before [`Algorithm::LiShiPermanent`](crate::Algorithm)'s
+    /// convex prune).
+    pub addbuffer_candidates: u64,
     /// Candidates inspected by full scans (all of Lillis' work; only the
     /// load-limited fallback for Li–Shi).
     pub scan_candidate_visits: u64,
@@ -95,6 +99,7 @@ impl SolveStats {
         self.wire_ops += shard.wire_ops;
         self.merge_ops += shard.merge_ops;
         self.addbuffer_ops += shard.addbuffer_ops;
+        self.addbuffer_candidates += shard.addbuffer_candidates;
         self.scan_candidate_visits += shard.scan_candidate_visits;
         self.hull_builds += shard.hull_builds;
         self.hull_input_candidates += shard.hull_input_candidates;
@@ -116,10 +121,11 @@ impl fmt::Display for SolveStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ops: wire={} merge={} addbuf={} | addbuf work: scans={} hull_in={} walk={} betas={} | lists: max={} root={} | pruned={} slew_pruned={} arena={} | eco: recomputed={} reused={} | slab: scanned={} pruned={} peak_bytes={} par_subtrees={} | {:?}",
+            "ops: wire={} merge={} addbuf={} | addbuf work: k={} scans={} hull_in={} walk={} betas={} | lists: max={} root={} | pruned={} slew_pruned={} arena={} | eco: recomputed={} reused={} | slab: scanned={} pruned={} peak_bytes={} par_subtrees={} | {:?}",
             self.wire_ops,
             self.merge_ops,
             self.addbuffer_ops,
+            self.addbuffer_candidates,
             self.scan_candidate_visits,
             self.hull_input_candidates,
             self.hull_walk_steps,

@@ -61,4 +61,4 @@ pub use line::{line_net, LineNetSpec};
 pub use random::{RandomNetSpec, RatPolicy};
 pub use shared::{parse_capacity, write_capacity, SharedNet, SharedSuiteSpec};
 pub use suite::{heavy_tailed_sinks, SuiteSpec};
-pub use variation::{parse_variation, write_variation, Dist, VariationSpec};
+pub use variation::{parse_variation, write_variation, Dist, VariationParseError, VariationSpec};

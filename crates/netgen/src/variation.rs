@@ -22,6 +22,9 @@
 //! or in what order samples are generated — the property the parallel
 //! yield solver's bit-reproducibility rests on.
 
+use std::error::Error;
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -295,6 +298,23 @@ impl VariationSpec {
     }
 }
 
+/// Why [`parse_variation`] rejected a variation file, and where.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VariationParseError {
+    /// 1-based line of the first problem.
+    pub line: usize,
+    /// What is wrong on that line.
+    pub message: String,
+}
+
+impl fmt::Display for VariationParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl Error for VariationParseError {}
+
 /// Serializes a spec in the text format [`parse_variation`] reads.
 pub fn write_variation(spec: &VariationSpec) -> String {
     let mut out = String::new();
@@ -324,21 +344,26 @@ pub fn write_variation(spec: &VariationSpec) -> String {
 ///
 /// # Errors
 ///
-/// A human-readable message naming the 1-based line of the first problem:
+/// A [`VariationParseError`] naming the 1-based line of the first problem:
 /// unknown knobs, non-finite (NaN/inf) parameters, negative sigma,
 /// non-positive means/bounds, inverted uniform ranges, and out-of-range
 /// locality are all rejected here — never deferred to solve time.
-pub fn parse_variation(text: &str) -> Result<VariationSpec, String> {
+pub fn parse_variation(text: &str) -> Result<VariationSpec, VariationParseError> {
     let mut spec = VariationSpec::default();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        let err = |msg: String| format!("line {}: {msg}", i + 1);
+        let err = |message: String| VariationParseError {
+            line: i + 1,
+            message,
+        };
         let mut tokens = line.split_whitespace();
         let key = tokens.next().expect("non-empty line has a first token");
-        let num_arg = |tokens: &mut std::str::SplitWhitespace, what: &str| -> Result<f64, String> {
+        let num_arg = |tokens: &mut std::str::SplitWhitespace,
+                       what: &str|
+         -> Result<f64, VariationParseError> {
             let t = tokens
                 .next()
                 .ok_or_else(|| err(format!("`{key}` needs a {what}")))?;
@@ -570,32 +595,50 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_specs_with_line_numbers() {
-        let err = parse_variation("wire-r normal NaN 0.1\n").unwrap_err();
+        let err = parse_variation("wire-r normal NaN 0.1\n")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("line 1") && err.contains("finite"), "{err}");
-        let err = parse_variation("# ok\nwire-c normal 1.0 -0.2\n").unwrap_err();
+        let err = parse_variation("# ok\nwire-c normal 1.0 -0.2\n")
+            .unwrap_err()
+            .to_string();
         assert!(
             err.contains("line 2") && err.contains("non-negative"),
             "{err}"
         );
-        let err = parse_variation("buffer-delay uniform 1.2 0.8\n").unwrap_err();
+        let err = parse_variation("buffer-delay uniform 1.2 0.8\n")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("empty range"), "{err}");
-        let err = parse_variation("buffer-drive uniform 0 1.1\n").unwrap_err();
+        let err = parse_variation("buffer-drive uniform 0 1.1\n")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("positive"), "{err}");
-        let err = parse_variation("rat normal -1 0.1\n").unwrap_err();
+        let err = parse_variation("rat normal -1 0.1\n")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("positive"), "{err}");
-        let err = parse_variation("locality 1.5\n").unwrap_err();
+        let err = parse_variation("locality 1.5\n").unwrap_err().to_string();
         assert!(err.contains("(0, 1]"), "{err}");
-        let err = parse_variation("locality 0\n").unwrap_err();
+        let err = parse_variation("locality 0\n").unwrap_err().to_string();
         assert!(err.contains("(0, 1]"), "{err}");
-        let err = parse_variation("seed twelve\n").unwrap_err();
+        let err = parse_variation("seed twelve\n").unwrap_err().to_string();
         assert!(err.contains("bad seed"), "{err}");
-        let err = parse_variation("gravity normal 1 0.1\n").unwrap_err();
+        let err = parse_variation("gravity normal 1 0.1\n")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown key"), "{err}");
-        let err = parse_variation("wire-r cauchy 1 0.1\n").unwrap_err();
+        let err = parse_variation("wire-r cauchy 1 0.1\n")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown distribution"), "{err}");
-        let err = parse_variation("wire-r normal 1 0.1 extra\n").unwrap_err();
+        let err = parse_variation("wire-r normal 1 0.1 extra\n")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("trailing"), "{err}");
-        let err = parse_variation("sink-cap normal inf 0.1\n").unwrap_err();
+        let err = parse_variation("sink-cap normal inf 0.1\n")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("finite"), "{err}");
     }
 
