@@ -994,3 +994,84 @@ fn cts_end_to_end() {
     assert!(err.contains("line 1"), "{err}");
     fs::remove_dir_all(&dir).ok();
 }
+
+/// Replaces the value of every wall-clock key with `T`.
+fn normalize_clock(text: &str) -> String {
+    let mut out = text.to_owned();
+    for key in ["\"elapsed_us\": ", "\"elapsed_ms\": ", "\"nets_per_sec\": "] {
+        let mut from = 0;
+        while let Some(at) = out[from..].find(key) {
+            let start = from + at + key.len();
+            let len = out[start..]
+                .find([',', '}', '\n'])
+                .unwrap_or(out.len() - start);
+            out.replace_range(start..start + len, "T");
+            from = start + 1;
+        }
+    }
+    out
+}
+
+/// Byte-identity goldens of every `--json` report the CLI writes; the
+/// expected bytes live in `crates/cli/tests/golden/`.
+#[test]
+fn json_reports_match_their_goldens() {
+    let dir = std::env::temp_dir().join(format!("fastbuf-cli-golden-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let d = dir.to_str().unwrap();
+    let run_line = |line: &str| {
+        run(&line
+            .split_whitespace()
+            .map(str::to_owned)
+            .collect::<Vec<_>>())
+    };
+    let golden = |name: &str, line: &str| {
+        run_line(&format!("{line} --json {d}/{name}.json")).unwrap();
+        let actual = fs::read_to_string(dir.join(format!("{name}.json"))).unwrap();
+        let actual = normalize_clock(&actual).replace(d, "DIR");
+        let expected = fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/golden")
+                .join(format!("{name}.json")),
+        )
+        .unwrap();
+        assert_eq!(actual, expected, "{name} drifted from its golden");
+    };
+
+    run_line(&format!(
+        "gen net --kind random --sinks 6 --seed 4 -o {d}/g.net"
+    ))
+    .unwrap();
+    run_line(&format!("gen lib --size 4 -o {d}/g.lib")).unwrap();
+    run_line(&format!(
+        "gen suite --nets 3 --max-sinks 8 --seed 5 --out-dir {d}/suite"
+    ))
+    .unwrap();
+    fs::write(dir.join("g.var"), "wire-r normal 1.0 0.05\nseed 7\n").unwrap();
+    fs::write(dir.join("g.scn"), "typical\nslow derate=0.9\n").unwrap();
+
+    let solve = format!("solve --net {d}/g.net --lib {d}/g.lib");
+    golden("solve", &format!("{solve} --placements"));
+    golden("solve_scenarios", &format!("{solve} --scenarios {d}/g.scn"));
+    golden(
+        "solve_variation",
+        &format!("{solve} --variation {d}/g.var --samples 3"),
+    );
+    golden(
+        "eco",
+        &format!("eco --net {d}/g.net --lib {d}/g.lib --random 3 --seed 7 --check"),
+    );
+    golden(
+        "cts",
+        &format!("cts --lib {d}/g.lib --sinks 6 --seed 7 --max-skew 500 --show-placements"),
+    );
+    golden(
+        "global",
+        &format!("global --lib {d}/g.lib --nets 3 --pool 12 --sites-per-net 6"),
+    );
+    golden(
+        "batch",
+        &format!("batch --dir {d}/suite --lib {d}/g.lib --workers 1 --placements"),
+    );
+    fs::remove_dir_all(&dir).ok();
+}
