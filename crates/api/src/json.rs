@@ -1,44 +1,33 @@
-//! Hand-rolled JSON helpers and the shared per-net record schema.
+//! The JSON primitives and the shared per-net record schema.
 //!
-//! The workspace builds fully offline (no serde), so JSON is emitted by
-//! hand. This module is the **single definition** of the per-net JSON
-//! schema: both `fastbuf batch --json` (via `fastbuf-batch`) and
-//! `fastbuf solve --json` serialize through [`NetRecord`], so the two
-//! commands can never drift apart.
+//! The workspace builds fully offline (no serde). Every JSON output is a
+//! [`Json`] value printed by its one serializer ([`Json::write`] /
+//! [`Json::to_pretty`]); this module holds the scalar spellings that
+//! serializer uses ([`json_str`], [`json_f64`]) and the **single
+//! definition** of the per-net schema: `fastbuf batch --json` (via
+//! `fastbuf-batch`), `fastbuf solve --json` and `fastbuf serve` all build
+//! their per-net entries from [`NetRecord::to_value`], so they can never
+//! drift apart.
 
 use std::time::Duration;
 
 use fastbuf_buflib::units::Seconds;
 use fastbuf_core::Placement;
 
+use crate::wire::{write_escaped, write_num, Json};
+
 /// Formats an `f64` as a valid JSON number (JSON has no `Infinity`/`NaN`;
 /// those become `null`).
 pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{}` on f64 always includes a sign/digits; it never produces the
-        // `inf`/`NaN` spellings for finite values, so this is valid JSON.
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
+    let mut out = String::new();
+    write_num(&mut out, v);
+    out
 }
 
 /// Escapes a string for JSON.
 pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let mut out = String::new();
+    write_escaped(&mut out, s);
     out
 }
 
@@ -82,59 +71,44 @@ pub struct NetRecord<'a> {
 }
 
 impl NetRecord<'_> {
+    /// This record as a JSON object, members in schema order.
+    pub fn to_value(&self) -> Json {
+        let mut members = Vec::with_capacity(15);
+        members.push(("net", self.name.into()));
+        if let Some(scenario) = self.scenario {
+            members.push(("scenario", scenario.into()));
+        }
+        members.extend([
+            ("index", self.index.into()),
+            ("sinks", self.sinks.into()),
+            ("sites", self.sites.into()),
+            ("slack_before_ps", self.slack_before.picos().into()),
+            ("slack_after_ps", self.slack_after.picos().into()),
+            ("slew_before_ps", self.slew_before.picos().into()),
+            ("max_slew_ps", self.max_slew.picos().into()),
+            ("slew_ok", self.slew_ok.into()),
+            ("buffers", self.buffers.into()),
+            ("cost", self.cost.into()),
+            ("elapsed_us", (self.elapsed.as_secs_f64() * 1e6).into()),
+        ]);
+        if let Some(placements) = self.placements {
+            let placements = placements
+                .iter()
+                .map(|p| {
+                    Json::obj([
+                        ("node", p.node.index().into()),
+                        ("buffer", p.buffer.index().into()),
+                    ])
+                })
+                .collect();
+            members.push(("placements", placements));
+        }
+        Json::obj(members)
+    }
+
     /// Serializes this record as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        s.push('{');
-        s.push_str(&format!("\"net\": {}, ", json_str(self.name)));
-        if let Some(scenario) = self.scenario {
-            s.push_str(&format!("\"scenario\": {}, ", json_str(scenario)));
-        }
-        s.push_str(&format!("\"index\": {}, ", self.index));
-        s.push_str(&format!("\"sinks\": {}, ", self.sinks));
-        s.push_str(&format!("\"sites\": {}, ", self.sites));
-        s.push_str(&format!(
-            "\"slack_before_ps\": {}, ",
-            json_f64(self.slack_before.picos())
-        ));
-        s.push_str(&format!(
-            "\"slack_after_ps\": {}, ",
-            json_f64(self.slack_after.picos())
-        ));
-        s.push_str(&format!(
-            "\"slew_before_ps\": {}, ",
-            json_f64(self.slew_before.picos())
-        ));
-        s.push_str(&format!(
-            "\"max_slew_ps\": {}, ",
-            json_f64(self.max_slew.picos())
-        ));
-        s.push_str(&format!(
-            "\"slew_ok\": {}, ",
-            if self.slew_ok { "true" } else { "false" }
-        ));
-        s.push_str(&format!("\"buffers\": {}, ", self.buffers));
-        s.push_str(&format!("\"cost\": {}, ", json_f64(self.cost)));
-        s.push_str(&format!(
-            "\"elapsed_us\": {}",
-            json_f64(self.elapsed.as_secs_f64() * 1e6)
-        ));
-        if let Some(placements) = self.placements {
-            s.push_str(", \"placements\": [");
-            for (j, p) in placements.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "{{\"node\": {}, \"buffer\": {}}}",
-                    p.node.index(),
-                    p.buffer.index()
-                ));
-            }
-            s.push(']');
-        }
-        s.push('}');
-        s
+        self.to_value().to_json()
     }
 }
 
@@ -142,7 +116,7 @@ impl NetRecord<'_> {
 /// borrowed fields, so it can outlive the solve that produced it, cross a
 /// thread boundary, or be queued in a server response.
 ///
-/// Serialization delegates to [`NetRecord::to_json`] through
+/// Serialization delegates to [`NetRecord::to_value`] through
 /// [`NetRecordOwned::as_record`], so the owned and borrowed forms are
 /// **byte-identical by construction** — `batch --json`, `solve --json`,
 /// and `fastbuf serve` all emit the exact same bytes for the same record
@@ -199,6 +173,12 @@ impl NetRecordOwned {
             elapsed: self.elapsed,
             placements: self.placements.as_deref(),
         }
+    }
+
+    /// This record as a JSON object, identical to the borrowed
+    /// [`NetRecord::to_value`].
+    pub fn to_value(&self) -> Json {
+        self.as_record().to_value()
     }
 
     /// Serializes this record as a single-line JSON object, byte-identical

@@ -9,7 +9,7 @@ use fastbuf_buflib::units::Seconds;
 use fastbuf_core::{Algorithm, Solver};
 use fastbuf_rctree::{elmore, io as netio, RoutingTree};
 
-use super::{io_error, load_lib, load_model, load_slew_limit, CliError, USAGE};
+use super::{io_error, load_lib, load_model, load_slew_limit, write_json, CliError, USAGE};
 use crate::args::Flags;
 
 /// Loads the nets of a `batch` run: every `*.net` in `--dir` (sorted by
@@ -180,13 +180,10 @@ pub(super) fn batch(argv: &[String]) -> Result<(), CliError> {
     }
     println!("{report}");
     if let Some(path) = flags.value("json") {
-        let json = report.to_json(Some(&names), flags.switch("placements"));
-        if path == "-" {
-            print!("{json}");
-        } else {
-            fs::write(path, json).map_err(|e| io_error(format!("cannot write `{path}`: {e}")))?;
-            println!("json report written to {path}");
-        }
+        write_json(
+            path,
+            &report.to_json(Some(&names), flags.switch("placements")),
+        )?;
     }
     Ok(())
 }

@@ -13,7 +13,7 @@ use fastbuf_netgen::{
 };
 use fastbuf_rctree::{elmore, NodeKind};
 
-use super::{io_error, load_lib, CliError};
+use super::{io_error, load_lib, write_json, CliError};
 use crate::args::Flags;
 
 pub(super) fn cts(argv: &[String]) -> Result<(), CliError> {
@@ -163,13 +163,7 @@ pub(super) fn cts(argv: &[String]) -> Result<(), CliError> {
             flags.switch("show-placements"),
             max_skew,
         )?;
-        let json = format!("{record}\n");
-        if path == "-" {
-            print!("{json}");
-        } else {
-            fs::write(path, json).map_err(|e| io_error(format!("cannot write `{path}`: {e}")))?;
-            println!("json report written to {path}");
-        }
+        write_json(path, &format!("{record}\n"))?;
     }
     if max_skew.is_some() && !sol.skew_ok {
         return Err(CliError {

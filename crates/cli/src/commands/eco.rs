@@ -4,10 +4,13 @@
 use std::fs;
 use std::sync::Arc;
 
+use fastbuf_api::wire::Json;
 use fastbuf_api::SolveError;
 use fastbuf_core::Algorithm;
 
-use super::{io_error, load_lib, load_model, load_net, load_slew_limit, CliError, USAGE};
+use super::{
+    io_error, load_lib, load_model, load_net, load_slew_limit, write_json, CliError, USAGE,
+};
 use crate::args::Flags;
 
 pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
@@ -82,7 +85,7 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
         solver.cache().cached_nodes()
     );
 
-    let mut records = String::new();
+    let mut records = Vec::new();
     let mut total_recomputed = 0u64;
     let mut total_reused = 0u64;
     let mut incremental_time = std::time::Duration::ZERO;
@@ -136,16 +139,14 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
             );
         }
         if want_json {
-            records.push_str(&format!(
-                "    {{\"edit\": \"{edit}\", \"slack_ps\": {:.6}, \"buffers\": {}, \
-                 \"nodes_recomputed\": {}, \"nodes_reused\": {}, \"slew_ok\": {}}}{}\n",
-                sol.slack.picos(),
-                sol.placements.len(),
-                sol.stats.nodes_recomputed,
-                sol.stats.nodes_reused,
-                sol.slew_ok,
-                if k + 1 < edits.len() { "," } else { "" }
-            ));
+            records.push(Json::obj([
+                ("edit", edit.to_string().into()),
+                ("slack_ps", sol.slack.picos().into()),
+                ("buffers", sol.placements.len().into()),
+                ("nodes_recomputed", sol.stats.nodes_recomputed.into()),
+                ("nodes_reused", sol.stats.nodes_reused.into()),
+                ("slew_ok", sol.slew_ok.into()),
+            ]));
         }
     }
 
@@ -181,25 +182,17 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
     );
 
     if let Some(path) = flags.value("json") {
-        let json = format!(
-            "{{\n  \"edits\": {},\n  \"nodes\": {},\n  \"total_recomputed\": {},\n  \
-             \"total_reused\": {},\n  \"final_slack_ps\": {:.6},\n  \"final_buffers\": {},\n  \
-             \"checked\": {},\n  \"results\": [\n{}  ]\n}}\n",
-            edits.len(),
-            nodes,
-            total_recomputed,
-            total_reused,
-            final_sol.slack.picos(),
-            final_sol.placements.len(),
-            flags.switch("check"),
-            records
-        );
-        if path == "-" {
-            print!("{json}");
-        } else {
-            fs::write(path, json).map_err(|e| io_error(format!("cannot write `{path}`: {e}")))?;
-            println!("json report written to {path}");
-        }
+        let report = Json::obj([
+            ("edits", edits.len().into()),
+            ("nodes", nodes.into()),
+            ("total_recomputed", total_recomputed.into()),
+            ("total_reused", total_reused.into()),
+            ("final_slack_ps", final_sol.slack.picos().into()),
+            ("final_buffers", final_sol.placements.len().into()),
+            ("checked", flags.switch("check").into()),
+            ("results", records.into()),
+        ]);
+        write_json(path, &report.to_pretty())?;
     }
     Ok(())
 }

@@ -8,7 +8,7 @@ use fastbuf_core::Algorithm;
 use fastbuf_global::{GlobalNet, GlobalOptions, GlobalSolver, SiteCapacityMap};
 use fastbuf_netgen::{parse_capacity, SharedSuiteSpec};
 
-use super::{io_error, load_lib, load_model, CliError};
+use super::{io_error, load_lib, load_model, write_json, CliError};
 use crate::args::Flags;
 
 pub(super) fn global(argv: &[String]) -> Result<(), CliError> {
@@ -115,13 +115,7 @@ pub(super) fn global(argv: &[String]) -> Result<(), CliError> {
         }
     }
     if let Some(path) = flags.value("json") {
-        let json = report.to_json();
-        if path == "-" {
-            print!("{json}");
-        } else {
-            fs::write(path, json).map_err(|e| io_error(format!("cannot write `{path}`: {e}")))?;
-            println!("json report written to {path}");
-        }
+        write_json(path, &report.to_json())?;
     }
     if !report.feasible {
         return Err(format!(

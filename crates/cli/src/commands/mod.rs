@@ -203,6 +203,17 @@ fn emit(flags: &Flags, content: &str) -> Result<(), CliError> {
     }
 }
 
+/// Writes a `--json` report to `path` (`-` = stdout).
+fn write_json(path: &str, json: &str) -> Result<(), CliError> {
+    if path == "-" {
+        print!("{json}");
+    } else {
+        fs::write(path, json).map_err(|e| io_error(format!("cannot write `{path}`: {e}")))?;
+        println!("json report written to {path}");
+    }
+    Ok(())
+}
+
 fn load_net(flags: &Flags) -> Result<RoutingTree, CliError> {
     let path = flags.required("net")?;
     let text =

@@ -4,11 +4,12 @@
 use std::fs;
 use std::sync::Arc;
 
-use fastbuf_api::{parse_scenario_lines, wire, Objective, Scenario, Session};
+use fastbuf_api::wire::{self, Json};
+use fastbuf_api::{parse_scenario_lines, Objective, Scenario, Session};
 use fastbuf_core::Algorithm;
 use fastbuf_rctree::{elmore, RoutingTree};
 
-use super::{io_error, load_lib, load_model, load_net, load_slew_limit, CliError};
+use super::{io_error, load_lib, load_model, load_net, load_slew_limit, write_json, CliError};
 use crate::args::Flags;
 
 pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
@@ -113,8 +114,8 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
 
     println!("unbuffered slack: {}", unbuffered.slack);
     let want_json = flags.value("json").is_some();
-    let mut records = String::new();
-    for (k, corner) in outcome.scenarios.iter().enumerate() {
+    let mut records = Vec::new();
+    for corner in &outcome.scenarios {
         let solution = corner
             .solution()
             .expect("solve command always asks for max slack");
@@ -208,12 +209,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
             // buffering improvement in every corner, never a model/derate
             // artifact.
             let record = record.as_ref().expect("built whenever want_json");
-            records.push_str("    ");
-            records.push_str(&record.to_json());
-            if k + 1 < outcome.scenarios.len() {
-                records.push(',');
-            }
-            records.push('\n');
+            records.push(record.to_value());
         }
     }
     if named {
@@ -222,17 +218,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
         }
     }
     if let Some(path) = flags.value("json") {
-        let json = format!(
-            "{{\n  \"nets\": 1,\n  \"scenarios\": {},\n  \"results\": [\n{}  ]\n}}\n",
-            outcome.scenarios.len(),
-            records
-        );
-        if path == "-" {
-            print!("{json}");
-        } else {
-            fs::write(path, json).map_err(|e| io_error(format!("cannot write `{path}`: {e}")))?;
-            println!("json report written to {path}");
-        }
+        write_json(path, &single_net_report(records))?;
     }
     Ok(())
 }
@@ -274,8 +260,8 @@ fn solve_yield(
         .solve()?;
 
     let want_json = flags.value("json").is_some();
-    let mut records = String::new();
-    for (k, corner) in outcome.scenarios.iter().enumerate() {
+    let mut records = Vec::new();
+    for corner in &outcome.scenarios {
         let v = corner
             .variation()
             .expect("yield objective produces variation outcomes");
@@ -309,26 +295,21 @@ fn solve_yield(
             );
         }
         if want_json {
-            records.push_str("    ");
-            records.push_str(&wire::variation_record(corner, named, true)?);
-            if k + 1 < outcome.scenarios.len() {
-                records.push(',');
-            }
-            records.push('\n');
+            records.push(wire::variation_record(corner, named, true)?);
         }
     }
     if let Some(path) = flags.value("json") {
-        let json = format!(
-            "{{\n  \"nets\": 1,\n  \"scenarios\": {},\n  \"results\": [\n{}  ]\n}}\n",
-            outcome.scenarios.len(),
-            records
-        );
-        if path == "-" {
-            print!("{json}");
-        } else {
-            fs::write(path, json).map_err(|e| io_error(format!("cannot write `{path}`: {e}")))?;
-            println!("json report written to {path}");
-        }
+        write_json(path, &single_net_report(records))?;
     }
     Ok(())
+}
+
+/// The `solve --json` report: one net, one record per scenario.
+fn single_net_report(records: Vec<Json>) -> String {
+    Json::obj([
+        ("nets", 1usize.into()),
+        ("scenarios", records.len().into()),
+        ("results", records.into()),
+    ])
+    .to_pretty()
 }

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use fastbuf_api::json::json_f64;
+use fastbuf_api::wire::Json;
 use fastbuf_buflib::units::Seconds;
 
 /// Final state of one shared site (only sites that saw usage, carry a
@@ -69,70 +69,49 @@ pub struct GlobalReport {
 }
 
 impl GlobalReport {
-    /// Serializes the report as pretty-printed JSON using the shared
-    /// hand-rolled serializer conventions (no serde; escaped strings,
-    /// plain JSON numbers, non-finite values as `null`).
+    /// Serializes the report as JSON, printed by [`Json::to_pretty`].
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512 + self.utilization.len() * 64);
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"feasible\": {},\n",
-            if self.feasible { "true" } else { "false" }
-        ));
-        s.push_str(&format!("  \"iterations\": {},\n", self.iterations));
-        s.push_str(&format!("  \"nets\": {},\n", self.nets));
-        s.push_str(&format!("  \"pool_sites\": {},\n", self.pool_sites));
-        s.push_str(&format!("  \"workers\": {},\n", self.workers));
-        s.push_str(&format!(
-            "  \"warm\": {},\n",
-            if self.warm { "true" } else { "false" }
-        ));
-        s.push_str(&format!("  \"total_buffers\": {},\n", self.total_buffers));
-        s.push_str(&format!("  \"total_resolved\": {},\n", self.total_resolved));
-        s.push_str(&format!(
-            "  \"total_slack_ps\": {},\n",
-            json_f64(self.total_slack.picos())
-        ));
-        s.push_str(&format!(
-            "  \"worst_slack_ps\": {},\n",
-            json_f64(self.worst_slack.picos())
-        ));
-        s.push_str(&format!(
-            "  \"elapsed_ms\": {},\n",
-            json_f64(self.elapsed.as_secs_f64() * 1e3)
-        ));
-        s.push_str("  \"utilization\": [\n");
-        for (i, u) in self.utilization.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"site\": {}, \"usage\": {}, \"capacity\": {}, \"price_ps\": {}}}{}\n",
-                u.site,
-                u.usage,
-                u.capacity,
-                json_f64(u.price.picos()),
-                if i + 1 < self.utilization.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"history\": [\n");
-        for (i, row) in self.history.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"iter\": {}, \"nets_resolved\": {}, \"sites_overused\": {}, \
-                 \"total_overuse\": {}, \"max_price_ps\": {}}}{}\n",
-                row.iter,
-                row.nets_resolved,
-                row.sites_overused,
-                row.total_overuse,
-                json_f64(row.max_price.picos()),
-                if i + 1 < self.history.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        let utilization = self
+            .utilization
+            .iter()
+            .map(|u| {
+                Json::obj([
+                    ("site", u.site.into()),
+                    ("usage", u.usage.into()),
+                    ("capacity", u.capacity.into()),
+                    ("price_ps", u.price.picos().into()),
+                ])
+            })
+            .collect();
+        let history = self
+            .history
+            .iter()
+            .map(|row| {
+                Json::obj([
+                    ("iter", row.iter.into()),
+                    ("nets_resolved", row.nets_resolved.into()),
+                    ("sites_overused", row.sites_overused.into()),
+                    ("total_overuse", row.total_overuse.into()),
+                    ("max_price_ps", row.max_price.picos().into()),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("feasible", self.feasible.into()),
+            ("iterations", self.iterations.into()),
+            ("nets", self.nets.into()),
+            ("pool_sites", self.pool_sites.into()),
+            ("workers", self.workers.into()),
+            ("warm", self.warm.into()),
+            ("total_buffers", self.total_buffers.into()),
+            ("total_resolved", self.total_resolved.into()),
+            ("total_slack_ps", self.total_slack.picos().into()),
+            ("worst_slack_ps", self.worst_slack.picos().into()),
+            ("elapsed_ms", (self.elapsed.as_secs_f64() * 1e3).into()),
+            ("utilization", utilization),
+            ("history", history),
+        ])
+        .to_pretty()
     }
 
     /// A one-paragraph human summary for CLI text output.

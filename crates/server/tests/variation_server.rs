@@ -121,7 +121,7 @@ fn direct_variation_sig(tree: &RoutingTree) -> Vec<u64> {
         .solve()
         .unwrap();
     let record = wire::variation_record(&outcome.scenarios[0], false, true).unwrap();
-    vsig(&Json::parse(&record).unwrap())
+    vsig(&Json::parse(&record.to_json()).unwrap())
 }
 
 #[test]

@@ -157,7 +157,11 @@ fn outcome_json_is_byte_identical_across_worker_counts() {
                 .workers(workers)
                 .solve()
                 .unwrap();
-            renders.push(wire::variation_record(&outcome.scenarios[0], false, true).unwrap());
+            renders.push(
+                wire::variation_record(&outcome.scenarios[0], false, true)
+                    .unwrap()
+                    .to_json(),
+            );
         }
         assert_eq!(renders[0], renders[1], "1 vs 2 workers diverged");
         assert_eq!(renders[0], renders[2], "1 vs 4 workers diverged");
@@ -185,7 +189,9 @@ fn spec_text_round_trip_preserves_every_sample_bit() {
             .variation(s)
             .solve()
             .unwrap();
-        wire::variation_record(&outcome.scenarios[0], false, true).unwrap()
+        wire::variation_record(&outcome.scenarios[0], false, true)
+            .unwrap()
+            .to_json()
     };
     assert_eq!(solve(spec), solve(reparsed));
 }
