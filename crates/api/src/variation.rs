@@ -88,7 +88,7 @@ pub struct VariationOutcome {
 }
 
 /// Parses a variation file through [`fastbuf_netgen::parse_variation`],
-/// lifting its [`VariationParseError`](fastbuf_netgen::VariationParseError)
+/// lifting its [`LineError`](fastbuf_netgen::LineError)
 /// into the typed [`SolveError::VariationParse`].
 ///
 /// # Errors

@@ -14,7 +14,7 @@
 //!   worker solves nets with no steady-state heap traffic;
 //! * [`BatchReport`] — per-net outcomes in input order plus batch
 //!   aggregates (WNS/TNS, buffer count, cost, nets/sec), serializable to
-//!   JSON for the CLI and the `batch_throughput` bench.
+//!   JSON for `fastbuf batch --json`.
 //!
 //! **Determinism:** nets are independent sub-problems, so the report is
 //! bit-identical for every worker count — only the wall time changes. The

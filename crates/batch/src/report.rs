@@ -113,8 +113,8 @@ impl BatchReport {
         report
     }
 
-    /// Nets solved per wall-clock second — the batch throughput metric the
-    /// `batch_throughput` bench records.
+    /// Nets solved per wall-clock second — the batch throughput metric of
+    /// `fastbuf batch`.
     pub fn nets_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {

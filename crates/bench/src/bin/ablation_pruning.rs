@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release -p fastbuf-bench --bin ablation_pruning`
 
-use fastbuf_bench::{fmt_duration, print_table, time_solve, HarnessOptions};
+use fastbuf_bench::{fmt_duration, print_table, time_solves, HarnessOptions};
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::Algorithm;
 use fastbuf_netgen::RandomNetSpec;
@@ -35,8 +35,11 @@ fn main() {
             ..RandomNetSpec::paper(sinks)
         }
         .build();
-        let (t_exact, s_exact) = time_solve(&tree, &lib, Algorithm::LiShi, opts.repeats);
-        let (t_perm, s_perm) = time_solve(&tree, &lib, Algorithm::LiShiPermanent, opts.repeats);
+        let solves = [(&lib, Algorithm::LiShi), (&lib, Algorithm::LiShiPermanent)];
+        let [(t_exact, s_exact), (t_perm, s_perm)]: [_; 2] =
+            time_solves(&tree, &solves, opts.repeats)
+                .try_into()
+                .expect("two arms");
         let gap_ps = s_exact.slack.picos() - s_perm.slack.picos();
         nets += 1;
         if gap_ps > 1e-6 {
@@ -47,9 +50,9 @@ fn main() {
             seed.to_string(),
             sinks.to_string(),
             tree.buffer_site_count().to_string(),
-            fmt_duration(t_exact),
-            fmt_duration(t_perm),
-            format!("{:.2}x", t_exact.as_secs_f64() / t_perm.as_secs_f64()),
+            fmt_duration(t_exact.wall.best),
+            fmt_duration(t_perm.wall.best),
+            format!("{:.2}x", t_exact.secs() / t_perm.secs()),
             format!("{:.3}", gap_ps),
             s_perm.stats.convex_pruned.to_string(),
         ]);

@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release -p fastbuf-bench --bin clustering_quality`
 
-use fastbuf_bench::{fmt_duration, paper_net, print_table, time_solve, HarnessOptions};
+use fastbuf_bench::{fmt_duration, paper_net, print_table, time_solves, HarnessOptions};
 use fastbuf_buflib::cluster::cluster_library;
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::Algorithm;
@@ -27,27 +27,31 @@ fn main() {
     );
 
     let full = BufferLibrary::paper_synthetic_jittered(64, 2005).expect("b > 0");
-    let (t_full, s_full) = time_solve(&tree, &full, Algorithm::LiShi, opts.repeats);
-    let full_slack = s_full.slack.picos();
+    let sizes = [16usize, 8, 4];
+    let reduced: Vec<BufferLibrary> = sizes
+        .iter()
+        .map(|&k| cluster_library(&full, k).expect("valid k").library)
+        .collect();
+    let solves: Vec<_> = std::iter::once(&full)
+        .chain(&reduced)
+        .map(|lib| (lib, Algorithm::LiShi))
+        .collect();
+    let timed = time_solves(&tree, &solves, opts.repeats);
+    let (t_full, full_slack) = (timed[0].0.secs(), timed[0].1.slack.picos());
 
-    let mut rows = vec![vec![
-        "64 (full)".to_string(),
-        format!("{full_slack:.1}"),
-        "0.0".to_string(),
-        fmt_duration(t_full),
-        "1.00x".to_string(),
-    ]];
-    for k in [16usize, 8, 4] {
-        let reduced = cluster_library(&full, k).expect("valid k").library;
-        let (t, s) = time_solve(&tree, &reduced, Algorithm::LiShi, opts.repeats);
-        rows.push(vec![
-            k.to_string(),
-            format!("{:.1}", s.slack.picos()),
-            format!("{:.1}", full_slack - s.slack.picos()),
-            fmt_duration(t),
-            format!("{:.2}x", t_full.as_secs_f64() / t.as_secs_f64()),
-        ]);
-    }
+    let labels = std::iter::once("64 (full)".to_owned()).chain(sizes.map(|k| k.to_string()));
+    let rows: Vec<Vec<String>> = labels
+        .zip(&timed)
+        .map(|(label, (t, s))| {
+            vec![
+                label,
+                format!("{:.1}", s.slack.picos()),
+                format!("{:.1}", full_slack - s.slack.picos()),
+                fmt_duration(t.wall.best),
+                format!("{:.2}x", t_full / t.secs()),
+            ]
+        })
+        .collect();
     print_table(
         &[
             "library size",

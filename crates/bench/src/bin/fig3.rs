@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p fastbuf-bench --bin fig3 [--full]`
 
 use fastbuf_bench::{
-    fmt_duration, paper_net, print_table, time_solve, HarnessOptions, PAPER_POSITIONS_1944,
+    fmt_duration, paper_net, print_table, time_solves, HarnessOptions, PAPER_POSITIONS_1944,
 };
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::Algorithm;
@@ -32,15 +32,16 @@ fn main() {
     let mut rows = Vec::new();
     for &b in &sweep {
         let lib = BufferLibrary::paper_synthetic(b).expect("b > 0");
-        let (t_lillis, _) = time_solve(&tree, &lib, Algorithm::Lillis, opts.repeats);
-        let (t_lishi, _) = time_solve(&tree, &lib, Algorithm::LiShi, opts.repeats);
-        let (bl, bs) = *base.get_or_insert((t_lillis.as_secs_f64(), t_lishi.as_secs_f64()));
+        let solves = [(&lib, Algorithm::Lillis), (&lib, Algorithm::LiShi)];
+        let timed = time_solves(&tree, &solves, opts.repeats);
+        let (t_lillis, t_lishi) = (timed[0].0.secs(), timed[1].0.secs());
+        let (bl, bs) = *base.get_or_insert((t_lillis, t_lishi));
         rows.push(vec![
             b.to_string(),
-            fmt_duration(t_lillis),
-            format!("{:.2}", t_lillis.as_secs_f64() / bl),
-            fmt_duration(t_lishi),
-            format!("{:.2}", t_lishi.as_secs_f64() / bs),
+            fmt_duration(timed[0].0.wall.best),
+            format!("{:.2}", t_lillis / bl),
+            fmt_duration(timed[1].0.wall.best),
+            format!("{:.2}", t_lishi / bs),
         ]);
     }
     print_table(

@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release -p fastbuf-bench --bin fig4 [--full]`
 
-use fastbuf_bench::{fmt_duration, paper_net, print_table, time_solve, HarnessOptions};
+use fastbuf_bench::{fmt_duration, paper_net, print_table, time_solves, HarnessOptions};
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::Algorithm;
 
@@ -31,15 +31,16 @@ fn main() {
         let n_target = opts.positions(paper_n);
         let tree = paper_net(m, Some(n_target));
         let n = tree.buffer_site_count();
-        let (t_lillis, _) = time_solve(&tree, &lib, Algorithm::Lillis, opts.repeats);
-        let (t_lishi, _) = time_solve(&tree, &lib, Algorithm::LiShi, opts.repeats);
-        let (bl, bs) = *base.get_or_insert((t_lillis.as_secs_f64(), t_lishi.as_secs_f64()));
+        let solves = [(&lib, Algorithm::Lillis), (&lib, Algorithm::LiShi)];
+        let timed = time_solves(&tree, &solves, opts.repeats);
+        let (t_lillis, t_lishi) = (timed[0].0.secs(), timed[1].0.secs());
+        let (bl, bs) = *base.get_or_insert((t_lillis, t_lishi));
         rows.push(vec![
             n.to_string(),
-            fmt_duration(t_lillis),
-            format!("{:.2}", t_lillis.as_secs_f64() / bl),
-            fmt_duration(t_lishi),
-            format!("{:.2}", t_lishi.as_secs_f64() / bs),
+            fmt_duration(timed[0].0.wall.best),
+            format!("{:.2}", t_lillis / bl),
+            fmt_duration(timed[1].0.wall.best),
+            format!("{:.2}", t_lishi / bs),
         ]);
     }
     print_table(

@@ -3,7 +3,8 @@
 //!
 //! Builds seeded shared-site fleets (`SharedSuiteSpec`) whose unpriced,
 //! independently optimal solves overflow the shared site pool, then runs
-//! the `fastbuf-global` Lagrangian loop twice per fleet:
+//! the `fastbuf-global` Lagrangian loop in two interleaved arms per fleet
+//! (five repeats each, best and median recorded):
 //!
 //! * **warm** — per-net `IncrementalSolver` caches persist across pricing
 //!   iterations, so an iteration only re-solves the nets whose site
@@ -19,148 +20,83 @@
 //! Run: `cargo run --release -p fastbuf-bench --bin global_convergence --
 //!       [--seed S] [--lib B] [--out FILE] [--quick]`
 
-use std::time::{Duration, Instant};
-
 use fastbuf_api::wire::Json;
-use fastbuf_bench::{fixed, fmt_duration, print_table, write_bench};
+use fastbuf_bench::{
+    at_least, fixed, options, print_runs, time_arms, write_bench, Arm, Stopwatch, REPEATS,
+};
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_global::{GlobalNet, GlobalOutcome, GlobalSolver, SiteCapacityMap};
 use fastbuf_netgen::SharedSuiteSpec;
 
-struct Options {
-    seed: u64,
-    lib: usize,
-    out: String,
-    quick: bool,
-}
+/// Fleet shapes `(nets, pool sites, sites per net)` at capacity 1 where
+/// the per-net DP is big enough for the warm caches to pay for themselves
+/// (tiny 10-site lines re-solve faster from scratch than through cache
+/// bookkeeping — that regime belongs to the batch benchmarks, not this
+/// one). `--quick` runs the first.
+const FLEETS: [(usize, u32, usize); 3] = [(8, 96, 48), (8, 200, 100), (16, 300, 150)];
 
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!("usage: global_convergence [--seed S] [--lib B] [--out FILE] [--quick]");
-    std::process::exit(if msg.is_empty() { 0 } else { 2 })
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        seed: 1,
-        lib: 8,
-        out: "BENCH_global.json".to_owned(),
-        quick: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |what: &str| args.next().unwrap_or_else(|| usage(what));
-        match arg.as_str() {
-            "--seed" => {
-                opts.seed = next("--seed needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --seed"))
-            }
-            "--lib" => {
-                opts.lib = next("--lib needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --lib"))
-            }
-            "--out" => opts.out = next("--out needs a value"),
-            "--quick" => opts.quick = true,
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag `{other}`")),
-        }
-    }
-    if opts.lib == 0 {
-        usage("--lib must be positive");
-    }
-    opts
-}
-
-/// One benchmark fleet: `nets` lines over a `pool`-site pool at capacity 1.
-struct Fleet {
-    nets: usize,
-    pool: u32,
-    sites_per_net: usize,
-}
-
-fn build(fleet: &Fleet, seed: u64) -> (Vec<GlobalNet>, SharedSuiteSpec) {
-    let spec = SharedSuiteSpec {
-        nets: fleet.nets,
-        pool_sites: fleet.pool,
-        sites_per_net: fleet.sites_per_net,
-        seed,
-        ..SharedSuiteSpec::default()
-    };
-    let nets = spec
-        .build()
-        .into_iter()
-        .enumerate()
-        .map(|(i, net)| GlobalNet::new(format!("shared/{i:04}"), net.tree, net.site_of))
-        .collect();
-    (nets, spec)
-}
-
-/// Solves the fleet `REPS` times and reports the last outcome with the
-/// best wall time (every repetition is bit-identical — the loop is
-/// deterministic — so best-of-N only de-noises the clock).
-fn run(fleet: &Fleet, seed: u64, lib: &BufferLibrary, warm: bool) -> (GlobalOutcome, Duration) {
-    const REPS: usize = 3;
-    let mut best: Option<(GlobalOutcome, Duration)> = None;
-    for _ in 0..REPS {
-        let (nets, _) = build(fleet, seed);
-        let solver = GlobalSolver::new(nets, lib.clone(), SiteCapacityMap::uniform(fleet.pool, 1))
+/// The warm or scratch arm: each repeat builds the fleet and its solver
+/// untimed, then times the solve; `out` keeps the last outcome (every
+/// repeat is bit-identical — the loop is deterministic). The inner solves
+/// fan out over worker threads, so only wall time is reported.
+fn arm<'a>(
+    spec: &'a SharedSuiteSpec,
+    lib: &'a BufferLibrary,
+    warm: bool,
+    out: &'a mut Option<GlobalOutcome>,
+) -> Arm<'a> {
+    Arm::wall_only(move |w: &mut Stopwatch| {
+        let nets = spec.build().into_iter().enumerate();
+        let nets = nets
+            .map(|(i, net)| GlobalNet::new(format!("shared/{i:04}"), net.tree, net.site_of))
+            .collect();
+        let capacity = SiteCapacityMap::uniform(spec.pool_sites, 1);
+        let solver = GlobalSolver::new(nets, lib.clone(), capacity)
             .max_iters(128)
             .warm(warm);
-        let t0 = Instant::now();
-        let outcome = solver.solve().expect("generated fleets are valid");
-        let wall = t0.elapsed();
-        if best.as_ref().is_none_or(|(_, b)| wall < *b) {
-            best = Some((outcome, wall));
-        }
-    }
-    best.expect("REPS > 0")
+        *out = Some(
+            w.time(|| solver.solve())
+                .expect("generated fleets are valid"),
+        );
+    })
 }
 
 fn main() {
-    let opts = parse_args();
-    // Fleet shapes where the per-net DP is big enough for the warm caches
-    // to pay for themselves (tiny 10-site lines re-solve faster from
-    // scratch than through cache bookkeeping — that regime belongs to the
-    // batch benchmarks, not this one).
-    let fleets: &[Fleet] = if opts.quick {
-        &[Fleet {
-            nets: 8,
-            pool: 96,
-            sites_per_net: 48,
-        }]
-    } else {
-        &[
-            Fleet {
-                nets: 8,
-                pool: 96,
-                sites_per_net: 48,
-            },
-            Fleet {
-                nets: 8,
-                pool: 200,
-                sites_per_net: 100,
-            },
-            Fleet {
-                nets: 16,
-                pool: 300,
-                sites_per_net: 150,
-            },
-        ]
-    };
-    let lib = BufferLibrary::paper_synthetic(opts.lib).expect("nonzero library");
+    let (seed, lib_size, out, quick) = options(
+        "global_convergence [--seed S] [--lib B] [--out FILE] [--quick]",
+        "seed lib out",
+        "quick",
+        |a| {
+            Ok((
+                a.parsed_or("seed", 1)?,
+                at_least(a, "lib", 8, 1)?,
+                a.parsed_or("out", "BENCH_global.json".to_owned())?,
+                a.switch("quick"),
+            ))
+        },
+    );
+    let lib = BufferLibrary::paper_synthetic(lib_size).expect("nonzero library");
     println!(
         "# global convergence: shared-site fleets at capacity 1, b = {}\n",
         lib.len()
     );
 
-    let (mut rows, mut runs) = (Vec::new(), Vec::new());
-    for fleet in fleets {
-        let (warm_out, warm_wall) = run(fleet, opts.seed, &lib, true);
-        let (scratch_out, scratch_wall) = run(fleet, opts.seed, &lib, false);
+    let mut runs = Vec::new();
+    for &(nets, pool_sites, sites_per_net) in &FLEETS[..if quick { 1 } else { FLEETS.len() }] {
+        let spec = SharedSuiteSpec {
+            nets,
+            pool_sites,
+            sites_per_net,
+            seed,
+            ..SharedSuiteSpec::default()
+        };
+        let (mut warm_out, mut scratch_out) = (None, None);
+        let arms = vec![
+            arm(&spec, &lib, true, &mut warm_out),
+            arm(&spec, &lib, false, &mut scratch_out),
+        ];
+        let timed = time_arms(arms, REPEATS);
+        let (warm_out, scratch_out) = (warm_out.unwrap(), scratch_out.unwrap());
 
         // The warm-cache path must not change a single bit of the outcome.
         assert_eq!(warm_out.report.feasible, scratch_out.report.feasible);
@@ -182,71 +118,43 @@ fn main() {
             "benchmark fleets must reach feasibility"
         );
 
-        let report = &warm_out.report;
-        let overuse0 = report.history[0].total_overuse;
-        // Throughput metric: net-solves per second. The warm loop does
+        // Throughput metric: net-iterations per second. The warm loop does
         // fewer inner solves for the same iteration count — both the
-        // solve-rate and the end-to-end wall time are reported.
-        let warm_rate = report.total_resolved as f64 / warm_wall.as_secs_f64().max(1e-12);
-        let scratch_rate =
-            scratch_out.report.total_resolved as f64 / scratch_wall.as_secs_f64().max(1e-12);
-        let speedup = scratch_wall.as_secs_f64() / warm_wall.as_secs_f64().max(1e-12);
-        rows.push(vec![
-            format!("{}x{}", fleet.nets, fleet.pool),
-            format!("{overuse0}"),
-            format!("{}", report.iterations),
-            format!(
-                "{}/{}",
-                report.total_resolved,
-                (report.iterations * report.nets)
-            ),
-            fmt_duration(warm_wall),
-            format!("{warm_rate:.0}"),
-            fmt_duration(scratch_wall),
-            format!("{scratch_rate:.0}"),
-            format!("{speedup:.2}x"),
-        ]);
-        let (warm, scratch) = (warm_wall.as_secs_f64(), scratch_wall.as_secs_f64());
+        // solve counts and the end-to-end wall times are recorded.
+        let report = &warm_out.report;
+        let (warm, scratch) = (timed[0].secs().max(1e-12), timed[1].secs().max(1e-12));
         let full_solves = report.iterations * report.nets;
-        runs.push(Json::obj([
-            ("nets", fleet.nets.into()),
-            ("pool_sites", fleet.pool.into()),
-            ("sites_per_net", fleet.sites_per_net.into()),
-            ("initial_overuse", overuse0.into()),
+        let mut run = Json::obj([
+            ("nets", nets.into()),
+            ("pool_sites", pool_sites.into()),
+            ("sites_per_net", sites_per_net.into()),
+            ("initial_overuse", report.history[0].total_overuse.into()),
             ("iterations", report.iterations.into()),
             ("inner_solves", report.total_resolved.into()),
             ("full_solves", full_solves.into()),
-            ("warm_secs", fixed(warm, 6)),
-            ("scratch_secs", fixed(scratch, 6)),
             (
                 "warm_net_iters_per_sec",
-                fixed(full_solves as f64 / warm.max(1e-12), 1),
+                fixed(full_solves as f64 / warm, 1),
             ),
             (
                 "scratch_net_iters_per_sec",
-                fixed(full_solves as f64 / scratch.max(1e-12), 1),
+                fixed(full_solves as f64 / scratch, 1),
             ),
-            ("speedup", fixed(speedup, 3)),
-        ]));
+            ("speedup", fixed(scratch / warm, 3)),
+        ]);
+        timed[0].record(&mut run, "warm_");
+        timed[1].record(&mut run, "scratch_");
+        runs.push(run);
     }
-    print_table(
-        &[
-            "fleet",
-            "overuse@0",
-            "iters",
-            "solves/full",
-            "warm wall",
-            "warm solves/s",
-            "scratch wall",
-            "scr solves/s",
-            "speedup",
-        ],
-        &rows,
+    print_runs(
+        &runs,
+        "nets pool_sites initial_overuse iterations inner_solves full_solves \
+         warm_secs scratch_secs speedup",
     );
 
     write_bench(
-        &opts.out,
-        [("seed", opts.seed.into()), ("library", opts.lib.into())],
+        &out,
+        [("seed", seed.into()), ("library", lib_size.into())],
         runs,
     );
 }

@@ -21,101 +21,51 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Instant;
 
 use fastbuf_api::wire::Json;
 use fastbuf_api::Session;
-use fastbuf_bench::{fixed, fmt_duration, print_table, write_bench};
+use fastbuf_bench::{
+    at_least, fixed, options, print_runs, time_arms, write_bench, Arm, Stopwatch, REPEATS,
+};
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_netgen::RandomNetSpec;
 use fastbuf_rctree::io as netio;
 use fastbuf_server::{Server, ServerConfig};
 
-struct Options {
-    sinks: usize,
-    requests: usize,
-    seed: u64,
-    out: String,
+/// Sends `frame` on `stream` and blocks for an `"ok": true` reply.
+fn call(stream: &mut BufReader<TcpStream>, frame: Json) {
+    writeln!(stream.get_mut(), "{frame}").expect("send");
+    let mut line = String::new();
+    stream.read_line(&mut line).expect("reply");
+    let reply = Json::parse(line.trim()).expect("reply parses");
+    let ok = reply.get("ok").and_then(Json::as_bool);
+    assert_eq!(ok, Some(true), "request failed: {line}");
 }
 
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!(
-        "usage: server_throughput [--sinks N] [--requests K] [--seed S] [--out FILE] [--quick]"
-    );
-    std::process::exit(if msg.is_empty() { 0 } else { 2 })
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        sinks: 64,
-        requests: 16,
-        seed: 1,
-        out: "BENCH_server.json".to_owned(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |what: &str| args.next().unwrap_or_else(|| usage(what));
-        match arg.as_str() {
-            "--sinks" => {
-                opts.sinks = next("--sinks needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --sinks"))
-            }
-            "--requests" => {
-                opts.requests = next("--requests needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --requests"))
-            }
-            "--seed" => {
-                opts.seed = next("--seed needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --seed"))
-            }
-            "--out" => opts.out = next("--out needs a value"),
-            "--quick" => {
-                // CI smoke size: exercise the real pipeline in seconds.
-                opts.sinks = 12;
-                opts.requests = 3;
-            }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag `{other}`")),
-        }
-    }
-    if opts.sinks < 2 {
-        usage("--sinks must be at least 2");
-    }
-    if opts.requests == 0 {
-        usage("--requests must be at least 1");
-    }
-    opts
-}
-
-/// One closed-loop client: send a frame, block for the reply, repeat.
-fn warm_client(addr: SocketAddr, requests: usize, client: usize) {
+/// A connection to the server at `addr`.
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
+    BufReader::new(stream)
+}
+
+/// One closed-loop client: send a solve, block for the reply, repeat.
+fn warm_client(addr: SocketAddr, requests: usize, client: usize) {
+    let mut stream = connect(addr);
     for i in 0..requests {
-        let frame = Json::obj([
-            ("v", 1u64.into()),
-            ("id", format!("c{client}-{i}").into()),
-            ("op", "solve".into()),
-            ("design", "bench".into()),
-        ]);
-        writeln!(writer, "{frame}").expect("send");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("reply");
-        let reply = Json::parse(line.trim()).expect("reply parses");
-        assert_eq!(
-            reply.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "solve failed: {line}"
-        );
+        let id = format!("c{client}-{i}");
+        let frame = [("id", &*id), ("op", "solve"), ("design", "bench")];
+        call(&mut stream, frame_of(frame));
     }
+}
+
+/// A v1 request frame with the given string members.
+fn frame_of<'a>(members: impl IntoIterator<Item = (&'a str, &'a str)>) -> Json {
+    let mut frame = Json::obj([("v", 1u64.into())]);
+    for (key, value) in members {
+        frame.push(key, value);
+    }
+    frame
 }
 
 /// The `fastbuf` binary, if it was built alongside this harness.
@@ -163,10 +113,24 @@ fn cold_request(mode: &ColdMode, net_path: &str, lib_path: &str) {
 }
 
 fn main() {
-    let opts = parse_args();
+    let (sinks, requests, seed, out) = options(
+        "server_throughput [--sinks N] [--requests K] [--seed S] [--out FILE] [--quick]",
+        "sinks requests seed out",
+        "quick",
+        |a| {
+            // `--quick` is CI's smoke size: the real pipeline in seconds.
+            let quick = a.switch("quick");
+            Ok((
+                at_least(a, "sinks", if quick { 12 } else { 64 }, 2)?,
+                at_least(a, "requests", if quick { 3 } else { 16 }, 1)?,
+                a.parsed_or("seed", 1)?,
+                a.parsed_or("out", "BENCH_server.json".to_owned())?,
+            ))
+        },
+    );
     let tree = RandomNetSpec {
-        seed: opts.seed,
-        ..RandomNetSpec::paper(opts.sinks)
+        seed,
+        ..RandomNetSpec::paper(sinks)
     }
     .build();
     let net_text = netio::write(&tree);
@@ -204,90 +168,71 @@ fn main() {
     });
     let stop = server.stop_flag();
     let server_thread = std::thread::spawn(move || server.serve_tcp(listener).expect("serve"));
-    {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream;
-        let frame = Json::obj([
-            ("v", 1u64.into()),
-            ("id", "load".into()),
-            ("op", "load".into()),
-            ("design", "bench".into()),
-            ("net", net_text.as_str().into()),
-            ("lib", lib_text.as_str().into()),
-        ]);
-        writeln!(writer, "{frame}").expect("send load");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("load reply");
-        let reply = Json::parse(line.trim()).expect("load reply parses");
-        assert_eq!(
-            reply.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "load failed: {line}"
-        );
-    }
+    let load = [("op", "load"), ("design", "bench"), ("id", "load")];
+    let load = load
+        .into_iter()
+        .chain([("net", &*net_text), ("lib", &*lib_text)]);
+    call(&mut connect(addr), frame_of(load));
 
     println!(
         "# server throughput: {} sinks, {} buffer positions, {} requests/client\n",
         tree.sink_count(),
         tree.buffer_site_count(),
-        opts.requests
+        requests
     );
 
     let client_counts = [1usize, 2, 4, 8];
-    let (mut rows, mut runs) = (Vec::new(), Vec::new());
+    let mut runs = Vec::new();
     for &clients in &client_counts {
-        let total = clients * opts.requests;
+        let total = clients * requests;
 
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for c in 0..clients {
-                scope.spawn(move || warm_client(addr, opts.requests, c));
-            }
-        });
-        let warm = t0.elapsed();
+        // Both arms fan out over client threads (and, cold, processes),
+        // so only wall time means anything.
+        let (cold_mode, net_path, lib_path) = (&cold_mode, &net_path, &lib_path);
+        let timed = time_arms(
+            vec![
+                Arm::wall_only(|w: &mut Stopwatch| {
+                    w.time(|| {
+                        std::thread::scope(|scope| {
+                            for c in 0..clients {
+                                scope.spawn(move || warm_client(addr, requests, c));
+                            }
+                        })
+                    })
+                }),
+                Arm::wall_only(|w: &mut Stopwatch| {
+                    w.time(|| {
+                        std::thread::scope(|scope| {
+                            for _ in 0..clients {
+                                scope.spawn(|| {
+                                    for _ in 0..requests {
+                                        cold_request(cold_mode, net_path, lib_path);
+                                    }
+                                });
+                            }
+                        })
+                    })
+                }),
+            ],
+            REPEATS,
+        );
+        let (warm, cold) = (&timed[0], &timed[1]);
 
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..clients {
-                scope.spawn(|| {
-                    for _ in 0..opts.requests {
-                        cold_request(&cold_mode, &net_path, &lib_path);
-                    }
-                });
-            }
-        });
-        let cold = t0.elapsed();
-
-        let warm_rps = total as f64 / warm.as_secs_f64();
-        let cold_rps = total as f64 / cold.as_secs_f64();
-        rows.push(vec![
-            clients.to_string(),
-            fmt_duration(warm),
-            format!("{warm_rps:.1}"),
-            fmt_duration(cold),
-            format!("{cold_rps:.1}"),
-            format!("{:.2}x", warm_rps / cold_rps),
-        ]);
-        runs.push(Json::obj([
+        let warm_rps = total as f64 / warm.secs();
+        let cold_rps = total as f64 / cold.secs();
+        let mut run = Json::obj([
             ("clients", clients.into()),
-            ("warm_secs", fixed(warm.as_secs_f64(), 6)),
             ("warm_req_per_sec", fixed(warm_rps, 2)),
-            ("cold_secs", fixed(cold.as_secs_f64(), 6)),
             ("cold_req_per_sec", fixed(cold_rps, 2)),
             ("warm_over_cold", fixed(warm_rps / cold_rps, 3)),
-        ]));
+        ]);
+        warm.record(&mut run, "warm_");
+        cold.record(&mut run, "cold_");
+        runs.push(run);
     }
-    print_table(
-        &[
-            "clients",
-            "warm wall",
-            "warm req/s",
-            "cold wall",
-            "cold req/s",
-            "warm/cold",
-        ],
-        &rows,
+    print_runs(
+        &runs,
+        "clients warm_secs warm_req_per_sec cold_secs cold_req_per_sec warm_over_cold",
     );
 
     // Drain the server before reporting, so the numbers above are from a
@@ -301,12 +246,12 @@ fn main() {
         ColdMode::InProcess => "in-process",
     };
     write_bench(
-        &opts.out,
+        &out,
         [
             ("sinks", tree.sink_count().into()),
             ("sites", tree.buffer_site_count().into()),
-            ("seed", opts.seed.into()),
-            ("requests_per_client", opts.requests.into()),
+            ("seed", seed.into()),
+            ("requests_per_client", requests.into()),
             ("cold_mode", cold_mode.into()),
         ],
         runs,

@@ -9,12 +9,13 @@
 //!
 //! The "same slack" column is Theorem 1 in bits: Lillis and Li–Shi agree
 //! on every bit of the slack, root `Q` and root load, and on the
-//! placements.
+//! placements. Any row that differs prints `NO!` and makes the harness
+//! exit 1.
 //!
 //! Run: `cargo run --release -p fastbuf-bench --bin table1 [--full]`
 
 use fastbuf_bench::{
-    fmt_duration, paper_net, print_table, time_solve, HarnessOptions, PAPER_LIB_SIZES, PAPER_SINKS,
+    fmt_duration, paper_net, print_table, time_solves, HarnessOptions, PAPER_LIB_SIZES, PAPER_SINKS,
 };
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::{Algorithm, Solution, Solver};
@@ -34,7 +35,7 @@ fn main() {
         "# Table 1 reproduction (scale {}, repeats {})\n",
         opts.scale, opts.repeats
     );
-    let mut rows = Vec::new();
+    let (mut rows, mut all_match) = (Vec::new(), true);
     for &paper_m in &PAPER_SINKS {
         let m = opts.sinks(paper_m);
         // Paper density: ~17 positions per sink on the 1944-sink net.
@@ -42,9 +43,12 @@ fn main() {
         let n = tree.buffer_site_count();
         for &b in &PAPER_LIB_SIZES {
             let lib = BufferLibrary::paper_synthetic(b).expect("b > 0");
-            let (t_lillis, s_lillis) = time_solve(&tree, &lib, Algorithm::Lillis, opts.repeats);
-            let (t_lishi, s_lishi) = time_solve(&tree, &lib, Algorithm::LiShi, opts.repeats);
-            let speedup = t_lillis.as_secs_f64() / t_lishi.as_secs_f64();
+            let solves = [(&lib, Algorithm::Lillis), (&lib, Algorithm::LiShi)];
+            let [(t_lillis, s_lillis), (t_lishi, s_lishi)]: [_; 2] =
+                time_solves(&tree, &solves, opts.repeats)
+                    .try_into()
+                    .expect("two arms");
+            let speedup = t_lillis.secs() / t_lishi.secs();
             // Theorem 1 in bits: both timed (untracked) solves pick the
             // same root candidate, and tracked solves the same placements.
             let tracked = |algo| Solver::new(&tree, &lib).algorithm(algo).solve();
@@ -52,19 +56,16 @@ fn main() {
             let slack_match = root_bits(&s_lillis) == root_bits(&s_lishi)
                 && root_bits(&p_lillis) == root_bits(&p_lishi)
                 && p_lillis.placements == p_lishi.placements;
+            all_match &= slack_match;
             rows.push(vec![
                 m.to_string(),
                 n.to_string(),
                 b.to_string(),
                 format!("{:.1}", s_lishi.slack.picos()),
-                fmt_duration(t_lillis),
-                fmt_duration(t_lishi),
+                fmt_duration(t_lillis.wall.best),
+                fmt_duration(t_lishi.wall.best),
                 format!("{speedup:.2}x"),
-                if slack_match {
-                    "yes".into()
-                } else {
-                    "NO!".into()
-                },
+                if slack_match { "yes" } else { "NO!" }.into(),
             ]);
         }
     }
@@ -82,4 +83,8 @@ fn main() {
         &rows,
     );
     println!("\npaper: speedups grow with b, up to ~11x at b = 64; ~1x (slight overhead) at b = 8");
+    if !all_match {
+        eprintln!("error: Lillis and Li-Shi disagree (a `NO!` row): Theorem 1 does not hold");
+        std::process::exit(1);
+    }
 }

@@ -995,6 +995,40 @@ fn cts_end_to_end() {
     fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn placement_and_capacity_errors_keep_their_text() {
+    let dir = std::env::temp_dir().join(format!("fastbuf-line-err-test-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let lib = dir.join("e.lib");
+    let file = dir.join("e.txt");
+    let path = file.to_str().unwrap();
+    let run_strs = |args: &[&str]| run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    run_strs(&["gen", "lib", "--size", "4", "-o", lib.to_str().unwrap()]).unwrap();
+
+    // Placement files: a line error and the whole-file error, word for word.
+    let cts = |text: &str| {
+        fs::write(&file, text).unwrap();
+        run_strs(&["cts", "--lib", lib.to_str().unwrap(), "--placements", path])
+            .unwrap_err()
+            .message
+    };
+    assert_eq!(
+        cts("sink 0 0 10 1000\n# note\nsink 1 2 3\n"),
+        format!("{path}: line 3: missing `rat_ps`")
+    );
+    assert_eq!(
+        cts("# nothing\n"),
+        format!("{path}: no sinks in placement file")
+    );
+
+    // Capacity files: a duplicate site id names its own line.
+    fs::write(&file, "site 0 1\nsite 1 1\nsite 0 2\n").unwrap();
+    let err =
+        run_strs(&["global", "--lib", lib.to_str().unwrap(), "--capacity", path]).unwrap_err();
+    assert_eq!(err.message, format!("{path}: line 3: duplicate site id 0"));
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// Replaces the value of every wall-clock key with `T`.
 fn normalize_clock(text: &str) -> String {
     let mut out = text.to_owned();

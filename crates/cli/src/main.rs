@@ -41,7 +41,8 @@
 
 use std::process::ExitCode;
 
-mod args;
+use fastbuf_cli::args;
+
 mod commands;
 
 fn main() -> ExitCode {

@@ -23,6 +23,8 @@ use fastbuf_buflib::{Driver, Technology};
 use fastbuf_rctree::segment::segment_by_pitch;
 use fastbuf_rctree::{NodeId, RoutingTree, TreeBuilder, Wire};
 
+use crate::LineError;
+
 /// One clock sink: a 2-D position plus its electrical pin data.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SinkPlacement {
@@ -126,22 +128,23 @@ pub fn write_placements(placements: &[SinkPlacement]) -> String {
 ///
 /// # Errors
 ///
-/// A human-readable message naming the 1-based line of the first problem
-/// (same convention as the edit-script and variation formats).
-pub fn parse_placements(text: &str) -> Result<Vec<SinkPlacement>, String> {
+/// A [`LineError`] naming the 1-based line of the first problem (same
+/// convention as the variation and capacity formats), or line 0 for a
+/// file without any sink.
+pub fn parse_placements(text: &str) -> Result<Vec<SinkPlacement>, LineError> {
     let mut out = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        let err = |msg: String| format!("line {}: {msg}", i + 1);
+        let err = |msg: String| LineError::at(i + 1, msg);
         let mut tokens = line.split_whitespace();
         let key = tokens.next().expect("non-empty line has a first token");
         if key != "sink" {
             return Err(err(format!("unknown directive `{key}` (expected `sink`)")));
         }
-        let mut field = |name: &str| -> Result<f64, String> {
+        let mut field = |name: &str| -> Result<f64, LineError> {
             let tok = tokens
                 .next()
                 .ok_or_else(|| err(format!("missing `{name}`")))?;
@@ -171,7 +174,7 @@ pub fn parse_placements(text: &str) -> Result<Vec<SinkPlacement>, String> {
         });
     }
     if out.is_empty() {
-        return Err("no sinks in placement file".to_owned());
+        return Err(LineError::at(0, "no sinks in placement file"));
     }
     Ok(out)
 }
@@ -372,16 +375,27 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_lines_with_line_numbers() {
-        let err = parse_placements("flop 1 2 3 4\n").unwrap_err();
-        assert!(err.contains("line 1") && err.contains("flop"), "{err}");
-        let err = parse_placements("sink 1 2 3\n").unwrap_err();
-        assert!(err.contains("line 1") && err.contains("rat_ps"), "{err}");
-        let err = parse_placements("# only comments\n\n").unwrap_err();
-        assert!(err.contains("no sinks"), "{err}");
-        let err = parse_placements("sink 0 0 10 1000\nsink nan 0 10 1000\n").unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
-        let err = parse_placements("sink 1 2 3 4 5\n").unwrap_err();
-        assert!(err.contains("trailing"), "{err}");
+        for (text, line, needle) in [
+            ("flop 1 2 3 4\n", 1, "unknown directive `flop`"),
+            ("# header\nsink 1 2 3\n", 2, "missing `rat_ps`"),
+            ("sink 0 0 10 1000\nsink nan 0 10 1000\n", 2, "finite"),
+            ("sink 1 2 3 4\n\nsink 1 2 x 4\n", 3, "cannot parse `cap_ff`"),
+            ("sink 1 2 3 4 5\n", 1, "trailing"),
+            ("# only comments\n\n", 0, "no sinks in placement file"),
+        ] {
+            let err = parse_placements(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.message.contains(needle), "{text:?}: {err}");
+        }
+        // A whole-file error prints without a line prefix.
+        assert_eq!(
+            parse_placements("").unwrap_err().to_string(),
+            "no sinks in placement file"
+        );
+        assert_eq!(
+            parse_placements("flop 1 2 3 4").unwrap_err().to_string(),
+            "line 1: unknown directive `flop` (expected `sink`)"
+        );
     }
 
     #[test]

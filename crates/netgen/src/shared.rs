@@ -19,10 +19,13 @@
 //! [`parse_capacity`] / [`write_capacity`] give site capacities the same
 //! line-numbered text format treatment as edit scripts and variation specs.
 
+use std::collections::HashSet;
+
 use fastbuf_buflib::units::{Microns, Seconds};
 use fastbuf_rctree::RoutingTree;
 
 use crate::line::LineNetSpec;
+use crate::LineError;
 
 /// One net of a shared-site fleet: its routing tree plus the mapping from
 /// tree nodes to shared physical site ids.
@@ -149,12 +152,13 @@ impl SharedSuiteSpec {
 ///
 /// # Errors
 ///
-/// A line-numbered message for the first malformed line (unknown keyword,
-/// missing or unparsable fields, duplicate site id).
-pub fn parse_capacity(text: &str) -> Result<Vec<(u32, u32)>, String> {
+/// A [`LineError`] naming the 1-based line of the first malformed line
+/// (unknown keyword, missing or unparsable fields, duplicate site id).
+pub fn parse_capacity(text: &str) -> Result<Vec<(u32, u32)>, LineError> {
     let mut out: Vec<(u32, u32)> = Vec::new();
+    let mut seen = HashSet::new();
     for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
+        let err = |message: String| LineError::at(idx + 1, message);
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
@@ -162,27 +166,25 @@ pub fn parse_capacity(text: &str) -> Result<Vec<(u32, u32)>, String> {
         let mut fields = line.split_whitespace();
         let keyword = fields.next().expect("non-empty line has a first field");
         if keyword != "site" {
-            return Err(format!(
-                "line {lineno}: unknown keyword `{keyword}` (expected `site <id> <capacity>`)"
-            ));
+            return Err(err(format!(
+                "unknown keyword `{keyword}` (expected `site <id> <capacity>`)"
+            )));
         }
         let id: u32 = fields
             .next()
-            .ok_or_else(|| format!("line {lineno}: missing site id"))?
+            .ok_or_else(|| err("missing site id".into()))?
             .parse()
-            .map_err(|e| format!("line {lineno}: bad site id: {e}"))?;
+            .map_err(|e| err(format!("bad site id: {e}")))?;
         let cap: u32 = fields
             .next()
-            .ok_or_else(|| format!("line {lineno}: missing capacity"))?
+            .ok_or_else(|| err("missing capacity".into()))?
             .parse()
-            .map_err(|e| format!("line {lineno}: bad capacity: {e}"))?;
+            .map_err(|e| err(format!("bad capacity: {e}")))?;
         if let Some(extra) = fields.next() {
-            return Err(format!(
-                "line {lineno}: unexpected trailing field `{extra}`"
-            ));
+            return Err(err(format!("unexpected trailing field `{extra}`")));
         }
-        if out.iter().any(|&(seen, _)| seen == id) {
-            return Err(format!("line {lineno}: duplicate site id {id}"));
+        if !seen.insert(id) {
+            return Err(err(format!("duplicate site id {id}")));
         }
         out.push((id, cap));
     }
@@ -290,17 +292,33 @@ mod tests {
 
     #[test]
     fn capacity_errors_carry_line_numbers() {
-        for (text, needle) in [
-            ("cap 1 2", "line 1: unknown keyword `cap`"),
-            ("site 1 2\nsite", "line 2: missing site id"),
-            ("site 9", "line 1: missing capacity"),
-            ("site x 2", "line 1: bad site id"),
-            ("site 1 y", "line 1: bad capacity"),
-            ("site 1 2 3", "line 1: unexpected trailing field `3`"),
-            ("site 1 2\nsite 1 5", "line 2: duplicate site id 1"),
+        for (text, line, needle) in [
+            ("cap 1 2", 1, "unknown keyword `cap`"),
+            ("site 1 2\nsite", 2, "missing site id"),
+            ("site 9", 1, "missing capacity"),
+            ("site x 2", 1, "bad site id"),
+            ("site 1 y", 1, "bad capacity"),
+            ("site 1 2 3", 1, "unexpected trailing field `3`"),
+            ("site 1 2\nsite 1 5", 2, "duplicate site id 1"),
         ] {
             let err = parse_capacity(text).unwrap_err();
-            assert!(err.contains(needle), "{text:?}: {err}");
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.message.contains(needle), "{text:?}: {err}");
         }
+        assert_eq!(
+            parse_capacity("site 1 2\nsite 1 5")
+                .unwrap_err()
+                .to_string(),
+            "line 2: duplicate site id 1"
+        );
+    }
+
+    #[test]
+    fn capacity_duplicate_late_in_a_large_file_names_its_line() {
+        let mut pairs: Vec<(u32, u32)> = (0..100_000).map(|id| (id, id % 7)).collect();
+        pairs.push((31_337, 1));
+        // Line 1 is write_capacity's header comment.
+        let err = parse_capacity(&write_capacity(&pairs)).unwrap_err();
+        assert_eq!(err, LineError::at(100_002, "duplicate site id 31337"));
     }
 }

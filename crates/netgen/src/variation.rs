@@ -22,9 +22,6 @@
 //! or in what order samples are generated — the property the parallel
 //! yield solver's bit-reproducibility rests on.
 
-use std::error::Error;
-use std::fmt;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,6 +29,7 @@ use fastbuf_buflib::units::{Farads, Ohms, Seconds};
 use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
 
 use crate::eco::Edit;
+use crate::LineError;
 
 /// Sampled factors are clamped into this range: a far tail of a normal
 /// distribution must not produce zero/negative parasitics or derates.
@@ -298,23 +296,6 @@ impl VariationSpec {
     }
 }
 
-/// Why [`parse_variation`] rejected a variation file, and where.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VariationParseError {
-    /// 1-based line of the first problem.
-    pub line: usize,
-    /// What is wrong on that line.
-    pub message: String,
-}
-
-impl fmt::Display for VariationParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl Error for VariationParseError {}
-
 /// Serializes a spec in the text format [`parse_variation`] reads.
 pub fn write_variation(spec: &VariationSpec) -> String {
     let mut out = String::new();
@@ -344,35 +325,31 @@ pub fn write_variation(spec: &VariationSpec) -> String {
 ///
 /// # Errors
 ///
-/// A [`VariationParseError`] naming the 1-based line of the first problem:
+/// A [`LineError`] naming the 1-based line of the first problem:
 /// unknown knobs, non-finite (NaN/inf) parameters, negative sigma,
 /// non-positive means/bounds, inverted uniform ranges, and out-of-range
 /// locality are all rejected here — never deferred to solve time.
-pub fn parse_variation(text: &str) -> Result<VariationSpec, VariationParseError> {
+pub fn parse_variation(text: &str) -> Result<VariationSpec, LineError> {
     let mut spec = VariationSpec::default();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        let err = |message: String| VariationParseError {
-            line: i + 1,
-            message,
-        };
+        let err = |message: String| LineError::at(i + 1, message);
         let mut tokens = line.split_whitespace();
         let key = tokens.next().expect("non-empty line has a first token");
-        let num_arg = |tokens: &mut std::str::SplitWhitespace,
-                       what: &str|
-         -> Result<f64, VariationParseError> {
-            let t = tokens
-                .next()
-                .ok_or_else(|| err(format!("`{key}` needs a {what}")))?;
-            let v: f64 = t.parse().map_err(|_| err(format!("bad {what} `{t}`")))?;
-            if !v.is_finite() {
-                return Err(err(format!("{what} must be finite, got `{t}`")));
-            }
-            Ok(v)
-        };
+        let num_arg =
+            |tokens: &mut std::str::SplitWhitespace, what: &str| -> Result<f64, LineError> {
+                let t = tokens
+                    .next()
+                    .ok_or_else(|| err(format!("`{key}` needs a {what}")))?;
+                let v: f64 = t.parse().map_err(|_| err(format!("bad {what} `{t}`")))?;
+                if !v.is_finite() {
+                    return Err(err(format!("{what} must be finite, got `{t}`")));
+                }
+                Ok(v)
+            };
         match key {
             "locality" => {
                 let v = num_arg(&mut tokens, "fraction")?;
@@ -595,51 +572,25 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_specs_with_line_numbers() {
-        let err = parse_variation("wire-r normal NaN 0.1\n")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("line 1") && err.contains("finite"), "{err}");
-        let err = parse_variation("# ok\nwire-c normal 1.0 -0.2\n")
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("line 2") && err.contains("non-negative"),
-            "{err}"
-        );
-        let err = parse_variation("buffer-delay uniform 1.2 0.8\n")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("empty range"), "{err}");
-        let err = parse_variation("buffer-drive uniform 0 1.1\n")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("positive"), "{err}");
-        let err = parse_variation("rat normal -1 0.1\n")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("positive"), "{err}");
-        let err = parse_variation("locality 1.5\n").unwrap_err().to_string();
-        assert!(err.contains("(0, 1]"), "{err}");
-        let err = parse_variation("locality 0\n").unwrap_err().to_string();
-        assert!(err.contains("(0, 1]"), "{err}");
-        let err = parse_variation("seed twelve\n").unwrap_err().to_string();
-        assert!(err.contains("bad seed"), "{err}");
-        let err = parse_variation("gravity normal 1 0.1\n")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown key"), "{err}");
-        let err = parse_variation("wire-r cauchy 1 0.1\n")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown distribution"), "{err}");
-        let err = parse_variation("wire-r normal 1 0.1 extra\n")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("trailing"), "{err}");
-        let err = parse_variation("sink-cap normal inf 0.1\n")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("finite"), "{err}");
+        for (text, line, needle) in [
+            ("wire-r normal NaN 0.1\n", 1, "finite"),
+            ("# ok\nwire-c normal 1.0 -0.2\n", 2, "non-negative"),
+            ("seed 3\n\nbuffer-delay uniform 1.2 0.8\n", 3, "empty range"),
+            ("buffer-drive uniform 0 1.1\n", 1, "positive"),
+            ("rat normal -1 0.1\n", 1, "positive"),
+            ("locality 1.5\n", 1, "(0, 1]"),
+            ("locality 0\n", 1, "(0, 1]"),
+            ("seed twelve\n", 1, "bad seed"),
+            ("gravity normal 1 0.1\n", 1, "unknown key"),
+            ("wire-r cauchy 1 0.1\n", 1, "unknown distribution"),
+            ("wire-r normal 1 0.1 extra\n", 1, "trailing"),
+            ("# a\n# b\n# c\nsink-cap normal inf 0.1\n", 4, "finite"),
+        ] {
+            let err = parse_variation(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.message.contains(needle), "{text:?}: {err}");
+            assert_eq!(err.to_string(), format!("line {line}: {}", err.message));
+        }
     }
 
     #[test]
