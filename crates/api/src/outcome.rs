@@ -8,7 +8,7 @@ use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::cost::CostFrontier;
 use fastbuf_core::polarity::PolaritySolution;
 use fastbuf_core::skew::SkewSolution;
-use fastbuf_core::{Algorithm, Solution, VerifyError};
+use fastbuf_core::{forward_agrees, Algorithm, Solution, VerifyError};
 use fastbuf_rctree::{elmore, DelayModel, NodeKind, RoutingTree};
 
 use crate::error::SolveError;
@@ -208,9 +208,7 @@ impl Outcome {
                         let report =
                             elmore::evaluate_with(scenario_tree, library, &pairs, &*so.model)
                                 .map_err(|e| named(VerifyError::Tree(e)))?;
-                        let (predicted, measured) = (point.slack.value(), report.slack.value());
-                        let tol = 1e-9 * predicted.abs().max(measured.abs()).max(1e-12);
-                        if (predicted - measured).abs() > tol {
+                        if !forward_agrees(point.slack.value(), report.slack.value()) {
                             return Err(named(VerifyError::SlackMismatch {
                                 predicted: point.slack,
                                 measured: report.slack,
@@ -233,9 +231,7 @@ impl Outcome {
                         &*so.model,
                     )
                     .map_err(|e| named(VerifyError::Tree(e)))?;
-                    let (predicted, measured) = (skew.slack.value(), report.slack.value());
-                    let tol = 1e-9 * predicted.abs().max(measured.abs()).max(1e-12);
-                    if (predicted - measured).abs() > tol {
+                    if !forward_agrees(skew.slack.value(), report.slack.value()) {
                         return Err(named(VerifyError::SlackMismatch {
                             predicted: skew.slack,
                             measured: report.slack,
@@ -259,9 +255,7 @@ impl Outcome {
                         hi = hi.max(a);
                     }
                     let measured_skew = hi - lo;
-                    let predicted_skew = skew.skew.value();
-                    let tol = 1e-9 * measured_skew.abs().max(1e-12);
-                    if (predicted_skew - measured_skew).abs() > tol {
+                    if !forward_agrees(skew.skew.value(), measured_skew) {
                         return Err(named(VerifyError::SlackMismatch {
                             predicted: skew.skew,
                             measured: Seconds::new(measured_skew),

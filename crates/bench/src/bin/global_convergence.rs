@@ -15,14 +15,17 @@
 //! Both runs are asserted bit-identical (feasibility, iteration history,
 //! slack bits, placements) before any time is reported — the benchmark
 //! doubles as a release-mode differential check of the warm-cache path.
-//! Results go to `BENCH_global.json`.
+//! Results go to `BENCH_global.json`; after the table, each fleet's loop is
+//! printed iteration by iteration (nets re-solved, sites overused, total
+//! overuse, largest price).
 //!
 //! Run: `cargo run --release -p fastbuf-bench --bin global_convergence --
 //!       [--seed S] [--lib B] [--out FILE] [--quick]`
 
 use fastbuf_api::wire::Json;
 use fastbuf_bench::{
-    at_least, fixed, options, print_runs, time_arms, write_bench, Arm, Stopwatch, REPEATS,
+    at_least, fixed, options, print_runs, print_table, time_arms, write_bench, Arm, Stopwatch,
+    REPEATS,
 };
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_global::{GlobalNet, GlobalOutcome, GlobalSolver, SiteCapacityMap};
@@ -81,7 +84,7 @@ fn main() {
         lib.len()
     );
 
-    let mut runs = Vec::new();
+    let (mut runs, mut histories) = (Vec::new(), Vec::new());
     for &(nets, pool_sites, sites_per_net) in &FLEETS[..if quick { 1 } else { FLEETS.len() }] {
         let spec = SharedSuiteSpec {
             nets,
@@ -145,12 +148,41 @@ fn main() {
         timed[0].record(&mut run, "warm_");
         timed[1].record(&mut run, "scratch_");
         runs.push(run);
+        histories.push((nets, pool_sites, report.history.clone()));
     }
     print_runs(
         &runs,
         "nets pool_sites initial_overuse iterations inner_solves full_solves \
          warm_secs scratch_secs speedup",
     );
+    // The loop iteration by iteration: nets re-solved shows the warm-cache
+    // dirtying at work (iteration 0 re-solves every net, later ones only
+    // the nets whose mapped site prices changed); overuse shows convergence.
+    for (nets, pool_sites, history) in histories {
+        println!("\n# pricing loop: {nets} nets, {pool_sites} shared sites\n");
+        let rows: Vec<Vec<String>> = history
+            .iter()
+            .map(|row| {
+                vec![
+                    row.iter.to_string(),
+                    row.nets_resolved.to_string(),
+                    row.sites_overused.to_string(),
+                    row.total_overuse.to_string(),
+                    row.max_price.to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            &[
+                "iter",
+                "nets re-solved",
+                "sites overused",
+                "total overuse",
+                "max price",
+            ],
+            &rows,
+        );
+    }
 
     write_bench(
         &out,

@@ -5,12 +5,7 @@
 //!
 //! | binary | reproduces |
 //! |---|---|
-//! | `table1` | Table 1 — runtime of Lillis vs Li–Shi on three nets × library sizes {8, 16, 32, 64}; exits 1 if any row's slack bits differ |
-//! | `fig3` | Figure 3 — normalized runtime vs library size `b` on the 1944-sink net |
-//! | `fig4` | Figure 4 — normalized runtime vs buffer positions `n` at `b = 32` |
-//! | `ablation_pruning` | scratch-hull vs paper's permanent convex pruning (runtime + slack gap) |
-//! | `ablation_counters` | machine-independent `AddBuffer` work counters vs `b` |
-//! | `clustering_quality` | library clustering (Alpert et al.) quality loss vs solving the full library |
+//! | `paper` | Table 1 (three nets × b ∈ {8, 16, 32, 64}), the Figure 3 sweep over `b`, the Figure 4 sweep over `n` and twelve permanent-pruning nets: Lillis vs Li–Shi wall and on-CPU time, `AddBuffer` work, mean `k`, slab counters and the fitted log–log slopes (writes `BENCH_paper.json`; exits 1 if any row's Lillis and Li–Shi bits differ) |
 //! | `cost_frontier` | slack-vs-cost Pareto frontier (the paper's cost extension) |
 //! | `slew_sweep` | slack / buffer-count / feasibility trade-off vs the per-net slew limit (writes `BENCH_slew.json`) |
 //! | `scenario_throughput` | corner-solves/sec of the `fastbuf-api` request layer vs independent legacy solves at 1/2/4 corners (writes `BENCH_scenarios.json`) |
@@ -21,12 +16,12 @@
 //! | `global_convergence` | pricing-loop iterations to feasibility and net-solves/sec, warm vs scratch inner solves (writes `BENCH_global.json`) |
 //! | `cts_quality` | skew and slack of the clock-tree pipeline across sink counts, unbounded and at half the skew (writes `BENCH_cts.json`) |
 //!
-//! The paper-reproduction harnesses (the first seven rows) accept
-//! `--scale <f>` (shrink sink counts for quick runs; default 0.25) or
-//! `--full` (exact paper sizes), plus `--repeats <k>`. The eight
-//! `BENCH_*.json` writers take their own flags plus `--quick`, a
-//! seconds-scale smoke size used by CI (a flag given explicitly beats
-//! `--quick`), and write their file through [`write_bench`].
+//! `paper` and `cost_frontier` accept `--scale <f>` (shrink sink counts
+//! for quick runs; default 0.25) or `--full` (exact paper sizes), plus
+//! `--repeats <k>` (default 3). The other `BENCH_*.json` writers take
+//! their own flags plus `--quick`, a seconds-scale smoke size used by CI
+//! (a flag given explicitly beats `--quick`), and `--out FILE`. Every
+//! writer writes its file through [`write_bench`].
 //!
 //! Every harness parses its command line through [`options`] (the CLI's
 //! [`Flags`]: `--help` exits 0, any flag error prints the usage and exits
@@ -132,12 +127,13 @@ pub fn options<T>(
     }
 }
 
-/// Common command-line options of the paper-reproduction harnesses.
+/// Command-line options of the paper-scale harnesses (`paper`,
+/// `cost_frontier`).
 #[derive(Clone, Debug)]
 pub struct HarnessOptions {
     /// Multiplier on the paper's sink counts (1.0 = full scale).
     pub scale: f64,
-    /// Timing repetitions (best and median are reported).
+    /// Interleaved timing repetitions (best and median are reported).
     pub repeats: usize,
 }
 
@@ -159,7 +155,7 @@ impl HarnessOptions {
             (true, None) => 1.0,
             (false, _) => flags.parsed_or("scale", 0.25)?,
         };
-        let repeats = at_least(flags, "repeats", 1, 1)?;
+        let repeats = at_least(flags, "repeats", 3, 1)?;
         Ok(HarnessOptions { scale, repeats })
     }
 
@@ -348,6 +344,34 @@ pub fn time_solves(
     })
 }
 
+/// Theorem 1 in bits for one pair of solutions: every bit of the slack,
+/// root `Q` and root load agrees, and so do the placements.
+pub fn same_bits(a: &Solution, b: &Solution) -> bool {
+    let bits = |s: &Solution| {
+        [
+            s.slack.value().to_bits(),
+            s.root_q.value().to_bits(),
+            s.root_load.value().to_bits(),
+        ]
+    };
+    bits(a) == bits(b) && a.placements == b.placements
+}
+
+/// The least-squares slope of `ln y` against `ln x` over `(x, y)` points:
+/// the exponent `k` of a runtime curve `t = c·xᵏ`.
+pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
+    let logs: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x.ln(), y.ln())).collect();
+    let n = logs.len() as f64;
+    let mean_x = logs.iter().map(|p| p.0).sum::<f64>() / n;
+    let mean_y = logs.iter().map(|p| p.1).sum::<f64>() / n;
+    let (mut sxy, mut sxx) = (0.0, 0.0);
+    for (x, y) in logs {
+        sxy += (x - mean_x) * (y - mean_y);
+        sxx += (x - mean_x) * (x - mean_x);
+    }
+    sxy / sxx
+}
+
 /// Hardware thread count of the machine running the benchmark, as stamped
 /// into every `BENCH_*.json` so recorded numbers are self-describing (a
 /// 1-thread container and a 32-thread workstation produce very different
@@ -429,18 +453,6 @@ pub fn paper_net(sinks: usize, positions: Option<usize>) -> RoutingTree {
     }
 }
 
-/// Formats a duration in engineering style (`412 us`, `1.73 s`).
-pub fn fmt_duration(d: Duration) -> String {
-    let s = d.as_secs_f64();
-    if s >= 1.0 {
-        format!("{s:.2} s")
-    } else if s >= 1e-3 {
-        format!("{:.2} ms", s * 1e3)
-    } else {
-        format!("{:.0} us", s * 1e6)
-    }
-}
-
 /// Prints the `columns` (whitespace-separated keys) of a harness's BENCH
 /// rows as a markdown table, so the numbers on stdout are the recorded
 /// ones (a missing cell is `-`).
@@ -490,6 +502,9 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
 mod tests {
     use std::cell::RefCell;
 
+    use fastbuf_buflib::units::{Farads, Seconds};
+    use fastbuf_buflib::BufferTypeId;
+
     use super::*;
 
     #[test]
@@ -519,10 +534,44 @@ mod tests {
     }
 
     #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_micros(412)), "412 us");
-        assert_eq!(fmt_duration(Duration::from_millis(5)), "5.00 ms");
-        assert_eq!(fmt_duration(Duration::from_secs_f64(1.734)), "1.73 s");
+    fn loglog_slope_recovers_the_exponent_of_a_power_law() {
+        for k in [0.5, 1.0, 1.37, 2.0] {
+            let points: Vec<_> = [8.0, 16.0, 24.0, 40.0, 64.0]
+                .iter()
+                .map(|&x: &f64| (x, 3e-3 * x.powf(k)))
+                .collect();
+            let slope = loglog_slope(&points);
+            assert!((slope - k).abs() < 1e-12, "k = {k}: fitted {slope}");
+        }
+    }
+
+    #[test]
+    fn same_bits_flags_a_single_bit_in_any_checked_field() {
+        let t = paper_net(16, Some(100));
+        let lib = BufferLibrary::paper_synthetic(4).unwrap();
+        let solve = |algo| Solver::new(&t, &lib).algorithm(algo).solve();
+        let (lillis, lishi) = (solve(Algorithm::Lillis), solve(Algorithm::LiShi));
+        assert!(!lishi.placements.is_empty(), "the net must buffer");
+        assert!(same_bits(&lillis, &lishi));
+        let flip = |x: f64| f64::from_bits(x.to_bits() ^ 1);
+        let mut slack = lishi.clone();
+        slack.slack = Seconds::new(flip(slack.slack.value()));
+        let mut root_q = lishi.clone();
+        root_q.root_q = Seconds::new(flip(root_q.root_q.value()));
+        let mut root_load = lishi.clone();
+        root_load.root_load = Farads::new(flip(root_load.root_load.value()));
+        let mut placed = lishi.clone();
+        let last = placed.placements.last_mut().unwrap();
+        last.buffer = BufferTypeId::new(last.buffer.index() ^ 1);
+        for (field, changed) in [
+            ("slack", slack),
+            ("root Q", root_q),
+            ("root load", root_load),
+            ("placements", placed),
+        ] {
+            assert!(!same_bits(&lillis, &changed), "{field}");
+            assert!(!same_bits(&changed, &lillis), "{field}");
+        }
     }
 
     #[test]
@@ -600,9 +649,9 @@ mod tests {
             parse_options(&argv(args), "scale repeats", "full", HarnessOptions::parse)
         };
         let o = parse(&[]).unwrap();
-        assert_eq!((o.scale, o.repeats), (0.25, 1));
-        let o = parse(&["--full", "--repeats", "3"]).unwrap();
-        assert_eq!((o.scale, o.repeats), (1.0, 3));
+        assert_eq!((o.scale, o.repeats), (0.25, 3));
+        let o = parse(&["--full", "--repeats", "5"]).unwrap();
+        assert_eq!((o.scale, o.repeats), (1.0, 5));
         assert_eq!(parse(&["--scale", "0.05"]).unwrap().scale, 0.05);
         assert!(matches!(
             parse(&["--repeats", "0"]),

@@ -47,13 +47,6 @@ pub enum LibraryError {
         /// The duplicated name.
         name: String,
     },
-    /// A requested cluster count is invalid (zero or above the library size).
-    InvalidClusterCount {
-        /// Requested number of clusters.
-        requested: usize,
-        /// Available number of buffer types.
-        available: usize,
-    },
 }
 
 impl fmt::Display for LibraryError {
@@ -80,15 +73,6 @@ impl fmt::Display for LibraryError {
             }
             LibraryError::DuplicateName { name } => {
                 write!(f, "buffer name `{name}` appears more than once")
-            }
-            LibraryError::InvalidClusterCount {
-                requested,
-                available,
-            } => {
-                write!(
-                    f,
-                    "cannot cluster {available} buffer types into {requested} clusters"
-                )
             }
         }
     }

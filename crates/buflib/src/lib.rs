@@ -21,9 +21,6 @@
 //! * [`Technology`] — per-micron wire parasitics; the shipped preset mirrors
 //!   the TSMC-180nm-class constants of the paper's evaluation
 //!   (0.076 Ω/µm, 0.118 fF/µm).
-//! * [`cluster`] — buffer-library selection by clustering (the
-//!   Alpert et al. DAC 2000 approach the paper cites as the prior remedy for
-//!   large libraries).
 //!
 //! # Example
 //!
@@ -52,7 +49,6 @@
 
 mod buffer;
 mod bufset;
-pub mod cluster;
 mod error;
 mod library;
 mod tech;

@@ -279,8 +279,8 @@ impl BufferLibrary {
             .map(BufferTypeId::new)
     }
 
-    /// Creates a sub-library from a subset of this library's ids (e.g. a
-    /// clustering result). Entries keep their parameters but receive fresh,
+    /// Creates a sub-library from a subset of this library's ids. Entries
+    /// keep their parameters but receive fresh,
     /// dense ids in the order given.
     ///
     /// # Errors

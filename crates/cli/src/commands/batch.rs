@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use fastbuf_batch::BatchSolver;
 use fastbuf_buflib::units::Seconds;
-use fastbuf_core::{Algorithm, Solver};
+use fastbuf_core::{forward_agrees, Algorithm, Solver};
 use fastbuf_rctree::{elmore, io as netio, RoutingTree};
 
 use super::{io_error, load_lib, load_model, load_slew_limit, write_json, CliError, USAGE};
@@ -113,11 +113,7 @@ pub(super) fn batch(argv: &[String]) -> Result<(), CliError> {
                 &*model,
             )
             .map_err(|e| format!("{}: {e}", names[o.index]))?;
-            // Same relative tolerance as `Solution::verify` — one
-            // definition of "verified" across the workspace.
-            let (predicted, measured_v) = (o.slack.value(), measured.slack.value());
-            let tol = 1e-9 * predicted.abs().max(measured_v.abs()).max(1e-12);
-            if (measured_v - predicted).abs() > tol {
+            if !forward_agrees(o.slack.value(), measured.slack.value()) {
                 return Err(format!(
                     "{}: batch predicted {} but forward evaluation measures {}",
                     names[o.index], o.slack, measured.slack

@@ -75,5 +75,5 @@ pub use engine::{SolveWorkspace, Solver, SolverOptions};
 // without importing `fastbuf-rctree` directly.
 pub use fastbuf_rctree::delay::{DelayModel, ElmoreModel, ScaledElmoreModel};
 pub use skew::{SkewSolution, SkewSolver};
-pub use solution::{Placement, Solution, VerifyError};
+pub use solution::{forward_agrees, Placement, Solution, VerifyError};
 pub use stats::SolveStats;

@@ -11,23 +11,25 @@
 //! * **Per-worker state**: each worker is lent one element of `states` (a
 //!   workspace, a slab, an incremental solver, or `()`) for all the items
 //!   it claims, and works on it from its own stack (see [`map_ordered`]).
-//! * **One worker runs inline** on the caller's thread, so a sequential
-//!   run spawns nothing.
+//! * **One worker runs inline** on the caller's thread: `w` workers spawn
+//!   `w - 1` threads, and a sequential run spawns nothing.
 //! * **No per-item cost** beyond one atomic increment: a worker appends
 //!   `(index, result)` to its own vector and the caller scatters the
 //!   vectors once all workers are joined.
 //! * **Panics** in a worker are re-raised on the caller with their
-//!   original payload.
+//!   original payload, once every worker has stopped.
 
 use std::cmp::Reverse;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Computes `f(state, i)` for every item `i` in `0..order.len()`, claiming
 /// items in `order` over one worker per element of `states`, and returns
 /// the results in item-index order: `out[i] = f(_, i)`.
 ///
-/// At most `min(states.len(), order.len())` workers run; with one worker
-/// the map runs inline on the caller's thread. Which state an item sees
+/// At most `min(states.len(), order.len())` workers run, the first of
+/// them inline on the caller's thread (it lends `states[0]`), so one
+/// worker spawns no thread. Which state an item sees
 /// depends on scheduling, so `f` must give the same result for every
 /// state (workspaces and caches must be result-neutral).
 ///
@@ -40,8 +42,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of `0..order.len()`, if `states`
-/// is empty while `order` is not, or if any call of `f` panics (the first
-/// joined worker's payload is re-raised after every worker has stopped).
+/// is empty while `order` is not, or if any call of `f` panics (the payload
+/// of the first panicking worker in `states` order is re-raised after every
+/// worker has stopped).
 pub fn map_ordered<S, R, F>(order: &[usize], states: &mut [S], f: F) -> Vec<R>
 where
     S: Default + Send,
@@ -74,26 +77,27 @@ where
             slots[i] = Some(result);
         }
     };
-    if workers == 1 {
-        scatter(run(&mut states[0]));
-    } else if workers > 1 {
+    // One worker runs inline on the caller, which would otherwise only wait
+    // for the joins: a map over `w` workers spawns `w - 1` threads.
+    if let Some((inline, spawned)) = states[..workers].split_first_mut() {
         let run = &run;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = states[..workers]
+            let handles: Vec<_> = spawned
                 .iter_mut()
                 .map(|state| scope.spawn(move || run(state)))
                 .collect();
-            let mut panic = None;
-            for handle in handles {
-                match handle.join() {
+            let inline = panic::catch_unwind(AssertUnwindSafe(|| run(inline)));
+            let mut payload = None;
+            for done in std::iter::once(inline).chain(handles.into_iter().map(|h| h.join())) {
+                match done {
                     Ok(done) => scatter(done),
-                    Err(payload) => {
-                        panic.get_or_insert(payload);
+                    Err(p) => {
+                        payload.get_or_insert(p);
                     }
                 }
             }
-            if let Some(payload) = panic {
-                std::panic::resume_unwind(payload);
+            if let Some(payload) = payload {
+                panic::resume_unwind(payload);
             }
         });
     }
@@ -125,8 +129,11 @@ pub fn largest_first(n: usize, size: impl Fn(usize) -> usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
+    use std::sync::Barrier;
     use std::thread::{self, ThreadId};
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_index_order_under_a_permuted_dispatch() {
@@ -175,6 +182,83 @@ mod tests {
         // More states than items: the surplus states stay idle.
         let threads = map(1, &mut [(), (), ()], |_, _| thread::current().id());
         assert_eq!(threads, [caller]);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers_and_results_stay_in_index_order() {
+        let caller = thread::current().id();
+        // Items 0 and 1 wait for each other, so the two workers hold one each.
+        let both = Barrier::new(2);
+        let out = map(24, &mut [(); 2], |_, i| {
+            if i < 2 {
+                both.wait();
+            }
+            (i, thread::current().id())
+        });
+        assert_eq!(
+            out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            (0..24).collect::<Vec<_>>()
+        );
+        let threads: HashSet<ThreadId> = out.iter().map(|&(_, t)| t).collect();
+        assert!(threads.contains(&caller), "the caller claimed no item");
+        assert!(
+            threads.len() <= 2,
+            "two workers ran on {} threads",
+            threads.len()
+        );
+    }
+
+    /// Maps 40 items over 3 workers, where `f` may panic; returns the
+    /// re-raised payload's message and how many items had completed when
+    /// the caller saw it.
+    fn panic_and_count(f: impl Fn(&AtomicU32) + Sync) -> (String, u32) {
+        let done = AtomicU32::new(0);
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| {
+            map(40, &mut [(); 3], |_, _| f(&done));
+        }))
+        .expect_err("a worker panicked");
+        let message = payload.downcast_ref::<&str>().expect("a literal payload");
+        (message.to_string(), done.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn a_panic_on_the_inline_worker_is_re_raised_after_the_spawned_ones_stop() {
+        let caller = thread::current().id();
+        let started = AtomicBool::new(false);
+        let (message, done) = panic_and_count(|done| {
+            if thread::current().id() == caller {
+                // Panic only once a spawned worker is running items.
+                while !started.load(Ordering::SeqCst) {
+                    thread::sleep(Duration::from_micros(100));
+                }
+                panic!("inline worker exploded");
+            }
+            started.store(true, Ordering::SeqCst);
+            thread::sleep(Duration::from_millis(1));
+            done.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(message, "inline worker exploded");
+        assert_eq!(done, 39, "every other item finished before the re-raise");
+    }
+
+    #[test]
+    fn a_panic_on_a_spawned_worker_is_re_raised_after_the_others_stop() {
+        let caller = thread::current().id();
+        let fired = AtomicBool::new(false);
+        let (message, done) = panic_and_count(|done| {
+            if thread::current().id() == caller {
+                // Keep claiming items only after a spawned worker panicked.
+                while !fired.load(Ordering::SeqCst) {
+                    thread::sleep(Duration::from_micros(100));
+                }
+            } else if !fired.swap(true, Ordering::SeqCst) {
+                panic!("spawned worker exploded");
+            }
+            thread::sleep(Duration::from_millis(1));
+            done.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(message, "spawned worker exploded");
+        assert_eq!(done, 39, "every other item finished before the re-raise");
     }
 
     #[test]

@@ -184,8 +184,7 @@ impl PolaritySolution {
         check_polarity(tree, library, &pairs, negated_sinks)?;
         let report = fastbuf_rctree::elmore::evaluate(tree, library, &pairs)
             .expect("reconstructed placements are legal");
-        let tol = 1e-9 * self.slack.value().abs().max(1e-12);
-        if (report.slack.value() - self.slack.value()).abs() > tol {
+        if !crate::forward_agrees(self.slack.value(), report.slack.value()) {
             return Err(PolarityError::SlackMismatch {
                 predicted: self.slack,
                 measured: report.slack,

@@ -10,6 +10,15 @@ use fastbuf_rctree::{elmore, NodeId, RoutingTree, TreeError};
 use crate::buffering::Algorithm;
 use crate::stats::SolveStats;
 
+/// Whether a forward evaluation `measured` agrees with the value a solve
+/// `predicted`: equal, or within a relative 1e-9 of the larger magnitude
+/// (floored at 1e-12, so values near zero compare absolutely). The one
+/// definition of "verified" across the workspace.
+pub fn forward_agrees(predicted: f64, measured: f64) -> bool {
+    let tol = 1e-9 * predicted.abs().max(measured.abs()).max(1e-12);
+    predicted == measured || (predicted - measured).abs() <= tol
+}
+
 /// One inserted buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Placement {
@@ -94,8 +103,8 @@ impl Solution {
 
     /// Re-evaluates the reconstructed placements with the independent
     /// forward Elmore analysis of `fastbuf-rctree` and checks that the
-    /// measured slack equals the slack this solution predicts (to a relative
-    /// tolerance of 1e-9). Returns the measured slack.
+    /// measured slack equals the slack this solution predicts (to the
+    /// relative tolerance of [`forward_agrees`]). Returns the measured slack.
     ///
     /// **Warning — this legacy shim always measures with
     /// [`ElmoreModel`](crate::ElmoreModel), whatever model the solve
@@ -142,10 +151,7 @@ impl Solution {
         }
         let report = elmore::evaluate_with(tree, library, &self.placement_pairs(), model)
             .map_err(VerifyError::Tree)?;
-        let predicted = self.slack.value();
-        let measured = report.slack.value();
-        let tol = 1e-9 * predicted.abs().max(measured.abs()).max(1e-12);
-        if (predicted - measured).abs() > tol {
+        if !forward_agrees(self.slack.value(), report.slack.value()) {
             return Err(VerifyError::SlackMismatch {
                 predicted: self.slack,
                 measured: report.slack,
@@ -228,6 +234,22 @@ mod tests {
     fn placement_display_and_conversion() {
         let p: Placement = (NodeId::new(4), BufferTypeId::new(2)).into();
         assert_eq!(p.to_string(), "B2@n4");
+    }
+
+    #[test]
+    fn forward_agreement_uses_the_larger_magnitude() {
+        assert!(forward_agrees(1.0, 1.0 + 5e-10));
+        assert!(!forward_agrees(1.0, 1.0 + 2e-9));
+        assert!(forward_agrees(0.0, 0.0) && forward_agrees(0.0, -5e-22));
+        assert!(!forward_agrees(0.0, 2e-21));
+        assert!(forward_agrees(f64::INFINITY, f64::INFINITY));
+        assert!(!forward_agrees(f64::NAN, f64::NAN));
+        // Just over 1e-9 of the prediction, within 1e-9 of the measurement:
+        // a tolerance scaled by the prediction alone rejects this pair, the
+        // larger magnitude accepts it, in either argument order.
+        let (p, m): (f64, f64) = (1.007_812_5, 1.007_812_501_007_812_5);
+        assert!((m - p).abs() > 1e-9 * p);
+        assert!(forward_agrees(p, m) && forward_agrees(m, p));
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! here measure the *work* each DP operation performs (candidates visited,
 //! hull steps, betas emitted), giving clean evidence of the O(k·b) vs
 //! O(k + b) `AddBuffer` behaviour that Figures 3 and 4 of the paper show as
-//! running time. The `ablation_counters` bench harness prints them.
+//! running time. The `paper` bench harness records them for every
+//! Table 1 / Figure 3–4 row in `BENCH_paper.json` (`AddBuffer` work of both
+//! algorithms and its ratio, mean `k` per call, longest list, slab
+//! counters).
 
 use std::fmt;
 use std::time::Duration;

@@ -21,7 +21,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`api`] | `fastbuf-api` | **the front door**: `Session`, `SolveRequest`, multi-scenario `Outcome`, `Session::eco` |
-//! | [`buflib`] | `fastbuf-buflib` | units, buffers, libraries, technology, clustering |
+//! | [`buflib`] | `fastbuf-buflib` | units, buffers, libraries, technology |
 //! | [`rctree`] | `fastbuf-rctree` | routing trees, delay models, Elmore evaluation, segmenting, net files |
 //! | (root) | `fastbuf-core` | the solvers themselves (plus the `SubtreeCache` seam) |
 //! | [`netgen`] | `fastbuf-netgen` | deterministic synthetic nets, suites, and ECO edit scripts |

@@ -58,8 +58,9 @@ fn interior_candidate_becomes_optimal_after_merge() {
 }
 
 /// A concrete multi-pin net where the published algorithm returns strictly
-/// less slack than the exact solvers (found by the `ablation_pruning`
-/// harness; pinned here as a regression anchor).
+/// less slack than the exact solvers (found by the permanent-pruning sweep
+/// that is now the `pruning` section of the `paper` harness; pinned here as
+/// a regression anchor).
 #[test]
 fn permanent_pruning_loses_slack_on_a_real_net() {
     let lib = BufferLibrary::paper_synthetic(32).unwrap();
