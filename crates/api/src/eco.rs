@@ -15,7 +15,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fastbuf_buflib::units::Seconds;
-use fastbuf_core::SolverOptions;
 use fastbuf_incremental::{Edit, IncrementalSolver};
 use fastbuf_rctree::RoutingTree;
 
@@ -93,13 +92,7 @@ impl Session {
         let corners = scenarios
             .into_iter()
             .map(|scenario| {
-                let mut options = SolverOptions::default();
-                options.algorithm = scenario.algorithm.unwrap_or_default();
-                options.delay_model = scenario
-                    .delay_model
-                    .clone()
-                    .unwrap_or_else(|| Arc::clone(self.delay_model()));
-                options.slew_limit = scenario.slew_limit;
+                let options = self.options(&scenario);
                 let corner_tree = scenario.apply_derate(tree).into_owned();
                 let solver = IncrementalSolver::new(corner_tree, self.library().clone())
                     .with_technology(*self.technology())

@@ -41,10 +41,9 @@ pub enum SolveError {
         /// The rejected limit in picoseconds.
         limit_ps: f64,
     },
-    /// The scenario asks for a combination the chosen
-    /// [`Objective`](crate::Objective) does not support (e.g. a non-Elmore
-    /// delay model or a slew limit with the cost-frontier or polarity DP,
-    /// which are Elmore-only — see the crate docs).
+    /// The request asks for something its front end does not offer (e.g.
+    /// a library swap through an ECO session, or a max-slack wire record of
+    /// a scenario that solved for another objective).
     Unsupported {
         /// The offending scenario.
         scenario: String,
@@ -268,9 +267,9 @@ mod tests {
 
         let e = SolveError::Unsupported {
             scenario: "s".into(),
-            reason: "cost frontier is Elmore-only".into(),
+            reason: "wire records cover max-slack solves only".into(),
         };
-        assert!(e.to_string().contains("Elmore-only"));
+        assert!(e.to_string().contains("max-slack"));
 
         let e = SolveError::ScenarioParse {
             line: 3,

@@ -8,8 +8,8 @@ use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::cost::CostFrontier;
 use fastbuf_core::polarity::PolaritySolution;
 use fastbuf_core::skew::SkewSolution;
-use fastbuf_core::{forward_agrees, Algorithm, Solution, VerifyError};
-use fastbuf_rctree::{elmore, DelayModel, NodeKind, RoutingTree};
+use fastbuf_core::{forward_agrees, Algorithm, Placement, Solution, VerifyError};
+use fastbuf_rctree::{elmore, DelayModel, RoutingTree};
 
 use crate::error::SolveError;
 use crate::request::Objective;
@@ -192,6 +192,23 @@ impl Outcome {
                 scenario: so.scenario.name.clone(),
                 error,
             };
+            let agrees = |predicted: Seconds, measured: Seconds| {
+                if forward_agrees(predicted.value(), measured.value()) {
+                    Ok(())
+                } else {
+                    Err(named(VerifyError::SlackMismatch {
+                        predicted,
+                        measured,
+                    }))
+                }
+            };
+            // Forward-evaluates `placements` and checks the slack.
+            let measure = |placements: &[Placement], predicted: Seconds| {
+                let pairs: Vec<_> = placements.iter().map(|p| (p.node, p.buffer)).collect();
+                let report = elmore::evaluate_with(scenario_tree, library, &pairs, &*so.model)
+                    .map_err(|e| named(VerifyError::Tree(e)))?;
+                agrees(predicted, report.slack).map(|()| report)
+            };
             match &so.result {
                 ScenarioResult::Solution(solution) => {
                     solution
@@ -200,20 +217,7 @@ impl Outcome {
                 }
                 ScenarioResult::Frontier(frontier) => {
                     for point in &frontier.points {
-                        let pairs: Vec<_> = point
-                            .placements
-                            .iter()
-                            .map(|p| (p.node, p.buffer))
-                            .collect();
-                        let report =
-                            elmore::evaluate_with(scenario_tree, library, &pairs, &*so.model)
-                                .map_err(|e| named(VerifyError::Tree(e)))?;
-                        if !forward_agrees(point.slack.value(), report.slack.value()) {
-                            return Err(named(VerifyError::SlackMismatch {
-                                predicted: point.slack,
-                                measured: report.slack,
-                            }));
-                        }
+                        measure(&point.placements, point.slack)?;
                     }
                 }
                 ScenarioResult::Variation(_) => {
@@ -224,43 +228,12 @@ impl Outcome {
                     // differential harness `tests/variation_equivalence.rs`.
                 }
                 ScenarioResult::Skew(skew) => {
-                    let report = elmore::evaluate_with(
-                        scenario_tree,
-                        library,
-                        &skew.placement_pairs(),
-                        &*so.model,
-                    )
-                    .map_err(|e| named(VerifyError::Tree(e)))?;
-                    if !forward_agrees(skew.slack.value(), report.slack.value()) {
-                        return Err(named(VerifyError::SlackMismatch {
-                            predicted: skew.slack,
-                            measured: report.slack,
-                        }));
+                    if !skew.tracked {
+                        return Err(named(VerifyError::NotTracked));
                     }
-                    // Re-measure the skew itself: arrival = RAT − slack per
-                    // sink, skew = max − min arrival.
-                    let arrivals =
-                        report
-                            .sink_slacks
-                            .iter()
-                            .map(|&(n, s)| match scenario_tree.kind(n) {
-                                NodeKind::Sink {
-                                    required_arrival, ..
-                                } => required_arrival.value() - s.value(),
-                                _ => unreachable!("sink_slacks only lists sinks"),
-                            });
-                    let (mut lo, mut hi) = (f64::MAX, f64::MIN);
-                    for a in arrivals {
-                        lo = lo.min(a);
-                        hi = hi.max(a);
-                    }
-                    let measured_skew = hi - lo;
-                    if !forward_agrees(skew.skew.value(), measured_skew) {
-                        return Err(named(VerifyError::SlackMismatch {
-                            predicted: skew.skew,
-                            measured: Seconds::new(measured_skew),
-                        }));
-                    }
+                    // The slack, then the skew itself.
+                    let report = measure(&skew.placements, skew.slack)?;
+                    agrees(skew.skew, report.skew(scenario_tree))?;
                 }
                 ScenarioResult::Polarity(polarity) => {
                     let negated: &[_] = match &self.objective {
@@ -268,7 +241,7 @@ impl Outcome {
                         _ => &[],
                     };
                     polarity
-                        .verify_with(scenario_tree, library, negated)
+                        .verify_with(scenario_tree, library, negated, &*so.model)
                         .map_err(SolveError::Polarity)?;
                 }
             }

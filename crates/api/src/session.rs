@@ -3,10 +3,11 @@
 use std::sync::{Arc, Mutex};
 
 use fastbuf_buflib::{BufferLibrary, Technology};
-use fastbuf_core::SolveWorkspace;
+use fastbuf_core::{SolveWorkspace, SolverOptions};
 use fastbuf_rctree::{DelayModel, ElmoreModel, RoutingTree};
 
 use crate::request::SolveRequest;
+use crate::scenario::Scenario;
 
 /// The immutable shared context every solve needs: the buffer library, the
 /// interconnect technology, the default delay model, and a pool of
@@ -80,6 +81,19 @@ impl Session {
     /// override it.
     pub fn delay_model(&self) -> &Arc<dyn DelayModel> {
         &self.inner.delay_model
+    }
+
+    /// The solver options of `scenario`: its algorithm and slew limit, and
+    /// its delay model or else the session default.
+    pub(crate) fn options(&self, scenario: &Scenario) -> SolverOptions {
+        let mut options = SolverOptions::default();
+        options.algorithm = scenario.algorithm.unwrap_or_default();
+        options.delay_model = scenario
+            .delay_model
+            .clone()
+            .unwrap_or_else(|| Arc::clone(self.delay_model()));
+        options.slew_limit = scenario.slew_limit;
+        options
     }
 
     /// Starts a solve request for one net. The returned builder borrows

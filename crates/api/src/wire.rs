@@ -1035,8 +1035,7 @@ pub fn skew_record(
         slack_after: skew.slack,
         slew_before: before.max_slew,
         max_slew: measured.max_slew,
-        // The skew DP takes no slew limit (Elmore-only, unconstrained).
-        slew_ok: true,
+        slew_ok: skew.slew_ok,
         buffers: skew.placements.len(),
         cost: skew
             .placements

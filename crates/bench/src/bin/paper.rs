@@ -19,7 +19,11 @@
 //!
 //! Each row times the arms interleaved through `time_solves` (untracked
 //! solves: pure DP time, as the paper measures) and records best and
-//! median wall and on-CPU time per arm, the machine-independent
+//! median wall and on-CPU time per arm, the Lillis/Li–Shi ratio of the
+//! best wall times (`speedup`) and of the best on-CPU times
+//! (`cpu_speedup`, which preemption by other tenants of a shared host
+//! cannot inflate; `null` where the OS reports no thread clock), the
+//! machine-independent
 //! `AddBuffer` work of both algorithms and its ratio, the mean list length
 //! `k` per `AddBuffer` call, the longest list and the slab counters of the
 //! Li–Shi solve. The header carries the fitted log–log runtime slopes
@@ -72,6 +76,14 @@ fn measure(section: &str, seed: Option<u64>, tree: &RoutingTree, b: usize, repea
         ("slack_ps", fixed(lishi.slack.picos(), 4)),
         ("same_bits", bits.into()),
         ("speedup", fixed(t_lillis.secs() / t_lishi.secs(), 3)),
+        (
+            "cpu_speedup",
+            t_lillis
+                .cpu
+                .zip(t_lishi.cpu)
+                .map(|(a, b)| fixed(a.best.as_secs_f64() / b.best.as_secs_f64(), 3))
+                .into(),
+        ),
         ("lillis_addbuffer_work", work_lillis.into()),
         ("lishi_addbuffer_work", work_lishi.into()),
         (
@@ -171,8 +183,8 @@ fn main() {
 
     print_runs(
         &runs,
-        "section m n b slack_ps lillis_secs lishi_secs speedup addbuffer_work_ratio \
-         mean_k max_list_len same_bits",
+        "section m n b slack_ps lillis_secs lishi_secs speedup cpu_speedup \
+         addbuffer_work_ratio mean_k max_list_len same_bits",
     );
     println!("\n# Permanent vs scratch convex pruning (b = 32)\n");
     let pruning: Vec<Json> = section(&runs, "pruning").cloned().collect();

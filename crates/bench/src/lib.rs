@@ -6,7 +6,6 @@
 //! | binary | reproduces |
 //! |---|---|
 //! | `paper` | Table 1 (three nets × b ∈ {8, 16, 32, 64}), the Figure 3 sweep over `b`, the Figure 4 sweep over `n` and twelve permanent-pruning nets: Lillis vs Li–Shi wall and on-CPU time, `AddBuffer` work, mean `k`, slab counters and the fitted log–log slopes (writes `BENCH_paper.json`; exits 1 if any row's Lillis and Li–Shi bits differ) |
-//! | `cost_frontier` | slack-vs-cost Pareto frontier (the paper's cost extension) |
 //! | `slew_sweep` | slack / buffer-count / feasibility trade-off vs the per-net slew limit (writes `BENCH_slew.json`) |
 //! | `scenario_throughput` | corner-solves/sec of the `fastbuf-api` request layer vs independent legacy solves at 1/2/4 corners (writes `BENCH_scenarios.json`) |
 //! | `eco_speedup` | incremental vs from-scratch solves/sec under edit scripts at 1/10/50% locality (writes `BENCH_eco.json`) |
@@ -16,9 +15,9 @@
 //! | `global_convergence` | pricing-loop iterations to feasibility and net-solves/sec, warm vs scratch inner solves (writes `BENCH_global.json`) |
 //! | `cts_quality` | skew and slack of the clock-tree pipeline across sink counts, unbounded and at half the skew (writes `BENCH_cts.json`) |
 //!
-//! `paper` and `cost_frontier` accept `--scale <f>` (shrink sink counts
-//! for quick runs; default 0.25) or `--full` (exact paper sizes), plus
-//! `--repeats <k>` (default 3). The other `BENCH_*.json` writers take
+//! `paper` accepts `--scale <f>` (shrink sink counts for quick runs;
+//! default 0.25) or `--full` (exact paper sizes), plus `--repeats <k>`
+//! (default 3). The other `BENCH_*.json` writers take
 //! their own flags plus `--quick`, a seconds-scale smoke size used by CI
 //! (a flag given explicitly beats `--quick`), and `--out FILE`. Every
 //! writer writes its file through [`write_bench`].
@@ -127,8 +126,7 @@ pub fn options<T>(
     }
 }
 
-/// Command-line options of the paper-scale harnesses (`paper`,
-/// `cost_frontier`).
+/// Command-line options of the paper-scale harness (`paper`).
 #[derive(Clone, Debug)]
 pub struct HarnessOptions {
     /// Multiplier on the paper's sink counts (1.0 = full scale).

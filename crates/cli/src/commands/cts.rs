@@ -4,14 +4,13 @@
 
 use std::fs;
 
-use fastbuf_api::{wire, Objective, Scenario, Session};
+use fastbuf_api::{wire, Objective, Outcome, Scenario, Session};
 use fastbuf_buflib::units::{Microns, Seconds};
-use fastbuf_core::polarity::{Polarity, PolaritySolver};
 use fastbuf_core::Algorithm;
 use fastbuf_netgen::{
     build_topology, parse_placements, write_placements, CtsPlacementSpec, CtsTopologySpec,
 };
-use fastbuf_rctree::{elmore, NodeKind};
+use fastbuf_rctree::elmore;
 
 use super::{io_error, load_lib, write_json, CliError};
 use crate::args::Flags;
@@ -113,21 +112,30 @@ pub(super) fn cts(argv: &[String]) -> Result<(), CliError> {
         tree.stats().max_depth
     );
 
-    if flags.switch("inverters") {
-        if flags.value("json").is_some() {
-            return Err("--json covers skew-target solves only; drop --inverters".into());
-        }
-        return cts_inverters(&flags, tree, &lib, algo, max_skew);
+    let inverters = flags.switch("inverters");
+    if inverters && flags.value("json").is_some() {
+        return Err("--json covers skew-target solves only; drop --inverters".into());
     }
-
     let session = Session::new(lib);
+    // The inverter-aware path buffers through the polarity DP (every sink
+    // positive, so inverters come in pairs).
+    let objective = if inverters {
+        Objective::PolarityAware {
+            negated_sinks: Vec::new(),
+        }
+    } else {
+        Objective::SkewTarget { max_skew }
+    };
     let outcome = session
         .request(tree)
-        .objective(Objective::SkewTarget { max_skew })
+        .objective(objective)
         .scenario(Scenario::default().algorithm(algo))
         .solve()?;
     if !flags.switch("no-verify") {
         outcome.verify(tree, session.library())?;
+    }
+    if inverters {
+        return cts_inverters(&flags, tree, &session, &outcome, max_skew);
     }
     let corner = &outcome.scenarios[0];
     let sol = corner.skew().expect("skew-target solves produce Skew");
@@ -174,46 +182,23 @@ pub(super) fn cts(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The inverter-aware path: buffering through the polarity DP (every sink
-/// required positive, so inverters come in pairs), with the skew measured
-/// post hoc by the forward evaluator.
+/// The inverter-aware report: the polarity DP carries no arrival windows,
+/// so the skew of the solved tree is measured post hoc by the forward
+/// evaluator.
 fn cts_inverters(
     flags: &Flags,
     tree: &fastbuf_rctree::RoutingTree,
-    lib: &fastbuf_buflib::BufferLibrary,
-    algo: Algorithm,
+    session: &Session,
+    outcome: &Outcome,
     max_skew: Option<Seconds>,
 ) -> Result<(), CliError> {
-    let mut solver = PolaritySolver::new(tree, lib).algorithm(algo);
-    for sink in tree.sinks() {
-        solver
-            .require(sink, Polarity::Positive)
-            .map_err(|e| CliError::from(fastbuf_api::SolveError::Polarity(e)))?;
-    }
-    let sol = solver
-        .solve()
-        .map_err(|e| CliError::from(fastbuf_api::SolveError::Polarity(e)))?;
-    if !flags.switch("no-verify") {
-        sol.verify(tree, lib)
-            .map_err(|e| CliError::from(fastbuf_api::SolveError::Polarity(e)))?;
-    }
-
-    // The polarity DP carries no arrival windows; measure the skew of the
-    // solved tree with the independent forward evaluator instead.
+    let sol = outcome.scenarios[0]
+        .polarity()
+        .expect("polarity-aware solves produce Polarity");
     let pairs: Vec<_> = sol.placements.iter().map(|p| (p.node, p.buffer)).collect();
-    let report = elmore::evaluate(tree, lib, &pairs).map_err(|e| e.to_string())?;
-    let (mut lo, mut hi) = (f64::MAX, f64::MIN);
-    for &(n, s) in &report.sink_slacks {
-        let arrival = match tree.kind(n) {
-            NodeKind::Sink {
-                required_arrival, ..
-            } => required_arrival.value() - s.value(),
-            _ => unreachable!("sink_slacks only lists sinks"),
-        };
-        lo = lo.min(arrival);
-        hi = hi.max(arrival);
-    }
-    let skew = Seconds::new(hi - lo);
+    let skew = elmore::evaluate(tree, session.library(), &pairs)
+        .map_err(|e| e.to_string())?
+        .skew(tree);
 
     println!("slack:     {}", sol.slack);
     println!("skew:      {skew} (measured post hoc; the polarity DP does not bound it)");

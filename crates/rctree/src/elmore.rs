@@ -46,6 +46,24 @@ pub struct EvalReport {
     pub worst_slew_node: NodeId,
 }
 
+impl EvalReport {
+    /// Sink-to-sink skew: the spread `max − min` of the sink arrivals
+    /// (`RAT − slack`, with the RATs of `tree`, the tree evaluated).
+    pub fn skew(&self, tree: &RoutingTree) -> Seconds {
+        let arrivals = self
+            .sink_slacks
+            .iter()
+            .map(|&(node, slack)| match tree.kind(node) {
+                NodeKind::Sink {
+                    required_arrival, ..
+                } => required_arrival.value() - slack.value(),
+                _ => unreachable!("sink_slacks only lists sinks"),
+            });
+        let (lo, hi) = arrivals.fold((f64::MAX, f64::MIN), |(lo, hi), a| (lo.min(a), hi.max(a)));
+        Seconds::new(hi - lo)
+    }
+}
+
 /// Evaluates `placements` (pairs of node and buffer type) on `tree`.
 ///
 /// # Errors

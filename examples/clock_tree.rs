@@ -25,15 +25,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let unbuffered = elmore::evaluate(&tree, &fastbuf::buflib::BufferLibrary::empty(), &[])?;
     println!("unbuffered slack: {}\n", unbuffered.slack);
 
-    // Sweep the paper's library sizes: more choices -> better or equal slack.
+    // Sweep the paper's library sizes over nested libraries: b = 8, 16,
+    // 32 take every (64/b)-th type of one 64-type draw, so each library
+    // contains the smaller ones and more choices can only help.
+    let full = BufferLibrary::paper_synthetic_jittered(64, 7)?;
     println!(
         "{:<14} {:>14} {:>9} {:>12}",
         "library", "slack", "buffers", "solve time"
     );
     let mut best_with_64 = None;
+    let mut previous: Option<Seconds> = None;
     for b in [8usize, 16, 32, 64] {
+        let ids: Vec<BufferTypeId> = (0..full.len())
+            .step_by(full.len() / b)
+            .map(BufferTypeId::new)
+            .collect();
         // One session per library size; requests return typed Results.
-        let session = Session::new(BufferLibrary::paper_synthetic_jittered(b, 7)?);
+        let session = Session::new(full.subset(&ids)?);
         let outcome = session.request(&tree).solve()?;
         outcome.verify(&tree, session.library())?;
         let sol = outcome.solution().unwrap().clone();
@@ -44,6 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sol.placements.len(),
             sol.stats.elapsed
         );
+        if let Some(prev) = previous.filter(|&prev| sol.slack < prev) {
+            return Err(format!("slack fell from {prev} to {} at b = {b}", sol.slack).into());
+        }
+        previous = Some(sol.slack);
         if b == 64 {
             best_with_64 = Some((session, sol));
         }

@@ -1,15 +1,24 @@
 //! Exhaustive oracle: on tiny nets, enumerate *every possible* buffer
 //! assignment, evaluate each with the independent forward Elmore engine,
 //! and check that the DP solvers find exactly the true optimum — and that
-//! the cost solver's frontier matches the budget-restricted brute force.
+//! the cost solver's frontier matches the budget-restricted brute force,
+//! under Elmore and under a scaled wire model.
+
+use std::sync::Arc;
 
 use fastbuf::netgen::RandomNetSpec;
 use fastbuf::prelude::*;
 use fastbuf::rctree::{elmore, NodeId, RoutingTree};
 
-/// Enumerates all `(b+1)^sites` assignments, returning the best slack and
-/// for each budget the best slack at total cost ≤ budget.
-fn brute_force(tree: &RoutingTree, lib: &BufferLibrary, max_budget: u32) -> (f64, Vec<f64>) {
+/// Enumerates all `(b+1)^sites` assignments, measured under `model`,
+/// returning the best slack and for each budget the best slack at total
+/// cost ≤ budget.
+fn brute_force(
+    tree: &RoutingTree,
+    lib: &BufferLibrary,
+    max_budget: u32,
+    model: &dyn DelayModel,
+) -> (f64, Vec<f64>) {
     let sites: Vec<NodeId> = tree.buffer_sites().collect();
     let choices = lib.len() + 1;
     let total = choices.pow(sites.len() as u32);
@@ -36,7 +45,8 @@ fn brute_force(tree: &RoutingTree, lib: &BufferLibrary, max_budget: u32) -> (f64
         if !legal {
             continue;
         }
-        let report = elmore::evaluate(tree, lib, &placements).expect("legal assignment");
+        let report =
+            elmore::evaluate_with(tree, lib, &placements, model).expect("legal assignment");
         let slack = report.slack.picos();
         best = best.max(slack);
         let cost = report.total_cost.round() as usize;
@@ -122,7 +132,7 @@ fn exact_solvers_match_exhaustive_enumeration() {
             if (lib.len() + 1).pow(tree.buffer_site_count() as u32) > 200_000 {
                 continue;
             }
-            let (true_best, _) = brute_force(&tree, &lib, 0);
+            let (true_best, _) = brute_force(&tree, &lib, 0, &ElmoreModel);
             for algo in [Algorithm::Lillis, Algorithm::LiShi] {
                 let sol = Solver::new(&tree, &lib).algorithm(algo).solve();
                 assert!(
@@ -143,25 +153,35 @@ fn exact_solvers_match_exhaustive_enumeration() {
 fn cost_frontier_matches_budgeted_enumeration() {
     let lib = tiny_library(3);
     let budget = 12u32;
-    for (name, tree) in tiny_nets() {
-        if (lib.len() + 1).pow(tree.buffer_site_count() as u32) > 200_000 {
-            continue;
-        }
-        let (_, best_at) = brute_force(&tree, &lib, budget);
-        let frontier = CostSolver::new(&tree, &lib)
-            .max_cost(budget)
-            .solve()
-            .unwrap();
-        for w in 0..=budget {
-            let brute = best_at[w as usize];
-            let dp = frontier
-                .best_within(w)
-                .map(|p| p.slack.picos())
-                .unwrap_or(f64::NEG_INFINITY);
-            assert!(
-                (dp - brute).abs() < 1e-6,
-                "{name} budget {w}: frontier {dp} vs brute {brute}"
-            );
+    let models: [Arc<dyn DelayModel>; 2] = [
+        Arc::new(ElmoreModel),
+        Arc::new(ScaledElmoreModel::default()),
+    ];
+    for model in models {
+        let mut options = SolverOptions::default();
+        options.delay_model = Arc::clone(&model);
+        for (name, tree) in tiny_nets() {
+            if (lib.len() + 1).pow(tree.buffer_site_count() as u32) > 200_000 {
+                continue;
+            }
+            let (_, best_at) = brute_force(&tree, &lib, budget, &*model);
+            let frontier = CostSolver::new(&tree, &lib)
+                .with_options(options.clone())
+                .max_cost(budget)
+                .solve()
+                .unwrap();
+            for w in 0..=budget {
+                let brute = best_at[w as usize];
+                let dp = frontier
+                    .best_within(w)
+                    .map(|p| p.slack.picos())
+                    .unwrap_or(f64::NEG_INFINITY);
+                assert!(
+                    (dp - brute).abs() < 1e-6,
+                    "{name} {} budget {w}: frontier {dp} vs brute {brute}",
+                    model.name()
+                );
+            }
         }
     }
 }
@@ -199,7 +219,7 @@ fn incremental_solver_matches_exhaustive_enumeration_after_edits() {
                 if (lib.len() + 1).pow(solver.tree().buffer_site_count() as u32) > 200_000 {
                     continue;
                 }
-                let (true_best, _) = brute_force(solver.tree(), &lib, 0);
+                let (true_best, _) = brute_force(solver.tree(), &lib, 0, &ElmoreModel);
                 let sol = solver.solve();
                 assert!(
                     (sol.slack.picos() - true_best).abs() < 1e-6,
@@ -223,7 +243,7 @@ fn permanent_pruning_stays_within_oracle_bound() {
         if (lib.len() + 1).pow(tree.buffer_site_count() as u32) > 200_000 {
             continue;
         }
-        let (true_best, _) = brute_force(&tree, &lib, 0);
+        let (true_best, _) = brute_force(&tree, &lib, 0, &ElmoreModel);
         let perm = Solver::new(&tree, &lib)
             .algorithm(Algorithm::LiShiPermanent)
             .solve();

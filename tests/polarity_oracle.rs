@@ -1,10 +1,13 @@
 //! Exhaustive oracle for the polarity-aware solver: enumerate every
 //! assignment from a mixed buffer/inverter library, keep only those whose
 //! inversion parity satisfies every sink, and compare the best feasible
-//! slack against the two-list DP.
+//! slack against the two-list DP — under Elmore and under a scaled wire
+//! model, which the DP and the enumeration both run.
 
 use fastbuf::polarity::{check_polarity, Polarity, PolaritySolver};
 use fastbuf::prelude::*;
+use std::sync::Arc;
+
 use fastbuf::rctree::{elmore, NodeId, RoutingTree};
 
 fn mixed_library() -> BufferLibrary {
@@ -26,8 +29,14 @@ fn mixed_library() -> BufferLibrary {
     .unwrap()
 }
 
-/// Best feasible slack over all assignments, or None if infeasible.
-fn brute_force(tree: &RoutingTree, lib: &BufferLibrary, negated: &[NodeId]) -> Option<f64> {
+/// Best feasible slack over all assignments measured under `model`, or
+/// None if infeasible.
+fn brute_force(
+    tree: &RoutingTree,
+    lib: &BufferLibrary,
+    negated: &[NodeId],
+    model: &dyn DelayModel,
+) -> Option<f64> {
     let sites: Vec<NodeId> = tree.buffer_sites().collect();
     let choices = lib.len() + 1;
     let total = choices.pow(sites.len() as u32);
@@ -46,7 +55,7 @@ fn brute_force(tree: &RoutingTree, lib: &BufferLibrary, negated: &[NodeId]) -> O
         if check_polarity(tree, lib, &placements, negated).is_err() {
             continue;
         }
-        let report = elmore::evaluate(tree, lib, &placements).unwrap();
+        let report = elmore::evaluate_with(tree, lib, &placements, model).unwrap();
         let s = report.slack.picos();
         best = Some(best.map_or(s, |b: f64| b.max(s)));
     }
@@ -86,24 +95,33 @@ fn nets() -> Vec<(String, RoutingTree, Vec<NodeId>)> {
 #[test]
 fn polarity_dp_matches_exhaustive_enumeration() {
     let lib = mixed_library();
-    for (name, tree, negated) in nets() {
-        let brute = brute_force(&tree, &lib, &negated);
-        let mut solver = PolaritySolver::new(&tree, &lib);
-        for &s in &negated {
-            solver.require(s, Polarity::Negative).unwrap();
-        }
-        match (solver.solve(), brute) {
-            (Ok(sol), Some(best)) => {
-                assert!(
-                    (sol.slack.picos() - best).abs() < 1e-6,
-                    "{name}: DP {} vs brute {best}",
-                    sol.slack.picos()
-                );
-                sol.verify_with(&tree, &lib, &negated)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let models: [Arc<dyn DelayModel>; 2] = [
+        Arc::new(ElmoreModel),
+        Arc::new(ScaledElmoreModel::default()),
+    ];
+    for model in models {
+        let mut options = SolverOptions::default();
+        options.delay_model = Arc::clone(&model);
+        for (name, tree, negated) in nets() {
+            let name = format!("{name} {}", model.name());
+            let brute = brute_force(&tree, &lib, &negated, &*model);
+            let mut solver = PolaritySolver::new(&tree, &lib).with_options(options.clone());
+            for &s in &negated {
+                solver.require(s, Polarity::Negative).unwrap();
             }
-            (Err(_), None) => {} // both infeasible: fine
-            (dp, brute) => panic!("{name}: feasibility mismatch: dp={dp:?} brute={brute:?}"),
+            match (solver.solve(), brute) {
+                (Ok(sol), Some(best)) => {
+                    assert!(
+                        (sol.slack.picos() - best).abs() < 1e-6,
+                        "{name}: DP {} vs brute {best}",
+                        sol.slack.picos()
+                    );
+                    sol.verify_with(&tree, &lib, &negated, &*model)
+                        .unwrap_or_else(|e| panic!("{name}: {e}"));
+                }
+                (Err(_), None) => {} // both infeasible: fine
+                (dp, brute) => panic!("{name}: feasibility mismatch: dp={dp:?} brute={brute:?}"),
+            }
         }
     }
 }
@@ -119,7 +137,7 @@ fn polarity_oracle_detects_infeasibility_without_inverters() {
     .unwrap();
     let tree = fastbuf::netgen::line_net(Microns::new(4000.0), 3);
     let sink = tree.sinks().next().unwrap();
-    assert_eq!(brute_force(&tree, &buf_only, &[sink]), None);
+    assert_eq!(brute_force(&tree, &buf_only, &[sink], &ElmoreModel), None);
     let mut solver = PolaritySolver::new(&tree, &buf_only);
     solver.require(sink, Polarity::Negative).unwrap();
     assert!(solver.solve().is_err());
@@ -153,6 +171,6 @@ fn polarity_solver_agrees_across_algorithms_on_random_nets() {
             a.slack,
             b.slack
         );
-        b.verify_with(&tree, &lib, &negated).unwrap();
+        b.verify_with(&tree, &lib, &negated, &ElmoreModel).unwrap();
     }
 }
