@@ -1019,10 +1019,14 @@ impl<P: Passenger> CandidateSlab<P> {
         best
     }
 
-    /// Root selection under a bound: the [`best_driven`] candidate among
-    /// those whose `key` is at most `cap`, with `true`; when none is, the
-    /// first candidate with the least `key` (by total order), with `false`.
-    /// A non-finite `cap` admits every candidate. `list` must not be empty.
+    /// Root selection under two bounds in priority order: the
+    /// [`best_driven`] candidate among those whose `first` key is within
+    /// its cap and whose `second` key is within its cap, with
+    /// `(true, true)`. Failing that, the first candidate with the least
+    /// `second` key (by total order) among those meeting `first`, with
+    /// `(true, false)`; failing that too, the first candidate with the
+    /// least `first` key, with `false` and whether it meets `second`. A
+    /// `<=` test rejects a NaN key. `list` must not be empty.
     ///
     /// [`best_driven`]: CandidateSlab::best_driven
     pub(crate) fn select_root(
@@ -1030,28 +1034,40 @@ impl<P: Passenger> CandidateSlab<P> {
         list: SlabList,
         r: f64,
         k: f64,
-        cap: f64,
-        key: impl Fn(&Columns<P>, usize) -> f64,
-    ) -> (usize, bool) {
-        let found = if cap.is_finite() {
-            let cols = &self.slots[list.index()];
-            let driven = |i: usize| cols.q[i] - k - r * cols.c[i];
-            let mut choice: Option<usize> = None;
-            for i in 0..cols.len() {
-                // `<=` then negate: a NaN key is never within the cap.
-                let within = key(cols, i) <= cap;
-                if within && choice.is_none_or(|b| driven(i) > driven(b)) {
-                    choice = Some(i);
+        first: (f64, impl Fn(&Columns<P>, usize) -> f64),
+        second: (f64, impl Fn(&Columns<P>, usize) -> f64),
+    ) -> (usize, bool, bool) {
+        let ((cap1, key1), (cap2, key2)) = (first, second);
+        if !cap1.is_finite() && !cap2.is_finite() {
+            let i = self.best_driven(list, r, k);
+            return (i.expect("candidate lists are never empty"), true, true);
+        }
+        let cols = &self.slots[list.index()];
+        let driven = |i: usize| cols.q[i] - k - r * cols.c[i];
+        let less = |a: f64, b: f64| a.total_cmp(&b) == std::cmp::Ordering::Less;
+        let mut best: Option<usize> = None;
+        let mut least2: Option<(f64, usize)> = None;
+        let mut least1: Option<(f64, usize)> = None;
+        for i in 0..cols.len() {
+            let (a, b) = (key1(cols, i), key2(cols, i));
+            if least1.is_none_or(|(m, _)| less(a, m)) {
+                least1 = Some((a, i));
+            }
+            if a <= cap1 {
+                if least2.is_none_or(|(m, _)| less(b, m)) {
+                    least2 = Some((b, i));
+                }
+                if b <= cap2 && best.is_none_or(|j| driven(i) > driven(j)) {
+                    best = Some(i);
                 }
             }
-            match choice {
-                Some(i) => Some(i),
-                None => return (cols.first_min(key), false),
-            }
-        } else {
-            self.best_driven(list, r, k)
-        };
-        (found.expect("candidate lists are never empty"), true)
+        }
+        match (best, least2, least1) {
+            (Some(i), ..) => (i, true, true),
+            (None, Some((_, i)), _) => (i, true, false),
+            (None, None, Some((_, i))) => (i, false, key2(cols, i) <= cap2),
+            (None, None, None) => unreachable!("candidate lists are never empty"),
+        }
     }
 
     /// Convex-prunes `list` in place, keeping only upper-hull candidates —
