@@ -11,6 +11,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use fastbuf_buflib::text::{self, LineError};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_core::Algorithm;
 use fastbuf_rctree::{model_by_name, DelayModel, RoutingTree};
@@ -170,34 +171,31 @@ pub(crate) fn validate_scenario_list(scenarios: &[Scenario]) -> Result<(), Solve
 /// # Ok::<(), fastbuf_api::SolveError>(())
 /// ```
 pub fn parse_scenarios(text: &str) -> Result<Vec<Scenario>, SolveError> {
+    let located = |e: LineError| SolveError::ScenarioParse {
+        line: e.line,
+        message: e.message,
+    };
     let mut scenarios: Vec<Scenario> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = lineno + 1;
-        let parse_err = |message: String| SolveError::ScenarioParse { line, message };
-        let content = raw.split('#').next().unwrap_or("").trim();
-        if content.is_empty() {
-            continue;
-        }
-        let mut tokens = content.split_whitespace();
-        let name = tokens.next().expect("non-empty line has a first token");
+    for mut fields in text::lines(text) {
+        let name = fields.word("scenario name").map_err(located)?;
         if name.contains('=') {
-            return Err(parse_err(format!(
-                "expected a scenario name first, got `{name}`"
-            )));
+            let e = fields.error(format!("expected a scenario name first, got `{name}`"));
+            return Err(located(e));
         }
         if scenarios.iter().any(|s| s.name == name) {
             return Err(SolveError::DuplicateScenario(name.to_owned()));
         }
         let mut scenario = Scenario::named(name);
         let mut derate_set = false;
-        for token in tokens {
+        while let Some(token) = fields.next() {
+            let err = |message: String| located(fields.error(message));
             let (key, value) = token
                 .split_once('=')
-                .ok_or_else(|| parse_err(format!("expected `key=value`, got `{token}`")))?;
+                .ok_or_else(|| err(format!("expected `key=value`, got `{token}`")))?;
             match key {
                 "model" => {
                     if scenario.delay_model.is_some() {
-                        return Err(parse_err("`model=` given twice".into()));
+                        return Err(err("`model=` given twice".into()));
                     }
                     scenario.delay_model = Some(
                         model_by_name(value)
@@ -206,11 +204,9 @@ pub fn parse_scenarios(text: &str) -> Result<Vec<Scenario>, SolveError> {
                 }
                 "slew-limit-ps" => {
                     if scenario.slew_limit.is_some() {
-                        return Err(parse_err("`slew-limit-ps=` given twice".into()));
+                        return Err(err("`slew-limit-ps=` given twice".into()));
                     }
-                    let ps: f64 = value
-                        .parse()
-                        .map_err(|_| parse_err(format!("cannot parse slew limit `{value}`")))?;
+                    let ps: f64 = fields.parse("slew limit", value).map_err(located)?;
                     // In a corner file a non-positive limit is a typo, not
                     // a deliberate stress input: reject it here (the
                     // programmatic `Scenario` API accepts it best-effort).
@@ -224,22 +220,19 @@ pub fn parse_scenarios(text: &str) -> Result<Vec<Scenario>, SolveError> {
                 }
                 "derate" => {
                     if derate_set {
-                        return Err(parse_err("`derate=` given twice".into()));
+                        return Err(err("`derate=` given twice".into()));
                     }
                     derate_set = true;
-                    let factor: f64 = value
-                        .parse()
-                        .map_err(|_| parse_err(format!("cannot parse derate `{value}`")))?;
-                    scenario.rat_derate = factor;
+                    scenario.rat_derate = fields.parse("derate", value).map_err(located)?;
                 }
                 "algo" => {
                     if scenario.algorithm.is_some() {
-                        return Err(parse_err("`algo=` given twice".into()));
+                        return Err(err("`algo=` given twice".into()));
                     }
-                    scenario.algorithm = Some(value.parse().map_err(parse_err)?);
+                    scenario.algorithm = Some(value.parse().map_err(err)?);
                 }
                 other => {
-                    return Err(parse_err(format!(
+                    return Err(err(format!(
                         "unknown key `{other}` (expected model, slew-limit-ps, derate, or algo)"
                     )));
                 }

@@ -21,6 +21,9 @@
 //! * [`Technology`] — per-micron wire parasitics; the shipped preset mirrors
 //!   the TSMC-180nm-class constants of the paper's evaluation
 //!   (0.076 Ω/µm, 0.118 fF/µm).
+//! * [`text`] — the one line grammar (comments, numbers, located
+//!   [`LineError`](text::LineError)s) every fastbuf text format reads
+//!   through.
 //!
 //! # Example
 //!
@@ -52,6 +55,7 @@ mod bufset;
 mod error;
 mod library;
 mod tech;
+pub mod text;
 pub mod units;
 
 pub use buffer::{BufferType, BufferTypeId, Driver};

@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::buffer::{BufferType, BufferTypeId};
 use crate::error::LibraryError;
+use crate::text::{self, femto_field, pico_field, LineError};
 use crate::units::{Farads, Ohms, Seconds};
 
 /// A validated buffer library, the paper's `B = {B_1, ..., B_b}`.
@@ -329,108 +330,39 @@ impl BufferLibrary {
     }
 
     /// Parses the plain-text exchange format produced by
-    /// [`BufferLibrary::to_text`]. Lines starting with `#` and blank lines
-    /// are ignored. A capacitance or time field ending in `F` or `s` is an
-    /// exact SI value; otherwise it is in femtofarads or picoseconds.
+    /// [`BufferLibrary::to_text`], in the shared [`text`] grammar: `#`
+    /// comments, blank lines skipped, finite numbers. A capacitance or
+    /// time field ending in `F` or `s` is an exact SI value; otherwise it
+    /// is in femtofarads or picoseconds.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line, or a
-    /// [`LibraryError`] (as a string) if the parsed entries fail validation.
-    pub fn from_text(text: &str) -> Result<Self, String> {
+    /// A [`LineError`] naming the first malformed line, or a
+    /// [`LibraryError`] (on line 0) if the parsed entries fail validation.
+    pub fn from_text(text: &str) -> Result<Self, LineError> {
         let mut buffers = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let name = it
-                .next()
-                .ok_or_else(|| format!("line {}: missing name", lineno + 1))?;
-            // Reject NaN at parse time: `"nan".parse::<f64>()` succeeds, but
-            // a NaN parameter would defeat every downstream ordering and the
-            // unit newtypes debug-assert against it — a degenerate entry
-            // must be a load error, never a later panic.
-            let number = |what: &str, text: &str, unit: Option<Unit>| {
-                let si = unit.and_then(|(suffix, _)| text.strip_suffix(suffix));
-                let v = si
-                    .unwrap_or(text)
-                    .parse::<f64>()
-                    .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))?;
-                if v.is_nan() {
-                    return Err(format!("line {}: {what} is NaN", lineno + 1));
-                }
-                Ok(match (si, unit) {
-                    (None, Some((_, from_unit))) => from_unit(v),
-                    _ => v,
-                })
-            };
-            let mut field = |what: &str, unit| {
-                let text = it
-                    .next()
-                    .ok_or_else(|| format!("line {}: missing {what}", lineno + 1))?;
-                number(what, text, unit)
-            };
-            let r = field("resistance", None)?;
-            let c = field("capacitance", Some(FEMTO))?;
-            let k = field("intrinsic delay", Some(PICO))?;
-            let cost = field("cost", None)?;
-            let mut buf = BufferType::new(name, Ohms::new(r), Farads::new(c), Seconds::new(k))
-                .with_cost(cost);
-            for extra in it {
+        for mut fields in text::lines(text) {
+            let name = fields.word("name")?;
+            let r = fields.finite("resistance")?;
+            let c = fields.femtos("capacitance")?;
+            let k = fields.picos("intrinsic delay")?;
+            let cost = fields.finite("cost")?;
+            let mut buf = BufferType::new(name, Ohms::new(r), c, k).with_cost(cost);
+            while let Some(extra) = fields.next() {
                 if extra == "inv" {
                     buf = buf.with_inverting(true);
                 } else if let Some(slew) = extra.strip_prefix("slew=") {
-                    let slew = number("output slew", slew, Some(PICO))?;
+                    let slew = fields.parse_unit("output slew", slew, text::PICO)?;
                     buf = buf.with_output_slew(Seconds::new(slew));
                 } else {
-                    let ml = number("max load", extra, Some(FEMTO))?;
+                    let ml = fields.parse_unit("max load", extra, text::FEMTO)?;
                     buf = buf.with_max_load(Farads::new(ml));
                 }
             }
             buffers.push(buf);
         }
-        BufferLibrary::new(buffers).map_err(|e| e.to_string())
+        BufferLibrary::new(buffers).map_err(|e| LineError::at(0, e.to_string()))
     }
-}
-
-/// A unit field's SI suffix and its unit constructor (display unit → SI).
-type Unit = (char, fn(f64) -> f64);
-
-/// Femtofarad fields.
-const FEMTO: Unit = ('F', |ff| Farads::from_femto(ff).value());
-/// Picosecond fields.
-const PICO: Unit = ('s', |ps| Seconds::from_pico(ps).value());
-
-fn femto_field(c: Farads) -> String {
-    unit_field(c.value(), c.femtos(), FEMTO)
-}
-
-fn pico_field(t: Seconds) -> String {
-    unit_field(t.value(), t.picos(), PICO)
-}
-
-/// The text of one unit field: the shortest decimal `d` with
-/// `from_unit(d)` bit-equal to `si`, else `si` itself with the SI suffix.
-/// `from_unit` is monotone, so every such `d` lies within a few ulps of
-/// the converted value `unit`.
-fn unit_field(si: f64, unit: f64, (suffix, from_unit): Unit) -> String {
-    let mut d = unit;
-    for _ in 0..8 {
-        d = d.next_down();
-    }
-    let mut best: Option<String> = None;
-    for _ in 0..17 {
-        if from_unit(d).to_bits() == si.to_bits() {
-            let text = d.to_string();
-            if best.as_ref().is_none_or(|b| text.len() < b.len()) {
-                best = Some(text);
-            }
-        }
-        d = d.next_up();
-    }
-    best.unwrap_or_else(|| format!("{si:e}{suffix}"))
 }
 
 impl fmt::Display for BufferLibrary {
@@ -855,9 +787,9 @@ mod tests {
             "b 100 1 1 1 slew=NaN",
         ] {
             let err = BufferLibrary::from_text(bad).unwrap_err();
-            assert!(err.contains("NaN") || err.contains("bad"), "{bad}: {err}");
+            assert_eq!(err.line, 1, "{bad}: {err}");
+            assert!(err.message.contains("finite"), "{bad}: {err}");
         }
-        // Non-finite (but parseable) parameters are caught by validation.
         assert!(BufferLibrary::from_text("b inf 1 1 1").is_err());
     }
 
@@ -878,17 +810,22 @@ mod tests {
 
     #[test]
     fn from_text_reports_bad_lines() {
-        assert!(
-            BufferLibrary::from_text("b1 nan_is_fine_but_words_arent 1 1 1")
-                .unwrap_err()
-                .contains("line 1")
+        let err = BufferLibrary::from_text("b1 nan_is_fine_but_words_arent 1 1 1").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 1: bad resistance `nan_is_fine_but_words_arent`"
         );
-        assert!(BufferLibrary::from_text("onlyname")
-            .unwrap_err()
-            .contains("missing"));
-        assert!(BufferLibrary::from_text("# empty\n\n")
-            .unwrap_err()
-            .contains("empty"));
+        let err = BufferLibrary::from_text("# x\nonlyname # no fields").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: missing resistance");
+        let err = BufferLibrary::from_text("# empty\n\n").unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (0, "buffer library is empty")
+        );
+        // Inline comments: names are whitespace-free tokens, so `#` always
+        // starts a comment.
+        let lib = BufferLibrary::from_text("b 100 1 1 1 inv # strongest\n").unwrap();
+        assert!(lib.get(BufferTypeId::new(0)).is_inverting());
     }
 
     #[test]

@@ -678,6 +678,44 @@ fn exit_codes_follow_the_documented_mapping() {
     }
 }
 
+/// Non-finite net numbers are parse errors on their line (exit 2): `nan`
+/// once panicked in a unit constructor, and `inf` solved to a "verified"
+/// slack of -inf.
+#[test]
+fn non_finite_net_numbers_exit_2_with_their_line() {
+    let dir = std::env::temp_dir().join(format!("fastbuf-cli-nonfinite-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let lib = dir.join("t.lib");
+    fs::write(&lib, BufferLibrary::paper_synthetic(2).unwrap().to_text()).unwrap();
+    let (source, sink, edge) = (
+        "node 0 source 100",
+        "node 1 sink 10 500",
+        "edge 0 1 100 295",
+    );
+    for (name, lines, line) in [
+        ("src-nan", ["node 0 source nan", sink, edge], 3),
+        ("src-inf", ["node 0 source inf", sink, edge], 3),
+        ("edge-nan", [source, sink, "edge 0 1 nan 295"], 5),
+    ] {
+        let net = dir.join(format!("{name}.net"));
+        let text = format!("fastbuf-net v1\nnodes 2\n{}\n", lines.join("\n"));
+        fs::write(&net, text).unwrap();
+        let args = [
+            "solve",
+            "--net",
+            net.to_str().unwrap(),
+            "--lib",
+            lib.to_str().unwrap(),
+        ];
+        let err = run(&args.map(str::to_owned)).unwrap_err();
+        assert_eq!(err.code, 2, "{name}: {err}");
+        let prefix = format!("{}: line {line}: ", net.display());
+        assert!(err.message.starts_with(&prefix), "{name}: {err}");
+        assert!(err.message.contains("must be finite"), "{name}: {err}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// Satellite: `fastbuf serve` flag validation (the server's behavior
 /// itself is covered by `fastbuf-server`'s tests).
 #[test]

@@ -18,6 +18,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use fastbuf_buflib::text::{self, femto_field, pico_field};
 use fastbuf_buflib::units::{Farads, Microns, Ohms, Seconds};
 use fastbuf_buflib::{Driver, Technology};
 use fastbuf_rctree::segment::segment_by_pitch;
@@ -116,8 +117,8 @@ pub fn write_placements(placements: &[SinkPlacement]) -> String {
             "sink {} {} {} {}\n",
             p.x.value(),
             p.y.value(),
-            p.capacitance.femtos(),
-            p.required_arrival.picos()
+            femto_field(p.capacitance),
+            pico_field(p.required_arrival)
         ));
     }
     out
@@ -125,53 +126,32 @@ pub fn write_placements(placements: &[SinkPlacement]) -> String {
 
 /// Parses the line-oriented placement format: `#` comments and blank lines
 /// are skipped; every other line is `sink <x_um> <y_um> <cap_ff> <rat_ps>`.
+/// The capacitance and RAT may also be exact SI values (`…F`, `…s`), which
+/// [`write_placements`] uses where no fF or ps decimal reads back bit for
+/// bit.
 ///
 /// # Errors
 ///
-/// A [`LineError`] naming the 1-based line of the first problem (same
-/// convention as the variation and capacity formats), or line 0 for a
-/// file without any sink.
+/// A [`LineError`] naming the 1-based line of the first problem, or line 0
+/// for a file without any sink.
 pub fn parse_placements(text: &str) -> Result<Vec<SinkPlacement>, LineError> {
     let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |msg: String| LineError::at(i + 1, msg);
-        let mut tokens = line.split_whitespace();
-        let key = tokens.next().expect("non-empty line has a first token");
+    for mut fields in text::lines(text) {
+        let key = fields.word("directive")?;
         if key != "sink" {
-            return Err(err(format!("unknown directive `{key}` (expected `sink`)")));
+            return Err(fields.error(format!("unknown directive `{key}` (expected `sink`)")));
         }
-        let mut field = |name: &str| -> Result<f64, LineError> {
-            let tok = tokens
-                .next()
-                .ok_or_else(|| err(format!("missing `{name}`")))?;
-            tok.parse::<f64>()
-                .map_err(|_| err(format!("cannot parse `{name}` value `{tok}`")))
+        let placement = SinkPlacement {
+            x: Microns::new(fields.finite("`x_um`")?),
+            y: Microns::new(fields.finite("`y_um`")?),
+            capacitance: fields.femtos("`cap_ff`")?,
+            required_arrival: fields.picos("`rat_ps`")?,
         };
-        let x = field("x_um")?;
-        let y = field("y_um")?;
-        let cap = field("cap_ff")?;
-        let rat = field("rat_ps")?;
-        if tokens.next().is_some() {
-            return Err(err("trailing tokens after `rat_ps`".to_owned()));
+        fields.end()?;
+        if placement.capacitance < Farads::ZERO {
+            return Err(fields.error("the capacitance must be non-negative"));
         }
-        // Validate the raw values before constructing unit types: the unit
-        // constructors reject NaN outright (debug assertion), so a bad line
-        // must be caught here to become a line-numbered error.
-        if !(x.is_finite() && y.is_finite() && cap.is_finite() && rat.is_finite()) || cap < 0.0 {
-            return Err(err(
-                "fields must be finite and the capacitance non-negative".to_owned(),
-            ));
-        }
-        out.push(SinkPlacement {
-            x: Microns::new(x),
-            y: Microns::new(y),
-            capacitance: Farads::from_femto(cap),
-            required_arrival: Seconds::from_pico(rat),
-        });
+        out.push(placement);
     }
     if out.is_empty() {
         return Err(LineError::at(0, "no sinks in placement file"));
@@ -366,11 +346,7 @@ mod tests {
         .generate();
         let text = write_placements(&placements);
         let back = parse_placements(&text).unwrap();
-        assert_eq!(placements.len(), back.len());
-        for (a, b) in placements.iter().zip(&back) {
-            assert!((a.x.value() - b.x.value()).abs() < 1e-12);
-            assert!((a.capacitance.femtos() - b.capacitance.femtos()).abs() < 1e-9);
-        }
+        assert_eq!(format!("{back:?}"), format!("{placements:?}"));
     }
 
     #[test]
@@ -379,7 +355,7 @@ mod tests {
             ("flop 1 2 3 4\n", 1, "unknown directive `flop`"),
             ("# header\nsink 1 2 3\n", 2, "missing `rat_ps`"),
             ("sink 0 0 10 1000\nsink nan 0 10 1000\n", 2, "finite"),
-            ("sink 1 2 3 4\n\nsink 1 2 x 4\n", 3, "cannot parse `cap_ff`"),
+            ("sink 1 2 3 4\n\nsink 1 2 x 4\n", 3, "bad `cap_ff` `x`"),
             ("sink 1 2 3 4 5\n", 1, "trailing"),
             ("# only comments\n\n", 0, "no sinks in placement file"),
         ] {

@@ -14,8 +14,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use fastbuf_buflib::text::{self, femto_field, pico_field, Fields};
 use fastbuf_buflib::units::{Farads, Microns, Ohms, Seconds};
 use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
+
+use crate::LineError;
 
 /// One typed, topology-preserving edit of an ECO script.
 ///
@@ -101,8 +104,8 @@ impl std::fmt::Display for Edit {
             Edit::SetWireLength { node, length } => {
                 write!(f, "wire {node} {}", length.value())
             }
-            Edit::SetSinkRat { node, rat } => write!(f, "rat {node} {}", rat.picos()),
-            Edit::SetSinkCap { node, cap } => write!(f, "cap {node} {}", cap.femtos()),
+            Edit::SetSinkRat { node, rat } => write!(f, "rat {node} {}", pico_field(*rat)),
+            Edit::SetSinkCap { node, cap } => write!(f, "cap {node} {}", femto_field(*cap)),
             Edit::SetWireRC {
                 node,
                 resistance,
@@ -111,7 +114,7 @@ impl std::fmt::Display for Edit {
                 f,
                 "wirerc {node} {} {}",
                 resistance.value(),
-                capacitance.femtos()
+                femto_field(*capacitance)
             ),
             Edit::DerateSite {
                 node,
@@ -150,85 +153,51 @@ pub fn write_edits(edits: &[Edit]) -> String {
 /// swaplib 16 7         # paper_synthetic_jittered(16, 7)
 /// ```
 ///
+/// Capacitance and time fields may also be exact SI values (`2.5e-14F`,
+/// `9.5e-10s`), which [`write_edits`] uses where no decimal in fF or ps
+/// reads back bit for bit.
+///
 /// # Errors
 ///
-/// A human-readable message naming the 1-based line of the first problem.
-pub fn parse_edits(text: &str) -> Result<Vec<Edit>, String> {
+/// A [`LineError`] naming the 1-based line of the first problem.
+pub fn parse_edits(text: &str) -> Result<Vec<Edit>, LineError> {
     let mut edits = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |msg: String| format!("line {}: {msg}", i + 1);
-        let mut tokens = line.split_whitespace();
-        let kind = tokens.next().expect("non-empty line has a first token");
-        let node_arg = |tokens: &mut std::str::SplitWhitespace| -> Result<NodeId, String> {
-            let t = tokens
-                .next()
-                .ok_or_else(|| err(format!("`{kind}` needs a node (like n12)")))?;
-            let idx: usize = t
-                .strip_prefix('n')
-                .and_then(|d| d.parse().ok())
-                .ok_or_else(|| err(format!("bad node id `{t}` (expected nN)")))?;
-            Ok(NodeId::new(idx))
-        };
-        let num_arg = |tokens: &mut std::str::SplitWhitespace, what: &str| -> Result<f64, String> {
-            let t = tokens
-                .next()
-                .ok_or_else(|| err(format!("`{kind}` needs a {what}")))?;
-            let v: f64 = t.parse().map_err(|_| err(format!("bad {what} `{t}`")))?;
-            if !v.is_finite() {
-                return Err(err(format!("{what} must be finite, got `{t}`")));
-            }
-            Ok(v)
-        };
-        let edit = match kind {
-            "wire" => {
-                let node = node_arg(&mut tokens)?;
-                let length = num_arg(&mut tokens, "length in microns")?;
-                Edit::SetWireLength {
-                    node,
-                    length: Microns::new(length),
-                }
-            }
-            "rat" => {
-                let node = node_arg(&mut tokens)?;
-                let ps = num_arg(&mut tokens, "required arrival in ps")?;
-                Edit::SetSinkRat {
-                    node,
-                    rat: Seconds::from_pico(ps),
-                }
-            }
-            "cap" => {
-                let node = node_arg(&mut tokens)?;
-                let ff = num_arg(&mut tokens, "capacitance in fF")?;
-                Edit::SetSinkCap {
-                    node,
-                    cap: Farads::from_femto(ff),
-                }
-            }
+    for mut fields in text::lines(text) {
+        let edit = match fields.word("edit")? {
+            "wire" => Edit::SetWireLength {
+                node: node(&mut fields)?,
+                length: Microns::new(fields.finite("length in microns")?),
+            },
+            "rat" => Edit::SetSinkRat {
+                node: node(&mut fields)?,
+                rat: fields.picos("required arrival in ps")?,
+            },
+            "cap" => Edit::SetSinkCap {
+                node: node(&mut fields)?,
+                cap: fields.femtos("capacitance in fF")?,
+            },
             "wirerc" => {
-                let node = node_arg(&mut tokens)?;
-                let ohms = num_arg(&mut tokens, "resistance in ohms")?;
-                let ff = num_arg(&mut tokens, "capacitance in fF")?;
-                if ohms < 0.0 || ff < 0.0 {
-                    return Err(err(format!(
-                        "wire parasitics must be non-negative, got {ohms} / {ff}"
+                let node = node(&mut fields)?;
+                let ohms = fields.finite("resistance in ohms")?;
+                let cap = fields.femtos("capacitance in fF")?;
+                if ohms < 0.0 || cap < Farads::ZERO {
+                    return Err(fields.error(format!(
+                        "wire parasitics must be non-negative, got {ohms} / {}",
+                        cap.femtos()
                     )));
                 }
                 Edit::SetWireRC {
                     node,
                     resistance: Ohms::new(ohms),
-                    capacitance: Farads::from_femto(ff),
+                    capacitance: cap,
                 }
             }
             "derate" => {
-                let node = node_arg(&mut tokens)?;
-                let delay_scale = num_arg(&mut tokens, "delay scale")?;
-                let drive_scale = num_arg(&mut tokens, "drive scale")?;
+                let node = node(&mut fields)?;
+                let delay_scale = fields.finite("delay scale")?;
+                let drive_scale = fields.finite("drive scale")?;
                 if delay_scale <= 0.0 || drive_scale <= 0.0 {
-                    return Err(err(format!(
+                    return Err(fields.error(format!(
                         "derate scales must be positive, got {delay_scale} / {drive_scale}"
                     )));
                 }
@@ -239,44 +208,44 @@ pub fn parse_edits(text: &str) -> Result<Vec<Edit>, String> {
                 }
             }
             "block" => Edit::BlockSite {
-                node: node_arg(&mut tokens)?,
+                node: node(&mut fields)?,
             },
             "unblock" => Edit::UnblockSite {
-                node: node_arg(&mut tokens)?,
+                node: node(&mut fields)?,
             },
             "swaplib" => {
-                let t = tokens
-                    .next()
-                    .ok_or_else(|| err("`swaplib` needs a library size".into()))?;
-                let size: usize = t
-                    .parse()
-                    .map_err(|_| err(format!("bad library size `{t}` (expected an integer)")))?;
-                let jitter = match tokens.next() {
+                let size: usize = fields.num("library size")?;
+                let jitter = match fields.clone().next() {
                     None => 0,
-                    Some(t) => t
-                        .parse()
-                        .map_err(|_| err(format!("bad jitter seed `{t}`")))?,
+                    Some(_) => fields.num("jitter seed")?,
                 };
                 if size == 0 || size > 1024 {
-                    return Err(err(format!(
+                    return Err(fields.error(format!(
                         "library size must be between 1 and 1024, got {size}"
                     )));
                 }
                 Edit::SwapLibrary { size, jitter }
             }
             other => {
-                return Err(err(format!(
+                return Err(fields.error(format!(
                     "unknown edit `{other}` (expected wire, rat, cap, wirerc, derate, \
                      block, unblock, swaplib)"
                 )))
             }
         };
-        if let Some(extra) = tokens.next() {
-            return Err(err(format!("unexpected trailing token `{extra}`")));
-        }
+        fields.end()?;
         edits.push(edit);
     }
     Ok(edits)
+}
+
+/// The `nN` node argument of an edit.
+fn node(fields: &mut Fields) -> Result<NodeId, LineError> {
+    let t = fields.word("node (like n12)")?;
+    t.strip_prefix('n')
+        .and_then(|d| d.parse().ok())
+        .map(NodeId::new)
+        .ok_or_else(|| fields.error(format!("bad node id `{t}` (expected nN)")))
 }
 
 /// Specification of a deterministic random edit script over one tree.
@@ -531,78 +500,42 @@ mod tests {
             swap_library_every: 6,
         }
         .generate(&t);
-        let text = write_edits(&edits);
-        let back = parse_edits(&text).unwrap();
-        // Like the net-file format (see `tests/proptest_dp.rs`), the text
-        // stores fF/ps, so values may move by one ULP in the unit
-        // conversion; structure and nodes must round-trip exactly.
-        assert_eq!(back.len(), edits.len());
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1e-300);
-        for (a, b) in edits.iter().zip(&back) {
-            match (a, b) {
-                (
-                    Edit::SetWireLength {
-                        node: n1,
-                        length: l1,
-                    },
-                    Edit::SetWireLength {
-                        node: n2,
-                        length: l2,
-                    },
-                ) => {
-                    assert_eq!(n1, n2);
-                    assert!(close(l1.value(), l2.value()));
-                }
-                (
-                    Edit::SetSinkRat { node: n1, rat: r1 },
-                    Edit::SetSinkRat { node: n2, rat: r2 },
-                ) => {
-                    assert_eq!(n1, n2);
-                    assert!(close(r1.value(), r2.value()));
-                }
-                (
-                    Edit::SetSinkCap { node: n1, cap: c1 },
-                    Edit::SetSinkCap { node: n2, cap: c2 },
-                ) => {
-                    assert_eq!(n1, n2);
-                    assert!(close(c1.value(), c2.value()));
-                }
-                (a, b) => assert_eq!(a, b),
-            }
-        }
+        // Unit fields are written so they read back bit for bit.
+        let back = parse_edits(&write_edits(&edits)).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{edits:?}"));
     }
 
     #[test]
     fn parse_reports_line_numbers_and_bad_tokens() {
         assert!(parse_edits("# comment only\n\n").unwrap().is_empty());
-        let err = parse_edits("wire n3\n").unwrap_err();
+        let err = parse_edits("wire n3\n").unwrap_err().to_string();
         assert!(err.contains("line 1"), "{err}");
-        let err = parse_edits("rat x7 100\n").unwrap_err();
+        let err = parse_edits("rat x7 100\n").unwrap_err().to_string();
         assert!(err.contains("bad node id"), "{err}");
-        let err = parse_edits("block n1 extra\n").unwrap_err();
+        let err = parse_edits("block n1 extra\n").unwrap_err().to_string();
         assert!(err.contains("trailing"), "{err}");
-        let err = parse_edits("teleport n1\n").unwrap_err();
+        let err = parse_edits("teleport n1\n").unwrap_err().to_string();
         assert!(err.contains("unknown edit"), "{err}");
-        let err = parse_edits("wire n1 oops\n").unwrap_err();
+        let err = parse_edits("wire n1 oops\n").unwrap_err().to_string();
         assert!(err.contains("bad length"), "{err}");
-        let err = parse_edits("cap n1 inf\n").unwrap_err();
+        let err = parse_edits("cap n1 inf\n").unwrap_err().to_string();
         assert!(err.contains("finite"), "{err}");
-        let err = parse_edits("swaplib 0\n").unwrap_err();
+        let err = parse_edits("swaplib 0\n").unwrap_err().to_string();
         assert!(err.contains("between 1 and 1024"), "{err}");
         // Sizes parse strictly as integers: no silent truncation, no
         // absurd values reaching the library builder.
-        let err = parse_edits("swaplib 2.9\n").unwrap_err();
+        let err = parse_edits("swaplib 2.9\n").unwrap_err().to_string();
         assert!(err.contains("bad library size"), "{err}");
-        let err = parse_edits("swaplib 1e300\n").unwrap_err();
+        let err = parse_edits("swaplib 1e300\n").unwrap_err().to_string();
         assert!(err.contains("bad library size"), "{err}");
-        let err = parse_edits("swaplib 4096\n").unwrap_err();
+        let err = parse_edits("swaplib 4096\n").unwrap_err().to_string();
         assert!(err.contains("between 1 and 1024"), "{err}");
         // Variation edits validate their numeric domains at parse.
-        let err = parse_edits("derate n1 0 1\n").unwrap_err();
+        let err = parse_edits("derate n1 0 1\n").unwrap_err().to_string();
         assert!(err.contains("positive"), "{err}");
-        let err = parse_edits("derate n1 1.1 nan\n").unwrap_err();
+        let err = parse_edits("derate n1 1.1 nan\n").unwrap_err().to_string();
         assert!(err.contains("finite"), "{err}");
-        let err = parse_edits("wirerc n1 -3 4\n").unwrap_err();
+        let err = parse_edits("wirerc n1 -3 4\n").unwrap_err().to_string();
         assert!(err.contains("non-negative"), "{err}");
         let ok = parse_edits("wirerc n2 76.5 118.25\nderate n5 1.08 0.96\n").unwrap();
         assert_eq!(ok.len(), 2);

@@ -63,35 +63,6 @@ pub use shared::{parse_capacity, write_capacity, SharedNet, SharedSuiteSpec};
 pub use suite::{heavy_tailed_sinks, SuiteSpec};
 pub use variation::{parse_variation, write_variation, Dist, VariationSpec};
 
-/// Why one of the line-oriented text formats ([`parse_variation`],
-/// [`parse_placements`], [`parse_capacity`]) rejected its input, and
-/// where.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LineError {
-    /// 1-based line of the first problem; 0 when the problem is the file
-    /// as a whole (e.g. a placement file without sinks).
-    pub line: usize,
-    /// What is wrong.
-    pub message: String,
-}
-
-impl LineError {
-    /// An error on the 1-based line `line`.
-    pub fn at(line: usize, message: impl Into<String>) -> Self {
-        LineError {
-            line,
-            message: message.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for LineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.line {
-            0 => f.write_str(&self.message),
-            line => write!(f, "line {line}: {}", self.message),
-        }
-    }
-}
-
-impl std::error::Error for LineError {}
+/// The located error of every fastbuf text format, re-exported from
+/// [`fastbuf_buflib::text`] where the shared line grammar lives.
+pub use fastbuf_buflib::text::LineError;

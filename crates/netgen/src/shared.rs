@@ -21,6 +21,7 @@
 
 use std::collections::HashSet;
 
+use fastbuf_buflib::text;
 use fastbuf_buflib::units::{Microns, Seconds};
 use fastbuf_rctree::RoutingTree;
 
@@ -157,34 +158,18 @@ impl SharedSuiteSpec {
 pub fn parse_capacity(text: &str) -> Result<Vec<(u32, u32)>, LineError> {
     let mut out: Vec<(u32, u32)> = Vec::new();
     let mut seen = HashSet::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let err = |message: String| LineError::at(idx + 1, message);
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut fields = line.split_whitespace();
-        let keyword = fields.next().expect("non-empty line has a first field");
+    for mut fields in text::lines(text) {
+        let keyword = fields.word("keyword")?;
         if keyword != "site" {
-            return Err(err(format!(
+            return Err(fields.error(format!(
                 "unknown keyword `{keyword}` (expected `site <id> <capacity>`)"
             )));
         }
-        let id: u32 = fields
-            .next()
-            .ok_or_else(|| err("missing site id".into()))?
-            .parse()
-            .map_err(|e| err(format!("bad site id: {e}")))?;
-        let cap: u32 = fields
-            .next()
-            .ok_or_else(|| err("missing capacity".into()))?
-            .parse()
-            .map_err(|e| err(format!("bad capacity: {e}")))?;
-        if let Some(extra) = fields.next() {
-            return Err(err(format!("unexpected trailing field `{extra}`")));
-        }
+        let id: u32 = fields.num("site id")?;
+        let cap: u32 = fields.num("capacity")?;
+        fields.end()?;
         if !seen.insert(id) {
-            return Err(err(format!("duplicate site id {id}")));
+            return Err(fields.error(format!("duplicate site id {id}")));
         }
         out.push((id, cap));
     }
@@ -298,7 +283,7 @@ mod tests {
             ("site 9", 1, "missing capacity"),
             ("site x 2", 1, "bad site id"),
             ("site 1 y", 1, "bad capacity"),
-            ("site 1 2 3", 1, "unexpected trailing field `3`"),
+            ("site 1 2 3", 1, "unexpected trailing token `3`"),
             ("site 1 2\nsite 1 5", 2, "duplicate site id 1"),
         ] {
             let err = parse_capacity(text).unwrap_err();

@@ -25,6 +25,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use fastbuf_buflib::text;
 use fastbuf_buflib::units::{Farads, Ohms, Seconds};
 use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
 
@@ -331,41 +332,16 @@ pub fn write_variation(spec: &VariationSpec) -> String {
 /// locality are all rejected here — never deferred to solve time.
 pub fn parse_variation(text: &str) -> Result<VariationSpec, LineError> {
     let mut spec = VariationSpec::default();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |message: String| LineError::at(i + 1, message);
-        let mut tokens = line.split_whitespace();
-        let key = tokens.next().expect("non-empty line has a first token");
-        let num_arg =
-            |tokens: &mut std::str::SplitWhitespace, what: &str| -> Result<f64, LineError> {
-                let t = tokens
-                    .next()
-                    .ok_or_else(|| err(format!("`{key}` needs a {what}")))?;
-                let v: f64 = t.parse().map_err(|_| err(format!("bad {what} `{t}`")))?;
-                if !v.is_finite() {
-                    return Err(err(format!("{what} must be finite, got `{t}`")));
-                }
-                Ok(v)
-            };
-        match key {
+    for mut fields in text::lines(text) {
+        match fields.word("key")? {
             "locality" => {
-                let v = num_arg(&mut tokens, "fraction")?;
+                let v = fields.finite("fraction")?;
                 if !(v > 0.0 && v <= 1.0) {
-                    return Err(err(format!("locality must be in (0, 1], got {v}")));
+                    return Err(fields.error(format!("locality must be in (0, 1], got {v}")));
                 }
                 spec.locality = v;
             }
-            "seed" => {
-                let t = tokens
-                    .next()
-                    .ok_or_else(|| err("`seed` needs an integer".into()))?;
-                spec.seed = t
-                    .parse()
-                    .map_err(|_| err(format!("bad seed `{t}` (expected an unsigned integer)")))?;
-            }
+            "seed" => spec.seed = fields.num("seed")?,
             knob => {
                 let slot = match knob {
                     "wire-r" => &mut spec.wire_r,
@@ -375,50 +351,49 @@ pub fn parse_variation(text: &str) -> Result<VariationSpec, LineError> {
                     "sink-cap" => &mut spec.sink_cap,
                     "rat" => &mut spec.rat_derate,
                     other => {
-                        return Err(err(format!(
+                        return Err(fields.error(format!(
                             "unknown key `{other}` (expected wire-r, wire-c, buffer-delay, \
                              buffer-drive, sink-cap, rat, locality, seed)"
                         )))
                     }
                 };
-                let shape = tokens
-                    .next()
-                    .ok_or_else(|| err(format!("`{knob}` needs a distribution")))?;
-                *slot = match shape {
+                *slot = match fields.word("distribution")? {
                     "fixed" => Dist::Fixed,
                     "normal" => {
-                        let mean = num_arg(&mut tokens, "mean")?;
-                        let sigma = num_arg(&mut tokens, "sigma")?;
+                        let mean = fields.finite("mean")?;
+                        let sigma = fields.finite("sigma")?;
                         if mean <= 0.0 {
-                            return Err(err(format!("mean must be positive, got {mean}")));
+                            return Err(fields.error(format!("mean must be positive, got {mean}")));
                         }
                         if sigma < 0.0 {
-                            return Err(err(format!("sigma must be non-negative, got {sigma}")));
+                            return Err(
+                                fields.error(format!("sigma must be non-negative, got {sigma}"))
+                            );
                         }
                         Dist::Normal { mean, sigma }
                     }
                     "uniform" => {
-                        let lo = num_arg(&mut tokens, "lower bound")?;
-                        let hi = num_arg(&mut tokens, "upper bound")?;
+                        let lo = fields.finite("lower bound")?;
+                        let hi = fields.finite("upper bound")?;
                         if lo <= 0.0 {
-                            return Err(err(format!("lower bound must be positive, got {lo}")));
+                            return Err(
+                                fields.error(format!("lower bound must be positive, got {lo}"))
+                            );
                         }
                         if hi < lo {
-                            return Err(err(format!("empty range: {lo} > {hi}")));
+                            return Err(fields.error(format!("empty range: {lo} > {hi}")));
                         }
                         Dist::Uniform { lo, hi }
                     }
                     other => {
-                        return Err(err(format!(
+                        return Err(fields.error(format!(
                             "unknown distribution `{other}` (expected fixed, normal, uniform)"
                         )))
                     }
                 };
             }
         }
-        if let Some(extra) = tokens.next() {
-            return Err(err(format!("unexpected trailing token `{extra}`")));
-        }
+        fields.end()?;
     }
     Ok(spec)
 }

@@ -16,63 +16,30 @@
 //! edge 1 3 3.8 5.9
 //! ```
 //!
-//! Node ids must be dense (`0..nodes`), each defined exactly once; edges may
-//! appear in any order. [`write()`](write()) always produces a file [`parse`] accepts
-//! (round-trip tested). One normalization applies: the bitset universe of an
+//! Lines follow the shared [`fastbuf_buflib::text`] grammar: `#` comments,
+//! integer counts and ids, finite numbers, and fF/ps fields that may also
+//! be exact SI values (`2.5e-14F`, `3e-12s`). Node ids must be dense
+//! (`0..nodes`), each defined exactly once, and `nodes` may not exceed the
+//! file's line count; edges may appear in any order. [`write()`](write())
+//! always produces a file [`parse`] accepts (round-trip tested). Two
+//! normalizations apply: fF/ps fields are written in display units, so
+//! they may read back up to 2 ulps off, and the bitset universe of an
 //! `allow` subset becomes `max id + 1` after parsing; membership semantics
 //! are unchanged.
 
-use std::error::Error;
-use std::fmt;
 use std::sync::Arc;
 
+use fastbuf_buflib::text::{self, LineError};
 use fastbuf_buflib::units::{Farads, Microns, Ohms, Seconds};
-use fastbuf_buflib::{BufferSet, BufferTypeId, Driver};
+use fastbuf_buflib::{BufferTypeId, Driver};
 
 use crate::node::{NodeId, NodeKind, SiteConstraint, Wire};
 use crate::tree::{RoutingTree, TreeBuilder};
 
-/// Error from [`parse`]: the offending 1-based line and a message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NetParseError {
-    /// 1-based line number (0 for file-level problems).
-    pub line: usize,
-    /// Explanation of the problem.
-    pub message: String,
-}
-
-impl NetParseError {
-    fn new(line: usize, message: impl Into<String>) -> Self {
-        NetParseError {
-            line,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for NetParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "net parse error: {}", self.message)
-        } else {
-            write!(f, "net parse error at line {}: {}", self.line, self.message)
-        }
-    }
-}
-
-impl Error for NetParseError {}
-
-/// Pulls the next token from `tok` and parses it as a number.
-fn next_num<'a>(
-    tok: &mut impl Iterator<Item = &'a str>,
-    lineno: usize,
-    what: &str,
-) -> Result<f64, NetParseError> {
-    tok.next()
-        .ok_or_else(|| NetParseError::new(lineno, format!("missing {what}")))?
-        .parse::<f64>()
-        .map_err(|e| NetParseError::new(lineno, format!("bad {what}: {e}")))
-}
+/// Allow lists name buffer types below this id. A set spans the ids up to
+/// its largest, so the bound caps what one `allow` line can allocate; it
+/// is far above any library a net is solved against.
+const MAX_BUFFER_ID: usize = 4096;
 
 /// Serializes a tree to the text format.
 pub fn write(tree: &RoutingTree) -> String {
@@ -147,192 +114,140 @@ pub fn write(tree: &RoutingTree) -> String {
 ///
 /// # Errors
 ///
-/// [`NetParseError`] describing the first offending line; structural
-/// problems detected by [`TreeBuilder::build`] are reported on line 0.
-pub fn parse(text: &str) -> Result<RoutingTree, NetParseError> {
+/// A [`LineError`] naming the first offending line; structural problems
+/// detected by [`TreeBuilder::build`] are reported on line 0.
+pub fn parse(text: &str) -> Result<RoutingTree, LineError> {
     enum Decl {
         Source(Driver),
         Sink(Farads, Seconds),
         Internal(SiteConstraint),
     }
 
-    let mut node_count: Option<usize> = None;
-    let mut decls: Vec<Option<(usize, Decl)>> = Vec::new(); // (line, decl)
+    let mut decls: Option<Vec<Option<Decl>>> = None;
     let mut edges: Vec<(usize, usize, usize, Wire)> = Vec::new(); // (line, parent, child)
     let mut saw_header = false;
 
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let line = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tok = line.split_whitespace();
-        let head = tok.next().expect("non-empty line has a token");
-        match head {
+    for mut fields in text::lines(text) {
+        match fields.word("directive")? {
             "fastbuf-net" => {
+                let version = fields.word("format version")?;
+                if version != "v1" {
+                    return Err(fields.error(format!("unsupported version `{version}`")));
+                }
                 saw_header = true;
             }
             "nodes" => {
-                let n = next_num(&mut tok, lineno, "node count")? as usize;
-                node_count = Some(n);
-                decls = (0..n).map(|_| None).collect();
+                if decls.is_some() {
+                    return Err(fields.error("`nodes` given twice"));
+                }
+                let n: usize = fields.num("node count")?;
+                // Every node needs its own `node` line, so a count beyond
+                // the line count is malformed; checking it first bounds
+                // the allocation below by the input's size.
+                let lines = text.bytes().filter(|&b| b == b'\n').count()
+                    + usize::from(!text.ends_with('\n'));
+                if n > lines {
+                    return Err(
+                        fields.error(format!("node count {n} exceeds the file's {lines} lines"))
+                    );
+                }
+                decls = Some((0..n).map(|_| None).collect());
             }
             "node" => {
-                let n = node_count
-                    .ok_or_else(|| NetParseError::new(lineno, "`nodes` must precede `node`"))?;
-                let id = next_num(&mut tok, lineno, "node id")? as usize;
+                let Some(decls) = decls.as_mut() else {
+                    return Err(fields.error("`nodes` must precede `node`"));
+                };
+                let n = decls.len();
+                let id: usize = fields.num("node id")?;
                 if id >= n {
-                    return Err(NetParseError::new(
-                        lineno,
-                        format!("node id {id} out of range (nodes {n})"),
-                    ));
+                    return Err(fields.error(format!("node id {id} out of range (nodes {n})")));
                 }
                 if decls[id].is_some() {
-                    return Err(NetParseError::new(lineno, format!("node {id} redefined")));
+                    return Err(fields.error(format!("node {id} redefined")));
                 }
-                let kind = tok
-                    .next()
-                    .ok_or_else(|| NetParseError::new(lineno, "missing node kind"))?;
-                let decl = match kind {
+                let decl = match fields.word("node kind")? {
                     "source" => {
-                        let r = tok
-                            .next()
-                            .ok_or_else(|| NetParseError::new(lineno, "missing resistance"))?
-                            .parse::<f64>()
-                            .map_err(|e| {
-                                NetParseError::new(lineno, format!("bad resistance: {e}"))
-                            })?;
-                        let mut driver = Driver::new(Ohms::new(r));
-                        if let Some(k) = tok.next() {
-                            let k: f64 = k.parse().map_err(|e| {
-                                NetParseError::new(lineno, format!("bad intrinsic delay: {e}"))
-                            })?;
-                            driver = driver.with_intrinsic_delay(Seconds::from_pico(k));
-                        }
-                        Decl::Source(driver)
+                        let r = Ohms::new(fields.finite("resistance")?);
+                        let k = match fields.clone().next() {
+                            None => Seconds::ZERO,
+                            Some(_) => fields.picos("intrinsic delay")?,
+                        };
+                        Decl::Source(Driver::new(r).with_intrinsic_delay(k))
                     }
-                    "sink" => {
-                        let c = tok
-                            .next()
-                            .ok_or_else(|| NetParseError::new(lineno, "missing capacitance"))?
-                            .parse::<f64>()
-                            .map_err(|e| {
-                                NetParseError::new(lineno, format!("bad capacitance: {e}"))
-                            })?;
-                        let rat = tok
-                            .next()
-                            .ok_or_else(|| NetParseError::new(lineno, "missing rat"))?
-                            .parse::<f64>()
-                            .map_err(|e| NetParseError::new(lineno, format!("bad rat: {e}")))?;
-                        Decl::Sink(Farads::from_femto(c), Seconds::from_pico(rat))
-                    }
-                    "internal" => match tok.next() {
-                        None => Decl::Internal(SiteConstraint::NotASite),
-                        Some("site") => Decl::Internal(SiteConstraint::AnyBuffer),
+                    "sink" => Decl::Sink(fields.femtos("capacitance")?, fields.picos("rat")?),
+                    "internal" => Decl::Internal(match fields.next() {
+                        None => SiteConstraint::NotASite,
+                        Some("site") => SiteConstraint::AnyBuffer,
                         Some("allow") => {
                             let mut ids = Vec::new();
-                            for t in tok.by_ref() {
-                                let v: usize = t.parse().map_err(|e| {
-                                    NetParseError::new(lineno, format!("bad buffer id: {e}"))
-                                })?;
+                            while let Some(t) = fields.next() {
+                                let v: usize = fields.parse("buffer id", t)?;
+                                if v >= MAX_BUFFER_ID {
+                                    return Err(fields.error(format!(
+                                        "buffer id {v} out of range (below {MAX_BUFFER_ID})"
+                                    )));
+                                }
                                 ids.push(BufferTypeId::new(v));
                             }
-                            let set: BufferSet = ids.into_iter().collect();
-                            Decl::Internal(SiteConstraint::Subset(Arc::new(set)))
+                            SiteConstraint::Subset(Arc::new(ids.into_iter().collect()))
                         }
                         Some(other) => {
-                            return Err(NetParseError::new(
-                                lineno,
-                                format!("unknown internal qualifier `{other}`"),
-                            ));
+                            return Err(
+                                fields.error(format!("unknown internal qualifier `{other}`"))
+                            );
                         }
-                    },
-                    other => {
-                        return Err(NetParseError::new(
-                            lineno,
-                            format!("unknown node kind `{other}`"),
-                        ));
-                    }
+                    }),
+                    other => return Err(fields.error(format!("unknown node kind `{other}`"))),
                 };
-                decls[id] = Some((lineno, decl));
+                decls[id] = Some(decl);
             }
             "edge" => {
-                let parent = next_num(&mut tok, lineno, "parent id")? as usize;
-                let child = next_num(&mut tok, lineno, "child id")? as usize;
-                let r = next_num(&mut tok, lineno, "wire resistance")?;
-                let c = next_num(&mut tok, lineno, "wire capacitance")?;
-                let mut wire = Wire::new(Ohms::new(r), Farads::from_femto(c));
-                match tok.next() {
-                    None => {}
-                    Some("len") => {
-                        let l = next_num(&mut tok, lineno, "length")?;
-                        // Preserve the geometric length without changing the
-                        // explicit parasitics: rebuild via split of a synthetic
-                        // one-piece technology-free wire.
-                        wire = Wire::from_parts(
-                            Ohms::new(r),
-                            Farads::from_femto(c),
-                            Some(Microns::new(l)),
-                        );
-                    }
+                let parent = fields.num("parent id")?;
+                let child = fields.num("child id")?;
+                let r = Ohms::new(fields.finite("wire resistance")?);
+                let c = fields.femtos("wire capacitance")?;
+                let length = match fields.next() {
+                    None => None,
+                    Some("len") => Some(Microns::new(fields.finite("length")?)),
                     Some(other) => {
-                        return Err(NetParseError::new(
-                            lineno,
-                            format!("unexpected token `{other}` on edge"),
-                        ));
+                        return Err(fields.error(format!("unexpected token `{other}` on edge")));
                     }
-                }
-                edges.push((lineno, parent, child, wire));
+                };
+                edges.push((fields.line(), parent, child, Wire::from_parts(r, c, length)));
             }
-            other => {
-                return Err(NetParseError::new(
-                    lineno,
-                    format!("unknown directive `{other}`"),
-                ));
-            }
+            other => return Err(fields.error(format!("unknown directive `{other}`"))),
         }
+        fields.end()?;
     }
 
     if !saw_header {
-        return Err(NetParseError::new(0, "missing `fastbuf-net v1` header"));
+        return Err(LineError::at(0, "missing `fastbuf-net v1` header"));
     }
-    let n = node_count.ok_or_else(|| NetParseError::new(0, "missing `nodes` directive"))?;
+    let decls = decls.ok_or_else(|| LineError::at(0, "missing `nodes` directive"))?;
+    let n = decls.len();
     let mut b = TreeBuilder::new();
-    for (id, d) in decls.iter().enumerate() {
+    for (id, d) in decls.into_iter().enumerate() {
         match d {
-            None => {
-                return Err(NetParseError::new(0, format!("node {id} never defined")));
-            }
-            Some((_, Decl::Source(driver))) => {
-                b.source(*driver);
-            }
-            Some((_, Decl::Sink(c, rat))) => {
-                b.sink(*c, *rat);
-            }
-            Some((_, Decl::Internal(con))) => {
-                b.internal_with(con.clone());
-            }
-        }
+            None => return Err(LineError::at(0, format!("node {id} never defined"))),
+            Some(Decl::Source(driver)) => b.source(driver),
+            Some(Decl::Sink(c, rat)) => b.sink(c, rat),
+            Some(Decl::Internal(con)) => b.internal_with(con),
+        };
     }
-    for (lineno, parent, child, wire) in edges {
+    for (line, parent, child, wire) in edges {
         if parent >= n || child >= n {
-            return Err(NetParseError::new(lineno, "edge endpoint out of range"));
+            return Err(LineError::at(line, "edge endpoint out of range"));
         }
         b.connect(NodeId::new(parent), NodeId::new(child), wire)
-            .map_err(|e| NetParseError::new(lineno, e.to_string()))?;
+            .map_err(|e| LineError::at(line, e.to_string()))?;
     }
-    b.build().map_err(|e| NetParseError::new(0, e.to_string()))
+    b.build().map_err(|e| LineError::at(0, e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbuf_buflib::Technology;
+    use fastbuf_buflib::{BufferSet, Technology};
 
     fn sample() -> RoutingTree {
         let tech = Technology::tsmc180_like();
@@ -475,11 +390,78 @@ mod tests {
         assert!(e.message.contains("not reachable"), "{e}");
     }
 
+    /// Counts, ids and numbers that used to be cast, truncated or
+    /// allocated unchecked each fail on their line.
     #[test]
-    fn display_formats() {
-        let e = NetParseError::new(3, "boom");
-        assert_eq!(e.to_string(), "net parse error at line 3: boom");
-        let e = NetParseError::new(0, "boom");
-        assert_eq!(e.to_string(), "net parse error: boom");
+    fn malformed_numbers_fail_on_their_line() {
+        let net = |nodes: &str, body: &str| format!("fastbuf-net v1\nnodes {nodes}\n{body}");
+        let ok = "node 0 source 100\nnode 1 sink 1 10\nedge 0 1 1 1\n";
+        for (text, line, needle) in [
+            (net("1e30", ok), 2, "bad node count `1e30`"),
+            (net("99999999999", ok), 2, "exceeds the file's 5 lines"),
+            (net("-5", ok), 2, "bad node count"),
+            (net("nan", ok), 2, "bad node count"),
+            (net("2.7", ok), 2, "bad node count"),
+            (
+                net("2", "node 0 source nan\n"),
+                3,
+                "resistance must be finite",
+            ),
+            (
+                net("2", "node 0 source inf\n"),
+                3,
+                "resistance must be finite",
+            ),
+            (
+                net("2", "node 0 source 1 -inf\n"),
+                3,
+                "intrinsic delay must be finite",
+            ),
+            (net("2", "node 1 sink 1 nan\n"), 3, "rat must be finite"),
+            (net("2", "node 1.0 sink 1 1\n"), 3, "bad node id"),
+            (net("2", "node 0 source 1 2 3\n"), 3, "trailing token `3`"),
+            (
+                net("2", "node 1 internal allow 99999999999\n"),
+                3,
+                "out of range",
+            ),
+            (net("2", "node 1 internal allow -1\n"), 3, "bad buffer id"),
+            (
+                net("2", "edge 0 1 nan 295\n"),
+                3,
+                "wire resistance must be finite",
+            ),
+            (net("2", "edge -1 1 1 1\n"), 3, "bad parent id"),
+            (
+                net("2", "edge 0 1 1 1 len 1e999\n"),
+                3,
+                "length must be finite",
+            ),
+            ("fastbuf-net v2\n".to_owned(), 1, "unsupported version `v2`"),
+            (net("2", "nodes 2\n"), 3, "`nodes` given twice"),
+        ] {
+            let e = parse(&text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}: {e}");
+            assert!(e.message.contains(needle), "{text:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn unit_fields_accept_exact_si_values() {
+        let text = "fastbuf-net v1\nnodes 2\nnode 0 source 100 3e-12s\n\
+                    node 1 sink 2.5e-14F 500\nedge 0 1 1 7.3e-15F\n";
+        let t = parse(text).unwrap();
+        assert_eq!(t.driver().intrinsic_delay(), Seconds::new(3e-12));
+        let NodeKind::Sink { capacitance, .. } = t.kind(NodeId::new(1)) else {
+            panic!("node 1 is a sink");
+        };
+        assert_eq!(capacitance.value(), 2.5e-14);
+        assert_eq!(
+            t.wire_to_parent(NodeId::new(1))
+                .unwrap()
+                .capacitance()
+                .value(),
+            7.3e-15
+        );
     }
 }

@@ -633,6 +633,32 @@ mod tests {
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
     }
 
+    /// A node count is checked against the text before anything is
+    /// allocated for it: this frame once asked for terabytes, an abort no
+    /// `catch_unwind` can stop.
+    #[test]
+    fn a_huge_node_count_is_a_net_parse_error_and_the_handler_keeps_serving() {
+        let registry = loaded_registry();
+        let lib = BufferLibrary::paper_synthetic(2).unwrap().to_text();
+        for count in ["99999999999", "1e30", "-5", "nan", "2.7"] {
+            let net = format!("fastbuf-net v1\nnodes {count}\nnode 0 source 100\n");
+            let v = reply(
+                &registry,
+                &format!(
+                    "{{\"v\": 1, \"op\": \"load\", \"design\": \"big\", \"net\": {}, \"lib\": {}}}",
+                    json_str(&net),
+                    json_str(&lib)
+                ),
+            );
+            let error = v.get("error").expect("an error reply");
+            assert_eq!(error.get("code").and_then(Json::as_str), Some("net-parse"));
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.starts_with("line 2: "), "{message}");
+        }
+        let v = reply(&registry, r#"{"v": 1, "op": "solve", "design": "d1"}"#);
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+    }
+
     #[test]
     fn eco_updates_state_and_reuses_the_warm_solver() {
         let registry = loaded_registry();

@@ -199,21 +199,22 @@ proptest! {
             check_pick(&algo.to_string(), pick, &measured, limit_ps, best_feasible);
         }
     }
+}
 
-    /// How conservative is the `(Q, C)`-projected DP in practice? On exact
-    /// algorithms it should land on the feasible optimum in the vast
-    /// majority of cases; this property pins the *typical* behaviour
-    /// (equality) on a deterministic stream while the companion property
-    /// above pins the sound bounds on every case.
-    #[test]
-    fn slew_constrained_exact_algorithms_usually_hit_the_feasible_optimum(
-        seed in 0u64..200,
-    ) {
+/// How conservative is the `(Q, C)`-projected DP in practice? On exact
+/// algorithms it should land on the feasible optimum in the vast majority
+/// of cases. A fixed sweep counts the hits, so a DP that grows more
+/// conservative fails here even while it stays sound (which
+/// `slew_constrained_solutions_are_feasible_and_never_super_optimal` pins).
+#[test]
+fn slew_constrained_exact_algorithms_usually_hit_the_feasible_optimum() {
+    let lib = tiny_library(2, false);
+    let (mut feasible, mut hits) = (0, 0);
+    for seed in 0u64..200 {
         let tree = tiny_net(2, seed, 900.0);
         if tree.buffer_site_count() > 6 {
             continue;
         }
-        let lib = tiny_library(2, false);
         let unbuf = elmore::evaluate(&tree, &lib, &[]).expect("empty is legal");
         let limit_ps = unbuf.max_slew.picos() * 0.6;
         let (_, best_feasible) = brute_force(&tree, &lib, limit_ps);
@@ -221,9 +222,15 @@ proptest! {
             .slew_limit(Seconds::from_pico(limit_ps))
             .solve();
         if let (true, Some(best)) = (sol.slew_ok, best_feasible) {
-            prop_assert!(sol.slack.picos() <= best + 1e-6);
+            feasible += 1;
+            hits += usize::from((sol.slack.picos() - best).abs() <= 1e-6);
         }
     }
+    // Every one of the 76 feasible cases of the sweep hits the optimum.
+    assert!(
+        hits >= 76,
+        "only {hits} of {feasible} feasible cases hit the optimum"
+    );
 }
 
 proptest! {

@@ -438,28 +438,87 @@ fn siteless_nets_still_yield_a_distribution() {
     }
 }
 
-/// Malformed variation text is rejected at parse time, with the offending
-/// line number — NaN parameters, negative sigma, inverted uniform bounds,
-/// and out-of-range locality all name their line.
+/// Every text format rejects malformed input with the line at fault (0
+/// for the file as a whole): non-finite numbers, counts and ids that are
+/// not integers, missing and trailing fields, unknown keywords, and each
+/// format's own range rules.
 #[test]
-fn malformed_variation_specs_are_rejected_with_line_numbers() {
-    use fastbuf::api::parse_variation_spec;
+fn malformed_text_is_rejected_with_line_numbers() {
+    use fastbuf::api::{parse_scenarios, parse_variation_spec};
+    use fastbuf::netgen::{eco::parse_edits, parse_capacity, parse_placements};
+    use fastbuf::rctree::io;
 
-    for (line_no, text) in [
-        (1, "wire-r normal 1.0 -0.05\n"),
-        (1, "wire-r normal NaN 0.05\n"),
-        (2, "wire-r normal 1.0 0.05\nwire-c uniform 1.2 0.8\n"),
-        (3, "# comment\nseed 5\nlocality 2.0\n"),
-        (2, "seed 5\nsink-cap normal 1.0 0.05 extra\n"),
-        (1, "wire-r gaussian 1.0 0.05\n"),
+    let line_of = |format: &str, text: &str| -> usize {
+        let line = match format {
+            "net" => io::parse(text).map(drop).map_err(|e| e.line),
+            "lib" => BufferLibrary::from_text(text).map(drop).map_err(|e| e.line),
+            "edits" => parse_edits(text).map(drop).map_err(|e| e.line),
+            "placements" => parse_placements(text).map(drop).map_err(|e| e.line),
+            "capacity" => parse_capacity(text).map(drop).map_err(|e| e.line),
+            "variation" => match parse_variation_spec(text) {
+                Err(SolveError::VariationParse { line, .. }) => Err(line),
+                other => panic!("{text:?}: expected a variation parse error, got {other:?}"),
+            },
+            "scenarios" => match parse_scenarios(text) {
+                Err(SolveError::ScenarioParse { line, .. }) => Err(line),
+                other => panic!("{text:?}: expected a scenario parse error, got {other:?}"),
+            },
+            other => unreachable!("no format {other}"),
+        };
+        line.expect_err(text)
+    };
+    let net = "fastbuf-net v1\nnodes 2\n";
+    for (format, line, text) in [
+        ("net", 2, "fastbuf-net v1\nnodes 1e30\n".to_owned()),
+        ("net", 2, "fastbuf-net v1\nnodes 99999999999\n".into()),
+        ("net", 3, format!("{net}node 0 source nan\n")),
+        ("net", 4, format!("{net}# c\nnode 0 source 100 inf\n")),
+        (
+            "net",
+            4,
+            format!("{net}node 0 source 1\nnode 1 sink 1 500 extra\n"),
+        ),
+        ("net", 3, format!("{net}edge 0 1 nan 295\n")),
+        ("net", 3, format!("{net}node 1 internal allow 1e3\n")),
+        ("net", 0, "nodes 1\nnode 0 source 1\n".into()),
+        ("lib", 2, "# lib\nb 100 NaN 1 1\n".into()),
+        ("lib", 1, "b 100 1 1 1 slew=x\n".into()),
+        ("lib", 1, "b 100 1 inf 1 # comment\n".into()),
+        ("lib", 0, "# only comments\n".into()),
+        ("edits", 1, "wire n3\n".into()),
+        ("edits", 2, "block n1\ncap n1 inf\n".into()),
+        ("edits", 1, "rat 7 100\n".into()),
+        ("variation", 1, "wire-r normal 1.0 -0.05\n".into()),
+        ("variation", 1, "wire-r normal NaN 0.05\n".into()),
+        (
+            "variation",
+            2,
+            "wire-r normal 1.0 0.05\nwire-c uniform 1.2 0.8\n".into(),
+        ),
+        ("variation", 3, "# comment\nseed 5\nlocality 2.0\n".into()),
+        (
+            "variation",
+            2,
+            "seed 5\nsink-cap normal 1.0 0.05 extra\n".into(),
+        ),
+        ("variation", 1, "wire-r gaussian 1.0 0.05\n".into()),
+        (
+            "placements",
+            3,
+            "# header\nsink 0 0 10 1000\nsink 1 2 3\n".into(),
+        ),
+        (
+            "placements",
+            2,
+            "sink 0 0 10 1000\nsink nan 0 10 1000\n".into(),
+        ),
+        ("placements", 0, "# no sinks\n".into()),
+        ("capacity", 2, "site 1 2\nsite 1 5\n".into()),
+        ("capacity", 1, "site -1 2\n".into()),
+        ("scenarios", 2, "typical\nslow derate=x\n".into()),
+        ("scenarios", 1, "a b\n".into()),
     ] {
-        let err = parse_variation_spec(text).unwrap_err();
-        match err {
-            SolveError::VariationParse { line, ref message } => {
-                assert_eq!(line, line_no, "{text:?}: {message}");
-            }
-            other => panic!("{text:?}: expected a parse error, got {other}"),
-        }
+        assert_eq!(line_of(format, &text), line, "{format}: {text:?}");
     }
 }
 
