@@ -20,6 +20,10 @@
 //!   actually produced them, so [`Outcome::verify`] re-measures with the
 //!   same delay model the DP predicted with (the legacy
 //!   `Solution::verify` shim always measures with Elmore).
+//! * [`NetOutcome`] — one solved net, measured: the DP's prediction
+//!   beside the forward evaluation of the same corner, unbuffered and
+//!   buffered. The one per-net result `fastbuf-batch`, `fastbuf solve
+//!   --json`, `fastbuf cts` and `fastbuf serve` report.
 //! * [`EcoSolver`] — the incremental (ECO) entry: [`Session::eco`] keeps
 //!   one persistent subtree cache *per scenario*, applies typed tree
 //!   edits, and re-solves bit-identically to a fresh request on the
@@ -76,7 +80,7 @@ pub mod wire;
 pub use eco::EcoSolver;
 pub use error::SolveError;
 pub use fastbuf_netgen::{parse_variation, write_variation, Dist, VariationSpec};
-pub use outcome::{Outcome, ScenarioOutcome, ScenarioResult};
+pub use outcome::{NetOutcome, Outcome, ScenarioOutcome, ScenarioResult};
 pub use request::{Objective, SolveRequest};
 pub use scenario::{parse_scenario_lines, parse_scenarios, Scenario};
 pub use session::{Session, SessionBuilder};

@@ -1,10 +1,9 @@
 //! The versioned wire schema: owned request/response types that can cross
 //! a process or socket boundary.
 //!
-//! The request layer's borrowed types (`SolveRequest<'a>`,
-//! [`NetRecord<'a>`](crate::json::NetRecord)) are zero-copy by design and
-//! therefore cannot be queued, stored, or sent anywhere. This module is
-//! the owned, versioned counterpart — the **single schema** that
+//! The request layer's borrowed `SolveRequest<'a>` is zero-copy by design
+//! and therefore cannot be queued, stored, or sent anywhere. This module
+//! is the owned, versioned counterpart — the **single schema** that
 //! `fastbuf solve --json`, `fastbuf batch --json`, and `fastbuf serve`
 //! all serialize through:
 //!
@@ -18,9 +17,9 @@
 //!   `{"v":1, "id":…, "op":"load|unload|solve|eco|ping|stats|shutdown", …}`.
 //! * [`ok_frame`] / [`error_frame`] — the response envelope
 //!   `{"v":1, "id":…, "ok":…, …}`.
-//! * [`scenario_record`] — builds the owned per-scenario
-//!   [`NetRecordOwned`] every producer emits, so per-net JSON is
-//!   byte-identical wherever it comes from.
+//! * [`scenario_record`] / [`skew_record`] — one scenario's per-net
+//!   record, printed by [`NetOutcome::to_value`] like every producer's, so
+//!   per-net JSON is byte-identical wherever it comes from.
 //!
 //! The full protocol (framing, op fields, error codes, compatibility
 //! rules) is documented in `docs/PROTOCOL.md`.
@@ -28,14 +27,12 @@
 use std::error::Error;
 use std::fmt;
 
-use fastbuf_buflib::{BufferLibrary, BufferTypeId};
-use fastbuf_core::{Algorithm, VerifyError};
-use fastbuf_rctree::elmore::{self, EvalReport};
-use fastbuf_rctree::{NodeId, RoutingTree};
+use fastbuf_buflib::BufferLibrary;
+use fastbuf_core::Algorithm;
+use fastbuf_rctree::RoutingTree;
 
 use crate::error::SolveError;
-use crate::json::NetRecordOwned;
-use crate::outcome::ScenarioOutcome;
+use crate::outcome::{NetOutcome, ScenarioOutcome};
 
 /// The wire schema version this build speaks. Requests must carry
 /// `"v": 1`; any other version is rejected with an
@@ -929,11 +926,10 @@ pub fn error_frame(id: Option<&Json>, code: &str, message: &str) -> String {
 // Owned per-scenario records
 // ---------------------------------------------------------------------
 
-/// Builds the owned per-scenario record every JSON producer emits: the
-/// corner's view of the tree is re-derated, the unbuffered baseline and
-/// the solved net's worst slew are measured under **that corner's own
-/// delay model**, and the result is the exact `batch --json` per-net
-/// schema (same serializer, same bytes).
+/// One max-slack scenario's per-net record: the scenario's
+/// [`NetOutcome`], measured on `tree` and printed by
+/// [`NetOutcome::to_value`] — the record `batch --json`, `solve --json`
+/// and `fastbuf serve` all print.
 ///
 /// `named` controls whether the record carries a `"scenario"` key
 /// (multi-corner runs) — matching `fastbuf solve`'s rule that explicit
@@ -953,56 +949,27 @@ pub fn scenario_record(
     corner: &ScenarioOutcome,
     named: bool,
     include_placements: bool,
-) -> Result<NetRecordOwned, SolveError> {
-    let solution = corner.solution().ok_or_else(|| SolveError::Unsupported {
-        scenario: corner.scenario.name.clone(),
-        reason: "wire records cover max-slack solves only".into(),
-    })?;
-    let (before, measured) = evaluate_corner(tree, library, corner, &solution.placement_pairs())?;
-    Ok(NetRecordOwned {
-        name: net_name.to_owned(),
-        index,
-        scenario: named.then(|| corner.scenario.name.clone()),
-        sinks: tree.sink_count(),
-        sites: tree.buffer_site_count(),
-        slack_before: before.slack,
-        slack_after: solution.slack,
-        slew_before: before.max_slew,
-        max_slew: measured.max_slew,
-        slew_ok: solution.slew_ok,
-        buffers: solution.placements.len(),
-        cost: solution.total_cost(library),
-        elapsed: corner.elapsed,
-        placements: include_placements.then(|| solution.placements.clone()),
-    })
-}
-
-/// Forward-evaluates the corner's derated view of `tree` under the
-/// corner's own delay model, unbuffered and with `placements`.
-fn evaluate_corner(
-    tree: &RoutingTree,
-    library: &BufferLibrary,
-    corner: &ScenarioOutcome,
-    placements: &[(NodeId, BufferTypeId)],
-) -> Result<(EvalReport, EvalReport), SolveError> {
-    let verify_err = |e| SolveError::Verify {
-        scenario: corner.scenario.name.clone(),
-        error: VerifyError::Tree(e),
-    };
-    let corner_tree = corner.scenario.apply_derate(tree);
-    let model = &*corner.model;
-    let before = elmore::evaluate_with(&corner_tree, library, &[], model).map_err(verify_err)?;
-    let measured =
-        elmore::evaluate_with(&corner_tree, library, placements, model).map_err(verify_err)?;
-    Ok((before, measured))
+) -> Result<Json, SolveError> {
+    if corner.solution().is_none() {
+        return Err(SolveError::Unsupported {
+            scenario: corner.scenario.name.clone(),
+            reason: "wire records cover max-slack solves only".into(),
+        });
+    }
+    let net = NetOutcome::measure(index, tree, library, corner)?;
+    Ok(net.to_value(
+        net_name,
+        named.then_some(corner.scenario.name.as_str()),
+        include_placements,
+    ))
 }
 
 /// Serializes one skew-target scenario's
-/// [`SkewSolution`](fastbuf_core::skew::SkewSolution): the shared
-/// [`NetRecord`](crate::json::NetRecord) object (same members, same
-/// order as `batch --json` / `solve --json`) with the clock-tree members
-/// `skew_ps`, `latency_min_ps`, `latency_max_ps`, `skew_ok`, and (when a
-/// bound was set) `max_skew_ps` appended.
+/// [`SkewSolution`](fastbuf_core::skew::SkewSolution): the per-net
+/// [`NetOutcome`] record (same members, same order as `batch --json` /
+/// `solve --json`) with the clock-tree members `skew_ps`,
+/// `latency_min_ps`, `latency_max_ps`, `skew_ok`, and (when a bound was
+/// set) `max_skew_ps` appended.
 ///
 /// # Errors
 ///
@@ -1024,28 +991,12 @@ pub fn skew_record(
         scenario: corner.scenario.name.clone(),
         reason: "skew records cover skew-target solves only".into(),
     })?;
-    let (before, measured) = evaluate_corner(tree, library, corner, &skew.placement_pairs())?;
-    let mut record = NetRecordOwned {
-        name: net_name.to_owned(),
-        index,
-        scenario: named.then(|| corner.scenario.name.clone()),
-        sinks: tree.sink_count(),
-        sites: tree.buffer_site_count(),
-        slack_before: before.slack,
-        slack_after: skew.slack,
-        slew_before: before.max_slew,
-        max_slew: measured.max_slew,
-        slew_ok: skew.slew_ok,
-        buffers: skew.placements.len(),
-        cost: skew
-            .placements
-            .iter()
-            .map(|p| library.get(p.buffer).cost())
-            .sum(),
-        elapsed: corner.elapsed,
-        placements: include_placements.then(|| skew.placements.clone()),
-    }
-    .to_value();
+    let net = NetOutcome::measure(index, tree, library, corner)?;
+    let mut record = net.to_value(
+        net_name,
+        named.then_some(corner.scenario.name.as_str()),
+        include_placements,
+    );
     record.push("skew_ps", skew.skew.picos());
     record.push("latency_min_ps", skew.latency_min.picos());
     record.push("latency_max_ps", skew.latency_max.picos());
@@ -1431,40 +1382,31 @@ mod tests {
             .scenario(Scenario::named("slow").rat_derate(0.9))
             .solve()
             .unwrap();
-        for (k, corner) in outcome.scenarios.iter().enumerate() {
-            let record =
-                scenario_record("net-a", 0, &tree, session.library(), corner, true, true).unwrap();
-            let solution = corner.solution().unwrap();
-            assert_eq!(
-                record.slack_after.value().to_bits(),
-                solution.slack.value().to_bits()
-            );
-            assert_eq!(
-                record.scenario.as_deref(),
-                Some(corner.scenario.name.as_str())
-            );
-            assert_eq!(record.buffers, solution.placements.len());
-            assert_eq!(
-                record.placements.as_deref(),
-                Some(solution.placements.as_slice())
-            );
-            assert_eq!(record.sinks, tree.sink_count());
-            // The derated corner's baseline differs from the underated one.
-            if k == 1 {
-                assert_ne!(
-                    record.slack_before.value().to_bits(),
-                    outcome.scenarios[0]
-                        .solution()
-                        .unwrap()
-                        .slack
-                        .value()
-                        .to_bits()
+        let lib = session.library();
+        let before: Vec<_> = outcome
+            .scenarios
+            .iter()
+            .map(|corner| {
+                let net = NetOutcome::measure(0, &tree, lib, corner).unwrap();
+                let solution = corner.solution().unwrap();
+                assert_eq!(
+                    net.slack.value().to_bits(),
+                    solution.slack.value().to_bits()
                 );
-            }
-            // The record serializes through the shared schema.
-            let json = record.to_json();
-            assert!(json.contains("\"scenario\""));
-            assert!(json.contains("\"slack_after_ps\""));
-        }
+                assert_eq!(net.placements, solution.placements);
+                assert_eq!(net.sinks, tree.sink_count());
+                net.verify().unwrap();
+                // The record is that outcome, printed.
+                let record = scenario_record("net-a", 0, &tree, lib, corner, true, true).unwrap();
+                assert_eq!(
+                    record.to_json(),
+                    net.to_value("net-a", Some(&corner.scenario.name), true)
+                        .to_json()
+                );
+                net.slack_before
+            })
+            .collect();
+        // The derated corner measures its own unbuffered baseline.
+        assert_ne!(before[0], before[1]);
     }
 }

@@ -12,9 +12,10 @@
 //! * per-worker reusable [`SolveWorkspace`](fastbuf_core::SolveWorkspace)s
 //!   eliminate per-net allocation churn in the hot loop — after warm-up a
 //!   worker solves nets with no steady-state heap traffic;
-//! * [`BatchReport`] — per-net outcomes in input order plus batch
-//!   aggregates (WNS/TNS, buffer count, cost, nets/sec), serializable to
-//!   JSON for `fastbuf batch --json`.
+//! * [`BatchReport`] — per-net [`NetOutcome`]s in input order (the
+//!   `fastbuf-api` per-net result: each net's prediction beside its
+//!   forward measurement) plus batch aggregates (WNS/TNS, buffer count,
+//!   cost, nets/sec), serializable to JSON for `fastbuf batch --json`.
 //!
 //! **Determinism:** nets are independent sub-problems, so the report is
 //! bit-identical for every worker count — only the wall time changes. The
@@ -54,5 +55,6 @@
 mod report;
 mod solver;
 
-pub use report::{BatchReport, NetOutcome};
+pub use fastbuf_api::NetOutcome;
+pub use report::BatchReport;
 pub use solver::{BatchOptions, BatchSolver};

@@ -3,42 +3,10 @@
 use std::fmt;
 use std::time::Duration;
 
-use fastbuf_api::json::NetRecord;
 use fastbuf_api::wire::Json;
+use fastbuf_api::NetOutcome;
 use fastbuf_buflib::units::Seconds;
-use fastbuf_core::{Algorithm, Placement, SolveStats};
-
-/// The outcome of solving one net of a batch.
-#[derive(Clone, Debug)]
-pub struct NetOutcome {
-    /// Position of the net in the input slice (results are always reported
-    /// in input order, whatever order the workers finished in).
-    pub index: usize,
-    /// Sink count of the net.
-    pub sinks: usize,
-    /// Candidate buffer positions of the net.
-    pub sites: usize,
-    /// Slack before any buffering (forward Elmore evaluation).
-    pub slack_before: Seconds,
-    /// Optimal slack after buffering.
-    pub slack: Seconds,
-    /// Worst forward-propagated output slew before buffering.
-    pub slew_before: Seconds,
-    /// Worst forward-propagated output slew of the solved net (the DP's
-    /// root-stage slew when predecessor tracking was off).
-    pub max_slew: Seconds,
-    /// `false` when a slew limit was set and this net could not meet it.
-    pub slew_ok: bool,
-    /// The buffers to insert (empty when predecessor tracking was off).
-    pub placements: Vec<Placement>,
-    /// Total cost of the inserted buffers.
-    pub cost: f64,
-    /// DP work counters for this net.
-    pub stats: SolveStats,
-    /// Wall-clock solve time for this net (including the unbuffered
-    /// evaluation).
-    pub elapsed: Duration,
-}
+use fastbuf_core::Algorithm;
 
 /// Aggregated outcome of a [`BatchSolver::solve`](crate::BatchSolver::solve)
 /// run.
@@ -128,10 +96,10 @@ impl BatchReport {
     /// net. `names` labels the nets (falling back to `net<index>`);
     /// `include_placements` adds the full placement list per net.
     ///
-    /// Per-net entries use the shared [`NetRecord`] schema from
-    /// `fastbuf_api::json` — the same record `fastbuf solve --json`
-    /// emits, so the two commands' per-net JSON can never drift apart.
-    /// The whole report is printed by [`Json::to_pretty`].
+    /// Per-net entries are [`NetOutcome::to_value`] records — the same
+    /// record `fastbuf solve --json` and `fastbuf serve` print, so their
+    /// per-net JSON can never drift apart. The whole report is printed by
+    /// [`Json::to_pretty`].
     pub fn to_json(&self, names: Option<&[String]>, include_placements: bool) -> String {
         let results = self
             .outcomes
@@ -140,23 +108,7 @@ impl BatchReport {
                 let name = names
                     .and_then(|n| n.get(o.index).cloned())
                     .unwrap_or_else(|| format!("net{:05}", o.index));
-                NetRecord {
-                    name: &name,
-                    index: o.index,
-                    scenario: None,
-                    sinks: o.sinks,
-                    sites: o.sites,
-                    slack_before: o.slack_before,
-                    slack_after: o.slack,
-                    slew_before: o.slew_before,
-                    max_slew: o.max_slew,
-                    slew_ok: o.slew_ok,
-                    buffers: o.placements.len(),
-                    cost: o.cost,
-                    elapsed: o.elapsed,
-                    placements: include_placements.then_some(o.placements.as_slice()),
-                }
-                .to_value()
+                o.to_value(&name, None, include_placements)
             })
             .collect();
         Json::obj([

@@ -4,13 +4,13 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fastbuf_api::{Scenario, ScenarioResult, Session};
+use fastbuf_api::{NetOutcome, Scenario, Session};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::{par, Algorithm, DelayModel, ElmoreModel, SolveWorkspace};
-use fastbuf_rctree::{elmore, RoutingTree};
+use fastbuf_rctree::RoutingTree;
 
-use crate::report::{BatchReport, NetOutcome};
+use crate::report::BatchReport;
 
 /// Configuration of a [`BatchSolver`].
 #[derive(Clone, Debug)]
@@ -139,7 +139,9 @@ impl<'a> BatchSolver<'a> {
     /// (one [`Session`] for the whole batch, one single-scenario
     /// `SolveRequest` per net through each worker's reusable workspace) —
     /// results are bit-identical to the legacy direct-`Solver` path, which
-    /// the equivalence tests assert.
+    /// the equivalence tests assert. Each net's [`NetOutcome`] is built by
+    /// [`NetOutcome::measure`]: one unbuffered and one buffered forward
+    /// evaluation under the batch's delay model.
     pub fn solve(&self) -> BatchReport {
         let start = Instant::now();
         let nets = self.nets;
@@ -170,52 +172,17 @@ impl<'a> BatchSolver<'a> {
         let order = par::largest_first(nets.len(), |i| nets[i].node_count());
         let mut workspaces: Vec<SolveWorkspace> =
             (0..workers).map(|_| SolveWorkspace::new()).collect();
-        let model: &dyn DelayModel = &**session.delay_model();
         let track = self.options.track_predecessors;
         let outcomes = par::map_ordered(&order, &mut workspaces, |workspace, i| {
             let tree = &nets[i];
-            let t0 = Instant::now();
-            let before = elmore::evaluate_with(tree, library, &[], model)
-                .expect("the empty placement is always legal");
             let outcome = session
                 .request(tree)
                 .track_predecessors(track)
                 .scenario(scenario.clone())
                 .solve_in(workspace)
                 .expect("a validated max-slack scenario cannot fail");
-            let solution = outcome
-                .scenarios
-                .into_iter()
-                .next()
-                .and_then(|so| match so.result {
-                    ScenarioResult::Solution(s) => Some(s),
-                    _ => None,
-                })
-                .expect("max-slack outcomes carry one solution");
-            // Ground-truth worst slew of the solved net: a forward
-            // evaluation of the reconstructed placements (falls back to the
-            // DP's root-stage slew when tracking is off).
-            let max_slew = if solution.tracked {
-                elmore::evaluate_with(tree, library, &solution.placement_pairs(), model)
-                    .expect("reconstructed placements are legal")
-                    .max_slew
-            } else {
-                solution.root_slew
-            };
-            NetOutcome {
-                index: i,
-                sinks: tree.sink_count(),
-                sites: tree.buffer_site_count(),
-                slack_before: before.slack,
-                slack: solution.slack,
-                cost: solution.total_cost(library),
-                slew_before: before.max_slew,
-                max_slew,
-                slew_ok: solution.slew_ok,
-                placements: solution.placements,
-                stats: solution.stats,
-                elapsed: t0.elapsed(),
-            }
+            NetOutcome::measure(i, tree, library, &outcome.scenarios[0])
+                .expect("a solved net evaluates forward")
         });
         BatchReport::from_outcomes(
             outcomes,

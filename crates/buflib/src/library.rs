@@ -1,6 +1,7 @@
 //! The buffer library: a validated, immutable collection of buffer types
 //! with the sorted orders required by the O(bn²) algorithm precomputed.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::buffer::{BufferType, BufferTypeId};
@@ -70,54 +71,75 @@ impl BufferLibrary {
     }
 
     fn build(buffers: Vec<BufferType>) -> Result<Self, LibraryError> {
-        for b in &buffers {
+        for (index, b) in buffers.iter().enumerate() {
             let name = || b.name().to_owned();
             if !b.driving_resistance().is_finite() {
                 return Err(LibraryError::NonFiniteParameter {
+                    index,
                     buffer: name(),
                     field: "resistance",
                 });
             }
             if !b.input_capacitance().is_finite() {
                 return Err(LibraryError::NonFiniteParameter {
+                    index,
                     buffer: name(),
                     field: "capacitance",
                 });
             }
             if !b.intrinsic_delay().is_finite() {
                 return Err(LibraryError::NonFiniteParameter {
+                    index,
                     buffer: name(),
                     field: "intrinsic delay",
                 });
             }
             if b.driving_resistance() <= Ohms::ZERO {
-                return Err(LibraryError::NonPositiveResistance { buffer: name() });
+                return Err(LibraryError::NonPositiveResistance {
+                    index,
+                    buffer: name(),
+                });
             }
             if b.input_capacitance() < Farads::ZERO {
-                return Err(LibraryError::NegativeCapacitance { buffer: name() });
+                return Err(LibraryError::NegativeCapacitance {
+                    index,
+                    buffer: name(),
+                });
             }
             if b.intrinsic_delay() < Seconds::ZERO {
-                return Err(LibraryError::NegativeIntrinsicDelay { buffer: name() });
+                return Err(LibraryError::NegativeIntrinsicDelay {
+                    index,
+                    buffer: name(),
+                });
             }
             if !b.output_slew().is_finite() {
                 return Err(LibraryError::NonFiniteParameter {
+                    index,
                     buffer: name(),
                     field: "output slew",
                 });
             }
             if b.output_slew() < Seconds::ZERO {
-                return Err(LibraryError::NegativeOutputSlew { buffer: name() });
+                return Err(LibraryError::NegativeOutputSlew {
+                    index,
+                    buffer: name(),
+                });
             }
             if !b.cost().is_finite() || b.cost() < 0.0 {
-                return Err(LibraryError::InvalidCost { buffer: name() });
+                return Err(LibraryError::InvalidCost {
+                    index,
+                    buffer: name(),
+                });
             }
         }
-        let mut names: Vec<&str> = buffers.iter().map(|b| b.name()).collect();
-        names.sort_unstable();
-        if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
-            return Err(LibraryError::DuplicateName {
-                name: w[0].to_owned(),
-            });
+        let mut names = HashSet::with_capacity(buffers.len());
+        for (index, b) in buffers.iter().enumerate() {
+            if !names.insert(b.name()) {
+                return Err(LibraryError::DuplicateName {
+                    index,
+                    name: b.name().to_owned(),
+                });
+            }
         }
 
         let mut by_resistance_desc: Vec<BufferTypeId> =
@@ -338,9 +360,10 @@ impl BufferLibrary {
     /// # Errors
     ///
     /// A [`LineError`] naming the first malformed line, or a
-    /// [`LibraryError`] (on line 0) if the parsed entries fail validation.
+    /// [`LibraryError`] if the parsed entries fail validation, on the
+    /// offending buffer's line (line 0 for a library with no buffers).
     pub fn from_text(text: &str) -> Result<Self, LineError> {
-        let mut buffers = Vec::new();
+        let (mut buffers, mut lines) = (Vec::new(), Vec::new());
         for mut fields in text::lines(text) {
             let name = fields.word("name")?;
             let r = fields.finite("resistance")?;
@@ -360,8 +383,12 @@ impl BufferLibrary {
                 }
             }
             buffers.push(buf);
+            lines.push(fields.line());
         }
-        BufferLibrary::new(buffers).map_err(|e| LineError::at(0, e.to_string()))
+        BufferLibrary::new(buffers).map_err(|e| {
+            let line = e.buffer_index().map_or(0, |i| lines[i]);
+            LineError::at(line, e.to_string())
+        })
     }
 }
 
@@ -566,6 +593,7 @@ mod tests {
         assert_eq!(
             err,
             LibraryError::DuplicateName {
+                index: 1,
                 name: "same".into()
             }
         );

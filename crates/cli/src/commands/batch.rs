@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use fastbuf_batch::BatchSolver;
 use fastbuf_buflib::units::Seconds;
-use fastbuf_core::{forward_agrees, Algorithm, Solver};
-use fastbuf_rctree::{elmore, io as netio, RoutingTree};
+use fastbuf_core::{Algorithm, Solver, VerifyError};
+use fastbuf_rctree::{io as netio, RoutingTree};
 
 use super::{io_error, load_lib, load_model, load_slew_limit, write_json, CliError, USAGE};
 use crate::args::Flags;
@@ -100,31 +100,28 @@ pub(super) fn batch(argv: &[String]) -> Result<(), CliError> {
     let report = solver.solve();
 
     if !flags.switch("no-verify") {
-        // Independent forward check of every reconstruction, under the
-        // same delay model the batch solved with.
+        // Each outcome's own forward measurement, taken under the delay
+        // model the batch solved with, against its prediction.
         for o in &report.outcomes {
-            let measured = elmore::evaluate_with(
-                &nets[o.index],
-                &lib,
-                &o.placements
-                    .iter()
-                    .map(|p| (p.node, p.buffer))
-                    .collect::<Vec<_>>(),
-                &*model,
-            )
-            .map_err(|e| format!("{}: {e}", names[o.index]))?;
-            if !forward_agrees(o.slack.value(), measured.slack.value()) {
-                return Err(format!(
-                    "{}: batch predicted {} but forward evaluation measures {}",
-                    names[o.index], o.slack, measured.slack
-                )
-                .into());
+            let name = &names[o.index];
+            match o.verify() {
+                Ok(_) => {}
+                Err(VerifyError::SlackMismatch {
+                    predicted,
+                    measured,
+                }) => {
+                    return Err(format!(
+                        "{name}: batch predicted {predicted} but forward evaluation measures {measured}"
+                    )
+                    .into())
+                }
+                Err(e) => return Err(format!("{name}: {e}").into()),
             }
             if let Some(limit) = slew_limit {
                 if o.slew_ok && o.max_slew.value() > limit.value() * (1.0 + 1e-9) {
                     return Err(format!(
-                        "{}: reported slew-feasible but measures {} over the {} limit",
-                        names[o.index], o.max_slew, limit
+                        "{name}: reported slew-feasible but measures {} over the {limit} limit",
+                        o.max_slew
                     )
                     .into());
                 }

@@ -103,7 +103,7 @@ pub(super) fn cts(argv: &[String]) -> Result<(), CliError> {
             topo_spec.site_pitch = Some(Microns::new(um));
         }
     }
-    let topo = build_topology(&placements, &topo_spec).map_err(CliError::from)?;
+    let topo = build_topology(&placements, &topo_spec).map_err(String::from)?;
     let tree = &topo.tree;
     println!(
         "{net_name}: {} sinks, {} candidate sites, topology depth {}",

@@ -5,7 +5,7 @@ use std::fs;
 use std::sync::Arc;
 
 use fastbuf_api::wire::{self, Json};
-use fastbuf_api::{parse_scenario_lines, Objective, Scenario, Session};
+use fastbuf_api::{parse_scenario_lines, NetOutcome, Objective, Scenario, Session, SolveError};
 use fastbuf_core::Algorithm;
 use fastbuf_rctree::{elmore, RoutingTree};
 
@@ -100,46 +100,54 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
         }
     }
 
-    let unbuffered = elmore::evaluate_with(&tree, lib, &[], &*model).map_err(|e| e.to_string())?;
     let outcome = session
         .request(&tree)
         .scenarios(scenarios)
         .intra_net_workers(intra_workers)
         .solve()?;
 
-    if !flags.switch("no-verify") {
-        // Each corner is re-measured under its own model and derate.
-        outcome.verify(&tree, lib)?;
-    }
-
-    println!("unbuffered slack: {}", unbuffered.slack);
+    // Each corner's answer is measured once, under its own model and
+    // derate, when something reads the measurement: the verify check, a
+    // slew limit to check, or a JSON record to write.
+    let verify = !flags.switch("no-verify");
     let want_json = flags.value("json").is_some();
+    let nets = outcome
+        .scenarios
+        .iter()
+        .map(|corner| {
+            if !(verify || want_json || corner.scenario.slew_limit.is_some()) {
+                return Ok(None);
+            }
+            let net = NetOutcome::measure(0, &tree, lib, corner)?;
+            if verify {
+                net.verify().map_err(|error| SolveError::Verify {
+                    scenario: corner.scenario.name.clone(),
+                    error,
+                })?;
+            }
+            Ok(Some(net))
+        })
+        .collect::<Result<Vec<_>, SolveError>>()?;
+    // The nominal unbuffered slack: the one flag-built corner's baseline
+    // when it was measured (same tree, model and derate), else its own
+    // evaluation.
+    let unbuffered = match nets.first() {
+        Some(Some(net)) if !named => net.slack_before,
+        _ => {
+            elmore::evaluate_with(&tree, lib, &[], &*model)
+                .map_err(|e| e.to_string())?
+                .slack
+        }
+    };
+
+    println!("unbuffered slack: {unbuffered}");
     let mut records = Vec::new();
-    for corner in &outcome.scenarios {
+    for (corner, net) in outcome.scenarios.iter().zip(&nets) {
         let solution = corner
             .solution()
             .expect("solve command always asks for max slack");
         let scenario = &corner.scenario;
-        // The corner's record in the shared wire schema (`api::wire`) —
-        // the exact serializer the server and `batch --json` go through.
-        // It re-measures this corner under its own model and derate
-        // (ground-truth worst slew, same definition as `batch`), so it is
-        // only built when something consumes it: a slew limit to check,
-        // or a JSON report to write.
-        let record = if scenario.slew_limit.is_some() || want_json {
-            Some(wire::scenario_record(
-                &net_path,
-                0,
-                &tree,
-                lib,
-                corner,
-                named,
-                flags.switch("placements"),
-            )?)
-        } else {
-            None
-        };
-        let measured_slew = record.as_ref().map(|r| r.max_slew);
+        let measured_slew = net.as_ref().map(|n| n.max_slew);
         // The hard cross-check runs for *every* corner with a limit: a
         // corner reported feasible must measure within its limit.
         if let (Some(limit), Some(measured)) = (scenario.slew_limit, measured_slew) {
@@ -172,7 +180,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
             println!(
                 "buffered slack:   {}  (improvement {})",
                 solution.slack,
-                solution.slack - unbuffered.slack
+                solution.slack - unbuffered
             );
             println!(
                 "buffers inserted: {}  (total cost {:.0})",
@@ -191,7 +199,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
                     }
                 );
             }
-            if !flags.switch("no-verify") {
+            if verify {
                 println!("verified:         forward evaluation matches each corner");
             }
         }
@@ -203,13 +211,12 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
         if flags.switch("stats") {
             println!("stats: {}", solution.stats);
         }
-        if want_json {
-            // `record.slack_before` was re-measured under *this corner's*
-            // model and derate, so `slack_after − slack_before` is the
-            // buffering improvement in every corner, never a model/derate
-            // artifact.
-            let record = record.as_ref().expect("built whenever want_json");
-            records.push(record.to_value());
+        if let (true, Some(net)) = (want_json, net) {
+            // `slack_before` was measured under *this corner's* model and
+            // derate, so `slack_after − slack_before` is the buffering
+            // improvement in every corner, never a model/derate artifact.
+            let scenario = named.then_some(scenario.name.as_str());
+            records.push(net.to_value(&net_path, scenario, flags.switch("placements")));
         }
     }
     if named {

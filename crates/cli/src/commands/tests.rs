@@ -497,7 +497,7 @@ fn solve_and_batch_with_slew_limit_and_model() {
 }
 
 /// Satellite: `solve --json` emits the same per-net JSON schema as
-/// `batch --json` (shared `fastbuf_api::json::NetRecord` serializer),
+/// `batch --json` (both print `fastbuf_api::NetOutcome` records),
 /// and `solve --scenarios FILE` runs multi-corner requests end to end.
 #[test]
 fn solve_json_and_scenarios_end_to_end() {

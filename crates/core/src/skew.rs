@@ -83,6 +83,10 @@ pub struct SkewSolution {
     pub algorithm: Algorithm,
     /// Whether placements were reconstructed.
     pub tracked: bool,
+    /// Output slew the source driver produces at the worst endpoint of its
+    /// root stage, under the solve's delay model (as
+    /// [`Solution::root_slew`](crate::Solution::root_slew)).
+    pub root_slew: Seconds,
     /// Operation counters and timing.
     pub stats: SolveStats,
 }
@@ -198,6 +202,7 @@ impl<'a> SkewSolver<'a> {
             placements,
             algorithm: self.options.algorithm,
             tracked: ctx.track,
+            root_slew: Seconds::new(ctx.model.slew(0.0, dr, best.c, best.s)),
             stats,
         }
     }

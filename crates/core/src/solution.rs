@@ -151,13 +151,7 @@ impl Solution {
         }
         let report = elmore::evaluate_with(tree, library, &self.placement_pairs(), model)
             .map_err(VerifyError::Tree)?;
-        if !forward_agrees(self.slack.value(), report.slack.value()) {
-            return Err(VerifyError::SlackMismatch {
-                predicted: self.slack,
-                measured: report.slack,
-            });
-        }
-        Ok(report.slack)
+        VerifyError::check_slack(self.slack, report.slack)
     }
 
     /// Total cost of the inserted buffers under `library`'s cost model.
@@ -197,6 +191,25 @@ pub enum VerifyError {
         /// Slack the forward Elmore evaluation measured.
         measured: Seconds,
     },
+}
+
+impl VerifyError {
+    /// `measured` when it agrees with `predicted` under
+    /// [`forward_agrees`], else [`VerifyError::SlackMismatch`].
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::SlackMismatch`] when the two disagree.
+    pub fn check_slack(predicted: Seconds, measured: Seconds) -> Result<Seconds, VerifyError> {
+        if forward_agrees(predicted.value(), measured.value()) {
+            Ok(measured)
+        } else {
+            Err(VerifyError::SlackMismatch {
+                predicted,
+                measured,
+            })
+        }
+    }
 }
 
 impl fmt::Display for VerifyError {

@@ -15,6 +15,9 @@
 //! sinks remain. Everything is deterministic: ties in the median sort break
 //! on the other coordinate and then the input index.
 
+use std::error::Error;
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -192,30 +195,66 @@ pub struct CtsTopology {
     pub sinks: Vec<NodeId>,
 }
 
+/// Why [`build_topology`] rejected its input.
+#[derive(Clone, Debug, PartialEq)]
+#[non_exhaustive]
+pub enum TopologyError {
+    /// The placement set is empty.
+    Empty,
+    /// A placement has a non-finite field or a negative capacitance.
+    InvalidSink {
+        /// 1-based position of the placement in the input.
+        position: usize,
+    },
+    /// The site pitch is not strictly positive and finite.
+    InvalidPitch {
+        /// The rejected pitch.
+        pitch: Microns,
+    },
+}
+
+impl fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TopologyError::Empty => write!(f, "placement set is empty"),
+            TopologyError::InvalidSink { position } => write!(
+                f,
+                "sink {position}: fields must be finite and the capacitance non-negative"
+            ),
+            TopologyError::InvalidPitch { .. } => {
+                write!(f, "site pitch must be strictly positive and finite")
+            }
+        }
+    }
+}
+
+impl Error for TopologyError {}
+
+impl From<TopologyError> for String {
+    fn from(e: TopologyError) -> String {
+        e.to_string()
+    }
+}
+
 /// Builds a recursive-bipartition topology over `placements`.
 ///
 /// # Errors
 ///
-/// A message naming the first invalid placement (by 1-based position), or
-/// the empty set / invalid pitch.
+/// [`TopologyError`] naming the first invalid placement (by 1-based
+/// position), the empty set, or the invalid pitch.
 pub fn build_topology(
     placements: &[SinkPlacement],
     spec: &CtsTopologySpec,
-) -> Result<CtsTopology, String> {
+) -> Result<CtsTopology, TopologyError> {
     if placements.is_empty() {
-        return Err("placement set is empty".to_owned());
+        return Err(TopologyError::Empty);
     }
-    for (i, p) in placements.iter().enumerate() {
-        if !p.is_valid() {
-            return Err(format!(
-                "sink {}: fields must be finite and the capacitance non-negative",
-                i + 1
-            ));
-        }
+    if let Some(i) = placements.iter().position(|p| !p.is_valid()) {
+        return Err(TopologyError::InvalidSink { position: i + 1 });
     }
     if let Some(pitch) = spec.site_pitch {
         if pitch.value() <= 0.0 || !pitch.value().is_finite() {
-            return Err("site pitch must be strictly positive and finite".to_owned());
+            return Err(TopologyError::InvalidPitch { pitch });
         }
     }
 
@@ -440,25 +479,29 @@ mod tests {
         let topo = build_topology(&twin, &CtsTopologySpec::default()).unwrap();
         assert_eq!(topo.tree.sink_count(), 2);
 
-        // Empty and invalid inputs fail with messages, not panics.
-        assert!(build_topology(&[], &CtsTopologySpec::default())
-            .unwrap_err()
-            .contains("empty"));
+        // Empty and invalid inputs fail with typed errors, not panics.
+        let err = build_topology(&[], &CtsTopologySpec::default()).unwrap_err();
+        assert_eq!(err, TopologyError::Empty);
+        assert_eq!(String::from(err), "placement set is empty");
         // NaN cannot be represented inside a unit type (constructor asserts),
         // so the worst representable coordinate is an infinity.
         let bad = [SinkPlacement {
             x: Microns::new(f64::INFINITY),
             ..one[0]
         }];
-        assert!(build_topology(&bad, &CtsTopologySpec::default())
-            .unwrap_err()
-            .contains("sink 1"));
+        assert_eq!(
+            build_topology(&bad, &CtsTopologySpec::default()).unwrap_err(),
+            TopologyError::InvalidSink { position: 1 }
+        );
         let bad_pitch = CtsTopologySpec {
             site_pitch: Some(Microns::ZERO),
             ..CtsTopologySpec::default()
         };
-        assert!(build_topology(&one, &bad_pitch)
-            .unwrap_err()
-            .contains("pitch"));
+        assert_eq!(
+            build_topology(&one, &bad_pitch).unwrap_err(),
+            TopologyError::InvalidPitch {
+                pitch: Microns::ZERO
+            }
+        );
     }
 }

@@ -55,7 +55,7 @@ pub mod variation;
 pub use clock::{caterpillar_net, h_tree, try_caterpillar_net, ClockSpecError, HTreeSpec};
 pub use cts::{
     build_topology, parse_placements, write_placements, CtsPlacementSpec, CtsTopology,
-    CtsTopologySpec, SinkPlacement,
+    CtsTopologySpec, SinkPlacement, TopologyError,
 };
 pub use line::{line_net, LineNetSpec};
 pub use random::{RandomNetSpec, RatPolicy};

@@ -14,10 +14,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fastbuf_api::wire::{
-    self, error_frame, ok_frame, parse_frame, scenario_record, Json, Op, SolveParams, Source,
+use fastbuf_api::wire::{self, error_frame, ok_frame, parse_frame, Json, Op, SolveParams, Source};
+use fastbuf_api::{
+    parse_scenario_lines, NetOutcome, Objective, Outcome, Scenario, Session, SolveError,
 };
-use fastbuf_api::{parse_scenario_lines, Objective, Outcome, Scenario, Session, SolveError};
 use fastbuf_incremental::{parse_edits, Edit};
 use fastbuf_rctree::{io as netio, model_by_name, DelayModel, RoutingTree};
 
@@ -373,9 +373,6 @@ fn solve(
         .scenarios(scenarios)
         .workers(1)
         .solve()?;
-    if params.verify {
-        outcome.verify(&tree, design.session.library())?;
-    }
     let records = records_of(
         &params.design,
         &tree,
@@ -390,7 +387,9 @@ fn solve(
     Ok(result_body(&params.design, &outcome, Vec::new(), records))
 }
 
-/// Each scenario's per-net record, as its JSON object.
+/// Each scenario's per-net record, as its JSON object. With `verify` on,
+/// each scenario's forward measurement is checked against its prediction
+/// first.
 fn records_of(
     design: &str,
     tree: &RoutingTree,
@@ -403,17 +402,15 @@ fn records_of(
         .scenarios
         .iter()
         .map(|corner| {
-            scenario_record(
-                design,
-                0,
-                tree,
-                session.library(),
-                corner,
-                named,
-                params.placements,
-            )
-            .map(|record| record.to_value())
-            .map_err(HandlerError::from)
+            let net = NetOutcome::measure(0, tree, session.library(), corner)?;
+            if params.verify {
+                net.verify().map_err(|error| SolveError::Verify {
+                    scenario: corner.scenario.name.clone(),
+                    error,
+                })?;
+            }
+            let scenario = named.then_some(corner.scenario.name.as_str());
+            Ok(net.to_value(design, scenario, params.placements))
         })
         .collect()
 }
@@ -487,9 +484,6 @@ fn eco_locked(
     let eco_state = state.eco.as_mut().expect("just ensured");
     eco_state.solver.apply_all(edits)?;
     let outcome = eco_state.solver.solve()?;
-    if params.verify {
-        outcome.verify(eco_state.solver.tree(), design.session.library())?;
-    }
     let tree = Arc::new(eco_state.solver.tree().clone());
     let cache: Json = eco_state
         .solver

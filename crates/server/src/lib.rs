@@ -20,10 +20,10 @@
 //!   or over stdin/stdout (one client, same pool).
 //!
 //! The wire schema itself lives in [`fastbuf_api::wire`] and is
-//! documented in `docs/PROTOCOL.md`; the CLI's `--json` paths serialize
-//! through the same [`NetRecordOwned`](fastbuf_api::json::NetRecordOwned)
-//! records, so a served solve and a direct `fastbuf solve --json` emit
-//! byte-identical per-net results.
+//! documented in `docs/PROTOCOL.md`; the CLI's `--json` paths print the
+//! same [`NetOutcome`](fastbuf_api::NetOutcome) records, so a served
+//! solve and a direct `fastbuf solve --json` emit byte-identical per-net
+//! results.
 //!
 //! ```no_run
 //! use fastbuf_server::{Server, ServerConfig};

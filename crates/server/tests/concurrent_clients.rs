@@ -150,7 +150,7 @@ impl Signature {
         }
     }
 
-    fn of_owned(record: &fastbuf_api::json::NetRecordOwned) -> Signature {
+    fn of_direct(record: &Json) -> Signature {
         // Round-trip through the shared serializer so float formatting is
         // byte-for-byte the same code path as the server's replies.
         Signature::of_record(&Json::parse(&record.to_json()).unwrap())
@@ -179,7 +179,7 @@ fn direct_solve_signature() -> Signature {
         false,
     )
     .unwrap();
-    Signature::of_owned(&record)
+    Signature::of_direct(&record)
 }
 
 /// What a direct [`EcoSolver`] run produces for design `b` after the
@@ -199,7 +199,7 @@ fn direct_eco_signature(edit: &str) -> Signature {
         false,
     )
     .unwrap();
-    Signature::of_owned(&record)
+    Signature::of_direct(&record)
 }
 
 #[test]

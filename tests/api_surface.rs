@@ -21,8 +21,8 @@ use fastbuf::prelude::{
 // And the `fastbuf::api` module surface.
 #[allow(unused_imports)]
 use fastbuf::api::{
-    json::{json_f64, json_str, NetRecord},
-    parse_scenarios, SessionBuilder,
+    json::{json_f64, json_str},
+    parse_scenarios, NetOutcome, SessionBuilder,
 };
 
 /// The full request round-trip compiles and runs against the prelude
@@ -76,22 +76,25 @@ fn api_module_surface_holds() {
     assert_eq!(scenarios.len(), 2);
     assert_eq!(json_f64(1.0), "1");
     assert_eq!(json_str("x"), "\"x\"");
-    let record = NetRecord {
-        name: "n",
+    let record = NetOutcome {
         index: 0,
-        scenario: None,
         sinks: 1,
         sites: 1,
         slack_before: Seconds::ZERO,
-        slack_after: Seconds::ZERO,
+        slack: Seconds::ZERO,
+        measured_slack: Some(Seconds::ZERO),
         slew_before: Seconds::ZERO,
         max_slew: Seconds::ZERO,
         slew_ok: true,
-        buffers: 0,
+        placements: Vec::new(),
         cost: 0.0,
+        stats: Default::default(),
         elapsed: std::time::Duration::ZERO,
-        placements: None,
     };
-    assert!(record.to_json().contains("\"slack_after_ps\""));
+    assert!(record
+        .to_value("n", None, false)
+        .to_json()
+        .contains("\"slack_after_ps\""));
+    assert_eq!(record.verify(), Ok(Seconds::ZERO));
     let _builder: SessionBuilder = Session::builder(BufferLibrary::empty());
 }

@@ -485,6 +485,9 @@ fn malformed_text_is_rejected_with_line_numbers() {
         ("lib", 1, "b 100 1 1 1 slew=x\n".into()),
         ("lib", 1, "b 100 1 inf 1 # comment\n".into()),
         ("lib", 0, "# only comments\n".into()),
+        ("lib", 2, "b 100 1 1 1\nb 200 1 1 1\n".into()),
+        ("lib", 3, "a 100 1 1 1\n# weak\nb 0 1 1 1\n".into()),
+        ("lib", 2, "a 100 1 1 1\nb 100 1 1 -1 # cost\n".into()),
         ("edits", 1, "wire n3\n".into()),
         ("edits", 2, "block n1\ncap n1 inf\n".into()),
         ("edits", 1, "rat 7 100\n".into()),
