@@ -21,11 +21,11 @@
 //! be exact SI values (`2.5e-14F`, `3e-12s`). Node ids must be dense
 //! (`0..nodes`), each defined exactly once, and `nodes` may not exceed the
 //! file's line count; edges may appear in any order. [`write()`](write())
-//! always produces a file [`parse`] accepts (round-trip tested). Two
-//! normalizations apply: fF/ps fields are written in display units, so
-//! they may read back up to 2 ulps off, and the bitset universe of an
-//! `allow` subset becomes `max id + 1` after parsing; membership semantics
-//! are unchanged.
+//! always produces a file [`parse`] accepts, and every number reads back
+//! bit for bit: fF/ps fields are written by [`text::femto_field`] /
+//! [`text::pico_field`] (round-trip tested). One normalization applies:
+//! the bitset universe of an `allow` subset becomes `max id + 1` after
+//! parsing; membership semantics are unchanged.
 
 use std::sync::Arc;
 
@@ -60,7 +60,7 @@ pub fn write(tree: &RoutingTree) -> String {
                         "node {} source {} {}\n",
                         node.index(),
                         driver.resistance().value(),
-                        driver.intrinsic_delay().picos()
+                        text::pico_field(driver.intrinsic_delay())
                     ));
                 }
             }
@@ -71,8 +71,8 @@ pub fn write(tree: &RoutingTree) -> String {
                 out.push_str(&format!(
                     "node {} sink {} {}\n",
                     node.index(),
-                    capacitance.femtos(),
-                    required_arrival.picos()
+                    text::femto_field(*capacitance),
+                    text::pico_field(*required_arrival)
                 ));
             }
             NodeKind::Internal => match tree.site_constraint(node) {
@@ -99,7 +99,7 @@ pub fn write(tree: &RoutingTree) -> String {
                 parent.index(),
                 node.index(),
                 wire.resistance().value(),
-                wire.capacitance().femtos()
+                text::femto_field(wire.capacitance())
             ));
             if let Some(l) = wire.length() {
                 out.push_str(&format!(" len {}", l.value()));

@@ -26,16 +26,7 @@ fn random_net(sinks: usize, seed: u64) -> RoutingTree {
     .build()
 }
 
-/// At most `n` representable doubles apart (same sign).
-fn within_ulps(a: f64, b: f64, n: u64) -> bool {
-    a.to_bits().abs_diff(b.to_bits()) <= n
-}
-
-/// `.net` write→parse: structure, ohms and microns come back bit for bit.
-/// A fF or ps field is written as its display-unit value and may move by
-/// up to 2 ulps through the two unit conversions: the writer's output is
-/// pinned by the CLI's batch golden, so it cannot switch to the exact
-/// unit fields the other formats write.
+/// `.net` write→parse: structure and every number come back bit for bit.
 fn assert_net_round_trip(t: &RoutingTree) {
     let back = io::parse(&io::write(t)).unwrap();
     assert_eq!(back.node_count(), t.node_count());
@@ -45,7 +36,7 @@ fn assert_net_round_trip(t: &RoutingTree) {
         d2.resistance().value().to_bits()
     );
     let (k1, k2) = (d1.intrinsic_delay().value(), d2.intrinsic_delay().value());
-    assert!(within_ulps(k1, k2, 2), "intrinsic delay {k1} -> {k2}");
+    assert_eq!(k1.to_bits(), k2.to_bits(), "intrinsic delay {k1} -> {k2}");
     for n in t.node_ids() {
         assert_eq!(back.parent(n), t.parent(n), "parent of {n}");
         let (s1, s2) = (t.site_constraint(n), back.site_constraint(n));
@@ -61,8 +52,8 @@ fn assert_net_round_trip(t: &RoutingTree) {
                     required_arrival: r2,
                 },
             ) => {
-                assert!(within_ulps(c1.value(), c2.value(), 2), "cap of {n}");
-                assert!(within_ulps(r1.value(), r2.value(), 2), "rat of {n}");
+                assert_eq!(c1.value().to_bits(), c2.value().to_bits(), "cap of {n}");
+                assert_eq!(r1.value().to_bits(), r2.value().to_bits(), "rat of {n}");
             }
             (a, b) => assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b)),
         }
@@ -72,7 +63,7 @@ fn assert_net_round_trip(t: &RoutingTree) {
                 assert_eq!(r1.to_bits(), r2.to_bits(), "wire r of {n}");
                 assert_eq!(format!("{:?}", a.length()), format!("{:?}", b.length()));
                 let (c1, c2) = (a.capacitance().value(), b.capacitance().value());
-                assert!(within_ulps(c1, c2, 2), "wire c of {n}: {c1} -> {c2}");
+                assert_eq!(c1.to_bits(), c2.to_bits(), "wire c of {n}: {c1} -> {c2}");
             }
             (a, b) => assert_eq!(a.is_none(), b.is_none(), "wire of {n}"),
         }
