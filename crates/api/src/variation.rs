@@ -174,7 +174,7 @@ pub(crate) fn validate_yield(
 
 /// Solves `samples` sampled scenarios of `spec` over `tree` (already
 /// derated for its scenario) under the scenario's `options`, fanning
-/// sample indices across `workers` threads with [`par::map`]. Each worker
+/// sample indices across at most `cap` threads with [`par::map`]. Each worker
 /// owns one [`IncrementalSolver`] — one warm `SubtreeCache` per sample
 /// family — and results come back in sample order, so the outcome is
 /// identical for every worker count.
@@ -185,7 +185,7 @@ pub(crate) fn solve_variation(
     spec: &VariationSpec,
     samples: usize,
     quantile: f64,
-    workers: usize,
+    cap: Option<usize>,
 ) -> Result<VariationOutcome, SolveError> {
     validate_yield(spec, samples, quantile)?;
     let start = Instant::now();
@@ -196,21 +196,22 @@ pub(crate) fn solve_variation(
     // Every sample's script is expanded up front from the pristine base
     // tree (absolute values); workers only index into the list.
     let scripts = spec.expand(tree, samples);
-    let workers = workers.clamp(1, samples);
 
     // Every script dirties the same root paths, so each worker's cache
     // keeps only the lists of that footprint's frontier. A worker builds
-    // its solver on its first sample.
+    // its solver on its first sample; the caller builds the first.
     let new_solver = || {
         let mut solver =
             IncrementalSolver::new(tree.clone(), library.clone()).with_options(options.clone());
-        solver.set_footprint(scripts.iter().flatten());
-        solver
+        let footprint = solver.set_footprint(scripts.iter().flatten());
+        (solver, footprint)
     };
-    let mut solvers: Vec<Option<IncrementalSolver>> =
-        std::iter::repeat_with(|| None).take(workers).collect();
+    let (first, footprint) = new_solver();
+    let workers = par::workers(cap, samples, samples * footprint * library.len());
+    let mut solvers: Vec<Option<IncrementalSolver>> = (0..workers).map(|_| None).collect();
+    solvers[0] = Some(first);
     let results = par::map(samples, &mut solvers, |solver, k| {
-        let solver = solver.get_or_insert_with(new_solver);
+        let solver = solver.get_or_insert_with(|| new_solver().0);
         solver.apply_all(&scripts[k]).map_err(SolveError::Edit)?;
         let solution = solver.solve();
         Ok(SampleResult {
@@ -384,5 +385,41 @@ mod tests {
             Err(SolveError::InvalidVariation(_))
         ));
         assert!(validate_yield(&spec, 4, 0.5).is_ok());
+    }
+
+    /// Above two grains of sample work the sweep fans out (the other
+    /// variation tests run on nets too small to), to the same samples.
+    #[test]
+    fn a_sweep_above_the_grain_fans_out_to_the_same_samples() {
+        let lib = BufferLibrary::paper_synthetic(8).unwrap();
+        let tree = fastbuf_netgen::RandomNetSpec {
+            sinks: 40,
+            seed: 3,
+            ..fastbuf_netgen::RandomNetSpec::default()
+        }
+        .build();
+        let spec = VariationSpec::gaussian(0.05, 0.5, 7);
+        let samples = 12;
+        let mut probe = IncrementalSolver::new(tree.clone(), lib.clone());
+        let footprint = probe.set_footprint(spec.expand(&tree, samples).iter().flatten());
+        assert_eq!(
+            par::workers(Some(2), samples, samples * footprint * lib.len()),
+            2
+        );
+        let sweep = |cap| {
+            let options = SolverOptions::default();
+            solve_variation(&lib, &tree, options, &spec, samples, 0.5, Some(cap)).unwrap()
+        };
+        let (one, two) = (sweep(1), sweep(2));
+        let slacks = |v: &VariationOutcome| {
+            let slacks = v
+                .samples
+                .iter()
+                .map(|s| (s.index, s.slack.value().to_bits()));
+            slacks.collect::<Vec<_>>()
+        };
+        assert_eq!(slacks(&one), slacks(&two));
+        assert_eq!(one.summary.mean_slack, two.summary.mean_slack);
+        assert_eq!(one.summary.quantile_slack, two.summary.quantile_slack);
     }
 }

@@ -1,6 +1,5 @@
 //! The worker-pool batch solver.
 
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -17,9 +16,9 @@ use crate::report::BatchReport;
 pub struct BatchOptions {
     /// The per-net algorithm (default [`Algorithm::LiShi`]).
     pub algorithm: Algorithm,
-    /// Worker threads (`None` = available parallelism, capped at the net
-    /// count).
-    pub workers: Option<NonZeroUsize>,
+    /// Caps the worker threads (`None` = the hardware thread count);
+    /// [`par::workers`] sizes the pool by the fleet's work.
+    pub workers: Option<usize>,
     /// Record predecessor information so placements can be reconstructed
     /// (default `true`). Disable for pure throughput measurements.
     pub track_predecessors: bool,
@@ -96,10 +95,10 @@ impl<'a> BatchSolver<'a> {
         self
     }
 
-    /// Sets the worker count (at least 1; capped at the net count).
+    /// Caps the worker count (see [`BatchOptions::workers`]).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.options.workers = Some(NonZeroUsize::new(workers.max(1)).expect("max(1) is nonzero"));
+        self.options.workers = Some(workers);
         self
     }
 
@@ -156,16 +155,8 @@ impl<'a> BatchSolver<'a> {
             }
             s
         };
-        let workers = self
-            .options
-            .workers
-            .map(NonZeroUsize::get)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .clamp(1, nets.len().max(1));
+        let work = nets.iter().map(RoutingTree::node_count).sum::<usize>() * library.len();
+        let workers = par::workers(self.options.workers, nets.len(), work);
 
         // Largest-first dispatch (ties broken by index, so the schedule
         // itself is deterministic even though completion order is not).

@@ -52,7 +52,7 @@ fn main() {
         sizes,
         lib_size,
         seed,
-        fastbuf_bench::hw_threads(),
+        fastbuf_core::par::hardware_threads(),
     );
 
     let topologies: Vec<_> = sizes

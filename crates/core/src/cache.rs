@@ -262,21 +262,24 @@ impl SubtreeCache {
     /// [`SubtreeCache::mark_path_dirty`]). Later cached solves store only
     /// the frontier lists (see the module docs); `origins` naming no node
     /// of `tree` clear the footprint. A warm cache is flushed first, because the lists the
-    /// new frontier needs may not be stored.
+    /// new frontier needs may not be stored. Returns the footprint's node
+    /// count: what a re-solve inside it recomputes.
     ///
     /// The footprint only changes which lists are kept, never a result. It
     /// pays off when every later edit lands inside it; the first one that
     /// does not drops it again, at the cost of one cold solve.
-    pub fn set_footprint(&mut self, tree: &RoutingTree, origins: &[NodeId]) {
+    pub fn set_footprint(&mut self, tree: &RoutingTree, origins: &[NodeId]) -> usize {
         if self.is_warm() {
             self.flush();
         }
         let n = tree.node_count();
         let mut inside = vec![false; n];
+        let mut nodes = 0;
         for &origin in origins.iter().filter(|o| o.index() < n) {
             let mut cur = Some(origin);
             while let Some(v) = cur.filter(|v| !inside[v.index()]) {
                 inside[v.index()] = true;
+                nodes += 1;
                 cur = tree.parent(v);
             }
         }
@@ -294,6 +297,7 @@ impl SubtreeCache {
                 })
                 .collect()
         });
+        nodes
     }
 
     /// `true` while a footprint set by [`SubtreeCache::set_footprint`] is in

@@ -103,15 +103,15 @@ pub struct SolverOptions {
     /// [`Solution::slew_ok`](crate::Solution::slew_ok). A non-finite limit
     /// behaves exactly like `None`.
     pub slew_limit: Option<Seconds>,
-    /// Number of worker threads for *intra-net* sibling-subtree
-    /// parallelism (default 1 = sequential). With `n > 1`, the solver
-    /// solves independent subtrees of a single net concurrently and joins
-    /// them in an order fixed by the tree topology (never completion
-    /// order), so results stay bit-identical at every worker count.
-    /// Ignored by [`Solver::solve_cached`] (incremental solves recompute
-    /// sparse root paths, which have no sibling-subtree work worth forking
-    /// for) and by the skew, polarity and cost solvers, and a no-op on
-    /// small nets. Not part of the [`SubtreeCache`] fingerprint.
+    /// Caps the worker threads for *intra-net* sibling-subtree
+    /// parallelism (default 1 = sequential); [`par::workers`](crate::par::workers)
+    /// fans a large net's independent subtrees out, joined in an order
+    /// fixed by the tree topology (never completion order), so results
+    /// stay bit-identical at every worker count. Ignored by
+    /// [`Solver::solve_cached`] (incremental solves recompute sparse root
+    /// paths, which have no sibling-subtree work worth forking for) and by
+    /// the skew, polarity and cost solvers. Not part of the
+    /// [`SubtreeCache`] fingerprint.
     pub intra_net_workers: usize,
     /// Optional per-node buffer-usage prices in seconds, indexed by
     /// [`NodeId::index`] (default `None` = all zero). Inserting any buffer
@@ -236,7 +236,7 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Sets the intra-net worker count (see
+    /// Caps the intra-net worker count (see
     /// [`SolverOptions::intra_net_workers`]). Values `<= 1` mean
     /// sequential.
     #[must_use]
@@ -351,9 +351,9 @@ impl<'a> Solver<'a> {
         // threads, join in topology order. Scratch solves only — cached
         // solves recompute sparse root paths with no subtree fan-out worth
         // forking for.
-        let workers = self.options.intra_net_workers;
-        let covered: Option<Vec<bool>> = if workers > 1 && cache.is_none() {
-            solve_subtrees_parallel(&ctx, workers, slab, lists, arena, &mut stats)
+        let cap = self.options.intra_net_workers;
+        let covered: Option<Vec<bool>> = if cache.is_none() {
+            solve_subtrees_parallel(&ctx, cap, slab, lists, arena, &mut stats)
         } else {
             None
         };
@@ -745,8 +745,6 @@ pub(crate) fn run_lane<L: Lane>(ctx: &SlabCtx<'_>, lane: &mut L) -> LaneRun<L> {
 
 /// Minimum subtree size worth forking to a worker thread.
 const MIN_TASK_NODES: usize = 8;
-/// Minimum net size for the intra-net parallel phase to engage at all.
-const MIN_PARALLEL_NODES: usize = 64;
 
 /// What one parallel subtree task hands back to the coordinator: its root
 /// candidate list as columns, the private arena its `PredRef`s index, and
@@ -757,13 +755,13 @@ struct TaskResult {
     stats: SolveStats,
 }
 
-/// Solves bounded sibling subtrees of the net on `workers` threads and
+/// Solves bounded sibling subtrees of the net on up to `cap` threads and
 /// splices the results back in **topology order** (ascending postorder
 /// position of the task roots — never completion order), so the main pass
 /// observes exactly the lists and arena layout determinism requires.
 ///
 /// Returns the cover mask (`true` = node handled by a task) for the main
-/// pass to skip, or `None` when the net is too small to partition.
+/// pass to skip, or `None` when the net is too small to fork or partition.
 ///
 /// Partition: the iterative-DFS postorder makes every subtree a contiguous
 /// range `post[pos(v)-size(v)+1 ..= pos(v)]`, so a task is just a slice of
@@ -773,7 +771,7 @@ struct TaskResult {
 /// pass always has work left to join the pieces.
 fn solve_subtrees_parallel(
     ctx: &SlabCtx<'_>,
-    workers: usize,
+    cap: usize,
     slab: &mut CandidateSlab,
     lists: &mut [Option<SlabList>],
     arena: &mut PredArena,
@@ -782,7 +780,8 @@ fn solve_subtrees_parallel(
     let tree = ctx.tree;
     let post = tree.postorder();
     let n = post.len();
-    if n < MIN_PARALLEL_NODES {
+    let workers = crate::par::workers(Some(cap), n, n * ctx.lib.len());
+    if workers < 2 {
         return None;
     }
     let mut pos = vec![0usize; tree.node_count()];
@@ -1449,13 +1448,16 @@ mod tests {
     #[test]
     fn intra_net_parallel_is_bit_identical_at_every_worker_count() {
         let lib = paper_lib(16);
-        for sinks in [24usize, 48] {
+        for sinks in [240usize, 400] {
             let tree = fastbuf_netgen::RandomNetSpec {
                 sinks,
                 seed: 5,
                 ..fastbuf_netgen::RandomNetSpec::default()
             }
             .build();
+            // At least two grains of work, so every cap above 1 forks.
+            let work = tree.node_count() * lib.len();
+            assert!(work >= 2 * crate::par::GRAIN, "sinks {sinks}: {work}");
             let sequential = Solver::new(&tree, &lib).solve();
             for workers in [2usize, 4, 8] {
                 let parallel = Solver::new(&tree, &lib).intra_net_workers(workers).solve();
@@ -1470,14 +1472,26 @@ mod tests {
                 assert_eq!(sequential.stats.merge_ops, parallel.stats.merge_ops);
                 assert_eq!(sequential.stats.addbuffer_ops, parallel.stats.addbuffer_ops);
                 assert_eq!(sequential.stats.max_list_len, parallel.stats.max_list_len);
-                if tree.node_count() >= 64 {
-                    assert!(
-                        parallel.stats.parallel_subtrees > 0,
-                        "sinks {sinks} workers {workers}: expected forked subtrees"
-                    );
-                }
+                assert!(
+                    parallel.stats.parallel_subtrees > 0,
+                    "sinks {sinks} workers {workers}: expected forked subtrees"
+                );
             }
         }
+    }
+
+    #[test]
+    fn intra_net_parallelism_stays_inline_below_two_grains() {
+        let lib = paper_lib(16);
+        let tree = fastbuf_netgen::RandomNetSpec {
+            sinks: 48,
+            seed: 5,
+            ..fastbuf_netgen::RandomNetSpec::default()
+        }
+        .build();
+        assert!(tree.node_count() * lib.len() < 2 * crate::par::GRAIN);
+        let parallel = Solver::new(&tree, &lib).intra_net_workers(8).solve();
+        assert_eq!(parallel.stats.parallel_subtrees, 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The workspace's one parallel map: every fan-out (intra-net subtrees,
 //! batch nets, request scenarios, Monte-Carlo samples, priced nets of the
-//! global loop) runs through [`map_ordered`].
+//! global loop) runs through [`map_ordered`], on [`workers`] workers.
 //!
 //! The contract is what makes every fan-out deterministic:
 //!
@@ -22,6 +22,27 @@
 use std::cmp::Reverse;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The tree-node × buffer-type units of DP work (40–100 ns each on a
+/// 2-vCPU x86-64 VM) that repay one worker's scoped spawn and join
+/// (50–65 µs there); calibrated by `scenario_throughput`'s sweep.
+pub const GRAIN: usize = 4096;
+
+/// The hardware thread count (1 when the OS cannot say), read once: the
+/// standard library re-reads cgroup files on every call.
+pub fn hardware_threads() -> usize {
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The worker count of a fan-out over `items` items and `work` units:
+/// `min(cap, items, work / GRAIN)`, at least 1, so work under one
+/// [`GRAIN`] runs inline. A `None` cap is [`hardware_threads`]; an
+/// explicit cap may exceed it (tests run parallel paths on 1 thread).
+pub fn workers(cap: Option<usize>, items: usize, work: usize) -> usize {
+    let cap = cap.unwrap_or_else(hardware_threads);
+    cap.min(items).min(work / GRAIN).max(1)
+}
 
 /// Computes `f(state, i)` for every item `i` in `0..order.len()`, claiming
 /// items in `order` over one worker per element of `states`, and returns
@@ -134,6 +155,43 @@ mod tests {
     use std::sync::Barrier;
     use std::thread::{self, ThreadId};
     use std::time::Duration;
+
+    #[test]
+    fn work_below_one_grain_runs_inline() {
+        assert_eq!(workers(Some(8), 100, 0), 1);
+        assert_eq!(workers(Some(8), 100, GRAIN - 1), 1);
+        assert_eq!(workers(None, 100, GRAIN - 1), 1);
+    }
+
+    #[test]
+    fn each_worker_gets_at_least_one_grain() {
+        assert_eq!(workers(Some(8), 100, GRAIN), 1);
+        assert_eq!(workers(Some(8), 100, 3 * GRAIN - 1), 2);
+        assert_eq!(workers(Some(8), 100, 3 * GRAIN), 3);
+    }
+
+    #[test]
+    fn an_explicit_cap_is_honoured_above_the_hardware_count() {
+        let cap = hardware_threads() + 3;
+        assert_eq!(workers(Some(cap), 1000, usize::MAX), cap);
+        assert_eq!(workers(Some(1), 1000, usize::MAX), 1);
+        assert_eq!(workers(Some(0), 1000, usize::MAX), 1, "never 0");
+    }
+
+    #[test]
+    fn workers_are_capped_at_the_item_count() {
+        assert_eq!(workers(Some(8), 3, usize::MAX), 3);
+        assert_eq!(workers(None, 1, usize::MAX), 1);
+        assert_eq!(workers(Some(8), 0, usize::MAX), 1, "never 0");
+    }
+
+    #[test]
+    fn the_unset_cap_is_the_hardware_count() {
+        let threads = hardware_threads();
+        assert!(threads >= 1);
+        assert_eq!(threads, hardware_threads(), "read once");
+        assert_eq!(workers(None, usize::MAX, usize::MAX), threads);
+    }
 
     #[test]
     fn results_come_back_in_index_order_under_a_permuted_dispatch() {

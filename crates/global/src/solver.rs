@@ -19,10 +19,10 @@ pub struct GlobalOptions {
     /// pricing rounds is reported with `feasible = false` (never an
     /// endless loop, never a panic).
     pub max_iters: usize,
-    /// Worker threads for the per-net inner solves (default 1). Results
-    /// are bit-identical at every count: nets are independent given the
-    /// price vector, and all cross-net state (usage, prices) is updated
-    /// in fixed net/site order on the coordinating thread.
+    /// Worker-thread cap of the per-net inner solves (default 1; see
+    /// [`par::workers`]). Results are bit-identical at every count: nets
+    /// are independent given the price vector, and all cross-net state
+    /// (usage, prices) is updated in fixed net/site order on the caller.
     pub workers: usize,
     /// First subgradient step in seconds-per-unit-overuse (default 1 ps).
     pub step0: Seconds,
@@ -111,7 +111,7 @@ impl GlobalSolver {
         self
     }
 
-    /// Sets the inner-solve worker count.
+    /// Caps the inner-solve worker count (see [`GlobalOptions::workers`]).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.options.workers = workers;
@@ -306,8 +306,10 @@ impl GlobalSolver {
         let dirty: Vec<usize> = (0..states.len())
             .filter(|&i| states[i].lock().expect("net state lock").dirty)
             .collect();
-        let order = par::largest_first(dirty.len(), |k| self.nets[dirty[k]].tree.node_count());
-        let mut workers = vec![(); self.options.workers.max(1)];
+        let size = |k: usize| self.nets[dirty[k]].tree.node_count();
+        let order = par::largest_first(dirty.len(), size);
+        let work = (0..dirty.len()).map(size).sum::<usize>() * self.library.len();
+        let mut workers = vec![(); par::workers(Some(self.options.workers), dirty.len(), work)];
         par::map_ordered(&order, &mut workers, |(), k| {
             let mut state = states[dirty[k]].lock().expect("net state lock");
             if !warm {

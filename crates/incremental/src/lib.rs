@@ -413,14 +413,15 @@ impl IncrementalSolver {
     /// [`SubtreeCache::set_footprint`]), which saves storing every recomputed
     /// list. Results are unchanged; an edit outside the footprint drops it
     /// (one cold solve), and `edits` containing a library swap declare no
-    /// footprint.
-    pub fn set_footprint<'a>(&mut self, edits: impl IntoIterator<Item = &'a Edit>) {
+    /// footprint. Returns the footprint's node count (0 when none is
+    /// declared).
+    pub fn set_footprint<'a>(&mut self, edits: impl IntoIterator<Item = &'a Edit>) -> usize {
         let origins: Option<Vec<NodeId>> = edits
             .into_iter()
             .map(|edit| dirty_origin(&self.tree, edit))
             .collect();
         self.cache
-            .set_footprint(&self.tree, origins.as_deref().unwrap_or(&[]));
+            .set_footprint(&self.tree, origins.as_deref().unwrap_or(&[]))
     }
 
     /// Applies a whole script in order, stopping at the first rejected

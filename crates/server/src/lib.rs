@@ -47,9 +47,10 @@ use std::time::Duration;
 /// Tuning knobs of a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing requests (default: the machine's
-    /// available parallelism, at least 2 so a slow solve cannot starve
-    /// pings).
+    /// Worker threads executing requests (default: the hardware thread
+    /// count, at least 2 so a slow solve cannot starve pings). A fixed
+    /// count, not a cap: the pool outlives any one request, so its size
+    /// does not depend on a request's work.
     pub workers: usize,
     /// Maximum requests admitted but not yet completed. Beyond this the
     /// connection readers block (bounded job queue), which TCP turns
@@ -70,10 +71,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(2),
+            workers: fastbuf_core::par::hardware_threads().max(2),
             max_inflight: 64,
             max_designs: 8,
             default_deadline: None,

@@ -28,7 +28,9 @@
 //!   and without a slew limit that prunes;
 //! * one priced solve, the largest suite net at two intra-net workers, and
 //!   a 20-edit `IncrementalSolver` script on that net (per-edit slack bits
-//!   and recomputed/reused node counts).
+//!   and recomputed/reused node counts). That net is too small for
+//!   `par::workers` to fork, so a 512-sink clock tree, which forks, is
+//!   checked against its inline solve.
 //!
 //! On a mismatch the assertion prints the whole observed table in the
 //! same literal form as [`GOLDEN`], so an intended change of numbers can
@@ -323,8 +325,31 @@ fn observed() -> Vec<(String, u64)> {
         .map(|(_, net)| net)
         .unwrap();
     let parallel = Solver::new(largest, &lib8).intra_net_workers(2).solve();
-    assert!(parallel.stats.parallel_subtrees > 0, "the net must fork");
     put_words(&mut put, "largest.w2", &parallel);
+    // That net is below two `par::GRAIN`s of work, so it runs inline; a
+    // 512-sink clock tree is above them and forks, to the inline bits.
+    let big = build_topology(
+        &CtsPlacementSpec {
+            sinks: 512,
+            seed: 7,
+            ..CtsPlacementSpec::default()
+        }
+        .generate(),
+        &CtsTopologySpec::default(),
+    )
+    .unwrap()
+    .tree;
+    let forked = Solver::new(&big, &lib8).intra_net_workers(2).solve();
+    assert!(
+        forked.stats.parallel_subtrees > 0,
+        "the clock tree must fork"
+    );
+    let inline = Solver::new(&big, &lib8).solve();
+    assert_eq!(
+        forked.slack.value().to_bits(),
+        inline.slack.value().to_bits()
+    );
+    assert_eq!(forked.placements, inline.placements);
 
     // A 20-edit ECO script on the largest net, library swaps included.
     let script = EditScriptSpec {
