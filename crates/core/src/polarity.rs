@@ -56,7 +56,7 @@ use fastbuf_rctree::{DelayModel, ElmoreModel, NodeId, RoutingTree};
 use crate::buffering::{find_betas, Algorithm};
 use crate::engine::{run_lane, Dp, Lane, LaneRun, SlabCtx};
 use crate::slab::{CandidateSlab, SlabList};
-use crate::solution::Placement;
+use crate::solution::{Placement, VerifyError};
 use crate::stats::SolveStats;
 use crate::SolverOptions;
 
@@ -93,13 +93,10 @@ pub enum PolarityError {
     NotASink(NodeId),
     /// Verification found a sink receiving the wrong polarity.
     WrongPolarity(NodeId),
-    /// Verification measured a different slack than predicted.
-    SlackMismatch {
-        /// Slack the DP predicted.
-        predicted: Seconds,
-        /// Slack the forward evaluation measured.
-        measured: Seconds,
-    },
+    /// The forward evaluation rejected the placements or measured a
+    /// different slack than predicted, as for
+    /// [`Solution::verify_with`](crate::Solution::verify_with).
+    Verify(VerifyError),
 }
 
 impl fmt::Display for PolarityError {
@@ -115,13 +112,7 @@ impl fmt::Display for PolarityError {
             PolarityError::WrongPolarity(n) => {
                 write!(f, "sink {n} receives the wrong polarity")
             }
-            PolarityError::SlackMismatch {
-                predicted,
-                measured,
-            } => write!(
-                f,
-                "predicted slack {predicted} but forward evaluation measured {measured}"
-            ),
+            PolarityError::Verify(e) => write!(f, "{e}"),
         }
     }
 }
@@ -150,9 +141,11 @@ impl PolaritySolution {
     ///
     /// # Errors
     ///
-    /// [`PolarityError::WrongPolarity`] if any sink sees the wrong parity of
-    /// inversions; [`PolarityError::SlackMismatch`] if the measured slack
-    /// deviates from the prediction.
+    /// [`PolarityError::Verify`] if `tree` rejects the placements
+    /// ([`VerifyError::Tree`]) or the measured slack deviates from the
+    /// prediction ([`VerifyError::SlackMismatch`]);
+    /// [`PolarityError::WrongPolarity`] if any sink sees the wrong parity
+    /// of inversions.
     pub fn verify(
         &self,
         tree: &RoutingTree,
@@ -175,16 +168,12 @@ impl PolaritySolution {
         model: &dyn DelayModel,
     ) -> Result<Seconds, PolarityError> {
         let pairs: Vec<_> = self.placements.iter().map(|p| (p.node, p.buffer)).collect();
-        check_polarity(tree, library, &pairs, negated_sinks)?;
+        // Evaluating first rejects placements `tree` has no node for
+        // before the polarity walk indexes by them.
         let report = fastbuf_rctree::elmore::evaluate_with(tree, library, &pairs, model)
-            .expect("reconstructed placements are legal");
-        if !crate::forward_agrees(self.slack.value(), report.slack.value()) {
-            return Err(PolarityError::SlackMismatch {
-                predicted: self.slack,
-                measured: report.slack,
-            });
-        }
-        Ok(report.slack)
+            .map_err(|e| PolarityError::Verify(VerifyError::Tree(e)))?;
+        check_polarity(tree, library, &pairs, negated_sinks)?;
+        VerifyError::check_slack(self.slack, report.slack).map_err(PolarityError::Verify)
     }
 }
 
@@ -608,6 +597,30 @@ mod tests {
         sol.verify_with(&tree, &lib, &[k_neg], &ElmoreModel)
             .unwrap();
         assert!(sol.inverter_count >= 1);
+    }
+
+    #[test]
+    fn verifying_against_another_tree_is_a_typed_error() {
+        let (tree, _) = line(8, 1200.0);
+        let lib = BufferLibrary::paper_synthetic_mixed(4).unwrap();
+        let pol = PolaritySolver::new(&tree, &lib).solve().unwrap();
+        assert!(!pol.placements.is_empty());
+        // A shorter line has no node for the far placements.
+        let (short, _) = line(1, 1200.0);
+        let err = pol.verify(&short, &lib).unwrap_err();
+        assert!(matches!(err, PolarityError::Verify(VerifyError::Tree(_))));
+        assert!(
+            err.to_string().starts_with("placements are illegal: "),
+            "{err}"
+        );
+        // A longer net measures a different slack.
+        let (long, _) = line(8, 1500.0);
+        let err = pol.verify(&long, &lib).unwrap_err();
+        assert!(matches!(
+            err,
+            PolarityError::Verify(VerifyError::SlackMismatch { .. })
+        ));
+        assert!(err.to_string().starts_with("predicted slack "), "{err}");
     }
 
     #[test]
