@@ -269,6 +269,9 @@ pub struct NetOutcome {
     /// Measured slack of the buffered net (`None` when the solve did not
     /// track predecessors, so there are no placements to measure).
     pub measured_slack: Option<Seconds>,
+    /// Measured sink-to-sink skew of the buffered net, for skew-target
+    /// solves that tracked predecessors (`None` otherwise).
+    pub measured_skew: Option<Seconds>,
     /// Measured worst output slew of the unbuffered net.
     pub slew_before: Seconds,
     /// Measured worst output slew of the buffered net (the DP's root-stage
@@ -292,7 +295,7 @@ impl NetOutcome {
     /// request solved): the scenario's derate is applied, and the derated
     /// tree is forward-evaluated under the scenario's delay model once
     /// unbuffered and, when the solve tracked predecessors, once with the
-    /// placements.
+    /// placements (whose skew is kept for a skew-target solve).
     ///
     /// # Errors
     ///
@@ -305,7 +308,7 @@ impl NetOutcome {
         library: &BufferLibrary,
         corner: &ScenarioOutcome,
     ) -> Result<NetOutcome, SolveError> {
-        let (slack, placements, tracked, root_slew, slew_ok, stats) = match &corner.result {
+        let (slack, placements, tracked, root_slew, slew_ok, stats, skew) = match &corner.result {
             ScenarioResult::Solution(s) => (
                 s.slack,
                 &s.placements,
@@ -313,6 +316,7 @@ impl NetOutcome {
                 s.root_slew,
                 s.slew_ok,
                 &s.stats,
+                false,
             ),
             ScenarioResult::Skew(s) => (
                 s.slack,
@@ -321,6 +325,7 @@ impl NetOutcome {
                 s.root_slew,
                 s.slew_ok,
                 &s.stats,
+                true,
             ),
             _ => {
                 return Err(SolveError::Unsupported {
@@ -351,6 +356,10 @@ impl NetOutcome {
             slack_before: before.slack,
             slack,
             measured_slack: after.as_ref().map(|a| a.slack),
+            measured_skew: after
+                .as_ref()
+                .filter(|_| skew)
+                .map(|a| a.skew(&corner_tree)),
             slew_before: before.max_slew,
             max_slew: after.map_or(root_slew, |a| a.max_slew),
             slew_ok,
@@ -445,6 +454,7 @@ mod tests {
             slack_before: Seconds::from_pico(-12.5),
             slack: Seconds::from_pico(31.25),
             measured_slack: None,
+            measured_skew: None,
             slew_before: Seconds::from_pico(500.0),
             max_slew: Seconds::from_pico(150.0),
             slew_ok: true,

@@ -965,8 +965,9 @@ pub fn scenario_record(
 }
 
 /// Serializes one skew-target scenario's
-/// [`SkewSolution`](fastbuf_core::skew::SkewSolution): the per-net
-/// [`NetOutcome`] record (same members, same order as `batch --json` /
+/// [`SkewSolution`](fastbuf_core::skew::SkewSolution): `net`, its
+/// [`NetOutcome`] (built by [`NetOutcome::measure`] from `corner`), as a
+/// per-net record (same members, same order as `batch --json` /
 /// `solve --json`) with the clock-tree members `skew_ps`,
 /// `latency_min_ps`, `latency_max_ps`, `skew_ok`, and (when a bound was
 /// set) `max_skew_ps` appended.
@@ -974,14 +975,10 @@ pub fn scenario_record(
 /// # Errors
 ///
 /// [`SolveError::Unsupported`] when the scenario did not solve for a skew
-/// target, and [`SolveError::Verify`] when the corner's tree rejects
-/// forward evaluation.
-#[allow(clippy::too_many_arguments)]
+/// target.
 pub fn skew_record(
     net_name: &str,
-    index: usize,
-    tree: &RoutingTree,
-    library: &BufferLibrary,
+    net: &NetOutcome,
     corner: &ScenarioOutcome,
     named: bool,
     include_placements: bool,
@@ -991,7 +988,6 @@ pub fn skew_record(
         scenario: corner.scenario.name.clone(),
         reason: "skew records cover skew-target solves only".into(),
     })?;
-    let net = NetOutcome::measure(index, tree, library, corner)?;
     let mut record = net.to_value(
         net_name,
         named.then_some(corner.scenario.name.as_str()),

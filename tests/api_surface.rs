@@ -83,6 +83,7 @@ fn api_module_surface_holds() {
         slack_before: Seconds::ZERO,
         slack: Seconds::ZERO,
         measured_slack: Some(Seconds::ZERO),
+        measured_skew: None,
         slew_before: Seconds::ZERO,
         max_slew: Seconds::ZERO,
         slew_ok: true,

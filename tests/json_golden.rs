@@ -9,7 +9,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use fastbuf::api::wire::{self, error_frame, ok_frame, scenario_record, Json};
-use fastbuf::api::{Objective, Scenario};
+use fastbuf::api::{NetOutcome, Objective, Scenario};
 use fastbuf::global::{GlobalNet, GlobalSolver, SiteCapacityMap};
 use fastbuf::netgen::{SharedSuiteSpec, SuiteSpec, VariationSpec};
 use fastbuf::prelude::*;
@@ -148,17 +148,9 @@ fn scenario_and_skew_record_bytes() {
             .objective(Objective::SkewTarget { max_skew })
             .solve()
             .unwrap();
-        wire::skew_record(
-            "clk",
-            0,
-            &clock,
-            session.library(),
-            &outcome.scenarios[0],
-            false,
-            placements,
-            max_skew,
-        )
-        .unwrap()
+        let corner = &outcome.scenarios[0];
+        let net = NetOutcome::measure(0, &clock, session.library(), corner).unwrap();
+        wire::skew_record("clk", &net, corner, false, placements, max_skew).unwrap()
     };
     let bounded = skew(Some(Seconds::from_pico(5.0)), true);
     let free = skew(None, false);
