@@ -176,8 +176,15 @@ mod tests {
     #[test]
     fn parallel_and_sequential_scenarios_agree() {
         let lib = lib8();
+        // Four grains of corner work, so a cap of 4 fans out to 4 workers.
+        let tree = RandomNetSpec {
+            sinks: 300,
+            seed: 5,
+            ..RandomNetSpec::default()
+        }
+        .build();
+        assert!(4 * tree.node_count() * lib.len() >= 4 * fastbuf_core::par::GRAIN);
         let session = Session::new(lib);
-        let tree = line_net(Microns::new(9_000.0), 10);
         let scenarios = || {
             vec![
                 Scenario::named("a"),
@@ -204,9 +211,9 @@ mod tests {
             assert_eq!(sa.slack, sb.slack);
             assert_eq!(sa.placements, sb.placements);
         }
-        // The pool retains every workspace the fan-out used, bounded by
-        // the worker cap.
-        assert!((1..=4).contains(&session.pooled_workspaces()));
+        // The pool retains every workspace the fan-out used: one per
+        // worker.
+        assert_eq!(session.pooled_workspaces(), 4);
     }
 
     #[test]

@@ -172,3 +172,41 @@ fn degenerate_inputs_return_typed_errors() {
         }
     ));
 }
+
+#[test]
+fn a_fleet_above_the_grain_fans_out_to_the_same_outcome() {
+    // Long enough nets that the first round's work spans two grains, so
+    // a cap of 2 runs the parallel path.
+    let spec = SharedSuiteSpec {
+        nets: 24,
+        sites_per_net: 48,
+        pool_sites: 96,
+        ..SharedSuiteSpec::default()
+    };
+    let work: usize = fleet(&spec).iter().map(|n| n.tree.node_count()).sum();
+    assert_eq!(
+        fastbuf_core::par::workers(Some(2), spec.nets, work * lib().len()),
+        2
+    );
+    let solve = |workers| {
+        GlobalSolver::new(
+            fleet(&spec),
+            lib(),
+            SiteCapacityMap::uniform(spec.pool_sites, 1),
+        )
+        .max_iters(6)
+        .workers(workers)
+        .solve()
+        .expect("valid fleet")
+    };
+    let (one, two) = (solve(1), solve(2));
+    assert_eq!(one.report.history, two.report.history);
+    assert_eq!(one.report.utilization, two.report.utilization);
+    let bits = |o: &fastbuf_global::GlobalOutcome| {
+        o.solutions
+            .iter()
+            .map(|s| (s.slack.value().to_bits(), s.placements.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&one), bits(&two));
+}
