@@ -105,7 +105,6 @@ pub struct SolveRequest<'a> {
     scenarios: Option<Vec<Scenario>>,
     track_predecessors: bool,
     workers: Option<usize>,
-    intra_net_workers: usize,
     variation: Option<VariationSpec>,
 }
 
@@ -118,7 +117,6 @@ impl<'a> SolveRequest<'a> {
             scenarios: None,
             track_predecessors: true,
             workers: None,
-            intra_net_workers: 1,
             variation: None,
         }
     }
@@ -171,19 +169,6 @@ impl<'a> SolveRequest<'a> {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
-        self
-    }
-
-    /// Caps the *intra-net* worker count for [`Objective::MaxSlack`]
-    /// scenarios: sibling subtrees of one net solved concurrently, joined
-    /// in deterministic tree order (bit-identical at every count — see
-    /// [`fastbuf_core::SolverOptions::intra_net_workers`]). Orthogonal to
-    /// [`SolveRequest::workers`], which fans out across scenarios; the two
-    /// multiply, so `workers(4).intra_net_workers(2)` can occupy 8 threads.
-    /// Ignored by the other objectives and by cached (ECO/yield) solves.
-    #[must_use]
-    pub fn intra_net_workers(mut self, workers: usize) -> Self {
-        self.intra_net_workers = workers;
         self
     }
 
@@ -281,7 +266,6 @@ impl<'a> SolveRequest<'a> {
         let library = session.library();
         let mut options = session.options(scenario);
         options.track_predecessors = self.track_predecessors;
-        options.intra_net_workers = self.intra_net_workers;
         let (model, algorithm) = (Arc::clone(&options.delay_model), options.algorithm);
         let tree = scenario.apply_derate(self.tree);
         let tree = &*tree;

@@ -244,18 +244,28 @@ fn slew_constrained_batch_matches_sequential_and_reports_slews() {
 fn scaled_model_batch_is_deterministic_across_workers() {
     use fastbuf_core::ScaledElmoreModel;
     use std::sync::Arc;
-    let nets = suite(12, 8);
     let lib = BufferLibrary::paper_synthetic(8).unwrap();
-    let mk = |workers| {
-        BatchSolver::new(&nets, &lib)
-            .workers(workers)
-            .delay_model(Arc::new(ScaledElmoreModel::default()))
-            .solve()
-    };
-    let a = mk(1);
-    let b = mk(4);
-    assert_eq!(a.delay_model, "scaled-elmore");
-    assert_reports_identical(&a, &b);
+    // 12 nets are under two `par::GRAIN`s and run inline at every cap;
+    // 48 nets are above them, so the 4-worker side fans out.
+    for (count, fans_out) in [(12, false), (48, true)] {
+        let nets = suite(count, 8);
+        let mk = |workers| {
+            BatchSolver::new(&nets, &lib)
+                .workers(workers)
+                .delay_model(Arc::new(ScaledElmoreModel::default()))
+                .solve()
+        };
+        let a = mk(1);
+        let b = mk(4);
+        assert_eq!(a.delay_model, "scaled-elmore");
+        assert_eq!(
+            b.workers >= 2,
+            fans_out,
+            "{count} nets: {} workers",
+            b.workers
+        );
+        assert_reports_identical(&a, &b);
+    }
 }
 
 /// Regression: a pathological (non-positive) slew limit must keep the

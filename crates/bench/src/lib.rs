@@ -11,7 +11,7 @@
 //! | `eco_speedup` | incremental vs from-scratch solves/sec under edit scripts at 1/10/50% locality (writes `BENCH_eco.json`) |
 //! | `server_throughput` | requests/sec of the resident `fastbuf serve` daemon at 1/2/4/8 concurrent clients, warm session vs cold per-request process spawn (writes `BENCH_server.json`) |
 //! | `variation_throughput` | Monte-Carlo samples/sec, family-cached vs per-sample scratch solves (writes `BENCH_variation.json`) |
-//! | `kernel_throughput` | single-net solves/sec of the slab kernel and its intra-net subtree scaling at caps 1/2/4, on nets above and below `par::GRAIN` (writes `BENCH_kernel.json`) |
+//! | `kernel_throughput` | single-thread solves/sec of the slab kernel, wall and on-CPU, on the largest suite nets at b = 64 (writes `BENCH_kernel.json`) |
 //! | `global_convergence` | pricing-loop iterations to feasibility and net-solves/sec, warm vs scratch inner solves (writes `BENCH_global.json`) |
 //! | `cts_quality` | skew and slack of the clock-tree pipeline across sink counts, unbounded and at half the skew (writes `BENCH_cts.json`) |
 //!

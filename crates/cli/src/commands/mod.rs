@@ -39,7 +39,6 @@ const USAGE: &str = "usage:
                     [--slew-limit PS] [--model elmore|scaled-elmore]
                     [--scenarios FILE] [--json FILE]
                     [--variation FILE] [--samples N] [--quantile Q]
-                    [--intra-workers N]
                     [--placements] [--stats] [--no-verify]
                     (--scenarios runs every corner of FILE; lines are
                      `name [model=M] [slew-limit-ps=N] [derate=F] [algo=A]`.
@@ -51,9 +50,7 @@ const USAGE: &str = "usage:
                      FILE is a `parse_variation` spec, --samples (default
                      64) dice are solved through per-worker warm subtree
                      caches, and the slack distribution plus the --quantile
-                     (default 0.5) slack are reported per corner.
-                     --intra-workers N solves sibling subtrees of one net
-                     concurrently; results are bit-identical at any N.)
+                     (default 0.5) slack are reported per corner.)
   fastbuf batch     (--dir DIR | --manifest FILE) --lib FILE [--algo A] [--workers N]
                     [--slew-limit PS] [--model M] [--json FILE] [--placements]
                     [--per-net] [--check] [--no-verify]

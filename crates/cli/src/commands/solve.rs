@@ -26,7 +26,6 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
             "variation",
             "samples",
             "quantile",
-            "intra-workers",
         ],
         &["placements", "stats", "no-verify"],
     )?;
@@ -36,18 +35,6 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
     let algo: Algorithm = flags.value("algo").unwrap_or("lishi").parse()?;
     let model = load_model(&flags)?;
     let slew_limit = load_slew_limit(&flags)?;
-    let intra_workers = match flags.value("intra-workers") {
-        None => 1,
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("flag `--intra-workers`: cannot parse `{v}`"))?;
-            if n == 0 {
-                return Err("--intra-workers must be at least 1".into());
-            }
-            n
-        }
-    };
 
     // Everything below goes through the unified request layer: one
     // session, one request, one scenario per corner.
@@ -100,11 +87,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
         }
     }
 
-    let outcome = session
-        .request(&tree)
-        .scenarios(scenarios)
-        .intra_net_workers(intra_workers)
-        .solve()?;
+    let outcome = session.request(&tree).scenarios(scenarios).solve()?;
 
     // Each corner's answer is measured once, under its own model and
     // derate, when something reads the measurement: the verify check, a

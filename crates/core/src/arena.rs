@@ -32,18 +32,6 @@ impl PredRef {
     pub fn is_none(self) -> bool {
         self == PredRef::NONE
     }
-
-    /// Shifts the reference by `offset` entries ([`PredRef::NONE`] is a
-    /// fixed point). Used when splicing one arena's entries onto the end of
-    /// another — see [`PredArena::append_remapped`].
-    #[inline]
-    pub(crate) fn offset_by(self, offset: u32) -> PredRef {
-        if self.is_none() {
-            self
-        } else {
-            PredRef(self.0 + offset)
-        }
-    }
 }
 
 /// A reconstruction decision.
@@ -114,36 +102,6 @@ impl PredArena {
         } else {
             self.entries.get(r.0 as usize)
         }
-    }
-
-    /// Appends every entry of `other` to this arena, shifting the internal
-    /// references of the copied entries so they keep pointing at their
-    /// (now relocated) predecessors. Returns the offset a caller must add
-    /// to `other`-relative [`PredRef`]s to resolve them here.
-    ///
-    /// Sound because arenas are append-only: an entry's references always
-    /// point strictly *backwards*, so a uniform shift preserves the DAG.
-    /// This is the join step of intra-net parallel solving — each subtree
-    /// task records decisions in a private arena, and the main thread
-    /// splices them in deterministic (topology) order.
-    pub(crate) fn append_remapped(&mut self, other: &PredArena) -> u32 {
-        let offset = self.entries.len() as u32;
-        self.entries.reserve(other.entries.len());
-        for entry in &other.entries {
-            let remapped = match *entry {
-                PredEntry::Buffer { node, buffer, prev } => PredEntry::Buffer {
-                    node,
-                    buffer,
-                    prev: prev.offset_by(offset),
-                },
-                PredEntry::Merge { left, right } => PredEntry::Merge {
-                    left: left.offset_by(offset),
-                    right: right.offset_by(offset),
-                },
-            };
-            self.entries.push(remapped);
-        }
-        offset
     }
 
     /// Collects every buffer placement reachable from `root`, sorted by node

@@ -103,16 +103,6 @@ pub struct SolverOptions {
     /// [`Solution::slew_ok`](crate::Solution::slew_ok). A non-finite limit
     /// behaves exactly like `None`.
     pub slew_limit: Option<Seconds>,
-    /// Caps the worker threads for *intra-net* sibling-subtree
-    /// parallelism (default 1 = sequential); [`par::workers`](crate::par::workers)
-    /// fans a large net's independent subtrees out, joined in an order
-    /// fixed by the tree topology (never completion order), so results
-    /// stay bit-identical at every worker count. Ignored by
-    /// [`Solver::solve_cached`] (incremental solves recompute sparse root
-    /// paths, which have no sibling-subtree work worth forking for) and by
-    /// the skew, polarity and cost solvers. Not part of the
-    /// [`SubtreeCache`] fingerprint.
-    pub intra_net_workers: usize,
     /// Optional per-node buffer-usage prices in seconds, indexed by
     /// [`NodeId::index`] (default `None` = all zero). Inserting any buffer
     /// at node `v` charges `site_prices[v]` like extra intrinsic delay, so
@@ -137,7 +127,6 @@ impl Default for SolverOptions {
             track_predecessors: true,
             delay_model: Arc::new(ElmoreModel),
             slew_limit: None,
-            intra_net_workers: 1,
             site_prices: None,
         }
     }
@@ -236,15 +225,6 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Caps the intra-net worker count (see
-    /// [`SolverOptions::intra_net_workers`]). Values `<= 1` mean
-    /// sequential.
-    #[must_use]
-    pub fn intra_net_workers(mut self, workers: usize) -> Self {
-        self.options.intra_net_workers = workers;
-        self
-    }
-
     /// Sets (or, with `None`, clears) the per-node buffer-usage prices
     /// (see [`SolverOptions::site_prices`]).
     #[must_use]
@@ -310,13 +290,12 @@ impl<'a> Solver<'a> {
     }
 
     /// The max-slack solve: a bottom-up pass of the one-list lane
-    /// ([`OneList`]) over the struct-of-arrays [`CandidateSlab`], after the
-    /// optional intra-net parallel phase. With `cache = None` the
-    /// workspace arena is cleared and every node is solved; with a cache,
-    /// clean nodes are skipped, their lists loaded from the cache at the
-    /// parent's merge, recomputed lists stored back as the footprint roles
-    /// say, and the *cache's* arena used append-only so cached `PredRef`s
-    /// stay valid across solves.
+    /// ([`OneList`]) over the struct-of-arrays [`CandidateSlab`]. With
+    /// `cache = None` the workspace arena is cleared and every node is
+    /// solved; with a cache, clean nodes are skipped, their lists loaded
+    /// from the cache at the parent's merge, recomputed lists stored back
+    /// as the footprint roles say, and the *cache's* arena used
+    /// append-only so cached `PredRef`s stay valid across solves.
     fn solve_impl(
         &self,
         workspace: &mut SolveWorkspace,
@@ -347,19 +326,7 @@ impl<'a> Solver<'a> {
         lists.clear();
         lists.resize(tree.node_count(), None);
 
-        // Intra-net parallel phase: fork bounded sibling subtrees to worker
-        // threads, join in topology order. Scratch solves only — cached
-        // solves recompute sparse root paths with no subtree fan-out worth
-        // forking for.
-        let cap = self.options.intra_net_workers;
-        let covered: Option<Vec<bool>> = if cache.is_none() {
-            solve_subtrees_parallel(&ctx, cap, slab, lists, arena, &mut stats)
-        } else {
-            None
-        };
-
         let mut lane = OneList {
-            covered: covered.as_deref(),
             cache,
             ..OneList::new(f64::INFINITY)
         };
@@ -369,7 +336,7 @@ impl<'a> Solver<'a> {
             scratch,
             stats: &mut stats,
         };
-        process_nodes(&ctx, &mut lane, tree.postorder(), lists, dp);
+        process_nodes(&ctx, &mut lane, lists, dp);
 
         let root_handle = match lists[tree.root().index()].take() {
             Some(handle) => handle,
@@ -407,8 +374,8 @@ impl<'a> Solver<'a> {
 }
 
 /// Shared read-only context of one solve, threaded through the
-/// node-processing loop, the lanes and the parallel subtree tasks. Every
-/// lane builds it the same way, from its solve's [`SolverOptions`].
+/// node-processing loop and the lanes. Every lane builds it the same way,
+/// from its solve's [`SolverOptions`].
 pub(crate) struct SlabCtx<'a> {
     pub(crate) tree: &'a RoutingTree,
     pub(crate) lib: &'a BufferLibrary,
@@ -416,8 +383,7 @@ pub(crate) struct SlabCtx<'a> {
     pub(crate) track: bool,
     pub(crate) model: &'a dyn DelayModel,
     pub(crate) slew: SlewPolicy,
-    /// Per-node usage prices ([`SolverOptions::site_prices`]), shared by
-    /// the parallel subtree tasks so they price identically.
+    /// Per-node usage prices ([`SolverOptions::site_prices`]).
     pub(crate) prices: Option<&'a [f64]>,
 }
 
@@ -556,12 +522,10 @@ pub(crate) trait Lane {
 
 /// The one-list lane: max-slack ([`Solver`], no passengers) and skew (the
 /// `Window` passenger, and the width prune after each merge under
-/// `bound`). It alone skips nodes: ones a parallel subtree task solved
-/// (`covered`) and, under a [`SubtreeCache`], clean ones.
+/// `bound`). It alone skips nodes: under a [`SubtreeCache`], clean ones.
 pub(crate) struct OneList<'a, P: Passenger> {
     /// The window-width bound of the skew lane (`∞`: none).
     bound: f64,
-    covered: Option<&'a [bool]>,
     cache: Option<CacheView<'a, P>>,
     /// Nodes recomputed under the cache.
     recomputed: u64,
@@ -572,7 +536,6 @@ impl<P: Passenger> OneList<'_, P> {
     pub(crate) fn new(bound: f64) -> Self {
         OneList {
             bound,
-            covered: None,
             cache: None,
             recomputed: 0,
         }
@@ -606,8 +569,7 @@ impl<P: Passenger> Lane for OneList<'_, P> {
     }
 
     fn skip(&self, node: NodeId) -> bool {
-        self.covered.is_some_and(|cov| cov[node.index()])
-            || self.cache.as_ref().is_some_and(|c| c.is_clean(node))
+        self.cache.as_ref().is_some_and(|c| c.is_clean(node))
     }
 
     fn reload(&self, slab: &mut CandidateSlab<P>, child: NodeId) -> SlabList {
@@ -637,23 +599,17 @@ pub(crate) struct Dp<'s, P: Passenger> {
     pub(crate) stats: &'s mut SolveStats,
 }
 
-/// The bottom-up DP loop — every lane's only one. Runs `lane` over `nodes`
-/// (a postorder sequence): seeds sinks, propagates each child's lists
-/// through its wire, merges siblings by the lane's rule and runs the
-/// lane's `AddBuffer` at buffer sites, leaving each node's set in `sets`.
-///
-/// The sequential pass, the cached pass and every parallel subtree task
-/// run this same code, which is what makes the parallel mode trivially
-/// bit-identical: the same per-node arithmetic regardless of which thread
-/// hosts it.
+/// The bottom-up DP loop — every lane's only one. Runs `lane` over the
+/// tree in postorder: seeds sinks, propagates each child's lists through
+/// its wire, merges siblings by the lane's rule and runs the lane's
+/// `AddBuffer` at buffer sites, leaving each node's set in `sets`.
 fn process_nodes<L: Lane>(
     ctx: &SlabCtx<'_>,
     lane: &mut L,
-    nodes: &[NodeId],
     sets: &mut [Option<L::Set>],
     dp: &mut Dp<'_, L::P>,
 ) {
-    for &node in nodes {
+    for &node in ctx.tree.postorder() {
         if lane.skip(node) {
             continue;
         }
@@ -729,7 +685,7 @@ pub(crate) fn run_lane<L: Lane>(ctx: &SlabCtx<'_>, lane: &mut L) -> LaneRun<L> {
         scratch: &mut Scratch::default(),
         stats: &mut stats,
     };
-    process_nodes(ctx, lane, ctx.tree.postorder(), &mut sets, dp);
+    process_nodes(ctx, lane, &mut sets, dp);
     let root = sets[ctx.tree.root().index()]
         .take()
         .expect("the root is processed last");
@@ -741,142 +697,6 @@ pub(crate) fn run_lane<L: Lane>(ctx: &SlabCtx<'_>, lane: &mut L) -> LaneRun<L> {
         stats,
         root,
     }
-}
-
-/// Minimum subtree size worth forking to a worker thread.
-const MIN_TASK_NODES: usize = 8;
-
-/// What one parallel subtree task hands back to the coordinator: its root
-/// candidate list as columns, the private arena its `PredRef`s index, and
-/// its operation counters.
-struct TaskResult {
-    list: Columns,
-    arena: PredArena,
-    stats: SolveStats,
-}
-
-/// Solves bounded sibling subtrees of the net on up to `cap` threads and
-/// splices the results back in **topology order** (ascending postorder
-/// position of the task roots — never completion order), so the main pass
-/// observes exactly the lists and arena layout determinism requires.
-///
-/// Returns the cover mask (`true` = node handled by a task) for the main
-/// pass to skip, or `None` when the net is too small to fork or partition.
-///
-/// Partition: the iterative-DFS postorder makes every subtree a contiguous
-/// range `post[pos(v)-size(v)+1 ..= pos(v)]`, so a task is just a slice of
-/// the postorder. A top-down sweep (reverse postorder) marks the highest
-/// subtrees whose size fits under the grain as task roots; everything
-/// below them is covered. The tree root is never a task root, so the main
-/// pass always has work left to join the pieces.
-fn solve_subtrees_parallel(
-    ctx: &SlabCtx<'_>,
-    cap: usize,
-    slab: &mut CandidateSlab,
-    lists: &mut [Option<SlabList>],
-    arena: &mut PredArena,
-    stats: &mut SolveStats,
-) -> Option<Vec<bool>> {
-    let tree = ctx.tree;
-    let post = tree.postorder();
-    let n = post.len();
-    let workers = crate::par::workers(Some(cap), n, n * ctx.lib.len());
-    if workers < 2 {
-        return None;
-    }
-    let mut pos = vec![0usize; tree.node_count()];
-    let mut size = vec![1usize; tree.node_count()];
-    for (i, &node) in post.iter().enumerate() {
-        pos[node.index()] = i;
-        // Children precede their parent in postorder: their sizes are final.
-        for &child in tree.children(node) {
-            size[node.index()] += size[child.index()];
-        }
-    }
-    // Aim for ~4 tasks per worker, but keep the acceptance band
-    // `[MIN_TASK_NODES, grain]` wide enough that bushy trees always shatter
-    // into several tasks.
-    let grain = (n / (workers * 4)).max(4 * MIN_TASK_NODES);
-    let mut covered = vec![false; tree.node_count()];
-    let mut task_roots: Vec<NodeId> = Vec::new();
-    for &node in post.iter().rev() {
-        if let Some(parent) = tree.parent(node) {
-            if covered[parent.index()] {
-                covered[node.index()] = true;
-                continue;
-            }
-            let sz = size[node.index()];
-            if sz >= MIN_TASK_NODES && sz <= grain {
-                covered[node.index()] = true;
-                task_roots.push(node);
-            }
-        }
-    }
-    if task_roots.len() < 2 {
-        // Nothing to overlap: run fully sequential rather than paying the
-        // fork/join overhead for one task.
-        for &node in &task_roots {
-            covered[node.index()] = false;
-        }
-        return None;
-    }
-    task_roots.sort_by_key(|t| pos[t.index()]);
-
-    // Per-worker state, reused across that worker's tasks. The lists
-    // vector returns to all-`None` after each task: every interior list is
-    // consumed by its parent and the task root's is taken below.
-    let mut states: Vec<(CandidateSlab, Scratch, Vec<Option<SlabList>>)> = (0..workers
-        .min(task_roots.len()))
-        .map(|_| {
-            let lists = vec![None; tree.node_count()];
-            (CandidateSlab::default(), Scratch::default(), lists)
-        })
-        .collect();
-    let results = crate::par::map(task_roots.len(), &mut states, |state, ti| {
-        let (slab, scratch, task_lists) = state;
-        let troot = task_roots[ti];
-        let (p, sz) = (pos[troot.index()], size[troot.index()]);
-        let mut task_arena = PredArena::new();
-        let mut task_stats = SolveStats::default();
-        slab.reset();
-        let mut lane = OneList::new(f64::INFINITY);
-        let dp = &mut Dp {
-            slab,
-            arena: &mut task_arena,
-            scratch,
-            stats: &mut task_stats,
-        };
-        process_nodes(ctx, &mut lane, &post[p + 1 - sz..=p], task_lists, dp);
-        let handle = task_lists[troot.index()]
-            .take()
-            .expect("task root was computed");
-        task_stats.slab_bytes_peak = slab.peak_bytes();
-        let mut list = Columns::default();
-        slab.store(handle, &mut list);
-        TaskResult {
-            list,
-            arena: task_arena,
-            stats: task_stats,
-        }
-    });
-
-    // Join in task-root topology order: splice each private arena onto the
-    // shared one (uniform backward-reference shift — see
-    // `PredArena::append_remapped`), shift the root list's `pred` lane by
-    // the same offset, and load it into the slab for the main pass.
-    for (result, &troot) in results.into_iter().zip(&task_roots) {
-        let offset = arena.append_remapped(&result.arena);
-        let mut list = result.list;
-        if ctx.track {
-            for pred in &mut list.pred {
-                *pred = pred.offset_by(offset);
-            }
-        }
-        lists[troot.index()] = Some(slab.load(&list));
-        stats.merge_shard(&result.stats);
-        stats.parallel_subtrees += 1;
-    }
-    Some(covered)
 }
 
 #[cfg(test)]
@@ -1443,55 +1263,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn intra_net_parallel_is_bit_identical_at_every_worker_count() {
-        let lib = paper_lib(16);
-        for sinks in [240usize, 400] {
-            let tree = fastbuf_netgen::RandomNetSpec {
-                sinks,
-                seed: 5,
-                ..fastbuf_netgen::RandomNetSpec::default()
-            }
-            .build();
-            // At least two grains of work, so every cap above 1 forks.
-            let work = tree.node_count() * lib.len();
-            assert!(work >= 2 * crate::par::GRAIN, "sinks {sinks}: {work}");
-            let sequential = Solver::new(&tree, &lib).solve();
-            for workers in [2usize, 4, 8] {
-                let parallel = Solver::new(&tree, &lib).intra_net_workers(workers).solve();
-                assert_eq!(
-                    sequential.slack.value().to_bits(),
-                    parallel.slack.value().to_bits(),
-                    "sinks {sinks} workers {workers}"
-                );
-                assert_eq!(sequential.placements, parallel.placements);
-                assert_eq!(sequential.stats.arena_entries, parallel.stats.arena_entries);
-                assert_eq!(sequential.stats.wire_ops, parallel.stats.wire_ops);
-                assert_eq!(sequential.stats.merge_ops, parallel.stats.merge_ops);
-                assert_eq!(sequential.stats.addbuffer_ops, parallel.stats.addbuffer_ops);
-                assert_eq!(sequential.stats.max_list_len, parallel.stats.max_list_len);
-                assert!(
-                    parallel.stats.parallel_subtrees > 0,
-                    "sinks {sinks} workers {workers}: expected forked subtrees"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn intra_net_parallelism_stays_inline_below_two_grains() {
-        let lib = paper_lib(16);
-        let tree = fastbuf_netgen::RandomNetSpec {
-            sinks: 48,
-            seed: 5,
-            ..fastbuf_netgen::RandomNetSpec::default()
-        }
-        .build();
-        assert!(tree.node_count() * lib.len() < 2 * crate::par::GRAIN);
-        let parallel = Solver::new(&tree, &lib).intra_net_workers(8).solve();
-        assert_eq!(parallel.stats.parallel_subtrees, 0);
     }
 
     #[test]

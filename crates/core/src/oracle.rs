@@ -597,11 +597,10 @@ fn find_alphas_walk(
 }
 
 /// Solves `tree` from scratch on plain `Vec`s, with the same options the
-/// [`Solver`](crate::Solver) takes (`intra_net_workers` is ignored: the
-/// oracle is sequential).
+/// [`Solver`](crate::Solver) takes.
 ///
 /// The operation counters of [`SolveStats`] that both implementations
-/// share are filled; the slab-only ones and `parallel_subtrees` stay zero.
+/// share are filled; the slab-only ones stay zero.
 pub fn solve(tree: &RoutingTree, lib: &BufferLibrary, options: &SolverOptions) -> Solution {
     let start = Instant::now();
     let track = options.track_predecessors;

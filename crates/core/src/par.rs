@@ -1,6 +1,6 @@
-//! The workspace's one parallel map: every fan-out (intra-net subtrees,
-//! batch nets, request scenarios, Monte-Carlo samples, priced nets of the
-//! global loop) runs through [`map_ordered`], on [`workers`] workers.
+//! The workspace's one parallel map: every fan-out (batch nets, request
+//! scenarios, Monte-Carlo samples, priced nets of the global loop) runs
+//! through [`map_ordered`], on [`workers`] workers.
 //!
 //! The contract is what makes every fan-out deterministic:
 //!
@@ -9,7 +9,7 @@
 //!   straggle at the end).
 //! * **Result order** is item-index order, never completion order.
 //! * **Per-worker state**: each worker is lent one element of `states` (a
-//!   workspace, a slab, an incremental solver, or `()`) for all the items
+//!   workspace, an incremental solver, or `()`) for all the items
 //!   it claims, and works on it from its own stack (see [`map_ordered`]).
 //! * **One worker runs inline** on the caller's thread: `w` workers spawn
 //!   `w - 1` threads, and a sequential run spawns nothing.

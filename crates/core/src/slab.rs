@@ -26,9 +26,8 @@
 //!
 //! Lists are identified by [`SlabList`] handles (u32 indices into a pool of
 //! column slots with a freelist); [`SlabView`] borrows the columns of one
-//! list. A list that outlives its slab — a [`SubtreeCache`] snapshot or
-//! the root list of an intra-net parallel task — leaves as owned
-//! [`Columns`] through [`CandidateSlab::store`] and comes back through
+//! list. A list that outlives its slab — a [`SubtreeCache`] snapshot —
+//! leaves as owned [`Columns`] through [`CandidateSlab::store`] and comes back through
 //! [`CandidateSlab::load`]: one copy per lane each way, no conversion.
 //!
 //! The array-of-structs oracle (`crate::oracle`) runs the same arithmetic
@@ -209,7 +208,7 @@ impl<P: Passenger> SlabView<'_, P> {
 }
 
 /// One candidate list as parallel columns: a slab slot, or a list held
-/// outside any slab (a cache snapshot, a parallel task's result).
+/// outside any slab (a cache snapshot).
 #[derive(Debug, Default)]
 pub(crate) struct Columns<P: Passenger = ()> {
     pub(crate) q: Vec<f64>,
@@ -549,8 +548,7 @@ impl<P: Passenger> BetaStage<P> {
 /// Pool of struct-of-arrays candidate lists with recycled column storage.
 ///
 /// One slab lives per solve context (inside
-/// [`SolveWorkspace`](crate::SolveWorkspace), or per subtree task in
-/// intra-net parallel mode). Handles freed back to the slab keep their
+/// [`SolveWorkspace`](crate::SolveWorkspace)). Handles freed back to the slab keep their
 /// column capacity, so a warm slab performs no steady-state allocation.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateSlab<P: Passenger = ()> {
@@ -636,8 +634,8 @@ impl<P: Passenger> CandidateSlab<P> {
         list
     }
 
-    /// Allocates a fresh list holding a copy of `src` (a cache snapshot or
-    /// a parallel task's result): one `memcpy` per lane.
+    /// Allocates a fresh list holding a copy of `src` (a cache snapshot):
+    /// one `memcpy` per lane.
     pub(crate) fn load(&mut self, src: &Columns<P>) -> SlabList {
         let list = self.alloc();
         let n = src.len();

@@ -61,15 +61,11 @@ pub struct SolveStats {
     pub slab_candidates_pruned: u64,
     /// Peak bytes of live candidate columns held by the slab during the
     /// solve (lists held outside it, such as cache snapshots, are not
-    /// counted). Under intra-net parallelism this is the largest peak of
-    /// any participating slab (main or task), not their sum.
+    /// counted).
     pub slab_bytes_peak: usize,
-    /// Independent sibling subtrees solved on worker threads by intra-net
-    /// parallelism ([`SolverOptions::intra_net_workers`]). Only
-    /// from-scratch solves fork, so this is `0` for sequential and cached
-    /// solves.
-    ///
-    /// [`SolverOptions::intra_net_workers`]: crate::SolverOptions::intra_net_workers
+    /// Always `0`: every solve runs one sequential pass. Kept only because
+    /// the benchmark's counter list reads it; it goes away with the next
+    /// change to the benchmark.
     pub parallel_subtrees: u64,
     /// Largest candidate list seen at any node.
     pub max_list_len: usize,
@@ -92,39 +88,13 @@ impl SolveStats {
             + self.hull_walk_steps
             + self.betas_generated
     }
-
-    /// Folds the counters of a parallel shard (one subtree task of
-    /// intra-net parallel solving) into this total: additive counters sum,
-    /// high-water marks take the maximum. `elapsed`, `root_list_len`, and
-    /// `arena_entries` are whole-solve quantities the coordinator sets at
-    /// the end and are left untouched.
-    pub fn merge_shard(&mut self, shard: &SolveStats) {
-        self.wire_ops += shard.wire_ops;
-        self.merge_ops += shard.merge_ops;
-        self.addbuffer_ops += shard.addbuffer_ops;
-        self.addbuffer_candidates += shard.addbuffer_candidates;
-        self.scan_candidate_visits += shard.scan_candidate_visits;
-        self.hull_builds += shard.hull_builds;
-        self.hull_input_candidates += shard.hull_input_candidates;
-        self.hull_walk_steps += shard.hull_walk_steps;
-        self.betas_generated += shard.betas_generated;
-        self.convex_pruned += shard.convex_pruned;
-        self.slew_pruned += shard.slew_pruned;
-        self.nodes_recomputed += shard.nodes_recomputed;
-        self.nodes_reused += shard.nodes_reused;
-        self.slab_candidates_scanned += shard.slab_candidates_scanned;
-        self.slab_candidates_pruned += shard.slab_candidates_pruned;
-        self.slab_bytes_peak = self.slab_bytes_peak.max(shard.slab_bytes_peak);
-        self.parallel_subtrees += shard.parallel_subtrees;
-        self.max_list_len = self.max_list_len.max(shard.max_list_len);
-    }
 }
 
 impl fmt::Display for SolveStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ops: wire={} merge={} addbuf={} | addbuf work: k={} scans={} hull_in={} walk={} betas={} | lists: max={} root={} | pruned={} slew_pruned={} arena={} | eco: recomputed={} reused={} | slab: scanned={} pruned={} peak_bytes={} par_subtrees={} | {:?}",
+            "ops: wire={} merge={} addbuf={} | addbuf work: k={} scans={} hull_in={} walk={} betas={} | lists: max={} root={} | pruned={} slew_pruned={} arena={} | eco: recomputed={} reused={} | slab: scanned={} pruned={} peak_bytes={} | {:?}",
             self.wire_ops,
             self.merge_ops,
             self.addbuffer_ops,
@@ -143,7 +113,6 @@ impl fmt::Display for SolveStats {
             self.slab_candidates_scanned,
             self.slab_candidates_pruned,
             self.slab_bytes_peak,
-            self.parallel_subtrees,
             self.elapsed,
         )
     }

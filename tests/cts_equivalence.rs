@@ -4,8 +4,7 @@
 //!
 //! 1. **No-bound bit-identity.** With no skew bound, the arrival windows
 //!    are pure passengers: the `(q, c)` decisions must be *bit-identical*
-//!    to the plain solver on every algorithm, under both candidate
-//!    kernels, at every intra-net worker count.
+//!    to the plain solver on every algorithm.
 //! 2. **Oracle exactness.** On tiny topologies (≤ 6 sites) the unbounded
 //!    optimum must match exhaustive enumeration, the reported skew must
 //!    match the forward-measured skew of the chosen placements, and every
@@ -48,7 +47,7 @@ fn measured_skew(tree: &RoutingTree, lib: &BufferLibrary, pairs: &[(NodeId, Buff
 }
 
 #[test]
-fn unbounded_recursion_is_bit_identical_across_workers() {
+fn unbounded_recursion_is_bit_identical_to_the_plain_solver() {
     let lib = BufferLibrary::paper_synthetic(8).unwrap();
     let nets = [
         ("cts/64", cts_tree(64, 1, Some(400.0))),
@@ -63,26 +62,21 @@ fn unbounded_recursion_is_bit_identical_across_workers() {
         for algo in Algorithm::ALL {
             let skewed = SkewSolver::new(tree, &lib).algorithm(algo).solve();
             assert!(skewed.skew_ok, "{name}/{algo}: no bound, always ok");
-            for workers in [1usize, 2, 4] {
-                let plain = Solver::new(tree, &lib)
-                    .algorithm(algo)
-                    .intra_net_workers(workers)
-                    .solve();
-                assert_eq!(
-                    skewed.slack.value().to_bits(),
-                    plain.slack.value().to_bits(),
-                    "{name}/{algo}@{workers}: slack bits diverged"
-                );
-                assert_eq!(
-                    skewed.root_load.value().to_bits(),
-                    plain.root_load.value().to_bits(),
-                    "{name}/{algo}@{workers}: load bits diverged"
-                );
-                assert_eq!(
-                    skewed.placements, plain.placements,
-                    "{name}/{algo}@{workers}: placements diverged"
-                );
-            }
+            let plain = Solver::new(tree, &lib).algorithm(algo).solve();
+            assert_eq!(
+                skewed.slack.value().to_bits(),
+                plain.slack.value().to_bits(),
+                "{name}/{algo}: slack bits diverged"
+            );
+            assert_eq!(
+                skewed.root_load.value().to_bits(),
+                plain.root_load.value().to_bits(),
+                "{name}/{algo}: load bits diverged"
+            );
+            assert_eq!(
+                skewed.placements, plain.placements,
+                "{name}/{algo}: placements diverged"
+            );
         }
     }
 }

@@ -2,17 +2,13 @@
 //! exactly what the array-of-structs oracle (`fastbuf_core::oracle`)
 //! computes — same slack bits, same root `Q`, load and slew, same
 //! placements, same slew verdict — across netgen nets × all algorithms ×
-//! slew on/off × intra-net worker counts, and across ECO edit scripts
-//! where every cached re-solve is compared with an oracle solve of the
-//! edited tree from scratch.
+//! slew on/off, and across ECO edit scripts where every cached re-solve
+//! is compared with an oracle solve of the edited tree from scratch.
 //!
 //! Bit-identity (`f64::to_bits`, not approximate equality) is the
 //! contract: the oracle is an independent, plain `Vec<Candidate>`
 //! implementation of the same floating-point program, so any change to
-//! the kernel, the cache, or the intra-net parallel join that alters one
-//! bit fails here. Sibling subtrees are joined in tree order, never
-//! completion order, so `@4` equals `@1` equals the oracle to the last
-//! bit.
+//! the kernel or the cache that alters one bit fails here.
 
 use proptest::prelude::*;
 
@@ -64,20 +60,18 @@ fn assert_identical(got: &Solution, expect: &Solution, context: &dyn std::fmt::D
     );
 }
 
-fn options(algo: Algorithm, slew: Option<Seconds>, workers: usize) -> SolverOptions {
+fn options(algo: Algorithm, slew: Option<Seconds>) -> SolverOptions {
     let mut options = SolverOptions::default();
     options.algorithm = algo;
     options.slew_limit = slew;
-    options.intra_net_workers = workers;
     options
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The differential property: one random net and configuration, the
-    /// oracle solve, and the solver at 1, 2, and 4 intra-net workers all
-    /// bit-identical to it. Library size, algorithm and slew mode are
+    /// The differential property: one random net and configuration, and
+    /// the solver bit-identical to the oracle solve. Library size, algorithm and slew mode are
     /// part of the sampled space; predecessor tracking is on so
     /// placements are compared too.
     #[test]
@@ -94,20 +88,16 @@ proptest! {
         let algo = Algorithm::ALL[algo_idx];
         let slew = (slew_sel == 1).then(|| Seconds::from_pico(320.0));
 
-        let expect = oracle::solve(&tree, &lib, &options(algo, slew, 1));
-        for workers in [1usize, 2, 4] {
-            let got = Solver::new(&tree, &lib)
-                .with_options(options(algo, slew, workers))
-                .solve();
-            assert_identical(&got, &expect, &format!("(@{workers}, {algo}, slew {slew:?})"));
-        }
+        let expect = oracle::solve(&tree, &lib, &options(algo, slew));
+        let got = Solver::new(&tree, &lib)
+            .with_options(options(algo, slew))
+            .solve();
+        assert_identical(&got, &expect, &format!("({algo}, slew {slew:?})"));
     }
 
     /// ECO scripts: an incremental solver replays a random edit script
     /// (library swaps included), and every cached re-solve must equal an
-    /// oracle solve of the edited tree from scratch, bit for bit. The
-    /// solver requests 2 intra-net workers — a no-op for cached solves,
-    /// which must not change the bits either.
+    /// oracle solve of the edited tree from scratch, bit for bit.
     #[test]
     fn cached_re_solves_match_the_oracle_from_scratch(
         sinks in 2usize..24,
@@ -123,7 +113,7 @@ proptest! {
         let slew = (slew_sel == 1).then(|| Seconds::from_pico(320.0));
 
         let mut solver =
-            IncrementalSolver::new(tree, lib).with_options(options(algo, slew, 2));
+            IncrementalSolver::new(tree, lib).with_options(options(algo, slew));
         let scratch = |s: &IncrementalSolver| oracle::solve(s.tree(), s.library(), s.options());
         assert_identical(&solver.solve(), &scratch(&solver), &"cold solve");
 
@@ -147,10 +137,9 @@ proptest! {
 
 /// Deterministic heavy case kept outside proptest so `--nocapture` runs
 /// show a stable, quotable count: a 24-net suite × 3 algorithms × slew
-/// on/off × {1, 2, 4} workers, every configuration compared bit-for-bit
-/// against the oracle.
+/// on/off, every configuration compared bit-for-bit against the oracle.
 #[test]
-fn suite_nets_stay_bit_identical_to_the_oracle_at_every_worker_count() {
+fn suite_nets_stay_bit_identical_to_the_oracle() {
     let spec = fastbuf::netgen::SuiteSpec {
         nets: 24,
         max_sinks: 64,
@@ -163,24 +152,15 @@ fn suite_nets_stay_bit_identical_to_the_oracle_at_every_worker_count() {
         let tree = spec.build_net(i);
         for algo in Algorithm::ALL {
             for slew in [None, Some(Seconds::from_pico(350.0))] {
-                let expect = oracle::solve(&tree, &lib, &options(algo, slew, 1));
-                for workers in [1usize, 2, 4] {
-                    let got = Solver::new(&tree, &lib)
-                        .with_options(options(algo, slew, workers))
-                        .solve();
-                    assert_identical(
-                        &got,
-                        &expect,
-                        &format!("net {i} algo {algo} slew {slew:?} @{workers}"),
-                    );
-                    comparisons += 1;
-                }
+                let expect = oracle::solve(&tree, &lib, &options(algo, slew));
+                let got = Solver::new(&tree, &lib)
+                    .with_options(options(algo, slew))
+                    .solve();
+                assert_identical(&got, &expect, &format!("net {i} algo {algo} slew {slew:?}"));
+                comparisons += 1;
             }
         }
     }
-    assert!(
-        comparisons >= 400,
-        "expected >= 400 differential comparisons, ran {comparisons}"
-    );
+    assert_eq!(comparisons, 144, "24 nets × 3 algorithms × slew on/off");
     println!("ran {comparisons} solver-vs-oracle comparisons");
 }

@@ -356,3 +356,36 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, read as lossy UTF-8, never panic any of the seven
+    /// readers, and a rejection names a line of the text (or 0). Codes
+    /// 0..256 are raw bytes; codes 256..512 stand for the formats' own
+    /// keywords and numbers, so many inputs get past the first token.
+    #[test]
+    fn arbitrary_bytes_are_rejected_on_a_line_never_panic(
+        codes in prop::collection::vec(0u16..512, 0..513),
+    ) {
+        const TOKENS: [&str; 32] = [
+            "fastbuf-net v1\n", "nodes ", "node ", "source ", "sink ", "internal ", "edge ",
+            "site ", "wire ", "rat ", "cap ", "wirerc ", "derate ", "block ", "swaplib ",
+            "locality ", "seed ", "normal ", "uniform ", "model=", "slew-limit-ps=", "algo=",
+            "slew=", "inv ", "0 ", "1 ", "3 ", "-1 ", "0.5 ", "1e300 ", "nan ", "\n",
+        ];
+        let mut bytes = Vec::new();
+        for &c in &codes {
+            match u8::try_from(c) {
+                Ok(byte) => bytes.push(byte),
+                Err(_) => bytes.extend(TOKENS[usize::from(c) % TOKENS.len()].bytes()),
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        for format in 0..7 {
+            if let Some(line) = rejected_line(format, &text) {
+                prop_assert!(line <= text.lines().count(), "{format}: line {line} of {text:?}");
+            }
+        }
+    }
+}

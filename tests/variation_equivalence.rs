@@ -133,26 +133,35 @@ proptest! {
 /// slacks, summary statistics, cache counters — is byte-identical across
 /// 1, 2, and 4 workers, for several spec shapes. The summary fold sorts
 /// by sample index before touching floats, so completion order (which
-/// worker finished first) cannot leak into the JSON.
+/// worker finished first) cannot leak into the JSON. The small nets run
+/// inline at every cap (under two `par::GRAIN`s of sample work); the
+/// 60-sink net is above them, so its 2- and 4-worker sweeps fan out.
 #[test]
 fn outcome_json_is_byte_identical_across_worker_counts() {
     let lib = BufferLibrary::paper_synthetic(6).unwrap();
-    let session = Session::new(lib);
-    for (sinks, net_seed, mask, quantile) in [
-        (10usize, 3u64, 0b111111u32, 0.5f64),
-        (14, 17, 0b000011, 0.9),
-        (7, 8, 0b110100, 0.1),
+    let session = Session::new(lib.clone());
+    let samples = 16;
+    for (sinks, net_seed, mask, quantile, fans_out) in [
+        (10usize, 3u64, 0b111111u32, 0.5f64, false),
+        (14, 17, 0b000011, 0.9, false),
+        (7, 8, 0b110100, 0.1, false),
+        (60, 5, 0b111111, 0.5, true),
     ] {
         let tree = net(sinks, net_seed);
         let spec = spec_of(mask, 0.08, 0.4, 1000 + net_seed);
+        let footprint = IncrementalSolver::new(tree.clone(), lib.clone())
+            .set_footprint(spec.expand(&tree, samples).iter().flatten());
+        let work = samples * footprint * lib.len();
+        assert_eq!(
+            fastbuf_core::par::workers(Some(2), samples, work) >= 2,
+            fans_out,
+            "{sinks} sinks: {work} units of sample work"
+        );
         let mut renders = Vec::new();
         for workers in [1usize, 2, 4] {
             let outcome = session
                 .request(&tree)
-                .objective(Objective::YieldTarget {
-                    samples: 16,
-                    quantile,
-                })
+                .objective(Objective::YieldTarget { samples, quantile })
                 .variation(spec.clone())
                 .workers(workers)
                 .solve()
