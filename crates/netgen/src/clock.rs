@@ -5,7 +5,6 @@ use std::fmt;
 
 use fastbuf_buflib::units::{Farads, Microns, Ohms, Seconds};
 use fastbuf_buflib::{Driver, Technology};
-use fastbuf_rctree::segment::segment_by_pitch;
 use fastbuf_rctree::{NodeId, RoutingTree, TreeBuilder, Wire};
 
 /// A degenerate parameter in a structured-net spec, naming the offending
@@ -149,12 +148,11 @@ impl HTreeSpec {
         let src = b.source(Driver::new(self.driver_resistance));
         let root_len = self.arm;
         self.recurse(&mut b, src, self.levels, root_len);
-        let base = b.build().expect("H-tree is structurally valid");
         match self.site_pitch {
-            None => base,
+            None => b.build().expect("H-tree is structurally valid"),
             Some(pitch) => {
-                segment_by_pitch(&base, pitch)
-                    .expect("lengths present")
+                b.build_segmented_by_pitch(pitch)
+                    .expect("H-tree is valid and its wires carry lengths")
                     .tree
             }
         }

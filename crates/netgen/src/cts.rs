@@ -24,7 +24,6 @@ use rand::{Rng, SeedableRng};
 use fastbuf_buflib::text::{self, femto_field, pico_field};
 use fastbuf_buflib::units::{Farads, Microns, Ohms, Seconds};
 use fastbuf_buflib::{Driver, Technology};
-use fastbuf_rctree::segment::segment_by_pitch;
 use fastbuf_rctree::{NodeId, RoutingTree, TreeBuilder, Wire};
 
 use crate::LineError;
@@ -258,7 +257,8 @@ pub fn build_topology(
         }
     }
 
-    let mut b = TreeBuilder::new();
+    // The source, every sink, and two taps per split of a set in two.
+    let mut b = TreeBuilder::with_capacity(3 * placements.len() - 1);
     let src = b.source(Driver::new(spec.driver_resistance));
     let mut idxs: Vec<usize> = (0..placements.len()).collect();
     let root_pt = bbox_center(placements, &idxs);
@@ -266,12 +266,11 @@ pub fn build_topology(
     split(
         &mut b, placements, &mut idxs, src, root_pt, &spec.tech, &mut sinks,
     );
-    let base = b.build().expect("bipartition tree is structurally valid");
     let tree = match spec.site_pitch {
-        None => base,
+        None => b.build().expect("bipartition tree is structurally valid"),
         Some(pitch) => {
-            segment_by_pitch(&base, pitch)
-                .expect("generated wires carry lengths")
+            b.build_segmented_by_pitch(pitch)
+                .expect("bipartition tree is valid and its wires carry lengths")
                 .tree
         }
     };
@@ -315,11 +314,12 @@ fn split(
         return;
     }
     // Median split on the longer bounding-box dimension; deterministic
-    // tie-breaks (other coordinate, then input index).
+    // tie-breaks (other coordinate, then input index). The input index
+    // makes the order total, so an unstable sort gives the stable order.
     let (min_x, max_x) = min_max(idxs.iter().map(|&i| placements[i].x.value()));
     let (min_y, max_y) = min_max(idxs.iter().map(|&i| placements[i].y.value()));
     let split_x = max_x - min_x >= max_y - min_y;
-    idxs.sort_by(|&a, &b| {
+    idxs.sort_unstable_by(|&a, &b| {
         let (pa, pb) = (&placements[a], &placements[b]);
         let (ka, kb) = if split_x {
             ((pa.x, pa.y), (pb.x, pb.y))

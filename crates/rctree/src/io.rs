@@ -225,7 +225,7 @@ pub fn parse(text: &str) -> Result<RoutingTree, LineError> {
     }
     let decls = decls.ok_or_else(|| LineError::at(0, "missing `nodes` directive"))?;
     let n = decls.len();
-    let mut b = TreeBuilder::new();
+    let mut b = TreeBuilder::with_capacity(n);
     for (id, d) in decls.into_iter().enumerate() {
         match d {
             None => return Err(LineError::at(0, format!("node {id} never defined"))),

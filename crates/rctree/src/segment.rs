@@ -13,11 +13,19 @@
 //! Segmenting preserves total wire parasitics: a wire of `(R, C)` split into
 //! `k` pieces becomes `k` wires of `(R/k, C/k)` joined by new internal nodes
 //! marked as buffer positions.
+//!
+//! There is one segmenting routine, and it works on a [`TreeBuilder`]'s
+//! recorded wires before its single build:
+//! [`TreeBuilder::build_segmented_by_pitch`] and
+//! [`TreeBuilder::build_segmented_uniform`]. Generators call it on the
+//! builder they recorded their topology in; the two tree functions call it
+//! on a copy of the tree. Either way the original ids are kept and the
+//! new sites are appended in child-id order.
 
 use fastbuf_buflib::units::Microns;
 
 use crate::error::TreeError;
-use crate::node::NodeKind;
+use crate::node::Wire;
 use crate::tree::{RoutingTree, TreeBuilder};
 
 /// Outcome of a segmenting transformation.
@@ -66,8 +74,7 @@ pub struct SegmentResult {
 /// # Ok::<(), fastbuf_rctree::TreeError>(())
 /// ```
 pub fn segment_uniform(tree: &RoutingTree, pieces: usize) -> Result<SegmentResult, TreeError> {
-    assert!(pieces > 0, "pieces must be at least 1");
-    rebuild(tree, |_| pieces)
+    TreeBuilder::from_tree(tree).build_segmented_uniform(pieces)
 }
 
 /// Splits each wire into `ceil(length / pitch)` equal segments (minimum 1),
@@ -81,75 +88,71 @@ pub fn segment_uniform(tree: &RoutingTree, pieces: usize) -> Result<SegmentResul
 ///
 /// Panics if `pitch` is not strictly positive.
 pub fn segment_by_pitch(tree: &RoutingTree, pitch: Microns) -> Result<SegmentResult, TreeError> {
-    assert!(
-        pitch > Microns::ZERO,
-        "segmenting pitch must be strictly positive"
-    );
-    // Validate lengths up front so the closure below cannot fail silently.
-    for node in tree.node_ids() {
-        if let Some(w) = tree.wire_to_parent(node) {
-            if w.length().is_none() {
-                return Err(TreeError::MissingWireLength { child: node });
-            }
-        }
-    }
-    rebuild(tree, |len| {
-        let l = len.expect("validated above");
-        ((l / pitch).ceil() as usize).max(1)
-    })
+    TreeBuilder::from_tree(tree).build_segmented_by_pitch(pitch)
 }
 
-/// Rebuilds `tree` splitting the wire above node `v` into
-/// `pieces_for(wire.length())` segments.
-fn rebuild(
-    tree: &RoutingTree,
-    pieces_for: impl Fn(Option<Microns>) -> usize,
-) -> Result<SegmentResult, TreeError> {
-    let mut b = TreeBuilder::new();
-    // Recreate original nodes in id order so they keep their ids.
-    for node in tree.node_ids() {
-        match tree.kind(node) {
-            NodeKind::Source { driver } => {
-                b.source(*driver);
-            }
-            NodeKind::Sink {
-                capacitance,
-                required_arrival,
-            } => {
-                b.sink(*capacitance, *required_arrival);
-            }
-            NodeKind::Internal => {
-                b.internal_with(tree.site_constraint(node).clone());
-            }
-        }
+impl TreeBuilder {
+    /// [`TreeBuilder::build`] of this builder with every wire split as
+    /// [`segment_uniform`] splits a tree's: the result is the same as
+    /// building first and segmenting the tree, without the second build.
+    ///
+    /// # Errors
+    ///
+    /// The structural [`TreeError`] that [`TreeBuilder::build`] reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pieces == 0`.
+    pub fn build_segmented_uniform(self, pieces: usize) -> Result<SegmentResult, TreeError> {
+        assert!(pieces > 0, "pieces must be at least 1");
+        self.build_split(|_| Some(pieces))
     }
-    let mut added_sites = 0usize;
-    for node in tree.node_ids() {
-        let Some(parent) = tree.parent(node) else {
-            continue;
-        };
-        let wire = *tree.wire_to_parent(node).expect("non-root has a wire");
-        let pieces = pieces_for(wire.length()).max(1);
-        let seg = wire.split(pieces);
-        let mut upstream = parent;
-        for _ in 1..pieces {
-            let site = b.buffer_site();
-            added_sites += 1;
-            b.connect(upstream, site, seg)?;
-            upstream = site;
-        }
-        b.connect(upstream, node, seg)?;
+
+    /// [`TreeBuilder::build`] of this builder with every wire split as
+    /// [`segment_by_pitch`] splits a tree's: the result is the same as
+    /// building first and segmenting the tree, without the second build.
+    ///
+    /// # Errors
+    ///
+    /// The structural [`TreeError`] that [`TreeBuilder::build`] reports,
+    /// else [`TreeError::MissingWireLength`] naming the lowest-id node
+    /// whose parent wire has no length — the error order of building
+    /// first and segmenting after.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pitch` is not strictly positive.
+    pub fn build_segmented_by_pitch(self, pitch: Microns) -> Result<SegmentResult, TreeError> {
+        assert!(
+            pitch > Microns::ZERO,
+            "segmenting pitch must be strictly positive"
+        );
+        self.build_split(|wire| {
+            wire.length()
+                .map(|len| ((len / pitch).ceil() as usize).max(1))
+        })
     }
-    Ok(SegmentResult {
-        tree: b.build()?,
-        added_sites,
-    })
+
+    /// The one segmenting routine: splits the recorded wires, builds once,
+    /// and reports a wire `pieces_for` could not size only if the build
+    /// itself succeeds.
+    fn build_split(
+        mut self,
+        pieces_for: impl Fn(&Wire) -> Option<usize>,
+    ) -> Result<SegmentResult, TreeError> {
+        let (added_sites, unsplit) = self.split_wires(pieces_for);
+        let tree = self.build()?;
+        if let Some(child) = unsplit {
+            return Err(TreeError::MissingWireLength { child });
+        }
+        Ok(SegmentResult { tree, added_sites })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{NodeId, Wire};
+    use crate::node::NodeId;
     use fastbuf_buflib::units::{Farads, Ohms, Seconds};
     use fastbuf_buflib::{Driver, Technology};
 

@@ -312,6 +312,23 @@ impl RoutingTree {
 /// with [`TreeBuilder::connect`]; finish with [`TreeBuilder::build`], which
 /// validates the whole structure.
 ///
+/// The contract the generators and the segmenters rely on:
+///
+/// * node ids follow creation order (`NodeId::new(0)` is the first node
+///   created);
+/// * [`RoutingTree::children`] lists each node's children in the order
+///   they were connected;
+/// * [`TreeBuilder::build_segmented_by_pitch`] and
+///   [`TreeBuilder::build_segmented_uniform`] keep every id, append the new
+///   sites after the existing nodes in child-id order (the sites of the
+///   wire above node `v` come before those above `v + 1`), and re-connect
+///   every node's children in child-id order.
+///
+/// The builder keeps one flat list of connected children, so building
+/// costs a fixed number of allocations whatever the node count; callers
+/// that know their size can reserve it up front with
+/// [`TreeBuilder::with_capacity`].
+///
 /// # Example
 ///
 /// ```
@@ -338,7 +355,9 @@ pub struct TreeBuilder {
     sites: Vec<SiteConstraint>,
     parent: Vec<Option<NodeId>>,
     wires: Vec<Wire>,
-    children: Vec<Vec<NodeId>>,
+    /// Every connected child, in connect order; its parent and wire are
+    /// `parent[child]` and `wires[child]`.
+    edges: Vec<NodeId>,
     source: Option<NodeId>,
     extra_source: Option<NodeId>,
 }
@@ -349,13 +368,45 @@ impl TreeBuilder {
         TreeBuilder::default()
     }
 
+    /// Creates an empty builder with room for `nodes` nodes (and the
+    /// `nodes - 1` wires a tree of that size has), so building a tree of
+    /// that size allocates nothing while nodes are added.
+    pub fn with_capacity(nodes: usize) -> Self {
+        TreeBuilder {
+            kinds: Vec::with_capacity(nodes),
+            sites: Vec::with_capacity(nodes),
+            parent: Vec::with_capacity(nodes),
+            wires: Vec::with_capacity(nodes),
+            edges: Vec::with_capacity(nodes.saturating_sub(1)),
+            source: None,
+            extra_source: None,
+        }
+    }
+
+    /// A builder holding `tree`'s nodes (same ids, kinds and site
+    /// constraints) and wires, with every child connected in id order.
+    /// Site variation is not carried over.
+    pub(crate) fn from_tree(tree: &RoutingTree) -> Self {
+        TreeBuilder {
+            kinds: tree.kinds.clone(),
+            sites: tree.sites.clone(),
+            parent: tree.parent.clone(),
+            wires: tree.wires.clone(),
+            edges: tree
+                .node_ids()
+                .filter(|&v| tree.parent(v).is_some())
+                .collect(),
+            source: Some(tree.root),
+            extra_source: None,
+        }
+    }
+
     fn push(&mut self, kind: NodeKind, site: SiteConstraint) -> NodeId {
         let id = NodeId::new(self.kinds.len());
         self.kinds.push(kind);
         self.sites.push(site);
         self.parent.push(None);
         self.wires.push(Wire::zero());
-        self.children.push(Vec::new());
         id
     }
 
@@ -452,13 +503,64 @@ impl TreeBuilder {
         }
         self.parent[child.index()] = Some(parent);
         self.wires[child.index()] = wire;
-        self.children[parent.index()].push(child);
+        self.edges.push(child);
         Ok(())
     }
 
     /// Number of nodes created so far.
     pub fn node_count(&self) -> usize {
         self.kinds.len()
+    }
+
+    /// Splits the wire above every connected node `v` into
+    /// `pieces_for(wire)` equal pieces (at least one) joined by new buffer
+    /// sites, and re-connects every child list in child-id order (see the
+    /// type's contract). A wire for which `pieces_for` returns `None` stays
+    /// whole; the first such child in id order is returned with the number
+    /// of sites added.
+    pub(crate) fn split_wires(
+        &mut self,
+        pieces_for: impl Fn(&Wire) -> Option<usize>,
+    ) -> (usize, Option<NodeId>) {
+        let n = self.kinds.len();
+        let pieces = |wire: &Wire| pieces_for(wire).map_or(1, |k| k.max(1));
+        let mut added = 0;
+        let mut unsplit = None;
+        for v in 0..n {
+            if self.parent[v].is_some() {
+                match pieces_for(&self.wires[v]) {
+                    Some(k) => added += k.max(1) - 1,
+                    None if unsplit.is_none() => unsplit = Some(NodeId::new(v)),
+                    None => {}
+                }
+            }
+        }
+        self.kinds.reserve_exact(added);
+        self.sites.reserve_exact(added);
+        self.parent.reserve_exact(added);
+        self.wires.reserve_exact(added);
+        let mut edges = Vec::with_capacity(self.edges.len() + added);
+        for v in 0..n {
+            let Some(parent) = self.parent[v] else {
+                continue;
+            };
+            let wire = self.wires[v];
+            let pieces = pieces(&wire);
+            let seg = wire.split(pieces);
+            let mut upstream = parent;
+            for _ in 1..pieces {
+                let site = self.push(NodeKind::Internal, SiteConstraint::AnyBuffer);
+                self.parent[site.index()] = Some(upstream);
+                self.wires[site.index()] = seg;
+                edges.push(site);
+                upstream = site;
+            }
+            self.parent[v] = Some(upstream);
+            self.wires[v] = seg;
+            edges.push(NodeId::new(v));
+        }
+        self.edges = edges;
+        (added, unsplit)
     }
 
     /// Validates the structure and produces the immutable tree.
@@ -473,6 +575,18 @@ impl TreeBuilder {
             return Err(TreeError::MultipleSources { second });
         }
         let n = self.kinds.len();
+        let parent_of = |child: NodeId| self.parent[child.index()].expect("connected child");
+
+        // Children CSR, first pass: `child_start[i]` becomes the offset of
+        // node i's children.
+        let mut child_start = vec![0u32; n + 1];
+        for &child in &self.edges {
+            child_start[parent_of(child).index() + 1] += 1;
+        }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let has_children = |i: usize| child_start[i + 1] > child_start[i];
 
         // Per-node validity.
         let mut sink_count = 0usize;
@@ -491,12 +605,12 @@ impl TreeBuilder {
                     {
                         return Err(TreeError::InvalidSink { node: id });
                     }
-                    if !self.children[i].is_empty() {
+                    if has_children(i) {
                         return Err(TreeError::SinkWithChildren { node: id });
                     }
                 }
                 NodeKind::Internal => {
-                    if self.children[i].is_empty() {
+                    if !has_children(i) {
                         return Err(TreeError::InternalLeaf { node: id });
                     }
                     if self.sites[i].is_site() {
@@ -510,38 +624,47 @@ impl TreeBuilder {
             return Err(TreeError::NoSinks);
         }
 
-        // Reachability + post-order via iterative DFS.
+        // Second pass, a stable counting sort: each parent's children land
+        // in connect order. Filling advances `child_start[p]` to the end of
+        // p's run, which is where p + 1 starts, so a shift restores it.
+        let mut child_list = vec![root; self.edges.len()];
+        for &child in &self.edges {
+            let slot = &mut child_start[parent_of(child).index()];
+            child_list[*slot as usize] = child;
+            *slot += 1;
+        }
+        child_start.copy_within(0..n, 1);
+        child_start[0] = 0;
+
+        // Post-order via iterative DFS. `connect` gives every node at most
+        // one parent, so each reachable node is visited exactly once and the
+        // tree is connected iff the post-order holds all n nodes. The stack
+        // holds at most one entry per tree level.
         let mut postorder = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        // Stack of (node, next-child-index).
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-        visited[root.index()] = true;
-        while let Some((node, ci)) = stack.pop() {
-            let kids = &self.children[node.index()];
-            if ci < kids.len() {
-                stack.push((node, ci + 1));
-                let child = kids[ci];
-                // `connect` guarantees each child has exactly one parent, so
-                // a repeat visit is impossible in a well-formed builder.
-                visited[child.index()] = true;
-                stack.push((child, 0));
+        // Stack of (node, next-child offset).
+        let mut stack: Vec<(NodeId, u32)> = Vec::with_capacity(n);
+        stack.push((root, child_start[root.index()]));
+        while let Some((node, next)) = stack.pop() {
+            if next < child_start[node.index() + 1] {
+                stack.push((node, next + 1));
+                let child = child_list[next as usize];
+                stack.push((child, child_start[child.index()]));
             } else {
                 postorder.push(node);
             }
         }
-        if let Some(i) = visited.iter().position(|&v| !v) {
+        if postorder.len() < n {
+            let mut visited = vec![false; n];
+            for v in &postorder {
+                visited[v.index()] = true;
+            }
+            let first = visited
+                .iter()
+                .position(|&v| !v)
+                .expect("a node is unvisited");
             return Err(TreeError::Unreachable {
-                node: NodeId::new(i),
+                node: NodeId::new(first),
             });
-        }
-
-        // Children CSR.
-        let mut child_start = Vec::with_capacity(n + 1);
-        let mut child_list = Vec::with_capacity(n.saturating_sub(1));
-        child_start.push(0u32);
-        for kids in &self.children {
-            child_list.extend_from_slice(kids);
-            child_start.push(child_list.len() as u32);
         }
 
         Ok(RoutingTree {

@@ -1,0 +1,136 @@
+//! Allocation guard for tree building and net generation.
+//!
+//! `TreeBuilder` keeps one flat list of connected children and the
+//! generators segment their wires before a single build, so building a
+//! tree, and generating a whole net, costs a fixed number of heap
+//! allocations whatever the node count. This binary installs a counting
+//! global allocator that counts only the calling thread's allocations
+//! (other test threads run beside it) and checks that the count does not
+//! grow between 1× and 8× the node count, so a per-node allocation cannot
+//! creep back unnoticed.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use fastbuf::buflib::units::{Farads, Microns, Ohms, Seconds};
+use fastbuf::buflib::{Driver, Technology};
+use fastbuf::netgen::RandomNetSpec;
+use fastbuf::rctree::{NodeId, TreeBuilder, Wire};
+
+thread_local! {
+    /// Allocations (including reallocations) made by this thread while
+    /// `COUNTING` is set.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn record() {
+        if COUNTING.with(Cell::get) {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// bookkeeping only touches const-initialized thread-locals, which never
+// allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::record();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::record();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::record();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the number of allocations it made
+/// on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, ALLOCATIONS.with(Cell::get))
+}
+
+/// A builder for a complete ternary tree of `nodes` nodes: node `i > 0`
+/// hangs below node `(i - 1) / 3`, and nodes without children are sinks.
+/// Wires are connected in reverse id order, so the child lists need the
+/// sort.
+fn ternary_builder(nodes: usize) -> TreeBuilder {
+    let tech = Technology::tsmc180_like();
+    let mut b = TreeBuilder::new();
+    b.source(Driver::new(Ohms::new(120.0)));
+    for i in 1..nodes {
+        if 3 * i + 1 < nodes {
+            b.buffer_site();
+        } else {
+            b.sink(Farads::from_femto(8.0), Seconds::from_pico(900.0));
+        }
+    }
+    for i in (1..nodes).rev() {
+        let wire = Wire::from_length(&tech, Microns::new(150.0));
+        b.connect(NodeId::new((i - 1) / 3), NodeId::new(i), wire)
+            .unwrap();
+    }
+    b
+}
+
+#[test]
+fn tree_build_allocations_do_not_grow_with_the_node_count() {
+    let (small_nodes, large_nodes) = (1_000, 8_000);
+    let (small, large) = (ternary_builder(small_nodes), ternary_builder(large_nodes));
+    let (tree, at_1x) = counted(|| small.build().unwrap());
+    assert_eq!(tree.node_count(), small_nodes);
+    let (tree, at_8x) = counted(|| large.build().unwrap());
+    assert_eq!(tree.node_count(), large_nodes);
+    assert!(
+        at_8x <= at_1x,
+        "TreeBuilder::build made {at_1x} allocations at {small_nodes} nodes \
+         and {at_8x} at {large_nodes}"
+    );
+}
+
+#[test]
+fn net_generation_allocations_do_not_grow_with_the_node_count() {
+    // The die grows with √sinks, as in `SuiteSpec`, so segmenting adds
+    // sites in proportion to the sinks.
+    let spec = |sinks: usize| RandomNetSpec {
+        sinks,
+        seed: 3,
+        die: Microns::new(250.0 * (sinks as f64).sqrt()),
+        ..RandomNetSpec::default()
+    };
+    let (small, at_1x) = counted(|| spec(64).build());
+    let (large, at_8x) = counted(|| spec(512).build());
+    assert!(
+        large.node_count() >= 7 * small.node_count(),
+        "{} vs {} nodes",
+        small.node_count(),
+        large.node_count()
+    );
+    assert!(
+        at_8x <= at_1x,
+        "RandomNetSpec::build made {at_1x} allocations at {} nodes and {at_8x} at {}",
+        small.node_count(),
+        large.node_count()
+    );
+}
