@@ -193,32 +193,33 @@ impl Default for SiteVariation {
 /// assert!((a.resistance().value() - 1.9).abs() < 1e-9);
 /// assert_eq!(a, b);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy)]
 pub struct Wire {
     resistance: Ohms,
     capacitance: Farads,
-    length: Option<Microns>,
+    /// The length in microns, or the bits [`NO_LENGTH`] when it is unknown.
+    length: f64,
+}
+
+/// The stored length of a wire without one: a NaN, which no [`Microns`]
+/// value is.
+const NO_LENGTH: u64 = 0x7ff8_0000_0000_0001;
+
+fn encode_length(length: Option<Microns>) -> f64 {
+    length.map_or(f64::from_bits(NO_LENGTH), Microns::value)
 }
 
 impl Wire {
     /// Creates a wire from lumped parasitics (no geometric length).
     pub fn new(resistance: Ohms, capacitance: Farads) -> Self {
-        Wire {
-            resistance,
-            capacitance,
-            length: None,
-        }
+        Wire::from_parts(resistance, capacitance, None)
     }
 
     /// Creates a wire of the given length in a technology; parasitics are
     /// `length ×` the technology's per-micron values.
     pub fn from_length(tech: &Technology, length: Microns) -> Self {
         let (r, c) = tech.wire(length);
-        Wire {
-            resistance: r,
-            capacitance: c,
-            length: Some(length),
-        }
+        Wire::from_parts(r, c, Some(length))
     }
 
     /// Creates a wire from explicit parasitics and an optional geometric
@@ -228,7 +229,7 @@ impl Wire {
         Wire {
             resistance,
             capacitance,
-            length,
+            length: encode_length(length),
         }
     }
 
@@ -236,11 +237,7 @@ impl Wire {
     /// `(v, v')` of zero resistance and capacitance in the paper's
     /// `AddBuffer` description.
     pub fn zero() -> Self {
-        Wire {
-            resistance: Ohms::ZERO,
-            capacitance: Farads::ZERO,
-            length: Some(Microns::ZERO),
-        }
+        Wire::from_parts(Ohms::ZERO, Farads::ZERO, Some(Microns::ZERO))
     }
 
     /// Lumped resistance.
@@ -258,7 +255,7 @@ impl Wire {
     /// Geometric length, if known.
     #[inline]
     pub fn length(&self) -> Option<Microns> {
-        self.length
+        (self.length.to_bits() != NO_LENGTH).then(|| Microns::new(self.length))
     }
 
     /// An equal division of this wire into `pieces` parts (parasitics and
@@ -270,11 +267,11 @@ impl Wire {
     pub fn split(&self, pieces: usize) -> Wire {
         assert!(pieces > 0, "cannot split a wire into zero pieces");
         let k = pieces as f64;
-        Wire {
-            resistance: self.resistance / k,
-            capacitance: self.capacitance / k,
-            length: self.length.map(|l| l / k),
-        }
+        Wire::from_parts(
+            self.resistance / k,
+            self.capacitance / k,
+            self.length().map(|l| l / k),
+        )
     }
 
     /// Elmore delay of this wire driving `downstream` capacitance:
@@ -290,6 +287,26 @@ impl Wire {
             && self.capacitance.is_finite()
             && self.resistance >= Ohms::ZERO
             && self.capacitance >= Farads::ZERO
+    }
+}
+
+/// Equal parasitics and equal lengths, where an unknown length equals only
+/// another unknown one (as `Option<Microns>` compares).
+impl PartialEq for Wire {
+    fn eq(&self, other: &Wire) -> bool {
+        self.resistance == other.resistance
+            && self.capacitance == other.capacitance
+            && self.length() == other.length()
+    }
+}
+
+impl fmt::Debug for Wire {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Wire")
+            .field("resistance", &self.resistance)
+            .field("capacitance", &self.capacitance)
+            .field("length", &self.length())
+            .finish()
     }
 }
 
@@ -371,6 +388,26 @@ mod tests {
         assert_eq!(
             Wire::zero().delay(Farads::from_femto(1000.0)),
             Seconds::ZERO
+        );
+    }
+
+    #[test]
+    fn an_unknown_length_is_distinct_from_every_length() {
+        let (r, c) = (Ohms::new(10.0), Farads::from_femto(2.0));
+        let unknown = Wire::new(r, c);
+        assert_eq!(std::mem::size_of::<Wire>(), 24);
+        assert_eq!(unknown.length(), None);
+        assert_eq!(unknown.split(3).length(), None);
+        assert_eq!(unknown, Wire::from_parts(r, c, None));
+        for length in [0.0, -0.0, 7.5, f64::MIN_POSITIVE, f64::MAX, f64::INFINITY] {
+            let known = Wire::from_parts(r, c, Some(Microns::new(length)));
+            assert!(known.length().is_some(), "{length}");
+            assert!(known.split(3).length().is_some(), "{length}");
+            assert_ne!(known, unknown, "{length}");
+        }
+        assert_eq!(
+            format!("{unknown:?}"),
+            format!("Wire {{ resistance: {r:?}, capacitance: {c:?}, length: None }}")
         );
     }
 

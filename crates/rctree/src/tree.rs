@@ -1,4 +1,13 @@
 //! The routing tree and its builder.
+//!
+//! Both hold a tree as per-node columns ([`Nodes`]), and
+//! [`TreeBuilder::build`] moves the builder's columns into the tree
+//! without copying them. A node costs 45 bytes: a `u32` terminal slot,
+//! a `u8` site tag, a `u32` parent, a 24-byte [`Wire`], and the tree's
+//! `u32` child offset, child entry and post-order entry. Only sinks and
+//! the source pay another 24 bytes, for their [`NodeKind`]; `Subset`
+//! constraints and site variation live in tables that most trees leave
+//! empty.
 
 use fastbuf_buflib::units::{Farads, Seconds};
 use fastbuf_buflib::Driver;
@@ -6,6 +15,173 @@ use fastbuf_buflib::Driver;
 use crate::error::TreeError;
 use crate::node::{NodeId, NodeKind, SiteConstraint, SiteVariation, Wire};
 use crate::stats::TreeStats;
+
+/// An absent id in a `u32` column: no parent (the root, or a builder node
+/// not yet connected), or no terminal slot (an internal node).
+const NONE: u32 = u32::MAX;
+
+/// Site tags: a node's [`SiteConstraint`] variant.
+const NOT_A_SITE: u8 = 0;
+const ANY_BUFFER: u8 = 1;
+/// A [`SiteConstraint::Subset`], whose set is in [`Nodes::subsets`].
+const SUBSET: u8 = 2;
+
+/// What [`RoutingTree::kind`] and [`RoutingTree::site_constraint`] lend
+/// for the nodes whose column holds only a tag.
+static INTERNAL: NodeKind = NodeKind::Internal;
+static NOT_A_SITE_CONSTRAINT: SiteConstraint = SiteConstraint::NotASite;
+static ANY_BUFFER_CONSTRAINT: SiteConstraint = SiteConstraint::AnyBuffer;
+
+/// The per-node columns of a tree, shared by [`TreeBuilder`] and
+/// [`RoutingTree`].
+#[derive(Clone, Debug, Default)]
+struct Nodes {
+    /// Slot in `terminals` of a sink or source; `NONE` for internal nodes.
+    terminal: Vec<u32>,
+    /// The kinds of the sinks and sources, in id order.
+    terminals: Vec<NodeKind>,
+    /// Site tag per node.
+    site: Vec<u8>,
+    /// The constraints of the nodes tagged `SUBSET`, sorted by id.
+    subsets: Vec<(NodeId, SiteConstraint)>,
+    /// Parent id per node; `NONE` for the root and unconnected nodes.
+    parent: Vec<u32>,
+    /// The wire to the parent (meaningless while `parent` is `NONE`).
+    wires: Vec<Wire>,
+}
+
+impl Nodes {
+    /// Room for `nodes` nodes, half of them sinks: the share of a tree
+    /// whose every internal node branches. Terminals never outnumber the
+    /// nodes, so a tree with more regrows `terminals` at most once.
+    fn with_capacity(nodes: usize) -> Self {
+        Nodes {
+            terminal: Vec::with_capacity(nodes),
+            terminals: Vec::with_capacity(nodes / 2 + 1),
+            site: Vec::with_capacity(nodes),
+            subsets: Vec::new(),
+            parent: Vec::with_capacity(nodes),
+            wires: Vec::with_capacity(nodes),
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.terminal.len()
+    }
+
+    fn reserve_exact(&mut self, additional: usize) {
+        self.terminal.reserve_exact(additional);
+        self.site.reserve_exact(additional);
+        self.parent.reserve_exact(additional);
+        self.wires.reserve_exact(additional);
+    }
+
+    /// Appends an unconnected node.
+    fn push(&mut self, kind: NodeKind, site: SiteConstraint) -> NodeId {
+        let id = NodeId::new(self.len());
+        if kind.is_internal() {
+            self.terminal.push(NONE);
+        } else {
+            self.terminal.push(self.terminals.len() as u32);
+            self.terminals.push(kind);
+        }
+        self.site.push(NOT_A_SITE);
+        self.parent.push(NONE);
+        self.wires.push(Wire::zero());
+        self.set_site(id, site);
+        id
+    }
+
+    #[inline]
+    fn kind(&self, i: usize) -> &NodeKind {
+        match self.terminal[i] {
+            NONE => &INTERNAL,
+            slot => &self.terminals[slot as usize],
+        }
+    }
+
+    /// The load and required time of sink `node`, for editing.
+    fn sink_mut(&mut self, node: NodeId) -> Result<(&mut Farads, &mut Seconds), TreeError> {
+        let slot = *self
+            .terminal
+            .get(node.index())
+            .ok_or(TreeError::UnknownNode { node })?;
+        match self.terminals.get_mut(slot as usize) {
+            Some(NodeKind::Sink {
+                capacitance,
+                required_arrival,
+            }) => Ok((capacitance, required_arrival)),
+            _ => Err(TreeError::NotASink { node }),
+        }
+    }
+
+    #[inline]
+    fn parent(&self, i: usize) -> Option<NodeId> {
+        match self.parent[i] {
+            NONE => None,
+            p => Some(NodeId::new(p as usize)),
+        }
+    }
+
+    fn subset_slot(&self, node: NodeId) -> Result<usize, usize> {
+        self.subsets.binary_search_by_key(&node, |&(v, _)| v)
+    }
+
+    #[inline]
+    fn site(&self, i: usize) -> &SiteConstraint {
+        match self.site[i] {
+            NOT_A_SITE => &NOT_A_SITE_CONSTRAINT,
+            ANY_BUFFER => &ANY_BUFFER_CONSTRAINT,
+            _ => {
+                let slot = self.subset_slot(NodeId::new(i));
+                &self.subsets[slot.expect("a subset-tagged node has a set")].1
+            }
+        }
+    }
+
+    #[inline]
+    fn is_site(&self, i: usize) -> bool {
+        match self.site[i] {
+            NOT_A_SITE => false,
+            ANY_BUFFER => true,
+            _ => self.site(i).is_site(),
+        }
+    }
+
+    /// Replaces the constraint at `node`, keeping `subsets` sorted.
+    fn set_site(&mut self, node: NodeId, constraint: SiteConstraint) {
+        let i = node.index();
+        let was_subset = self.site[i] == SUBSET;
+        self.site[i] = match constraint {
+            SiteConstraint::NotASite => NOT_A_SITE,
+            SiteConstraint::AnyBuffer => ANY_BUFFER,
+            SiteConstraint::Subset(_) => SUBSET,
+        };
+        if self.site[i] == SUBSET {
+            match self.subset_slot(node) {
+                Ok(slot) => self.subsets[slot].1 = constraint,
+                Err(slot) => self.subsets.insert(slot, (node, constraint)),
+            }
+        } else if was_subset {
+            let slot = self.subset_slot(node);
+            self.subsets
+                .remove(slot.expect("a subset-tagged node has a set"));
+        }
+    }
+
+    /// The constraint check both [`TreeBuilder::set_site_constraint`] and
+    /// [`RoutingTree::set_site_constraint`] make before replacing one.
+    fn check_site(&self, node: NodeId, constraint: &SiteConstraint) -> Result<(), TreeError> {
+        if node.index() >= self.len() {
+            return Err(TreeError::UnknownNode { node });
+        }
+        if !self.kind(node.index()).is_internal() && constraint.is_site() {
+            return Err(TreeError::SiteOnNonInternal { node });
+        }
+        Ok(())
+    }
+}
 
 /// An immutable, validated routing tree.
 ///
@@ -18,16 +194,14 @@ use crate::stats::TreeStats;
 /// * a post-order traversal (children before parents) is precomputed.
 #[derive(Clone, Debug)]
 pub struct RoutingTree {
-    kinds: Vec<NodeKind>,
-    sites: Vec<SiteConstraint>,
+    nodes: Nodes,
+    /// Empty while every node is nominal; one entry per node after the
+    /// first non-nominal [`RoutingTree::set_site_variation`].
     variation: Vec<SiteVariation>,
-    parent: Vec<Option<NodeId>>,
-    wires: Vec<Wire>,
     child_start: Vec<u32>,
     child_list: Vec<NodeId>,
     postorder: Vec<NodeId>,
     root: NodeId,
-    sink_count: usize,
     site_count: usize,
 }
 
@@ -35,7 +209,7 @@ impl RoutingTree {
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.kinds.len()
+        self.nodes.len()
     }
 
     /// The root (source) node.
@@ -46,7 +220,7 @@ impl RoutingTree {
 
     /// The source driver.
     pub fn driver(&self) -> &Driver {
-        match &self.kinds[self.root.index()] {
+        match self.kind(self.root) {
             NodeKind::Source { driver } => driver,
             _ => unreachable!("root is always a source"),
         }
@@ -59,20 +233,20 @@ impl RoutingTree {
     /// Panics if `node` is not from this tree.
     #[inline]
     pub fn kind(&self, node: NodeId) -> &NodeKind {
-        &self.kinds[node.index()]
+        self.nodes.kind(node.index())
     }
 
     /// The buffer-site constraint at `node` ([`SiteConstraint::NotASite`]
     /// for sinks and the source).
     #[inline]
     pub fn site_constraint(&self, node: NodeId) -> &SiteConstraint {
-        &self.sites[node.index()]
+        self.nodes.site(node.index())
     }
 
     /// `true` if buffers may be inserted at `node`.
     #[inline]
     pub fn is_buffer_site(&self, node: NodeId) -> bool {
-        self.sites[node.index()].is_site()
+        self.nodes.is_site(node.index())
     }
 
     /// The local process-variation factors at `node`
@@ -81,28 +255,29 @@ impl RoutingTree {
     /// variation-free arithmetic bit for bit.
     #[inline]
     pub fn site_variation(&self, node: NodeId) -> SiteVariation {
-        self.variation[node.index()]
-    }
-
-    /// `true` if any node carries a non-nominal [`SiteVariation`].
-    pub fn has_site_variation(&self) -> bool {
-        self.variation.iter().any(|v| !v.is_nominal())
+        match self.variation.get(node.index()) {
+            Some(&variation) => variation,
+            None => {
+                assert!(
+                    node.index() < self.node_count(),
+                    "{node} is not in the tree"
+                );
+                SiteVariation::NOMINAL
+            }
+        }
     }
 
     /// The parent of `node` (`None` for the root).
     #[inline]
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.parent[node.index()]
+        self.nodes.parent(node.index())
     }
 
     /// The wire from `node` to its parent (`None` for the root).
     #[inline]
     pub fn wire_to_parent(&self, node: NodeId) -> Option<&Wire> {
-        if self.parent[node.index()].is_some() {
-            Some(&self.wires[node.index()])
-        } else {
-            None
-        }
+        let i = node.index();
+        (self.nodes.parent[i] != NONE).then(|| &self.nodes.wires[i])
     }
 
     /// The children of `node`.
@@ -122,12 +297,12 @@ impl RoutingTree {
 
     /// Iterates over all node ids in index order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.kinds.len()).map(NodeId::new)
+        (0..self.node_count()).map(NodeId::new)
     }
 
     /// Iterates over sink nodes in index order.
     pub fn sinks(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_ids().filter(|&n| self.kinds[n.index()].is_sink())
+        self.node_ids().filter(|&n| self.kind(n).is_sink())
     }
 
     /// Iterates over buffer positions in index order.
@@ -138,7 +313,8 @@ impl RoutingTree {
     /// Number of sinks (the paper's `m`).
     #[inline]
     pub fn sink_count(&self) -> usize {
-        self.sink_count
+        // Every terminal but the one source is a sink.
+        self.nodes.terminals.len() - 1
     }
 
     /// Number of buffer positions (the paper's `n`).
@@ -164,16 +340,16 @@ impl RoutingTree {
     /// has no parent wire), or [`TreeError::InvalidWire`] (negative /
     /// non-finite parasitics).
     pub fn set_wire_to_parent(&mut self, node: NodeId, wire: Wire) -> Result<(), TreeError> {
-        if node.index() >= self.kinds.len() {
+        if node.index() >= self.node_count() {
             return Err(TreeError::UnknownNode { node });
         }
-        if self.parent[node.index()].is_none() {
+        if self.parent(node).is_none() {
             return Err(TreeError::NoParentWire { node });
         }
         if !wire.is_valid() {
             return Err(TreeError::InvalidWire { child: node });
         }
-        self.wires[node.index()] = wire;
+        self.nodes.wires[node.index()] = wire;
         Ok(())
     }
 
@@ -188,16 +364,8 @@ impl RoutingTree {
         if !rat.is_finite() {
             return Err(TreeError::InvalidSink { node });
         }
-        match self.kinds.get_mut(node.index()) {
-            None => Err(TreeError::UnknownNode { node }),
-            Some(NodeKind::Sink {
-                required_arrival, ..
-            }) => {
-                *required_arrival = rat;
-                Ok(())
-            }
-            Some(_) => Err(TreeError::NotASink { node }),
-        }
+        *self.nodes.sink_mut(node)?.1 = rat;
+        Ok(())
     }
 
     /// Replaces the load capacitance of sink `node` (topology preserving).
@@ -210,14 +378,8 @@ impl RoutingTree {
         if !cap.is_finite() || cap < Farads::ZERO {
             return Err(TreeError::InvalidSink { node });
         }
-        match self.kinds.get_mut(node.index()) {
-            None => Err(TreeError::UnknownNode { node }),
-            Some(NodeKind::Sink { capacitance, .. }) => {
-                *capacitance = cap;
-                Ok(())
-            }
-            Some(_) => Err(TreeError::NotASink { node }),
-        }
+        *self.nodes.sink_mut(node)?.0 = cap;
+        Ok(())
     }
 
     /// Replaces the buffer-site constraint at `node`, keeping
@@ -234,16 +396,10 @@ impl RoutingTree {
         node: NodeId,
         constraint: SiteConstraint,
     ) -> Result<(), TreeError> {
-        let kind = self
-            .kinds
-            .get(node.index())
-            .ok_or(TreeError::UnknownNode { node })?;
-        if !kind.is_internal() && constraint.is_site() {
-            return Err(TreeError::SiteOnNonInternal { node });
-        }
-        let was = self.sites[node.index()].is_site();
+        self.nodes.check_site(node, &constraint)?;
+        let was = self.nodes.is_site(node.index());
         let is = constraint.is_site();
-        self.sites[node.index()] = constraint;
+        self.nodes.set_site(node, constraint);
         match (was, is) {
             (true, false) => self.site_count -= 1,
             (false, true) => self.site_count += 1,
@@ -267,11 +423,17 @@ impl RoutingTree {
         node: NodeId,
         variation: SiteVariation,
     ) -> Result<(), TreeError> {
-        if node.index() >= self.kinds.len() {
+        if node.index() >= self.node_count() {
             return Err(TreeError::UnknownNode { node });
         }
         if !variation.is_valid() {
             return Err(TreeError::InvalidVariation { node });
+        }
+        if self.variation.is_empty() {
+            if variation.is_nominal() {
+                return Ok(());
+            }
+            self.variation = vec![SiteVariation::NOMINAL; self.node_count()];
         }
         self.variation[node.index()] = variation;
         Ok(())
@@ -293,7 +455,7 @@ impl RoutingTree {
             "RAT derate must be finite and positive, got {factor}"
         );
         let mut derated = self.clone();
-        for kind in &mut derated.kinds {
+        for kind in &mut derated.nodes.terminals {
             if let NodeKind::Sink {
                 required_arrival, ..
             } = kind
@@ -324,10 +486,10 @@ impl RoutingTree {
 ///   wire above node `v` come before those above `v + 1`), and re-connect
 ///   every node's children in child-id order.
 ///
-/// The builder keeps one flat list of connected children, so building
-/// costs a fixed number of allocations whatever the node count; callers
-/// that know their size can reserve it up front with
-/// [`TreeBuilder::with_capacity`].
+/// The builder keeps the tree's own node columns plus one flat list of
+/// connected children, so building costs a fixed number of allocations
+/// whatever the node count; callers that know their size can reserve it
+/// up front with [`TreeBuilder::with_capacity`].
 ///
 /// # Example
 ///
@@ -351,12 +513,9 @@ impl RoutingTree {
 /// ```
 #[derive(Debug, Default)]
 pub struct TreeBuilder {
-    kinds: Vec<NodeKind>,
-    sites: Vec<SiteConstraint>,
-    parent: Vec<Option<NodeId>>,
-    wires: Vec<Wire>,
+    nodes: Nodes,
     /// Every connected child, in connect order; its parent and wire are
-    /// `parent[child]` and `wires[child]`.
+    /// in `nodes`.
     edges: Vec<NodeId>,
     source: Option<NodeId>,
     extra_source: Option<NodeId>,
@@ -370,13 +529,10 @@ impl TreeBuilder {
 
     /// Creates an empty builder with room for `nodes` nodes (and the
     /// `nodes - 1` wires a tree of that size has), so building a tree of
-    /// that size allocates nothing while nodes are added.
+    /// that size allocates nothing per node while nodes are added.
     pub fn with_capacity(nodes: usize) -> Self {
         TreeBuilder {
-            kinds: Vec::with_capacity(nodes),
-            sites: Vec::with_capacity(nodes),
-            parent: Vec::with_capacity(nodes),
-            wires: Vec::with_capacity(nodes),
+            nodes: Nodes::with_capacity(nodes),
             edges: Vec::with_capacity(nodes.saturating_sub(1)),
             source: None,
             extra_source: None,
@@ -388,10 +544,7 @@ impl TreeBuilder {
     /// Site variation is not carried over.
     pub(crate) fn from_tree(tree: &RoutingTree) -> Self {
         TreeBuilder {
-            kinds: tree.kinds.clone(),
-            sites: tree.sites.clone(),
-            parent: tree.parent.clone(),
-            wires: tree.wires.clone(),
+            nodes: tree.nodes.clone(),
             edges: tree
                 .node_ids()
                 .filter(|&v| tree.parent(v).is_some())
@@ -401,20 +554,13 @@ impl TreeBuilder {
         }
     }
 
-    fn push(&mut self, kind: NodeKind, site: SiteConstraint) -> NodeId {
-        let id = NodeId::new(self.kinds.len());
-        self.kinds.push(kind);
-        self.sites.push(site);
-        self.parent.push(None);
-        self.wires.push(Wire::zero());
-        id
-    }
-
     /// Adds the source node. The first call defines the root; additional
     /// calls are recorded and reported as
     /// [`TreeError::MultipleSources`] by [`TreeBuilder::build`].
     pub fn source(&mut self, driver: Driver) -> NodeId {
-        let id = self.push(NodeKind::Source { driver }, SiteConstraint::NotASite);
+        let id = self
+            .nodes
+            .push(NodeKind::Source { driver }, SiteConstraint::NotASite);
         if self.source.is_none() {
             self.source = Some(id);
         } else if self.extra_source.is_none() {
@@ -426,7 +572,7 @@ impl TreeBuilder {
     /// Adds a sink with the given load capacitance and required arrival
     /// time. Parameter validity is checked by [`TreeBuilder::build`].
     pub fn sink(&mut self, capacitance: Farads, required_arrival: Seconds) -> NodeId {
-        self.push(
+        self.nodes.push(
             NodeKind::Sink {
                 capacitance,
                 required_arrival,
@@ -438,17 +584,19 @@ impl TreeBuilder {
     /// Adds an internal node that is *not* a buffer position (e.g. a Steiner
     /// branching point).
     pub fn internal(&mut self) -> NodeId {
-        self.push(NodeKind::Internal, SiteConstraint::NotASite)
+        self.nodes
+            .push(NodeKind::Internal, SiteConstraint::NotASite)
     }
 
     /// Adds an internal node where any library buffer may be inserted.
     pub fn buffer_site(&mut self) -> NodeId {
-        self.push(NodeKind::Internal, SiteConstraint::AnyBuffer)
+        self.nodes
+            .push(NodeKind::Internal, SiteConstraint::AnyBuffer)
     }
 
     /// Adds an internal node with an explicit site constraint.
     pub fn internal_with(&mut self, constraint: SiteConstraint) -> NodeId {
-        self.push(NodeKind::Internal, constraint)
+        self.nodes.push(NodeKind::Internal, constraint)
     }
 
     /// Replaces the site constraint of an existing internal node.
@@ -463,14 +611,8 @@ impl TreeBuilder {
         node: NodeId,
         constraint: SiteConstraint,
     ) -> Result<(), TreeError> {
-        let kind = self
-            .kinds
-            .get(node.index())
-            .ok_or(TreeError::UnknownNode { node })?;
-        if !kind.is_internal() && constraint.is_site() {
-            return Err(TreeError::SiteOnNonInternal { node });
-        }
-        self.sites[node.index()] = constraint;
+        self.nodes.check_site(node, &constraint)?;
+        self.nodes.set_site(node, constraint);
         Ok(())
     }
 
@@ -483,33 +625,33 @@ impl TreeBuilder {
     /// [`TreeError::SourceHasParent`], or [`TreeError::InvalidWire`]
     /// (negative / non-finite parasitics).
     pub fn connect(&mut self, parent: NodeId, child: NodeId, wire: Wire) -> Result<(), TreeError> {
-        if parent.index() >= self.kinds.len() {
+        if parent.index() >= self.nodes.len() {
             return Err(TreeError::UnknownNode { node: parent });
         }
-        if child.index() >= self.kinds.len() {
+        if child.index() >= self.nodes.len() {
             return Err(TreeError::UnknownNode { node: child });
         }
         if parent == child {
             return Err(TreeError::SelfLoop { node: parent });
         }
-        if self.kinds[child.index()].is_source() {
+        if self.nodes.kind(child.index()).is_source() {
             return Err(TreeError::SourceHasParent);
         }
-        if self.parent[child.index()].is_some() {
+        if self.nodes.parent[child.index()] != NONE {
             return Err(TreeError::DuplicateParent { node: child });
         }
         if !wire.is_valid() {
             return Err(TreeError::InvalidWire { child });
         }
-        self.parent[child.index()] = Some(parent);
-        self.wires[child.index()] = wire;
+        self.nodes.parent[child.index()] = parent.index() as u32;
+        self.nodes.wires[child.index()] = wire;
         self.edges.push(child);
         Ok(())
     }
 
     /// Number of nodes created so far.
     pub fn node_count(&self) -> usize {
-        self.kinds.len()
+        self.nodes.len()
     }
 
     /// Splits the wire above every connected node `v` into
@@ -522,41 +664,40 @@ impl TreeBuilder {
         &mut self,
         pieces_for: impl Fn(&Wire) -> Option<usize>,
     ) -> (usize, Option<NodeId>) {
-        let n = self.kinds.len();
+        let n = self.nodes.len();
         let pieces = |wire: &Wire| pieces_for(wire).map_or(1, |k| k.max(1));
         let mut added = 0;
         let mut unsplit = None;
         for v in 0..n {
-            if self.parent[v].is_some() {
-                match pieces_for(&self.wires[v]) {
+            if self.nodes.parent[v] != NONE {
+                match pieces_for(&self.nodes.wires[v]) {
                     Some(k) => added += k.max(1) - 1,
                     None if unsplit.is_none() => unsplit = Some(NodeId::new(v)),
                     None => {}
                 }
             }
         }
-        self.kinds.reserve_exact(added);
-        self.sites.reserve_exact(added);
-        self.parent.reserve_exact(added);
-        self.wires.reserve_exact(added);
+        self.nodes.reserve_exact(added);
         let mut edges = Vec::with_capacity(self.edges.len() + added);
         for v in 0..n {
-            let Some(parent) = self.parent[v] else {
+            let Some(parent) = self.nodes.parent(v) else {
                 continue;
             };
-            let wire = self.wires[v];
+            let wire = self.nodes.wires[v];
             let pieces = pieces(&wire);
             let seg = wire.split(pieces);
             let mut upstream = parent;
             for _ in 1..pieces {
-                let site = self.push(NodeKind::Internal, SiteConstraint::AnyBuffer);
-                self.parent[site.index()] = Some(upstream);
-                self.wires[site.index()] = seg;
+                let site = self
+                    .nodes
+                    .push(NodeKind::Internal, SiteConstraint::AnyBuffer);
+                self.nodes.parent[site.index()] = upstream.index() as u32;
+                self.nodes.wires[site.index()] = seg;
                 edges.push(site);
                 upstream = site;
             }
-            self.parent[v] = Some(upstream);
-            self.wires[v] = seg;
+            self.nodes.parent[v] = upstream.index() as u32;
+            self.nodes.wires[v] = seg;
             edges.push(NodeId::new(v));
         }
         self.edges = edges;
@@ -574,14 +715,15 @@ impl TreeBuilder {
         if let Some(second) = self.extra_source {
             return Err(TreeError::MultipleSources { second });
         }
-        let n = self.kinds.len();
-        let parent_of = |child: NodeId| self.parent[child.index()].expect("connected child");
+        let mut nodes = self.nodes;
+        let n = nodes.len();
+        let parent_of = |child: NodeId| nodes.parent[child.index()] as usize;
 
         // Children CSR, first pass: `child_start[i]` becomes the offset of
         // node i's children.
         let mut child_start = vec![0u32; n + 1];
         for &child in &self.edges {
-            child_start[parent_of(child).index() + 1] += 1;
+            child_start[parent_of(child) + 1] += 1;
         }
         for i in 0..n {
             child_start[i + 1] += child_start[i];
@@ -589,16 +731,14 @@ impl TreeBuilder {
         let has_children = |i: usize| child_start[i + 1] > child_start[i];
 
         // Per-node validity.
-        let mut sink_count = 0usize;
         let mut site_count = 0usize;
         for i in 0..n {
             let id = NodeId::new(i);
-            match &self.kinds[i] {
+            match nodes.kind(i) {
                 NodeKind::Sink {
                     capacitance,
                     required_arrival,
                 } => {
-                    sink_count += 1;
                     if !capacitance.is_finite()
                         || *capacitance < Farads::ZERO
                         || !required_arrival.is_finite()
@@ -613,14 +753,15 @@ impl TreeBuilder {
                     if !has_children(i) {
                         return Err(TreeError::InternalLeaf { node: id });
                     }
-                    if self.sites[i].is_site() {
+                    if nodes.is_site(i) {
                         site_count += 1;
                     }
                 }
                 NodeKind::Source { .. } => {}
             }
         }
-        if sink_count == 0 {
+        // The terminals are the one source and the sinks.
+        if nodes.terminals.len() == 1 {
             return Err(TreeError::NoSinks);
         }
 
@@ -629,7 +770,7 @@ impl TreeBuilder {
         // p's run, which is where p + 1 starts, so a shift restores it.
         let mut child_list = vec![root; self.edges.len()];
         for &child in &self.edges {
-            let slot = &mut child_start[parent_of(child).index()];
+            let slot = &mut child_start[parent_of(child)];
             child_list[*slot as usize] = child;
             *slot += 1;
         }
@@ -667,17 +808,16 @@ impl TreeBuilder {
             });
         }
 
+        // The node columns move into the tree as they are; only the side
+        // table, sized by a guess, is trimmed.
+        nodes.terminals.shrink_to_fit();
         Ok(RoutingTree {
-            kinds: self.kinds,
-            sites: self.sites,
-            variation: vec![SiteVariation::NOMINAL; n],
-            parent: self.parent,
-            wires: self.wires,
+            nodes,
+            variation: Vec::new(),
             child_start,
             child_list,
             postorder,
             root,
-            sink_count,
             site_count,
         })
     }
@@ -1057,6 +1197,88 @@ mod tests {
         // Clearing on a sink is an allowed no-op (mirrors the builder).
         t.set_site_constraint(sink, SiteConstraint::NotASite)
             .unwrap();
+    }
+
+    #[test]
+    fn subset_constraints_keep_their_sets_through_edits() {
+        use fastbuf_buflib::{BufferSet, BufferTypeId};
+        use std::sync::Arc;
+        let subset = |ids: &[usize]| {
+            SiteConstraint::Subset(Arc::new(
+                ids.iter()
+                    .map(|&i| BufferTypeId::new(i))
+                    .collect::<BufferSet>(),
+            ))
+        };
+        let mut b = TreeBuilder::new();
+        let (c, r) = sink_args();
+        let src = b.source(Driver::default());
+        let mids: Vec<NodeId> = (0..4).map(|_| b.internal()).collect();
+        let snk = b.sink(c, r);
+        let mut up = src;
+        for &m in &mids {
+            b.connect(up, m, wire()).unwrap();
+            up = m;
+        }
+        b.connect(up, snk, wire()).unwrap();
+        // Set out of id order, replace one set, clear one, and leave one
+        // with an empty set (not a site).
+        b.set_site_constraint(mids[3], subset(&[3])).unwrap();
+        b.set_site_constraint(mids[0], subset(&[0])).unwrap();
+        b.set_site_constraint(mids[2], subset(&[2])).unwrap();
+        b.set_site_constraint(mids[1], subset(&[])).unwrap();
+        b.set_site_constraint(mids[0], subset(&[0, 1])).unwrap();
+        b.set_site_constraint(mids[2], SiteConstraint::AnyBuffer)
+            .unwrap();
+        let mut t = b.build().unwrap();
+        assert_eq!(t.site_constraint(mids[0]), &subset(&[0, 1]));
+        assert_eq!(t.site_constraint(mids[1]), &subset(&[]));
+        assert_eq!(t.site_constraint(mids[2]), &SiteConstraint::AnyBuffer);
+        assert_eq!(t.site_constraint(mids[3]), &subset(&[3]));
+        assert_eq!(t.site_constraint(snk), &SiteConstraint::NotASite);
+        assert!(!t.is_buffer_site(mids[1]));
+        assert_eq!(t.buffer_site_count(), 3);
+        assert_eq!(t.kind(mids[0]), &NodeKind::Internal);
+
+        t.set_site_constraint(mids[3], SiteConstraint::NotASite)
+            .unwrap();
+        t.set_site_constraint(mids[1], subset(&[5])).unwrap();
+        assert_eq!(t.site_constraint(mids[3]), &SiteConstraint::NotASite);
+        assert_eq!(t.site_constraint(mids[1]), &subset(&[5]));
+        assert_eq!(t.site_constraint(mids[0]), &subset(&[0, 1]));
+        assert_eq!(t.buffer_site_count(), 3);
+        assert_eq!(
+            t.buffer_sites().collect::<Vec<_>>(),
+            vec![mids[0], mids[1], mids[2]]
+        );
+    }
+
+    #[test]
+    fn site_variation_is_stored_from_the_first_non_nominal_value() {
+        let mut t = small_tree();
+        let site = NodeId::new(1);
+        t.set_site_variation(site, SiteVariation::NOMINAL).unwrap();
+        assert!(t.variation.is_empty());
+        let derated = SiteVariation::new(1.2, 0.9);
+        t.set_site_variation(site, derated).unwrap();
+        assert_eq!(t.variation.len(), t.node_count());
+        assert_eq!(t.site_variation(site), derated);
+        assert_eq!(t.site_variation(t.root()), SiteVariation::NOMINAL);
+        let copy = t.clone();
+        assert_eq!(copy.site_variation(site), derated);
+        t.set_site_variation(site, SiteVariation::NOMINAL).unwrap();
+        assert_eq!(t.site_variation(site), SiteVariation::NOMINAL);
+        assert_eq!(
+            t.set_site_variation(site, SiteVariation::new(0.0, 1.0))
+                .unwrap_err(),
+            TreeError::InvalidVariation { node: site }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the tree")]
+    fn site_variation_of_a_foreign_node_panics() {
+        let _ = small_tree().site_variation(NodeId::new(99));
     }
 
     #[test]

@@ -5,31 +5,39 @@
 //! tree, and generating a whole net, costs a fixed number of heap
 //! allocations whatever the node count. This binary installs a counting
 //! global allocator that counts only the calling thread's allocations
-//! (other test threads run beside it) and checks that the count does not
-//! grow between 1× and 8× the node count, so a per-node allocation cannot
-//! creep back unnoticed.
+//! and the heap bytes they retain (other test threads run beside it). It
+//! checks that the count does not grow between 1× and 8× the node count,
+//! so a per-node allocation cannot creep back unnoticed, and that a tree
+//! holds no more bytes than its node columns need.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fastbuf::buflib::units::{Farads, Microns, Ohms, Seconds};
 use fastbuf::buflib::{Driver, Technology};
-use fastbuf::netgen::RandomNetSpec;
-use fastbuf::rctree::{NodeId, TreeBuilder, Wire};
+use fastbuf::netgen::{
+    build_topology, CtsPlacementSpec, CtsTopologySpec, RandomNetSpec, SuiteSpec,
+};
+use fastbuf::rctree::{NodeId, RoutingTree, TreeBuilder, Wire};
 
 thread_local! {
     /// Allocations (including reallocations) made by this thread while
     /// `COUNTING` is set.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus the bytes it freed while
+    /// `COUNTING` is set.
+    static RETAINED: Cell<isize> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
 struct Counting;
 
 impl Counting {
-    fn record() {
+    /// Records an allocation event that grows the heap by `bytes`.
+    fn record(bytes: isize) {
         if COUNTING.with(Cell::get) {
             ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            RETAINED.with(|n| n.set(n.get() + bytes));
         }
     }
 }
@@ -39,21 +47,24 @@ impl Counting {
 // allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::record();
+        Self::record(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::record();
+        Self::record(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::record();
+        Self::record(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if COUNTING.with(Cell::get) {
+            RETAINED.with(|n| n.set(n.get() - layout.size() as isize));
+        }
         System.dealloc(ptr, layout)
     }
 }
@@ -64,11 +75,26 @@ static ALLOCATOR: Counting = Counting;
 /// Runs `f` and returns its result with the number of allocations it made
 /// on this thread.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let (out, allocations, _) = measured(f);
+    (out, allocations)
+}
+
+/// Runs `f` and returns its result with the number of allocations it made
+/// on this thread and the heap bytes that are still held when it returns.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, isize) {
     ALLOCATIONS.with(|n| n.set(0));
+    RETAINED.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (out, ALLOCATIONS.with(Cell::get))
+    (out, ALLOCATIONS.with(Cell::get), RETAINED.with(Cell::get))
+}
+
+/// The heap a tree may hold: 48 bytes per node (its columns take 45), 24
+/// per sink or source (the side table of their kinds) and 256 per tree
+/// (the column headers and any slack).
+fn byte_budget(tree: &RoutingTree) -> isize {
+    (48 * tree.node_count() + 24 * (tree.sink_count() + 1) + 256) as isize
 }
 
 /// A builder for a complete ternary tree of `nodes` nodes: node `i > 0`
@@ -132,5 +158,44 @@ fn net_generation_allocations_do_not_grow_with_the_node_count() {
         "RandomNetSpec::build made {at_1x} allocations at {} nodes and {at_8x} at {}",
         small.node_count(),
         large.node_count()
+    );
+}
+
+#[test]
+fn generated_trees_stay_within_their_byte_budget() {
+    // The fleet benchmark's suite: 512 heavy-tailed nets of up to 256
+    // sinks, about 28k nodes in all.
+    let spec = SuiteSpec {
+        nets: 512,
+        max_sinks: 256,
+        seed: 1,
+        ..SuiteSpec::default()
+    };
+    let (suite, _, retained) = measured(|| spec.build());
+    let budget: isize = suite.iter().map(byte_budget).sum();
+    let nodes: usize = suite.iter().map(RoutingTree::node_count).sum();
+    assert!(
+        retained <= budget,
+        "{} trees of {nodes} nodes retain {retained} bytes against a budget of {budget}",
+        suite.len()
+    );
+
+    // A copy of the 1,024-sink clock tree the objectives benchmark
+    // clones into every yield request.
+    let placements = CtsPlacementSpec {
+        sinks: 1024,
+        seed: 1,
+        ..CtsPlacementSpec::default()
+    }
+    .generate();
+    let tree = build_topology(&placements, &CtsTopologySpec::default())
+        .unwrap()
+        .tree;
+    let (copy, _, retained) = measured(|| tree.clone());
+    assert!(
+        retained <= byte_budget(&copy),
+        "a copy of {} nodes retains {retained} bytes against a budget of {}",
+        copy.node_count(),
+        byte_budget(&copy)
     );
 }
