@@ -1003,12 +1003,6 @@ pub fn skew_record(
     Ok(record)
 }
 
-/// A `SolveError` as a wire error code: the stable kebab-case kind of the
-/// variant (see [`SolveError::kind`]).
-pub fn solve_error_frame(id: Option<&Json>, error: &SolveError) -> String {
-    error_frame(id, error.kind(), &error.to_string())
-}
-
 /// Serializes one yield-target scenario's
 /// [`VariationOutcome`](crate::VariationOutcome) — the
 /// per-scenario record of `solve --variation --json` and the server's

@@ -8,9 +8,9 @@
 //! mode is the status quo it replaces: the same solve as a fresh
 //! `fastbuf solve` **process per request** (binary discovered next to
 //! this harness, or `$FASTBUF_BIN`), paying process spawn + net parse +
-//! library parse + session build every time. When the CLI binary is not
-//! built the cold runs fall back to an in-process cold path (full parse +
-//! session build per request, no spawn) and the JSON says so.
+//! library parse + session build every time. Without that binary the
+//! harness exits 2: build it first with `cargo build --release -p
+//! fastbuf-cli`.
 //!
 //! Writes `BENCH_server.json` (current directory) with a `runs` array so
 //! successive runs can be compared.
@@ -20,10 +20,9 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use fastbuf_api::wire::Json;
-use fastbuf_api::Session;
 use fastbuf_bench::{
     at_least, fixed, options, print_runs, time_arms, write_bench, Arm, Stopwatch, REPEATS,
 };
@@ -79,37 +78,16 @@ fn fastbuf_binary() -> Option<PathBuf> {
     path.is_file().then_some(path)
 }
 
-enum ColdMode {
-    /// `fastbuf solve` process per request.
-    Spawn(PathBuf),
-    /// No CLI binary around: full parse + session build per request,
-    /// in-process (still cold state, no spawn cost).
-    InProcess,
-}
-
-fn cold_request(mode: &ColdMode, net_path: &str, lib_path: &str) {
-    match mode {
-        ColdMode::Spawn(bin) => {
-            let status = std::process::Command::new(bin)
-                .args(["solve", "--net", net_path, "--lib", lib_path])
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null())
-                .status()
-                .expect("spawn fastbuf");
-            assert!(status.success(), "cold solve failed");
-        }
-        ColdMode::InProcess => {
-            let net = std::fs::read_to_string(net_path).expect("read net");
-            let tree = netio::parse(&net).expect("parse net");
-            let lib = std::fs::read_to_string(lib_path).expect("read lib");
-            let lib = BufferLibrary::from_text(&lib).expect("parse lib");
-            let session = Session::new(lib);
-            let outcome = session.request(&tree).workers(1).solve().expect("solve");
-            outcome
-                .verify(&tree, session.library())
-                .expect("cold solve verifies");
-        }
-    }
+/// One cold request: a `fastbuf solve` process reading the net and library
+/// files.
+fn cold_request(bin: &Path, net_path: &str, lib_path: &str) {
+    let status = std::process::Command::new(bin)
+        .args(["solve", "--net", net_path, "--lib", lib_path])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("spawn fastbuf");
+    assert!(status.success(), "cold solve failed");
 }
 
 fn main() {
@@ -128,6 +106,15 @@ fn main() {
             ))
         },
     );
+    let Some(bin) = fastbuf_binary() else {
+        eprintln!(
+            "error: no `fastbuf` binary next to this harness or at $FASTBUF_BIN; \
+             build it with `cargo build --release -p fastbuf-cli`"
+        );
+        std::process::exit(2)
+    };
+    println!("# cold requests spawn {}", bin.display());
+
     let tree = RandomNetSpec {
         seed,
         ..RandomNetSpec::paper(sinks)
@@ -146,17 +133,6 @@ fn main() {
     std::fs::write(&lib_path, &lib_text).expect("write lib");
     let net_path = net_path.to_str().expect("utf8 path").to_owned();
     let lib_path = lib_path.to_str().expect("utf8 path").to_owned();
-
-    let cold_mode = match fastbuf_binary() {
-        Some(bin) => {
-            println!("# cold mode: spawning {}", bin.display());
-            ColdMode::Spawn(bin)
-        }
-        None => {
-            println!("# cold mode: in-process (fastbuf binary not found; build it for spawn cost)");
-            ColdMode::InProcess
-        }
-    };
 
     // One resident server for every warm measurement; the design loads
     // once, exactly the deployment the server exists for.
@@ -188,7 +164,7 @@ fn main() {
 
         // Both arms fan out over client threads (and, cold, processes),
         // so only wall time means anything.
-        let (cold_mode, net_path, lib_path) = (&cold_mode, &net_path, &lib_path);
+        let (bin, net_path, lib_path) = (&bin, &net_path, &lib_path);
         let timed = time_arms(
             vec![
                 Arm::wall_only(|w: &mut Stopwatch| {
@@ -206,7 +182,7 @@ fn main() {
                             for _ in 0..clients {
                                 scope.spawn(|| {
                                     for _ in 0..requests {
-                                        cold_request(cold_mode, net_path, lib_path);
+                                        cold_request(bin, net_path, lib_path);
                                     }
                                 });
                             }
@@ -241,10 +217,6 @@ fn main() {
     server_thread.join().expect("server thread");
     std::fs::remove_dir_all(&dir).ok();
 
-    let cold_mode = match cold_mode {
-        ColdMode::Spawn(_) => "process-spawn",
-        ColdMode::InProcess => "in-process",
-    };
     write_bench(
         &out,
         [
@@ -252,7 +224,6 @@ fn main() {
             ("sites", tree.buffer_site_count().into()),
             ("seed", seed.into()),
             ("requests_per_client", requests.into()),
-            ("cold_mode", cold_mode.into()),
         ],
         runs,
     );

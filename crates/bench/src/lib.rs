@@ -5,13 +5,11 @@
 //!
 //! | binary | reproduces |
 //! |---|---|
-//! | `paper` | Table 1 (three nets × b ∈ {8, 16, 32, 64}), the Figure 3 sweep over `b`, the Figure 4 sweep over `n` and twelve permanent-pruning nets: Lillis vs Li–Shi wall and on-CPU time, `AddBuffer` work, mean `k`, slab counters and the fitted log–log slopes (writes `BENCH_paper.json`; exits 1 if any row's Lillis and Li–Shi bits differ) |
+//! | `paper` | Table 1 (three nets × b ∈ {8, 16, 32, 64}), the Figure 3 sweep over `b`, the Figure 4 sweep over `n` and twelve permanent-pruning nets: Lillis vs Li–Shi wall and on-CPU time, `AddBuffer` work, mean `k`, slab counters and the fitted log–log slopes; its b = 64 `table1` rows are the kernel's single-thread time (writes `BENCH_paper.json`; exits 1 if any row's Lillis and Li–Shi bits differ) |
 //! | `slew_sweep` | slack / buffer-count / feasibility trade-off vs the per-net slew limit (writes `BENCH_slew.json`) |
 //! | `scenario_throughput` | corner-solves/sec of the `fastbuf-api` request layer vs its flipped fan-out decision and independent legacy solves at 1/2/4 corners, suites of up to 24/96/384 sinks split by `par::workers` (writes `BENCH_scenarios.json`) |
-//! | `eco_speedup` | incremental vs from-scratch solves/sec under edit scripts at 1/10/50% locality (writes `BENCH_eco.json`) |
+//! | `reuse` | a warm subtree cache vs from-scratch solves on the p10/p50/p80/largest suite nets: ECO edit scripts at 1/10/50% locality and Monte-Carlo yield families at 0.2/1/5% locality, every step bit-checked (writes `BENCH_reuse.json`) |
 //! | `server_throughput` | requests/sec of the resident `fastbuf serve` daemon at 1/2/4/8 concurrent clients, warm session vs cold per-request process spawn (writes `BENCH_server.json`) |
-//! | `variation_throughput` | Monte-Carlo samples/sec, family-cached vs per-sample scratch solves (writes `BENCH_variation.json`) |
-//! | `kernel_throughput` | single-thread solves/sec of the slab kernel, wall and on-CPU, on the largest suite nets at b = 64 (writes `BENCH_kernel.json`) |
 //! | `global_convergence` | pricing-loop iterations to feasibility and net-solves/sec, warm vs scratch inner solves (writes `BENCH_global.json`) |
 //! | `cts_quality` | skew and slack of the clock-tree pipeline across sink counts, unbounded and at half the skew (writes `BENCH_cts.json`) |
 //!

@@ -454,7 +454,7 @@ impl IncrementalSolver {
 
     /// Solves the current tree from scratch, bypassing (and not touching)
     /// the cache — the differential oracle the equivalence tests and the
-    /// `eco_speedup` benchmark compare against.
+    /// `reuse` benchmark compare against.
     pub fn solve_scratch(&self) -> Solution {
         Solver::new(&self.tree, &self.library)
             .with_options(self.options.clone())
