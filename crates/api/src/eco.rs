@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fastbuf_buflib::units::Seconds;
-use fastbuf_incremental::{Edit, IncrementalSolver};
+use fastbuf_buflib::Technology;
+use fastbuf_incremental::{edit_tree, EcoError, Edit, IncrementalSolver};
 use fastbuf_rctree::RoutingTree;
 
 use crate::error::SolveError;
@@ -59,7 +60,10 @@ pub struct EcoSolver {
     /// The underated edited tree, kept in lockstep with the corners so
     /// [`Outcome::verify`] (which re-applies scenario derates) sees the
     /// same net every corner solved.
-    base: IncrementalSolver,
+    tree: RoutingTree,
+    /// The session's technology, which turns wire-length edits into
+    /// parasitics for the tree and every corner alike.
+    technology: Technology,
     corners: Vec<EcoCorner>,
 }
 
@@ -100,9 +104,11 @@ impl Session {
                 EcoCorner { scenario, solver }
             })
             .collect();
-        let base = IncrementalSolver::new(tree.clone(), self.library().clone())
-            .with_technology(*self.technology());
-        Ok(EcoSolver { base, corners })
+        Ok(EcoSolver {
+            tree: tree.clone(),
+            technology: *self.technology(),
+            corners,
+        })
     }
 }
 
@@ -110,10 +116,10 @@ impl EcoSolver {
     /// The current (edited, underated) tree — what [`Outcome::verify`]
     /// should be handed.
     pub fn tree(&self) -> &RoutingTree {
-        self.base.tree()
+        &self.tree
     }
 
-    /// Applies one edit to the base tree and to every corner. RAT edits
+    /// Applies one edit to the tree and to every corner. RAT edits
     /// are derated per corner (the corner solves a derated copy, so its
     /// edit must be derated the same way — keeping each corner
     /// bit-identical to a fresh request on the edited tree).
@@ -126,7 +132,7 @@ impl EcoSolver {
     /// [`SolveError::Edit`] when the tree rejects the mutation, or when a
     /// RAT edit derates to a non-finite value in *any* corner (a derate
     /// above 1 can overflow an extreme but finite RAT). Both are checked
-    /// *before* the base or any corner is touched, so a rejected edit
+    /// *before* the tree or any corner is touched, so a rejected edit
     /// leaves everything consistent.
     pub fn apply(&mut self, edit: &Edit) -> Result<(), SolveError> {
         if matches!(edit, Edit::SwapLibrary { .. }) {
@@ -138,22 +144,23 @@ impl EcoSolver {
                     .into(),
             });
         }
-        // Pre-check the one way a corner could reject an edit the base
+        // Pre-check the one way a corner could reject an edit the tree
         // accepts: a finite RAT whose derated product overflows. Everything
         // else is topology/kind-determined and identical across corners.
         if let Edit::SetSinkRat { node, rat } = edit {
             for corner in &self.corners {
                 if !(rat.value() * corner.scenario.rat_derate).is_finite() {
-                    return Err(SolveError::Edit(fastbuf_incremental::EcoError::Tree(
+                    return Err(SolveError::Edit(EcoError::Tree(
                         fastbuf_rctree::TreeError::InvalidSink { node: *node },
                     )));
                 }
             }
         }
-        // Validate against the base next: the corners share its topology,
-        // so an edit the base accepts cannot fail on a corner (the derate
+        // Validate against the tree next: the corners share its topology,
+        // so an edit the tree accepts cannot fail on a corner (the derate
         // overflow case was just excluded above).
-        self.base.apply(edit).map_err(SolveError::Edit)?;
+        edit_tree(&mut self.tree, &self.technology, edit)
+            .map_err(|e| SolveError::Edit(EcoError::Tree(e)))?;
         for corner in &mut self.corners {
             let derated;
             let corner_edit = match edit {
@@ -169,7 +176,7 @@ impl EcoSolver {
             corner
                 .solver
                 .apply(corner_edit)
-                .expect("base tree accepted a topology-identical edit");
+                .expect("the tree accepted a topology-identical edit");
         }
         Ok(())
     }

@@ -67,7 +67,11 @@ impl Algorithm {
     ];
 
     /// `true` for the algorithms guaranteed to return the optimal slack on
-    /// every routing tree.
+    /// every routing tree when no slew limit is set. Under a slew limit
+    /// every algorithm, these included, is conservative: its answer is
+    /// feasible and never better than the feasible optimum, but `(Q, C)`
+    /// dominance can discard the only route to that optimum
+    /// (`docs/ALGORITHM.md` §6).
     pub fn is_exact(self) -> bool {
         !matches!(self, Algorithm::LiShiPermanent)
     }

@@ -151,6 +151,44 @@ fn dirty_origin(tree: &RoutingTree, edit: &Edit) -> Option<NodeId> {
     }
 }
 
+/// Applies the tree half of `edit` to `tree`: every edit but
+/// [`Edit::SwapLibrary`], which leaves the tree alone. Wire lengths are
+/// turned into parasitics through `technology`. This is the one tree
+/// mutation [`IncrementalSolver::apply`] and holders of a plain tree share.
+///
+/// # Errors
+///
+/// The [`TreeError`] of a rejected mutation; the tree is then unchanged.
+pub fn edit_tree(
+    tree: &mut RoutingTree,
+    technology: &Technology,
+    edit: &Edit,
+) -> Result<(), TreeError> {
+    match edit {
+        Edit::SetWireLength { node, length } => {
+            tree.set_wire_to_parent(*node, Wire::from_length(technology, *length))
+        }
+        Edit::SetWireRC {
+            node,
+            resistance,
+            capacitance,
+        } => tree.set_wire_to_parent(*node, Wire::new(*resistance, *capacitance)),
+        Edit::DerateSite {
+            node,
+            delay_scale,
+            drive_scale,
+        } => tree.set_site_variation(
+            *node,
+            fastbuf_rctree::SiteVariation::new(*delay_scale, *drive_scale),
+        ),
+        Edit::SetSinkRat { node, rat } => tree.set_sink_rat(*node, *rat),
+        Edit::SetSinkCap { node, cap } => tree.set_sink_cap(*node, *cap),
+        Edit::BlockSite { node } => tree.set_site_constraint(*node, SiteConstraint::NotASite),
+        Edit::UnblockSite { node } => tree.set_site_constraint(*node, SiteConstraint::AnyBuffer),
+        Edit::SwapLibrary { .. } => Ok(()),
+    }
+}
+
 /// Bound on the cache-owned predecessor arena before the solver flushes
 /// and rebases it. The arena is append-only while any cached list
 /// references it, so long edit sequences grow it; a flush trades one full
@@ -359,44 +397,14 @@ impl IncrementalSolver {
     /// are left untouched); [`EcoError::Library`] for unbuildable library
     /// swaps.
     pub fn apply(&mut self, edit: &Edit) -> Result<(), EcoError> {
-        match edit {
-            Edit::SetWireLength { node, length } => {
-                let wire = Wire::from_length(&self.technology, *length);
-                self.tree.set_wire_to_parent(*node, wire)?;
-            }
-            Edit::SetWireRC {
-                node,
-                resistance,
-                capacitance,
-            } => {
-                self.tree
-                    .set_wire_to_parent(*node, Wire::new(*resistance, *capacitance))?;
-            }
-            Edit::DerateSite {
-                node,
-                delay_scale,
-                drive_scale,
-            } => {
-                self.tree.set_site_variation(
-                    *node,
-                    fastbuf_rctree::SiteVariation::new(*delay_scale, *drive_scale),
-                )?;
-            }
-            Edit::SetSinkRat { node, rat } => self.tree.set_sink_rat(*node, *rat)?,
-            Edit::SetSinkCap { node, cap } => self.tree.set_sink_cap(*node, *cap)?,
-            Edit::BlockSite { node } => self
-                .tree
-                .set_site_constraint(*node, SiteConstraint::NotASite)?,
-            Edit::UnblockSite { node } => self
-                .tree
-                .set_site_constraint(*node, SiteConstraint::AnyBuffer)?,
-            Edit::SwapLibrary { size, jitter } => {
-                self.library = if *jitter == 0 {
-                    BufferLibrary::paper_synthetic(*size)?
-                } else {
-                    BufferLibrary::paper_synthetic_jittered(*size, *jitter)?
-                };
-            }
+        if let Edit::SwapLibrary { size, jitter } = edit {
+            self.library = if *jitter == 0 {
+                BufferLibrary::paper_synthetic(*size)?
+            } else {
+                BufferLibrary::paper_synthetic_jittered(*size, *jitter)?
+            };
+        } else {
+            edit_tree(&mut self.tree, &self.technology, edit)?;
         }
         match dirty_origin(&self.tree, edit) {
             Some(node) => self.cache.mark_path_dirty(&self.tree, node),

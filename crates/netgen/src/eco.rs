@@ -293,25 +293,8 @@ impl EditScriptSpec {
     ///
     /// Panics if `locality` is not in `(0, 1]`.
     pub fn generate(&self, tree: &RoutingTree) -> Vec<Edit> {
-        assert!(
-            self.locality > 0.0 && self.locality <= 1.0,
-            "locality must be in (0, 1], got {}",
-            self.locality
-        );
         let mut rng = StdRng::seed_from_u64(self.seed);
-
-        // Every non-root node is editable one way or another.
-        let mut pool: Vec<NodeId> = tree
-            .node_ids()
-            .filter(|&n| tree.parent(n).is_some())
-            .collect();
-        // Seeded Fisher-Yates, then keep the locality-sized prefix.
-        for i in (1..pool.len()).rev() {
-            pool.swap(i, rng.gen_range(0usize..i + 1));
-        }
-        let keep =
-            ((self.locality * pool.len() as f64).ceil() as usize).clamp(1, pool.len().max(1));
-        pool.truncate(keep);
+        let pool = locality_pool(tree, self.locality, &mut rng);
 
         // Track the scripted block state so block/unblock alternate.
         let mut blocked: Vec<bool> = tree.node_ids().map(|n| !tree.is_buffer_site(n)).collect();
@@ -392,6 +375,31 @@ impl EditScriptSpec {
         }
         edits
     }
+}
+
+/// The nodes a seeded edit source may touch: every non-root node, shuffled
+/// by a Fisher–Yates pass drawing from `rng`, truncated to the
+/// `locality`-sized prefix (at least one node). Callers that keep drawing
+/// from `rng` afterwards see the stream advanced past the shuffle.
+///
+/// # Panics
+///
+/// Panics if `locality` is not in `(0, 1]`.
+pub(crate) fn locality_pool(tree: &RoutingTree, locality: f64, rng: &mut StdRng) -> Vec<NodeId> {
+    assert!(
+        locality > 0.0 && locality <= 1.0,
+        "locality must be in (0, 1], got {locality}"
+    );
+    let mut pool: Vec<NodeId> = tree
+        .node_ids()
+        .filter(|&n| tree.parent(n).is_some())
+        .collect();
+    for i in (1..pool.len()).rev() {
+        pool.swap(i, rng.gen_range(0usize..i + 1));
+    }
+    let keep = ((locality * pool.len() as f64).ceil() as usize).clamp(1, pool.len().max(1));
+    pool.truncate(keep);
+    pool
 }
 
 #[cfg(test)]

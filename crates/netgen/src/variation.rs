@@ -29,7 +29,7 @@ use fastbuf_buflib::text;
 use fastbuf_buflib::units::{Farads, Ohms, Seconds};
 use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
 
-use crate::eco::Edit;
+use crate::eco::{locality_pool, Edit};
 use crate::LineError;
 
 /// Sampled factors are clamped into this range: a far tail of a normal
@@ -195,22 +195,7 @@ impl VariationSpec {
     /// Panics if `locality` is not in `(0, 1]` (parse-level validation
     /// rejects such specs before they get here).
     pub fn pool(&self, tree: &RoutingTree) -> Vec<NodeId> {
-        assert!(
-            self.locality > 0.0 && self.locality <= 1.0,
-            "locality must be in (0, 1], got {}",
-            self.locality
-        );
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut pool: Vec<NodeId> = tree
-            .node_ids()
-            .filter(|&n| tree.parent(n).is_some())
-            .collect();
-        for i in (1..pool.len()).rev() {
-            pool.swap(i, rng.gen_range(0usize..i + 1));
-        }
-        let keep =
-            ((self.locality * pool.len() as f64).ceil() as usize).clamp(1, pool.len().max(1));
-        pool.truncate(keep);
+        let mut pool = locality_pool(tree, self.locality, &mut StdRng::seed_from_u64(self.seed));
         pool.sort();
         pool
     }

@@ -1,9 +1,11 @@
-//! Transports: newline-delimited JSON over TCP or stdio.
+//! Transports: newline-delimited JSON over TCP or any byte stream
+//! (stdin/stdout for `fastbuf serve --stdio`).
 //!
-//! Both transports share one shape: reader threads turn input lines into
-//! jobs, a **bounded** crossbeam channel (capacity
-//! [`ServerConfig::max_inflight`]) carries them to a worker pool, and
-//! workers write reply frames under a per-connection writer lock.
+//! Both transports run on one serve core: reader loops turn input lines
+//! into jobs, a **bounded** `std::sync::mpsc::sync_channel` (capacity
+//! [`ServerConfig::max_inflight`]) carries them to a worker pool that
+//! shares the receiver behind a mutex, and workers write reply frames
+//! under a per-connection writer lock.
 //! The bounded queue is the backpressure invariant: when
 //! `max_inflight` requests are admitted but unfinished, readers block on
 //! `send`, the kernel's TCP buffers fill, and remote clients stall on
@@ -13,20 +15,21 @@
 //! and the connection is dropped, so one hostile client cannot grow a
 //! line buffer without bound either.
 //!
-//! Graceful shutdown (a `shutdown` op, or [`Server::stop`]): the accept
-//! loop stops admitting connections and shuts down the **read** half of
-//! every open socket, so readers drain at EOF while in-flight replies
-//! still go out on the write half; once every reader exits, the job
-//! senders drop, workers drain the queue to disconnect, and
-//! [`Server::serve_tcp`] returns.
+//! Graceful shutdown (a `shutdown` op, or storing `true` in
+//! [`Server::stop_flag`]): the accept loop stops admitting connections
+//! and shuts down the **read** half of every open socket, so readers
+//! drain at EOF while in-flight replies still go out on the write half;
+//! once every reader exits, the last job sender drops, workers drain the
+//! queue to disconnect, and [`Server::serve_tcp`] returns.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use fastbuf_api::wire::error_frame;
 
 use crate::handler::{handle_frame, FrameOutcome};
@@ -36,11 +39,17 @@ use crate::ServerConfig;
 /// One client connection's reply sink. Workers may finish out of order;
 /// each reply is one line written under this lock, and clients correlate
 /// via the echoed `id`.
-struct Conn {
-    writer: Mutex<Box<dyn Write + Send>>,
+struct Conn<'w> {
+    writer: Mutex<Box<dyn Write + Send + 'w>>,
 }
 
-impl Conn {
+impl<'w> Conn<'w> {
+    fn new(writer: impl Write + Send + 'w) -> Arc<Self> {
+        Arc::new(Conn {
+            writer: Mutex::new(Box::new(writer)),
+        })
+    }
+
     fn send_line(&self, line: &str) {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         // A client that hung up mid-reply is not a server error.
@@ -49,10 +58,10 @@ impl Conn {
     }
 }
 
-struct Job {
+struct Job<'w> {
     frame: String,
     received: Instant,
-    conn: Arc<Conn>,
+    conn: Arc<Conn<'w>>,
 }
 
 /// A resident solve server (see the crate docs for the protocol).
@@ -79,19 +88,19 @@ impl Server {
         &self.registry
     }
 
-    /// Requests graceful shutdown from another thread: stop accepting,
-    /// drain in-flight work, return from the serve call.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// Handle for stopping the server from another thread.
+    /// Handle for stopping the server from another thread: storing `true`
+    /// stops accepting, drains in-flight work and returns from the serve
+    /// call.
     pub fn stop_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.stop)
     }
 
-    fn worker_loop(&self, jobs: &Receiver<Job>) {
-        while let Ok(job) = jobs.recv() {
+    fn worker_loop(&self, jobs: &Mutex<Receiver<Job<'_>>>) {
+        loop {
+            // The queue lock is held while waiting for a job, never while
+            // handling one.
+            let next = jobs.lock().expect("job queue poisoned").recv();
+            let Ok(job) = next else { break };
             let outcome = handle_frame(&self.registry, &self.config, &job.frame, job.received);
             job.conn.send_line(outcome.reply());
             if let FrameOutcome::Shutdown(_) = outcome {
@@ -109,7 +118,7 @@ impl Server {
     /// parsed, and resynchronising would mean scanning unbounded
     /// garbage). Returns at EOF, on a read error, at shutdown, or on an
     /// over-cap line.
-    fn reader_loop(&self, input: impl std::io::Read, conn: &Arc<Conn>, jobs: &Sender<Job>) {
+    fn reader_loop<'w>(&self, input: impl Read, conn: &Arc<Conn<'w>>, jobs: &SyncSender<Job<'w>>) {
         // +2 leaves room for a frame of exactly `max_frame_bytes` plus
         // its `\r\n`, so at-the-limit frames still reach the handler's
         // own `too-large` check rather than being cut off here.
@@ -159,8 +168,34 @@ impl Server {
         }
     }
 
+    /// The serve core both transports share: starts
+    /// [`ServerConfig::workers`] pool threads on one bounded job queue,
+    /// runs `readers` (which may spawn one reader thread per connection on
+    /// the scope), then drops the last sender so the workers drain the
+    /// queue and exit, and joins them.
+    fn serve<'env, 'w: 'env>(
+        &'env self,
+        readers: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>, &SyncSender<Job<'w>>),
+    ) {
+        // A capacity of 0 would make std's channel a rendezvous; keep at
+        // least one slot.
+        let (jobs_tx, jobs_rx) = sync_channel(self.config.max_inflight.max(1));
+        // Scoped threads may only borrow what outlives the caller's `'env`,
+        // which this local does not, so the workers share it by `Arc`.
+        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
+        std::thread::scope(|scope| {
+            for _ in 0..self.config.workers.max(1) {
+                let jobs_rx = Arc::clone(&jobs_rx);
+                scope.spawn(move || self.worker_loop(&jobs_rx));
+            }
+            readers(scope, &jobs_tx);
+            // Dropping the last sender lets workers drain and exit.
+            drop(jobs_tx);
+        });
+    }
+
     /// Serves concurrent clients on `listener` until a `shutdown` op or
-    /// [`Server::stop`]. Each connection gets a reader thread; request
+    /// [`Server::stop_flag`]. Each connection gets a reader thread; request
     /// execution is spread over [`ServerConfig::workers`] pool threads.
     ///
     /// # Errors
@@ -169,7 +204,6 @@ impl Server {
     /// I/O failures just end that client's connection.
     pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;
-        let (jobs_tx, jobs_rx) = bounded::<Job>(self.config.max_inflight);
         // Read halves of open connections, for unblocking readers at
         // shutdown while their write halves finish delivering replies.
         // Each reader removes its own entry on exit, so long-running
@@ -178,13 +212,7 @@ impl Server {
         let open = &open;
         let mut next_conn: u64 = 0;
 
-        std::thread::scope(|scope| {
-            for _ in 0..self.config.workers.max(1) {
-                let jobs_rx = jobs_rx.clone();
-                scope.spawn(move || self.worker_loop(&jobs_rx));
-            }
-            drop(jobs_rx);
-
+        self.serve(|scope, jobs| {
             while !self.stop.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _addr)) => {
@@ -206,12 +234,10 @@ impl Server {
                         // Readers block on socket reads; the listener's
                         // non-blocking mode must not leak onto them.
                         let _ = read_half.set_nonblocking(false);
-                        let conn = Arc::new(Conn {
-                            writer: Mutex::new(Box::new(stream)),
-                        });
-                        let jobs_tx = jobs_tx.clone();
+                        let conn = Conn::new(stream);
+                        let jobs = jobs.clone();
                         scope.spawn(move || {
-                            self.reader_loop(read_half, &conn, &jobs_tx);
+                            self.reader_loop(read_half, &conn, &jobs);
                             // This connection is done reading; drop its
                             // shutdown handle so the socket can close
                             // once in-flight replies finish.
@@ -232,29 +258,23 @@ impl Server {
             for (_, stream) in open.lock().expect("open list poisoned").iter() {
                 let _ = stream.shutdown(Shutdown::Read);
             }
-            // Dropping the last sender lets workers drain and exit.
-            drop(jobs_tx);
         });
         Ok(())
     }
 
-    /// Serves one client over stdin/stdout (same worker pool, same
-    /// protocol). Returns at stdin EOF or after a `shutdown` op — note a
-    /// `shutdown` is only observed once the blocking stdin read returns,
+    /// Serves one client over a byte stream: frames are read from `input`
+    /// on the calling thread, executed on the same worker pool and
+    /// protocol as TCP, and answered on `output`. Returns at `input` EOF or
+    /// after a `shutdown` op, once every admitted request is answered —
+    /// note a `shutdown` is only observed once the blocking read returns,
     /// i.e. on the next input line or EOF.
+    pub fn serve_stream(&self, input: impl Read, output: impl Write + Send) {
+        let conn = Conn::new(output);
+        self.serve(|_, jobs| self.reader_loop(input, &conn, jobs));
+    }
+
+    /// [`Server::serve_stream`] over stdin/stdout.
     pub fn serve_stdio(&self) {
-        let (jobs_tx, jobs_rx) = bounded::<Job>(self.config.max_inflight);
-        let conn = Arc::new(Conn {
-            writer: Mutex::new(Box::new(std::io::stdout())),
-        });
-        std::thread::scope(|scope| {
-            for _ in 0..self.config.workers.max(1) {
-                let jobs_rx = jobs_rx.clone();
-                scope.spawn(move || self.worker_loop(&jobs_rx));
-            }
-            drop(jobs_rx);
-            self.reader_loop(std::io::stdin().lock(), &conn, &jobs_tx);
-            drop(jobs_tx);
-        });
+        self.serve_stream(std::io::stdin().lock(), std::io::stdout());
     }
 }
