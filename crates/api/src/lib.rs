@@ -23,7 +23,8 @@
 //! * [`NetOutcome`] — one solved net, measured: the DP's prediction
 //!   beside the forward evaluation of the same corner, unbuffered and
 //!   buffered. The one per-net result `fastbuf-batch`, `fastbuf solve
-//!   --json`, `fastbuf cts` and `fastbuf serve` report.
+//!   --json`, `fastbuf cts` and `fastbuf serve` report, and
+//!   [`NetOutcome::verify`] the one check that accepts it.
 //! * [`EcoSolver`] — the incremental (ECO) entry: [`Session::eco`] keeps
 //!   one persistent subtree cache *per scenario*, applies typed tree
 //!   edits, and re-solves bit-identically to a fresh request on the

@@ -8,7 +8,7 @@ use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::cost::CostFrontier;
 use fastbuf_core::polarity::PolaritySolution;
 use fastbuf_core::skew::SkewSolution;
-use fastbuf_core::{Algorithm, Placement, Solution, SolveStats, VerifyError};
+use fastbuf_core::{forward_agrees, Algorithm, Placement, Solution, SolveStats, VerifyError};
 use fastbuf_rctree::{elmore, DelayModel, RoutingTree};
 
 use crate::error::SolveError;
@@ -169,8 +169,14 @@ impl Outcome {
 
     /// Re-measures every scenario's result with the independent forward
     /// evaluator **under the delay model and derate that scenario actually
-    /// solved with** and checks the measured slack against the DP's
+    /// solved with** and checks the measurement against the DP's
     /// prediction.
+    ///
+    /// Max-slack and skew-target answers are measured by
+    /// [`NetOutcome::measure`] and accepted by [`NetOutcome::verify`], the
+    /// one per-net check (slack, slew limit, skew). Frontier points are
+    /// checked for slack agreement and polarity solutions for their sink
+    /// requirements; sampled yield sweeps carry no placements to measure.
     ///
     /// This is the model-safe replacement for the legacy
     /// [`Solution::verify`] shim, which always measures with Elmore and
@@ -183,34 +189,32 @@ impl Outcome {
     /// # Errors
     ///
     /// [`SolveError::Verify`] naming the first scenario whose measurement
-    /// disagrees with its prediction; [`SolveError::Polarity`] for
-    /// polarity requirement violations.
+    /// the check rejects; [`SolveError::Polarity`] for polarity
+    /// requirement violations.
     pub fn verify(&self, tree: &RoutingTree, library: &BufferLibrary) -> Result<(), SolveError> {
         for so in &self.scenarios {
-            let scenario_tree = so.scenario.apply_derate(tree);
-            let scenario_tree = &*scenario_tree;
             let named = |error: VerifyError| SolveError::Verify {
                 scenario: so.scenario.name.clone(),
                 error,
             };
-            let agrees =
-                |predicted, measured| VerifyError::check_slack(predicted, measured).map_err(named);
-            // Forward-evaluates `placements` and checks the slack.
-            let measure = |placements: &[Placement], predicted: Seconds| {
-                let pairs: Vec<_> = placements.iter().map(|p| (p.node, p.buffer)).collect();
-                let report = elmore::evaluate_with(scenario_tree, library, &pairs, &*so.model)
-                    .map_err(|e| named(VerifyError::Tree(e)))?;
-                agrees(predicted, report.slack).map(|_| report)
-            };
             match &so.result {
-                ScenarioResult::Solution(solution) => {
-                    solution
-                        .verify_with(scenario_tree, library, &*so.model)
+                ScenarioResult::Solution(_) | ScenarioResult::Skew(_) => {
+                    NetOutcome::measure(0, tree, library, so)?
+                        .verify()
                         .map_err(named)?;
                 }
                 ScenarioResult::Frontier(frontier) => {
+                    let scenario_tree = so.scenario.apply_derate(tree);
                     for point in &frontier.points {
-                        measure(&point.placements, point.slack)?;
+                        let pairs: Vec<_> = point
+                            .placements
+                            .iter()
+                            .map(|p| (p.node, p.buffer))
+                            .collect();
+                        let report =
+                            elmore::evaluate_with(&scenario_tree, library, &pairs, &*so.model)
+                                .map_err(|e| named(VerifyError::Tree(e)))?;
+                        VerifyError::check_slack(point.slack, report.slack).map_err(named)?;
                     }
                 }
                 ScenarioResult::Variation(_) => {
@@ -220,21 +224,18 @@ impl Outcome {
                     // solve of the sampled tree, asserted by the
                     // differential harness `tests/variation_equivalence.rs`.
                 }
-                ScenarioResult::Skew(skew) => {
-                    if !skew.tracked {
-                        return Err(named(VerifyError::NotTracked));
-                    }
-                    // The slack, then the skew itself.
-                    let report = measure(&skew.placements, skew.slack)?;
-                    agrees(skew.skew, report.skew(scenario_tree))?;
-                }
                 ScenarioResult::Polarity(polarity) => {
                     let negated: &[_] = match &self.objective {
                         Objective::PolarityAware { negated_sinks } => negated_sinks,
                         _ => &[],
                     };
                     polarity
-                        .verify_with(scenario_tree, library, negated, &*so.model)
+                        .verify_with(
+                            &so.scenario.apply_derate(tree),
+                            library,
+                            negated,
+                            &*so.model,
+                        )
                         .map_err(SolveError::Polarity)?;
                 }
             }
@@ -252,7 +253,9 @@ impl Outcome {
 /// Every producer builds it with [`NetOutcome::measure`], so all measure
 /// the same way: the scenario's derated view of the tree, under the delay
 /// model the scenario solved with, once unbuffered and once with the
-/// placements.
+/// placements. Every front end accepts the answer through
+/// [`NetOutcome::verify`], the one check of a measured slack, slew and
+/// skew against what the solve claimed.
 #[derive(Clone, Debug)]
 pub struct NetOutcome {
     /// Position of the net in its input (a batch index, or 0 for single
@@ -269,6 +272,9 @@ pub struct NetOutcome {
     /// Measured slack of the buffered net (`None` when the solve did not
     /// track predecessors, so there are no placements to measure).
     pub measured_slack: Option<Seconds>,
+    /// The sink-to-sink skew the DP predicts, for skew-target solves
+    /// (`None` for max slack).
+    pub skew: Option<Seconds>,
     /// Measured sink-to-sink skew of the buffered net, for skew-target
     /// solves that tracked predecessors (`None` otherwise).
     pub measured_skew: Option<Seconds>,
@@ -277,6 +283,8 @@ pub struct NetOutcome {
     /// Measured worst output slew of the buffered net (the DP's root-stage
     /// slew when the solve did not track predecessors).
     pub max_slew: Seconds,
+    /// The scenario's slew limit (`None` when it set none).
+    pub slew_limit: Option<Seconds>,
     /// `false` when a slew limit was set and the net could not meet it.
     pub slew_ok: bool,
     /// The buffers to insert (empty when the solve did not track
@@ -316,7 +324,7 @@ impl NetOutcome {
                 s.root_slew,
                 s.slew_ok,
                 &s.stats,
-                false,
+                None,
             ),
             ScenarioResult::Skew(s) => (
                 s.slack,
@@ -325,7 +333,7 @@ impl NetOutcome {
                 s.root_slew,
                 s.slew_ok,
                 &s.stats,
-                true,
+                Some(s.skew),
             ),
             _ => {
                 return Err(SolveError::Unsupported {
@@ -356,12 +364,14 @@ impl NetOutcome {
             slack_before: before.slack,
             slack,
             measured_slack: after.as_ref().map(|a| a.slack),
+            skew,
             measured_skew: after
                 .as_ref()
-                .filter(|_| skew)
+                .filter(|_| skew.is_some())
                 .map(|a| a.skew(&corner_tree)),
             slew_before: before.max_slew,
             max_slew: after.map_or(root_slew, |a| a.max_slew),
+            slew_limit: corner.scenario.slew_limit,
             slew_ok,
             cost: placements
                 .iter()
@@ -373,18 +383,45 @@ impl NetOutcome {
         })
     }
 
-    /// The measured slack, checked against the predicted one under the
-    /// workspace's one agreement rule
-    /// ([`forward_agrees`](fastbuf_core::forward_agrees)).
+    /// Accepts or rejects the answer against its own measurement — the
+    /// one per-net check of the workspace. Three rules, each under a
+    /// relative 1e-9:
+    ///
+    /// * the measured slack agrees with the prediction
+    ///   ([`forward_agrees`](fastbuf_core::forward_agrees));
+    /// * under a slew limit, an answer that reports `slew_ok` measures a
+    ///   worst slew within the limit (an answer flagged `slew_ok = false`
+    ///   says it is best-effort, and passes);
+    /// * a skew-target answer measures the skew it predicted.
+    ///
+    /// Returns the measured slack.
     ///
     /// # Errors
     ///
-    /// [`VerifyError::NotTracked`] when there was nothing to measure, and
-    /// [`VerifyError::SlackMismatch`] when measurement and prediction
-    /// disagree.
+    /// [`VerifyError::NotTracked`] when there was nothing to measure;
+    /// [`VerifyError::SlackMismatch`], [`VerifyError::SlewOverLimit`] or
+    /// [`VerifyError::SkewMismatch`] for the first rule that fails.
     pub fn verify(&self) -> Result<Seconds, VerifyError> {
         let measured = self.measured_slack.ok_or(VerifyError::NotTracked)?;
-        VerifyError::check_slack(self.slack, measured)
+        VerifyError::check_slack(self.slack, measured)?;
+        if let Some(limit) = self.slew_limit.filter(|_| self.slew_ok) {
+            if self.max_slew.value() > limit.value() * (1.0 + 1e-9) {
+                return Err(VerifyError::SlewOverLimit {
+                    limit,
+                    measured: self.max_slew,
+                });
+            }
+        }
+        if let Some(predicted) = self.skew {
+            let skew = self.measured_skew.ok_or(VerifyError::NotTracked)?;
+            if !forward_agrees(predicted.value(), skew.value()) {
+                return Err(VerifyError::SkewMismatch {
+                    predicted,
+                    measured: skew,
+                });
+            }
+        }
+        Ok(measured)
     }
 
     /// This net as a per-net JSON record, members in schema order:
@@ -454,9 +491,11 @@ mod tests {
             slack_before: Seconds::from_pico(-12.5),
             slack: Seconds::from_pico(31.25),
             measured_slack: None,
+            skew: None,
             measured_skew: None,
             slew_before: Seconds::from_pico(500.0),
             max_slew: Seconds::from_pico(150.0),
+            slew_limit: None,
             slew_ok: true,
             placements,
             cost: 7.0,
@@ -482,5 +521,94 @@ mod tests {
         assert!(!plain.contains("\"scenario\"") && !plain.contains("\"placements\""));
         assert!(plain.contains("\"buffers\": 2"));
         assert_eq!(net.verify(), Err(VerifyError::NotTracked));
+    }
+
+    /// A measured max-slack answer that every rule accepts: slack as
+    /// predicted, a 150 ps worst slew under a 200 ps limit.
+    fn measured() -> NetOutcome {
+        NetOutcome {
+            index: 0,
+            sinks: 4,
+            sites: 6,
+            slack_before: Seconds::from_pico(-80.0),
+            slack: Seconds::from_pico(40.0),
+            measured_slack: Some(Seconds::from_pico(40.0)),
+            skew: None,
+            measured_skew: None,
+            slew_before: Seconds::from_pico(400.0),
+            max_slew: Seconds::from_pico(150.0),
+            slew_limit: Some(Seconds::from_pico(200.0)),
+            slew_ok: true,
+            placements: Vec::new(),
+            cost: 0.0,
+            stats: SolveStats::default(),
+            elapsed: Duration::ZERO,
+        }
+    }
+
+    #[test]
+    fn verify_applies_the_slack_slew_and_skew_rules() {
+        let ok = measured();
+        assert_eq!(ok.verify(), Ok(Seconds::from_pico(40.0)));
+
+        let off = NetOutcome {
+            measured_slack: Some(Seconds::from_pico(41.0)),
+            ..measured()
+        };
+        assert_eq!(
+            off.verify(),
+            Err(VerifyError::SlackMismatch {
+                predicted: Seconds::from_pico(40.0),
+                measured: Seconds::from_pico(41.0),
+            })
+        );
+
+        // Over the limit by more than 1e-9 of it: rejected while the
+        // answer claims `slew_ok`, accepted once it says it is best-effort.
+        let over = NetOutcome {
+            max_slew: Seconds::from_pico(200.001),
+            ..measured()
+        };
+        assert_eq!(
+            over.verify(),
+            Err(VerifyError::SlewOverLimit {
+                limit: Seconds::from_pico(200.0),
+                measured: Seconds::from_pico(200.001),
+            })
+        );
+        let best_effort = NetOutcome {
+            slew_ok: false,
+            ..over.clone()
+        };
+        assert_eq!(best_effort.verify(), Ok(Seconds::from_pico(40.0)));
+        let unlimited = NetOutcome {
+            slew_limit: None,
+            ..over
+        };
+        assert_eq!(unlimited.verify(), Ok(Seconds::from_pico(40.0)));
+
+        let skew = NetOutcome {
+            skew: Some(Seconds::from_pico(12.0)),
+            measured_skew: Some(Seconds::from_pico(12.0)),
+            ..measured()
+        };
+        assert_eq!(skew.verify(), Ok(Seconds::from_pico(40.0)));
+        let skew_off = NetOutcome {
+            measured_skew: Some(Seconds::from_pico(13.0)),
+            ..skew
+        };
+        assert_eq!(
+            skew_off.verify(),
+            Err(VerifyError::SkewMismatch {
+                predicted: Seconds::from_pico(12.0),
+                measured: Seconds::from_pico(13.0),
+            })
+        );
+
+        let untracked = NetOutcome {
+            measured_slack: None,
+            ..measured()
+        };
+        assert_eq!(untracked.verify(), Err(VerifyError::NotTracked));
     }
 }

@@ -17,9 +17,10 @@
 //!   `{"v":1, "id":…, "op":"load|unload|solve|eco|ping|stats|shutdown", …}`.
 //! * [`ok_frame`] / [`error_frame`] — the response envelope
 //!   `{"v":1, "id":…, "ok":…, …}`.
-//! * [`scenario_record`] / [`skew_record`] — one scenario's per-net
-//!   record, printed by [`NetOutcome::to_value`] like every producer's, so
-//!   per-net JSON is byte-identical wherever it comes from.
+//! * [`skew_record`] — one skew-target scenario's per-net record with its
+//!   clock-tree members; the per-net part is [`NetOutcome::to_value`],
+//!   which prints every producer's record, so per-net JSON is
+//!   byte-identical wherever it comes from.
 //!
 //! The full protocol (framing, op fields, error codes, compatibility
 //! rules) is documented in `docs/PROTOCOL.md`.
@@ -27,9 +28,7 @@
 use std::error::Error;
 use std::fmt;
 
-use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::Algorithm;
-use fastbuf_rctree::RoutingTree;
 
 use crate::error::SolveError;
 use crate::outcome::{NetOutcome, ScenarioOutcome};
@@ -926,44 +925,6 @@ pub fn error_frame(id: Option<&Json>, code: &str, message: &str) -> String {
 // Owned per-scenario records
 // ---------------------------------------------------------------------
 
-/// One max-slack scenario's per-net record: the scenario's
-/// [`NetOutcome`], measured on `tree` and printed by
-/// [`NetOutcome::to_value`] — the record `batch --json`, `solve --json`
-/// and `fastbuf serve` all print.
-///
-/// `named` controls whether the record carries a `"scenario"` key
-/// (multi-corner runs) — matching `fastbuf solve`'s rule that explicit
-/// scenario files always produce named records.
-///
-/// # Errors
-///
-/// [`SolveError::Unsupported`] when the scenario did not solve for max
-/// slack (frontier/polarity outcomes have no per-net record), and
-/// [`SolveError::Verify`] when the corner's tree rejects forward
-/// evaluation.
-pub fn scenario_record(
-    net_name: &str,
-    index: usize,
-    tree: &RoutingTree,
-    library: &BufferLibrary,
-    corner: &ScenarioOutcome,
-    named: bool,
-    include_placements: bool,
-) -> Result<Json, SolveError> {
-    if corner.solution().is_none() {
-        return Err(SolveError::Unsupported {
-            scenario: corner.scenario.name.clone(),
-            reason: "wire records cover max-slack solves only".into(),
-        });
-    }
-    let net = NetOutcome::measure(index, tree, library, corner)?;
-    Ok(net.to_value(
-        net_name,
-        named.then_some(corner.scenario.name.as_str()),
-        include_placements,
-    ))
-}
-
 /// Serializes one skew-target scenario's
 /// [`SkewSolution`](fastbuf_core::skew::SkewSolution): `net`, its
 /// [`NetOutcome`] (built by [`NetOutcome::measure`] from `corner`), as a
@@ -1387,7 +1348,9 @@ mod tests {
                 assert_eq!(net.sinks, tree.sink_count());
                 net.verify().unwrap();
                 // The record is that outcome, printed.
-                let record = scenario_record("net-a", 0, &tree, lib, corner, true, true).unwrap();
+                let record = NetOutcome::measure(0, &tree, lib, corner)
+                    .unwrap()
+                    .to_value("net-a", Some(&corner.scenario.name), true);
                 assert_eq!(
                     record.to_json(),
                     net.to_value("net-a", Some(&corner.scenario.name), true)

@@ -4,9 +4,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use fastbuf_api::SolveError;
 use fastbuf_batch::BatchSolver;
 use fastbuf_buflib::units::Seconds;
-use fastbuf_core::{Algorithm, Solver, VerifyError};
+use fastbuf_core::{Algorithm, Solver};
 use fastbuf_rctree::{io as netio, RoutingTree};
 
 use super::{io_error, load_lib, load_model, load_slew_limit, write_json, CliError, USAGE};
@@ -101,31 +102,18 @@ pub(super) fn batch(argv: &[String]) -> Result<(), CliError> {
 
     if !flags.switch("no-verify") {
         // Each outcome's own forward measurement, taken under the delay
-        // model the batch solved with, against its prediction.
+        // model the batch solved with, through the one per-net check.
         for o in &report.outcomes {
-            let name = &names[o.index];
-            match o.verify() {
-                Ok(_) => {}
-                Err(VerifyError::SlackMismatch {
-                    predicted,
-                    measured,
-                }) => {
-                    return Err(format!(
-                        "{name}: batch predicted {predicted} but forward evaluation measures {measured}"
-                    )
-                    .into())
+            o.verify().map_err(|error| {
+                let e = SolveError::Verify {
+                    scenario: "batch".into(),
+                    error,
+                };
+                CliError {
+                    code: e.exit_code(),
+                    message: format!("{}: {e}", names[o.index]),
                 }
-                Err(e) => return Err(format!("{name}: {e}").into()),
-            }
-            if let Some(limit) = slew_limit {
-                if o.slew_ok && o.max_slew.value() > limit.value() * (1.0 + 1e-9) {
-                    return Err(format!(
-                        "{name}: reported slew-feasible but measures {} over the {limit} limit",
-                        o.max_slew
-                    )
-                    .into());
-                }
-            }
+            })?;
         }
     }
     if flags.switch("check") {

@@ -50,10 +50,17 @@ const USAGE: &str = "usage:
                      FILE is a `parse_variation` spec, --samples (default
                      64) dice are solved through per-worker warm subtree
                      caches, and the slack distribution plus the --quantile
-                     (default 0.5) slack are reported per corner.)
+                     (default 0.5) slack are reported per corner.
+                     Each corner's answer is measured by forward evaluation
+                     and must match its predicted slack and, when reported
+                     slew-feasible, stay within its slew limit (exit 17
+                     otherwise); --no-verify skips that check.)
   fastbuf batch     (--dir DIR | --manifest FILE) --lib FILE [--algo A] [--workers N]
                     [--slew-limit PS] [--model M] [--json FILE] [--placements]
                     [--per-net] [--check] [--no-verify]
+                    (every net passes the same check as `solve` unless
+                     --no-verify: measured slack as predicted, worst slew
+                     within --slew-limit when reported met; exit 17.)
   fastbuf eco       --net FILE --lib FILE (--edits FILE | --random N)
                     [--locality F] [--seed S] [--algo A] [--model M]
                     [--slew-limit PS] [--check] [--per-edit] [--json FILE]
@@ -76,7 +83,9 @@ const USAGE: &str = "usage:
                      candidate recursion and bounded by --max-skew; exits 2
                      if no candidate meets the bound. --inverters routes
                      buffering through the polarity DP instead (all sinks
-                     kept positive) and measures skew post hoc.)
+                     kept positive) and measures skew post hoc. The answer
+                     must measure the slack and skew it predicted (exit 17
+                     otherwise); --no-verify skips that check.)
   fastbuf global    --lib FILE [--nets N] [--pool N] [--sites-per-net N] [--seed S]
                     [--cap N] [--capacity FILE] [--max-iters N] [--workers N]
                     [--step-ps PS] [--growth F] [--scratch] [--algo A] [--model M]

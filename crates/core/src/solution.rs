@@ -175,7 +175,8 @@ impl fmt::Display for Solution {
     }
 }
 
-/// Errors from [`Solution::verify`].
+/// Errors from [`Solution::verify`] and the per-net check that accepts a
+/// measured answer.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum VerifyError {
@@ -189,6 +190,22 @@ pub enum VerifyError {
         /// Slack the DP predicted.
         predicted: Seconds,
         /// Slack the forward Elmore evaluation measured.
+        measured: Seconds,
+    },
+    /// An answer reported slew-feasible, but its measured worst output
+    /// slew is over the limit.
+    SlewOverLimit {
+        /// The slew limit the solve was given.
+        limit: Seconds,
+        /// Worst output slew the forward evaluation measured.
+        measured: Seconds,
+    },
+    /// The forward evaluation measures a sink-to-sink skew other than the
+    /// one the DP predicted.
+    SkewMismatch {
+        /// Skew the DP predicted.
+        predicted: Seconds,
+        /// Skew the forward evaluation measured.
         measured: Seconds,
     },
 }
@@ -225,6 +242,18 @@ impl fmt::Display for VerifyError {
             } => write!(
                 f,
                 "predicted slack {predicted} but forward evaluation measured {measured}"
+            ),
+            VerifyError::SlewOverLimit { limit, measured } => write!(
+                f,
+                "reported slew-feasible but forward evaluation measured a worst slew \
+                 of {measured}, over the {limit} limit"
+            ),
+            VerifyError::SkewMismatch {
+                predicted,
+                measured,
+            } => write!(
+                f,
+                "predicted skew {predicted} but forward evaluation measured {measured}"
             ),
         }
     }

@@ -36,9 +36,9 @@ pub struct GlobalOptions {
     /// inner solves) — bit-identical results, strictly more work; the
     /// `global_convergence` bench measures the gap.
     pub warm: bool,
-    /// Inner per-net solve configuration (algorithm, delay model, kernel,
-    /// …). `site_prices` on this struct is ignored — the loop owns the
-    /// price vector.
+    /// Inner per-net solve configuration (algorithm, delay model, slew
+    /// limit, …). `site_prices` on this struct is ignored — the loop owns
+    /// the price vector.
     pub solver: SolverOptions,
 }
 

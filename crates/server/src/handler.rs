@@ -388,8 +388,8 @@ fn solve(
 }
 
 /// Each scenario's per-net record, as its JSON object. With `verify` on,
-/// each scenario's forward measurement is checked against its prediction
-/// first.
+/// each scenario's answer must first pass [`NetOutcome::verify`] (slack,
+/// slew limit, skew), the check every front end applies.
 fn records_of(
     design: &str,
     tree: &RoutingTree,
@@ -519,7 +519,7 @@ pub use wire::WIRE_VERSION;
 mod tests {
     use super::*;
     use fastbuf_api::json::json_str;
-    use fastbuf_buflib::units::Microns;
+    use fastbuf_buflib::units::{Microns, Seconds};
     use fastbuf_buflib::BufferLibrary;
 
     fn loaded_registry() -> DesignRegistry {
@@ -538,34 +538,60 @@ mod tests {
     #[test]
     fn solve_matches_a_direct_session_solve_bit_for_bit() {
         let registry = loaded_registry();
-        let v = reply(
-            &registry,
-            r#"{"v": 1, "id": 1, "op": "solve", "design": "d1", "placements": true}"#,
-        );
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
-        let result = v.get("result").unwrap();
-        let record = &result.get("results").and_then(Json::as_array).unwrap()[0];
-
-        // The same solve done directly through the Session API.
         let session = Session::new(BufferLibrary::paper_synthetic(6).unwrap());
         let tree = fastbuf_netgen::line_net(Microns::new(8_000.0), 10);
-        let outcome = session.request(&tree).solve().unwrap();
-        let direct = outcome.scenarios[0].solution().unwrap();
+        // A slew-limited corner with `verify` on runs the same per-net
+        // check as `fastbuf solve`: slack agreement and the slew limit.
+        let limit = Seconds::from_pico(200.0);
+        let cases = [
+            (
+                r#"{"v": 1, "id": 1, "op": "solve", "design": "d1", "placements": true}"#,
+                Scenario::default(),
+            ),
+            (
+                r#"{"v": 1, "id": 2, "op": "solve", "design": "d1", "placements": true,
+                    "scenarios": ["tight slew-limit-ps=200"], "verify": true}"#,
+                Scenario::named("tight").slew_limit(limit),
+            ),
+        ];
+        for (frame, scenario) in cases {
+            let v = reply(&registry, frame);
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+            let result = v.get("result").unwrap();
+            let record = &result.get("results").and_then(Json::as_array).unwrap()[0];
 
-        let served = record.get("slack_after_ps").and_then(Json::as_f64).unwrap();
-        assert_eq!(served.to_bits(), direct.slack.picos().to_bits());
-        assert_eq!(
-            record.get("buffers").and_then(Json::as_u64).unwrap() as usize,
-            direct.placements.len()
-        );
-        assert_eq!(
-            result
-                .get("worst_slack_ps")
-                .and_then(Json::as_f64)
-                .unwrap()
-                .to_bits(),
-            outcome.worst_slack().unwrap().picos().to_bits()
-        );
+            // The same solve done directly through the Session API.
+            let outcome = session.request(&tree).scenario(scenario).solve().unwrap();
+            let direct = outcome.scenarios[0].solution().unwrap();
+            let net =
+                NetOutcome::measure(0, &tree, session.library(), &outcome.scenarios[0]).unwrap();
+
+            let served = record.get("slack_after_ps").and_then(Json::as_f64).unwrap();
+            assert_eq!(served.to_bits(), direct.slack.picos().to_bits());
+            assert_eq!(
+                record.get("buffers").and_then(Json::as_u64).unwrap() as usize,
+                direct.placements.len()
+            );
+            assert_eq!(
+                result
+                    .get("worst_slack_ps")
+                    .and_then(Json::as_f64)
+                    .unwrap()
+                    .to_bits(),
+                outcome.worst_slack().unwrap().picos().to_bits()
+            );
+            let served_slew = record.get("max_slew_ps").and_then(Json::as_f64).unwrap();
+            assert_eq!(served_slew.to_bits(), net.max_slew.picos().to_bits());
+            assert_eq!(
+                record.get("slew_ok").and_then(Json::as_bool),
+                Some(net.slew_ok)
+            );
+            // The 200 ps limit binds (the line's free answer slews about
+            // 240 ps) and is met, so the served answer passed the slew rule.
+            if let Some(limit) = net.slew_limit {
+                assert!(net.slew_ok && net.max_slew <= limit, "{net:?}");
+            }
+        }
     }
 
     #[test]

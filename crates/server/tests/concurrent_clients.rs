@@ -13,8 +13,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 
-use fastbuf_api::wire::{self, Json};
-use fastbuf_api::{Scenario, Session};
+use fastbuf_api::wire::Json;
+use fastbuf_api::{NetOutcome, Scenario, Session};
 use fastbuf_buflib::units::Microns;
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_incremental::parse_edits;
@@ -169,16 +169,9 @@ fn direct_solve_signature() -> Signature {
         .workers(1)
         .solve()
         .unwrap();
-    let record = wire::scenario_record(
-        "a",
-        0,
-        &tree,
-        session.library(),
-        &outcome.scenarios[0],
-        false,
-        false,
-    )
-    .unwrap();
+    let record = NetOutcome::measure(0, &tree, session.library(), &outcome.scenarios[0])
+        .unwrap()
+        .to_value("a", None, false);
     Signature::of_direct(&record)
 }
 
@@ -189,16 +182,9 @@ fn direct_eco_signature(edit: &str) -> Signature {
     let mut solver = session.eco(&net_b(), vec![Scenario::default()]).unwrap();
     solver.apply_all(&parse_edits(edit).unwrap()).unwrap();
     let outcome = solver.solve().unwrap();
-    let record = wire::scenario_record(
-        "b",
-        0,
-        solver.tree(),
-        session.library(),
-        &outcome.scenarios[0],
-        false,
-        false,
-    )
-    .unwrap();
+    let record = NetOutcome::measure(0, solver.tree(), session.library(), &outcome.scenarios[0])
+        .unwrap()
+        .to_value("b", None, false);
     Signature::of_direct(&record)
 }
 

@@ -11,8 +11,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 
-use fastbuf_api::wire::{self, Json};
-use fastbuf_api::{Scenario, Session};
+use fastbuf_api::wire::Json;
+use fastbuf_api::{NetOutcome, Scenario, Session};
 use fastbuf_buflib::units::Microns;
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_netgen::line_net;
@@ -119,16 +119,9 @@ fn the_stream_transport_serves_load_solve_and_shutdown_on_byte_buffers() {
         .workers(1)
         .solve()
         .unwrap();
-    let direct = wire::scenario_record(
-        "d",
-        0,
-        &tree,
-        session.library(),
-        &outcome.scenarios[0],
-        false,
-        false,
-    )
-    .unwrap();
+    let direct = NetOutcome::measure(0, &tree, session.library(), &outcome.scenarios[0])
+        .unwrap()
+        .to_value("d", None, false);
     let slack = |record: &Json| {
         record
             .get("slack_after_ps")

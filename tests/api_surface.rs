@@ -83,9 +83,11 @@ fn api_module_surface_holds() {
         slack_before: Seconds::ZERO,
         slack: Seconds::ZERO,
         measured_slack: Some(Seconds::ZERO),
+        skew: None,
         measured_skew: None,
         slew_before: Seconds::ZERO,
         max_slew: Seconds::ZERO,
+        slew_limit: None,
         slew_ok: true,
         placements: Vec::new(),
         cost: 0.0,

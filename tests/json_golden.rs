@@ -8,7 +8,7 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use fastbuf::api::wire::{self, error_frame, ok_frame, scenario_record, Json};
+use fastbuf::api::wire::{self, error_frame, ok_frame, Json};
 use fastbuf::api::{NetOutcome, Objective, Scenario};
 use fastbuf::global::{GlobalNet, GlobalSolver, SiteCapacityMap};
 use fastbuf::netgen::{SharedSuiteSpec, SuiteSpec, VariationSpec};
@@ -134,8 +134,9 @@ fn scenario_and_skew_record_bytes() {
         .scenarios
         .iter()
         .map(|corner| {
-            scenario_record("net-a", 3, &tree, session.library(), corner, true, true)
+            NetOutcome::measure(3, &tree, session.library(), corner)
                 .unwrap()
+                .to_value("net-a", Some(&corner.scenario.name), true)
                 .to_json()
         })
         .collect();

@@ -5,12 +5,14 @@
 //! solve's delay model. This suite re-runs `elmore::evaluate_with` itself
 //! on every net of a seeded fleet, under the Elmore and scaled-Elmore
 //! models, each with and without a slew limit, and demands the same bits
-//! in the `BatchReport` outcomes and in the `wire::scenario_record` JSON of
-//! the same net and corner.
+//! in the `BatchReport` outcomes and in the `NetOutcome::to_value` JSON of
+//! the same net and corner. Every outcome also passes `NetOutcome::verify`,
+//! whose slew rule the 150 ps rows arm.
 
 use std::sync::Arc;
 
-use fastbuf::api::wire::{scenario_record, Json};
+use fastbuf::api::wire::Json;
+use fastbuf::api::NetOutcome;
 use fastbuf::netgen::SuiteSpec;
 use fastbuf::prelude::*;
 use fastbuf::rctree::elmore;
@@ -70,6 +72,7 @@ fn outcomes_and_records_hold_the_forward_measurement() {
                     "{case}"
                 );
                 assert_eq!(bits(o.max_slew), bits(after.max_slew), "{case}");
+                assert_eq!(o.slew_limit, limit, "{case}");
                 o.verify().unwrap();
                 match limit {
                     None => free.push(o.placements.clone()),
@@ -81,16 +84,9 @@ fn outcomes_and_records_hold_the_forward_measurement() {
                     .scenario(scenario.clone())
                     .solve()
                     .unwrap();
-                let record = scenario_record(
-                    "n",
-                    o.index,
-                    tree,
-                    &lib,
-                    &outcome.scenarios[0],
-                    false,
-                    false,
-                )
-                .unwrap();
+                let record = NetOutcome::measure(o.index, tree, &lib, &outcome.scenarios[0])
+                    .unwrap()
+                    .to_value("n", None, false);
                 let ps = |s: Seconds| s.picos().to_bits();
                 assert_eq!(
                     record_ps(&record, "slack_before_ps"),
