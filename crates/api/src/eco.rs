@@ -11,7 +11,6 @@
 //! issuing a fresh [`SolveRequest`](crate::SolveRequest) on the edited
 //! tree (asserted in `tests/incremental_equivalence.rs`).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use fastbuf_buflib::units::Seconds;
@@ -212,7 +211,7 @@ impl EcoSolver {
                 let solution = corner.solver.solve();
                 ScenarioOutcome {
                     scenario: corner.scenario.clone(),
-                    model: Arc::clone(&corner.solver.options().delay_model),
+                    model: corner.solver.options().delay_model,
                     algorithm: corner.solver.options().algorithm,
                     result: ScenarioResult::Solution(solution),
                     elapsed: t0.elapsed(),
@@ -252,7 +251,7 @@ mod tests {
     use fastbuf_core::Algorithm;
     use fastbuf_netgen::eco::EditScriptSpec;
     use fastbuf_netgen::RandomNetSpec;
-    use fastbuf_rctree::ScaledElmoreModel;
+    use fastbuf_rctree::DelayModel;
 
     fn scenarios() -> Vec<Scenario> {
         vec![
@@ -260,7 +259,7 @@ mod tests {
             Scenario::named("slow").rat_derate(0.9),
             Scenario::named("signoff").slew_limit(Seconds::from_pico(300.0)),
             Scenario::named("optimistic")
-                .delay_model(Arc::new(ScaledElmoreModel::default()))
+                .delay_model(DelayModel::SCALED_ELMORE)
                 .algorithm(Algorithm::Lillis),
         ]
     }
@@ -297,7 +296,7 @@ mod tests {
             assert_eq!(incremental.scenarios.len(), fresh.scenarios.len());
             for (a, b) in incremental.scenarios.iter().zip(&fresh.scenarios) {
                 assert_eq!(a.scenario.name, b.scenario.name);
-                assert_eq!(a.model.name(), b.model.name());
+                assert_eq!(a.model, b.model);
                 let (sa, sb) = (a.solution().unwrap(), b.solution().unwrap());
                 assert_eq!(
                     sa.slack.value().to_bits(),

@@ -71,8 +71,9 @@ pub enum SolveError {
         /// What went wrong.
         message: String,
     },
-    /// A scenario named a delay model that
-    /// [`model_by_name`](fastbuf_rctree::model_by_name) does not know.
+    /// A scenario, frame or `--model` flag named a delay model that
+    /// [`DelayModel::by_name`](fastbuf_rctree::DelayModel::by_name) does
+    /// not know.
     UnknownModel(String),
     /// An ECO edit was rejected by the tree or library (see
     /// [`EcoSolver::apply`](crate::EcoSolver::apply)).

@@ -18,8 +18,7 @@
 //!   concurrently over the session's workspace pool.
 //! * [`Outcome`] — per-scenario results plus the configuration that
 //!   actually produced them, so [`Outcome::verify`] re-measures with the
-//!   same delay model the DP predicted with (the legacy
-//!   `Solution::verify` shim always measures with Elmore).
+//!   same delay model the DP predicted with.
 //! * [`NetOutcome`] — one solved net, measured: the DP's prediction
 //!   beside the forward evaluation of the same corner, unbuffered and
 //!   buffered. The one per-net result `fastbuf-batch`, `fastbuf solve
@@ -83,7 +82,7 @@ pub use error::SolveError;
 pub use fastbuf_netgen::{parse_variation, write_variation, Dist, VariationSpec};
 pub use outcome::{NetOutcome, Outcome, ScenarioOutcome, ScenarioResult};
 pub use request::{Objective, SolveRequest};
-pub use scenario::{parse_scenario_lines, parse_scenarios, Scenario};
+pub use scenario::{parse_model, parse_scenario_lines, parse_scenarios, Scenario};
 pub use session::{Session, SessionBuilder};
 pub use variation::{
     parse_variation_spec, summarize_samples, SampleResult, VariationOutcome, VariationSummary,
@@ -96,8 +95,7 @@ mod tests {
     use fastbuf_buflib::BufferLibrary;
     use fastbuf_core::{Algorithm, Solver};
     use fastbuf_netgen::{line_net, RandomNetSpec};
-    use fastbuf_rctree::ScaledElmoreModel;
-    use std::sync::Arc;
+    use fastbuf_rctree::DelayModel;
 
     fn lib8() -> BufferLibrary {
         BufferLibrary::paper_synthetic(8).unwrap()
@@ -135,7 +133,7 @@ mod tests {
             .scenario(Scenario::named("signoff").slew_limit(limit))
             .scenario(
                 Scenario::named("optimistic")
-                    .delay_model(Arc::new(ScaledElmoreModel::default()))
+                    .delay_model(DelayModel::SCALED_ELMORE)
                     .rat_derate(0.9),
             )
             .workers(1)
@@ -147,7 +145,7 @@ mod tests {
         let signoff = Solver::new(&tree, &lib).slew_limit(limit).solve();
         let derated = tree.with_derated_rats(0.9);
         let optimistic = Solver::new(&derated, &lib)
-            .delay_model(Arc::new(ScaledElmoreModel::default()))
+            .delay_model(DelayModel::SCALED_ELMORE)
             .solve();
         for (name, legacy) in [
             ("typical", &typical),
@@ -250,7 +248,7 @@ mod tests {
     #[test]
     fn every_objective_runs_under_any_model_and_slew_limit() {
         let scaled = Session::builder(lib8())
-            .delay_model(Arc::new(ScaledElmoreModel::default()))
+            .delay_model(DelayModel::SCALED_ELMORE)
             .build();
         let limit = Seconds::from_pico(100.0);
         let line = line_net(Microns::new(4_000.0), 4);
@@ -276,7 +274,7 @@ mod tests {
                 (&scaled, Scenario::named("s").slew_limit(limit)),
                 (
                     &Session::new(lib8()),
-                    Scenario::named("s").delay_model(Arc::new(ScaledElmoreModel::default())),
+                    Scenario::named("s").delay_model(DelayModel::SCALED_ELMORE),
                 ),
             ] {
                 let request = session.request(tree).objective(objective.clone());

@@ -1,6 +1,5 @@
 //! The unified result envelope.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use fastbuf_buflib::units::Seconds;
@@ -44,7 +43,7 @@ pub struct ScenarioOutcome {
     pub scenario: Scenario,
     /// The delay model actually used (the scenario override, or the
     /// session default).
-    pub model: Arc<dyn DelayModel>,
+    pub model: DelayModel,
     /// The `AddBuffer` algorithm actually used.
     pub algorithm: Algorithm,
     /// The payload.
@@ -212,7 +211,7 @@ impl Outcome {
                             .map(|p| (p.node, p.buffer))
                             .collect();
                         let report =
-                            elmore::evaluate_with(&scenario_tree, library, &pairs, &*so.model)
+                            elmore::evaluate_with(&scenario_tree, library, &pairs, so.model)
                                 .map_err(|e| named(VerifyError::Tree(e)))?;
                         VerifyError::check_slack(point.slack, report.slack).map_err(named)?;
                     }
@@ -230,12 +229,7 @@ impl Outcome {
                         _ => &[],
                     };
                     polarity
-                        .verify_with(
-                            &so.scenario.apply_derate(tree),
-                            library,
-                            negated,
-                            &*so.model,
-                        )
+                        .verify(&so.scenario.apply_derate(tree), library, negated)
                         .map_err(SolveError::Polarity)?;
                 }
             }
@@ -348,7 +342,7 @@ impl NetOutcome {
         };
         let corner_tree = corner.scenario.apply_derate(tree);
         let evaluate = |pairs: &[_]| {
-            elmore::evaluate_with(&corner_tree, library, pairs, &*corner.model).map_err(tree_err)
+            elmore::evaluate_with(&corner_tree, library, pairs, corner.model).map_err(tree_err)
         };
         let before = evaluate(&[])?;
         let after = if tracked {

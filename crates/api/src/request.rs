@@ -1,6 +1,5 @@
 //! Building and solving requests.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use fastbuf_buflib::units::Seconds;
@@ -266,7 +265,7 @@ impl<'a> SolveRequest<'a> {
         let library = session.library();
         let mut options = session.options(scenario);
         options.track_predecessors = self.track_predecessors;
-        let (model, algorithm) = (Arc::clone(&options.delay_model), options.algorithm);
+        let (model, algorithm) = (options.delay_model, options.algorithm);
         let tree = scenario.apply_derate(self.tree);
         let tree = &*tree;
 

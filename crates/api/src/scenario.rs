@@ -9,12 +9,11 @@
 //! in the slow corner *and* meet slew in the fast one?").
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
 use fastbuf_buflib::text::{self, LineError};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_core::Algorithm;
-use fastbuf_rctree::{model_by_name, DelayModel, RoutingTree};
+use fastbuf_rctree::{DelayModel, RoutingTree};
 
 use crate::error::SolveError;
 
@@ -35,7 +34,7 @@ pub struct Scenario {
     /// it).
     pub name: String,
     /// Delay model override (`None` = the session's default model).
-    pub delay_model: Option<Arc<dyn DelayModel>>,
+    pub delay_model: Option<DelayModel>,
     /// Maximum output slew at every buffer input and sink (`None` =
     /// unconstrained).
     pub slew_limit: Option<Seconds>,
@@ -66,7 +65,7 @@ impl Scenario {
 
     /// Overrides the delay model for this scenario.
     #[must_use]
-    pub fn delay_model(mut self, model: Arc<dyn DelayModel>) -> Self {
+    pub fn delay_model(mut self, model: DelayModel) -> Self {
         self.delay_model = Some(model);
         self
     }
@@ -197,10 +196,7 @@ pub fn parse_scenarios(text: &str) -> Result<Vec<Scenario>, SolveError> {
                     if scenario.delay_model.is_some() {
                         return Err(err("`model=` given twice".into()));
                     }
-                    scenario.delay_model = Some(
-                        model_by_name(value)
-                            .ok_or_else(|| SolveError::UnknownModel(value.to_owned()))?,
-                    );
+                    scenario.delay_model = Some(parse_model(value)?);
                 }
                 "slew-limit-ps" => {
                     if scenario.slew_limit.is_some() {
@@ -247,6 +243,17 @@ pub fn parse_scenarios(text: &str) -> Result<Vec<Scenario>, SolveError> {
     Ok(scenarios)
 }
 
+/// The delay model `name` stands for ([`DelayModel::by_name`]): the one
+/// name lookup behind a scenario line's `model=`, a server frame's
+/// `"model"` and the CLI's `--model`.
+///
+/// # Errors
+///
+/// [`SolveError::UnknownModel`] for a name no model has.
+pub fn parse_model(name: &str) -> Result<DelayModel, SolveError> {
+    DelayModel::by_name(name).ok_or_else(|| SolveError::UnknownModel(name.to_owned()))
+}
+
 /// [`parse_scenarios`] plus default application: scenarios whose line
 /// omitted `algo=` get `default_algorithm`, and scenarios whose line
 /// omitted `model=` get `default_model`. This is the **one** scenario
@@ -261,18 +268,14 @@ pub fn parse_scenarios(text: &str) -> Result<Vec<Scenario>, SolveError> {
 pub fn parse_scenario_lines(
     text: &str,
     default_algorithm: Option<Algorithm>,
-    default_model: Option<&Arc<dyn DelayModel>>,
+    default_model: Option<DelayModel>,
 ) -> Result<Vec<Scenario>, SolveError> {
     let mut scenarios = parse_scenarios(text)?;
     for scenario in &mut scenarios {
         if scenario.algorithm.is_none() {
             scenario.algorithm = default_algorithm;
         }
-        if scenario.delay_model.is_none() {
-            if let Some(model) = default_model {
-                scenario.delay_model = Some(Arc::clone(model));
-            }
-        }
+        scenario.delay_model = scenario.delay_model.or(default_model);
     }
     Ok(scenarios)
 }
@@ -334,27 +337,21 @@ fast    model=scaled-elmore  algo=lillis
         assert_eq!(scenarios[0].name, "typical");
         assert_eq!(scenarios[1].slew_limit, Some(Seconds::from_pico(250.0)));
         assert_eq!(scenarios[1].rat_derate, 0.9);
-        assert_eq!(
-            scenarios[2].delay_model.as_ref().unwrap().name(),
-            "scaled-elmore"
-        );
+        assert_eq!(scenarios[2].delay_model, Some(DelayModel::SCALED_ELMORE));
         assert_eq!(scenarios[2].algorithm, Some(Algorithm::Lillis));
     }
 
     #[test]
     fn line_parser_applies_defaults_without_overriding() {
-        let model = model_by_name("scaled-elmore").unwrap();
+        let model = DelayModel::SCALED_ELMORE;
         let text = "typical\nslow model=elmore algo=lishi\n";
-        let scenarios = parse_scenario_lines(text, Some(Algorithm::Lillis), Some(&model)).unwrap();
+        let scenarios = parse_scenario_lines(text, Some(Algorithm::Lillis), Some(model)).unwrap();
         // Defaults fill the gaps…
         assert_eq!(scenarios[0].algorithm, Some(Algorithm::Lillis));
-        assert_eq!(
-            scenarios[0].delay_model.as_ref().unwrap().name(),
-            "scaled-elmore"
-        );
+        assert_eq!(scenarios[0].delay_model, Some(model));
         // …but never override an explicit per-line choice.
         assert_eq!(scenarios[1].algorithm, Some(Algorithm::LiShi));
-        assert_eq!(scenarios[1].delay_model.as_ref().unwrap().name(), "elmore");
+        assert_eq!(scenarios[1].delay_model, Some(DelayModel::Elmore));
 
         // No defaults = plain parse_scenarios.
         let scenarios = parse_scenario_lines(text, None, None).unwrap();

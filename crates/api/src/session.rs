@@ -4,7 +4,7 @@ use std::sync::{Arc, Mutex};
 
 use fastbuf_buflib::{BufferLibrary, Technology};
 use fastbuf_core::{SolveWorkspace, SolverOptions};
-use fastbuf_rctree::{DelayModel, ElmoreModel, RoutingTree};
+use fastbuf_rctree::{DelayModel, RoutingTree};
 
 use crate::request::SolveRequest;
 use crate::scenario::Scenario;
@@ -40,13 +40,14 @@ pub struct Session {
 struct SessionInner {
     library: BufferLibrary,
     technology: Technology,
-    delay_model: Arc<dyn DelayModel>,
+    delay_model: DelayModel,
     workspaces: Mutex<Vec<SolveWorkspace>>,
 }
 
 impl Session {
     /// A session over `library` with the default technology
-    /// ([`Technology::tsmc180_like`]) and delay model ([`ElmoreModel`]).
+    /// ([`Technology::tsmc180_like`]) and delay model
+    /// ([`DelayModel::Elmore`]).
     pub fn new(library: BufferLibrary) -> Self {
         Session::builder(library).build()
     }
@@ -56,7 +57,7 @@ impl Session {
         SessionBuilder {
             library,
             technology: Technology::tsmc180_like(),
-            delay_model: Arc::new(ElmoreModel),
+            delay_model: DelayModel::Elmore,
         }
     }
 
@@ -79,8 +80,8 @@ impl Session {
 
     /// The default delay model — used by every scenario that does not
     /// override it.
-    pub fn delay_model(&self) -> &Arc<dyn DelayModel> {
-        &self.inner.delay_model
+    pub fn delay_model(&self) -> DelayModel {
+        self.inner.delay_model
     }
 
     /// The solver options of `scenario`: its algorithm and slew limit, and
@@ -88,10 +89,7 @@ impl Session {
     pub(crate) fn options(&self, scenario: &Scenario) -> SolverOptions {
         let mut options = SolverOptions::default();
         options.algorithm = scenario.algorithm.unwrap_or_default();
-        options.delay_model = scenario
-            .delay_model
-            .clone()
-            .unwrap_or_else(|| Arc::clone(self.delay_model()));
+        options.delay_model = scenario.delay_model.unwrap_or(self.delay_model());
         options.slew_limit = scenario.slew_limit;
         options
     }
@@ -139,7 +137,7 @@ impl Session {
 pub struct SessionBuilder {
     library: BufferLibrary,
     technology: Technology,
-    delay_model: Arc<dyn DelayModel>,
+    delay_model: DelayModel,
 }
 
 impl SessionBuilder {
@@ -154,7 +152,7 @@ impl SessionBuilder {
 
     /// Sets the default delay model (scenarios may override per corner).
     #[must_use]
-    pub fn delay_model(mut self, model: Arc<dyn DelayModel>) -> Self {
+    pub fn delay_model(mut self, model: DelayModel) -> Self {
         self.delay_model = model;
         self
     }
@@ -175,7 +173,6 @@ impl SessionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbuf_rctree::ScaledElmoreModel;
 
     #[test]
     fn clones_share_the_workspace_pool() {
@@ -197,9 +194,9 @@ mod tests {
                 fastbuf_buflib::units::Ohms::new(0.1),
                 fastbuf_buflib::units::Farads::from_femto(0.2),
             ))
-            .delay_model(Arc::new(ScaledElmoreModel::default()))
+            .delay_model(DelayModel::SCALED_ELMORE)
             .build();
-        assert_eq!(session.delay_model().name(), "scaled-elmore");
+        assert_eq!(session.delay_model(), DelayModel::SCALED_ELMORE);
         assert_eq!(session.library().len(), 2);
         let (r, _) = session
             .technology()

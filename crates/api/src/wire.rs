@@ -677,7 +677,7 @@ pub struct SolveParams {
     /// Default algorithm for scenarios without their own `algo=`.
     pub algorithm: Option<Algorithm>,
     /// Default delay-model name for scenarios without their own `model=`
-    /// (resolved by the consumer via `model_by_name`).
+    /// (resolved by the consumer via [`parse_model`](crate::parse_model)).
     pub model: Option<String>,
     /// Include per-scenario placement lists in the response records.
     pub placements: bool,

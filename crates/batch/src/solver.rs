@@ -1,12 +1,11 @@
 //! The worker-pool batch solver.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use fastbuf_api::{NetOutcome, Scenario, Session};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_core::{par, Algorithm, DelayModel, ElmoreModel, SolveWorkspace};
+use fastbuf_core::{par, Algorithm, DelayModel, SolveWorkspace};
 use fastbuf_rctree::RoutingTree;
 
 use crate::report::BatchReport;
@@ -22,9 +21,9 @@ pub struct BatchOptions {
     /// Record predecessor information so placements can be reconstructed
     /// (default `true`). Disable for pure throughput measurements.
     pub track_predecessors: bool,
-    /// Wire-delay/slew model applied to every net (default
-    /// [`ElmoreModel`]).
-    pub delay_model: Arc<dyn DelayModel>,
+    /// Wire-delay model applied to every net (default
+    /// [`DelayModel::Elmore`]).
+    pub delay_model: DelayModel,
     /// Optional per-net maximum output slew (default `None`).
     pub slew_limit: Option<Seconds>,
 }
@@ -35,7 +34,7 @@ impl Default for BatchOptions {
             algorithm: Algorithm::default(),
             workers: None,
             track_predecessors: true,
-            delay_model: Arc::new(ElmoreModel),
+            delay_model: DelayModel::Elmore,
             slew_limit: None,
         }
     }
@@ -116,9 +115,9 @@ impl<'a> BatchSolver<'a> {
         self
     }
 
-    /// Selects the wire-delay/slew model for every net.
+    /// Selects the wire-delay model for every net.
     #[must_use]
-    pub fn delay_model(mut self, model: Arc<dyn DelayModel>) -> Self {
+    pub fn delay_model(mut self, model: DelayModel) -> Self {
         self.options.delay_model = model;
         self
     }
@@ -146,7 +145,7 @@ impl<'a> BatchSolver<'a> {
         let nets = self.nets;
         let library = self.library;
         let session = Session::builder(library.clone())
-            .delay_model(Arc::clone(&self.options.delay_model))
+            .delay_model(self.options.delay_model)
             .build();
         let scenario = {
             let mut s = Scenario::named("batch").algorithm(self.options.algorithm);

@@ -242,8 +242,7 @@ fn slew_constrained_batch_matches_sequential_and_reports_slews() {
 
 #[test]
 fn scaled_model_batch_is_deterministic_across_workers() {
-    use fastbuf_core::ScaledElmoreModel;
-    use std::sync::Arc;
+    use fastbuf_core::DelayModel;
     let lib = BufferLibrary::paper_synthetic(8).unwrap();
     // 12 nets are under two `par::GRAIN`s and run inline at every cap;
     // 48 nets are above them, so the 4-worker side fans out.
@@ -252,7 +251,7 @@ fn scaled_model_batch_is_deterministic_across_workers() {
         let mk = |workers| {
             BatchSolver::new(&nets, &lib)
                 .workers(workers)
-                .delay_model(Arc::new(ScaledElmoreModel::default()))
+                .delay_model(DelayModel::SCALED_ELMORE)
                 .solve()
         };
         let a = mk(1);

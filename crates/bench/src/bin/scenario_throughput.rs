@@ -27,8 +27,6 @@
 //!       [--nets N] [--max-sinks M] [--seed S] [--repeats K] [--out FILE]
 //!       [--quick]`
 
-use std::sync::Arc;
-
 use fastbuf_api::wire::Json;
 use fastbuf_api::{Scenario, Session};
 use fastbuf_bench::{at_least, fixed, options, print_runs, time_arms, write_bench, Arm, Stopwatch};
@@ -36,7 +34,7 @@ use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::{par, SolveWorkspace, Solver};
 use fastbuf_netgen::SuiteSpec;
-use fastbuf_rctree::{RoutingTree, ScaledElmoreModel};
+use fastbuf_rctree::{DelayModel, RoutingTree};
 
 /// The corner ladder: every prefix of this list is a scenario set.
 fn corners(k: usize) -> Vec<Scenario> {
@@ -44,7 +42,7 @@ fn corners(k: usize) -> Vec<Scenario> {
         Scenario::named("typical"),
         Scenario::named("slow").rat_derate(0.9),
         Scenario::named("signoff").slew_limit(Seconds::from_pico(300.0)),
-        Scenario::named("optimistic").delay_model(Arc::new(ScaledElmoreModel::default())),
+        Scenario::named("optimistic").delay_model(DelayModel::SCALED_ELMORE),
     ];
     all[..k].to_vec()
 }
@@ -171,8 +169,8 @@ fn main() {
                                 for scenario in &scenarios {
                                     let solve_tree = scenario.apply_derate(tree);
                                     let mut solver = Solver::new(&solve_tree, &lib);
-                                    if let Some(model) = &scenario.delay_model {
-                                        solver = solver.delay_model(Arc::clone(model));
+                                    if let Some(model) = scenario.delay_model {
+                                        solver = solver.delay_model(model);
                                     }
                                     if let Some(limit) = scenario.slew_limit {
                                         solver = solver.slew_limit(limit);

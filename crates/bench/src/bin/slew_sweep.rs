@@ -19,7 +19,7 @@ use fastbuf_bench::{at_least, fixed, options, print_runs, time_each, write_bench
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_netgen::SuiteSpec;
-use fastbuf_rctree::model_by_name;
+use fastbuf_rctree::DelayModel;
 
 fn main() {
     let (suite_nets, max_sinks, seed, model, out) = options(
@@ -34,7 +34,8 @@ fn main() {
                 at_least(a, "nets", if quick { 12 } else { 60 }, 1)?,
                 at_least(a, "max-sinks", if quick { 24 } else { 96 }, 8)?,
                 a.parsed_or("seed", 1)?,
-                model_by_name(&name).ok_or_else(|| format!("unknown delay model `{name}`"))?,
+                DelayModel::by_name(&name)
+                    .ok_or_else(|| format!("unknown delay model `{name}`"))?,
                 a.parsed_or("out", "BENCH_slew.json".to_owned())?,
             ))
         },
@@ -60,7 +61,7 @@ fn main() {
     // One arm per limit, interleaved; each keeps its last (deterministic)
     // report. The batch pool fans out over workers: wall time only.
     let timed = time_each(&limits_ps, false, REPEATS, |&limit_ps, w| {
-        let mut solver = BatchSolver::new(&nets, &lib).delay_model(model.clone());
+        let mut solver = BatchSolver::new(&nets, &lib).delay_model(model);
         if limit_ps.is_finite() {
             solver = solver.slew_limit(Seconds::from_pico(limit_ps));
         }

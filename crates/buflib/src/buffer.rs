@@ -54,8 +54,8 @@ impl fmt::Display for BufferTypeId {
 /// let strong = BufferType::new("bx8", Ohms::new(180.0),
 ///                              Farads::from_femto(23.0),
 ///                              Seconds::from_pico(36.4));
-/// let d = strong.delay(Farads::from_femto(100.0));
-/// assert!((d.picos() - (36.4 + 0.18 * 100.0)).abs() < 1e-9);
+/// assert_eq!(strong.intrinsic_delay(), Seconds::from_pico(36.4));
+/// assert_eq!(strong.cost(), 1.0);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct BufferType {
@@ -178,12 +178,6 @@ impl BufferType {
     pub fn is_inverting(&self) -> bool {
         self.inverting
     }
-
-    /// Buffer delay driving `load`: `K + R·load`.
-    #[inline]
-    pub fn delay(&self, load: Farads) -> Seconds {
-        self.intrinsic_delay + self.driving_resistance * load
-    }
 }
 
 impl fmt::Display for BufferType {
@@ -207,11 +201,10 @@ impl fmt::Display for BufferType {
 ///
 /// ```
 /// use fastbuf_buflib::Driver;
-/// use fastbuf_buflib::units::{Farads, Ohms};
+/// use fastbuf_buflib::units::{Ohms, Seconds};
 ///
 /// let drv = Driver::new(Ohms::new(150.0));
-/// let d = drv.delay(Farads::from_femto(50.0));
-/// assert!((d.picos() - 7.5).abs() < 1e-9);
+/// assert_eq!(drv.intrinsic_delay(), Seconds::ZERO);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Driver {
@@ -247,12 +240,6 @@ impl Driver {
     pub fn intrinsic_delay(&self) -> Seconds {
         self.intrinsic_delay
     }
-
-    /// Driver delay when driving `load`: `K_d + R_d·load`.
-    #[inline]
-    pub fn delay(&self, load: Farads) -> Seconds {
-        self.intrinsic_delay + self.resistance * load
-    }
 }
 
 impl Default for Driver {
@@ -273,19 +260,6 @@ mod tests {
             Farads::from_femto(5.0),
             Seconds::from_pico(30.0),
         )
-    }
-
-    #[test]
-    fn linear_delay_model() {
-        let b = buf();
-        let d = b.delay(Farads::from_femto(10.0));
-        // 30 ps + 1 kOhm * 10 fF = 30 ps + 10 ps
-        assert!((d.picos() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_load_delay_is_intrinsic() {
-        assert_eq!(buf().delay(Farads::ZERO), Seconds::from_pico(30.0));
     }
 
     #[test]
@@ -315,19 +289,6 @@ mod tests {
         let id = BufferTypeId::new(7);
         assert_eq!(id.index(), 7);
         assert_eq!(id.to_string(), "B7");
-    }
-
-    #[test]
-    fn driver_delay_with_intrinsic() {
-        let d = Driver::new(Ohms::new(200.0)).with_intrinsic_delay(Seconds::from_pico(5.0));
-        let t = d.delay(Farads::from_femto(10.0));
-        assert!((t.picos() - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn default_driver_is_ideal() {
-        let d = Driver::default();
-        assert_eq!(d.delay(Farads::from_femto(1000.0)), Seconds::ZERO);
     }
 
     #[test]

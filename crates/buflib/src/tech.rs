@@ -41,12 +41,6 @@ impl Technology {
         Technology::new(Ohms::new(0.076), Farads::from_femto(0.118))
     }
 
-    /// A scaled 45 nm-class technology (thinner, more resistive wires),
-    /// useful for exercising different RC regimes in tests and examples.
-    pub fn nm45_like() -> Self {
-        Technology::new(Ohms::new(0.38), Farads::from_femto(0.08))
-    }
-
     /// Wire resistance per micron.
     #[inline]
     pub fn resistance_per_micron(&self) -> Ohms {
@@ -101,12 +95,5 @@ mod tests {
         let (r, c) = Technology::default().wire(Microns::ZERO);
         assert_eq!(r, Ohms::ZERO);
         assert_eq!(c, Farads::ZERO);
-    }
-
-    #[test]
-    fn nm45_is_more_resistive() {
-        let a = Technology::tsmc180_like();
-        let b = Technology::nm45_like();
-        assert!(b.resistance_per_micron() > a.resistance_per_micron());
     }
 }

@@ -257,12 +257,6 @@ impl Seconds {
     pub fn picos(self) -> f64 {
         self.value() * 1e12
     }
-
-    /// Creates a time from a value in nanoseconds (1e-9 s).
-    #[inline]
-    pub fn from_nano(ns: f64) -> Self {
-        Self::new(ns * 1e-9)
-    }
 }
 
 impl Mul<Farads> for Ohms {

@@ -2,7 +2,6 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use fastbuf_api::SolveError;
 use fastbuf_batch::BatchSolver;
@@ -87,7 +86,7 @@ pub(super) fn batch(argv: &[String]) -> Result<(), CliError> {
     };
     let mut solver = BatchSolver::new(&nets, &lib)
         .algorithm(algo)
-        .delay_model(Arc::clone(&model));
+        .delay_model(model);
     if let Some(limit) = slew_limit {
         solver = solver.slew_limit(limit);
     }
@@ -121,7 +120,7 @@ pub(super) fn batch(argv: &[String]) -> Result<(), CliError> {
         for o in &report.outcomes {
             let mut seq = Solver::new(&nets[o.index], &lib)
                 .algorithm(algo)
-                .delay_model(Arc::clone(&model));
+                .delay_model(model);
             if let Some(limit) = slew_limit {
                 seq = seq.slew_limit(limit);
             }

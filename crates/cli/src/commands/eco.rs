@@ -2,7 +2,6 @@
 //! subtree cache.
 
 use std::fs;
-use std::sync::Arc;
 
 use fastbuf_api::wire::Json;
 use fastbuf_api::SolveError;
@@ -72,7 +71,7 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
 
     let mut options = fastbuf_core::SolverOptions::default();
     options.algorithm = algo;
-    options.delay_model = Arc::clone(&model);
+    options.delay_model = model;
     options.slew_limit = slew_limit;
     let mut solver = IncrementalSolver::new(tree, lib).with_options(options);
 

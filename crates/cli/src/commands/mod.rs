@@ -6,9 +6,8 @@
 //! `serve.rs`, `gen.rs`, …).
 
 use std::fs;
-use std::sync::Arc;
 
-use fastbuf_api::SolveError;
+use fastbuf_api::{parse_model, SolveError};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
 use fastbuf_core::DelayModel;
@@ -71,6 +70,9 @@ const USAGE: &str = "usage:
                      --random N generates a reproducible N-edit script at
                      --locality (default 0.1); --emit-edits saves it.)
   fastbuf frontier  --net FILE --lib FILE [--max-cost W]
+                    (the slack-vs-cost Pareto frontier up to total buffer
+                     cost W (default 64); every point must measure the
+                     slack it predicted, exit 17 otherwise.)
   fastbuf cts       --lib FILE (--placements FILE | [--sinks N] [--seed S] [--span UM])
                     [--pitch UM] [--max-skew PS] [--algo A] [--inverters]
                     [--emit-placements FILE] [--show-placements] [--json FILE]
@@ -227,14 +229,15 @@ fn load_net(flags: &Flags) -> Result<RoutingTree, CliError> {
     netio::parse(&text).map_err(|e| format!("{path}: {e}").into())
 }
 
-/// Parses `--model` into a delay model (default Elmore).
-fn load_model(flags: &Flags) -> Result<Arc<dyn DelayModel>, CliError> {
-    match flags.value("model") {
-        None => Ok(fastbuf_rctree::model_by_name("elmore").expect("elmore always exists")),
-        Some(name) => fastbuf_rctree::model_by_name(name).ok_or_else(|| {
-            format!("unknown delay model `{name}` (expected elmore or scaled-elmore)").into()
-        }),
-    }
+/// Parses `--model` into a delay model (default Elmore) through the one
+/// name lookup: an unknown name is [`SolveError::UnknownModel`] (exit 19),
+/// as it is on a scenario line or a server frame.
+fn load_model(flags: &Flags) -> Result<DelayModel, CliError> {
+    Ok(flags
+        .value("model")
+        .map(parse_model)
+        .transpose()?
+        .unwrap_or_default())
 }
 
 /// Parses `--slew-limit` (picoseconds) into an optional limit.

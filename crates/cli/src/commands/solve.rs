@@ -2,7 +2,6 @@
 //! files, and Monte-Carlo yield sweeps.
 
 use std::fs;
-use std::sync::Arc;
 
 use fastbuf_api::wire::{self, Json};
 use fastbuf_api::{parse_scenario_lines, NetOutcome, Objective, Scenario, Session, SolveError};
@@ -38,9 +37,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
 
     // Everything below goes through the unified request layer: one
     // session, one request, one scenario per corner.
-    let session = Session::builder(lib)
-        .delay_model(Arc::clone(&model))
-        .build();
+    let session = Session::builder(lib).delay_model(model).build();
     let lib = session.library();
 
     let scenarios = match flags.value("scenarios") {
@@ -118,7 +115,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
     let unbuffered = match nets.first() {
         Some(Some(net)) if !named => net.slack_before,
         _ => {
-            elmore::evaluate_with(&tree, lib, &[], &*model)
+            elmore::evaluate_with(&tree, lib, &[], model)
                 .map_err(|e| e.to_string())?
                 .slack
         }

@@ -673,9 +673,47 @@ fn exit_codes_follow_the_documented_mapping() {
     // The mapping itself is pinned distinct in `fastbuf-api`'s
     // `kinds_and_exit_codes_are_distinct`; here we pin that `--help`
     // documents every code the binary can exit with.
-    for code in ["| 2 usage", "| 3 I/O", "10 no-scenarios", "20 edit"] {
+    for code in ["| 2 usage", "| 3 I/O"] {
         assert!(USAGE.contains(code), "--help must document `{code}`");
     }
+    let (_, codes) = USAGE.split_once("exit codes:").unwrap();
+    for code in 10..=25u8 {
+        assert!(
+            codes.contains(&format!("{code} ")),
+            "--help must document exit code {code}"
+        );
+    }
+
+    // An unknown `--model` is the typed `unknown-model` error on every
+    // command that takes the flag, as on a scenario line or a frame.
+    let dir = std::env::temp_dir().join(format!("fastbuf-cli-codes-{}", std::process::id()));
+    let suite = dir.join("suite");
+    fs::create_dir_all(&dir).unwrap();
+    let (net, lib) = (dir.join("t.net"), dir.join("t.lib"));
+    let (net, lib, suite) = (
+        net.to_str().unwrap(),
+        lib.to_str().unwrap(),
+        suite.to_str().unwrap(),
+    );
+    run_strs(&["gen", "net", "--kind", "line", "--sites", "3", "-o", net]).unwrap();
+    run_strs(&["gen", "lib", "--size", "2", "-o", lib]).unwrap();
+    run_strs(&["gen", "suite", "--nets", "2", "--out-dir", suite]).unwrap();
+    for args in [
+        &["solve", "--net", net, "--lib", lib][..],
+        &["batch", "--dir", suite, "--lib", lib],
+        &["eco", "--net", net, "--lib", lib],
+        &["global", "--lib", lib, "--nets", "2"],
+    ] {
+        let err = run_strs(&[args, &["--model", "spice"]].concat()).unwrap_err();
+        assert_eq!(err.code, 19, "{}: {err}", args[0]);
+        assert_eq!(
+            err.message,
+            SolveError::UnknownModel("spice".into()).to_string(),
+            "{}",
+            args[0]
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// Non-finite net numbers are parse errors on their line (exit 2): `nan`

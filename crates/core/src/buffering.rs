@@ -418,7 +418,7 @@ mod tests {
     use crate::slab::{CandidateSlab, Columns};
     use fastbuf_buflib::units::{Farads, Ohms, Seconds};
     use fastbuf_buflib::{BufferSet, BufferType};
-    use fastbuf_rctree::delay::ElmoreModel;
+    use fastbuf_rctree::delay::DelayModel;
     use std::sync::Arc;
 
     /// `AddBuffer` on the slab against the oracle's, bit for bit: the
@@ -475,7 +475,7 @@ mod tests {
             let slew = if round % 2 == 0 {
                 SlewPolicy::unlimited()
             } else {
-                SlewPolicy::new(&ElmoreModel, &lib, 1.0 + rnd() * 20.0)
+                SlewPolicy::new(DelayModel::Elmore, &lib, 1.0 + rnd() * 20.0)
             };
             let variation = SiteVariation::new(0.8 + rnd() * 0.4, 0.8 + rnd() * 0.4);
             let price = if rnd() < 0.5 { 0.0 } else { rnd() };

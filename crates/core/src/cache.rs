@@ -22,10 +22,11 @@
 //!   across solves** and cleared only by [`SubtreeCache::flush`] (which
 //!   invalidates every cached list at the same time).
 //! * A [config fingerprint](SolverOptions) — algorithm, tracking flag,
-//!   slew-limit bits, the delay model's content fingerprint, and a content
-//!   hash of the buffer library — is recorded at solve time. Any mismatch on a later
-//!   solve flushes everything: a stale-fingerprint reuse would be a silent
-//!   wrong answer, so the check is structural, not caller-discipline.
+//!   slew-limit bits, the delay model (its scale compared bit for bit),
+//!   and a content hash of the buffer library — is recorded at solve time.
+//!   Any mismatch on a later solve flushes everything: a stale-fingerprint
+//!   reuse would be a silent wrong answer, so the check is structural, not
+//!   caller-discipline.
 //! * Dirtiness is the caller's contract: whoever mutates the tree must call
 //!   [`SubtreeCache::mark_path_dirty`] (or [`SubtreeCache::flush`]) before
 //!   the next cached solve. `fastbuf-incremental`'s `IncrementalSolver` is
@@ -60,37 +61,30 @@
 //! it only marks nodes that are already dirty. Results are unchanged.
 
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_rctree::{NodeId, RoutingTree};
+use fastbuf_rctree::{DelayModel, NodeId, RoutingTree};
 
 use crate::arena::PredArena;
 use crate::engine::SolverOptions;
 use crate::slab::{Columns, Passenger};
 
-/// The solve configuration a cache's contents were computed under.
-///
-/// The delay model is identified by [`DelayModel::fingerprint`] — a
-/// content hash every implementation must keep faithful to its arithmetic
-/// (parametrized models fold their parameters in), so two distinct `Arc`s
-/// to equal models match while a re-parametrized model never does.
+/// The solve configuration a cache's contents were computed under. The
+/// delay model is stored by value; its equality compares the variant and
+/// the scale's bits, so a re-scaled model never matches.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct CacheFingerprint {
     algorithm: crate::Algorithm,
     track: bool,
     slew_bits: u64,
-    model_fingerprint: u64,
+    model: DelayModel,
     lib_hash: u64,
     nodes: usize,
 }
 
-/// FNV-1a over the library's solve-relevant content (built on the shared
-/// fingerprint primitive of `fastbuf_rctree::delay`): any change to any
+/// FNV-1a over the library's solve-relevant content: any change to any
 /// buffer parameter changes the hash and flushes dependent caches.
 fn library_hash(lib: &BufferLibrary) -> u64 {
-    use fastbuf_rctree::delay::{fingerprint_extend, fingerprint_name};
-    let mut h = fingerprint_name("buffer-library");
-    h = fingerprint_extend(h, lib.len() as u64);
-    for (_, b) in lib.iter() {
-        for v in [
+    let params = lib.iter().flat_map(|(_, b)| {
+        [
             b.driving_resistance().value().to_bits(),
             b.input_capacitance().value().to_bits(),
             b.intrinsic_delay().value().to_bits(),
@@ -98,11 +92,14 @@ fn library_hash(lib: &BufferLibrary) -> u64 {
             b.cost().to_bits(),
             b.max_load().map_or(u64::MAX, |m| m.value().to_bits()),
             b.is_inverting() as u64,
-        ] {
-            h = fingerprint_extend(h, v);
-        }
-    }
-    h
+        ]
+    });
+    std::iter::once(lib.len() as u64)
+        .chain(params)
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf29ce484222325, |h, byte| {
+            (h ^ byte as u64).wrapping_mul(0x100000001b3)
+        })
 }
 
 impl CacheFingerprint {
@@ -111,7 +108,7 @@ impl CacheFingerprint {
             algorithm: options.algorithm,
             track: options.track_predecessors,
             slew_bits: options.slew_limit.map_or(u64::MAX, |s| s.value().to_bits()),
-            model_fingerprint: options.delay_model.fingerprint(),
+            model: options.delay_model,
             lib_hash: library_hash(lib),
             nodes,
         }
@@ -395,8 +392,6 @@ mod tests {
     use super::*;
     use fastbuf_buflib::units::{Farads, Ohms, Seconds};
     use fastbuf_buflib::BufferType;
-    use fastbuf_rctree::ElmoreModel;
-    use std::sync::Arc;
 
     fn fp(options: &SolverOptions, lib: &BufferLibrary) -> CacheFingerprint {
         CacheFingerprint::of(options, lib, 10)
@@ -420,15 +415,16 @@ mod tests {
         slew.slew_limit = Some(Seconds::from_pico(200.0));
         assert!(!fp(&slew, &lib).matches(&fp(&base, &lib)));
 
-        // Model identity is by content fingerprint: a fresh Arc to an
-        // identical model matches, a re-parametrized model never does.
+        // Model identity is by value: an equal model matches, a
+        // re-scaled model or the other variant never does.
         let mut same = base.clone();
-        same.delay_model = Arc::new(ElmoreModel);
+        same.delay_model = DelayModel::Elmore;
         assert!(fp(&same, &lib).matches(&fp(&base, &lib)));
         let mut scaled_a = base.clone();
-        scaled_a.delay_model = Arc::new(fastbuf_rctree::ScaledElmoreModel::new(0.5));
+        scaled_a.delay_model = DelayModel::ScaledElmore(0.5);
         let mut scaled_b = base.clone();
-        scaled_b.delay_model = Arc::new(fastbuf_rctree::ScaledElmoreModel::new(0.7));
+        scaled_b.delay_model = DelayModel::ScaledElmore(0.7);
+        assert!(fp(&scaled_a, &lib).matches(&fp(&scaled_a.clone(), &lib)));
         assert!(!fp(&scaled_a, &lib).matches(&fp(&base, &lib)));
         assert!(!fp(&scaled_a, &lib).matches(&fp(&scaled_b, &lib)));
 

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use fastbuf_buflib::units::{Farads, Seconds};
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_rctree::delay::{DelayModel, ElmoreModel};
+use fastbuf_rctree::delay::DelayModel;
 use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
 
 use crate::arena::PredArena;
@@ -92,10 +92,9 @@ pub struct SolverOptions {
     /// reconstructed (default `true`). Disable for timing runs that only
     /// need the slack — the paper's experiments time the DP this way.
     pub track_predecessors: bool,
-    /// The wire-delay/slew model (default [`ElmoreModel`], which is
-    /// bit-identical to the historical hard-coded arithmetic). See
-    /// `fastbuf_rctree::delay`.
-    pub delay_model: Arc<dyn DelayModel>,
+    /// The wire-delay model (default [`DelayModel::Elmore`], the paper's
+    /// arithmetic). See `fastbuf_rctree::delay`.
+    pub delay_model: DelayModel,
     /// Optional per-net maximum output slew at every buffer input and sink
     /// (default `None` = unconstrained). With a finite limit, candidates
     /// whose stage would violate it are pruned; whether the returned
@@ -125,7 +124,7 @@ impl Default for SolverOptions {
         SolverOptions {
             algorithm: Algorithm::default(),
             track_predecessors: true,
-            delay_model: Arc::new(ElmoreModel),
+            delay_model: DelayModel::Elmore,
             slew_limit: None,
             site_prices: None,
         }
@@ -209,10 +208,9 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Selects the wire-delay/slew model (default
-    /// [`ElmoreModel`]).
+    /// Selects the wire-delay model (default [`DelayModel::Elmore`]).
     #[must_use]
-    pub fn delay_model(mut self, model: Arc<dyn DelayModel>) -> Self {
+    pub fn delay_model(mut self, model: DelayModel) -> Self {
         self.options.delay_model = model;
         self
     }
@@ -368,6 +366,7 @@ impl<'a> Solver<'a> {
             tracked: ctx.track,
             root_slew,
             slew_ok,
+            model: ctx.model,
             stats,
         }
     }
@@ -381,7 +380,7 @@ pub(crate) struct SlabCtx<'a> {
     pub(crate) lib: &'a BufferLibrary,
     pub(crate) algo: Algorithm,
     pub(crate) track: bool,
-    pub(crate) model: &'a dyn DelayModel,
+    pub(crate) model: DelayModel,
     pub(crate) slew: SlewPolicy,
     /// Per-node usage prices ([`SolverOptions::site_prices`]).
     pub(crate) prices: Option<&'a [f64]>,
@@ -389,12 +388,24 @@ pub(crate) struct SlabCtx<'a> {
 
 impl<'a> SlabCtx<'a> {
     /// The context of a solve of `tree` over `lib` under `options`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`DelayModel::ScaledElmore`] scale that is not finite
+    /// and positive: pruning needs a wire shear monotone in load, and a
+    /// NaN scale stops it pruning at all, so the lists grow without bound.
     pub(crate) fn new(
         tree: &'a RoutingTree,
         lib: &'a BufferLibrary,
         options: &'a SolverOptions,
     ) -> Self {
-        let model: &dyn DelayModel = &*options.delay_model;
+        let model = options.delay_model;
+        if let DelayModel::ScaledElmore(k) = model {
+            assert!(
+                k.is_finite() && k > 0.0,
+                "wire scale must be finite and positive, got {k}"
+            );
+        }
         let limit = options.slew_limit.map_or(f64::INFINITY, |s| s.value());
         SlabCtx {
             tree,
@@ -917,7 +928,6 @@ mod tests {
     /// `DelayModel` refactor, and against an explicitly-optioned solve.
     #[test]
     fn infinite_slew_limit_elmore_is_bit_identical_to_pre_seam_golden() {
-        use std::sync::Arc;
         let lib = paper_lib(8);
         let tree = fastbuf_netgen::line_net(Microns::new(10_000.0), 9);
         let default = Solver::new(&tree, &lib).solve();
@@ -933,7 +943,7 @@ mod tests {
         // Explicit options: Elmore model + infinite limit must take the
         // same path bit for bit (a non-finite limit means "no limit").
         let explicit = Solver::new(&tree, &lib)
-            .delay_model(Arc::new(ElmoreModel))
+            .delay_model(DelayModel::Elmore)
             .slew_limit(Seconds::new(f64::INFINITY))
             .solve();
         assert_eq!(
@@ -974,7 +984,7 @@ mod tests {
         let limit = unc_eval.max_slew * 0.8;
         let sol = Solver::new(&tree, &lib).slew_limit(limit).solve();
         assert!(sol.slew_ok, "line with 9 sites must be feasible");
-        let eval = evaluate_with(&tree, &lib, &sol.placement_pairs(), &ElmoreModel).unwrap();
+        let eval = evaluate_with(&tree, &lib, &sol.placement_pairs(), DelayModel::Elmore).unwrap();
         assert!(
             eval.max_slew.value() <= limit.value() * (1.0 + 1e-9),
             "forward slew {} exceeds limit {}",
@@ -1016,17 +1026,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn a_nan_wire_scale_is_refused_before_the_dp_runs() {
+        let tree = two_pin_line(10.0, 9, 2000.0);
+        let lib = paper_lib(4);
+        let nan = DelayModel::ScaledElmore(f64::NAN);
+        let _ = Solver::new(&tree, &lib).delay_model(nan).solve();
+    }
+
+    #[test]
     fn scaled_elmore_backend_solves_and_verifies() {
-        use fastbuf_rctree::ScaledElmoreModel;
-        use std::sync::Arc;
         let lib = paper_lib(8);
         let tree = two_pin_line(10.0, 9, 2000.0);
-        let model = Arc::new(ScaledElmoreModel::default());
-        let sol = Solver::new(&tree, &lib).delay_model(model.clone()).solve();
+        let model = DelayModel::SCALED_ELMORE;
+        let sol = Solver::new(&tree, &lib).delay_model(model).solve();
+        assert_eq!(sol.model, model);
         // Predicted slack must match a forward evaluation under the same
         // model (and differ from the Elmore prediction on this wire-heavy
         // net).
-        sol.verify_with(&tree, &lib, &*model).unwrap();
+        sol.verify(&tree, &lib).unwrap();
         let elmore = Solver::new(&tree, &lib).solve();
         assert!(
             (sol.slack.value() - elmore.slack.value()).abs() > 1e-15,
@@ -1035,7 +1053,7 @@ mod tests {
         assert!(sol.slack > elmore.slack, "less wire delay -> more slack");
         // And the scaled backend honours slew limits too.
         let constrained = Solver::new(&tree, &lib)
-            .delay_model(model.clone())
+            .delay_model(model)
             .slew_limit(Seconds::from_pico(150.0))
             .solve();
         assert!(constrained.slew_ok);
@@ -1043,7 +1061,7 @@ mod tests {
             &tree,
             &lib,
             &constrained.placement_pairs(),
-            &*model,
+            model,
         )
         .unwrap();
         assert!(eval.max_slew.picos() <= 150.0 * (1.0 + 1e-9));

@@ -73,7 +73,7 @@ pub use candidate::Candidate;
 pub use engine::{SolveWorkspace, Solver, SolverOptions};
 // Re-exported so solver users can configure `SolverOptions::delay_model`
 // without importing `fastbuf-rctree` directly.
-pub use fastbuf_rctree::delay::{DelayModel, ElmoreModel, ScaledElmoreModel};
+pub use fastbuf_rctree::delay::DelayModel;
 pub use skew::{SkewSolution, SkewSolver};
 pub use solution::{forward_agrees, Placement, Solution, VerifyError};
 pub use stats::SolveStats;

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use fastbuf_buflib::units::{Farads, Seconds};
 use fastbuf_buflib::{BufferLibrary, BufferTypeId};
-use fastbuf_rctree::delay::{DelayModel, ElmoreModel};
+use fastbuf_rctree::delay::DelayModel;
 use fastbuf_rctree::{NodeId, NodeKind, RoutingTree, SiteConstraint, SiteVariation};
 
 use crate::arena::{PredArena, PredEntry, PredRef};
@@ -142,13 +142,13 @@ impl CandidateList {
     /// candidate's (the wire penalizes big loads more), so dominated
     /// candidates are re-pruned in the same O(k) pass.
     pub fn add_wire(&mut self, r: f64, cw: f64) {
-        self.add_wire_model(&ElmoreModel, r, cw);
+        self.add_wire_model(DelayModel::Elmore, r, cw);
     }
 
     /// [`CandidateList::add_wire`] under an arbitrary [`DelayModel`]: the
     /// wire delay charged against `Q` (and accumulated into `s`) is
     /// `model.wire_delay(r, cw, C)`, one candidate at a time.
-    pub fn add_wire_model(&mut self, model: &dyn DelayModel, r: f64, cw: f64) {
+    pub fn add_wire_model(&mut self, model: DelayModel, r: f64, cw: f64) {
         if r == 0.0 && cw == 0.0 {
             return;
         }
@@ -605,7 +605,7 @@ pub fn solve(tree: &RoutingTree, lib: &BufferLibrary, options: &SolverOptions) -
     let start = Instant::now();
     let track = options.track_predecessors;
     let algo = options.algorithm;
-    let model: &dyn DelayModel = &*options.delay_model;
+    let model = options.delay_model;
     let limit = options.slew_limit.map_or(f64::INFINITY, |s| s.value());
     let slew = SlewPolicy::new(model, lib, limit);
     let mut stats = SolveStats::default();
@@ -726,6 +726,7 @@ pub fn solve(tree: &RoutingTree, lib: &BufferLibrary, options: &SolverOptions) -
         tracked: track,
         root_slew: Seconds::new(model.slew(0.0, dr, best.c, best.s)),
         slew_ok,
+        model,
         stats,
     }
 }
@@ -1267,7 +1268,7 @@ mod tests {
         // One buffer: R = 1, C_in = 0.5, K = 0.
         let library = lib(&[(1.0, 0.5, 0.0)]);
         // Budget r*c + s <= 4: only (1,1,s=0) qualifies (1*2+5 = 7 > 4).
-        let slew = SlewPolicy::new(&ElmoreModel, &library, 4.0 * LN9);
+        let slew = SlewPolicy::new(DelayModel::Elmore, &library, 4.0 * LN9);
         assert!((slew.cap - 4.0).abs() < 1e-12);
         let any = SiteConstraint::AnyBuffer;
         for algo in Algorithm::ALL {
@@ -1284,7 +1285,7 @@ mod tests {
             );
         }
         // A budget nothing satisfies emits no betas at all.
-        let strict = SlewPolicy::new(&ElmoreModel, &library, 0.0);
+        let strict = SlewPolicy::new(DelayModel::Elmore, &library, 0.0);
         let (out, stats) = run_with(Algorithm::LiShi, &l, &library, &any, &strict);
         assert_eq!(out, l);
         assert_eq!(stats.betas_generated, 0);

@@ -41,7 +41,7 @@
 //! let solution = PolaritySolver::new(&tree, &lib).solve()?;
 //! // Inverters used along any source->sink path always come in pairs
 //! // unless the sink itself is negated.
-//! solution.verify(&tree, &lib)?;
+//! solution.verify(&tree, &lib, &[])?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::{BufferLibrary, BufferTypeId};
-use fastbuf_rctree::{DelayModel, ElmoreModel, NodeId, RoutingTree};
+use fastbuf_rctree::{DelayModel, NodeId, RoutingTree};
 
 use crate::buffering::{find_betas, Algorithm};
 use crate::engine::{run_lane, Dp, Lane, LaneRun, SlabCtx};
@@ -95,7 +95,7 @@ pub enum PolarityError {
     WrongPolarity(NodeId),
     /// The forward evaluation rejected the placements or measured a
     /// different slack than predicted, as for
-    /// [`Solution::verify_with`](crate::Solution::verify_with).
+    /// [`Solution::verify`](crate::Solution::verify).
     Verify(VerifyError),
 }
 
@@ -131,13 +131,18 @@ pub struct PolaritySolution {
     /// `true` when no slew limit was set, or when the chosen solution
     /// meets it (as [`Solution::slew_ok`](crate::Solution::slew_ok)).
     pub slew_ok: bool,
+    /// The delay model the solve ran under, which
+    /// [`PolaritySolution::verify`] measures with.
+    pub model: DelayModel,
     /// Operation counters (both polarity lists contribute).
     pub stats: SolveStats,
 }
 
 impl PolaritySolution {
-    /// Checks the solution against the independent forward Elmore engine
-    /// *and* the polarity requirements; returns the measured slack.
+    /// Checks the solution against the independent forward engine, under
+    /// the [`model`](PolaritySolution::model) it was solved with, *and*
+    /// against the polarity requirements (`negated_sinks` are the sinks
+    /// required [`Polarity::Negative`]); returns the measured slack.
     ///
     /// # Errors
     ///
@@ -150,27 +155,12 @@ impl PolaritySolution {
         &self,
         tree: &RoutingTree,
         library: &BufferLibrary,
-    ) -> Result<Seconds, PolarityError> {
-        self.verify_with(tree, library, &[], &ElmoreModel)
-    }
-
-    /// Like [`PolaritySolution::verify`] for instances with negated sinks,
-    /// measured under `model` — the delay model the solve ran with.
-    ///
-    /// # Errors
-    ///
-    /// See [`PolaritySolution::verify`].
-    pub fn verify_with(
-        &self,
-        tree: &RoutingTree,
-        library: &BufferLibrary,
         negated_sinks: &[NodeId],
-        model: &dyn DelayModel,
     ) -> Result<Seconds, PolarityError> {
         let pairs: Vec<_> = self.placements.iter().map(|p| (p.node, p.buffer)).collect();
         // Evaluating first rejects placements `tree` has no node for
         // before the polarity walk indexes by them.
-        let report = fastbuf_rctree::elmore::evaluate_with(tree, library, &pairs, model)
+        let report = fastbuf_rctree::elmore::evaluate_with(tree, library, &pairs, self.model)
             .map_err(|e| PolarityError::Verify(VerifyError::Tree(e)))?;
         check_polarity(tree, library, &pairs, negated_sinks)?;
         VerifyError::check_slack(self.slack, report.slack).map_err(PolarityError::Verify)
@@ -404,6 +394,7 @@ impl<'a> PolaritySolver<'a> {
             placements,
             inverter_count,
             slew_ok,
+            model: ctx.model,
             stats,
         })
     }
@@ -442,7 +433,7 @@ mod tests {
         let pol = PolaritySolver::new(&tree, &lib).solve().unwrap();
         assert!((plain.slack.picos() - pol.slack.picos()).abs() < 1e-9);
         assert_eq!(pol.inverter_count, 0);
-        pol.verify(&tree, &lib).unwrap();
+        pol.verify(&tree, &lib, &[]).unwrap();
     }
 
     #[test]
@@ -451,7 +442,7 @@ mod tests {
         let lib = BufferLibrary::paper_synthetic_mixed(8).unwrap();
         let sol = PolaritySolver::new(&tree, &lib).solve().unwrap();
         assert_eq!(sol.inverter_count % 2, 0, "{:?}", sol.placements);
-        sol.verify(&tree, &lib).unwrap();
+        sol.verify(&tree, &lib, &[]).unwrap();
     }
 
     #[test]
@@ -462,7 +453,7 @@ mod tests {
         solver.require(sink, Polarity::Negative).unwrap();
         let sol = solver.solve().unwrap();
         assert_eq!(sol.inverter_count % 2, 1, "{:?}", sol.placements);
-        sol.verify_with(&tree, &lib, &[sink], &ElmoreModel).unwrap();
+        sol.verify(&tree, &lib, &[sink]).unwrap();
     }
 
     #[test]
@@ -476,12 +467,11 @@ mod tests {
 
     #[test]
     fn solves_and_verifies_under_a_non_elmore_model_and_a_slew_limit() {
-        use fastbuf_rctree::ScaledElmoreModel;
         let (tree, sink) = line(10, 500.0);
         let lib = BufferLibrary::paper_synthetic_mixed(4).unwrap();
-        let (model, limit) = (ScaledElmoreModel::new(1.1), Seconds::from_pico(80.0));
+        let (model, limit) = (DelayModel::ScaledElmore(1.1), Seconds::from_pico(80.0));
         let options = SolverOptions {
-            delay_model: std::sync::Arc::new(model),
+            delay_model: model,
             slew_limit: Some(limit),
             ..SolverOptions::default()
         };
@@ -489,11 +479,16 @@ mod tests {
         solver.require(sink, Polarity::Negative).unwrap();
         let sol = solver.solve().unwrap();
         assert!(sol.slew_ok);
-        sol.verify_with(&tree, &lib, &[sink], &model).unwrap();
+        assert_eq!(sol.model, model);
+        sol.verify(&tree, &lib, &[sink]).unwrap();
         // The prediction is the model's, not Elmore's.
-        assert!(sol.verify_with(&tree, &lib, &[sink], &ElmoreModel).is_err());
+        let as_elmore = PolaritySolution {
+            model: DelayModel::Elmore,
+            ..sol.clone()
+        };
+        assert!(as_elmore.verify(&tree, &lib, &[sink]).is_err());
         let pairs: Vec<_> = sol.placements.iter().map(|p| (p.node, p.buffer)).collect();
-        let report = fastbuf_rctree::elmore::evaluate_with(&tree, &lib, &pairs, &model).unwrap();
+        let report = fastbuf_rctree::elmore::evaluate_with(&tree, &lib, &pairs, model).unwrap();
         assert!(report.max_slew <= limit);
     }
 
@@ -538,7 +533,7 @@ mod tests {
             buf_only.slack
         );
         assert!(with_inv.inverter_count >= 2);
-        with_inv.verify(&tree, &lib).unwrap();
+        with_inv.verify(&tree, &lib, &[]).unwrap();
     }
 
     #[test]
@@ -594,8 +589,7 @@ mod tests {
         let mut solver = PolaritySolver::new(&tree, &lib);
         solver.require(k_neg, Polarity::Negative).unwrap();
         let sol = solver.solve().unwrap();
-        sol.verify_with(&tree, &lib, &[k_neg], &ElmoreModel)
-            .unwrap();
+        sol.verify(&tree, &lib, &[k_neg]).unwrap();
         assert!(sol.inverter_count >= 1);
     }
 
@@ -607,7 +601,7 @@ mod tests {
         assert!(!pol.placements.is_empty());
         // A shorter line has no node for the far placements.
         let (short, _) = line(1, 1200.0);
-        let err = pol.verify(&short, &lib).unwrap_err();
+        let err = pol.verify(&short, &lib, &[]).unwrap_err();
         assert!(matches!(err, PolarityError::Verify(VerifyError::Tree(_))));
         assert!(
             err.to_string().starts_with("placements are illegal: "),
@@ -615,7 +609,7 @@ mod tests {
         );
         // A longer net measures a different slack.
         let (long, _) = line(8, 1500.0);
-        let err = pol.verify(&long, &lib).unwrap_err();
+        let err = pol.verify(&long, &lib, &[]).unwrap_err();
         assert!(matches!(
             err,
             PolarityError::Verify(VerifyError::SlackMismatch { .. })

@@ -5,10 +5,8 @@
 //! the hot operations are linear column sweeps:
 //!
 //! * **wire propagation** shears all three lanes in one memory pass
-//!   through the delay model's batched
-//!   [`wire_shear`](DelayModel::wire_shear) hook (one virtual dispatch per
-//!   wire instead of one per candidate), then re-prunes with one monotone
-//!   in-place pass;
+//!   through [`DelayModel::wire_shear`] (one match on the model per wire,
+//!   then one tight loop), then re-prunes with one monotone in-place pass;
 //! * **dominance pruning** (the merge's monotone stack and the wire
 //!   re-prune) compares plain `f64` lanes instead of struct fields;
 //! * **`AddBuffer`** scans and hull walks run over the `q`/`c` columns
@@ -72,7 +70,7 @@ pub(crate) trait Passenger: Default + std::fmt::Debug {
     fn extend_from(&mut self, _src: &Self, _n: usize) {}
     /// The wire step of resistance `r` and capacitance `cw`, given the
     /// loads `c` before the wire.
-    fn wire(&mut self, _model: &dyn DelayModel, _r: f64, _cw: f64, _c: &[f64]) {}
+    fn wire(&mut self, _model: DelayModel, _r: f64, _cw: f64, _c: &[f64]) {}
     /// The spread row `i` commits to (the skew lane's window width).
     fn width(&self, _i: usize) -> f64 {
         0.0
@@ -141,7 +139,7 @@ impl Passenger for Window {
         self.0[i].1 - self.0[i].0
     }
     #[inline]
-    fn wire(&mut self, model: &dyn DelayModel, r: f64, cw: f64, c: &[f64]) {
+    fn wire(&mut self, model: DelayModel, r: f64, cw: f64, c: &[f64]) {
         for (w, &load) in self.0.iter_mut().zip(c) {
             let d = model.wire_delay(r, cw, load);
             *w = (w.0 + d, w.1 + d);
@@ -666,15 +664,14 @@ impl<P: Passenger> CandidateSlab<P> {
     ///
     /// with `d` the model's wire delay from the *pre-shear* capacitance
     /// (the passengers see the same pre-shear loads first). The whole
-    /// shear runs through one batched [`DelayModel::wire_shear`] call (one
-    /// virtual dispatch per wire, one memory pass over the three lanes),
-    /// then one in-place monotone pass restores the nonredundant
-    /// invariant: the shear can push a high-`C` candidate's `Q` below a
-    /// lower-`C` one's.
+    /// shear runs through one [`DelayModel::wire_shear`] call (one memory
+    /// pass over the three lanes), then one in-place monotone pass
+    /// restores the nonredundant invariant: the shear can push a high-`C`
+    /// candidate's `Q` below a lower-`C` one's.
     pub(crate) fn add_wire(
         &mut self,
         list: SlabList,
-        model: &dyn DelayModel,
+        model: DelayModel,
         r: f64,
         cw: f64,
         stats: &mut SolveStats,
@@ -1103,7 +1100,6 @@ impl<P: Passenger> CandidateSlab<P> {
 mod tests {
     use super::*;
     use crate::oracle::{self, convex_prune_in_place, CandidateList};
-    use fastbuf_rctree::delay::ElmoreModel;
 
     fn cand(q: f64, c: f64) -> Candidate {
         Candidate::new(q, c, PredRef::NONE)
@@ -1183,8 +1179,8 @@ mod tests {
             let mut slab = CandidateSlab::default();
             let h = load(&mut slab, &expect);
             let (r, cw) = (0.5 + seed as f64, 0.25 * seed as f64);
-            expect.add_wire_model(&ElmoreModel, r, cw);
-            slab.add_wire(h, &ElmoreModel, r, cw, &mut stats);
+            expect.add_wire_model(DelayModel::Elmore, r, cw);
+            slab.add_wire(h, DelayModel::Elmore, r, cw, &mut stats);
             assert_eq!(bits(&to_list(&slab, h)), bits(&expect), "seed {seed}");
         }
         assert!(stats.slab_candidates_scanned > 0);
@@ -1585,12 +1581,12 @@ mod tests {
                 iters,
                 || {
                     let mut l = src.clone();
-                    l.add_wire_model(&ElmoreModel, wr, wc);
+                    l.add_wire_model(DelayModel::Elmore, wr, wc);
                     std::hint::black_box(l);
                 },
                 || {
                     let h = slab.copy_list(src_h);
-                    slab.add_wire(h, &ElmoreModel, wr, wc, &mut stats);
+                    slab.add_wire(h, DelayModel::Elmore, wr, wc, &mut stats);
                     slab.free(h);
                 },
             );

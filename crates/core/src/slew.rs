@@ -38,7 +38,7 @@ impl SlewPolicy {
 
     /// Budgets for `limit` (seconds; non-finite = unconstrained) under
     /// `model`, one per type of `lib`.
-    pub fn new(model: &dyn DelayModel, lib: &BufferLibrary, limit: f64) -> Self {
+    pub fn new(model: DelayModel, lib: &BufferLibrary, limit: f64) -> Self {
         if !limit.is_finite() {
             return SlewPolicy::unlimited();
         }
@@ -74,7 +74,7 @@ mod tests {
     use super::*;
     use fastbuf_buflib::units::{Farads, Ohms, Seconds};
     use fastbuf_buflib::BufferType;
-    use fastbuf_rctree::delay::{ElmoreModel, LN9};
+    use fastbuf_rctree::delay::LN9;
 
     #[test]
     fn budgets_account_for_output_slew() {
@@ -94,7 +94,7 @@ mod tests {
             .with_output_slew(Seconds::from_pico(10.0)),
         ])
         .unwrap();
-        let p = SlewPolicy::new(&ElmoreModel, &lib, 50e-12);
+        let p = SlewPolicy::new(DelayModel::Elmore, &lib, 50e-12);
         assert!(p.active());
         assert!((p.cap - 50e-12 / LN9).abs() < 1e-24);
         assert!((p.type_cap(BufferTypeId::new(0)) - 50e-12 / LN9).abs() < 1e-24);
@@ -106,7 +106,7 @@ mod tests {
         let lib = BufferLibrary::paper_synthetic(2).unwrap();
         for p in [
             SlewPolicy::unlimited(),
-            SlewPolicy::new(&ElmoreModel, &lib, f64::INFINITY),
+            SlewPolicy::new(DelayModel::Elmore, &lib, f64::INFINITY),
         ] {
             assert!(!p.active());
             assert_eq!(p.type_cap(BufferTypeId::new(0)), f64::INFINITY);

@@ -5,7 +5,7 @@ use std::fmt;
 
 use fastbuf_buflib::units::{Farads, Seconds};
 use fastbuf_buflib::{BufferLibrary, BufferTypeId};
-use fastbuf_rctree::{elmore, NodeId, RoutingTree, TreeError};
+use fastbuf_rctree::{elmore, DelayModel, NodeId, RoutingTree, TreeError};
 
 use crate::buffering::Algorithm;
 use crate::stats::SolveStats;
@@ -58,7 +58,7 @@ impl fmt::Display for Placement {
 /// assert!(!solution.placements.is_empty());
 /// assert!(solution.total_cost(&lib) > 0.0);
 /// // `verify` re-measures the placements with the independent forward
-/// // Elmore evaluator and errors on any mismatch:
+/// // evaluator (under the solve's delay model) and errors on any mismatch:
 /// let measured = solution.verify(&tree, &lib)?;
 /// assert!((measured.picos() - solution.slack.picos()).abs() < 1e-6);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -90,6 +90,9 @@ pub struct Solution {
     /// (e.g. no buffer sites on an over-long wire) and the returned
     /// solution is best-effort.
     pub slew_ok: bool,
+    /// The delay model the solve ran under, which [`Solution::verify`]
+    /// measures with.
+    pub model: DelayModel,
     /// Operation counters and timing.
     pub stats: SolveStats,
 }
@@ -102,19 +105,11 @@ impl Solution {
     }
 
     /// Re-evaluates the reconstructed placements with the independent
-    /// forward Elmore analysis of `fastbuf-rctree` and checks that the
-    /// measured slack equals the slack this solution predicts (to the
-    /// relative tolerance of [`forward_agrees`]). Returns the measured slack.
-    ///
-    /// **Warning — this legacy shim always measures with
-    /// [`ElmoreModel`](crate::ElmoreModel), whatever model the solve
-    /// actually used.** A solution produced under any other
-    /// [`delay_model`](crate::SolverOptions::delay_model) will report a
-    /// spurious [`VerifyError::SlackMismatch`] here; use
-    /// [`Solution::verify_with`] with the solve's model, or the
-    /// `fastbuf-api` request layer, whose `Outcome::verify` remembers the
-    /// model each scenario solved with and cross-checks with the right
-    /// arithmetic automatically.
+    /// forward analysis of `fastbuf-rctree`, under the
+    /// [`model`](Solution::model) this solution was solved with, and checks
+    /// that the measured slack equals the slack this solution predicts (to
+    /// the relative tolerance of [`forward_agrees`]). Returns the measured
+    /// slack.
     ///
     /// # Errors
     ///
@@ -128,28 +123,10 @@ impl Solution {
         tree: &RoutingTree,
         library: &BufferLibrary,
     ) -> Result<Seconds, VerifyError> {
-        self.verify_with(tree, library, &fastbuf_rctree::ElmoreModel)
-    }
-
-    /// [`Solution::verify`] under an arbitrary delay model — required when
-    /// the solution was produced with a non-Elmore
-    /// [`delay_model`](crate::SolverOptions::delay_model), since the
-    /// forward measurement must use the same arithmetic the DP predicted
-    /// with.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Solution::verify`].
-    pub fn verify_with(
-        &self,
-        tree: &RoutingTree,
-        library: &BufferLibrary,
-        model: &dyn fastbuf_rctree::DelayModel,
-    ) -> Result<Seconds, VerifyError> {
         if !self.tracked {
             return Err(VerifyError::NotTracked);
         }
-        let report = elmore::evaluate_with(tree, library, &self.placement_pairs(), model)
+        let report = elmore::evaluate_with(tree, library, &self.placement_pairs(), self.model)
             .map_err(VerifyError::Tree)?;
         VerifyError::check_slack(self.slack, report.slack)
     }

@@ -483,7 +483,6 @@ mod tests {
     use fastbuf_core::Algorithm;
     use fastbuf_netgen::RandomNetSpec;
     use fastbuf_rctree::NodeId;
-    use std::sync::Arc;
 
     fn net(sinks: usize, seed: u64) -> RoutingTree {
         RandomNetSpec {
@@ -590,7 +589,7 @@ mod tests {
 
         // Same story for model and algorithm changes.
         let mut scaled = SolverOptions::default();
-        scaled.delay_model = Arc::new(fastbuf_rctree::ScaledElmoreModel::default());
+        scaled.delay_model = fastbuf_rctree::DelayModel::SCALED_ELMORE;
         solver.set_options(scaled);
         let c = solver.solve();
         assert_eq!(c.stats.nodes_recomputed, n);

@@ -11,7 +11,8 @@
 //!
 //! Delay model (identical to the paper's §2):
 //!
-//! * wire `e` driving downstream load `C`: `D(e) = R(e)·(C(e)/2 + C)`;
+//! * wire `e` driving downstream load `C`: `D(e) = R(e)·(C(e)/2 + C)`
+//!   (times `k` under [`DelayModel::ScaledElmore`]);
 //! * buffer `B` driving downstream load `C`: `d = K(B) + R(B)·C`, and the
 //!   capacitance seen upstream of the buffer becomes its input capacitance;
 //! * driver at the source: `K_d + R_d · C_root`.
@@ -19,7 +20,7 @@
 use fastbuf_buflib::units::{Farads, Seconds};
 use fastbuf_buflib::{BufferLibrary, BufferTypeId};
 
-use crate::delay::{DelayModel, ElmoreModel};
+use crate::delay::DelayModel;
 use crate::error::TreeError;
 use crate::node::{NodeId, NodeKind};
 use crate::tree::RoutingTree;
@@ -100,16 +101,14 @@ pub fn evaluate(
     library: &BufferLibrary,
     placements: &[(NodeId, BufferTypeId)],
 ) -> Result<EvalReport, TreeError> {
-    evaluate_with(tree, library, placements, &ElmoreModel)
+    evaluate_with(tree, library, placements, DelayModel::Elmore)
 }
 
-/// [`evaluate`] under an arbitrary [`DelayModel`].
-///
-/// With [`ElmoreModel`] this is bit-identical to [`evaluate`] (the default
-/// model reproduces the hard-coded Elmore arithmetic exactly). The report
-/// additionally carries the worst forward-propagated output slew, computed
-/// stage by stage: a stage starts at the source driver or at a buffer
-/// output and ends at the next buffer inputs / sinks downstream.
+/// [`evaluate`] under `model`, which scales the wire term only: gate
+/// delays stay `K + R·C` whatever the model. The report carries the worst
+/// forward-propagated output slew, computed stage by stage: a stage starts
+/// at the source driver or at a buffer output and ends at the next buffer
+/// inputs / sinks downstream.
 ///
 /// # Errors
 ///
@@ -118,7 +117,7 @@ pub fn evaluate_with(
     tree: &RoutingTree,
     library: &BufferLibrary,
     placements: &[(NodeId, BufferTypeId)],
-    model: &dyn DelayModel,
+    model: DelayModel,
 ) -> Result<EvalReport, TreeError> {
     let n = tree.node_count();
     let mut assigned: Vec<Option<BufferTypeId>> = vec![None; n];
@@ -175,11 +174,7 @@ pub fn evaluate_with(
         let at_input = match tree.parent(node) {
             None => {
                 let d = tree.driver();
-                Seconds::new(model.gate_delay(
-                    d.intrinsic_delay().value(),
-                    d.resistance().value(),
-                    load[i].value(),
-                ))
+                Seconds::new(d.intrinsic_delay().value() + d.resistance().value() * load[i].value())
             }
             Some(p) => {
                 let w = tree.wire_to_parent(node).expect("non-root has a wire");
@@ -230,11 +225,10 @@ pub fn evaluate_with(
                 // `AddBuffer` (nominal ×1.0 is bit-exact).
                 let v = tree.site_variation(node);
                 at_input
-                    + Seconds::new(model.gate_delay(
-                        b.intrinsic_delay().value() * v.delay_scale(),
-                        b.driving_resistance().value() * v.drive_scale(),
-                        load[i].value(),
-                    ))
+                    + Seconds::new(
+                        b.intrinsic_delay().value() * v.delay_scale()
+                            + b.driving_resistance().value() * v.drive_scale() * load[i].value(),
+                    )
             }
             None => at_input,
         };
@@ -268,30 +262,6 @@ pub fn evaluate_with(
         max_slew: Seconds::new(max_slew),
         worst_slew_node,
     })
-}
-
-/// Total *unbuffered* downstream capacitance below each node (wire + sink
-/// capacitance of the whole subtree). Useful for diagnostics and for
-/// choosing segmenting pitches.
-pub fn downstream_capacitance(tree: &RoutingTree) -> Vec<Farads> {
-    let mut down = vec![Farads::ZERO; tree.node_count()];
-    for &node in tree.postorder() {
-        let i = node.index();
-        down[i] = match tree.kind(node) {
-            NodeKind::Sink { capacitance, .. } => *capacitance,
-            _ => tree
-                .children(node)
-                .iter()
-                .map(|&c| {
-                    tree.wire_to_parent(c)
-                        .expect("child has a wire")
-                        .capacitance()
-                        + down[c.index()]
-                })
-                .sum(),
-        };
-    }
-    down
 }
 
 #[cfg(test)]
@@ -479,25 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn downstream_capacitance_totals() {
-        let mut b = TreeBuilder::new();
-        let src = b.source(Driver::default());
-        let tee = b.internal();
-        let s1 = b.sink(Farads::from_femto(3.0), Seconds::ZERO);
-        let s2 = b.sink(Farads::from_femto(4.0), Seconds::ZERO);
-        b.connect(src, tee, Wire::new(Ohms::ZERO, Farads::from_femto(10.0)))
-            .unwrap();
-        b.connect(tee, s1, Wire::new(Ohms::ZERO, Farads::from_femto(1.0)))
-            .unwrap();
-        b.connect(tee, s2, Wire::new(Ohms::ZERO, Farads::from_femto(2.0)))
-            .unwrap();
-        let tree = b.build().unwrap();
-        let down = downstream_capacitance(&tree);
-        assert!((down[tee.index()].femtos() - 10.0).abs() < 1e-9); // 1+3 + 2+4
-        assert!((down[src.index()].femtos() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn slews_hand_computed_per_stage() {
         use crate::delay::LN9;
         let lib = lib1();
@@ -564,29 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_with_elmore_is_bit_identical_to_evaluate() {
-        let lib = lib1();
-        let tech = Technology::tsmc180_like();
-        let mut b = TreeBuilder::new();
-        let src = b.source(Driver::new(Ohms::new(300.0)));
-        let mid = b.buffer_site();
-        let s = b.sink(Farads::from_femto(12.0), Seconds::from_pico(700.0));
-        b.connect(src, mid, Wire::from_length(&tech, Microns::new(2500.0)))
-            .unwrap();
-        b.connect(mid, s, Wire::from_length(&tech, Microns::new(2500.0)))
-            .unwrap();
-        let tree = b.build().unwrap();
-        for placements in [vec![], vec![(mid, BufferTypeId::new(0))]] {
-            let a = evaluate(&tree, &lib, &placements).unwrap();
-            let b = evaluate_with(&tree, &lib, &placements, &ElmoreModel).unwrap();
-            assert_eq!(a.slack.value().to_bits(), b.slack.value().to_bits());
-            assert_eq!(a.max_slew.value().to_bits(), b.max_slew.value().to_bits());
-        }
-    }
-
-    #[test]
     fn scaled_elmore_shrinks_wire_dominated_delay() {
-        use crate::delay::ScaledElmoreModel;
         let tech = Technology::tsmc180_like();
         let mut b = TreeBuilder::new();
         let src = b.source(Driver::new(Ohms::new(100.0)));
@@ -596,7 +525,7 @@ mod tests {
         let tree = b.build().unwrap();
         let lib = BufferLibrary::empty();
         let elmore = evaluate(&tree, &lib, &[]).unwrap();
-        let scaled = evaluate_with(&tree, &lib, &[], &ScaledElmoreModel::default()).unwrap();
+        let scaled = evaluate_with(&tree, &lib, &[], DelayModel::SCALED_ELMORE).unwrap();
         // Less wire delay -> more slack, smaller slew.
         assert!(scaled.slack > elmore.slack);
         assert!(scaled.max_slew < elmore.max_slew);

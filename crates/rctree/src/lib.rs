@@ -55,7 +55,7 @@ pub mod segment;
 mod stats;
 mod tree;
 
-pub use delay::{model_by_name, DelayModel, ElmoreModel, ScaledElmoreModel};
+pub use delay::DelayModel;
 pub use error::TreeError;
 pub use node::{NodeId, NodeKind, SiteConstraint, SiteVariation, Wire};
 pub use stats::TreeStats;

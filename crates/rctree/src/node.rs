@@ -274,13 +274,6 @@ impl Wire {
         )
     }
 
-    /// Elmore delay of this wire driving `downstream` capacitance:
-    /// `R · (C/2 + downstream)`.
-    #[inline]
-    pub fn delay(&self, downstream: Farads) -> Seconds {
-        self.resistance * (self.capacitance / 2.0 + downstream)
-    }
-
     /// `true` if both parasitics are finite and non-negative.
     pub fn is_valid(&self) -> bool {
         self.resistance.is_finite()
@@ -360,14 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_delay_formula() {
-        let w = Wire::new(Ohms::new(100.0), Farads::from_femto(10.0));
-        // 100 * (5 fF + 20 fF) = 2.5 ps
-        let d = w.delay(Farads::from_femto(20.0));
-        assert!((d.picos() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn wire_split_divides_parasitics_and_length() {
         let tech = Technology::tsmc180_like();
         let w = Wire::from_length(&tech, Microns::new(100.0));
@@ -381,14 +366,6 @@ mod tests {
     #[should_panic(expected = "zero pieces")]
     fn split_zero_panics() {
         Wire::zero().split(0);
-    }
-
-    #[test]
-    fn zero_wire_has_no_delay() {
-        assert_eq!(
-            Wire::zero().delay(Farads::from_femto(1000.0)),
-            Seconds::ZERO
-        );
     }
 
     #[test]

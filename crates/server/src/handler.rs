@@ -16,10 +16,11 @@ use std::time::{Duration, Instant};
 
 use fastbuf_api::wire::{self, error_frame, ok_frame, parse_frame, Json, Op, SolveParams, Source};
 use fastbuf_api::{
-    parse_scenario_lines, NetOutcome, Objective, Outcome, Scenario, Session, SolveError,
+    parse_model, parse_scenario_lines, NetOutcome, Objective, Outcome, Scenario, Session,
+    SolveError,
 };
 use fastbuf_incremental::{parse_edits, Edit};
-use fastbuf_rctree::{io as netio, model_by_name, DelayModel, RoutingTree};
+use fastbuf_rctree::{io as netio, RoutingTree};
 
 use crate::registry::{Design, DesignRegistry, DesignState, EcoState};
 use crate::ServerConfig;
@@ -238,8 +239,7 @@ fn load(
         netio::parse(&net_text).map_err(|e| HandlerError::new("net-parse", e.to_string()))?;
     let library = fastbuf_buflib::BufferLibrary::from_text(&lib_text)
         .map_err(|e| HandlerError::new("lib-parse", e.to_string()))?;
-    let model = resolve_model(model)?
-        .unwrap_or_else(|| model_by_name("elmore").expect("elmore always exists"));
+    let model = model.map(parse_model).transpose()?.unwrap_or_default();
     let session = Session::builder(library).delay_model(model).build();
     let sinks = tree.sink_count();
     let sites = tree.buffer_site_count();
@@ -254,26 +254,17 @@ fn load(
     ]))
 }
 
-fn resolve_model(name: Option<&str>) -> Result<Option<Arc<dyn DelayModel>>, HandlerError> {
-    match name {
-        None => Ok(None),
-        Some(name) => model_by_name(name)
-            .map(Some)
-            .ok_or_else(|| SolveError::UnknownModel(name.to_owned()).into()),
-    }
-}
-
 /// Builds the request's scenario list: explicit lines through the shared
 /// [`parse_scenario_lines`] path (the CLI's `--scenarios` parser), or the
 /// one anonymous default scenario. The request-level `algo`/`model` are
 /// defaults, never overrides — a line's own `algo=`/`model=` wins.
 fn build_scenarios(params: &SolveParams) -> Result<Vec<Scenario>, HandlerError> {
-    let model = resolve_model(params.model.as_deref())?;
+    let model = params.model.as_deref().map(parse_model).transpose()?;
     match &params.scenarios {
         Some(lines) => Ok(parse_scenario_lines(
             &lines.join("\n"),
             params.algorithm,
-            model.as_ref(),
+            model,
         )?),
         None => {
             let mut scenario = Scenario::default();

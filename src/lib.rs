@@ -80,9 +80,8 @@ pub use fastbuf_core::cost;
 pub use fastbuf_core::polarity;
 pub use fastbuf_core::skew;
 pub use fastbuf_core::{
-    Algorithm, Candidate, DelayModel, ElmoreModel, Placement, PredArena, PredEntry, PredRef,
-    ScaledElmoreModel, Solution, SolveStats, SolveWorkspace, Solver, SolverOptions, SubtreeCache,
-    VerifyError,
+    Algorithm, Candidate, DelayModel, Placement, PredArena, PredEntry, PredRef, Solution,
+    SolveStats, SolveWorkspace, Solver, SolverOptions, SubtreeCache, VerifyError,
 };
 
 /// One-stop imports for applications: the request API, solver, library,
@@ -101,8 +100,7 @@ pub mod prelude {
     pub use fastbuf_core::polarity::{Polarity, PolaritySolver};
     pub use fastbuf_core::skew::{SkewSolution, SkewSolver};
     pub use fastbuf_core::{
-        Algorithm, DelayModel, ElmoreModel, ScaledElmoreModel, Solution, SolveWorkspace, Solver,
-        SolverOptions, SubtreeCache,
+        Algorithm, DelayModel, Solution, SolveWorkspace, Solver, SolverOptions, SubtreeCache,
     };
     pub use fastbuf_global::{
         GlobalNet, GlobalOptions, GlobalReport, GlobalSolver, SiteCapacityMap,

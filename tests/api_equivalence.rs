@@ -9,8 +9,6 @@
 //! sharing one workspace. CI runs this suite in release mode too, so the
 //! scenario fan-out is exercised under optimization.
 
-use std::sync::Arc;
-
 use fastbuf::buflib::units::Seconds;
 use fastbuf::cost::CostSolver;
 use fastbuf::netgen::SuiteSpec;
@@ -173,7 +171,7 @@ fn three_scenarios_match_three_legacy_solves_with_one_workspace() {
         .scenario(Scenario::named("signoff").slew_limit(limit))
         .scenario(
             Scenario::named("optimistic")
-                .delay_model(Arc::new(ScaledElmoreModel::default()))
+                .delay_model(DelayModel::SCALED_ELMORE)
                 .rat_derate(0.9),
         )
         .workers(1)
@@ -188,7 +186,7 @@ fn three_scenarios_match_three_legacy_solves_with_one_workspace() {
     let signoff = Solver::new(tree, &lib).slew_limit(limit).solve();
     let derated = tree.with_derated_rats(0.9);
     let optimistic = Solver::new(&derated, &lib)
-        .delay_model(Arc::new(ScaledElmoreModel::default()))
+        .delay_model(DelayModel::SCALED_ELMORE)
         .solve();
 
     for (name, want) in [
@@ -215,33 +213,34 @@ fn three_scenarios_match_three_legacy_solves_with_one_workspace() {
     );
 }
 
-/// Regression for the verify-model bug: `Solution::verify` silently
-/// measures with Elmore, so for a solve under `ScaledElmoreModel` it
-/// reports a spurious mismatch — while `Outcome::verify` uses the model
-/// the scenario actually solved with and passes.
+/// Regression for the verify-model bug: a solution records the delay
+/// model it was solved under, so `Solution::verify` and `Outcome::verify`
+/// both measure a scaled-Elmore solve with scaled-Elmore arithmetic. The
+/// same placements measured under Elmore disagree with the prediction.
 #[test]
-fn outcome_verify_uses_the_stored_model_where_legacy_verify_misreports() {
+fn solution_and_outcome_verify_measure_with_the_solve_model() {
     let lib = lib();
     let session = Session::builder(lib.clone())
-        .delay_model(Arc::new(ScaledElmoreModel::default()))
+        .delay_model(DelayModel::SCALED_ELMORE)
         .build();
     // Wire-heavy line net: Elmore and scaled-Elmore predictions disagree.
     let tree = fastbuf::netgen::line_net(fastbuf::buflib::units::Microns::new(10_000.0), 9);
     let outcome = session.request(&tree).solve().unwrap();
     let solution = outcome.solution().unwrap().clone();
+    assert_eq!(solution.model, DelayModel::SCALED_ELMORE);
 
-    // The legacy shim cross-checks against the *wrong* arithmetic:
-    let err = solution.verify(&tree, &lib).unwrap_err();
+    solution.verify(&tree, &lib).unwrap();
+    outcome.verify(&tree, &lib).unwrap();
+    // Measured with the wrong arithmetic, the same answer is rejected:
+    let as_elmore = Solution {
+        model: DelayModel::Elmore,
+        ..solution
+    };
+    let err = as_elmore.verify(&tree, &lib).unwrap_err();
     assert!(
         matches!(err, VerifyError::SlackMismatch { .. }),
-        "expected a spurious mismatch from the Elmore-only shim, got {err:?}"
+        "expected a mismatch under Elmore arithmetic, got {err:?}"
     );
-    // The outcome knows which model produced each scenario:
-    outcome.verify(&tree, &lib).unwrap();
-    // And the explicit-model legacy path agrees once given the model:
-    solution
-        .verify_with(&tree, &lib, &ScaledElmoreModel::default())
-        .unwrap();
 }
 
 /// The request layer returns typed errors instead of panicking.

@@ -12,17 +12,17 @@
 #[allow(unused_imports)]
 use fastbuf::prelude::{
     Algorithm, BatchOptions, BatchReport, BatchSolver, BufferLibrary, BufferSet, BufferType,
-    BufferTypeId, CostSolver, DelayModel, Driver, ElmoreModel, Farads, Microns, NodeId, NodeKind,
-    Objective, Ohms, Outcome, Polarity, PolaritySolver, RoutingTree, ScaledElmoreModel, Scenario,
-    ScenarioOutcome, ScenarioResult, Seconds, Session, SiteConstraint, Solution, SolveError,
-    SolveRequest, SolveWorkspace, Solver, TreeBuilder, Wire,
+    BufferTypeId, CostSolver, DelayModel, Driver, Farads, Microns, NodeId, NodeKind, Objective,
+    Ohms, Outcome, Polarity, PolaritySolver, RoutingTree, Scenario, ScenarioOutcome,
+    ScenarioResult, Seconds, Session, SiteConstraint, Solution, SolveError, SolveRequest,
+    SolveWorkspace, Solver, TreeBuilder, Wire,
 };
 
 // And the `fastbuf::api` module surface.
 #[allow(unused_imports)]
 use fastbuf::api::{
     json::{json_f64, json_str},
-    parse_scenarios, NetOutcome, SessionBuilder,
+    parse_model, parse_scenarios, NetOutcome, SessionBuilder,
 };
 
 /// The full request round-trip compiles and runs against the prelude
@@ -33,7 +33,7 @@ fn prelude_supports_the_request_workflow() {
     let tree: RoutingTree = fastbuf::netgen::line_net(Microns::new(6_000.0), 5);
 
     let session: Session = Session::builder(lib)
-        .delay_model(std::sync::Arc::new(ElmoreModel))
+        .delay_model(DelayModel::Elmore)
         .build();
     let request: SolveRequest = session
         .request(&tree)

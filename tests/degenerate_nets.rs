@@ -189,7 +189,7 @@ fn batch_handles_degenerate_fleets() {
 
 /// Satellite regression: a `BlockSite` edit that removes the *last* legal
 /// site leaves a zero-site tree whose only completion is unbuffered. The
-/// incremental solve, `Solution::verify`/`verify_with`, and the api-level
+/// incremental solve, `Solution::verify`, and the api-level
 /// `Outcome::verify` must all report the infeasibility honestly
 /// (`slew_ok = false` under a binding limit) and never panic — through the
 /// incremental path (cache populated with the site present, then
@@ -239,7 +239,7 @@ fn blocking_the_last_site_is_verifiable_never_panics() {
         // Verification measures the best-effort unbuffered solution —
         // must succeed (slack matches), never panic.
         sol.verify(solver.tree(), &lib).unwrap();
-        sol.verify_with(solver.tree(), &lib, &ElmoreModel).unwrap();
+        sol.verify(solver.tree(), &lib).unwrap();
     }
 
     // Same story through the api ECO entry and Outcome::verify, with a

@@ -4,8 +4,6 @@
 //! the cost solver's frontier matches the budget-restricted brute force,
 //! under Elmore and under a scaled wire model.
 
-use std::sync::Arc;
-
 use fastbuf::netgen::RandomNetSpec;
 use fastbuf::prelude::*;
 use fastbuf::rctree::{elmore, NodeId, RoutingTree};
@@ -17,7 +15,7 @@ fn brute_force(
     tree: &RoutingTree,
     lib: &BufferLibrary,
     max_budget: u32,
-    model: &dyn DelayModel,
+    model: DelayModel,
 ) -> (f64, Vec<f64>) {
     let sites: Vec<NodeId> = tree.buffer_sites().collect();
     let choices = lib.len() + 1;
@@ -132,7 +130,7 @@ fn exact_solvers_match_exhaustive_enumeration() {
             if (lib.len() + 1).pow(tree.buffer_site_count() as u32) > 200_000 {
                 continue;
             }
-            let (true_best, _) = brute_force(&tree, &lib, 0, &ElmoreModel);
+            let (true_best, _) = brute_force(&tree, &lib, 0, DelayModel::Elmore);
             for algo in [Algorithm::Lillis, Algorithm::LiShi] {
                 let sol = Solver::new(&tree, &lib).algorithm(algo).solve();
                 assert!(
@@ -153,18 +151,15 @@ fn exact_solvers_match_exhaustive_enumeration() {
 fn cost_frontier_matches_budgeted_enumeration() {
     let lib = tiny_library(3);
     let budget = 12u32;
-    let models: [Arc<dyn DelayModel>; 2] = [
-        Arc::new(ElmoreModel),
-        Arc::new(ScaledElmoreModel::default()),
-    ];
+    let models: [DelayModel; 2] = [DelayModel::Elmore, DelayModel::SCALED_ELMORE];
     for model in models {
         let mut options = SolverOptions::default();
-        options.delay_model = Arc::clone(&model);
+        options.delay_model = model;
         for (name, tree) in tiny_nets() {
             if (lib.len() + 1).pow(tree.buffer_site_count() as u32) > 200_000 {
                 continue;
             }
-            let (_, best_at) = brute_force(&tree, &lib, budget, &*model);
+            let (_, best_at) = brute_force(&tree, &lib, budget, model);
             let frontier = CostSolver::new(&tree, &lib)
                 .with_options(options.clone())
                 .max_cost(budget)
@@ -219,7 +214,7 @@ fn incremental_solver_matches_exhaustive_enumeration_after_edits() {
                 if (lib.len() + 1).pow(solver.tree().buffer_site_count() as u32) > 200_000 {
                     continue;
                 }
-                let (true_best, _) = brute_force(solver.tree(), &lib, 0, &ElmoreModel);
+                let (true_best, _) = brute_force(solver.tree(), &lib, 0, DelayModel::Elmore);
                 let sol = solver.solve();
                 assert!(
                     (sol.slack.picos() - true_best).abs() < 1e-6,
@@ -243,7 +238,7 @@ fn permanent_pruning_stays_within_oracle_bound() {
         if (lib.len() + 1).pow(tree.buffer_site_count() as u32) > 200_000 {
             continue;
         }
-        let (true_best, _) = brute_force(&tree, &lib, 0, &ElmoreModel);
+        let (true_best, _) = brute_force(&tree, &lib, 0, DelayModel::Elmore);
         let perm = Solver::new(&tree, &lib)
             .algorithm(Algorithm::LiShiPermanent)
             .solve();

@@ -262,9 +262,9 @@ fn observed() -> Vec<(String, u64)> {
     // without a slew limit that prunes. One digest per configuration over
     // all nets and one per net over all configurations, so a mismatch
     // names both the configuration and the net.
-    let models: [(&str, Arc<dyn DelayModel>); 2] = [
-        ("elmore", Arc::new(ElmoreModel)),
-        ("scaled", Arc::new(ScaledElmoreModel::default())),
+    let models: [(&str, DelayModel); 2] = [
+        ("elmore", DelayModel::Elmore),
+        ("scaled", DelayModel::SCALED_ELMORE),
     ];
     let mut per_net: Vec<Vec<u64>> = vec![Vec::new(); nets.len()];
     for algorithm in Algorithm::ALL {
@@ -275,7 +275,7 @@ fn observed() -> Vec<(String, u64)> {
                 for (i, net) in nets.iter().enumerate() {
                     let mut solver = Solver::new(net, &lib8)
                         .algorithm(algorithm)
-                        .delay_model(Arc::clone(model));
+                        .delay_model(*model);
                     if let Some(ps) = slew {
                         solver = solver.slew_limit(Seconds::from_pico(ps));
                     }

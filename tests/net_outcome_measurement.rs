@@ -9,8 +9,6 @@
 //! the same net and corner. Every outcome also passes `NetOutcome::verify`,
 //! whose slew rule the 150 ps rows arm.
 
-use std::sync::Arc;
-
 use fastbuf::api::wire::Json;
 use fastbuf::api::NetOutcome;
 use fastbuf::netgen::SuiteSpec;
@@ -38,32 +36,25 @@ fn outcomes_and_records_hold_the_forward_measurement() {
     }
     .build();
     let lib = BufferLibrary::paper_synthetic(8).unwrap();
-    let models: [Arc<dyn DelayModel>; 2] = [
-        Arc::new(ElmoreModel),
-        Arc::new(ScaledElmoreModel::default()),
-    ];
+    let models: [DelayModel; 2] = [DelayModel::Elmore, DelayModel::SCALED_ELMORE];
     let mut changed = 0;
     for model in models {
         let mut free = Vec::new();
         for limit in [None, Some(Seconds::from_pico(150.0))] {
-            let mut solver = BatchSolver::new(&nets, &lib)
-                .workers(2)
-                .delay_model(Arc::clone(&model));
+            let mut solver = BatchSolver::new(&nets, &lib).workers(2).delay_model(model);
             let mut scenario = Scenario::named("batch");
             if let Some(limit) = limit {
                 solver = solver.slew_limit(limit);
                 scenario = scenario.slew_limit(limit);
             }
             let report = solver.solve();
-            let session = Session::builder(lib.clone())
-                .delay_model(Arc::clone(&model))
-                .build();
+            let session = Session::builder(lib.clone()).delay_model(model).build();
             for o in &report.outcomes {
                 let tree = &nets[o.index];
                 let case = format!("net {} under {} limit {limit:?}", o.index, model.name());
                 let pairs: Vec<_> = o.placements.iter().map(|p| (p.node, p.buffer)).collect();
-                let before = elmore::evaluate_with(tree, &lib, &[], &*model).unwrap();
-                let after = elmore::evaluate_with(tree, &lib, &pairs, &*model).unwrap();
+                let before = elmore::evaluate_with(tree, &lib, &[], model).unwrap();
+                let after = elmore::evaluate_with(tree, &lib, &pairs, model).unwrap();
                 assert_eq!(bits(o.slack_before), bits(before.slack), "{case}");
                 assert_eq!(bits(o.slew_before), bits(before.max_slew), "{case}");
                 assert_eq!(

@@ -6,7 +6,6 @@
 
 use fastbuf::polarity::{check_polarity, Polarity, PolaritySolver};
 use fastbuf::prelude::*;
-use std::sync::Arc;
 
 use fastbuf::rctree::{elmore, NodeId, RoutingTree};
 
@@ -35,7 +34,7 @@ fn brute_force(
     tree: &RoutingTree,
     lib: &BufferLibrary,
     negated: &[NodeId],
-    model: &dyn DelayModel,
+    model: DelayModel,
 ) -> Option<f64> {
     let sites: Vec<NodeId> = tree.buffer_sites().collect();
     let choices = lib.len() + 1;
@@ -95,16 +94,13 @@ fn nets() -> Vec<(String, RoutingTree, Vec<NodeId>)> {
 #[test]
 fn polarity_dp_matches_exhaustive_enumeration() {
     let lib = mixed_library();
-    let models: [Arc<dyn DelayModel>; 2] = [
-        Arc::new(ElmoreModel),
-        Arc::new(ScaledElmoreModel::default()),
-    ];
+    let models: [DelayModel; 2] = [DelayModel::Elmore, DelayModel::SCALED_ELMORE];
     for model in models {
         let mut options = SolverOptions::default();
-        options.delay_model = Arc::clone(&model);
+        options.delay_model = model;
         for (name, tree, negated) in nets() {
             let name = format!("{name} {}", model.name());
-            let brute = brute_force(&tree, &lib, &negated, &*model);
+            let brute = brute_force(&tree, &lib, &negated, model);
             let mut solver = PolaritySolver::new(&tree, &lib).with_options(options.clone());
             for &s in &negated {
                 solver.require(s, Polarity::Negative).unwrap();
@@ -116,7 +112,7 @@ fn polarity_dp_matches_exhaustive_enumeration() {
                         "{name}: DP {} vs brute {best}",
                         sol.slack.picos()
                     );
-                    sol.verify_with(&tree, &lib, &negated, &*model)
+                    sol.verify(&tree, &lib, &negated)
                         .unwrap_or_else(|e| panic!("{name}: {e}"));
                 }
                 (Err(_), None) => {} // both infeasible: fine
@@ -137,7 +133,10 @@ fn polarity_oracle_detects_infeasibility_without_inverters() {
     .unwrap();
     let tree = fastbuf::netgen::line_net(Microns::new(4000.0), 3);
     let sink = tree.sinks().next().unwrap();
-    assert_eq!(brute_force(&tree, &buf_only, &[sink], &ElmoreModel), None);
+    assert_eq!(
+        brute_force(&tree, &buf_only, &[sink], DelayModel::Elmore),
+        None
+    );
     let mut solver = PolaritySolver::new(&tree, &buf_only);
     solver.require(sink, Polarity::Negative).unwrap();
     assert!(solver.solve().is_err());
@@ -171,6 +170,6 @@ fn polarity_solver_agrees_across_algorithms_on_random_nets() {
             a.slack,
             b.slack
         );
-        b.verify_with(&tree, &lib, &negated, &ElmoreModel).unwrap();
+        b.verify(&tree, &lib, &negated).unwrap();
     }
 }
