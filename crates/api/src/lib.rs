@@ -82,7 +82,7 @@ pub use error::SolveError;
 pub use fastbuf_netgen::{parse_variation, write_variation, Dist, VariationSpec};
 pub use outcome::{NetOutcome, Outcome, ScenarioOutcome, ScenarioResult};
 pub use request::{Objective, SolveRequest};
-pub use scenario::{parse_model, parse_scenario_lines, parse_scenarios, Scenario};
+pub use scenario::{parse_model, parse_scenarios, scenario_list, Scenario};
 pub use session::{Session, SessionBuilder};
 pub use variation::{
     parse_variation_spec, summarize_samples, SampleResult, VariationOutcome, VariationSummary,

@@ -177,10 +177,9 @@ impl Outcome {
     /// checked for slack agreement and polarity solutions for their sink
     /// requirements; sampled yield sweeps carry no placements to measure.
     ///
-    /// This is the model-safe replacement for the legacy
-    /// [`Solution::verify`] shim, which always measures with Elmore and
-    /// therefore reports a false mismatch for solves under any other
-    /// model.
+    /// [`Solution::verify`] measures under the model its solution records
+    /// too, but checks the slack alone; this check adds the scenario's
+    /// derate, its slew limit and the skew, frontier and polarity answers.
     ///
     /// `tree` must be the tree the request was solved on (underated —
     /// scenario derates are re-applied here).

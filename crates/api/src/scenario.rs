@@ -254,28 +254,25 @@ pub fn parse_model(name: &str) -> Result<DelayModel, SolveError> {
     DelayModel::by_name(name).ok_or_else(|| SolveError::UnknownModel(name.to_owned()))
 }
 
-/// [`parse_scenarios`] plus default application: scenarios whose line
-/// omitted `algo=` get `default_algorithm`, and scenarios whose line
-/// omitted `model=` get `default_model`. This is the **one** scenario
-/// deserialization path — `fastbuf solve --scenarios` and the server's
-/// `"scenarios"` request field both resolve their command-level defaults
-/// through it, so a scenario line can never mean different things to
-/// different front ends.
+/// The scenario list of one request: the scenario file `lines`, each line
+/// taking the algorithm and delay model it does not set from `default`,
+/// or else `default` alone. This is the **one** scenario-list builder —
+/// `fastbuf solve` (`--scenarios`, or the corner its flags describe) and
+/// the server's `solve`/`eco` frames (`"scenarios"`, or the frame's
+/// `"algorithm"`/`"model"`) both go through it, so a scenario line can
+/// never mean different things to different front ends.
 ///
 /// # Errors
 ///
 /// Exactly those of [`parse_scenarios`], with line numbers preserved.
-pub fn parse_scenario_lines(
-    text: &str,
-    default_algorithm: Option<Algorithm>,
-    default_model: Option<DelayModel>,
-) -> Result<Vec<Scenario>, SolveError> {
+pub fn scenario_list(lines: Option<&str>, default: Scenario) -> Result<Vec<Scenario>, SolveError> {
+    let Some(text) = lines else {
+        return Ok(vec![default]);
+    };
     let mut scenarios = parse_scenarios(text)?;
     for scenario in &mut scenarios {
-        if scenario.algorithm.is_none() {
-            scenario.algorithm = default_algorithm;
-        }
-        scenario.delay_model = scenario.delay_model.or(default_model);
+        scenario.algorithm = scenario.algorithm.or(default.algorithm);
+        scenario.delay_model = scenario.delay_model.or(default.delay_model);
     }
     Ok(scenarios)
 }
@@ -344,23 +341,40 @@ fast    model=scaled-elmore  algo=lillis
     #[test]
     fn line_parser_applies_defaults_without_overriding() {
         let model = DelayModel::SCALED_ELMORE;
+        let default = Scenario::default()
+            .algorithm(Algorithm::Lillis)
+            .delay_model(model);
         let text = "typical\nslow model=elmore algo=lishi\n";
-        let scenarios = parse_scenario_lines(text, Some(Algorithm::Lillis), Some(model)).unwrap();
+        let scenarios = scenario_list(Some(text), default.clone()).unwrap();
         // Defaults fill the gaps…
         assert_eq!(scenarios[0].algorithm, Some(Algorithm::Lillis));
         assert_eq!(scenarios[0].delay_model, Some(model));
         // …but never override an explicit per-line choice.
         assert_eq!(scenarios[1].algorithm, Some(Algorithm::LiShi));
         assert_eq!(scenarios[1].delay_model, Some(DelayModel::Elmore));
+        // Only the algorithm and model are defaults: a line keeps its own
+        // name, derate and slew limit.
+        let limited = default.clone().slew_limit(Seconds::from_pico(90.0));
+        let scenarios = scenario_list(Some(text), limited.rat_derate(0.5)).unwrap();
+        assert_eq!(scenarios[0].name, "typical");
+        assert_eq!(scenarios[0].rat_derate, 1.0);
+        assert!(scenarios[0].slew_limit.is_none());
 
         // No defaults = plain parse_scenarios.
-        let scenarios = parse_scenario_lines(text, None, None).unwrap();
+        let scenarios = scenario_list(Some(text), Scenario::default()).unwrap();
         assert!(scenarios[0].algorithm.is_none());
         assert!(scenarios[0].delay_model.is_none());
 
+        // No lines = the default scenario alone, untouched.
+        let scenarios = scenario_list(None, default).unwrap();
+        assert_eq!(scenarios.len(), 1);
+        assert_eq!(scenarios[0].name, "default");
+        assert_eq!(scenarios[0].algorithm, Some(Algorithm::Lillis));
+        assert_eq!(scenarios[0].delay_model, Some(model));
+
         // Line numbers survive the wrapper.
         assert!(matches!(
-            parse_scenario_lines("ok\nbad nonsense", None, None),
+            scenario_list(Some("ok\nbad nonsense"), Scenario::default()),
             Err(SolveError::ScenarioParse { line: 2, .. })
         ));
     }

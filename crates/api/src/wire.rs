@@ -32,6 +32,7 @@ use fastbuf_core::Algorithm;
 
 use crate::error::SolveError;
 use crate::outcome::{NetOutcome, ScenarioOutcome};
+use crate::scenario::{parse_model, scenario_list, Scenario};
 
 /// The wire schema version this build speaks. Requests must carry
 /// `"v": 1`; any other version is rejected with an
@@ -677,7 +678,7 @@ pub struct SolveParams {
     /// Default algorithm for scenarios without their own `algo=`.
     pub algorithm: Option<Algorithm>,
     /// Default delay-model name for scenarios without their own `model=`
-    /// (resolved by the consumer via [`parse_model`](crate::parse_model)).
+    /// (resolved by the consumer via [`parse_model`]).
     pub model: Option<String>,
     /// Include per-scenario placement lists in the response records.
     pub placements: bool,
@@ -695,6 +696,24 @@ pub struct SolveParams {
     pub samples: Option<u64>,
     /// Reported slack quantile for yield-target solves (default `0.5`).
     pub quantile: Option<f64>,
+}
+
+impl SolveParams {
+    /// The request's scenarios through [`scenario_list`], with
+    /// `algorithm` and `model` as the defaults.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`parse_model`] and [`scenario_list`].
+    pub fn scenario_list(&self) -> Result<Vec<Scenario>, SolveError> {
+        let default = Scenario {
+            algorithm: self.algorithm,
+            delay_model: self.model.as_deref().map(parse_model).transpose()?,
+            ..Scenario::default()
+        };
+        let lines = self.scenarios.as_ref().map(|lines| lines.join("\n"));
+        scenario_list(lines.as_deref(), default)
+    }
 }
 
 /// One parsed request op.

@@ -6,9 +6,12 @@
 //!
 //! * [`BatchSolver`] — takes many [`RoutingTree`](fastbuf_rctree::RoutingTree)s
 //!   plus one shared [`BufferLibrary`](fastbuf_buflib::BufferLibrary) and
-//!   fans them out across a worker pool. Work is dispatched **largest net
-//!   first** through `fastbuf_core::par`, so big nets cannot straggle
-//!   at the tail of the batch;
+//!   fans them out across a worker pool. Every net is one request of one
+//!   `fastbuf_api::Session` under one [`Scenario`](fastbuf_api::Scenario)
+//!   named `"batch"`, whose algorithm, delay model and slew limit the
+//!   solver's setters choose — the crate adds no option of its own. Work
+//!   is dispatched **largest net first** through `fastbuf_core::par`, so
+//!   big nets cannot straggle at the tail of the batch;
 //! * per-worker reusable [`SolveWorkspace`](fastbuf_core::SolveWorkspace)s
 //!   eliminate per-net allocation churn in the hot loop — after warm-up a
 //!   worker solves nets with no steady-state heap traffic;
@@ -57,4 +60,4 @@ mod solver;
 
 pub use fastbuf_api::NetOutcome;
 pub use report::BatchReport;
-pub use solver::{BatchOptions, BatchSolver};
+pub use solver::BatchSolver;

@@ -4,7 +4,7 @@ use std::fmt;
 use std::time::Duration;
 
 use fastbuf_api::wire::Json;
-use fastbuf_api::NetOutcome;
+use fastbuf_api::{NetOutcome, Scenario};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_core::Algorithm;
 
@@ -43,21 +43,20 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Aggregates `outcomes` (already in input order) into a report.
+    /// Aggregates `outcomes` (already in input order), solved under
+    /// `scenario`, into a report.
     pub(crate) fn from_outcomes(
         outcomes: Vec<NetOutcome>,
-        algorithm: Algorithm,
+        scenario: &Scenario,
         workers: usize,
-        delay_model: &'static str,
-        slew_limit: Option<Seconds>,
         elapsed: Duration,
     ) -> Self {
         let mut report = BatchReport {
             outcomes,
-            algorithm,
+            algorithm: scenario.algorithm.unwrap_or_default(),
             workers,
-            delay_model,
-            slew_limit,
+            delay_model: scenario.delay_model.unwrap_or_default().name(),
+            slew_limit: scenario.slew_limit,
             worst_slew: Seconds::ZERO,
             slew_violations: 0,
             wns_before: Seconds::new(f64::INFINITY),
@@ -163,14 +162,7 @@ mod tests {
 
     #[test]
     fn empty_report_aggregates() {
-        let r = BatchReport::from_outcomes(
-            Vec::new(),
-            Algorithm::LiShi,
-            1,
-            "elmore",
-            None,
-            Duration::ZERO,
-        );
+        let r = BatchReport::from_outcomes(Vec::new(), &Scenario::default(), 1, Duration::ZERO);
         assert_eq!(r.total_buffers, 0);
         assert_eq!(r.outcomes.len(), 0);
         let json = r.to_json(None, false);

@@ -10,38 +10,16 @@ use fastbuf_rctree::RoutingTree;
 
 use crate::report::BatchReport;
 
-/// Configuration of a [`BatchSolver`].
-#[derive(Clone, Debug)]
-pub struct BatchOptions {
-    /// The per-net algorithm (default [`Algorithm::LiShi`]).
-    pub algorithm: Algorithm,
-    /// Caps the worker threads (`None` = the hardware thread count);
-    /// [`par::workers`] sizes the pool by the fleet's work.
-    pub workers: Option<usize>,
-    /// Record predecessor information so placements can be reconstructed
-    /// (default `true`). Disable for pure throughput measurements.
-    pub track_predecessors: bool,
-    /// Wire-delay model applied to every net (default
-    /// [`DelayModel::Elmore`]).
-    pub delay_model: DelayModel,
-    /// Optional per-net maximum output slew (default `None`).
-    pub slew_limit: Option<Seconds>,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            algorithm: Algorithm::default(),
-            workers: None,
-            track_predecessors: true,
-            delay_model: DelayModel::Elmore,
-            slew_limit: None,
-        }
-    }
-}
-
 /// Solves a fleet of independent nets against one shared buffer library,
 /// fanned out over a pool of worker threads.
+///
+/// Every net is solved as one request of one [`Session`] under the same
+/// [`Scenario`]: `Scenario::named("batch")`, refined by
+/// [`algorithm`](BatchSolver::algorithm),
+/// [`delay_model`](BatchSolver::delay_model) and
+/// [`slew_limit`](BatchSolver::slew_limit). A net's answer is therefore
+/// bit-identical to `session.request(net).scenario(..).solve()` with that
+/// scenario, work counters included.
 ///
 /// Scheduling: nets go through [`fastbuf_core::par::map_ordered`]
 /// **largest net first** (by node count), and an idle worker claims the
@@ -74,51 +52,46 @@ impl Default for BatchOptions {
 pub struct BatchSolver<'a> {
     nets: &'a [RoutingTree],
     library: &'a BufferLibrary,
-    options: BatchOptions,
+    /// Caps the worker threads (`None` = the hardware thread count);
+    /// [`par::workers`] sizes the pool by the fleet's work.
+    workers: Option<usize>,
+    /// The one scenario every net is solved under: `"batch"`, with the
+    /// algorithm, delay model and slew limit the setters chose.
+    scenario: Scenario,
 }
 
 impl<'a> BatchSolver<'a> {
-    /// Creates a batch solver with default options.
+    /// Creates a batch solver with the default scenario (Li–Shi, Elmore,
+    /// no slew limit) and a worker count sized by the hardware.
     pub fn new(nets: &'a [RoutingTree], library: &'a BufferLibrary) -> Self {
         BatchSolver {
             nets,
             library,
-            options: BatchOptions::default(),
+            workers: None,
+            scenario: Scenario::named("batch"),
         }
     }
 
-    /// Replaces all options.
-    #[must_use]
-    pub fn with_options(mut self, options: BatchOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Caps the worker count (see [`BatchOptions::workers`]).
+    /// Caps the worker count; [`par::workers`] still runs small fleets
+    /// inline.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.options.workers = Some(workers);
+        self.workers = Some(workers);
         self
     }
 
-    /// Selects the per-net algorithm.
+    /// Selects the per-net algorithm (default [`Algorithm::LiShi`]).
     #[must_use]
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.options.algorithm = algorithm;
+        self.scenario = self.scenario.algorithm(algorithm);
         self
     }
 
-    /// Enables or disables predecessor tracking.
-    #[must_use]
-    pub fn track_predecessors(mut self, track: bool) -> Self {
-        self.options.track_predecessors = track;
-        self
-    }
-
-    /// Selects the wire-delay model for every net.
+    /// Selects the wire-delay model for every net (default
+    /// [`DelayModel::Elmore`]).
     #[must_use]
     pub fn delay_model(mut self, model: DelayModel) -> Self {
-        self.options.delay_model = model;
+        self.scenario = self.scenario.delay_model(model);
         self
     }
 
@@ -126,7 +99,7 @@ impl<'a> BatchSolver<'a> {
     /// output slew.
     #[must_use]
     pub fn slew_limit(mut self, limit: Seconds) -> Self {
-        self.options.slew_limit = limit.is_finite().then_some(limit);
+        self.scenario = self.scenario.slew_limit(limit);
         self
     }
 
@@ -144,43 +117,25 @@ impl<'a> BatchSolver<'a> {
         let start = Instant::now();
         let nets = self.nets;
         let library = self.library;
-        let session = Session::builder(library.clone())
-            .delay_model(self.options.delay_model)
-            .build();
-        let scenario = {
-            let mut s = Scenario::named("batch").algorithm(self.options.algorithm);
-            if let Some(limit) = self.options.slew_limit {
-                s = s.slew_limit(limit);
-            }
-            s
-        };
+        let session = Session::new(library.clone());
         let work = nets.iter().map(RoutingTree::node_count).sum::<usize>() * library.len();
-        let workers = par::workers(self.options.workers, nets.len(), work);
+        let workers = par::workers(self.workers, nets.len(), work);
 
         // Largest-first dispatch (ties broken by index, so the schedule
         // itself is deterministic even though completion order is not).
         let order = par::largest_first(nets.len(), |i| nets[i].node_count());
         let mut workspaces: Vec<SolveWorkspace> =
             (0..workers).map(|_| SolveWorkspace::new()).collect();
-        let track = self.options.track_predecessors;
         let outcomes = par::map_ordered(&order, &mut workspaces, |workspace, i| {
             let tree = &nets[i];
             let outcome = session
                 .request(tree)
-                .track_predecessors(track)
-                .scenario(scenario.clone())
+                .scenario(self.scenario.clone())
                 .solve_in(workspace)
                 .expect("a validated max-slack scenario cannot fail");
             NetOutcome::measure(i, tree, library, &outcome.scenarios[0])
                 .expect("a solved net evaluates forward")
         });
-        BatchReport::from_outcomes(
-            outcomes,
-            self.options.algorithm,
-            workers,
-            self.options.delay_model.name(),
-            self.options.slew_limit,
-            start.elapsed(),
-        )
+        BatchReport::from_outcomes(outcomes, &self.scenario, workers, start.elapsed())
     }
 }

@@ -133,22 +133,6 @@ fn all_algorithms_run_through_the_batch_path() {
 }
 
 #[test]
-fn untracked_batch_skips_placements_but_keeps_slacks() {
-    let nets = suite(8, 5);
-    let lib = BufferLibrary::paper_synthetic(8).unwrap();
-    let tracked = BatchSolver::new(&nets, &lib).workers(2).solve();
-    let untracked = BatchSolver::new(&nets, &lib)
-        .workers(2)
-        .track_predecessors(false)
-        .solve();
-    for (t, u) in tracked.outcomes.iter().zip(&untracked.outcomes) {
-        assert_eq!(t.slack, u.slack);
-        assert!(u.placements.is_empty());
-    }
-    assert_eq!(untracked.total_buffers, 0);
-}
-
-#[test]
 fn report_json_is_wellformed_and_ordered() {
     let nets = suite(5, 2);
     let lib = BufferLibrary::paper_synthetic(4).unwrap();

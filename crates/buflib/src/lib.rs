@@ -61,6 +61,6 @@ pub mod units;
 pub use buffer::{BufferType, BufferTypeId, Driver};
 pub use bufset::BufferSet;
 pub use error::LibraryError;
-pub use library::{BufferLibrary, SyntheticLibrarySpec};
+pub use library::BufferLibrary;
 pub use tech::Technology;
 pub use units::{Farads, Microns, Ohms, Seconds};

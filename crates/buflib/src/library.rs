@@ -40,8 +40,6 @@ pub struct BufferLibrary {
     buffers: Vec<BufferType>,
     by_resistance_desc: Vec<BufferTypeId>,
     by_input_cap_asc: Vec<BufferTypeId>,
-    /// `cap_rank[id] = position of id in by_input_cap_asc`.
-    cap_rank: Vec<u32>,
 }
 
 impl BufferLibrary {
@@ -66,7 +64,6 @@ impl BufferLibrary {
             buffers: Vec::new(),
             by_resistance_desc: Vec::new(),
             by_input_cap_asc: Vec::new(),
-            cap_rank: Vec::new(),
         }
     }
 
@@ -168,15 +165,10 @@ impl BufferLibrary {
                 .total_cmp(&bb.input_capacitance().value())
                 .then(a.cmp(&b))
         });
-        let mut cap_rank = vec![0u32; buffers.len()];
-        for (rank, id) in by_input_cap_asc.iter().enumerate() {
-            cap_rank[id.index()] = rank as u32;
-        }
         Ok(BufferLibrary {
             buffers,
             by_resistance_desc,
             by_input_cap_asc,
-            cap_rank,
         })
     }
 
@@ -286,12 +278,6 @@ impl BufferLibrary {
     #[inline]
     pub fn by_input_cap_asc(&self) -> &[BufferTypeId] {
         &self.by_input_cap_asc
-    }
-
-    /// Rank of `id` in the non-decreasing input-capacitance order.
-    #[inline]
-    pub fn cap_rank(&self, id: BufferTypeId) -> usize {
-        self.cap_rank[id.index()] as usize
     }
 
     /// Finds a buffer type by name.
@@ -410,7 +396,7 @@ impl fmt::Display for BufferLibrary {
 /// capacitance geometrically from `cap_min` up to `cap_max`; intrinsic delay
 /// linearly.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SyntheticLibrarySpec {
+pub(crate) struct SyntheticLibrarySpec {
     /// Resistance of the strongest buffer (paper: 180 Ω).
     pub resistance_min: Ohms,
     /// Resistance of the weakest buffer (paper: 7000 Ω).
@@ -433,7 +419,7 @@ pub struct SyntheticLibrarySpec {
 
 impl SyntheticLibrarySpec {
     /// The parameter ranges of the paper's evaluation section.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         SyntheticLibrarySpec {
             resistance_min: Ohms::new(180.0),
             resistance_max: Ohms::new(7000.0),
@@ -457,7 +443,7 @@ impl SyntheticLibrarySpec {
     ///
     /// Returns [`LibraryError::Empty`] if `b == 0`, or a validation error if
     /// the spec ranges are degenerate (e.g. non-positive resistance).
-    pub fn build(&self, b: usize) -> Result<BufferLibrary, LibraryError> {
+    pub(crate) fn build(&self, b: usize) -> Result<BufferLibrary, LibraryError> {
         if b == 0 {
             return Err(LibraryError::Empty);
         }
@@ -551,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn cap_order_is_non_decreasing_and_rank_consistent() {
+    fn cap_order_is_non_decreasing() {
         let lib = BufferLibrary::paper_synthetic_jittered(16, 42).unwrap();
         let cs: Vec<f64> = lib
             .by_input_cap_asc()
@@ -559,9 +545,6 @@ mod tests {
             .map(|&id| lib.get(id).input_capacitance().value())
             .collect();
         assert!(cs.windows(2).all(|w| w[0] <= w[1]));
-        for (rank, &id) in lib.by_input_cap_asc().iter().enumerate() {
-            assert_eq!(lib.cap_rank(id), rank);
-        }
     }
 
     #[test]

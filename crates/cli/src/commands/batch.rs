@@ -6,10 +6,10 @@ use std::path::{Path, PathBuf};
 use fastbuf_api::SolveError;
 use fastbuf_batch::BatchSolver;
 use fastbuf_buflib::units::Seconds;
-use fastbuf_core::{Algorithm, Solver};
+use fastbuf_core::Solver;
 use fastbuf_rctree::{io as netio, RoutingTree};
 
-use super::{io_error, load_lib, load_model, load_slew_limit, write_json, CliError, USAGE};
+use super::{flag_scenario, io_error, load_lib, write_json, CliError, USAGE};
 use crate::args::Flags;
 
 /// Loads the nets of a `batch` run: every `*.net` in `--dir` (sorted by
@@ -77,9 +77,10 @@ pub(super) fn batch(argv: &[String]) -> Result<(), CliError> {
     )?;
     let (names, nets) = load_batch_nets(&flags)?;
     let lib = load_lib(&flags)?;
-    let algo: Algorithm = flags.value("algo").unwrap_or("lishi").parse()?;
-    let model = load_model(&flags)?;
-    let slew_limit = load_slew_limit(&flags)?;
+    let scenario = flag_scenario(&flags)?;
+    let algo = scenario.algorithm.unwrap_or_default();
+    let model = scenario.delay_model.unwrap_or_default();
+    let slew_limit = scenario.slew_limit;
     let check_fault: Option<usize> = match flags.value("check-fault") {
         None => None,
         Some(v) => Some(v.parse().map_err(|_| "bad --check-fault".to_string())?),

@@ -1,20 +1,25 @@
 //! `fastbuf eco`: incremental re-solving of an edit script through the
-//! subtree cache.
+//! session's ECO path (`Session::eco`), every answer checked by the one
+//! per-net check.
 
 use std::fs;
+use std::io::Write;
+use std::time::{Duration, Instant};
 
 use fastbuf_api::wire::Json;
-use fastbuf_api::SolveError;
-use fastbuf_core::Algorithm;
+use fastbuf_api::{Outcome, Session, SolveError};
+use fastbuf_core::Solution;
+use fastbuf_incremental::{parse_edits, swapped_library, write_edits, Edit, EditScriptSpec};
 
-use super::{
-    io_error, load_lib, load_model, load_net, load_slew_limit, write_json, CliError, USAGE,
-};
+use super::{flag_scenario, io_error, load_lib, load_net, write_json, CliError, USAGE};
 use crate::args::Flags;
 
 pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
-    use fastbuf_incremental::{parse_edits, write_edits, EditScriptSpec, IncrementalSolver};
+    eco_to(argv, &mut std::io::stdout().lock())
+}
 
+/// `fastbuf eco`, writing its report lines to `out`.
+pub(super) fn eco_to(argv: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let flags = Flags::parse(
         argv,
         &[
@@ -34,9 +39,7 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
     )?;
     let tree = load_net(&flags)?;
     let lib = load_lib(&flags)?;
-    let algo: Algorithm = flags.value("algo").unwrap_or("lishi").parse()?;
-    let model = load_model(&flags)?;
-    let slew_limit = load_slew_limit(&flags)?;
+    let scenario = flag_scenario(&flags)?;
 
     let edits = match (flags.value("edits"), flags.value("random")) {
         (Some(_), Some(_)) => return Err("give either --edits or --random, not both".into()),
@@ -69,60 +72,76 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
             .map_err(|e| io_error(format!("cannot write `{path}`: {e}")))?;
     }
 
-    let mut options = fastbuf_core::SolverOptions::default();
-    options.algorithm = algo;
-    options.delay_model = model;
-    options.slew_limit = slew_limit;
-    let mut solver = IncrementalSolver::new(tree, lib).with_options(options);
+    let check = flags.switch("check");
+    let mut session = Session::new(lib);
+    let mut eco = session.eco(&tree, vec![scenario.clone()])?;
 
     // Baseline solve populates the cache.
-    let baseline = solver.solve();
-    println!(
+    let baseline = eco.solve()?;
+    let baseline = solution(&baseline);
+    writeln!(
+        out,
         "baseline: slack {} with {} buffers ({} nodes cached)",
         baseline.slack,
         baseline.placements.len(),
-        solver.cache().cached_nodes()
-    );
+        eco.cache_report()[0].1
+    )?;
 
     let mut records = Vec::new();
     let mut total_recomputed = 0u64;
     let mut total_reused = 0u64;
-    let mut incremental_time = std::time::Duration::ZERO;
-    let mut scratch_time = std::time::Duration::ZERO;
+    let mut incremental_time = Duration::ZERO;
+    let mut fresh_time = Duration::ZERO;
     let want_json = flags.value("json").is_some();
     for (k, edit) in edits.iter().enumerate() {
-        solver.apply(edit).map_err(|e| {
-            let message = format!("edit {} (`{edit}`): {e}", k + 1);
-            CliError {
-                code: SolveError::Edit(e).exit_code(),
-                message,
-            }
-        })?;
-        let t0 = std::time::Instant::now();
-        let sol = solver.solve();
+        let failed = |e: SolveError| CliError {
+            code: e.exit_code(),
+            message: format!("edit {} (`{edit}`): {e}", k + 1),
+        };
+        if let Edit::SwapLibrary { size, jitter } = *edit {
+            // The session's library is immutable, and a swap flushes every
+            // cache anyway: restart on the swapped library.
+            let library =
+                swapped_library(size, jitter).map_err(|e| failed(SolveError::Edit(e.into())))?;
+            session = Session::new(library);
+            eco = session.eco(eco.tree(), vec![scenario.clone()])?;
+        } else {
+            eco.apply(edit).map_err(failed)?;
+        }
+        let t0 = Instant::now();
+        let outcome = eco.solve()?;
         incremental_time += t0.elapsed();
+        let sol = solution(&outcome);
         total_recomputed += sol.stats.nodes_recomputed;
         total_reused += sol.stats.nodes_reused;
-        if flags.switch("check") {
-            let t0 = std::time::Instant::now();
-            let scratch = solver.solve_scratch();
-            scratch_time += t0.elapsed();
-            if sol.slack != scratch.slack
-                || sol.placements != scratch.placements
-                || sol.slew_ok != scratch.slew_ok
+        if check {
+            outcome
+                .verify(eco.tree(), session.library())
+                .map_err(failed)?;
+            let t0 = Instant::now();
+            let fresh = session
+                .request(eco.tree())
+                .scenario(scenario.clone())
+                .solve()?;
+            fresh_time += t0.elapsed();
+            let fresh = solution(&fresh);
+            if sol.slack.value().to_bits() != fresh.slack.value().to_bits()
+                || sol.placements != fresh.placements
+                || sol.slew_ok != fresh.slew_ok
             {
                 return Err(format!(
-                    "check failed: edit {} (`{edit}`) diverges from scratch: \
-                     incremental slack {} vs scratch {}",
+                    "check failed: edit {} (`{edit}`) diverges from a fresh request: \
+                     incremental slack {} vs fresh {}",
                     k + 1,
                     sol.slack,
-                    scratch.slack
+                    fresh.slack
                 )
                 .into());
             }
         }
         if flags.switch("per-edit") {
-            println!(
+            writeln!(
+                out,
                 "  edit {:>4} {:<24} slack {}  buffers {:>3}  recomputed {:>5} reused {:>5}{}",
                 k + 1,
                 edit.to_string(),
@@ -135,7 +154,7 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
                 } else {
                     "  [SLEW INFEASIBLE]"
                 },
-            );
+            )?;
         }
         if want_json {
             records.push(Json::obj([
@@ -149,10 +168,13 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
         }
     }
 
-    let final_sol = solver.solve();
-    let nodes = solver.tree().node_count() as u64;
+    let final_outcome = eco.solve()?;
+    final_outcome.verify(eco.tree(), session.library())?;
+    let final_sol = solution(&final_outcome);
+    let nodes = eco.tree().node_count() as u64;
     let touched = total_recomputed + total_reused;
-    println!(
+    writeln!(
+        out,
         "eco: {} edits on {} nodes | recomputed {} of {} node-solves ({:.1}% reused) | \
          incremental wall {:?}",
         edits.len(),
@@ -161,15 +183,18 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
         touched,
         100.0 * total_reused as f64 / touched.max(1) as f64,
         incremental_time,
-    );
-    if flags.switch("check") {
-        println!(
-            "check: all {} incremental results bit-identical to scratch (scratch wall {:?})",
+    )?;
+    if check {
+        writeln!(
+            out,
+            "check: all {} incremental results verified and bit-identical to fresh \
+             requests (request wall {:?})",
             edits.len(),
-            scratch_time
-        );
+            fresh_time
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "final: slack {} with {} buffers{}",
         final_sol.slack,
         final_sol.placements.len(),
@@ -178,7 +203,8 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
         } else {
             "  [SLEW INFEASIBLE]"
         }
-    );
+    )?;
+    writeln!(out, "verified: forward evaluation matches the final answer")?;
 
     if let Some(path) = flags.value("json") {
         let report = Json::obj([
@@ -188,10 +214,15 @@ pub(super) fn eco(argv: &[String]) -> Result<(), CliError> {
             ("total_reused", total_reused.into()),
             ("final_slack_ps", final_sol.slack.picos().into()),
             ("final_buffers", final_sol.placements.len().into()),
-            ("checked", flags.switch("check").into()),
+            ("checked", check.into()),
             ("results", records.into()),
         ]);
         write_json(path, &report.to_pretty())?;
     }
     Ok(())
+}
+
+/// The one corner's solution of an ECO or request outcome.
+fn solution(outcome: &Outcome) -> &Solution {
+    outcome.solution().expect("eco solves one max-slack corner")
 }

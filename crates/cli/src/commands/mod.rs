@@ -7,10 +7,10 @@
 
 use std::fs;
 
-use fastbuf_api::{parse_model, SolveError};
+use fastbuf_api::{parse_model, Scenario, SolveError};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_core::DelayModel;
+use fastbuf_core::{Algorithm, DelayModel};
 use fastbuf_rctree::{io as netio, RoutingTree};
 
 use crate::args::Flags;
@@ -65,10 +65,16 @@ const USAGE: &str = "usage:
                     [--slew-limit PS] [--check] [--per-edit] [--json FILE]
                     [--emit-edits FILE]
                     (applies each edit and re-solves incrementally through
-                     the subtree cache; --check re-solves from scratch after
-                     every edit and fails on any non-bit-identical result.
-                     --random N generates a reproducible N-edit script at
-                     --locality (default 0.1); --emit-edits saves it.)
+                     the session's subtree cache; a `swaplib` edit restarts
+                     the session on the swapped library. The final answer
+                     must measure the slack it predicted and, when reported
+                     slew-feasible, stay within --slew-limit (exit 17
+                     otherwise); --check applies that check to every
+                     edit's answer and also fails (exit 2) on any result
+                     not bit-identical to a fresh request on the edited
+                     tree. --random N generates a reproducible N-edit
+                     script at --locality (default 0.1); --emit-edits
+                     saves it.)
   fastbuf frontier  --net FILE --lib FILE [--max-cost W]
                     (the slack-vs-cost Pareto frontier up to total buffer
                      cost W (default 64); every point must measure the
@@ -169,6 +175,12 @@ impl From<SolveError> for CliError {
     }
 }
 
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        io_error(format!("cannot write output: {e}"))
+    }
+}
+
 /// An I/O failure: exit code 3.
 fn io_error(message: String) -> CliError {
     CliError { code: 3, message }
@@ -240,20 +252,25 @@ fn load_model(flags: &Flags) -> Result<DelayModel, CliError> {
         .unwrap_or_default())
 }
 
-/// Parses `--slew-limit` (picoseconds) into an optional limit.
-fn load_slew_limit(flags: &Flags) -> Result<Option<Seconds>, CliError> {
-    match flags.value("slew-limit") {
-        None => Ok(None),
-        Some(v) => {
-            let ps: f64 = v
-                .parse()
-                .map_err(|_| format!("flag `--slew-limit`: cannot parse `{v}`"))?;
-            if !ps.is_finite() || ps <= 0.0 {
-                return Err("--slew-limit must be a positive number of picoseconds".into());
-            }
-            Ok(Some(Seconds::from_pico(ps)))
+/// The corner `--algo`, `--model` and `--slew-limit` describe, named
+/// `"default"`: the algorithm (default Li–Shi), the delay model (default
+/// Elmore) and the optional slew limit in picoseconds. `solve`, `batch`
+/// and `eco` all solve through it.
+fn flag_scenario(flags: &Flags) -> Result<Scenario, CliError> {
+    let algorithm: Algorithm = flags.value("algo").unwrap_or("lishi").parse()?;
+    let mut scenario = Scenario::default()
+        .algorithm(algorithm)
+        .delay_model(load_model(flags)?);
+    if let Some(v) = flags.value("slew-limit") {
+        let ps: f64 = v
+            .parse()
+            .map_err(|_| format!("flag `--slew-limit`: cannot parse `{v}`"))?;
+        if !ps.is_finite() || ps <= 0.0 {
+            return Err("--slew-limit must be a positive number of picoseconds".into());
         }
+        scenario = scenario.slew_limit(Seconds::from_pico(ps));
     }
+    Ok(scenario)
 }
 
 fn load_lib(flags: &Flags) -> Result<BufferLibrary, CliError> {

@@ -4,11 +4,10 @@
 use std::fs;
 
 use fastbuf_api::wire::{self, Json};
-use fastbuf_api::{parse_scenario_lines, NetOutcome, Objective, Scenario, Session, SolveError};
-use fastbuf_core::Algorithm;
+use fastbuf_api::{scenario_list, NetOutcome, Objective, Scenario, Session, SolveError};
 use fastbuf_rctree::{elmore, RoutingTree};
 
-use super::{io_error, load_lib, load_model, load_net, load_slew_limit, write_json, CliError};
+use super::{flag_scenario, io_error, load_lib, load_net, write_json, CliError};
 use crate::args::Flags;
 
 pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
@@ -31,25 +30,22 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
     let net_path = flags.required("net")?.to_owned();
     let tree = load_net(&flags)?;
     let lib = load_lib(&flags)?;
-    let algo: Algorithm = flags.value("algo").unwrap_or("lishi").parse()?;
-    let model = load_model(&flags)?;
-    let slew_limit = load_slew_limit(&flags)?;
+    let flagged = flag_scenario(&flags)?;
+    let model = flagged.delay_model.unwrap_or_default();
 
     // Everything below goes through the unified request layer: one
     // session, one request, one scenario per corner.
-    let session = Session::builder(lib).delay_model(model).build();
+    let session = Session::new(lib);
     let lib = session.library();
 
+    // The shared scenario-list builder (`api::scenario_list`), as the
+    // server's frames use it: the corner file's lines with --algo and
+    // --model as defaults for lines without their own, or the flags'
+    // corner alone.
     let scenarios = match flags.value("scenarios") {
-        None => {
-            let mut scenario = Scenario::default().algorithm(algo);
-            if let Some(limit) = slew_limit {
-                scenario = scenario.slew_limit(limit);
-            }
-            vec![scenario]
-        }
+        None => scenario_list(None, flagged)?,
         Some(path) => {
-            if slew_limit.is_some() {
+            if flagged.slew_limit.is_some() {
                 return Err(
                     "--slew-limit conflicts with --scenarios; put `slew-limit-ps=` on the \
                      scenario lines instead"
@@ -58,11 +54,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
             }
             let text = fs::read_to_string(path)
                 .map_err(|e| io_error(format!("cannot read `{path}`: {e}")))?;
-            // The shared corner-file path (`api::parse_scenario_lines`):
-            // the server's `scenarios` frames go through the same parser,
-            // with --algo as the default for lines without their own
-            // `algo=`.
-            parse_scenario_lines(&text, Some(algo), None).map_err(|e| CliError {
+            scenario_list(Some(&text), flagged).map_err(|e| CliError {
                 code: e.exit_code(),
                 message: format!("{path}: {e}"),
             })?
@@ -72,7 +64,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
     // JSON — even when the file happens to contain a single corner, so
     // downstream tooling keyed on scenario names never breaks. (This also
     // keeps the anonymous branch's improvement-vs-unbuffered print sound:
-    // flag-built scenarios always share the session model and derate 1.0.)
+    // the flags' scenario always carries --model and derate 1.0.)
     let named = flags.value("scenarios").is_some();
 
     if flags.value("variation").is_some() {

@@ -1,4 +1,5 @@
 use super::*;
+use fastbuf_api::wire::Json;
 
 #[test]
 fn dispatch_rejects_unknown() {
@@ -772,8 +773,9 @@ fn serve_validates_flags_before_binding() {
     assert_eq!(err.code, 3, "preload I/O failures exit 3: {err}");
 }
 
-/// Satellite: `fastbuf eco` end to end — random scripts, edit files,
-/// `--check` bit-identity, JSON output, and flag validation.
+/// `fastbuf eco` end to end — random scripts, edit files, library swaps,
+/// `--check` bit-identity and verification, JSON output, and flag
+/// validation.
 #[test]
 fn eco_end_to_end() {
     let dir = std::env::temp_dir().join(format!("fastbuf-cli-eco-{}", std::process::id()));
@@ -845,6 +847,51 @@ fn eco_end_to_end() {
         ])
         .unwrap_or_else(|e| panic!("{model}: {e}"));
     }
+
+    // Library swaps under --check: the command restarts its session on
+    // each swapped library, checks every answer against a fresh request
+    // and the forward evaluation, and reports that it did.
+    let script = fs::read_to_string(&edits).unwrap();
+    let mut lines: Vec<&str> = script.lines().collect();
+    lines.insert(5, "swaplib 6 3");
+    lines.push("swaplib 4 0");
+    let swapped = dir.join("swapped.eco");
+    fs::write(&swapped, lines.join("\n") + "\n").unwrap();
+    let argv: Vec<String> = [
+        "--net",
+        net.to_str().unwrap(),
+        "--lib",
+        lib.to_str().unwrap(),
+        "--edits",
+        swapped.to_str().unwrap(),
+        "--check",
+        "--json",
+        json.to_str().unwrap(),
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let mut out = Vec::new();
+    eco::eco_to(&argv, &mut out).unwrap();
+    let out = String::from_utf8(out).unwrap();
+    assert!(
+        out.contains("check: all 14 incremental results verified and bit-identical"),
+        "{out}"
+    );
+    assert!(
+        out.contains("verified: forward evaluation matches the final answer"),
+        "{out}"
+    );
+    let report = Json::parse(&fs::read_to_string(&json).unwrap()).unwrap();
+    let results = report.get("results").unwrap().as_array().unwrap();
+    assert_eq!(results.len(), 14);
+    for (k, edit) in [(5, "swaplib 6 3"), (13, "swaplib 4 0")] {
+        let record = &results[k];
+        assert_eq!(record.get("edit").unwrap().as_str(), Some(edit));
+        // A swap recomputes the whole tree; the next edit reuses again.
+        assert_eq!(record.get("nodes_reused").unwrap().as_u64(), Some(0));
+    }
+    assert!(results[6].get("nodes_reused").unwrap().as_u64().unwrap() > 0);
 
     // Flag validation.
     let err = run_strs(&[

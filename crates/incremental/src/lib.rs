@@ -126,6 +126,23 @@ impl From<LibraryError> for EcoError {
     }
 }
 
+/// The library [`Edit::SwapLibrary`] `{ size, jitter }` swaps in:
+/// `paper_synthetic(size)` for jitter 0, else
+/// `paper_synthetic_jittered(size, jitter)`. The one rule
+/// [`IncrementalSolver::apply`] and a caller that restarts its solver on
+/// the new library (`fastbuf eco`) share.
+///
+/// # Errors
+///
+/// The [`LibraryError`] of an unbuildable library (`size == 0`).
+pub fn swapped_library(size: usize, jitter: u64) -> Result<BufferLibrary, LibraryError> {
+    if jitter == 0 {
+        BufferLibrary::paper_synthetic(size)
+    } else {
+        BufferLibrary::paper_synthetic_jittered(size, jitter)
+    }
+}
+
 /// Bitwise equality of two price vectors, treating entries past either end
 /// as zero (an empty vector and an all-zero vector price identically).
 fn same_price_bits(a: &[f64], b: &[f64]) -> bool {
@@ -298,12 +315,6 @@ impl IncrementalSolver {
         }
     }
 
-    /// The current price charged for inserting a buffer at `node` (zero
-    /// when unpriced).
-    pub fn site_price(&self, node: NodeId) -> Seconds {
-        Seconds::new(self.site_prices.get(node.index()).copied().unwrap_or(0.0))
-    }
-
     /// Sets the buffer-usage price of one node; see
     /// [`IncrementalSolver::set_site_prices`].
     ///
@@ -398,11 +409,7 @@ impl IncrementalSolver {
     /// swaps.
     pub fn apply(&mut self, edit: &Edit) -> Result<(), EcoError> {
         if let Edit::SwapLibrary { size, jitter } = edit {
-            self.library = if *jitter == 0 {
-                BufferLibrary::paper_synthetic(*size)?
-            } else {
-                BufferLibrary::paper_synthetic_jittered(*size, *jitter)?
-            };
+            self.library = swapped_library(*size, *jitter)?;
         } else {
             edit_tree(&mut self.tree, &self.technology, edit)?;
         }
@@ -786,7 +793,6 @@ mod tests {
         assert!(solver
             .set_site_price(deep, Seconds::from_pico(300.0))
             .unwrap());
-        assert_eq!(solver.site_price(deep), Seconds::from_pico(300.0));
         let inc = solver.solve();
         assert!(inc.stats.nodes_recomputed >= 1);
         assert!(
@@ -831,7 +837,7 @@ mod tests {
             "{err}"
         );
         // The valid first entry must not have been applied.
-        assert_eq!(solver.site_price(site), Seconds::ZERO);
+        assert!(solver.options().site_prices.is_none());
 
         // NaN cannot even be constructed (`Seconds::new` rejects it); the
         // remaining invalid values are typed rejections here.

@@ -15,10 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastbuf_api::wire::{self, error_frame, ok_frame, parse_frame, Json, Op, SolveParams, Source};
-use fastbuf_api::{
-    parse_model, parse_scenario_lines, NetOutcome, Objective, Outcome, Scenario, Session,
-    SolveError,
-};
+use fastbuf_api::{parse_model, NetOutcome, Objective, Outcome, Scenario, Session, SolveError};
 use fastbuf_incremental::{parse_edits, Edit};
 use fastbuf_rctree::{io as netio, RoutingTree};
 
@@ -254,29 +251,6 @@ fn load(
     ]))
 }
 
-/// Builds the request's scenario list: explicit lines through the shared
-/// [`parse_scenario_lines`] path (the CLI's `--scenarios` parser), or the
-/// one anonymous default scenario. The request-level `algo`/`model` are
-/// defaults, never overrides — a line's own `algo=`/`model=` wins.
-fn build_scenarios(params: &SolveParams) -> Result<Vec<Scenario>, HandlerError> {
-    let model = params.model.as_deref().map(parse_model).transpose()?;
-    match &params.scenarios {
-        Some(lines) => Ok(parse_scenario_lines(
-            &lines.join("\n"),
-            params.algorithm,
-            model,
-        )?),
-        None => {
-            let mut scenario = Scenario::default();
-            if let Some(algorithm) = params.algorithm {
-                scenario = scenario.algorithm(algorithm);
-            }
-            scenario.delay_model = model;
-            Ok(vec![scenario])
-        }
-    }
-}
-
 /// A solve/eco reply body: the outcome's summary, the op's own `extra`
 /// members, then the per-scenario `results`.
 fn result_body(
@@ -325,7 +299,7 @@ fn solve(
             }
         }
     }
-    let scenarios = build_scenarios(params)?;
+    let scenarios = params.scenario_list()?;
     let named = params.scenarios.is_some();
     // Snapshot the tree, then drop the lock: concurrent solves against
     // one design proceed in parallel; only ECO edits serialize. A
@@ -428,7 +402,7 @@ fn eco(
         .ok_or_else(|| unknown_design(&params.design))?;
     let edits =
         parse_edits(&edit_lines.join("\n")).map_err(|e| HandlerError::new("edit-parse", e))?;
-    let scenarios = build_scenarios(params)?;
+    let scenarios = params.scenario_list()?;
     let named = params.scenarios.is_some();
     // Fingerprint of the scenario set this request wants; a warm solver
     // built for the same set is reused (its per-corner subtree caches are

@@ -91,7 +91,7 @@ pub mod prelude {
         EcoSolver, Objective, Outcome, Scenario, ScenarioOutcome, ScenarioResult, Session,
         SolveError, SolveRequest,
     };
-    pub use fastbuf_batch::{BatchOptions, BatchReport, BatchSolver};
+    pub use fastbuf_batch::{BatchReport, BatchSolver};
     pub use fastbuf_buflib::units::{Farads, Microns, Ohms, Seconds};
     pub use fastbuf_buflib::{
         BufferLibrary, BufferSet, BufferType, BufferTypeId, Driver, Technology,

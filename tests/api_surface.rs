@@ -11,11 +11,11 @@
 // silently forgive removals).
 #[allow(unused_imports)]
 use fastbuf::prelude::{
-    Algorithm, BatchOptions, BatchReport, BatchSolver, BufferLibrary, BufferSet, BufferType,
-    BufferTypeId, CostSolver, DelayModel, Driver, Farads, Microns, NodeId, NodeKind, Objective,
-    Ohms, Outcome, Polarity, PolaritySolver, RoutingTree, Scenario, ScenarioOutcome,
-    ScenarioResult, Seconds, Session, SiteConstraint, Solution, SolveError, SolveRequest,
-    SolveWorkspace, Solver, TreeBuilder, Wire,
+    Algorithm, BatchReport, BatchSolver, BufferLibrary, BufferSet, BufferType, BufferTypeId,
+    CostSolver, DelayModel, Driver, Farads, Microns, NodeId, NodeKind, Objective, Ohms, Outcome,
+    Polarity, PolaritySolver, RoutingTree, Scenario, ScenarioOutcome, ScenarioResult, Seconds,
+    Session, SiteConstraint, Solution, SolveError, SolveRequest, SolveWorkspace, Solver,
+    TreeBuilder, Wire,
 };
 
 // And the `fastbuf::api` module surface.
@@ -63,7 +63,7 @@ fn prelude_supports_the_legacy_workflow() {
         .solve_with(&mut ws);
     solution.verify(&tree, &lib).unwrap();
     let report: BatchReport = BatchSolver::new(std::slice::from_ref(&tree), &lib)
-        .with_options(BatchOptions::default())
+        .workers(1)
         .solve();
     assert_eq!(report.outcomes.len(), 1);
 }
