@@ -1,21 +1,22 @@
-//! Session-level incremental (ECO) solving: one cache per scenario,
-//! shared across edits.
+//! Session-level incremental (ECO) solving: one tree, one cache per
+//! scenario, shared across edits.
 //!
 //! A multi-corner flow re-asks the same scenarios after every engineering
 //! change. Solving each corner from scratch repeats almost all of the
-//! work; [`EcoSolver`] instead keeps one
-//! [`IncrementalSolver`](fastbuf_incremental::IncrementalSolver) — and
-//! therefore one persistent subtree cache — **per scenario**, so
-//! interleaved corner solves never thrash a shared cache and each re-solve
-//! recomputes only the edited root paths. Results are bit-identical to
-//! issuing a fresh [`SolveRequest`](crate::SolveRequest) on the edited
-//! tree (asserted in `tests/incremental_equivalence.rs`).
+//! work; [`EcoSolver`] instead keeps the edited net once and one
+//! persistent [`SubtreeCache`] **per scenario**, so interleaved corner
+//! solves never thrash a shared cache and each re-solve recomputes only
+//! the edited root paths. A corner's RAT derate is one of its solver
+//! options, applied where the DP reads a sink's RAT, so every corner
+//! solves the same underated tree and an edit is applied to it once.
+//! The library and technology are the session's. Results are
+//! bit-identical to issuing a fresh [`SolveRequest`](crate::SolveRequest)
+//! on the edited tree (asserted in `tests/incremental_equivalence.rs`).
 
 use std::time::Instant;
 
-use fastbuf_buflib::units::Seconds;
-use fastbuf_buflib::Technology;
-use fastbuf_incremental::{edit_tree, EcoError, Edit, IncrementalSolver};
+use fastbuf_core::{Solver, SolverOptions, SubtreeCache};
+use fastbuf_incremental::{apply_edit, EcoError, Edit};
 use fastbuf_rctree::RoutingTree;
 
 use crate::error::SolveError;
@@ -56,33 +57,35 @@ use crate::session::Session;
 /// ```
 #[derive(Debug)]
 pub struct EcoSolver {
-    /// The underated edited tree, kept in lockstep with the corners so
-    /// [`Outcome::verify`] (which re-applies scenario derates) sees the
-    /// same net every corner solved.
+    /// The edited net, underated: what every corner solves and what
+    /// [`Outcome::verify`] measures.
     tree: RoutingTree,
-    /// The session's technology, which turns wire-length edits into
-    /// parasitics for the tree and every corner alike.
-    technology: Technology,
+    /// The session whose library, technology and workspace pool every
+    /// corner shares.
+    session: Session,
     corners: Vec<EcoCorner>,
+    edits_applied: u64,
 }
 
 #[derive(Debug)]
 struct EcoCorner {
     scenario: Scenario,
-    solver: IncrementalSolver,
+    options: SolverOptions,
+    cache: SubtreeCache,
 }
 
 impl Session {
     /// Starts an incremental (ECO) session over `tree` for `scenarios`
     /// (max-slack objective; every scenario gets its own persistent
-    /// subtree cache). The tree is copied — later edits go through
+    /// subtree cache). The tree is copied once — later edits go through
     /// [`EcoSolver::apply`], and [`EcoSolver::tree`] exposes the edited
     /// state.
     ///
     /// # Errors
     ///
     /// [`SolveError::NoScenarios`], [`SolveError::DuplicateScenario`], or
-    /// a scenario validation error.
+    /// a scenario validation error, including a derate that overflows a
+    /// sink's RAT.
     pub fn eco(
         &self,
         tree: &RoutingTree,
@@ -91,22 +94,20 @@ impl Session {
         if scenarios.is_empty() {
             return Err(SolveError::NoScenarios);
         }
-        validate_scenario_list(&scenarios)?;
+        validate_scenario_list(&scenarios, tree)?;
         let corners = scenarios
             .into_iter()
-            .map(|scenario| {
-                let options = self.options(&scenario);
-                let corner_tree = scenario.apply_derate(tree).into_owned();
-                let solver = IncrementalSolver::new(corner_tree, self.library().clone())
-                    .with_technology(*self.technology())
-                    .with_options(options);
-                EcoCorner { scenario, solver }
+            .map(|scenario| EcoCorner {
+                options: self.options(&scenario),
+                scenario,
+                cache: SubtreeCache::new(),
             })
             .collect();
         Ok(EcoSolver {
             tree: tree.clone(),
-            technology: *self.technology(),
+            session: self.clone(),
             corners,
+            edits_applied: 0,
         })
     }
 }
@@ -118,10 +119,8 @@ impl EcoSolver {
         &self.tree
     }
 
-    /// Applies one edit to the tree and to every corner. RAT edits
-    /// are derated per corner (the corner solves a derated copy, so its
-    /// edit must be derated the same way — keeping each corner
-    /// bit-identical to a fresh request on the edited tree).
+    /// Applies one edit to the tree and dirties its root path in every
+    /// corner's cache.
     ///
     /// # Errors
     ///
@@ -130,9 +129,9 @@ impl EcoSolver {
     /// session, or use `IncrementalSolver::swap_library` directly), and
     /// [`SolveError::Edit`] when the tree rejects the mutation, or when a
     /// RAT edit derates to a non-finite value in *any* corner (a derate
-    /// above 1 can overflow an extreme but finite RAT). Both are checked
-    /// *before* the tree or any corner is touched, so a rejected edit
-    /// leaves everything consistent.
+    /// above 1 can overflow an extreme but finite RAT; the rule a fresh
+    /// request applies too). Both are checked *before* the tree or any
+    /// cache is touched, so a rejected edit leaves everything consistent.
     pub fn apply(&mut self, edit: &Edit) -> Result<(), SolveError> {
         if matches!(edit, Edit::SwapLibrary { .. }) {
             return Err(SolveError::Unsupported {
@@ -143,40 +142,15 @@ impl EcoSolver {
                     .into(),
             });
         }
-        // Pre-check the one way a corner could reject an edit the tree
-        // accepts: a finite RAT whose derated product overflows. Everything
-        // else is topology/kind-determined and identical across corners.
         if let Edit::SetSinkRat { node, rat } = edit {
             for corner in &self.corners {
-                if !(rat.value() * corner.scenario.rat_derate).is_finite() {
-                    return Err(SolveError::Edit(EcoError::Tree(
-                        fastbuf_rctree::TreeError::InvalidSink { node: *node },
-                    )));
-                }
+                corner.scenario.check_rat(*node, *rat)?;
             }
         }
-        // Validate against the tree next: the corners share its topology,
-        // so an edit the tree accepts cannot fail on a corner (the derate
-        // overflow case was just excluded above).
-        edit_tree(&mut self.tree, &self.technology, edit)
+        let caches = self.corners.iter_mut().map(|corner| &mut corner.cache);
+        apply_edit(&mut self.tree, self.session.technology(), edit, caches)
             .map_err(|e| SolveError::Edit(EcoError::Tree(e)))?;
-        for corner in &mut self.corners {
-            let derated;
-            let corner_edit = match edit {
-                Edit::SetSinkRat { node, rat } if corner.scenario.rat_derate != 1.0 => {
-                    derated = Edit::SetSinkRat {
-                        node: *node,
-                        rat: Seconds::new(rat.value() * corner.scenario.rat_derate),
-                    };
-                    &derated
-                }
-                other => other,
-            };
-            corner
-                .solver
-                .apply(corner_edit)
-                .expect("the tree accepted a topology-identical edit");
-        }
+        self.edits_applied += 1;
         Ok(())
     }
 
@@ -203,21 +177,26 @@ impl EcoSolver {
     /// without a breaking change.
     pub fn solve(&mut self) -> Result<Outcome, SolveError> {
         let start = Instant::now();
+        let (tree, library) = (&self.tree, self.session.library());
+        let mut workspace = self.session.take_workspace();
         let scenarios = self
             .corners
             .iter_mut()
             .map(|corner| {
                 let t0 = Instant::now();
-                let solution = corner.solver.solve();
+                let solution = Solver::new(tree, library)
+                    .with_options(corner.options.clone())
+                    .solve_cached(&mut workspace, &mut corner.cache);
                 ScenarioOutcome {
                     scenario: corner.scenario.clone(),
-                    model: corner.solver.options().delay_model,
-                    algorithm: corner.solver.options().algorithm,
+                    model: corner.options.delay_model,
+                    algorithm: corner.options.algorithm,
                     result: ScenarioResult::Solution(solution),
                     elapsed: t0.elapsed(),
                 }
             })
             .collect();
+        self.session.return_workspace(workspace);
         Ok(Outcome {
             objective: Objective::MaxSlack,
             scenarios,
@@ -235,8 +214,8 @@ impl EcoSolver {
             .map(|c| {
                 (
                     c.scenario.name.as_str(),
-                    c.solver.cache().cached_nodes(),
-                    c.solver.edits_applied(),
+                    c.cache.cached_nodes(),
+                    self.edits_applied,
                 )
             })
             .collect()
@@ -246,7 +225,7 @@ impl EcoSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbuf_buflib::units::{Farads, Microns};
+    use fastbuf_buflib::units::{Farads, Microns, Seconds};
     use fastbuf_buflib::BufferLibrary;
     use fastbuf_core::Algorithm;
     use fastbuf_netgen::eco::EditScriptSpec;
@@ -382,5 +361,33 @@ mod tests {
             );
         }
         after.verify(eco.tree(), session.library()).unwrap();
+    }
+
+    /// The same overflow reaches a fresh request and a new ECO session as
+    /// the same typed error, from the same check, as the edit above.
+    #[test]
+    fn derate_overflowing_rat_request_is_the_same_typed_error() {
+        let session = Session::new(BufferLibrary::paper_synthetic(4).unwrap());
+        let mut tree = fastbuf_netgen::line_net(Microns::new(4_000.0), 3);
+        let sink = tree.sinks().next().unwrap();
+        let big = vec![Scenario::named("a"), Scenario::named("big").rat_derate(2.0)];
+        let rat = Seconds::new(1e308);
+        let invalid = fastbuf_rctree::TreeError::InvalidSink { node: sink };
+        let expected = SolveError::Edit(EcoError::Tree(invalid));
+        let mut eco = session.eco(&tree, big.clone()).unwrap();
+        let edit = Edit::SetSinkRat { node: sink, rat };
+        assert_eq!(eco.apply(&edit).unwrap_err(), expected);
+
+        tree.set_sink_rat(sink, rat).unwrap();
+        let request = session.request(&tree).scenarios(big.clone());
+        assert_eq!(request.solve().unwrap_err(), expected);
+        assert_eq!(session.eco(&tree, big).unwrap_err(), expected);
+        // Underated, the same net solves and verifies.
+        session
+            .request(&tree)
+            .solve()
+            .unwrap()
+            .verify(&tree, session.library())
+            .unwrap();
     }
 }

@@ -76,7 +76,8 @@ pub enum SolveError {
     /// not know.
     UnknownModel(String),
     /// An ECO edit was rejected by the tree or library (see
-    /// [`EcoSolver::apply`](crate::EcoSolver::apply)).
+    /// [`EcoSolver::apply`](crate::EcoSolver::apply)), or a scenario's
+    /// derate overflows a sink's RAT (the tree's `InvalidSink`, on every path).
     Edit(fastbuf_incremental::EcoError),
     /// A yield-target request asked for zero samples.
     NoSamples,

@@ -95,7 +95,7 @@ mod tests {
     use fastbuf_buflib::BufferLibrary;
     use fastbuf_core::{Algorithm, Solver};
     use fastbuf_netgen::{line_net, RandomNetSpec};
-    use fastbuf_rctree::DelayModel;
+    use fastbuf_rctree::{DelayModel, NodeKind};
 
     fn lib8() -> BufferLibrary {
         BufferLibrary::paper_synthetic(8).unwrap()
@@ -143,7 +143,18 @@ mod tests {
 
         let typical = Solver::new(&tree, &lib).solve();
         let signoff = Solver::new(&tree, &lib).slew_limit(limit).solve();
-        let derated = tree.with_derated_rats(0.9);
+        // The reference derates a copy of the tree through the tree's own
+        // setter, independently of the solver option the request uses.
+        let mut derated = tree.clone();
+        for sink in tree.sinks() {
+            if let NodeKind::Sink {
+                required_arrival, ..
+            } = *tree.kind(sink)
+            {
+                let rat = Seconds::new(required_arrival.value() * 0.9);
+                derated.set_sink_rat(sink, rat).unwrap();
+            }
+        }
         let optimistic = Solver::new(&derated, &lib)
             .delay_model(DelayModel::SCALED_ELMORE)
             .solve();
@@ -159,6 +170,9 @@ mod tests {
                 "{name}"
             );
             assert_eq!(got.placements, legacy.placements, "{name}");
+            // The solution records its derate, so it verifies on the
+            // underated tree.
+            got.verify(&tree, &lib).unwrap();
         }
         // The sequential path checked exactly one workspace out of the
         // pool and returned it: all three scenarios shared it.
@@ -241,8 +255,9 @@ mod tests {
     }
 
     /// Every objective solves under its scenario's options — the session
-    /// default or a scenario model, with or without a slew limit — and
-    /// `Outcome::verify` re-measures it under the same model. Skew runs on
+    /// default or a scenario model, with or without a slew limit, or a RAT
+    /// derate — and `Outcome::verify` re-measures it under the same model
+    /// and derate. Skew runs on
     /// a many-sink comb, whose sinks sit at different depths, so the
     /// re-measured skew windows are not trivially zero.
     #[test]
@@ -276,6 +291,7 @@ mod tests {
                     &Session::new(lib8()),
                     Scenario::named("s").delay_model(DelayModel::SCALED_ELMORE),
                 ),
+                (&Session::new(lib8()), Scenario::named("s").rat_derate(0.8)),
             ] {
                 let request = session.request(tree).objective(objective.clone());
                 let outcome = request.scenario(scenario).solve().unwrap();

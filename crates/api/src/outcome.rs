@@ -181,8 +181,8 @@ impl Outcome {
     /// too, but checks the slack alone; this check adds the scenario's
     /// derate, its slew limit and the skew, frontier and polarity answers.
     ///
-    /// `tree` must be the tree the request was solved on (underated —
-    /// scenario derates are re-applied here).
+    /// `tree` must be the tree the request was solved on: the underated
+    /// net, whose RATs each scenario's derate multiplies as it is read.
     ///
     /// # Errors
     ///
@@ -202,16 +202,15 @@ impl Outcome {
                         .map_err(named)?;
                 }
                 ScenarioResult::Frontier(frontier) => {
-                    let scenario_tree = so.scenario.apply_derate(tree);
+                    let derate = so.scenario.rat_derate;
                     for point in &frontier.points {
                         let pairs: Vec<_> = point
                             .placements
                             .iter()
                             .map(|p| (p.node, p.buffer))
                             .collect();
-                        let report =
-                            elmore::evaluate_with(&scenario_tree, library, &pairs, so.model)
-                                .map_err(|e| named(VerifyError::Tree(e)))?;
+                        let report = elmore::evaluate_with(tree, library, &pairs, so.model, derate)
+                            .map_err(|e| named(VerifyError::Tree(e)))?;
                         VerifyError::check_slack(point.slack, report.slack).map_err(named)?;
                     }
                 }
@@ -228,7 +227,7 @@ impl Outcome {
                         _ => &[],
                     };
                     polarity
-                        .verify(&so.scenario.apply_derate(tree), library, negated)
+                        .verify(tree, library, negated)
                         .map_err(SolveError::Polarity)?;
                 }
             }
@@ -244,8 +243,8 @@ impl Outcome {
 /// per scenario through [`NetOutcome::to_value`].
 ///
 /// Every producer builds it with [`NetOutcome::measure`], so all measure
-/// the same way: the scenario's derated view of the tree, under the delay
-/// model the scenario solved with, once unbuffered and once with the
+/// the same way: the tree under the delay model and RAT derate the
+/// scenario solved with, once unbuffered and once with the
 /// placements. Every front end accepts the answer through
 /// [`NetOutcome::verify`], the one check of a measured slack, slew and
 /// skew against what the solve claimed.
@@ -293,8 +292,8 @@ pub struct NetOutcome {
 
 impl NetOutcome {
     /// Measures `corner`'s answer for `tree` (the underated net the
-    /// request solved): the scenario's derate is applied, and the derated
-    /// tree is forward-evaluated under the scenario's delay model once
+    /// request solved): the tree is forward-evaluated under the
+    /// scenario's delay model and RAT derate once
     /// unbuffered and, when the solve tracked predecessors, once with the
     /// placements (whose skew is kept for a skew-target solve).
     ///
@@ -339,9 +338,9 @@ impl NetOutcome {
             scenario: corner.scenario.name.clone(),
             error: VerifyError::Tree(e),
         };
-        let corner_tree = corner.scenario.apply_derate(tree);
+        let derate = corner.scenario.rat_derate;
         let evaluate = |pairs: &[_]| {
-            elmore::evaluate_with(&corner_tree, library, pairs, corner.model).map_err(tree_err)
+            elmore::evaluate_with(tree, library, pairs, corner.model, derate).map_err(tree_err)
         };
         let before = evaluate(&[])?;
         let after = if tracked {
@@ -361,7 +360,7 @@ impl NetOutcome {
             measured_skew: after
                 .as_ref()
                 .filter(|_| skew.is_some())
-                .map(|a| a.skew(&corner_tree)),
+                .map(|a| a.skew(tree)),
             slew_before: before.max_slew,
             max_slew: after.map_or(root_slew, |a| a.max_slew),
             slew_limit: corner.scenario.slew_limit,

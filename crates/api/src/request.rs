@@ -178,7 +178,7 @@ impl<'a> SolveRequest<'a> {
             Some(list) if list.is_empty() => return Err(SolveError::NoScenarios),
             Some(list) => list.clone(),
         };
-        crate::scenario::validate_scenario_list(&scenarios)?;
+        crate::scenario::validate_scenario_list(&scenarios, self.tree)?;
         Ok(scenarios)
     }
 
@@ -266,8 +266,7 @@ impl<'a> SolveRequest<'a> {
         let mut options = session.options(scenario);
         options.track_predecessors = self.track_predecessors;
         let (model, algorithm) = (options.delay_model, options.algorithm);
-        let tree = scenario.apply_derate(self.tree);
-        let tree = &*tree;
+        let tree = self.tree;
 
         let result = match &self.objective {
             Objective::MaxSlack => ScenarioResult::Solution(

@@ -8,12 +8,11 @@
 //! exactly the question production flows ask ("does this net close timing
 //! in the slow corner *and* meet slew in the fast one?").
 
-use std::borrow::Cow;
-
 use fastbuf_buflib::text::{self, LineError};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_core::Algorithm;
-use fastbuf_rctree::{DelayModel, RoutingTree};
+use fastbuf_incremental::EcoError;
+use fastbuf_rctree::{DelayModel, NodeId, NodeKind, RoutingTree, TreeError};
 
 use crate::error::SolveError;
 
@@ -39,7 +38,8 @@ pub struct Scenario {
     /// unconstrained).
     pub slew_limit: Option<Seconds>,
     /// Factor applied to every sink's required arrival time (`1.0` = no
-    /// derate; a pessimistic corner uses `< 1.0`).
+    /// derate; a pessimistic corner uses `< 1.0`), as the solver option
+    /// `SolverOptions::rat_derate`: the tree is never copied.
     pub rat_derate: f64,
     /// `AddBuffer` algorithm override (`None` = [`Algorithm::LiShi`]).
     pub algorithm: Option<Algorithm>,
@@ -91,17 +91,14 @@ impl Scenario {
         self
     }
 
-    /// The tree this scenario actually solves and verifies against: the
-    /// input itself when [`Scenario::rat_derate`] is `1.0`, otherwise a
-    /// derated copy (every sink's required arrival time scaled). This is
-    /// the single owner of the derate rule — the request layer, outcome
-    /// verification, and the CLI all route through it.
-    pub fn apply_derate<'t>(&self, tree: &'t RoutingTree) -> Cow<'t, RoutingTree> {
-        if self.rat_derate != 1.0 {
-            Cow::Owned(tree.with_derated_rats(self.rat_derate))
-        } else {
-            Cow::Borrowed(tree)
-        }
+    /// The one rule for a derate that overflows a RAT (a derate above 1
+    /// can turn an extreme but finite one infinite): sink `node`'s `rat`
+    /// times [`Scenario::rat_derate`] must stay finite, else the tree's
+    /// [`TreeError::InvalidSink`] for `node`, as for a non-finite RAT edit.
+    pub(crate) fn check_rat(&self, node: NodeId, rat: Seconds) -> Result<(), SolveError> {
+        let sink = EcoError::Tree(TreeError::InvalidSink { node });
+        let finite = (rat.value() * self.rat_derate).is_finite();
+        finite.then_some(()).ok_or(SolveError::Edit(sink))
     }
 
     /// Checks the scenario's knobs are in range.
@@ -128,12 +125,27 @@ impl Scenario {
     }
 }
 
-/// Validates a scenario list for a request: every scenario in range,
-/// names unique. Shared by [`SolveRequest`](crate::SolveRequest) and the
-/// ECO entry ([`Session::eco`](crate::Session::eco)).
-pub(crate) fn validate_scenario_list(scenarios: &[Scenario]) -> Result<(), SolveError> {
+/// Validates a scenario list for a request on `tree`: every scenario in
+/// range and keeping every derated RAT finite, names unique. Shared by
+/// [`SolveRequest`](crate::SolveRequest) and the ECO entry
+/// ([`Session::eco`](crate::Session::eco)).
+pub(crate) fn validate_scenario_list(
+    scenarios: &[Scenario],
+    tree: &RoutingTree,
+) -> Result<(), SolveError> {
     for (i, scenario) in scenarios.iter().enumerate() {
         scenario.validate()?;
+        // A derate of at most 1 cannot overflow a finite RAT.
+        if scenario.rat_derate > 1.0 {
+            for sink in tree.sinks() {
+                if let NodeKind::Sink {
+                    required_arrival, ..
+                } = *tree.kind(sink)
+                {
+                    scenario.check_rat(sink, required_arrival)?;
+                }
+            }
+        }
         if scenarios[..i].iter().any(|s| s.name == scenario.name) {
             return Err(SolveError::DuplicateScenario(scenario.name.clone()));
         }

@@ -84,13 +84,14 @@ impl Session {
         self.inner.delay_model
     }
 
-    /// The solver options of `scenario`: its algorithm and slew limit, and
-    /// its delay model or else the session default.
+    /// The solver options of `scenario`: its algorithm, slew limit and RAT
+    /// derate, and its delay model or else the session default.
     pub(crate) fn options(&self, scenario: &Scenario) -> SolverOptions {
         let mut options = SolverOptions::default();
         options.algorithm = scenario.algorithm.unwrap_or_default();
         options.delay_model = scenario.delay_model.unwrap_or(self.delay_model());
         options.slew_limit = scenario.slew_limit;
+        options.rat_derate = scenario.rat_derate;
         options
     }
 

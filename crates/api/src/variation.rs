@@ -172,8 +172,8 @@ pub(crate) fn validate_yield(
     Ok(())
 }
 
-/// Solves `samples` sampled scenarios of `spec` over `tree` (already
-/// derated for its scenario) under the scenario's `options`, fanning
+/// Solves `samples` sampled scenarios of `spec` over `tree` under the
+/// scenario's `options` (its RAT derate included), fanning
 /// sample indices across at most `cap` threads with [`par::map`]. Each worker
 /// owns one [`IncrementalSolver`] — one warm `SubtreeCache` per sample
 /// family — and results come back in sample order, so the outcome is

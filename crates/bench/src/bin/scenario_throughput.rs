@@ -32,7 +32,7 @@ use fastbuf_api::{Scenario, Session};
 use fastbuf_bench::{at_least, fixed, options, print_runs, time_arms, write_bench, Arm, Stopwatch};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
-use fastbuf_core::{par, SolveWorkspace, Solver};
+use fastbuf_core::{par, SolveWorkspace, Solver, SolverOptions};
 use fastbuf_netgen::SuiteSpec;
 use fastbuf_rctree::{DelayModel, RoutingTree};
 
@@ -167,8 +167,9 @@ fn main() {
                             let mut slacks = Vec::with_capacity(nets.len() * k);
                             for tree in &nets {
                                 for scenario in &scenarios {
-                                    let solve_tree = scenario.apply_derate(tree);
-                                    let mut solver = Solver::new(&solve_tree, &lib);
+                                    let mut options = SolverOptions::default();
+                                    options.rat_derate = scenario.rat_derate;
+                                    let mut solver = Solver::new(tree, &lib).with_options(options);
                                     if let Some(model) = scenario.delay_model {
                                         solver = solver.delay_model(model);
                                     }

@@ -107,7 +107,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
     let unbuffered = match nets.first() {
         Some(Some(net)) if !named => net.slack_before,
         _ => {
-            elmore::evaluate_with(&tree, lib, &[], model)
+            elmore::evaluate_with(&tree, lib, &[], model, 1.0)
                 .map_err(|e| e.to_string())?
                 .slack
         }

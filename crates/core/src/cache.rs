@@ -23,10 +23,10 @@
 //!   invalidates every cached list at the same time).
 //! * A [config fingerprint](SolverOptions) — algorithm, tracking flag,
 //!   slew-limit bits, the delay model (its scale compared bit for bit),
-//!   and a content hash of the buffer library — is recorded at solve time.
-//!   Any mismatch on a later solve flushes everything: a stale-fingerprint
-//!   reuse would be a silent wrong answer, so the check is structural, not
-//!   caller-discipline.
+//!   the RAT derate's bits, and a content hash of the buffer library — is
+//!   recorded at solve time. Any mismatch on a later solve flushes
+//!   everything: a stale-fingerprint reuse would be a silent wrong answer,
+//!   so the check is structural, not caller-discipline.
 //! * Dirtiness is the caller's contract: whoever mutates the tree must call
 //!   [`SubtreeCache::mark_path_dirty`] (or [`SubtreeCache::flush`]) before
 //!   the next cached solve. `fastbuf-incremental`'s `IncrementalSolver` is
@@ -38,7 +38,7 @@
 //!   would defeat the warm iterations of the Lagrangian global loop.
 //!   Whoever changes a price therefore owes the same
 //!   [`SubtreeCache::mark_path_dirty`] call a tree edit does —
-//!   `IncrementalSolver::set_site_price` is the safe wrapper.
+//!   `IncrementalSolver::set_site_prices` is the safe wrapper.
 //! * The cache is keyed by node id and assumes edits are **topology
 //!   preserving** (same node count, parents, and post-order). The
 //!   fingerprint includes the node count as a backstop, but reusing one
@@ -76,6 +76,7 @@ pub(crate) struct CacheFingerprint {
     track: bool,
     slew_bits: u64,
     model: DelayModel,
+    derate_bits: u64,
     lib_hash: u64,
     nodes: usize,
 }
@@ -109,6 +110,7 @@ impl CacheFingerprint {
             track: options.track_predecessors,
             slew_bits: options.slew_limit.map_or(u64::MAX, |s| s.value().to_bits()),
             model: options.delay_model,
+            derate_bits: options.rat_derate.to_bits(),
             lib_hash: library_hash(lib),
             nodes,
         }
@@ -135,6 +137,11 @@ pub(crate) enum Snapshot {
 
 /// Marks a node whose list is not stored.
 const NO_LIST: u32 = u32::MAX;
+
+/// Bound on the append-only predecessor arena: past it a cached solve
+/// flushes first, trading one full re-solve for the memory (results are
+/// unaffected).
+const ARENA_ENTRY_LIMIT: usize = 1 << 21;
 
 /// The cache state one cached solve borrows: the per-node list slots and
 /// dirty bits, the stored lists, plus the footprint roles, decided once per
@@ -329,8 +336,8 @@ impl SubtreeCache {
 
     /// Entries in the cache-owned predecessor arena. Grows monotonically
     /// across cached solves (the arena is append-only while cached lists
-    /// reference it); [`SubtreeCache::flush`] resets it. Wrappers bound
-    /// memory by flushing when this exceeds their budget.
+    /// reference it); [`SubtreeCache::flush`] resets it, and a cached solve
+    /// flushes first once it exceeds 2²¹ entries.
     pub fn arena_entries(&self) -> usize {
         self.arena.len()
     }
@@ -343,8 +350,8 @@ impl SubtreeCache {
     }
 
     /// Readies the cache for a solve under `fingerprint`: on any mismatch
-    /// (different config, different library content, different node count,
-    /// or a cold cache) everything is flushed and marked dirty.
+    /// (config, library content, node count, a cold cache, or an arena
+    /// past `ARENA_ENTRY_LIMIT`) everything is flushed and marked dirty.
     pub(crate) fn prepare(&mut self, fingerprint: CacheFingerprint) {
         let n = fingerprint.nodes;
         if self
@@ -354,10 +361,11 @@ impl SubtreeCache {
         {
             self.footprint = None; // set for a different tree
         }
-        let matches = self
-            .fingerprint
-            .as_ref()
-            .is_some_and(|old| old.matches(&fingerprint));
+        let matches = self.arena.len() <= ARENA_ENTRY_LIMIT
+            && self
+                .fingerprint
+                .as_ref()
+                .is_some_and(|old| old.matches(&fingerprint));
         if !matches {
             self.flush();
             self.slots.resize(n, NO_LIST);

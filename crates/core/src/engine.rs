@@ -102,6 +102,11 @@ pub struct SolverOptions {
     /// [`Solution::slew_ok`](crate::Solution::slew_ok). A non-finite limit
     /// behaves exactly like `None`.
     pub slew_limit: Option<Seconds>,
+    /// Factor on every sink's required arrival time, applied as
+    /// `rat × rat_derate` where the DP seeds the sink (default `1.0`,
+    /// exact; a pessimistic corner uses `< 1.0`). Must be finite and
+    /// positive, and keep every RAT finite.
+    pub rat_derate: f64,
     /// Optional per-node buffer-usage prices in seconds, indexed by
     /// [`NodeId::index`] (default `None` = all zero). Inserting any buffer
     /// at node `v` charges `site_prices[v]` like extra intrinsic delay, so
@@ -114,7 +119,7 @@ pub struct SolverOptions {
     /// Deliberately **not** part of the [`SubtreeCache`] fingerprint:
     /// re-pricing is a localized edit, and dirtying the affected root
     /// paths is the caller's obligation, exactly like tree edits
-    /// (`fastbuf-incremental`'s `IncrementalSolver::set_site_price` wraps
+    /// (`fastbuf-incremental`'s `IncrementalSolver::set_site_prices` wraps
     /// price update + path dirtying so they can never drift apart).
     pub site_prices: Option<Arc<[f64]>>,
 }
@@ -126,6 +131,7 @@ impl Default for SolverOptions {
             track_predecessors: true,
             delay_model: DelayModel::Elmore,
             slew_limit: None,
+            rat_derate: 1.0,
             site_prices: None,
         }
     }
@@ -263,8 +269,8 @@ impl<'a> Solver<'a> {
     /// The differential harness `tests/incremental_equivalence.rs` asserts
     /// this across random edit scripts, algorithms, and slew modes.
     ///
-    /// On any configuration mismatch (algorithm, tracking, slew limit,
-    /// delay-model identity, library content, node count) the cache flushes
+    /// On any configuration mismatch (algorithm, tracking, slew limit, delay
+    /// model, RAT derate, library content, node count) the cache flushes
     /// itself and the solve runs cold — a stale-config reuse is structurally
     /// impossible, not a caller obligation. Dirtiness for *tree edits* is
     /// the caller's obligation (see [`SubtreeCache::mark_path_dirty`]);
@@ -367,6 +373,7 @@ impl<'a> Solver<'a> {
             root_slew,
             slew_ok,
             model: ctx.model,
+            rat_derate: ctx.rat_derate,
             stats,
         }
     }
@@ -382,6 +389,7 @@ pub(crate) struct SlabCtx<'a> {
     pub(crate) track: bool,
     pub(crate) model: DelayModel,
     pub(crate) slew: SlewPolicy,
+    pub(crate) rat_derate: f64,
     /// Per-node usage prices ([`SolverOptions::site_prices`]).
     pub(crate) prices: Option<&'a [f64]>,
 }
@@ -414,6 +422,7 @@ impl<'a> SlabCtx<'a> {
             track: options.track_predecessors,
             model,
             slew: SlewPolicy::new(model, lib, limit),
+            rat_derate: options.rat_derate,
             prices: options.site_prices.as_deref(),
         }
     }
@@ -628,7 +637,10 @@ fn process_nodes<L: Lane>(
             NodeKind::Sink {
                 capacitance,
                 required_arrival,
-            } => lane.sink(dp.slab, node, required_arrival.value(), capacitance.value()),
+            } => {
+                let rat = required_arrival.value() * ctx.rat_derate;
+                lane.sink(dp.slab, node, rat, capacitance.value())
+            }
             NodeKind::Internal | NodeKind::Source { .. } => {
                 let mut acc: Option<L::Set> = None;
                 for &child in ctx.tree.children(node) {
@@ -984,7 +996,8 @@ mod tests {
         let limit = unc_eval.max_slew * 0.8;
         let sol = Solver::new(&tree, &lib).slew_limit(limit).solve();
         assert!(sol.slew_ok, "line with 9 sites must be feasible");
-        let eval = evaluate_with(&tree, &lib, &sol.placement_pairs(), DelayModel::Elmore).unwrap();
+        let eval =
+            evaluate_with(&tree, &lib, &sol.placement_pairs(), DelayModel::Elmore, 1.0).unwrap();
         assert!(
             eval.max_slew.value() <= limit.value() * (1.0 + 1e-9),
             "forward slew {} exceeds limit {}",
@@ -1062,6 +1075,7 @@ mod tests {
             &lib,
             &constrained.placement_pairs(),
             model,
+            1.0,
         )
         .unwrap();
         assert!(eval.max_slew.picos() <= 150.0 * (1.0 + 1e-9));

@@ -617,7 +617,11 @@ pub fn solve(tree: &RoutingTree, lib: &BufferLibrary, options: &SolverOptions) -
             NodeKind::Sink {
                 capacitance,
                 required_arrival,
-            } => CandidateList::sink(required_arrival.value(), capacitance.value(), PredRef::NONE),
+            } => CandidateList::sink(
+                required_arrival.value() * options.rat_derate,
+                capacitance.value(),
+                PredRef::NONE,
+            ),
             NodeKind::Internal | NodeKind::Source { .. } => {
                 let mut acc: Option<CandidateList> = None;
                 for &child in tree.children(node) {
@@ -727,6 +731,7 @@ pub fn solve(tree: &RoutingTree, lib: &BufferLibrary, options: &SolverOptions) -
         root_slew: Seconds::new(model.slew(0.0, dr, best.c, best.s)),
         slew_ok,
         model,
+        rat_derate: options.rat_derate,
         stats,
     }
 }

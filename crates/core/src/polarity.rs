@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::{BufferLibrary, BufferTypeId};
-use fastbuf_rctree::{DelayModel, NodeId, RoutingTree};
+use fastbuf_rctree::{elmore, DelayModel, NodeId, RoutingTree};
 
 use crate::buffering::{find_betas, Algorithm};
 use crate::engine::{run_lane, Dp, Lane, LaneRun, SlabCtx};
@@ -134,14 +134,16 @@ pub struct PolaritySolution {
     /// The delay model the solve ran under, which
     /// [`PolaritySolution::verify`] measures with.
     pub model: DelayModel,
+    /// The RAT derate the solve ran under, which verify also measures with.
+    pub rat_derate: f64,
     /// Operation counters (both polarity lists contribute).
     pub stats: SolveStats,
 }
 
 impl PolaritySolution {
     /// Checks the solution against the independent forward engine, under
-    /// the [`model`](PolaritySolution::model) it was solved with, *and*
-    /// against the polarity requirements (`negated_sinks` are the sinks
+    /// the model and RAT derate it was solved with (on the underated
+    /// `tree`), *and* against the polarity requirements (`negated_sinks` are the sinks
     /// required [`Polarity::Negative`]); returns the measured slack.
     ///
     /// # Errors
@@ -160,7 +162,7 @@ impl PolaritySolution {
         let pairs: Vec<_> = self.placements.iter().map(|p| (p.node, p.buffer)).collect();
         // Evaluating first rejects placements `tree` has no node for
         // before the polarity walk indexes by them.
-        let report = fastbuf_rctree::elmore::evaluate_with(tree, library, &pairs, self.model)
+        let report = elmore::evaluate_with(tree, library, &pairs, self.model, self.rat_derate)
             .map_err(|e| PolarityError::Verify(VerifyError::Tree(e)))?;
         check_polarity(tree, library, &pairs, negated_sinks)?;
         VerifyError::check_slack(self.slack, report.slack).map_err(PolarityError::Verify)
@@ -395,6 +397,7 @@ impl<'a> PolaritySolver<'a> {
             inverter_count,
             slew_ok,
             model: ctx.model,
+            rat_derate: ctx.rat_derate,
             stats,
         })
     }
@@ -488,7 +491,7 @@ mod tests {
         };
         assert!(as_elmore.verify(&tree, &lib, &[sink]).is_err());
         let pairs: Vec<_> = sol.placements.iter().map(|p| (p.node, p.buffer)).collect();
-        let report = fastbuf_rctree::elmore::evaluate_with(&tree, &lib, &pairs, model).unwrap();
+        let report = elmore::evaluate_with(&tree, &lib, &pairs, model, 1.0).unwrap();
         assert!(report.max_slew <= limit);
     }
 

@@ -93,6 +93,8 @@ pub struct Solution {
     /// The delay model the solve ran under, which [`Solution::verify`]
     /// measures with.
     pub model: DelayModel,
+    /// The RAT derate the solve ran under, which verify also measures with.
+    pub rat_derate: f64,
     /// Operation counters and timing.
     pub stats: SolveStats,
 }
@@ -106,7 +108,8 @@ impl Solution {
 
     /// Re-evaluates the reconstructed placements with the independent
     /// forward analysis of `fastbuf-rctree`, under the
-    /// [`model`](Solution::model) this solution was solved with, and checks
+    /// model and RAT derate this solution was solved with (on the underated
+    /// `tree`), and checks
     /// that the measured slack equals the slack this solution predicts (to
     /// the relative tolerance of [`forward_agrees`]). Returns the measured
     /// slack.
@@ -126,7 +129,8 @@ impl Solution {
         if !self.tracked {
             return Err(VerifyError::NotTracked);
         }
-        let report = elmore::evaluate_with(tree, library, &self.placement_pairs(), self.model)
+        let pairs = self.placement_pairs();
+        let report = elmore::evaluate_with(tree, library, &pairs, self.model, self.rat_derate)
             .map_err(VerifyError::Tree)?;
         VerifyError::check_slack(self.slack, report.slack)
     }

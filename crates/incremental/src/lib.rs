@@ -168,10 +168,34 @@ fn dirty_origin(tree: &RoutingTree, edit: &Edit) -> Option<NodeId> {
     }
 }
 
+/// [`edit_tree`], then dirties the root path the edit invalidates in each
+/// of `caches` (a library swap flushes them): the edit step of
+/// [`IncrementalSolver::apply`] and of one tree solved through several
+/// caches. On a rejected mutation the tree and every cache are unchanged.
+///
+/// # Errors
+///
+/// The [`TreeError`] of a rejected mutation.
+pub fn apply_edit<'c>(
+    tree: &mut RoutingTree,
+    technology: &Technology,
+    edit: &Edit,
+    caches: impl IntoIterator<Item = &'c mut SubtreeCache>,
+) -> Result<(), TreeError> {
+    edit_tree(tree, technology, edit)?;
+    let origin = dirty_origin(tree, edit);
+    for cache in caches {
+        match origin {
+            Some(node) => cache.mark_path_dirty(tree, node),
+            None => cache.flush(),
+        }
+    }
+    Ok(())
+}
+
 /// Applies the tree half of `edit` to `tree`: every edit but
 /// [`Edit::SwapLibrary`], which leaves the tree alone. Wire lengths are
-/// turned into parasitics through `technology`. This is the one tree
-/// mutation [`IncrementalSolver::apply`] and holders of a plain tree share.
+/// turned into parasitics through `technology`.
 ///
 /// # Errors
 ///
@@ -205,13 +229,6 @@ pub fn edit_tree(
         Edit::SwapLibrary { .. } => Ok(()),
     }
 }
-
-/// Bound on the cache-owned predecessor arena before the solver flushes
-/// and rebases it. The arena is append-only while any cached list
-/// references it, so long edit sequences grow it; a flush trades one full
-/// re-solve for reclaiming the memory. Results are unaffected — a flush
-/// only changes what gets recomputed.
-const ARENA_ENTRY_LIMIT: usize = 1 << 21;
 
 /// An owning incremental solver: one routing tree, one buffer library, one
 /// persistent [`SubtreeCache`], kept consistent by construction.
@@ -315,17 +332,6 @@ impl IncrementalSolver {
         }
     }
 
-    /// Sets the buffer-usage price of one node; see
-    /// [`IncrementalSolver::set_site_prices`].
-    ///
-    /// # Errors
-    ///
-    /// [`EcoError::Price`] for an unknown node or a non-finite / negative
-    /// price.
-    pub fn set_site_price(&mut self, node: NodeId, price: Seconds) -> Result<bool, EcoError> {
-        self.set_site_prices(&[(node, price)]).map(|n| n > 0)
-    }
-
     /// Updates the buffer-usage prices of a batch of nodes (the Lagrangian
     /// global loop's per-iteration re-pricing), returning how many actually
     /// changed. A price change is a localized edit exactly like
@@ -410,13 +416,8 @@ impl IncrementalSolver {
     pub fn apply(&mut self, edit: &Edit) -> Result<(), EcoError> {
         if let Edit::SwapLibrary { size, jitter } = edit {
             self.library = swapped_library(*size, *jitter)?;
-        } else {
-            edit_tree(&mut self.tree, &self.technology, edit)?;
         }
-        match dirty_origin(&self.tree, edit) {
-            Some(node) => self.cache.mark_path_dirty(&self.tree, node),
-            None => self.cache.flush(),
-        }
+        apply_edit(&mut self.tree, &self.technology, edit, [&mut self.cache])?;
         self.edits_applied += 1;
         Ok(())
     }
@@ -458,10 +459,6 @@ impl IncrementalSolver {
     /// [`SolveStats::nodes_recomputed`](fastbuf_core::SolveStats) /
     /// `nodes_reused` report how much work the cache saved.
     pub fn solve(&mut self) -> Solution {
-        if self.cache.arena_entries() > ARENA_ENTRY_LIMIT {
-            // Rebase the append-only arena; purely a memory/perf trade.
-            self.cache.flush();
-        }
         Solver::new(&self.tree, &self.library)
             .with_options(self.options.clone())
             .solve_cached(&mut self.workspace, &mut self.cache)
@@ -790,9 +787,8 @@ mod tests {
         // Pricing one deep site recomputes its root path only, and the
         // result matches a scratch solve under the same options.
         let deep = *sites.last().unwrap();
-        assert!(solver
-            .set_site_price(deep, Seconds::from_pico(300.0))
-            .unwrap());
+        let price = Seconds::from_pico(300.0);
+        assert_eq!(solver.set_site_prices(&[(deep, price)]).unwrap(), 1);
         let inc = solver.solve();
         assert!(inc.stats.nodes_recomputed >= 1);
         assert!(
@@ -802,21 +798,21 @@ mod tests {
         assert_identical(&inc, &solver.solve_scratch());
 
         // Re-setting the same price (bitwise) dirties nothing.
-        assert!(!solver
-            .set_site_price(deep, Seconds::from_pico(300.0))
-            .unwrap());
+        assert_eq!(solver.set_site_prices(&[(deep, price)]).unwrap(), 0);
         let warm = solver.solve();
         assert_eq!(warm.stats.nodes_recomputed, 0);
 
         // A large-enough price evicts the buffer from the priced site.
-        assert!(solver.set_site_price(deep, Seconds::new(1.0)).unwrap());
+        let evict = Seconds::new(1.0);
+        assert_eq!(solver.set_site_prices(&[(deep, evict)]).unwrap(), 1);
         let evicted = solver.solve();
         assert!(evicted.placements.iter().all(|p| p.node != deep));
         assert_identical(&evicted, &solver.solve_scratch());
 
         // Restoring zero restores the unpriced solution bit-for-bit.
         let mut baseline = IncrementalSolver::new(solver.tree().clone(), lib8());
-        assert!(solver.set_site_price(deep, Seconds::ZERO).unwrap());
+        let zero = Seconds::ZERO;
+        assert_eq!(solver.set_site_prices(&[(deep, zero)]).unwrap(), 1);
         assert_identical(&solver.solve(), &baseline.solve());
     }
 

@@ -45,21 +45,18 @@ pub struct EvalReport {
     pub max_slew: Seconds,
     /// The endpoint attaining [`EvalReport::max_slew`].
     pub worst_slew_node: NodeId,
+    /// The factor every sink's RAT was multiplied by (see [`evaluate_with`]).
+    pub rat_derate: f64,
 }
 
 impl EvalReport {
     /// Sink-to-sink skew: the spread `max − min` of the sink arrivals
-    /// (`RAT − slack`, with the RATs of `tree`, the tree evaluated).
+    /// (`RAT × rat_derate − slack`, with the RATs of `tree`, the tree evaluated).
     pub fn skew(&self, tree: &RoutingTree) -> Seconds {
         let arrivals = self
             .sink_slacks
             .iter()
-            .map(|&(node, slack)| match tree.kind(node) {
-                NodeKind::Sink {
-                    required_arrival, ..
-                } => required_arrival.value() - slack.value(),
-                _ => unreachable!("sink_slacks only lists sinks"),
-            });
+            .map(|&(node, slack)| derated_rat(tree, node, self.rat_derate) - slack.value());
         let (lo, hi) = arrivals.fold((f64::MAX, f64::MIN), |(lo, hi), a| (lo.min(a), hi.max(a)));
         Seconds::new(hi - lo)
     }
@@ -101,11 +98,23 @@ pub fn evaluate(
     library: &BufferLibrary,
     placements: &[(NodeId, BufferTypeId)],
 ) -> Result<EvalReport, TreeError> {
-    evaluate_with(tree, library, placements, DelayModel::Elmore)
+    evaluate_with(tree, library, placements, DelayModel::Elmore, 1.0)
 }
 
-/// [`evaluate`] under `model`, which scales the wire term only: gate
-/// delays stay `K + R·C` whatever the model. The report carries the worst
+/// The required arrival time of `sink` times `rat_derate`: the one RAT
+/// read of the evaluator, the same product the DP seeds the sink with.
+fn derated_rat(tree: &RoutingTree, sink: NodeId, rat_derate: f64) -> f64 {
+    match tree.kind(sink) {
+        NodeKind::Sink {
+            required_arrival, ..
+        } => required_arrival.value() * rat_derate,
+        _ => unreachable!("only sinks have a required arrival time"),
+    }
+}
+
+/// [`evaluate`] under `model`, which scales the wire term only (gate
+/// delays stay `K + R·C` whatever the model), with every sink's RAT
+/// multiplied by `rat_derate` (`1.0` is exact). The report carries the worst
 /// forward-propagated output slew, computed stage by stage: a stage starts
 /// at the source driver or at a buffer output and ends at the next buffer
 /// inputs / sinks downstream.
@@ -118,6 +127,7 @@ pub fn evaluate_with(
     library: &BufferLibrary,
     placements: &[(NodeId, BufferTypeId)],
     model: DelayModel,
+    rat_derate: f64,
 ) -> Result<EvalReport, TreeError> {
     let n = tree.node_count();
     let mut assigned: Vec<Option<BufferTypeId>> = vec![None; n];
@@ -238,13 +248,7 @@ pub fn evaluate_with(
     let mut slack = Seconds::new(f64::INFINITY);
     let mut critical_sink = tree.root();
     for s in tree.sinks() {
-        let rat = match tree.kind(s) {
-            NodeKind::Sink {
-                required_arrival, ..
-            } => *required_arrival,
-            _ => unreachable!(),
-        };
-        let sl = rat - arrival[s.index()];
+        let sl = Seconds::new(derated_rat(tree, s, rat_derate)) - arrival[s.index()];
         sink_slacks.push((s, sl));
         if sl < slack {
             slack = sl;
@@ -261,6 +265,7 @@ pub fn evaluate_with(
         root_load: load[tree.root().index()],
         max_slew: Seconds::new(max_slew),
         worst_slew_node,
+        rat_derate,
     })
 }
 
@@ -525,7 +530,7 @@ mod tests {
         let tree = b.build().unwrap();
         let lib = BufferLibrary::empty();
         let elmore = evaluate(&tree, &lib, &[]).unwrap();
-        let scaled = evaluate_with(&tree, &lib, &[], DelayModel::SCALED_ELMORE).unwrap();
+        let scaled = evaluate_with(&tree, &lib, &[], DelayModel::SCALED_ELMORE, 1.0).unwrap();
         // Less wire delay -> more slack, smaller slew.
         assert!(scaled.slack > elmore.slack);
         assert!(scaled.max_slew < elmore.max_slew);

@@ -438,33 +438,6 @@ impl RoutingTree {
         self.variation[node.index()] = variation;
         Ok(())
     }
-
-    /// A copy of this tree with every sink's required arrival time
-    /// multiplied by `factor` — the "required-time derate" of a timing
-    /// scenario (a pessimistic corner uses `factor < 1`). Topology, wires,
-    /// loads and node ids are unchanged, so placements and `NodeId`s remain
-    /// valid across the derated and original trees.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive (callers such as
-    /// `fastbuf-api` validate scenario derates before reaching here).
-    pub fn with_derated_rats(&self, factor: f64) -> RoutingTree {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "RAT derate must be finite and positive, got {factor}"
-        );
-        let mut derated = self.clone();
-        for kind in &mut derated.nodes.terminals {
-            if let NodeKind::Sink {
-                required_arrival, ..
-            } = kind
-            {
-                *required_arrival = Seconds::new(required_arrival.value() * factor);
-            }
-        }
-        derated
-    }
 }
 
 /// Incremental builder for [`RoutingTree`].
@@ -1038,67 +1011,6 @@ mod tests {
         let t = b.build().unwrap();
         assert!(t.is_buffer_site(mid));
         assert_eq!(t.buffer_site_count(), 1);
-    }
-
-    #[test]
-    fn derated_rats_scale_sinks_only() {
-        let mut b = TreeBuilder::new();
-        let src = b.source(Driver::default());
-        let mid = b.buffer_site();
-        let snk = b.sink(Farads::from_femto(5.0), Seconds::from_pico(800.0));
-        b.connect(src, mid, wire()).unwrap();
-        b.connect(mid, snk, wire()).unwrap();
-        let t = b.build().unwrap();
-        let d = t.with_derated_rats(0.75);
-        // Same topology, same ids, same wires.
-        assert_eq!(d.node_count(), t.node_count());
-        assert_eq!(d.postorder(), t.postorder());
-        assert_eq!(
-            d.wire_to_parent(snk).unwrap().resistance(),
-            t.wire_to_parent(snk).unwrap().resistance()
-        );
-        match (d.kind(snk), t.kind(snk)) {
-            (
-                NodeKind::Sink {
-                    required_arrival: derated,
-                    capacitance: dc,
-                },
-                NodeKind::Sink {
-                    required_arrival: original,
-                    capacitance: oc,
-                },
-            ) => {
-                assert_eq!(derated.value(), original.value() * 0.75);
-                assert_eq!(dc, oc);
-            }
-            _ => panic!("sink stays a sink"),
-        }
-        // Identity derate is a plain clone.
-        let same = t.with_derated_rats(1.0);
-        match same.kind(snk) {
-            NodeKind::Sink {
-                required_arrival, ..
-            } => assert_eq!(required_arrival.value().to_bits(), {
-                let NodeKind::Sink {
-                    required_arrival, ..
-                } = t.kind(snk)
-                else {
-                    unreachable!()
-                };
-                required_arrival.value().to_bits()
-            }),
-            _ => panic!("sink stays a sink"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn derate_rejects_non_positive_factor() {
-        let mut b = TreeBuilder::new();
-        let src = b.source(Driver::default());
-        let snk = b.sink(Farads::from_femto(5.0), Seconds::from_pico(100.0));
-        b.connect(src, snk, wire()).unwrap();
-        let _ = b.build().unwrap().with_derated_rats(0.0);
     }
 
     #[test]

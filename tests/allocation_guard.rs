@@ -7,14 +7,16 @@
 //! global allocator that counts only the calling thread's allocations
 //! and the heap bytes they retain (other test threads run beside it). It
 //! checks that the count does not grow between 1× and 8× the node count,
-//! so a per-node allocation cannot creep back unnoticed, and that a tree
-//! holds no more bytes than its node columns need.
+//! so a per-node allocation cannot creep back unnoticed, that a tree
+//! holds no more bytes than its node columns need, and that a multi-corner
+//! ECO session holds its net once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use fastbuf::api::{Scenario, Session};
 use fastbuf::buflib::units::{Farads, Microns, Ohms, Seconds};
-use fastbuf::buflib::{Driver, Technology};
+use fastbuf::buflib::{BufferLibrary, Driver, Technology};
 use fastbuf::netgen::{
     build_topology, CtsPlacementSpec, CtsTopologySpec, RandomNetSpec, SuiteSpec,
 };
@@ -197,5 +199,33 @@ fn generated_trees_stay_within_their_byte_budget() {
         "a copy of {} nodes retains {retained} bytes against a budget of {}",
         copy.node_count(),
         byte_budget(&copy)
+    );
+}
+
+/// Every corner of an ECO session solves the one copy of the net, and the
+/// library is the session's: beside the tree, a corner holds only its
+/// scenario, options and (still empty) cache.
+#[test]
+fn a_multi_corner_eco_session_holds_one_tree() {
+    let session = Session::new(BufferLibrary::paper_synthetic(8).unwrap());
+    let die = Microns::new(4_000.0);
+    let tree = RandomNetSpec {
+        sinks: 256,
+        seed: 3,
+        die,
+        ..RandomNetSpec::default()
+    }
+    .build();
+    let corners = vec![
+        Scenario::named("typical"),
+        Scenario::named("slow").rat_derate(0.9),
+        Scenario::named("signoff").slew_limit(Seconds::from_pico(300.0)),
+        Scenario::named("fast").rat_derate(1.1),
+    ];
+    let (eco, _, retained) = measured(|| session.eco(&tree, corners).unwrap());
+    let budget = byte_budget(eco.tree()) + 4 * 1024;
+    assert!(
+        retained <= budget,
+        "a 4-corner session retains {retained} B of {budget} B"
     );
 }

@@ -184,7 +184,18 @@ fn three_scenarios_match_three_legacy_solves_with_one_workspace() {
 
     let typical = Solver::new(tree, &lib).solve();
     let signoff = Solver::new(tree, &lib).slew_limit(limit).solve();
-    let derated = tree.with_derated_rats(0.9);
+    // The reference derates a copy of the tree through the tree's own
+    // setter, independently of the solver option the request uses.
+    let mut derated = tree.clone();
+    for sink in tree.sinks() {
+        if let NodeKind::Sink {
+            required_arrival, ..
+        } = *tree.kind(sink)
+        {
+            let rat = Seconds::new(required_arrival.value() * 0.9);
+            derated.set_sink_rat(sink, rat).unwrap();
+        }
+    }
     let optimistic = Solver::new(&derated, &lib)
         .delay_model(DelayModel::SCALED_ELMORE)
         .solve();

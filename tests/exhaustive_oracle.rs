@@ -44,7 +44,7 @@ fn brute_force(
             continue;
         }
         let report =
-            elmore::evaluate_with(tree, lib, &placements, model).expect("legal assignment");
+            elmore::evaluate_with(tree, lib, &placements, model, 1.0).expect("legal assignment");
         let slack = report.slack.picos();
         best = best.max(slack);
         let cost = report.total_cost.round() as usize;

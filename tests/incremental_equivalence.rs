@@ -349,12 +349,14 @@ fn footprint_snapshots_stay_bit_identical_and_drop_on_outside_dirtying() {
         ),
         (
             "site price inside the footprint",
-            Box::new(move |s| assert!(s.set_site_price(inside_buffer, price).unwrap())),
+            Box::new(move |s| assert_eq!(s.set_site_prices(&[(inside_buffer, price)]).unwrap(), 1)),
             true,
         ),
         (
             "site price on a frontier node",
-            Box::new(move |s| assert!(s.set_site_price(frontier_buffer, price).unwrap())),
+            Box::new(move |s| {
+                assert_eq!(s.set_site_prices(&[(frontier_buffer, price)]).unwrap(), 1)
+            }),
             false,
         ),
     ];

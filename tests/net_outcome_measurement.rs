@@ -53,8 +53,8 @@ fn outcomes_and_records_hold_the_forward_measurement() {
                 let tree = &nets[o.index];
                 let case = format!("net {} under {} limit {limit:?}", o.index, model.name());
                 let pairs: Vec<_> = o.placements.iter().map(|p| (p.node, p.buffer)).collect();
-                let before = elmore::evaluate_with(tree, &lib, &[], model).unwrap();
-                let after = elmore::evaluate_with(tree, &lib, &pairs, model).unwrap();
+                let before = elmore::evaluate_with(tree, &lib, &[], model, 1.0).unwrap();
+                let after = elmore::evaluate_with(tree, &lib, &pairs, model, 1.0).unwrap();
                 assert_eq!(bits(o.slack_before), bits(before.slack), "{case}");
                 assert_eq!(bits(o.slew_before), bits(before.max_slew), "{case}");
                 assert_eq!(

@@ -54,7 +54,7 @@ fn brute_force(
         if check_polarity(tree, lib, &placements, negated).is_err() {
             continue;
         }
-        let report = elmore::evaluate_with(tree, lib, &placements, model).unwrap();
+        let report = elmore::evaluate_with(tree, lib, &placements, model, 1.0).unwrap();
         let s = report.slack.picos();
         best = Some(best.map_or(s, |b: f64| b.max(s)));
     }

@@ -17,6 +17,7 @@
 use proptest::prelude::*;
 
 use fastbuf::api::{parse_variation_spec, wire};
+use fastbuf::incremental::edit_tree;
 use fastbuf::netgen::{Dist, RandomNetSpec, VariationSpec};
 use fastbuf::prelude::*;
 use fastbuf::rctree::{elmore, NodeId, RoutingTree};
@@ -293,4 +294,53 @@ fn per_sample_slacks_match_exhaustive_enumeration() {
     }
     assert!(compared >= 18, "ran only {compared} oracle comparisons");
     println!("oracle-checked {compared} sampled solves");
+}
+
+/// A yield sweep under a derated corner answers, sample by sample, what a
+/// fresh request in that corner answers for the sampled net: the draw
+/// multiplies the underated RAT and the derate multiplies that where the
+/// DP reads it, `(rat · draw) · derate`, as in the fresh request. (Drawing
+/// on pre-derated RATs, `(rat · derate) · draw`, differs in the last bits
+/// for about a third of the draws.)
+#[test]
+fn derated_yield_samples_match_fresh_derated_requests() {
+    let session = Session::new(BufferLibrary::paper_synthetic(8).unwrap());
+    let slow = || Scenario::named("slow").rat_derate(0.9);
+    let (samples, mut compared) = (8, 0);
+    for seed in 0..6u64 {
+        let tree = net(24, 40 + seed);
+        let spec = VariationSpec::gaussian(0.05, 0.5, 900 + seed);
+        let yield_request = session
+            .request(&tree)
+            .scenario(slow())
+            .variation(spec.clone());
+        let objective = Objective::YieldTarget {
+            samples,
+            quantile: 0.5,
+        };
+        let outcome = yield_request.objective(objective).solve().unwrap();
+        for (k, sample) in outcome.scenarios[0]
+            .variation()
+            .unwrap()
+            .samples
+            .iter()
+            .enumerate()
+        {
+            let mut sampled = tree.clone();
+            for edit in spec.sample_edits(&tree, k) {
+                edit_tree(&mut sampled, session.technology(), &edit).unwrap();
+            }
+            let fresh = session.request(&sampled).scenario(slow()).solve().unwrap();
+            let fresh = fresh.solution().unwrap();
+            let case = format!("net {seed} sample {k}: {} vs {}", sample.slack, fresh.slack);
+            assert_eq!(
+                sample.slack.value().to_bits(),
+                fresh.slack.value().to_bits(),
+                "{case}"
+            );
+            assert_eq!(sample.slew_ok, fresh.slew_ok, "{case}");
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, 48);
 }
