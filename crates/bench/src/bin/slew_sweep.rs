@@ -6,8 +6,8 @@
 //! that must match unconstrained solving), prints a table, and records the
 //! run in `BENCH_slew.json` so successive runs can be compared. Each row
 //! reports worst slack, total buffers, measured worst slew (forward
-//! evaluation, the ground truth), nets that could not meet the limit, and
-//! wall time.
+//! evaluation, the ground truth), nets that could not meet the limit, the
+//! suite's `AddBuffer` work and scan visits, and wall time.
 //!
 //! Run: `cargo run --release -p fastbuf-bench --bin slew_sweep --
 //!       [--nets N] [--max-sinks M] [--seed S] [--model NAME] [--out FILE]
@@ -18,6 +18,7 @@ use fastbuf_batch::BatchSolver;
 use fastbuf_bench::{at_least, fixed, options, print_runs, time_each, write_bench, REPEATS};
 use fastbuf_buflib::units::Seconds;
 use fastbuf_buflib::BufferLibrary;
+use fastbuf_core::SolveStats;
 use fastbuf_netgen::SuiteSpec;
 use fastbuf_rctree::DelayModel;
 
@@ -69,6 +70,14 @@ fn main() {
     });
     let mut runs = Vec::new();
     for (&limit_ps, (t, report)) in limits_ps.iter().zip(&timed) {
+        // `AddBuffer` work summed over the suite: deterministic, so it
+        // prices the hull walk against the per-type scan without timing
+        // noise.
+        let sum = |f: fn(&SolveStats) -> u64| -> u64 {
+            report.outcomes.iter().map(|o| f(&o.stats)).sum()
+        };
+        let work = sum(SolveStats::addbuffer_work);
+        let scans = sum(|s| s.scan_candidate_visits);
         // The unconstrained point's infinite limit is recorded as null.
         let mut run = Json::obj([
             ("slew_limit_ps", limit_ps.into()),
@@ -76,13 +85,16 @@ fn main() {
             ("buffers", report.total_buffers.into()),
             ("worst_slew_ps", fixed(report.worst_slew.picos(), 4)),
             ("infeasible_nets", report.slew_violations.into()),
+            ("addbuffer_work", work.into()),
+            ("scan_candidate_visits", scans.into()),
         ]);
         t.record(&mut run, "");
         runs.push(run);
     }
     print_runs(
         &runs,
-        "slew_limit_ps wns_after_ps buffers worst_slew_ps infeasible_nets secs",
+        "slew_limit_ps wns_after_ps buffers worst_slew_ps infeasible_nets addbuffer_work \
+         scan_candidate_visits secs",
     );
 
     write_bench(

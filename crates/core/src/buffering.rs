@@ -17,7 +17,9 @@
 //! | [`Algorithm::LiShi`] | Graham scan + monotone hull walk | O(k + b) |
 //! | [`Algorithm::LiShiPermanent`] | same, but the hull *replaces* the list | O(k + b) |
 //!
-//! All strategies then emit the `β_i` in precomputed input-capacitance order
+//! Under slew or load limits the Li–Shi walk adds an O(k) scan for each of
+//! the `v` types whose walked `α_i` is illegal: O(k + b + k·v). All
+//! strategies then emit the `β_i` in precomputed input-capacitance order
 //! and merge them into the list in O(k + b) (Theorem 2 of the paper).
 
 use fastbuf_buflib::{BufferLibrary, BufferTypeId};
@@ -206,10 +208,9 @@ pub(crate) fn add_buffers<P: Passenger>(site: &Site<'_>, dp: &mut Dp<'_, P>, lis
 /// [`Algorithm::LiShiPermanent`] additionally convex-prunes `list` in
 /// place, exactly as the paper's published `AddBuffer` does.
 ///
-/// With an active slew constraint every algorithm takes the exact per-type
-/// scan: the feasibility predicate `R·C + s ≤ budget` is not monotone along
-/// the list (like a load limit, but per-type), so the hull walk's
-/// Lemma 1/4 shortcut does not apply — see `docs/ALGORITHM.md`.
+/// [`Algorithm::Lillis`] scans every type; both Li–Shi algorithms walk the
+/// hull for every type, under slew and load limits too, and re-scan only
+/// the types whose walked `α_i` is illegal (see [`find_alphas_walk`]).
 ///
 /// Only types for which `fits` holds get a β (and, when tracking, an arena
 /// entry); the hull walk still steps through every allowed type in Lemma 1
@@ -240,7 +241,7 @@ pub(crate) fn find_betas<P: Passenger>(
         stats.convex_pruned += slab.convex_prune(list) as u64;
     }
     let view = slab.view(list);
-    if site.algo == Algorithm::Lillis || site.slew.active() {
+    if site.algo == Algorithm::Lillis {
         find_alphas_scan(site, view, arena, scratch, stats, fits);
         return true;
     }
@@ -256,11 +257,8 @@ pub(crate) fn find_betas<P: Passenger>(
     true
 }
 
-/// Lillis et al.: an independent O(k) scan per allowed buffer type. Also
-/// the path every algorithm takes under an active slew constraint, where
-/// the per-type feasibility filter `R·C + s ≤ budget` rules out the hull
-/// walk. The scans are independent, so a type that does not `fit` is not
-/// scanned at all.
+/// Lillis et al.: an independent O(k) scan per allowed buffer type. The
+/// scans are independent, so a type that does not `fit` is not scanned.
 fn find_alphas_scan<P: Passenger>(
     site: &Site<'_>,
     view: SlabView<'_, P>,
@@ -282,7 +280,9 @@ fn find_alphas_scan<P: Passenger>(
 
 /// One type's exact scan: the candidate maximizing `Q − r·C` (ties to
 /// minimum `C`) among those within `max_load` whose stage `r·C + s` meets
-/// `slew_cap`, or `None`. Every visited candidate counts as a scan visit.
+/// `slew_cap`, or `None`. Lillis runs it for every type; Li–Shi only for a
+/// type whose walked `α_i` is illegal. Every visited candidate counts as a
+/// scan visit.
 fn scan_type<P: Passenger>(
     view: &SlabView<'_, P>,
     r: f64,
@@ -311,12 +311,12 @@ fn scan_type<P: Passenger>(
 }
 
 /// Li & Shi: one monotone walk along the hull finds every unconstrained
-/// `α_i`; types with a load limit fall back to an exact scan (the limit can
-/// make an interior, off-hull candidate optimal, so the hull alone is
-/// insufficient for them — see `docs/ALGORITHM.md` §3). A type that does not `fit`
-/// still advances the walk pointer (the walk's stopping point can depend on
-/// where it starts), but gets no β; its load-limited scan, which leaves the
-/// pointer alone, is skipped.
+/// `α_i`. A legal `α_i` (within the type's load limit and slew budget) is
+/// also the constrained argmax, tie included (Lemma 3), so only a type
+/// whose `α_i` is illegal takes the exact [`scan_type`] repair, which
+/// leaves the pointer where the walk put it — see `docs/ALGORITHM.md` §3.
+/// A type that does not `fit` still advances the pointer (the walk's
+/// stopping point can depend on where it starts), but gets no β.
 fn find_alphas_walk<P: Passenger>(
     site: &Site<'_>,
     view: SlabView<'_, P>,
@@ -330,7 +330,7 @@ fn find_alphas_walk<P: Passenger>(
     } = scratch;
     let hull = &hull[..];
     let n = view.len();
-    let (qs, cs) = (&view.q[..n], &view.c[..n]);
+    let (qs, cs, ss) = (&view.q[..n], &view.c[..n], &view.s[..n]);
     let mut ptr = 0usize;
     let mut walk_steps = 0u64;
     for &id in site.lib.by_resistance_desc() {
@@ -338,42 +338,36 @@ fn find_alphas_walk<P: Passenger>(
             continue;
         }
         let (r, k, c_in, max_load) = params(site.lib, id, site.variation);
-        let alpha = if max_load.is_finite() {
-            if !fits(id) {
-                continue;
+        // Lemma 4: Q − R·C is unimodal along the hull; Lemma 1: the peak
+        // only ever moves rightward as R decreases, so the pointer never
+        // retreats across buffer types. The walk carries the current
+        // vertex's objective in a register: a vertex's `q − r·c` is the
+        // same bits whether kept from the step that advanced onto it or
+        // recomputed, since `r` is fixed within one buffer type.
+        let cur = hull[ptr] as usize;
+        let mut cur_v = qs[cur] - r * cs[cur];
+        while ptr + 1 < hull.len() {
+            let nxt = hull[ptr + 1] as usize;
+            let nxt_v = qs[nxt] - r * cs[nxt];
+            if nxt_v > cur_v {
+                ptr += 1;
+                cur_v = nxt_v;
+                walk_steps += 1;
+            } else {
+                break;
             }
-            // Exact constrained scan (rare path; the walk runs only
-            // without a slew limit).
-            match scan_type(&view, r, max_load, f64::INFINITY, stats) {
-                Some(i) => i,
-                None => continue, // no candidate satisfies the load limit
+        }
+        if !fits(id) {
+            continue;
+        }
+        let mut alpha = hull[ptr] as usize;
+        let slew_cap = site.slew.type_cap(id);
+        if cs[alpha] > max_load || r * cs[alpha] + ss[alpha] > slew_cap {
+            match scan_type(&view, r, max_load, slew_cap, stats) {
+                Some(i) => alpha = i,
+                None => continue, // no candidate is legal for this type
             }
-        } else {
-            // Lemma 4: Q − R·C is unimodal along the hull; Lemma 1: the
-            // peak only ever moves rightward as R decreases, so the pointer
-            // never retreats across buffer types. The walk carries the
-            // current vertex's objective in a
-            // register: a vertex's `q − r·c` is the same bits whether kept
-            // from the step that advanced onto it or recomputed, since `r`
-            // is fixed within one buffer type.
-            let cur = hull[ptr] as usize;
-            let mut cur_v = qs[cur] - r * cs[cur];
-            while ptr + 1 < hull.len() {
-                let nxt = hull[ptr + 1] as usize;
-                let nxt_v = qs[nxt] - r * cs[nxt];
-                if nxt_v > cur_v {
-                    ptr += 1;
-                    cur_v = nxt_v;
-                    walk_steps += 1;
-                } else {
-                    break;
-                }
-            }
-            if !fits(id) {
-                continue;
-            }
-            hull[ptr] as usize
-        };
+        }
         beta_slots[id.index()] = Some(make_beta(site, &view, alpha, id, r, k, c_in, arena));
     }
     stats.hull_walk_steps += walk_steps;

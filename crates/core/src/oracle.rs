@@ -421,9 +421,9 @@ pub fn convex_prune_in_place(list: &mut CandidateList) -> usize {
 /// betas (in input-capacitance order, pruned among themselves) into the
 /// list.
 ///
-/// With an active slew limit every algorithm takes the per-type scan,
-/// because the feasibility filter `R·C + s ≤ budget` is not monotone along
-/// the list. [`Algorithm::LiShiPermanent`] convex-prunes `list` in place
+/// Lillis scans every type; both Li–Shi algorithms walk the hull and
+/// re-scan only the types whose walked `α_i` is illegal under a load or
+/// slew limit. [`Algorithm::LiShiPermanent`] convex-prunes `list` in place
 /// first. `price` is charged to every `β_i` like extra intrinsic delay.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn add_buffers(
@@ -458,7 +458,7 @@ pub(crate) fn add_buffers(
         // hull *is* the list.
         stats.convex_pruned += convex_prune_in_place(list) as u64;
     }
-    if algo == Algorithm::Lillis || slew.active() {
+    if algo == Algorithm::Lillis {
         find_alphas_scan(list, &at, slew, arena, &mut slots, stats);
     } else {
         let mut hull = Vec::new();
@@ -469,7 +469,7 @@ pub(crate) fn add_buffers(
         }
         stats.hull_builds += 1;
         stats.hull_input_candidates += list.len() as u64;
-        find_alphas_walk(list, &hull, &at, arena, &mut slots, stats);
+        find_alphas_walk(list, &hull, &at, slew, arena, &mut slots, stats);
     }
     // Emit the β_i in non-decreasing input-capacitance order (Theorem 2),
     // pruning betas dominated among themselves.
@@ -525,34 +525,48 @@ fn find_alphas_scan(
             continue;
         }
         let (r, _, _, max_load) = params(at.lib, id, at.variation);
-        let slew_cap = slew.type_cap(id);
-        let mut best: Option<&Candidate> = None;
-        for cand in list {
-            stats.scan_candidate_visits += 1;
-            if cand.c > max_load {
-                break; // c is sorted ascending; nothing further fits
-            }
-            if r * cand.c + cand.s > slew_cap {
-                continue; // closing this stage with B_i would violate slew
-            }
-            if best.is_none_or(|b| cand.driven_q(r, 0.0) > b.driven_q(r, 0.0)) {
-                best = Some(cand);
-            }
-        }
-        if let Some(alpha) = best {
+        if let Some(alpha) = best_legal(list, r, max_load, slew.type_cap(id), stats) {
             slots[id.index()] = Some(at.beta(alpha, id, arena));
         }
     }
 }
 
+/// The candidate maximizing `Q − r·C` (ties to minimum `C`) among those
+/// within `max_load` whose stage `r·C + s` meets `slew_cap`, counting
+/// every visit.
+fn best_legal<'a>(
+    list: &'a CandidateList,
+    r: f64,
+    max_load: f64,
+    slew_cap: f64,
+    stats: &mut SolveStats,
+) -> Option<&'a Candidate> {
+    let mut best: Option<&Candidate> = None;
+    for cand in list {
+        stats.scan_candidate_visits += 1;
+        if cand.c > max_load {
+            break; // c is sorted ascending; nothing further fits
+        }
+        if r * cand.c + cand.s > slew_cap {
+            continue; // closing this stage with B_i would violate slew
+        }
+        if best.is_none_or(|b| cand.driven_q(r, 0.0) > b.driven_q(r, 0.0)) {
+            best = Some(cand);
+        }
+    }
+    best
+}
+
 /// Li & Shi: one monotone walk along `hull` in non-increasing-resistance
-/// order finds every unconstrained `α_i` (Lemmas 1 and 4); a type with a
-/// load limit takes an exact scan instead, because the limit can make an
-/// interior, off-hull candidate optimal.
+/// order finds every unconstrained `α_i` (Lemmas 1 and 4). A legal `α_i`
+/// is also the constrained argmax (Lemma 3); a type whose `α_i` breaks its
+/// load limit or slew budget takes the exact scan instead, which does not
+/// move the walk pointer.
 fn find_alphas_walk(
     list: &CandidateList,
     hull: &[u32],
     at: &BetaSite<'_>,
+    slew: &SlewPolicy,
     arena: &mut PredArena,
     slots: &mut [Option<Candidate>],
     stats: &mut SolveStats,
@@ -564,35 +578,26 @@ fn find_alphas_walk(
             continue;
         }
         let (r, _, _, max_load) = params(at.lib, id, at.variation);
-        let alpha = if max_load.is_finite() {
-            let mut best: Option<&Candidate> = None;
-            for cand in cands {
-                stats.scan_candidate_visits += 1;
-                if cand.c > max_load {
-                    break;
-                }
-                if best.is_none_or(|b| cand.driven_q(r, 0.0) > b.driven_q(r, 0.0)) {
-                    best = Some(cand);
-                }
+        while ptr + 1 < hull.len() {
+            let cur = &cands[hull[ptr] as usize];
+            let nxt = &cands[hull[ptr + 1] as usize];
+            if nxt.driven_q(r, 0.0) > cur.driven_q(r, 0.0) {
+                ptr += 1;
+                stats.hull_walk_steps += 1;
+            } else {
+                break;
             }
-            match best {
-                Some(a) => a,
-                None => continue, // no candidate satisfies the load limit
-            }
+        }
+        let walked = &cands[hull[ptr] as usize];
+        let slew_cap = slew.type_cap(id);
+        let alpha = if walked.c > max_load || r * walked.c + walked.s > slew_cap {
+            best_legal(list, r, max_load, slew_cap, stats)
         } else {
-            while ptr + 1 < hull.len() {
-                let cur = &cands[hull[ptr] as usize];
-                let nxt = &cands[hull[ptr + 1] as usize];
-                if nxt.driven_q(r, 0.0) > cur.driven_q(r, 0.0) {
-                    ptr += 1;
-                    stats.hull_walk_steps += 1;
-                } else {
-                    break;
-                }
-            }
-            &cands[hull[ptr] as usize]
+            Some(walked)
         };
-        slots[id.index()] = Some(at.beta(alpha, id, arena));
+        if let Some(alpha) = alpha {
+            slots[id.index()] = Some(at.beta(alpha, id, arena));
+        }
     }
 }
 

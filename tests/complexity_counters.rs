@@ -5,7 +5,8 @@
 //! (`addbuffer_candidates`):
 //!
 //! * Li–Shi builds its hulls from exactly Σk candidates, and its walks take
-//!   at most Σk forward steps;
+//!   at most Σk forward steps, under a slew limit too, where it scans only
+//!   the types whose walked α is illegal;
 //! * Lillis scans every candidate once per buffer type: exactly b·Σk visits
 //!   on libraries without load limits;
 //! * every algorithm emits at most b betas per call — also through the
@@ -57,36 +58,61 @@ fn assert_betas_bounded(what: &str, b: usize, s: &SolveStats) {
 }
 
 /// Li–Shi's hull work: Σk hull inputs and at most Σk walk steps.
-fn assert_hull_bounded(what: &str, s: &SolveStats) {
+fn assert_walk_bounded(what: &str, s: &SolveStats) {
     assert_eq!(s.hull_input_candidates, s.addbuffer_candidates, "{what}");
     assert!(s.hull_walk_steps <= s.addbuffer_candidates, "{what}: {s}");
+}
+
+/// Li–Shi's hull work without limits: the walk alone, no scan.
+fn assert_hull_bounded(what: &str, s: &SolveStats) {
+    assert_walk_bounded(what, s);
     assert_eq!(s.scan_candidate_visits, 0, "{what}: no load limits");
 }
 
+/// The max-slack bounds, without a slew limit and under a ladder of them.
+/// Under a limit Li–Shi still walks its hulls and scans only the types
+/// whose walked α breaks the limit, so it never visits more candidates
+/// than Lillis, and at 800 ps, where almost every α is legal, strictly
+/// fewer.
 #[test]
 fn max_slack_addbuffer_work_meets_the_bounds() {
     let nets = nets();
     for b in SIZES {
         let lib = BufferLibrary::paper_synthetic(b).unwrap();
         for (name, tree) in &nets {
-            let solve = |algo| Solver::new(tree, &lib).algorithm(algo).solve().stats;
-            let what = format!("{name} b={b}");
-            let lishi = solve(Algorithm::LiShi);
-            assert!(lishi.addbuffer_ops > 0, "{what}: the net has sites");
-            assert_hull_bounded(&what, &lishi);
-            let lillis = solve(Algorithm::Lillis);
-            assert_eq!(
-                lillis.scan_candidate_visits,
-                b as u64 * lillis.addbuffer_candidates,
-                "{what}"
-            );
-            // Both exact algorithms keep the same lists.
-            assert_eq!(lillis.addbuffer_candidates, lishi.addbuffer_candidates);
-            let permanent = solve(Algorithm::LiShiPermanent);
-            assert!(permanent.hull_input_candidates <= permanent.addbuffer_candidates);
-            assert!(permanent.hull_walk_steps <= permanent.hull_input_candidates);
-            for (algo, s) in [("lishi", &lishi), ("lillis", &lillis), ("perm", &permanent)] {
-                assert_betas_bounded(&format!("{what} {algo}"), b, s);
+            for limit_ps in [f64::INFINITY, 800.0, 200.0, 50.0] {
+                let solve = |algo| {
+                    let mut solver = Solver::new(tree, &lib).algorithm(algo);
+                    if limit_ps.is_finite() {
+                        solver = solver.slew_limit(Seconds::from_pico(limit_ps));
+                    }
+                    solver.solve().stats
+                };
+                let what = format!("{name} b={b} limit={limit_ps} ps");
+                let lishi = solve(Algorithm::LiShi);
+                assert!(lishi.addbuffer_ops > 0, "{what}: the net has sites");
+                let lillis = solve(Algorithm::Lillis);
+                assert_eq!(
+                    lillis.scan_candidate_visits,
+                    b as u64 * lillis.addbuffer_candidates,
+                    "{what}"
+                );
+                // Both exact algorithms keep the same lists.
+                assert_eq!(lillis.addbuffer_candidates, lishi.addbuffer_candidates);
+                if limit_ps.is_infinite() {
+                    assert_hull_bounded(&what, &lishi);
+                } else {
+                    assert_walk_bounded(&what, &lishi);
+                    let (scans, all) = (lishi.scan_candidate_visits, lillis.scan_candidate_visits);
+                    assert!(scans <= all, "{what}: {lishi}");
+                    assert!(limit_ps != 800.0 || scans < all, "{what}: {lishi}");
+                }
+                let permanent = solve(Algorithm::LiShiPermanent);
+                assert!(permanent.hull_input_candidates <= permanent.addbuffer_candidates);
+                assert!(permanent.hull_walk_steps <= permanent.hull_input_candidates);
+                for (algo, s) in [("lishi", &lishi), ("lillis", &lillis), ("perm", &permanent)] {
+                    assert_betas_bounded(&format!("{what} {algo}"), b, s);
+                }
             }
         }
     }

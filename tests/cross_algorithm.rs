@@ -39,7 +39,7 @@ fn families() -> Vec<(String, RoutingTree)> {
 
 /// Theorem 1 in bits: Li–Shi selects the same root candidate as Lillis —
 /// slack, `root_q` and root load equal bit for bit — and the same
-/// placements.
+/// placements and slew verdict.
 fn assert_same_bits(what: &str, lillis: &Solution, lishi: &Solution) {
     let bits = |s: &Solution| {
         [
@@ -56,24 +56,70 @@ fn assert_same_bits(what: &str, lillis: &Solution, lishi: &Solution) {
         lishi.slack
     );
     assert_eq!(lillis.placements, lishi.placements, "{what}: placements");
+    assert_eq!(lillis.slew_ok, lishi.slew_ok, "{what}: slew verdict");
 }
 
+/// The odd types of `paper_synthetic(16)` with a 60 fF load limit.
+fn load_limited_library() -> BufferLibrary {
+    let base = BufferLibrary::paper_synthetic(16).unwrap();
+    BufferLibrary::new(
+        base.iter()
+            .map(|(id, b)| match id.index() % 2 {
+                1 => b.clone().with_max_load(Farads::from_femto(60.0)),
+                _ => b.clone(),
+            })
+            .collect(),
+    )
+    .unwrap()
+}
+
+/// Lillis scans every type at every site, so it is the independent check
+/// of Li–Shi's rule under limits: walk the hull, re-scan only the types
+/// whose walked α is illegal. Every library meets a slew ladder, and one
+/// library is load-limited; the load-limited library and every rung at
+/// 200 ps or below must send some Li–Shi solve through that repair, or
+/// the ladder tests nothing.
 #[test]
 fn lillis_and_lishi_agree_everywhere_and_verify() {
-    for b in [1usize, 2, 8, 17] {
-        let lib = BufferLibrary::paper_synthetic_jittered(b, 3).unwrap();
-        for (name, tree) in families() {
-            let lillis = Solver::new(&tree, &lib)
-                .algorithm(Algorithm::Lillis)
-                .solve();
-            let lishi = Solver::new(&tree, &lib).algorithm(Algorithm::LiShi).solve();
-            assert_same_bits(&format!("{name} b={b}"), &lillis, &lishi);
-            lillis
-                .verify(&tree, &lib)
-                .unwrap_or_else(|e| panic!("{name} b={b}: lillis verification failed: {e}"));
-            lishi
-                .verify(&tree, &lib)
-                .unwrap_or_else(|e| panic!("{name} b={b}: lishi verification failed: {e}"));
+    let mut libs: Vec<(String, BufferLibrary)> = [1usize, 2, 8, 17]
+        .into_iter()
+        .map(|b| {
+            let lib = BufferLibrary::paper_synthetic_jittered(b, 3).unwrap();
+            (format!("b={b}"), lib)
+        })
+        .collect();
+    libs.push(("load-limited b=16".into(), load_limited_library()));
+    for (lib_name, lib) in &libs {
+        for limit_ps in [f64::INFINITY, 800.0, 200.0, 50.0] {
+            let mut repairs = 0;
+            for (name, tree) in families() {
+                let what = format!("{name} {lib_name} limit={limit_ps} ps");
+                let solve = |algo| {
+                    let mut solver = Solver::new(&tree, lib).algorithm(algo);
+                    if limit_ps.is_finite() {
+                        solver = solver.slew_limit(Seconds::from_pico(limit_ps));
+                    }
+                    solver.solve()
+                };
+                let lillis = solve(Algorithm::Lillis);
+                let lishi = solve(Algorithm::LiShi);
+                assert_same_bits(&what, &lillis, &lishi);
+                repairs += lishi.stats.scan_candidate_visits;
+                lillis
+                    .verify(&tree, lib)
+                    .unwrap_or_else(|e| panic!("{what}: lillis verification failed: {e}"));
+                lishi
+                    .verify(&tree, lib)
+                    .unwrap_or_else(|e| panic!("{what}: lishi verification failed: {e}"));
+            }
+            let load_limited = lib.iter().any(|(_, b)| b.max_load().is_some());
+            let what = format!("{lib_name} limit={limit_ps} ps: {repairs} scan visits");
+            if limit_ps.is_infinite() && !load_limited {
+                assert_eq!(repairs, 0, "{what}");
+            }
+            if limit_ps <= 200.0 || load_limited {
+                assert!(repairs > 0, "{what}");
+            }
         }
     }
 }
