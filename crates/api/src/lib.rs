@@ -324,12 +324,6 @@ mod tests {
         assert_eq!(skewed.worst_slack().unwrap(), s.slack);
         skewed.verify(&tree, &lib).unwrap();
 
-        // Untracked, there are no placements to verify.
-        let untracked = session.request(&tree).track_predecessors(false);
-        let outcome = untracked.objective(Objective::SkewTarget { max_skew: None });
-        let err = outcome.solve().unwrap().verify(&tree, &lib).unwrap_err();
-        assert!(err.to_string().contains("tracking was disabled"), "{err}");
-
         // A negative or non-finite bound is a typed error.
         for bad in [-1.0, f64::INFINITY, f64::NEG_INFINITY] {
             let err = session

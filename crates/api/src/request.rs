@@ -102,7 +102,6 @@ pub struct SolveRequest<'a> {
     tree: &'a RoutingTree,
     objective: Objective,
     scenarios: Option<Vec<Scenario>>,
-    track_predecessors: bool,
     workers: Option<usize>,
     variation: Option<VariationSpec>,
 }
@@ -114,7 +113,6 @@ impl<'a> SolveRequest<'a> {
             tree,
             objective: Objective::MaxSlack,
             scenarios: None,
-            track_predecessors: true,
             workers: None,
             variation: None,
         }
@@ -140,15 +138,6 @@ impl<'a> SolveRequest<'a> {
     #[must_use]
     pub fn scenarios(mut self, scenarios: Vec<Scenario>) -> Self {
         self.scenarios = Some(scenarios);
-        self
-    }
-
-    /// Enables or disables predecessor tracking (default on). Max-slack and
-    /// skew honour it; polarity and cost always track (their results are
-    /// placements), and yield sweeps never do.
-    #[must_use]
-    pub fn track_predecessors(mut self, track: bool) -> Self {
-        self.track_predecessors = track;
         self
     }
 
@@ -263,8 +252,7 @@ impl<'a> SolveRequest<'a> {
         let start = Instant::now();
         let session = self.session;
         let library = session.library();
-        let mut options = session.options(scenario);
-        options.track_predecessors = self.track_predecessors;
+        let options = session.options(scenario);
         let (model, algorithm) = (options.delay_model, options.algorithm);
         let tree = self.tree;
 

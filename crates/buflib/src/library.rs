@@ -3,6 +3,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::buffer::{BufferType, BufferTypeId};
 use crate::error::LibraryError;
@@ -37,9 +38,11 @@ use crate::units::{Farads, Ohms, Seconds};
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct BufferLibrary {
-    buffers: Vec<BufferType>,
-    by_resistance_desc: Vec<BufferTypeId>,
-    by_input_cap_asc: Vec<BufferTypeId>,
+    // Shared, so a clone (one per worker, net or request) copies three
+    // pointers instead of the library.
+    buffers: Arc<[BufferType]>,
+    by_resistance_desc: Arc<[BufferTypeId]>,
+    by_input_cap_asc: Arc<[BufferTypeId]>,
 }
 
 impl BufferLibrary {
@@ -61,9 +64,9 @@ impl BufferLibrary {
     /// "wires only" flows don't need an `Option<BufferLibrary>`.
     pub fn empty() -> Self {
         BufferLibrary {
-            buffers: Vec::new(),
-            by_resistance_desc: Vec::new(),
-            by_input_cap_asc: Vec::new(),
+            buffers: Arc::new([]),
+            by_resistance_desc: Arc::new([]),
+            by_input_cap_asc: Arc::new([]),
         }
     }
 
@@ -166,9 +169,9 @@ impl BufferLibrary {
                 .then(a.cmp(&b))
         });
         Ok(BufferLibrary {
-            buffers,
-            by_resistance_desc,
-            by_input_cap_asc,
+            buffers: buffers.into(),
+            by_resistance_desc: by_resistance_desc.into(),
+            by_input_cap_asc: by_input_cap_asc.into(),
         })
     }
 
@@ -314,7 +317,7 @@ impl BufferLibrary {
         let mut out = String::from(
             "# fastbuf buffer library: name r_ohms c_ff k_ps cost [max_load_ff] [slew=ps] [inv]\n",
         );
-        for b in &self.buffers {
+        for b in self.buffers.iter() {
             out.push_str(&format!(
                 "{} {} {} {} {}",
                 b.name(),
@@ -381,7 +384,7 @@ impl BufferLibrary {
 impl fmt::Display for BufferLibrary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "buffer library ({} types):", self.len())?;
-        for b in &self.buffers {
+        for b in self.buffers.iter() {
             writeln!(f, "  {b}")?;
         }
         Ok(())
@@ -521,6 +524,25 @@ mod tests {
         assert!((strongest.input_capacitance().femtos() - 23.0).abs() < 1e-9);
         assert!((weakest.intrinsic_delay().picos() - 29.0).abs() < 1e-9);
         assert!((strongest.intrinsic_delay().picos() - 36.4).abs() < 1e-9);
+    }
+
+    /// A clone shares the original's storage instead of copying it.
+    #[test]
+    fn clones_share_their_storage() {
+        let lib = BufferLibrary::paper_synthetic(8).unwrap();
+        let copy = lib.clone();
+        for id in lib.ids() {
+            assert!(std::ptr::eq(lib.get(id), copy.get(id)));
+        }
+        assert!(std::ptr::eq(
+            lib.by_resistance_desc(),
+            copy.by_resistance_desc()
+        ));
+        assert!(std::ptr::eq(
+            lib.by_input_cap_asc(),
+            copy.by_input_cap_asc()
+        ));
+        assert_eq!(lib, copy);
     }
 
     #[test]
